@@ -39,11 +39,8 @@ from .mdp import (
     EvseQueue,
     EvseState,
     MdpError,
-    RewardSpec,
-    SchedulingDecision,
     demand_supply_index,
-    discounted_return,
-    env_transition,
+    ordering_holds,
     scheduling_indicator,
     session_reward,
 )
@@ -61,7 +58,6 @@ from .scheduler import (
     compute_metrics,
     execute,
     fcfs_as_requested_baseline,
-    risk_off_ablation,
 )
 
 __version__ = "0.1.0"

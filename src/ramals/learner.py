@@ -2,14 +2,15 @@
 
 One gated recurrent cell feeds a two-way softmax policy head and a scalar
 value head.  Every port runs its own agent over its own session sequence; a
-coordinator holds the shared parameters, applies the (norm-clipped) gradient
-of each agent through Adam in a fixed port order, and the agents re-sync
-from it at episode boundaries.  All forward and backward math is explicit
-numpy so the gradients can be checked against central finite differences.
+coordinator holds the shared parameters and applies the (norm-clipped)
+gradient of each agent through Adam in a fixed port order.  Within an episode
+every agent runs on one copy of the parameters taken at the episode's start.
+All forward and backward math is explicit numpy so the gradients can be
+checked against central finite differences.
 
-Per-step reward, bootstrapped targets and advantages follow the decision
-model in :mod:`ramals.mdp`; targets and advantages are constants with respect
-to the parameters (no gradient flows through them).
+Per-step rewards follow the decision model in :mod:`ramals.mdp`; the one-step
+bootstrapped targets and advantages are constants with respect to the
+parameters (no gradient flows through them).
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ log = logging.getLogger(__name__)
 STATE_DIM = mdp.STATE_DIM
 PARAM_KEYS = ("wx", "wh", "b", "wp", "bp", "wv", "bv")
 LOG_PROB_FLOOR = 1e-12
-MODEL_FORMAT = "ramals-model-v1"
+MODEL_FORMAT = "ramals-model-v2"
+READABLE_FORMATS = (MODEL_FORMAT, "ramals-model-v1")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class LearnerError(ValueError):
@@ -157,11 +162,6 @@ def forward_episode(params: dict, states: np.ndarray, carry=None) -> EpisodeForw
     return EpisodeForward(probs, values, hiddens, cells, caches, (h, c))
 
 
-def td_advantage(q_estimate: float, value: float) -> float:
-    """Bootstrapped action value minus state value."""
-    return q_estimate - value
-
-
 def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
     """One-step targets q_t = r_t + gamma * V(s_{t+1}) with terminal value 0,
     and the advantages q - V.  Both are constants for the backward pass."""
@@ -190,12 +190,8 @@ def policy_loss(advantages, taken_probs) -> float:
     return float(-np.mean(adv * np.log(np.maximum(p, LOG_PROB_FLOOR))))
 
 
-def policy_entropy(dist: mdp.ActionDistribution) -> float:
-    """Shannon entropy of a two-way action distribution, in nats."""
-    return float(_entropy_rows(dist.as_array()[None, :])[0])
-
-
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy, in nats, of each row of two-way action probabilities."""
     safe = np.maximum(probs, LOG_PROB_FLOOR)
     return -np.sum(probs * np.log(safe), axis=-1)
 
@@ -308,14 +304,10 @@ def clipped_delta(grads: dict, clip_threshold: float) -> dict:
 class Coordinator:
     """Holds the shared parameters and the Adam state."""
 
-    def __init__(self, params: dict, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, learning_rate: float = 0.001):
         _check_shapes(params)
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = zero_like(params)
         self.v = zero_like(params)
         self.step = 0
@@ -326,37 +318,20 @@ class Coordinator:
         if set(delta) != set(self.params):
             raise LearnerError("delta keys do not match coordinator parameters")
         self.step += 1
-        b1c = 1.0 - self.beta1 ** self.step
-        b2c = 1.0 - self.beta2 ** self.step
+        b1c = 1.0 - ADAM_BETA1 ** self.step
+        b2c = 1.0 - ADAM_BETA2 ** self.step
         for key in PARAM_KEYS:
             g = delta[key]
             if g.shape != self.params[key].shape:
                 raise LearnerError(f"delta {key!r} shape mismatch")
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[key] / b1c
             v_hat = self.v[key] / b2c
-            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def sync_copy(self) -> dict:
         return clone_params(self.params)
-
-
-def apply_update(coordinator: Coordinator, agent_params: dict, delta: dict) -> dict:
-    """Adam step on the coordinator, then hand back a fresh agent copy."""
-    coordinator.apply_update(delta)
-    return coordinator.sync_copy()
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One step of episode memory: action, discounted return, session index,
-    recurrent carry snapshot."""
-
-    action: int
-    discounted_return: float
-    session_index: int
-    carry: tuple
 
 
 @dataclass(frozen=True)
@@ -369,7 +344,6 @@ class TrainConfig:
     hidden: int = 64
     seed: int = 0
     clip_threshold: float = 40.0
-    risk_refresh_every: int = 0   # 0: estimate once up front (static batches)
 
     def __post_init__(self):
         if self.episodes <= 0:
@@ -395,7 +369,23 @@ class EpisodeLog:
 
 @dataclass
 class SharedModel:
-    """Serializable container for the trained system."""
+    """Serializable container for the trained system.
+
+    Every port decides with the coordinator's parameters.  A ``ramals-model-v2``
+    file is one JSON object holding:
+
+    - ``format``, ``hidden``, ``gamma``, ``beta``, ``alpha``, ``risk_value``
+      and ``train_episodes``
+    - the coordinator's ``learning_rate``, Adam ``step``, parameters
+      (``coordinator``) and Adam moments (``adam_m``, ``adam_v``), each tensor
+      stored as ``{"shape": [...], "data": [...]}``
+    - ``carries``: the recurrent carry ``{"h": [...], "c": [...]}`` each port
+      ended training with, keyed by EVSE id
+
+    ``ramals-model-v1`` files are read too.  Their ``agents`` block of
+    per-port parameter copies, which training always left equal to the
+    coordinator, is ignored.
+    """
 
     hidden: int
     gamma: float
@@ -403,13 +393,8 @@ class SharedModel:
     alpha: float
     risk_value: float
     coordinator: Coordinator
-    agents: dict[str, dict]
     carries: dict[str, tuple]
     train_episodes: int = 0
-    last_episode_memory: dict[str, list] | None = None  # transient, not saved
-
-    def agent_params(self, evse_id: str) -> dict:
-        return self.agents.get(evse_id, self.coordinator.params)
 
     def carry_for(self, evse_id: str):
         if evse_id in self.carries:
@@ -434,7 +419,6 @@ class SharedModel:
             "coordinator": pack(self.coordinator.params),
             "adam_m": pack(self.coordinator.m),
             "adam_v": pack(self.coordinator.v),
-            "agents": {evse: pack(p) for evse, p in sorted(self.agents.items())},
             "carries": {evse: {"h": [float(x) for x in h], "c": [float(x) for x in c]}
                         for evse, (h, c) in sorted(self.carries.items())},
         }
@@ -468,20 +452,16 @@ class SharedModel:
             return out
 
         for field_name in ("format", "hidden", "gamma", "beta", "alpha", "risk_value",
-                           "learning_rate", "step", "coordinator", "agents", "carries"):
+                           "learning_rate", "step", "coordinator", "carries"):
             if field_name not in payload:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
-        if payload["format"] != MODEL_FORMAT:
+        if payload["format"] not in READABLE_FORMATS:
             raise LearnerError(f"corrupt model file: unknown format {payload['format']!r}")
         coordinator = Coordinator(unpack(payload["coordinator"], "coordinator"),
                                   learning_rate=float(payload["learning_rate"]))
         coordinator.m = unpack(payload["adam_m"], "adam_m")
         coordinator.v = unpack(payload["adam_v"], "adam_v")
         coordinator.step = int(payload["step"])
-        agents = {evse: unpack(blob, f"agents.{evse}")
-                  for evse, blob in payload["agents"].items()}
-        for params in agents.values():
-            _check_shapes(params)
         carries = {}
         for evse, blob in payload["carries"].items():
             try:
@@ -496,7 +476,6 @@ class SharedModel:
             alpha=float(payload["alpha"]),
             risk_value=float(payload["risk_value"]),
             coordinator=coordinator,
-            agents=agents,
             carries=carries,
             train_episodes=int(payload.get("train_episodes", 0)),
         )
@@ -511,21 +490,19 @@ class _AgentData:
     upsilons: np.ndarray
     rhos: np.ndarray
     zeta: float
-    indices: np.ndarray
 
 
 def _prepare_agent_data(batch: SessionBatch) -> list[_AgentData]:
     prepared = []
     for evse_id in batch.evse_ids:
         group = batch.group(evse_id)
-        usable, indices = [], []
-        for idx, session in enumerate(group):
+        usable = []
+        for session in group:
             if session.energy_requested_kwh <= 0:
                 log.warning("session %r: zero requested energy, skipped in training",
                             session.session_id)
                 continue
             usable.append(session)
-            indices.append(idx)
         if not usable:
             log.warning("EVSE %r has no usable sessions, skipped", evse_id)
             continue
@@ -537,22 +514,20 @@ def _prepare_agent_data(batch: SessionBatch) -> list[_AgentData]:
         states = np.stack([mdp.EvseState(s).vector() for s in usable])
         upsilons = np.array([energy_ratio(s) for s in usable])
         rhos = np.array([time_ratio(s) for s in usable])
-        prepared.append(_AgentData(evse_id, states, upsilons, rhos, zeta,
-                                   np.array(indices)))
+        prepared.append(_AgentData(evse_id, states, upsilons, rhos, zeta))
     return prepared
 
 
 def _episode_rewards(data: _AgentData, actions: np.ndarray, risk: float) -> np.ndarray:
+    # Zero-energy sessions were dropped in preparation, so "next" is the next
+    # session with a defined energy ratio.
     n = len(actions)
     rewards = np.empty(n)
     for t in range(n):
         schedule_now = 1 if actions[t] == 0 else 0
-        eta_cur = data.upsilons[t] if schedule_now else 1.0 - data.upsilons[t]
-        if t + 1 < n:
-            eta_next = data.upsilons[t + 1] if schedule_now else 1.0 - data.upsilons[t + 1]
-        else:
-            eta_next = None
-        rewards[t] = mdp.session_reward(data.zeta, data.rhos[t], risk, eta_cur, eta_next)
+        upsilon_next = data.upsilons[t + 1] if t + 1 < n else None
+        ordered = mdp.ordering_holds(data.upsilons[t], upsilon_next, schedule_now)
+        rewards[t] = mdp.session_reward(data.zeta, data.rhos[t], risk, ordered)
     return rewards
 
 
@@ -562,8 +537,9 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     """Run the multi-agent training loop; returns (SharedModel, [EpisodeLog]).
 
     Deterministic for a fixed seed: one global sample stream, agents visited
-    in port order, coordinator updates applied in that same order, agents
-    re-synced from the coordinator after each episode.
+    in port order, coordinator updates applied in that same order.  Every
+    agent in an episode runs on one copy of the coordinator's parameters
+    taken when the episode starts.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -591,23 +567,20 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     else:
         coordinator = Coordinator(init_params(config.hidden, rng),
                                   learning_rate=config.learning_rate)
-    agents = {d.evse_id: coordinator.sync_copy() for d in data}
     carries = {d.evse_id: (np.zeros(config.hidden), np.zeros(config.hidden)) for d in data}
-    memories: dict[str, list[ObservationRecord]] = {d.evse_id: [] for d in data}
 
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         ep_reward = 0.0
         v_losses, p_losses, entropies = [], [], []
+        params = coordinator.sync_copy()
         for agent_data in data:
-            params = agents[agent_data.evse_id]
             n = agent_data.states.shape[0]
             forward = forward_episode(params, agent_data.states)
             draws = rng.random(n)
             actions = (draws >= forward.probs[:, 0]).astype(int)  # 0 = schedule
             rewards = _episode_rewards(agent_data, actions, risk_value)
-            returns = mdp.discounted_returns(rewards, config.gamma)
             q_targets, advantages = bootstrap_targets(rewards, forward.values,
                                                       config.gamma)
             ep_batch = EpisodeBatch(agent_data.states, actions, q_targets,
@@ -616,20 +589,11 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
             grads = backward(params, forward, ep_batch)
             delta = clipped_delta(grads, config.clip_threshold)
             coordinator.apply_update(delta)
-
-            memories[agent_data.evse_id] = [
-                ObservationRecord(int(actions[t]), float(returns[t]),
-                                  int(agent_data.indices[t]),
-                                  (forward.hiddens[t], forward.cells[t]))
-                for t in range(n)
-            ]
             carries[agent_data.evse_id] = forward.final_carry
             ep_reward += float(np.sum(rewards))
             v_losses.append(v_loss)
             p_losses.append(p_loss)
             entropies.append(entropy_mean)
-        for agent_data in data:
-            agents[agent_data.evse_id] = coordinator.sync_copy()
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 
@@ -640,10 +604,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         alpha=config.alpha,
         risk_value=float(risk_value),
         coordinator=coordinator,
-        agents=agents,
         carries=carries,
         train_episodes=start_episode + config.episodes,
-        last_episode_memory=memories,
     )
     return model, logs
 

@@ -1,11 +1,13 @@
-"""State encoding, scheduling indicator, per-session reward and queue dynamics.
+"""State encoding, scheduling indicator, ordering check, reward and queue dynamics.
 
 Each arriving session is one decision point: schedule it now or keep it
 queued.  The agent sees the session's six raw properties (requested energy
 and window, the three timestamps, delivered energy) scaled into [0, 1].  The
 reward pays out only when the demand-supply ordering between the current and
-the next queued session holds under the chosen action, and shrinks with the
-site's normalized tail risk.
+the next queued session holds under the chosen action
+(:func:`ordering_holds`), and shrinks with the site's normalized tail risk.
+Training, the execution engine and the policy's ordering override all decide
+through these functions.
 """
 
 from __future__ import annotations
@@ -44,18 +46,16 @@ class EvseState:
     """
 
     session: ChargingSession
-    energy_norm_kwh: float = ENERGY_NORM_KWH
-    duration_norm_min: float = DURATION_NORM_MIN
 
     def vector(self) -> np.ndarray:
         s = self.session
         raw = np.array([
-            s.energy_requested_kwh / self.energy_norm_kwh,
-            s.minutes_available / self.duration_norm_min,
-            _minutes_since_midnight(s.plug_in_time) / self.duration_norm_min,
-            _minutes_since_midnight(s.charge_end_time) / self.duration_norm_min,
-            _minutes_since_midnight(s.unplug_time) / self.duration_norm_min,
-            s.energy_delivered_kwh / self.energy_norm_kwh,
+            s.energy_requested_kwh / ENERGY_NORM_KWH,
+            s.minutes_available / DURATION_NORM_MIN,
+            _minutes_since_midnight(s.plug_in_time) / DURATION_NORM_MIN,
+            _minutes_since_midnight(s.charge_end_time) / DURATION_NORM_MIN,
+            _minutes_since_midnight(s.unplug_time) / DURATION_NORM_MIN,
+            s.energy_delivered_kwh / ENERGY_NORM_KWH,
         ])
         return np.clip(raw, 0.0, 1.0)
 
@@ -77,58 +77,42 @@ class ActionDistribution:
         return np.array([self.schedule_prob, self.queue_prob])
 
 
-@dataclass(frozen=True)
-class SchedulingDecision:
-    """Binary schedule/queue decision plus the realized allocation triple."""
-
-    schedule_now: int
-    demand_supply_index: float
-    allocated_energy_kwh: float = 0.0
-    allocated_rate_kw: float = 0.0
-    allocated_minutes: float = 0.0
-
-    def __post_init__(self):
-        if self.schedule_now not in (0, 1):
-            raise MdpError("schedule_now must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    """Reward shaping constants: discount, normalized tail risk, significance."""
-
-    gamma: float = 0.9
-    risk_value: float = 0.0
-    alpha: float = 0.95
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise MdpError("gamma must lie in (0, 1)")
-        if not 0.0 <= self.risk_value < 1.0:
-            raise MdpError("risk must lie in [0, 1)")
-
-
 def scheduling_indicator(dist: ActionDistribution) -> int:
     """1 when the schedule component is the argmax; ties resolve to schedule."""
     return 1 if dist.schedule_prob >= dist.queue_prob else 0
 
 
+def _index(upsilon: float, schedule_now: int) -> float:
+    return upsilon if schedule_now == 1 else 1.0 - upsilon
+
+
 def demand_supply_index(session: ChargingSession, schedule_now: int) -> float:
     """Select the energy ratio when scheduling, its complement when queueing."""
-    ups = energy_ratio(session)
-    return ups if schedule_now == 1 else 1.0 - ups
+    return _index(energy_ratio(session), schedule_now)
+
+
+def ordering_holds(upsilon_head: float, upsilon_next: float | None,
+                   schedule_now: int) -> bool:
+    """Demand-supply ordering between the head session and the next queued one.
+
+    Takes the two sessions' energy ratios and compares their demand-supply
+    indices under the same action: the ratios themselves when scheduling, their
+    complements when queueing.  With no next session the ordering holds
+    vacuously.
+    """
+    if upsilon_next is None:
+        return True
+    return _index(upsilon_head, schedule_now) >= _index(upsilon_next, schedule_now)
 
 
 def session_reward(rate_ratio_value: float, time_ratio_value: float, risk: float,
-                   eta_current: float, eta_next: float | None = None) -> float:
+                   ordered: bool) -> float:
     """Per-session reward.
 
-    The ordering condition compares the demand-supply index of the current
-    session with the next queued one under the same action; with no next
-    session the condition holds vacuously.  A unit rate ratio earns the bonus
-    branch; any other non-zero ratio earns the plain product; everything else
-    pays zero.
+    Pays zero unless the demand-supply ordering holds (``ordered``, from
+    :func:`ordering_holds`).  A unit rate ratio earns the bonus branch; any
+    other non-zero ratio earns the plain product; everything else pays zero.
     """
-    ordered = eta_next is None or eta_current >= eta_next
     if not ordered:
         return 0.0
     if rate_ratio_value == 1.0:
@@ -136,28 +120,6 @@ def session_reward(rate_ratio_value: float, time_ratio_value: float, risk: float
     if rate_ratio_value != 0.0:
         return rate_ratio_value * time_ratio_value * (1.0 - risk)
     return 0.0
-
-
-def discounted_return(rewards, gamma: float) -> float:
-    """Sum of gamma^k * reward_k over the remaining sequence."""
-    if not 0.0 <= gamma < 1.0:
-        raise MdpError("gamma must lie in [0, 1)")
-    total = 0.0
-    for r in reversed(list(rewards)):
-        total = r + gamma * total
-    return total
-
-
-def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Suffix discounted return at every step of the sequence."""
-    if not 0.0 <= gamma < 1.0:
-        raise MdpError("gamma must lie in [0, 1)")
-    out = np.zeros(len(rewards))
-    acc = 0.0
-    for i in range(len(rewards) - 1, -1, -1):
-        acc = rewards[i] + gamma * acc
-        out[i] = acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -262,7 +224,7 @@ class EvseQueue:
         nxt = self._idx + 1
         return self.sessions[nxt] if nxt < len(self.sessions) else None
 
-    def head_state(self) -> EvseState | None:
+    def _head_state(self) -> EvseState | None:
         head = self.head()
         return EvseState(head) if head is not None else None
 
@@ -271,7 +233,7 @@ class EvseQueue:
         if self.head() is None:
             return None
         self._void_expired()
-        return self.head_state()
+        return self._head_state()
 
     def _void_expired(self) -> None:
         # A head that cannot start within its availability window is voided;
@@ -310,10 +272,4 @@ class EvseQueue:
                                wait_minutes=self.clock - arrival)
             self.clock += self.step_minutes
         self.events.append(event)
-        return self.head_state(), event
-
-
-def env_transition(queue: EvseQueue, decision: SchedulingDecision,
-                   allocator=rational_allocation):
-    """One environment step driven by a decision object."""
-    return queue.transition(decision.schedule_now, allocator=allocator)
+        return self._head_state(), event

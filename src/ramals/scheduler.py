@@ -142,6 +142,15 @@ def _safe_energy_ratio(session: ChargingSession) -> float:
         return 0.0
 
 
+def _ordering_holds(queue: mdp.EvseQueue, schedule_now: int) -> bool:
+    """The demand-supply ordering between the queue's head and next session;
+    a zero-energy session counts with energy ratio 0."""
+    upsilon_head = _safe_energy_ratio(queue.head())
+    nxt = queue.peek_next()
+    upsilon_next = None if nxt is None else _safe_energy_ratio(nxt)
+    return mdp.ordering_holds(upsilon_head, upsilon_next, schedule_now)
+
+
 class _PolicyRule:
     """Argmax policy pick, then the demand-supply ordering check."""
 
@@ -156,28 +165,17 @@ class _PolicyRule:
         if carry is None:
             carry = self.model.carry_for(evse_id)
         dist, _value, carry = learner.policy_value_forward(
-            self.model.agent_params(evse_id), state, carry)
+            self.model.coordinator.params, state, carry)
         self._carries[evse_id] = carry
-        indicator = mdp.scheduling_indicator(dist)
-        ups_head = _safe_energy_ratio(head)
-        eta_head = ups_head if indicator == 1 else 1.0 - ups_head
-        nxt = queue.peek_next()
-        if nxt is None:
-            return 1
-        ups_next = _safe_energy_ratio(nxt)
-        eta_next = ups_next if indicator == 1 else 1.0 - ups_next
-        return 1 if eta_head >= eta_next else 0
+        return 1 if _ordering_holds(queue, mdp.scheduling_indicator(dist)) else 0
 
 
 class _ForcedRule:
-    """Oracle rule that always schedules; used by tests and ablations."""
+    """Always schedules: the as-requested baseline's rule, and the rule when
+    no model is given."""
 
     def decide(self, evse_id: str, queue: mdp.EvseQueue) -> int:
         return 1
-
-
-class _AsRequestedRule(_ForcedRule):
-    pass
 
 
 @dataclass
@@ -192,8 +190,7 @@ class ScheduleEngine:
     def __init__(self, batch: SessionBatch, site: SiteConfig, rule,
                  allocator=mdp.rational_allocation,
                  step_minutes: float = mdp.DEFAULT_STEP_MINUTES,
-                 risk_value: float = 0.0,
-                 update_hook=None, update_every: int = 0):
+                 risk_value: float = 0.0):
         known = set(site.evse_ids)
         missing = [e for e in batch.evse_ids if e not in known]
         if missing:
@@ -204,9 +201,6 @@ class ScheduleEngine:
         self.allocator = allocator
         self.step_minutes = step_minutes
         self.risk_value = risk_value
-        self.update_hook = update_hook
-        self.update_every = update_every
-        self._served_since_update = 0
 
         if len(batch):
             self.origin = min(s.plug_in_time for s in batch)
@@ -235,18 +229,9 @@ class ScheduleEngine:
         self._active = [iv for iv in self._active if iv.end_minutes > at_minutes + 1e-9]
         return sum(iv.rate_kw for iv in self._active)
 
-    def _session_reward(self, evse_id: str, queue: mdp.EvseQueue, scheduled: bool) -> float:
-        head = queue.head()
-        nxt = queue.peek_next()
-        indicator = 1 if scheduled else 0
-        ups = _safe_energy_ratio(head)
-        eta_cur = ups if indicator else 1.0 - ups
-        eta_next = None
-        if nxt is not None:
-            ups_next = _safe_energy_ratio(nxt)
-            eta_next = ups_next if indicator else 1.0 - ups_next
-        return mdp.session_reward(self._zeta[evse_id], time_ratio(head),
-                                  self.risk_value, eta_cur, eta_next)
+    def _scheduled_reward(self, evse_id: str, queue: mdp.EvseQueue) -> float:
+        return mdp.session_reward(self._zeta[evse_id], time_ratio(queue.head()),
+                                  self.risk_value, _ordering_holds(queue, 1))
 
     def _record(self, evse_id: str, event: mdp.QueueEvent, reward: float) -> None:
         alloc = event.allocation
@@ -266,11 +251,6 @@ class ScheduleEngine:
             reward=reward,
         ))
 
-    def _drain_voids(self, evse_id: str, queue: mdp.EvseQueue, already: int) -> None:
-        for event in queue.events[already:]:
-            if event.kind == "voided":
-                self._record(evse_id, event, 0.0)
-
     def run(self) -> list[ScheduleOutcome]:
         # Min-heap of (next decision time, evse_id); port order breaks ties,
         # which keeps runs deterministic.
@@ -283,9 +263,12 @@ class ScheduleEngine:
             queue = self.queues[evse_id]
             seen = len(queue.events)
             state = queue.present()
-            self._drain_voids(evse_id, queue, seen)
+            for event in queue.events[seen:]:
+                self._record(evse_id, event, 0.0)  # heads voided as expired
             if state is None:
                 continue
+            # present() voided every expired head at this clock, so the
+            # transition below acts on the presented head and voids nothing.
             decision = self.rule.decide(evse_id, queue)
             if decision == 1:
                 head = queue.head()
@@ -297,32 +280,16 @@ class ScheduleEngine:
                     queue.clock += self.step_minutes
                     heapq.heappush(heap, (queue.clock, evse_id))
                     continue
-                reward = self._session_reward(evse_id, queue, scheduled=True)
-                seen = len(queue.events)
+                reward = self._scheduled_reward(evse_id, queue)
                 _state, event = queue.transition(1, allocator=self.allocator)
-                self._drain_voids(evse_id, queue, seen)
-                for ev in queue.events[seen:]:
-                    if ev.kind == "scheduled":
-                        self._record(evse_id, ev, reward)
-                        self._active.append(_ActiveInterval(
-                            ev.clock_minutes + ev.allocation.charge_minutes,
-                            ev.allocation.rate_kw))
-                        self._served_since_update += 1
-                        if (self.update_hook is not None and self.update_every > 0
-                                and self._served_since_update >= self.update_every):
-                            self.update_hook(self)
-                            self._served_since_update = 0
+                self._record(evse_id, event, reward)
+                self._active.append(_ActiveInterval(
+                    event.clock_minutes + event.allocation.charge_minutes,
+                    event.allocation.rate_kw))
             else:
-                seen = len(queue.events)
                 queue.transition(0, allocator=self.allocator)
-                self._drain_voids(evse_id, queue, seen)
             if queue.head() is not None:
                 heapq.heappush(heap, (queue.clock, evse_id))
-            else:
-                # Drain any trailing voids discovered when the queue empties.
-                seen = len(queue.events)
-                queue.present()
-                self._drain_voids(evse_id, queue, seen)
         return self.outcomes
 
 
@@ -351,23 +318,18 @@ def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
 
 
 def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteConfig,
-            step_minutes: float = mdp.DEFAULT_STEP_MINUTES,
-            force_schedule: bool = False,
-            update_hook=None, update_every: int = 0):
+            step_minutes: float = mdp.DEFAULT_STEP_MINUTES):
     """Run the trained policy over a batch; returns (outcomes, MetricsReport).
 
-    With ``force_schedule`` (or no model) every presented session is started,
-    which is the oracle upper bound used in tests.
+    With no model every presented session is started under the rational
+    allocator (the always-schedule rule).
     """
-    if model is None or force_schedule:
-        rule = _ForcedRule()
-        risk = model.risk_value if model is not None else 0.0
+    if model is None:
+        rule, risk = _ForcedRule(), 0.0
     else:
-        rule = _PolicyRule(model)
-        risk = model.risk_value
+        rule, risk = _PolicyRule(model), model.risk_value
     engine = ScheduleEngine(batch, site, rule, allocator=mdp.rational_allocation,
-                            step_minutes=step_minutes, risk_value=risk,
-                            update_hook=update_hook, update_every=update_every)
+                            step_minutes=step_minutes, risk_value=risk)
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)
@@ -376,20 +338,12 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
 def fcfs_as_requested_baseline(batch: SessionBatch, site: SiteConfig,
                                step_minutes: float = mdp.DEFAULT_STEP_MINUTES):
     """Replay the requested allocations verbatim (the deployed-system baseline)."""
-    engine = ScheduleEngine(batch, site, _AsRequestedRule(),
+    engine = ScheduleEngine(batch, site, _ForcedRule(),
                             allocator=mdp.as_requested_allocation,
                             step_minutes=step_minutes, risk_value=0.0)
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)
-
-
-def risk_off_ablation(batch: SessionBatch, site: SiteConfig,
-                      config: learner.TrainConfig) -> MetricsReport:
-    """Train with the tail-risk factor pinned to zero, then execute."""
-    model, _logs = learner.train(batch, site, config, risk_value=0.0)
-    _outcomes, report = execute(model, batch, site)
-    return report
 
 
 def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:

@@ -1,6 +1,7 @@
 """Recurrent actor-critic: forward passes, losses, gradients, updates, training."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 import ramals.learner as learner
 from ramals import (
-    ActionDistribution,
     GeneratorConfig,
     LearnerError,
     SiteConfig,
@@ -20,7 +20,6 @@ from ramals.learner import (
     Coordinator,
     EpisodeBatch,
     SharedModel,
-    apply_update,
     backward,
     bootstrap_targets,
     clipped_delta,
@@ -29,11 +28,9 @@ from ramals.learner import (
     forward_episode,
     grad_norm,
     init_params,
-    policy_entropy,
     policy_loss,
     policy_value_forward,
     rnn_forward,
-    td_advantage,
     total_loss,
     value_loss,
 )
@@ -148,9 +145,13 @@ class TestPolicyValueForward:
 
 class TestLosses:
     def test_td_advantage(self):
-        assert td_advantage(3.0, 3.0) == 0.0
-        assert td_advantage(1.0 + 0.9 * 2.0, 2.0) == pytest.approx(0.8)
-        assert td_advantage(1.0, 2.0) == -td_advantage(3.0, 2.0)
+        # q_t = r_t + gamma * V(s_{t+1}), terminal value 0; advantage q - V
+        q, adv = bootstrap_targets(np.array([1.0, 3.0]), np.array([2.0, 3.0]), 0.9)
+        assert q == pytest.approx([1.0 + 0.9 * 3.0, 3.0])
+        assert adv == pytest.approx([1.7, 0.0])
+        _, flipped = bootstrap_targets(np.array([1.0]), np.array([2.0]), 0.9)
+        _, mirrored = bootstrap_targets(np.array([3.0]), np.array([2.0]), 0.9)
+        assert flipped[0] == -mirrored[0]
 
     def test_value_loss_perfect_prediction(self):
         assert value_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -173,12 +174,13 @@ class TestLosses:
         assert policy_loss([-1.0], [math.exp(-1.0)]) == pytest.approx(-1.0)
 
     def test_entropy_values(self):
-        assert policy_entropy(ActionDistribution(0.5, 0.5)) == pytest.approx(math.log(2.0))
-        assert policy_entropy(ActionDistribution(1.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
+        values = learner._entropy_rows(np.array([[0.5, 0.5], [1.0, 0.0]]))
+        assert values[0] == pytest.approx(math.log(2.0))
+        assert values[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_maximal_at_uniform(self):
         grid = np.linspace(0.01, 0.99, 99)
-        values = [policy_entropy(ActionDistribution(p, 1.0 - p)) for p in grid]
+        values = learner._entropy_rows(np.stack([grid, 1.0 - grid], axis=1))
         assert max(values) == pytest.approx(math.log(2.0), rel=1e-3)
         assert np.argmax(values) == 49
 
@@ -288,8 +290,8 @@ class TestApplyUpdate:
     def test_zero_delta_keeps_parameters(self):
         coordinator = Coordinator(random_params(4, 12), learning_rate=0.001)
         before = {k: v.copy() for k, v in coordinator.params.items()}
-        agent = apply_update(coordinator, coordinator.sync_copy(),
-                             {k: np.zeros_like(v) for k, v in before.items()})
+        coordinator.apply_update({k: np.zeros_like(v) for k, v in before.items()})
+        agent = coordinator.sync_copy()
         for key in before:
             assert np.array_equal(coordinator.params[key], before[key])
             assert np.array_equal(agent[key], before[key])
@@ -340,14 +342,6 @@ class TestTrain:
         for entry in logs:
             assert entry.cumulative_reward == pytest.approx(2.0 * len(batch))
 
-    def test_agents_match_coordinator_after_training(self):
-        batch, site = small_scenario(seed=6)
-        model, _ = train(batch, site, TrainConfig(episodes=2, seed=2, hidden=8),
-                         risk_value=0.1)
-        for params in model.agents.values():
-            for key in params:
-                assert np.array_equal(params[key], model.coordinator.params[key])
-
     def test_entropy_regularization_keeps_entropy_higher(self):
         batch, site = small_scenario(seed=7, n_sessions=30)
         wins = 0
@@ -381,9 +375,6 @@ class TestSerialization:
         for key in model.coordinator.params:
             assert np.array_equal(loaded.coordinator.params[key],
                                   model.coordinator.params[key])
-        for evse, params in model.agents.items():
-            for key in params:
-                assert np.array_equal(loaded.agents[evse][key], params[key])
 
     def test_resume_continues_step_counter(self, tmp_path):
         batch, site = small_scenario(seed=9)
@@ -400,6 +391,56 @@ class TestSerialization:
         assert more.train_episodes == episodes + 2
         assert logs[0].episode == episodes + 1
 
+    def test_v2_save_load_save_is_byte_identical(self, tmp_path):
+        batch, site = small_scenario(seed=8)
+        model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
+                         risk_value=0.2)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        assert json.loads(first.read_text())["format"] == "ramals-model-v2"
+        assert "agents" not in json.loads(first.read_text())
+        SharedModel.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_v1_payload_loads_ignoring_agents(self, tmp_path):
+        batch, site = small_scenario(seed=8)
+        model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
+                         risk_value=0.2)
+        v2_path, v1_path = tmp_path / "v2.json", tmp_path / "v1.json"
+        model.save(v2_path)
+        payload = json.loads(v2_path.read_text())
+        payload["format"] = "ramals-model-v1"
+        payload["agents"] = {evse: payload["coordinator"] for evse in payload["carries"]}
+        v1_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        loaded = SharedModel.load(v1_path)
+        for ours, theirs in ((loaded.coordinator.params, model.coordinator.params),
+                             (loaded.coordinator.m, model.coordinator.m),
+                             (loaded.coordinator.v, model.coordinator.v)):
+            for key in theirs:
+                assert np.array_equal(ours[key], theirs[key])
+        assert loaded.coordinator.step == model.coordinator.step
+        assert loaded.coordinator.learning_rate == model.coordinator.learning_rate
+        assert sorted(loaded.carries) == sorted(model.carries)
+        for evse, (h, c) in model.carries.items():
+            assert np.array_equal(loaded.carries[evse][0], h)
+            assert np.array_equal(loaded.carries[evse][1], c)
+        assert loaded.train_episodes == model.train_episodes
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == v2_path.read_bytes()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        batch, site = small_scenario(seed=8)
+        model, _ = train(batch, site, TrainConfig(episodes=1, seed=4, hidden=8),
+                         risk_value=0.2)
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        payload["format"] = "ramals-model-v3"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LearnerError, match="unknown format"):
+            SharedModel.load(path)
+
     def test_corrupt_model_names_field(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format": "ramals-model-v1", "hidden": 8}')
@@ -412,7 +453,6 @@ class TestSerialization:
                          risk_value=0.2)
         path = tmp_path / "model.json"
         model.save(path)
-        import json
         payload = json.loads(path.read_text())
         del payload["coordinator"]["wx"]
         path.write_text(json.dumps(payload))

@@ -1,4 +1,4 @@
-"""Decision model: indicator, demand-supply index, reward, returns, queue."""
+"""Decision model: indicator, demand-supply index, ordering, reward, queue."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from ramals import (
     ActionDistribution,
     EvseConfig,
     MdpError,
-    SchedulingDecision,
     demand_supply_index,
-    discounted_return,
-    env_transition,
+    ordering_holds,
     scheduling_indicator,
     session_reward,
 )
@@ -27,8 +25,8 @@ from helpers import T0, make_av_session, make_session
 
 
 def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
-    """Straight-line re-expression of the branch definition, kept independent
-    of the implementation."""
+    """Straight-line re-expression of the branch definition over the two
+    demand-supply indices, kept independent of the implementation."""
     if eta_next is not None and not (eta_cur >= eta_next):
         return 0.0
     if zeta == 1.0:
@@ -81,31 +79,59 @@ class TestDemandSupplyIndex:
         assert demand_supply_index(s, 1) == 1.0
 
 
+class TestOrderingHolds:
+    def test_schedule_compares_ratios(self):
+        assert ordering_holds(0.8, 0.5, 1)
+        assert not ordering_holds(0.5, 0.8, 1)
+        assert ordering_holds(0.5, 0.5, 1)
+
+    def test_queue_compares_complements(self):
+        assert ordering_holds(0.5, 0.8, 0)
+        assert not ordering_holds(0.8, 0.5, 0)
+        assert ordering_holds(0.5, 0.5, 0)
+
+    def test_no_next_session_holds_for_either_action(self):
+        assert ordering_holds(0.1, None, 1)
+        assert ordering_holds(0.9, None, 0)
+
+
+def reward(zeta, rho, risk, eta_cur, eta_next):
+    """session_reward with the ordering taken between two indices; on the
+    schedule action a session's index is its energy ratio."""
+    return session_reward(zeta, rho, risk, ordering_holds(eta_cur, eta_next, 1))
+
+
 class TestSessionReward:
     def test_branch_one_boundary(self):
-        assert session_reward(1.0, 1.0, 0.0, 0.8, 0.5) == 2.0
+        assert reward(1.0, 1.0, 0.0, 0.8, 0.5) == 2.0
 
     def test_branch_two_hand_value(self):
-        assert session_reward(0.5, 0.8, 0.1, 0.8, 0.5) == pytest.approx(0.36)
+        assert reward(0.5, 0.8, 0.1, 0.8, 0.5) == pytest.approx(0.36)
 
     def test_ordering_violated(self):
-        assert session_reward(1.0, 1.0, 0.0, 0.2, 0.8) == 0.0
+        assert reward(1.0, 1.0, 0.0, 0.2, 0.8) == 0.0
+        assert session_reward(1.0, 1.0, 0.0, ordering_holds(0.8, 0.2, 0)) == 0.0
 
     def test_zero_rate_ratio(self):
-        assert session_reward(0.0, 1.0, 0.0, 0.9, None) == 0.0
+        assert reward(0.0, 1.0, 0.0, 0.9, None) == 0.0
 
     def test_vacuous_next(self):
-        assert session_reward(0.5, 0.5, 0.0, 0.1, None) == pytest.approx(0.25)
+        assert reward(0.5, 0.5, 0.0, 0.1, None) == pytest.approx(0.25)
 
     def test_exhaustive_grid_matches_transcription(self):
-        etas = [(0.8, 0.2), (0.2, 0.8), (0.5, 0.5), (0.9, None)]
+        ratios = [(0.8, 0.2), (0.2, 0.8), (0.5, 0.5), (0.9, None)]
         for zeta in (0.0, 0.25, 0.5, 1.0):
             for rho in (0.0, 0.5, 1.0):
                 for risk in (0.0, 0.1, 0.9):
-                    for eta_cur, eta_next in etas:
-                        got = session_reward(zeta, rho, risk, eta_cur, eta_next)
-                        want = reward_transcription(zeta, rho, risk, eta_cur, eta_next)
-                        assert got == want
+                    for ups_cur, ups_next in ratios:
+                        for action in (0, 1):
+                            got = session_reward(zeta, rho, risk,
+                                                 ordering_holds(ups_cur, ups_next, action))
+                            eta_cur = ups_cur if action else 1.0 - ups_cur
+                            eta_next = None if ups_next is None else (
+                                ups_next if action else 1.0 - ups_next)
+                            want = reward_transcription(zeta, rho, risk, eta_cur, eta_next)
+                            assert got == want
 
     @given(zeta=st.floats(min_value=0.0, max_value=1.0),
            rho=st.floats(min_value=0.0, max_value=1.0),
@@ -114,29 +140,10 @@ class TestSessionReward:
            eta_next=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=120, deadline=None)
     def test_bounded_and_risk_monotone(self, zeta, rho, risk, eta_cur, eta_next):
-        value = session_reward(zeta, rho, risk, eta_cur, eta_next)
+        value = reward(zeta, rho, risk, eta_cur, eta_next)
         assert 0.0 <= value <= 2.0
-        less_risky = session_reward(zeta, rho, risk / 2.0, eta_cur, eta_next)
+        less_risky = reward(zeta, rho, risk / 2.0, eta_cur, eta_next)
         assert less_risky >= value - 1e-12
-
-
-class TestDiscountedReturn:
-    def test_gamma_zero(self):
-        assert discounted_return([3.0, 5.0, 7.0], 0.0) == 3.0
-
-    def test_geometric(self):
-        assert discounted_return([1.0, 1.0, 1.0], 0.9) == pytest.approx(2.71)
-
-    def test_empty(self):
-        assert discounted_return([], 0.9) == 0.0
-
-    def test_bound(self):
-        rewards = [2.0, 1.5, 2.0, 0.1]
-        assert discounted_return(rewards, 0.9) <= max(rewards) / (1.0 - 0.9)
-
-    def test_rejects_gamma_one(self):
-        with pytest.raises(MdpError):
-            discounted_return([1.0], 1.0)
 
 
 class TestEvseState:
@@ -212,12 +219,6 @@ class TestEvseQueue:
         queue.transition(1)
         with pytest.raises(MdpError):
             queue.transition(1)
-
-    def test_env_transition_wrapper(self):
-        queue = build_queue([make_av_session()])
-        decision = SchedulingDecision(schedule_now=1, demand_supply_index=1.0)
-        _, event = env_transition(queue, decision)
-        assert event.kind == "scheduled"
 
 
 class TestAllocations:

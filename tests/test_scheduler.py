@@ -15,7 +15,10 @@ from ramals import (
     execute,
     fcfs_as_requested_baseline,
     generate_synthetic,
-    risk_off_ablation,
+    ordering_holds,
+    rate_ratio,
+    session_reward,
+    time_ratio,
     train,
 )
 from ramals.scheduler import ScheduleOutcome, audit_outcomes, comparison_csv
@@ -89,7 +92,7 @@ class TestExecute:
     def test_all_av_oracle_schedule_is_fully_efficient(self):
         batch = spaced_av_batch(n=8, evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch)
-        outcomes, report = execute(None, batch, site, force_schedule=True)
+        outcomes, report = execute(None, batch, site)
         assert report.assignment_efficiency_pct == 100.0
         for o in outcomes:
             assert o.scheduled and not o.voided
@@ -97,7 +100,7 @@ class TestExecute:
     def test_av_baseline_matches_oracle_run(self):
         batch = spaced_av_batch(n=6, evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch, switching_minutes=0.0)
-        _, forced = execute(None, batch, site, force_schedule=True)
+        _, forced = execute(None, batch, site)
         _, baseline = fcfs_as_requested_baseline(batch, site)
         assert baseline.scalar_metrics() == pytest.approx(forced.scalar_metrics())
 
@@ -112,20 +115,12 @@ class TestExecute:
         assert len(outcomes) == len(batch)
         assert 0.0 <= report.assignment_efficiency_pct <= 100.0
 
-    def test_update_hook_cadence(self):
-        batch = spaced_av_batch(n=9)
-        site = site_for(batch)
-        calls = []
-        execute(None, batch, site, force_schedule=True,
-                update_hook=lambda engine: calls.append(engine), update_every=4)
-        assert len(calls) == 2  # after the 4th and 8th served session
-
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW
         batch = spaced_av_batch(n=4, energy=20.0, charge_min=30, gap_min=1,
                                 evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch, dso_kw=50.0)
-        outcomes, _ = execute(None, batch, site, force_schedule=True)
+        outcomes, _ = execute(None, batch, site)
         audit_outcomes(outcomes, batch, site)  # capacity sweep inside
 
     def test_conservation_and_caps_random_runs(self):
@@ -133,7 +128,7 @@ class TestExecute:
             GeneratorConfig(n_sessions=300, cv_fraction=0.7, n_evses=6,
                             mean_gap_minutes=60), seed=9)
         site = site_for(batch, dso_kw=120.0, switching_minutes=5.0)
-        outcomes, report = execute(None, batch, site, force_schedule=True)
+        outcomes, report = execute(None, batch, site)
         served = sum(o.scheduled for o in outcomes)
         voided = sum(o.voided for o in outcomes)
         assert served + voided == len(batch)
@@ -172,12 +167,18 @@ class TestBaseline:
         assert a == b
 
 
+def risk_off_report(batch, site, config):
+    """Train with the tail-risk factor pinned to zero, then execute."""
+    model, _ = train(batch, site, config, risk_value=0.0)
+    return execute(model, batch, site)[1]
+
+
 class TestRiskOffAblation:
     def test_zero_laxity_batch_matches_full(self):
         batch = spaced_av_batch(n=10, evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch)
         config = TrainConfig(episodes=2, seed=2, hidden=8, alpha=0.9)
-        ablated = risk_off_ablation(batch, site, config)
+        ablated = risk_off_report(batch, site, config)
         model, _ = train(batch, site, config)  # zero-laxity: risk estimates to 0
         _, full = execute(model, batch, site)
         assert ablated.scalar_metrics() == pytest.approx(full.scalar_metrics())
@@ -187,9 +188,52 @@ class TestRiskOffAblation:
             GeneratorConfig(n_sessions=30, cv_fraction=1.0, n_evses=2,
                             mean_gap_minutes=400), seed=6)
         site = site_for(batch)
-        report = risk_off_ablation(batch, site,
-                                   TrainConfig(episodes=2, seed=3, hidden=8))
+        report = risk_off_report(batch, site, TrainConfig(episodes=2, seed=3, hidden=8))
         assert report.sessions_total == len(batch)
+
+
+class TestOutcomeReward:
+    """Each outcome's reward, recomputed from the batch with the decision
+    model: the port's rate ratio, the session's time ratio, the run's risk and
+    the ordering between the session and the one queued behind it."""
+
+    def expected_rewards(self, batch, risk):
+        want = {}
+        for evse_id in batch.evse_ids:
+            group = batch.group(evse_id)
+            zeta = rate_ratio(group)
+            for i, session in enumerate(group):
+                upsilon_next = energy_ratio(group[i + 1]) if i + 1 < len(group) else None
+                ordered = ordering_holds(energy_ratio(session), upsilon_next, 1)
+                want[session.session_id] = session_reward(
+                    zeta, time_ratio(session), risk, ordered)
+        return want
+
+    def check(self, outcomes, batch, risk):
+        want = self.expected_rewards(batch, risk)
+        scheduled = [o for o in outcomes if o.scheduled]
+        assert any(o.reward > 0.0 for o in scheduled)
+        assert any(o.reward == 0.0 for o in scheduled)  # the ordering bites
+        for o in outcomes:
+            assert o.reward == (want[o.session_id] if o.scheduled else 0.0)
+
+    def scenario(self):
+        batch = generate_synthetic(
+            GeneratorConfig(n_sessions=60, cv_fraction=0.6, n_evses=3,
+                            mean_gap_minutes=90), seed=11)
+        return batch, site_for(batch, dso_kw=100.0, switching_minutes=5.0)
+
+    def test_trained_model_run(self):
+        batch, site = self.scenario()
+        model, _ = train(batch, site, TrainConfig(episodes=3, seed=2, hidden=8),
+                         risk_value=0.15)
+        outcomes, _ = execute(model, batch, site)
+        self.check(outcomes, batch, model.risk_value)
+
+    def test_always_schedule_run(self):
+        batch, site = self.scenario()
+        outcomes, _ = execute(None, batch, site)
+        self.check(outcomes, batch, 0.0)
 
 
 class TestAudit:
