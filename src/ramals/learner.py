@@ -4,9 +4,11 @@ One gated recurrent cell feeds a two-way softmax policy head and a scalar
 value head.  Every port runs its own agent over its own session sequence; a
 coordinator holds the shared parameters and applies the (norm-clipped)
 gradient of each agent through Adam in a fixed port order.  Within an episode
-every agent runs on one copy of the parameters taken at the episode's start.
-All forward and backward math is explicit numpy so the gradients can be
-checked against central finite differences.
+every agent runs on one copy of the parameters taken at the episode's start,
+so its forward and backward passes run all ports as one batch, zero-padded to
+(P, T, 6) and masked by each port's length; execution steps the same cell one
+decision at a time.  All forward and backward math is explicit numpy so the
+gradients can be checked against central finite differences.
 
 Per-step rewards follow the decision model in :mod:`ramals.mdp`; the one-step
 bootstrapped targets and advantages are constants with respect to the
@@ -41,8 +43,8 @@ class LearnerError(ValueError):
     """Raised for invalid learner inputs or corrupt model files."""
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.reciprocal(1.0 + np.exp(-x), out=out)
 
 
 def init_params(hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -62,14 +64,6 @@ def init_params(hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return params
 
 
-def zero_like(params: dict) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def clone_params(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
-
-
 def hidden_size(params: dict) -> int:
     return params["wh"].shape[1]
 
@@ -84,82 +78,73 @@ def _check_shapes(params: dict) -> None:
                                f"{params.get(key, np.empty(0)).shape}, expected {shape}")
 
 
-def _cell_step(params: dict, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    hidden = h_prev.shape[0]
-    z = params["wx"] @ x + params["wh"] @ h_prev + params["b"]
-    gi = _sigmoid(z[:hidden])
-    gf = _sigmoid(z[hidden:2 * hidden])
-    gc = np.tanh(z[2 * hidden:3 * hidden])
-    go = _sigmoid(z[3 * hidden:])
+def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One cell step for one row or a stack of rows: ``z`` holds each row's
+    input projection ``x @ wx.T + b`` on entry and its activated gates
+    ``[i, f, g, o]`` on return.  Returns the new (cell, hidden) state."""
+    hidden = h_prev.shape[-1]
+    z += h_prev @ wh.T
+    gi, gf = z[..., :hidden], z[..., hidden:2 * hidden]
+    gc, go = z[..., 2 * hidden:3 * hidden], z[..., 3 * hidden:]
+    _sigmoid(z[..., :2 * hidden], out=z[..., :2 * hidden])
+    np.tanh(gc, out=gc)
+    _sigmoid(go, out=go)
     c = gf * c_prev + gi * gc
-    tanh_c = np.tanh(c)
-    h = go * tanh_c
-    return h, c, (x, h_prev, c_prev, gi, gf, gc, go, tanh_c)
-
-
-def rnn_forward(params: dict, state_sequence: np.ndarray, carry=None):
-    """Run the cell over a (T, 6) sequence; returns (hidden_sequence, new_carry)."""
-    states = np.atleast_2d(np.asarray(state_sequence, dtype=float))
-    if states.shape[1] != STATE_DIM:
-        raise LearnerError(f"state rows must have {STATE_DIM} components")
-    hidden = hidden_size(params)
-    h, c = carry if carry is not None else (np.zeros(hidden), np.zeros(hidden))
-    outputs = np.empty((states.shape[0], hidden))
-    for t in range(states.shape[0]):
-        h, c, _ = _cell_step(params, states[t], h, c)
-        outputs[t] = h
-    return outputs, (h, c)
+    return c, go * np.tanh(c)
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def policy_value_forward(params: dict, state: np.ndarray, carry=None):
     """Single decision step: (ActionDistribution, value, new_carry)."""
-    hiddens, new_carry = rnn_forward(params, np.asarray(state, dtype=float)[None, :], carry)
-    h = hiddens[0]
+    hidden = hidden_size(params)
+    h, c = carry if carry is not None else (np.zeros(hidden), np.zeros(hidden))
+    z = params["wx"] @ np.asarray(state, dtype=float) + params["b"]
+    c, h = _cell_rows(params["wh"], z, h, c)
     probs = _softmax2(params["wp"] @ h + params["bp"])
-    value = float((params["wv"] @ h)[0]) + float(params["bv"][0])
+    value = float(params["wv"][0] @ h) + float(params["bv"][0])
     if not np.all(np.isfinite(probs)) or not math.isfinite(value):
         raise LearnerError("non-finite policy or value output")
-    return mdp.ActionDistribution(float(probs[0]), float(probs[1])), value, new_carry
+    return mdp.ActionDistribution(float(probs[0]), float(probs[1])), value, (h, c)
 
 
 @dataclass
 class EpisodeForward:
-    """Cached forward pass over one agent's session sequence."""
+    """Cached forward pass over a padded batch of P port sequences of T steps;
+    steps past a port's length are computed but never read."""
 
-    probs: np.ndarray      # (T, 2)
-    values: np.ndarray     # (T,)
-    hiddens: np.ndarray    # (T, H)
-    cells: np.ndarray      # (T, H)
-    caches: list
-    final_carry: tuple
+    probs: np.ndarray        # (P, T, 2)
+    values: np.ndarray       # (P, T)
+    hiddens: np.ndarray      # (P, T + 1, H); step 0 is the zero start carry
+    cells: np.ndarray        # (P, T + 1, H)
+    gates: np.ndarray        # (P, T, 4H) activated [i, f, g, o]
+    final_carry: tuple       # ((P, H), (P, H)) after each port's last step
 
 
-def forward_episode(params: dict, states: np.ndarray, carry=None) -> EpisodeForward:
+def forward_episode(params: dict, states: np.ndarray, lengths: np.ndarray) -> EpisodeForward:
+    """Run every port of an episode from a zero carry as one batch.  ``states``
+    is (P, T, 6), zero-padded past each port's length in ``lengths``."""
     states = np.asarray(states, dtype=float)
-    hidden = hidden_size(params)
-    h, c = carry if carry is not None else (np.zeros(hidden), np.zeros(hidden))
-    n = states.shape[0]
-    probs = np.empty((n, 2))
-    values = np.empty(n)
-    hiddens = np.empty((n, hidden))
-    cells = np.empty((n, hidden))
-    caches = []
-    for t in range(n):
-        h, c, cache = _cell_step(params, states[t], h, c)
-        hiddens[t] = h
-        cells[t] = c
-        caches.append(cache)
-        probs[t] = _softmax2(params["wp"] @ h + params["bp"])
-        values[t] = float((params["wv"] @ h)[0]) + params["bv"][0]
+    if states.ndim != 3 or states.shape[2] != STATE_DIM:
+        raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
+    n_ports, n_steps, _ = states.shape
+    hiddens = np.zeros((n_ports, n_steps + 1, hidden_size(params)))
+    cells = np.zeros_like(hiddens)
+    gates = states @ params["wx"].T  # the input projection, hoisted
+    gates += params["b"]
+    for t in range(n_steps):
+        cells[:, t + 1], hiddens[:, t + 1] = _cell_rows(params["wh"], gates[:, t],
+                                                        hiddens[:, t], cells[:, t])
+    probs = _softmax2(hiddens[:, 1:] @ params["wp"].T + params["bp"])
+    values = hiddens[:, 1:] @ params["wv"][0] + params["bv"][0]
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
         raise LearnerError("non-finite output in episode forward pass")
-    return EpisodeForward(probs, values, hiddens, cells, caches, (h, c))
+    last = (np.arange(n_ports), lengths)
+    return EpisodeForward(probs, values, hiddens, cells, gates, (hiddens[last], cells[last]))
 
 
 def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
@@ -203,87 +188,95 @@ def total_loss(value: float, policy: float, entropy_mean: float, beta: float) ->
 
 @dataclass
 class EpisodeBatch:
-    """Everything the backward pass needs for one agent episode."""
+    """Everything the backward pass needs for one episode of P ports, padded
+    to T steps; entries past a port's length are ignored."""
 
-    states: np.ndarray       # (T, 6)
-    actions: np.ndarray      # (T,) indices into the 2-way distribution
-    q_targets: np.ndarray    # (T,) constants
-    advantages: np.ndarray   # (T,) constants
+    states: np.ndarray       # (P, T, 6)
+    lengths: np.ndarray      # (P,) steps of each port
+    actions: np.ndarray      # (P, T) indices into the 2-way distribution
+    q_targets: np.ndarray    # (P, T) constants
+    advantages: np.ndarray   # (P, T) constants
     beta: float
-    carry: tuple | None = None
 
 
-def episode_losses(forward: EpisodeForward, batch: EpisodeBatch):
-    taken = forward.probs[np.arange(len(batch.actions)), batch.actions]
-    v_loss = value_loss(batch.q_targets, forward.values)
-    p_loss = policy_loss(batch.advantages, taken)
-    entropy_mean = float(np.mean(_entropy_rows(forward.probs)))
-    return v_loss, p_loss, entropy_mean, total_loss(v_loss, p_loss, entropy_mean, batch.beta)
+def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
+    """(value, policy, entropy, total) loss of each port, in port order; each
+    is a mean over that port's own steps."""
+    losses = []
+    for p, n in enumerate(batch.lengths):
+        probs = forward.probs[p, :n]
+        taken = probs[np.arange(n), batch.actions[p, :n]]
+        v_loss = value_loss(batch.q_targets[p, :n], forward.values[p, :n])
+        p_loss = policy_loss(batch.advantages[p, :n], taken)
+        entropy_mean = float(np.mean(_entropy_rows(probs)))
+        losses.append((v_loss, p_loss, entropy_mean,
+                       total_loss(v_loss, p_loss, entropy_mean, batch.beta)))
+    return losses
 
 
-def episode_loss_value(params: dict, batch: EpisodeBatch) -> float:
-    """Total loss as a plain function of the parameters (targets held fixed);
-    this is what the finite-difference oracle perturbs."""
-    forward = forward_episode(params, batch.states, batch.carry)
-    return episode_losses(forward, batch)[3]
+def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> list[dict]:
+    """Exact reverse-mode gradient of each port's total loss, in port order.
 
-
-def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> dict:
-    """Exact reverse-mode gradient of the total loss for one episode."""
+    The time loop runs over (P, ·) rows.  Padding steps get zero loss
+    gradients, so nothing flows back from them, and each port's terms keep
+    its own 1/T_p.  Weight gradients are one batched product per episode.
+    """
+    n_ports, n_steps = batch.actions.shape
     hidden = hidden_size(params)
-    n = batch.states.shape[0]
-    grads = zero_like(params)
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
+    mask = np.arange(n_steps) < batch.lengths[:, None]
+    inv_n = 1.0 / batch.lengths[:, None]
     probs = forward.probs
-    entropies = _entropy_rows(probs)
-    inv_n = 1.0 / n
+    one_hot = np.eye(2)[batch.actions]
+    # policy term: -mean(adv * log pi_taken); clamped probabilities have
+    # zero slope, matching the loss definition
+    taken = np.sum(probs * one_hot, axis=-1)
+    policy_weight = np.where(taken >= LOG_PROB_FLOOR, -batch.advantages * inv_n, 0.0)
+    d_logits = policy_weight[..., None] * (one_hot - probs)
+    # entropy term: -beta * mean(H)
+    safe_log = np.log(np.maximum(probs, LOG_PROB_FLOOR))
+    d_logits += (batch.beta * inv_n)[..., None] * probs \
+        * (safe_log + _entropy_rows(probs)[..., None])
+    d_logits *= mask[..., None]
+    # value term: 0.5 * mean((q - v)^2)
+    d_value = (forward.values - batch.q_targets) * inv_n * mask
 
-    for t in range(n - 1, -1, -1):
-        pi = probs[t]
-        one_hot = np.zeros(2)
-        one_hot[batch.actions[t]] = 1.0
-        # policy term: -mean(adv * log pi_taken); clamped probabilities have
-        # zero slope, matching the loss definition
-        if pi[batch.actions[t]] >= LOG_PROB_FLOOR:
-            d_logits = -batch.advantages[t] * inv_n * (one_hot - pi)
-        else:
-            d_logits = np.zeros(2)
-        # entropy term: -beta * mean(H)
-        safe_log = np.log(np.maximum(pi, LOG_PROB_FLOOR))
-        d_logits += batch.beta * inv_n * pi * (safe_log + entropies[t])
-        # value term: 0.5 * mean((q - v)^2)
-        d_value = (forward.values[t] - batch.q_targets[t]) * inv_n
+    gates = forward.gates.reshape(n_ports, n_steps, 4, hidden)
+    gi, gf, gc, go = (gates[:, :, k] for k in range(4))
+    tanh_c = np.tanh(forward.cells[:, 1:])
+    # dz of each gate is dc (rows i, f, g) or dh (row o) times ``local``: the
+    # gate's activation slope times its partner in c = f*c_prev + i*g and
+    # h = o*tanh(c).
+    local = 1.0 - gates
+    local *= gates
+    local[:, :, 2] = 1.0 - gc * gc
+    for k, partner in enumerate((gc, forward.cells[:, :-1], gi, tanh_c)):
+        local[:, :, k] *= partner
+    dh_to_dc = go * (1.0 - tanh_c * tanh_c)
+    dh_heads = d_logits @ params["wp"] + d_value[..., None] * params["wv"][0]
+    dh_next = dc_next = np.zeros((n_ports, hidden))
+    for t in range(n_steps - 1, -1, -1):  # turns local into dz step by step
+        dh = dh_heads[:, t] + dh_next
+        dc = dh * dh_to_dc[:, t] + dc_next
+        local[:, t, :3] *= dc[:, None]
+        local[:, t, 3] *= dh
+        dh_next = local[:, t].reshape(n_ports, 4 * hidden) @ params["wh"]
+        dc_next = dc * gf[:, t]
 
-        h = forward.hiddens[t]
-        grads["wp"] += np.outer(d_logits, h)
-        grads["bp"] += d_logits
-        grads["wv"] += d_value * h[None, :]
-        grads["bv"] += d_value
-
-        dh = params["wp"].T @ d_logits + params["wv"][0] * d_value + dh_next
-        x, h_prev, c_prev, gi, gf, gc, go, tanh_c = forward.caches[t]
-        dc = dh * go * (1.0 - tanh_c * tanh_c) + dc_next
-        d_go = dh * tanh_c
-        d_gi = dc * gc
-        d_gc = dc * gi
-        d_gf = dc * c_prev
-        dz = np.concatenate([
-            d_gi * gi * (1.0 - gi),
-            d_gf * gf * (1.0 - gf),
-            d_gc * (1.0 - gc * gc),
-            d_go * go * (1.0 - go),
-        ])
-        grads["wx"] += np.outer(dz, x)
-        grads["wh"] += np.outer(dz, h_prev)
-        grads["b"] += dz
-        dh_next = params["wh"].T @ dz
-        dc_next = dc * gf
-
+    dz = local.reshape(n_ports, n_steps, 4 * hidden)
+    outputs = forward.hiddens[:, 1:]
+    grads = {
+        "wx": dz.transpose(0, 2, 1) @ batch.states,
+        "wh": dz.transpose(0, 2, 1) @ forward.hiddens[:, :-1],
+        "b": dz.sum(axis=1),
+        "wp": d_logits.transpose(0, 2, 1) @ outputs,
+        "bp": d_logits.sum(axis=1),
+        "wv": d_value[:, None, :] @ outputs,
+        "bv": d_value.sum(axis=1)[:, None],
+    }
     for key in PARAM_KEYS:
         if not np.all(np.isfinite(grads[key])):
             raise LearnerError(f"non-finite gradient in {key!r}")
-    return grads
+    return [{key: grads[key][p] for key in PARAM_KEYS} for p in range(n_ports)]
 
 
 def grad_norm(grads: dict) -> float:
@@ -308,8 +301,8 @@ class Coordinator:
         _check_shapes(params)
         self.params = params
         self.learning_rate = learning_rate
-        self.m = zero_like(params)
-        self.v = zero_like(params)
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.step = 0
 
     def apply_update(self, delta: dict) -> None:
@@ -331,7 +324,7 @@ class Coordinator:
             self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def sync_copy(self) -> dict:
-        return clone_params(self.params)
+        return {k: v.copy() for k, v in self.params.items()}
 
 
 @dataclass(frozen=True)
@@ -539,7 +532,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     Deterministic for a fixed seed: one global sample stream, agents visited
     in port order, coordinator updates applied in that same order.  Every
     agent in an episode runs on one copy of the coordinator's parameters
-    taken when the episode starts.
+    taken when the episode starts, so one batched forward and backward pass
+    covers all ports; action draws, clipping and Adam go port by port.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -567,36 +561,36 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     else:
         coordinator = Coordinator(init_params(config.hidden, rng),
                                   learning_rate=config.learning_rate)
-    carries = {d.evse_id: (np.zeros(config.hidden), np.zeros(config.hidden)) for d in data}
+    lengths = np.array([d.states.shape[0] for d in data])
+    states = np.zeros((len(data), lengths.max(), STATE_DIM))
+    for p, agent_data in enumerate(data):
+        states[p, :lengths[p]] = agent_data.states
 
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
-        ep_reward = 0.0
-        v_losses, p_losses, entropies = [], [], []
         params = coordinator.sync_copy()
-        for agent_data in data:
-            n = agent_data.states.shape[0]
-            forward = forward_episode(params, agent_data.states)
+        forward = forward_episode(params, states, lengths)
+        actions = np.zeros(states.shape[:2], dtype=int)
+        q_targets, advantages = np.zeros((2,) + states.shape[:2])
+        ep_reward = 0.0
+        for p, agent_data in enumerate(data):
+            n = lengths[p]
             draws = rng.random(n)
-            actions = (draws >= forward.probs[:, 0]).astype(int)  # 0 = schedule
-            rewards = _episode_rewards(agent_data, actions, risk_value)
-            q_targets, advantages = bootstrap_targets(rewards, forward.values,
-                                                      config.gamma)
-            ep_batch = EpisodeBatch(agent_data.states, actions, q_targets,
-                                    advantages, config.beta)
-            v_loss, p_loss, entropy_mean, _total = episode_losses(forward, ep_batch)
-            grads = backward(params, forward, ep_batch)
-            delta = clipped_delta(grads, config.clip_threshold)
-            coordinator.apply_update(delta)
-            carries[agent_data.evse_id] = forward.final_carry
+            actions[p, :n] = draws >= forward.probs[p, :n, 0]  # 0 = schedule
+            rewards = _episode_rewards(agent_data, actions[p, :n], risk_value)
+            q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
+                rewards, forward.values[p, :n], config.gamma)
             ep_reward += float(np.sum(rewards))
-            v_losses.append(v_loss)
-            p_losses.append(p_loss)
-            entropies.append(entropy_mean)
+        ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
+        for grads in backward(params, forward, ep_batch):
+            coordinator.apply_update(clipped_delta(grads, config.clip_threshold))
+        v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 
+    final_h, final_c = forward.final_carry
+    carries = {d.evse_id: (final_h[p], final_c[p]) for p, d in enumerate(data)}
     model = SharedModel(
         hidden=config.hidden,
         gamma=config.gamma,

@@ -367,15 +367,21 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
                 raise SchedulerError(f"session {o.session_id!r} rate {o.realized_rate_kw} "
                                      f"exceeds cap {cap}")
     # Site load: charging intervals are constant-rate, so the maximum load
-    # occurs at some charging start instant.
+    # occurs at some charging start t.  The rate of the intervals with
+    # s <= t + 1e-9 < e is a prefix sum over sorted starts minus one over ends.
     served = [o for o in outcomes if o.scheduled and o.realized_minutes > 0]
-    starts = [(o.start_minutes, o.start_minutes + o.realized_minutes, o.realized_rate_kw)
-              for o in served]
-    for start, _end, _rate in starts:
-        load = sum(r for s, e, r in starts if s <= start + 1e-9 < e)
-        if load > site.dso_capacity_kw + 1e-6:
-            raise SchedulerError(f"site load {load:.3f} kW exceeds feed capacity "
-                                 f"{site.dso_capacity_kw} kW at t={start:.1f} min")
+    starts = np.array([o.start_minutes for o in served])
+    ends = starts + np.array([o.realized_minutes for o in served])
+    rates = np.array([o.realized_rate_kw for o in served])
+    loads = np.zeros(len(served))
+    for bounds, sign in ((starts, 1.0), (ends, -1.0)):
+        order = np.argsort(bounds)
+        prefix = np.concatenate(([0.0], np.cumsum(rates[order])))
+        loads += sign * prefix[np.searchsorted(bounds[order], starts + 1e-9, side="right")]
+    over = np.flatnonzero(loads > site.dso_capacity_kw + 1e-6)
+    if over.size:
+        raise SchedulerError(f"site load {loads[over[0]]:.3f} kW exceeds feed capacity "
+                             f"{site.dso_capacity_kw} kW at t={starts[over[0]]:.1f} min")
 
 
 def compare_report(reports: dict[str, MetricsReport]) -> list[dict]:

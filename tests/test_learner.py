@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,19 +24,18 @@ from ramals.learner import (
     backward,
     bootstrap_targets,
     clipped_delta,
-    episode_loss_value,
     episode_losses,
     forward_episode,
     grad_norm,
     init_params,
     policy_loss,
     policy_value_forward,
-    rnn_forward,
     total_loss,
     value_loss,
 )
 
 from helpers import site_for
+from oracles import scalar_backward, scalar_forward
 
 
 def random_params(hidden=8, seed=0, scale=None):
@@ -47,15 +47,49 @@ def random_params(hidden=8, seed=0, scale=None):
     return params
 
 
+def padded(sequences):
+    """Stack (T_p, ...) arrays into one zero-padded (P, max T_p, ...) array and
+    return it with the lengths."""
+    lengths = np.array([len(seq) for seq in sequences])
+    out = np.zeros((len(sequences), lengths.max()) + sequences[0].shape[1:])
+    for p, seq in enumerate(sequences):
+        out[p, :len(seq)] = seq
+    return out, lengths
+
+
+def targets(forward, rewards, lengths, gamma=0.9):
+    """Per-port bootstrap targets and advantages, zero past each length."""
+    q, adv = np.zeros(rewards.shape), np.zeros(rewards.shape)
+    for p, n in enumerate(lengths):
+        q[p, :n], adv[p, :n] = bootstrap_targets(rewards[p, :n], forward.values[p, :n], gamma)
+    return q, adv
+
+
 def random_batch(hidden=8, n=3, seed=0, beta=0.05):
+    """One port of ``n`` random steps through the batched pass."""
     rng = np.random.default_rng(seed)
     params = random_params(hidden, seed)
-    states = rng.uniform(0.0, 1.0, (n, 6))
-    forward = forward_episode(params, states)
-    actions = rng.integers(0, 2, n)
-    rewards = rng.uniform(0.0, 2.0, n)
-    q, adv = bootstrap_targets(rewards, forward.values, 0.9)
-    return params, forward, EpisodeBatch(states, actions, q, adv, beta)
+    states, lengths = padded([rng.uniform(0.0, 1.0, (n, 6))])
+    forward = forward_episode(params, states, lengths)
+    actions = rng.integers(0, 2, (1, n))
+    rewards = rng.uniform(0.0, 2.0, (1, n))
+    q, adv = targets(forward, rewards, lengths)
+    return params, forward, EpisodeBatch(states, lengths, actions, q, adv, beta)
+
+
+def hidden_sequence(params, states):
+    """Hidden state after each step of one port's (T, 6) sequence, and the
+    final carry."""
+    forward = forward_episode(params, states[None], np.array([len(states)]))
+    h, c = forward.final_carry
+    return forward.hiddens[0, 1:], (h[0], c[0])
+
+
+def episode_loss_value(params, batch):
+    """Summed total loss of the batch's ports as a plain function of the
+    parameters (targets held fixed); what the finite differences perturb."""
+    forward = forward_episode(params, batch.states, batch.lengths)
+    return sum(losses[3] for losses in episode_losses(forward, batch))
 
 
 def finite_difference_grads(params, batch, h=1e-5):
@@ -87,15 +121,15 @@ def max_relative_error(analytic, numeric):
 class TestRnnForward:
     def test_zero_weights_zero_carry_zero_hidden(self):
         params = {k: np.zeros_like(v) for k, v in init_params(4, np.random.default_rng(0)).items()}
-        hiddens, (h, c) = rnn_forward(params, np.ones((3, 6)) * 0.5)
+        hiddens, (h, c) = hidden_sequence(params, np.ones((3, 6)) * 0.5)
         assert np.allclose(hiddens, 0.0)
         assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
 
     def test_deterministic(self):
         params = random_params(6, 1)
         states = np.random.default_rng(2).uniform(0, 1, (5, 6))
-        a, carry_a = rnn_forward(params, states)
-        b, carry_b = rnn_forward(params, states)
+        a, carry_a = hidden_sequence(params, states)
+        b, carry_b = hidden_sequence(params, states)
         assert np.array_equal(a, b)
         assert np.array_equal(carry_a[0], carry_b[0])
 
@@ -107,13 +141,13 @@ class TestRnnForward:
             for key in params:
                 params[key] = rng.uniform(-1.0, 1.0, params[key].shape)
             states = rng.uniform(0.0, 1.0, (4, 6))
-            hiddens, _ = rnn_forward(params, states)
+            hiddens, _ = hidden_sequence(params, states)
             assert np.all(np.isfinite(hiddens))
             assert np.all(np.abs(hiddens) <= 1.0)  # gated tanh output
 
     def test_shape_mismatch(self):
         with pytest.raises(LearnerError):
-            rnn_forward(random_params(4, 0), np.ones((2, 5)))
+            forward_episode(random_params(4, 0), np.ones((1, 2, 5)), np.array([2]))
 
 
 class TestPolicyValueForward:
@@ -141,6 +175,19 @@ class TestPolicyValueForward:
         params["wp"] += 0.5
         _, value_after, _ = policy_value_forward(params, state)
         assert value_before == value_after
+
+    def test_steps_match_episode_forward(self):
+        """Execution steps the same cell that training runs over whole episodes."""
+        params = random_params(6, 7, scale=0.8)
+        states = np.random.default_rng(8).uniform(0, 1, (5, 6))
+        forward = forward_episode(params, states[None], np.array([5]))
+        carry = None
+        for t, state in enumerate(states):
+            dist, value, carry = policy_value_forward(params, state, carry)
+            assert dist.schedule_prob == pytest.approx(forward.probs[0, t, 0], rel=1e-12)
+            assert value == pytest.approx(forward.values[0, t], rel=1e-12)
+            assert np.allclose(carry[0], forward.hiddens[0, t + 1], rtol=1e-12, atol=0)
+        assert np.allclose(carry[1], forward.final_carry[1][0], rtol=1e-12, atol=0)
 
 
 class TestLosses:
@@ -192,7 +239,7 @@ class TestLosses:
 
     def test_entropy_term_never_increases_when_beta_zero(self):
         _, forward, batch = random_batch(seed=11)
-        v, p, ent, total_b = episode_losses(forward, batch)
+        [(v, p, ent, total_b)] = episode_losses(forward, batch)
         total_0 = total_loss(v, p, ent, 0.0)
         assert total_b <= total_0 + 1e-12
 
@@ -200,33 +247,30 @@ class TestLosses:
 class TestBackward:
     def test_gradcheck_total_loss(self):
         params, forward, batch = random_batch(hidden=6, n=4, seed=1)
-        analytic = backward(params, forward, batch)
+        [analytic] = backward(params, forward, batch)
         numeric = finite_difference_grads(params, batch)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_gradcheck_term_isolation(self):
-        # value only: zero advantages and beta
         params, forward, batch = random_batch(hidden=5, n=3, seed=2)
-        value_only = EpisodeBatch(batch.states, batch.actions, batch.q_targets,
-                                  np.zeros_like(batch.advantages), 0.0)
-        assert max_relative_error(backward(params, forward, value_only),
-                                  finite_difference_grads(params, value_only)) < 1e-4
-        # policy only: targets equal to values kill the value residual
-        policy_only = EpisodeBatch(batch.states, batch.actions, forward.values.copy(),
-                                   batch.advantages, 0.0)
-        assert max_relative_error(backward(params, forward, policy_only),
-                                  finite_difference_grads(params, policy_only)) < 1e-4
-        # entropy only
-        entropy_only = EpisodeBatch(batch.states, batch.actions, forward.values.copy(),
-                                    np.zeros_like(batch.advantages), 0.7)
-        assert max_relative_error(backward(params, forward, entropy_only),
-                                  finite_difference_grads(params, entropy_only)) < 1e-4
+        zero_adv = np.zeros_like(batch.advantages)
+        for isolated in (
+            # value only: zero advantages and beta
+            replace(batch, advantages=zero_adv, beta=0.0),
+            # policy only: targets equal to values kill the value residual
+            replace(batch, q_targets=forward.values.copy(), beta=0.0),
+            # entropy only
+            replace(batch, q_targets=forward.values.copy(), advantages=zero_adv, beta=0.7),
+        ):
+            [analytic] = backward(params, forward, isolated)
+            assert max_relative_error(analytic,
+                                      finite_difference_grads(params, isolated)) < 1e-4
 
     def test_zero_signal_zero_gradient(self):
         params, forward, batch = random_batch(hidden=4, n=3, seed=3)
-        silent = EpisodeBatch(batch.states, batch.actions, forward.values.copy(),
-                              np.zeros_like(batch.advantages), 0.0)
-        grads = backward(params, forward, silent)
+        silent = replace(batch, q_targets=forward.values.copy(),
+                         advantages=np.zeros_like(batch.advantages), beta=0.0)
+        [grads] = backward(params, forward, silent)
         assert grad_norm(grads) == pytest.approx(0.0, abs=1e-12)
 
     def test_record_additivity(self):
@@ -235,21 +279,21 @@ class TestBackward:
         gradients reproduces the full gradient."""
         params = random_params(5, 9)
         rng = np.random.default_rng(10)
-        states = rng.uniform(0, 1, (6, 6))
-        actions = rng.integers(0, 2, 6)
-        forward = forward_episode(params, states)
-        q = forward.values + rng.normal(size=6)
-        adv = rng.normal(size=6)
+        states, lengths = padded([rng.uniform(0, 1, (6, 6))])
+        actions = rng.integers(0, 2, (1, 6))
+        forward = forward_episode(params, states, lengths)
+        q = forward.values + rng.normal(size=(1, 6))
+        adv = rng.normal(size=(1, 6))
 
         def silenced(keep):
             q_part = forward.values.copy()
-            adv_part = np.zeros(6)
-            q_part[keep] = q[keep]
-            adv_part[keep] = adv[keep]
+            adv_part = np.zeros((1, 6))
+            q_part[:, keep] = q[:, keep]
+            adv_part[:, keep] = adv[:, keep]
             return backward(params, forward,
-                            EpisodeBatch(states, actions, q_part, adv_part, 0.0))
+                            EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0))[0]
 
-        full = backward(params, forward, EpisodeBatch(states, actions, q, adv, 0.0))
+        [full] = backward(params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.0))
         first = silenced(slice(0, 3))
         second = silenced(slice(3, 6))
         combined = {k: first[k] + second[k] for k in full}
@@ -261,6 +305,65 @@ class TestBackward:
         grads = {"a": np.array([1.0, -2.0]), "b": np.array([[2.0]])}
         assert grad_norm({k: 3.0 * v for k, v in grads.items()}) \
             == pytest.approx(3.0 * grad_norm(grads))
+
+
+def random_ports(lengths, hidden=6, seed=20):
+    """Ports of the given lengths; a shorter port's padding steps hold
+    garbage states, actions and targets."""
+    rng = np.random.default_rng(seed)
+    params = random_params(hidden, seed, scale=0.8)
+    states = rng.uniform(0.0, 1.0, (len(lengths), max(lengths), 6))
+    lengths = np.array(lengths)
+    forward = forward_episode(params, states, lengths)
+    actions = rng.integers(0, 2, states.shape[:2])
+    q, adv = targets(forward, rng.uniform(0.0, 2.0, states.shape[:2]), lengths)
+    return params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.05)
+
+
+def assert_near(ours, reference, rel):
+    """Every entry within ``rel`` times the reference's largest entry."""
+    assert np.max(np.abs(ours - reference)) <= rel * np.max(np.abs(reference))
+
+
+class TestBatchedPass:
+    """The padded (P, T) pass against the per-port, per-step reference."""
+
+    TOLERANCE = 1e-12  # relative; the batched products sum in another order
+
+    def test_matches_scalar_oracle_over_unequal_ports(self):
+        params, forward, batch = random_ports([5, 1, 8, 3])
+        grads = backward(params, forward, batch)
+        for p, n in enumerate(batch.lengths):
+            oracle = scalar_forward(params, batch.states[p, :n])
+            assert_near(forward.probs[p, :n], oracle.probs, self.TOLERANCE)
+            assert_near(forward.values[p, :n], oracle.values, self.TOLERANCE)
+            for ours, theirs in zip(forward.final_carry, oracle.final_carry):
+                assert_near(ours[p], theirs, self.TOLERANCE)
+            reference = scalar_backward(params, oracle, batch.actions[p, :n],
+                                        batch.q_targets[p, :n], batch.advantages[p, :n],
+                                        batch.beta)
+            for key in reference:
+                assert_near(grads[p][key], reference[key], self.TOLERANCE)
+
+    def test_padding_leaves_port_unchanged(self):
+        params, forward, batch = random_ports([4, 1, 6])
+        rng = np.random.default_rng(21)
+
+        def extended(a, *extra):
+            return np.concatenate([a, rng.uniform(-2.0, 2.0, (a.shape[0], 5) + extra)
+                                   .astype(a.dtype)], axis=1)
+
+        long_batch = EpisodeBatch(extended(batch.states, 6), batch.lengths,
+                                  extended(batch.actions) % 2, extended(batch.q_targets),
+                                  extended(batch.advantages), batch.beta)
+        long_forward = forward_episode(params, long_batch.states, long_batch.lengths)
+        short_grads = backward(params, forward, batch)
+        long_grads = backward(params, long_forward, long_batch)
+        for short, long in zip(short_grads, long_grads):
+            for key in short:
+                assert np.array_equal(short[key], long[key]), key
+        for short, long in zip(forward.final_carry, long_forward.final_carry):
+            assert np.array_equal(short, long)
 
 
 class TestClippedDelta:
@@ -334,6 +437,15 @@ class TestTrain:
                 for l in logs_a] == \
                [(l.cumulative_reward, l.value_loss, l.policy_loss, l.entropy)
                 for l in logs_b]
+
+    def test_same_seed_writes_identical_model_files(self, tmp_path):
+        batch, site = small_scenario(n_sessions=50)
+        config = TrainConfig(episodes=4, seed=6, hidden=8)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model, _ = train(batch, site, config, risk_value=0.05)
+            model.save(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_all_av_reward_is_twice_sessions(self):
         batch, site = small_scenario(seed=5, cv=0.0)

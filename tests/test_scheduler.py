@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramals import (
     GeneratorConfig,
@@ -24,6 +26,7 @@ from ramals import (
 from ramals.scheduler import ScheduleOutcome, audit_outcomes, comparison_csv
 
 from helpers import make_session, site_for, spaced_av_batch
+from oracles import direct_loads, quadratic_feed_check
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -249,6 +252,60 @@ class TestAudit:
         bad = outcome(sid="EVSE-1-s0", rate=80.0)
         with pytest.raises(SchedulerError, match="exceeds cap"):
             audit_outcomes([bad], batch, site)
+
+
+    def test_overlap_over_feed_raises_touching_passes(self):
+        batch = spaced_av_batch(n=1, evses=("EVSE-1", "EVSE-2"))
+        site = site_for(batch, dso_kw=60.0)
+        first = outcome(sid="EVSE-1-s0", evse="EVSE-1", rate=40.0, minutes=60.0, start=0.0)
+        with pytest.raises(SchedulerError, match=r"site load 80\.000 kW .* at t=30\.0 min"):
+            audit_outcomes([first, outcome(sid="EVSE-2-s0", evse="EVSE-2", rate=40.0,
+                                           minutes=60.0, start=30.0)], batch, site)
+        audit_outcomes([first, outcome(sid="EVSE-2-s0", evse="EVSE-2", rate=40.0,
+                                       minutes=60.0, start=60.0)], batch, site)
+
+
+# Starts on a 7.5 min grid, nudged by less than, exactly or more than the audit's 1e-9 min
+# tolerance, make touching and barely overlapping intervals common.  The feed
+# is either free or one of the loads, moved by up to twice the audit's 1e-6 kW
+# tolerance.  Rates on a 1/8 kW grid keep every partial sum exact, so the
+# sweep and the direct sums see the same load even when it sits on the
+# tolerance; off the grid the two can differ in the last bit, as they add in
+# another order.
+_interval = st.tuples(
+    st.booleans(),
+    st.integers(0, 16).map(lambda k: 7.5 * k),
+    st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+    st.integers(0, 8).map(lambda k: 7.5 * k),
+    st.integers(1, 400).map(lambda k: k / 8.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals=st.lists(_interval, min_size=1, max_size=12),
+       feed=st.integers(1, 800).map(lambda k: k / 8.0),
+       feed_at_load=st.none() | st.integers(0, 11),
+       feed_offset=st.sampled_from([0.0, 1e-6, -1e-6, 5e-7, -5e-7, 2e-6, -2e-6]))
+def test_feed_sweep_agrees_with_direct_sums(intervals, feed, feed_at_load, feed_offset):
+    outcomes = [outcome(sid=f"s{i}", evse=f"EVSE-{i % 3}", scheduled=scheduled,
+                        start=start + nudge, minutes=minutes, rate=rate, energy=rate)
+                for i, (scheduled, start, nudge, minutes, rate) in enumerate(intervals)]
+    loads = [load for _start, load in direct_loads(outcomes)]
+    if feed_at_load is not None and loads:
+        feed = loads[feed_at_load % len(loads)]
+    batch = SessionBatch([make_session(sid=o.session_id, evse=o.evse_id, receiving_kw=100.0)
+                          for o in outcomes])
+    site = site_for(batch, dso_kw=feed + feed_offset, supply_kw=100.0)
+
+    def message(check):
+        try:
+            check()
+        except SchedulerError as exc:
+            return str(exc)
+        return None
+
+    expected = message(lambda: quadratic_feed_check(outcomes, site.dso_capacity_kw))
+    assert message(lambda: audit_outcomes(outcomes, batch, site)) == expected
 
 
 class TestCompare:
