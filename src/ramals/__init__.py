@@ -1,7 +1,6 @@
 """Risk-adversarial multi-agent learning scheduler for EV charging sessions."""
 
 from .sessions import (
-    AV_EXACTNESS_TOLERANCE,
     ChargingSession,
     EvseConfig,
     GeneratorConfig,
@@ -37,12 +36,12 @@ from .risk import (
 from .mdp import (
     ActionDistribution,
     EvseQueue,
-    EvseState,
     MdpError,
-    demand_supply_index,
     ordering_holds,
+    ordering_ratio,
     scheduling_indicator,
     session_reward,
+    state_vector,
 )
 from .learner import (
     LearnerError,

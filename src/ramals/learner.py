@@ -504,7 +504,7 @@ def _prepare_agent_data(batch: SessionBatch) -> list[_AgentData]:
         except SessionError:
             log.warning("EVSE %r: rate ratio undefined, using 0", evse_id)
             zeta = 0.0
-        states = np.stack([mdp.EvseState(s).vector() for s in usable])
+        states = np.stack([mdp.state_vector(s) for s in usable])
         upsilons = np.array([energy_ratio(s) for s in usable])
         rhos = np.array([time_ratio(s) for s in usable])
         prepared.append(_AgentData(evse_id, states, upsilons, rhos, zeta))

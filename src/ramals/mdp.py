@@ -7,7 +7,12 @@ reward pays out only when the demand-supply ordering between the current and
 the next queued session holds under the chosen action
 (:func:`ordering_holds`), and shrinks with the site's normalized tail risk.
 Training, the execution engine and the policy's ordering override all decide
-through these functions.
+through these functions, and all count a zero-energy session with energy
+ratio 0 (:func:`ordering_ratio`).
+
+:class:`EvseQueue` is one port's FCFS queue: :meth:`EvseQueue.present` voids
+expired heads and exposes the head, and :meth:`EvseQueue.transition` applies
+one decision to that head.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sessions import ChargingSession, EvseConfig, energy_ratio
+from .sessions import ChargingSession, EvseConfig, SessionError, energy_ratio
 
 log = logging.getLogger(__name__)
 
@@ -35,29 +40,23 @@ def _minutes_since_midnight(ts) -> float:
     return ts.hour * 60.0 + ts.minute
 
 
-@dataclass(frozen=True)
-class EvseState:
-    """Six-component observation for one queued session.
+def state_vector(session: ChargingSession) -> np.ndarray:
+    """Six-component observation of one queued session.
 
     Component order: requested kWh, requested minutes, plug-in, charge-end and
-    unplug clock times, delivered kWh.  ``vector()`` scales energies by 100
-    kWh, durations by 1440 minutes and timestamps by minutes-since-midnight
-    over 1440, clipping into [0, 1].
+    unplug clock times, delivered kWh.  Energies are scaled by 100 kWh,
+    durations by 1440 minutes and timestamps by minutes-since-midnight over
+    1440, clipped into [0, 1].
     """
-
-    session: ChargingSession
-
-    def vector(self) -> np.ndarray:
-        s = self.session
-        raw = np.array([
-            s.energy_requested_kwh / ENERGY_NORM_KWH,
-            s.minutes_available / DURATION_NORM_MIN,
-            _minutes_since_midnight(s.plug_in_time) / DURATION_NORM_MIN,
-            _minutes_since_midnight(s.charge_end_time) / DURATION_NORM_MIN,
-            _minutes_since_midnight(s.unplug_time) / DURATION_NORM_MIN,
-            s.energy_delivered_kwh / ENERGY_NORM_KWH,
-        ])
-        return np.clip(raw, 0.0, 1.0)
+    raw = np.array([
+        session.energy_requested_kwh / ENERGY_NORM_KWH,
+        session.minutes_available / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.plug_in_time) / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.charge_end_time) / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.unplug_time) / DURATION_NORM_MIN,
+        session.energy_delivered_kwh / ENERGY_NORM_KWH,
+    ])
+    return np.clip(raw, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,25 @@ class ActionDistribution:
         if abs(self.schedule_prob + self.queue_prob - 1.0) > 1e-9:
             raise MdpError("action probabilities must sum to 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.schedule_prob, self.queue_prob])
-
 
 def scheduling_indicator(dist: ActionDistribution) -> int:
     """1 when the schedule component is the argmax; ties resolve to schedule."""
     return 1 if dist.schedule_prob >= dist.queue_prob else 0
 
 
+def ordering_ratio(session: ChargingSession) -> float:
+    """The session's energy ratio as the ordering check counts it: a session
+    that requests no energy counts with ratio 0."""
+    try:
+        return energy_ratio(session)
+    except SessionError:
+        log.warning("session %r: zero requested energy, demand-supply index forced to 0",
+                    session.session_id)
+        return 0.0
+
+
 def _index(upsilon: float, schedule_now: int) -> float:
     return upsilon if schedule_now == 1 else 1.0 - upsilon
-
-
-def demand_supply_index(session: ChargingSession, schedule_now: int) -> float:
-    """Select the energy ratio when scheduling, its complement when queueing."""
-    return _index(energy_ratio(session), schedule_now)
 
 
 def ordering_holds(upsilon_head: float, upsilon_next: float | None,
@@ -197,79 +199,66 @@ class QueueEvent:
 class EvseQueue:
     """FCFS queue for one port with a private clock in minutes.
 
-    Scheduling pops the head and realizes its allocation; queueing keeps the
-    head and advances the clock one step; a head whose charging can no longer
-    finish inside its availability window is voided.  Sessions are conserved:
-    scheduled + queued + voided always equals the initial count.
+    :meth:`present` is the one place that voids heads whose charging can no
+    longer start inside their availability window and that moves the clock up
+    to the head's arrival.  :meth:`transition` then acts on the presented
+    head: scheduling pops it and realizes its allocation, queueing keeps it
+    and advances the clock one step.  Sessions are conserved: scheduled +
+    queued + voided always equals the initial count.
     """
 
     def __init__(self, sessions, evse: EvseConfig, origin_minutes_fn,
                  step_minutes: float = DEFAULT_STEP_MINUTES):
         self.sessions = list(sessions)
+        self.arrivals = [origin_minutes_fn(s) for s in self.sessions]
         self.evse = evse
         self.step_minutes = step_minutes
-        self._arrival = origin_minutes_fn
-        self._idx = 0
-        self.clock = self._arrival(self.sessions[0]) if self.sessions else 0.0
+        self.position = 0           # index of the head session
+        self.clock = self.arrivals[0] if self.sessions else 0.0
         self.events: list[QueueEvent] = []
 
     @property
     def pending(self) -> int:
-        return len(self.sessions) - self._idx
+        return len(self.sessions) - self.position
 
     def head(self) -> ChargingSession | None:
-        return self.sessions[self._idx] if self._idx < len(self.sessions) else None
+        return self.sessions[self.position] if self.position < len(self.sessions) else None
 
-    def peek_next(self) -> ChargingSession | None:
-        nxt = self._idx + 1
-        return self.sessions[nxt] if nxt < len(self.sessions) else None
-
-    def _head_state(self) -> EvseState | None:
-        head = self.head()
-        return EvseState(head) if head is not None else None
-
-    def present(self) -> EvseState | None:
-        """Void heads whose availability window has expired, then expose the head."""
-        if self.head() is None:
-            return None
-        self._void_expired()
-        return self._head_state()
-
-    def _void_expired(self) -> None:
-        # A head that cannot start within its availability window is voided;
-        # once started, a session always runs to completion.
-        while self.head() is not None:
-            head = self.head()
-            arrival = self._arrival(head)
+    def present(self) -> ChargingSession | None:
+        """Void heads whose availability window has expired, then return the
+        head, with the clock at or past its arrival; None once empty."""
+        # Once started, a session always runs to completion.
+        while self.position < len(self.sessions):
+            head, arrival = self.sessions[self.position], self.arrivals[self.position]
             self.clock = max(self.clock, arrival)
-            deadline = arrival + head.minutes_available
-            if self.clock <= deadline + 1e-9:
-                return
+            if self.clock <= arrival + head.minutes_available + 1e-9:
+                return head
             log.debug("session %r voided: availability window expired unserved",
                       head.session_id)
             self.events.append(QueueEvent(head, "voided", self.clock,
                                           wait_minutes=self.clock - arrival))
-            self._idx += 1
+            self.position += 1
+        return None
 
-    def transition(self, schedule_now: int, allocator=rational_allocation):
-        """Apply one decision to the head; returns (next_state, event)."""
-        if self.head() is None:
-            raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
-        self._void_expired()
+    def transition(self, schedule_now: int, allocator=rational_allocation) -> QueueEvent:
+        """Apply one decision to the presented head; returns its event."""
         head = self.head()
         if head is None:
-            return None, self.events[-1]
-        arrival = self._arrival(head)
+            raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
+        arrival = self.arrivals[self.position]
+        if not arrival <= self.clock <= arrival + head.minutes_available + 1e-9:
+            raise MdpError(f"session {head.session_id!r} is not presentable at "
+                           f"t={self.clock:.1f} min")
         if schedule_now == 1:
             allocation = allocator(head, self.evse)
             event = QueueEvent(head, "scheduled", self.clock,
                                wait_minutes=self.clock - arrival,
                                allocation=allocation)
-            self._idx += 1
+            self.position += 1
             self.clock += allocation.occupy_minutes
         else:
             event = QueueEvent(head, "queued", self.clock,
                                wait_minutes=self.clock - arrival)
             self.clock += self.step_minutes
         self.events.append(event)
-        return self._head_state(), event
+        return event

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import learner, mdp
 from .sessions import (ChargingSession, SessionBatch, SessionError, SiteConfig,
-                       energy_ratio, rate_ratio, time_ratio)
+                       rate_ratio, time_ratio)
 
 log = logging.getLogger(__name__)
 
@@ -133,24 +133,6 @@ class MetricsReport:
                    energy_kwh_by_evse=energy)
 
 
-def _safe_energy_ratio(session: ChargingSession) -> float:
-    try:
-        return energy_ratio(session)
-    except SessionError:
-        log.warning("session %r: zero requested energy, demand-supply index forced to 0",
-                    session.session_id)
-        return 0.0
-
-
-def _ordering_holds(queue: mdp.EvseQueue, schedule_now: int) -> bool:
-    """The demand-supply ordering between the queue's head and next session;
-    a zero-energy session counts with energy ratio 0."""
-    upsilon_head = _safe_energy_ratio(queue.head())
-    nxt = queue.peek_next()
-    upsilon_next = None if nxt is None else _safe_energy_ratio(nxt)
-    return mdp.ordering_holds(upsilon_head, upsilon_next, schedule_now)
-
-
 class _PolicyRule:
     """Argmax policy pick, then the demand-supply ordering check."""
 
@@ -158,23 +140,21 @@ class _PolicyRule:
         self.model = model
         self._carries: dict[str, tuple] = {}
 
-    def decide(self, evse_id: str, queue: mdp.EvseQueue) -> int:
-        head = queue.head()
-        state = mdp.EvseState(head).vector()
+    def decide(self, evse_id: str, head: ChargingSession, ordering_holds) -> int:
         carry = self._carries.get(evse_id)
         if carry is None:
             carry = self.model.carry_for(evse_id)
         dist, _value, carry = learner.policy_value_forward(
-            self.model.coordinator.params, state, carry)
+            self.model.coordinator.params, mdp.state_vector(head), carry)
         self._carries[evse_id] = carry
-        return 1 if _ordering_holds(queue, mdp.scheduling_indicator(dist)) else 0
+        return 1 if ordering_holds(evse_id, mdp.scheduling_indicator(dist)) else 0
 
 
 class _ForcedRule:
     """Always schedules: the as-requested baseline's rule, and the rule when
     no model is given."""
 
-    def decide(self, evse_id: str, queue: mdp.EvseQueue) -> int:
+    def decide(self, evse_id: str, head: ChargingSession, ordering_holds) -> int:
         return 1
 
 
@@ -185,7 +165,13 @@ class _ActiveInterval:
 
 
 class ScheduleEngine:
-    """Replays one batch against one site under a decision rule."""
+    """Replays one batch against one site under a decision rule.
+
+    The rule's ``decide(evse_id, head, ordering_holds)`` returns 1 to start
+    the presented head and 0 to queue it; ``ordering_holds(evse_id,
+    schedule_now)`` is the engine's ordering check for that port's head.
+    Each session's energy ratio is computed once, when the engine is built.
+    """
 
     def __init__(self, batch: SessionBatch, site: SiteConfig, rule,
                  allocator=mdp.rational_allocation,
@@ -207,9 +193,13 @@ class ScheduleEngine:
         else:
             self.origin = None
         self._zeta: dict[str, float] = {}
+        # Each port's energy ratios in queue order, padded with None: the
+        # last session has no next one to be ordered against.
+        self._upsilons: dict[str, list[float | None]] = {}
         self.queues: dict[str, mdp.EvseQueue] = {}
         for evse_id in batch.evse_ids:
             group = batch.group(evse_id)
+            self._upsilons[evse_id] = [mdp.ordering_ratio(s) for s in group] + [None]
             try:
                 self._zeta[evse_id] = rate_ratio(group)
             except SessionError:
@@ -229,9 +219,14 @@ class ScheduleEngine:
         self._active = [iv for iv in self._active if iv.end_minutes > at_minutes + 1e-9]
         return sum(iv.rate_kw for iv in self._active)
 
-    def _scheduled_reward(self, evse_id: str, queue: mdp.EvseQueue) -> float:
-        return mdp.session_reward(self._zeta[evse_id], time_ratio(queue.head()),
-                                  self.risk_value, _ordering_holds(queue, 1))
+    def _ordering_holds(self, evse_id: str, schedule_now: int) -> bool:
+        """The demand-supply ordering between the port's head and next session."""
+        upsilons, i = self._upsilons[evse_id], self.queues[evse_id].position
+        return mdp.ordering_holds(upsilons[i], upsilons[i + 1], schedule_now)
+
+    def _scheduled_reward(self, evse_id: str, head: ChargingSession) -> float:
+        return mdp.session_reward(self._zeta[evse_id], time_ratio(head),
+                                  self.risk_value, self._ordering_holds(evse_id, 1))
 
     def _record(self, evse_id: str, event: mdp.QueueEvent, reward: float) -> None:
         alloc = event.allocation
@@ -262,26 +257,23 @@ class ScheduleEngine:
             _when, evse_id = heapq.heappop(heap)
             queue = self.queues[evse_id]
             seen = len(queue.events)
-            state = queue.present()
+            head = queue.present()
             for event in queue.events[seen:]:
                 self._record(evse_id, event, 0.0)  # heads voided as expired
-            if state is None:
+            if head is None:
                 continue
-            # present() voided every expired head at this clock, so the
-            # transition below acts on the presented head and voids nothing.
-            decision = self.rule.decide(evse_id, queue)
+            decision = self.rule.decide(evse_id, head, self._ordering_holds)
             if decision == 1:
-                head = queue.head()
                 allocation = self.allocator(head, self.site.evse(evse_id))
                 load = self._site_load(queue.clock)
                 if load + allocation.rate_kw > self.site.dso_capacity_kw + 1e-9:
                     log.debug("EVSE %r deferred session %r: site load %.1f kW full",
-                                evse_id, head.session_id, load)
+                              evse_id, head.session_id, load)
                     queue.clock += self.step_minutes
                     heapq.heappush(heap, (queue.clock, evse_id))
                     continue
-                reward = self._scheduled_reward(evse_id, queue)
-                _state, event = queue.transition(1, allocator=self.allocator)
+                reward = self._scheduled_reward(evse_id, head)
+                event = queue.transition(1, allocator=self.allocator)
                 self._record(evse_id, event, reward)
                 self._active.append(_ActiveInterval(
                     event.clock_minutes + event.allocation.charge_minutes,

@@ -24,9 +24,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-#: Tolerance (kWh / minutes) within which AV requests must match actuals.
-AV_EXACTNESS_TOLERANCE = 1e-6
-
 #: Receiving capacity assumed when the input data does not carry one (kW).
 DEFAULT_RECEIVING_CAPACITY_KW = 50.0
 
@@ -95,10 +92,6 @@ class ChargingSession:
         if minutes <= 0:
             return 0.0
         return self.energy_delivered_kwh / minutes * 60.0
-
-    def is_exact_request(self, tol: float = AV_EXACTNESS_TOLERANCE) -> bool:
-        return (abs(self.energy_delivered_kwh - self.energy_requested_kwh) <= tol
-                and abs(self.actual_minutes - self.minutes_available) <= tol)
 
     def to_record(self) -> dict:
         """Canonical JSON-ready record (inverse of parsing)."""

@@ -1,4 +1,6 @@
-"""Decision model: indicator, demand-supply index, ordering, reward, queue."""
+"""Decision model: indicator, ordering ratio, ordering, reward, queue."""
+
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -9,16 +11,16 @@ from ramals import (
     ActionDistribution,
     EvseConfig,
     MdpError,
-    demand_supply_index,
     ordering_holds,
+    ordering_ratio,
     scheduling_indicator,
     session_reward,
 )
 from ramals.mdp import (
     EvseQueue,
-    EvseState,
     as_requested_allocation,
     rational_allocation,
+    state_vector,
 )
 
 from helpers import T0, make_av_session, make_session
@@ -68,15 +70,16 @@ class TestSchedulingIndicator:
         assert plain == scaled == 1
 
 
-class TestDemandSupplyIndex:
-    def test_selects_component(self):
-        s = make_session(requested=10.0, delivered=8.0)
-        assert demand_supply_index(s, 1) == pytest.approx(0.8)
-        assert demand_supply_index(s, 0) == pytest.approx(0.2)
+class TestOrderingRatio:
+    def test_selects_energy_ratio(self):
+        assert ordering_ratio(make_session(requested=10.0, delivered=8.0)) == pytest.approx(0.8)
 
     def test_exact_request(self):
-        s = make_session(requested=10.0, delivered=10.0)
-        assert demand_supply_index(s, 1) == 1.0
+        assert ordering_ratio(make_session(requested=10.0, delivered=10.0)) == 1.0
+
+    def test_zero_energy_counts_as_zero(self, caplog):
+        assert ordering_ratio(make_session(requested=0.0, delivered=0.0, sid="z")) == 0.0
+        assert "'z': zero requested energy" in caplog.text
 
 
 class TestOrderingHolds:
@@ -150,14 +153,14 @@ class TestEvseState:
     def test_vector_in_unit_box(self):
         s = make_session(requested=35.0, delivered=20.0, charge_min=90,
                          plugged_min=300, window_min=240)
-        vec = EvseState(s).vector()
+        vec = state_vector(s)
         assert vec.shape == (6,)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
     def test_component_order(self):
         s = make_session(requested=50.0, delivered=25.0, charge_min=144,
                          plugged_min=288, window_min=288)
-        vec = EvseState(s).vector()
+        vec = state_vector(s)
         assert vec[0] == pytest.approx(0.5)    # requested kWh / 100
         assert vec[1] == pytest.approx(0.2)    # window / 1440
         assert vec[5] == pytest.approx(0.25)   # delivered kWh / 100
@@ -176,23 +179,23 @@ def build_queue(sessions, switching=0.0, step=15.0):
 class TestEvseQueue:
     def test_schedule_empties_single_session_queue(self):
         queue = build_queue([make_av_session()])
-        next_state, event = queue.transition(1)
-        assert next_state is None
+        event = queue.transition(1)
+        assert queue.present() is None
         assert event.kind == "scheduled"
         assert queue.pending == 0
 
     def test_queue_represents_same_head(self):
         queue = build_queue([make_session(window_min=600)])
-        head_before = queue.head()
-        next_state, event = queue.transition(0)
+        head_before = queue.present()
+        event = queue.transition(0)
         assert event.kind == "queued"
-        assert queue.head() is head_before
+        assert queue.present() is head_before
         assert queue.clock == 15.0
 
     def test_av_realizes_requested_energy(self):
         session = make_av_session(energy=12.0, charge_min=30)
         queue = build_queue([session])
-        _, event = queue.transition(1)
+        event = queue.transition(1)
         assert event.allocation.energy_kwh == pytest.approx(12.0)
 
     def test_session_conservation_random_decisions(self):
@@ -219,6 +222,26 @@ class TestEvseQueue:
         queue.transition(1)
         with pytest.raises(MdpError):
             queue.transition(1)
+
+    def test_present_moves_clock_to_arrival(self):
+        late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
+        queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
+        queue.transition(1)
+        assert queue.clock == 30.0
+        assert queue.present() is late
+        assert queue.clock == 90.0
+
+    def test_transition_rejects_head_not_presentable(self):
+        late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
+        queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
+        queue.transition(1)
+        with pytest.raises(MdpError, match="'late' is not presentable at t=30.0"):
+            queue.transition(1)
+        queue.present()
+        queue.clock = 200.0
+        with pytest.raises(MdpError, match="'late' is not presentable at t=200.0"):
+            queue.transition(0)
+        assert queue.events[-1].session.session_id == "early"
 
 
 class TestAllocations:
