@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdp
-from .sessions import SessionBatch, SessionError, SiteConfig, energy_ratio, rate_ratio, time_ratio
+from .sessions import SessionBatch, SessionError, SiteConfig, rate_ratio, time_ratio
 
 log = logging.getLogger(__name__)
 
@@ -489,31 +489,20 @@ def _prepare_agent_data(batch: SessionBatch) -> list[_AgentData]:
     prepared = []
     for evse_id in batch.evse_ids:
         group = batch.group(evse_id)
-        usable = []
-        for session in group:
-            if session.energy_requested_kwh <= 0:
-                log.warning("session %r: zero requested energy, skipped in training",
-                            session.session_id)
-                continue
-            usable.append(session)
-        if not usable:
-            log.warning("EVSE %r has no usable sessions, skipped", evse_id)
-            continue
         try:
-            zeta = rate_ratio(usable)
+            zeta = rate_ratio(group)
         except SessionError:
             log.warning("EVSE %r: rate ratio undefined, using 0", evse_id)
             zeta = 0.0
-        states = np.stack([mdp.state_vector(s) for s in usable])
-        upsilons = np.array([energy_ratio(s) for s in usable])
-        rhos = np.array([time_ratio(s) for s in usable])
+        states = np.stack([mdp.state_vector(s) for s in group])
+        upsilons = np.array([mdp.ordering_ratio(s) for s in group])
+        rhos = np.array([time_ratio(s) for s in group])
         prepared.append(_AgentData(evse_id, states, upsilons, rhos, zeta))
     return prepared
 
 
 def _episode_rewards(data: _AgentData, actions: np.ndarray, risk: float) -> np.ndarray:
-    # Zero-energy sessions were dropped in preparation, so "next" is the next
-    # session with a defined energy ratio.
+    # A zero-energy session counts with energy ratio 0, as in execution.
     n = len(actions)
     rewards = np.empty(n)
     for t in range(n):
@@ -550,8 +539,6 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         raise LearnerError("risk value must lie in [0, 1)")
 
     data = _prepare_agent_data(batch)
-    if not data:
-        raise LearnerError("no usable sessions in batch")
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if initial_model is not None:

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import ramals.learner as learner
 from ramals import (
     GeneratorConfig,
     LearnerError,
+    SessionBatch,
     SiteConfig,
     TrainConfig,
     generate_synthetic,
@@ -33,8 +35,9 @@ from ramals.learner import (
     total_loss,
     value_loss,
 )
+from ramals.scheduler import ScheduleEngine, _ForcedRule
 
-from helpers import site_for
+from helpers import T0, make_session, site_for
 from oracles import scalar_backward, scalar_forward
 
 
@@ -471,6 +474,32 @@ class TestTrain:
         batch, site = small_scenario()
         with pytest.raises(LearnerError):
             train(batch, site, TrainConfig(episodes=1, hidden=8), risk_value=1.5)
+
+
+class TestZeroEnergyRule:
+    def test_training_ordering_matches_engine(self):
+        # energy ratios 0.8, 0.5, zero request, 0.9, 0.2 on one port
+        sessions = [make_session(requested=r, delivered=d, sid=f"s{i}",
+                                 start=T0 + timedelta(hours=2 * i))
+                    for i, (r, d) in enumerate([(10.0, 8.0), (10.0, 5.0), (0.0, 0.0),
+                                                (10.0, 9.0), (10.0, 2.0)])]
+        batch = SessionBatch(sessions)
+        (data,) = learner._prepare_agent_data(batch)
+        engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
+        queue = engine.queues["EVSE-1"]
+        engine_orderings = {}
+        for schedule_now in (0, 1):
+            actions = np.full(len(sessions), 1 - schedule_now)  # action 0 schedules
+            rewards = learner._episode_rewards(data, actions, risk=0.0)
+            assert len(rewards) == len(sessions)
+            for t in range(len(sessions)):
+                queue.position = t
+                engine_orderings[t, schedule_now] = engine._ordering_holds("EVSE-1",
+                                                                           schedule_now)
+                assert (rewards[t] != 0.0) == engine_orderings[t, schedule_now]
+        # the zero-energy session counts with ratio 0, as head and as next
+        assert engine_orderings[1, 1] and not engine_orderings[1, 0]
+        assert engine_orderings[2, 0] and not engine_orderings[2, 1]
 
 
 class TestSerialization:
