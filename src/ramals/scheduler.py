@@ -6,8 +6,9 @@ session to the decision rule, which either starts charging (blocking the
 port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  Starting a session must not push the site's
 simultaneous delivery above the utility feed; a port that would breach it
-defers one step.  Sessions that can no longer finish inside their
-availability window are voided.
+defers one step.  Presenting voids the sessions whose charging can no longer
+start inside their availability window.  Decisions run in time order across
+ports: a port whose head arrives later than its turn waits for that arrival.
 """
 
 from __future__ import annotations
@@ -216,6 +217,8 @@ class ScheduleEngine:
         return (session.plug_in_time - self.origin).total_seconds() / 60.0
 
     def _site_load(self, at_minutes: float) -> float:
+        # Decisions run in time order, so an interval that has ended by now
+        # has ended for every later decision too, and can be dropped.
         self._active = [iv for iv in self._active if iv.end_minutes > at_minutes + 1e-9]
         return sum(iv.rate_kw for iv in self._active)
 
@@ -254,13 +257,18 @@ class ScheduleEngine:
             if queue.head() is not None:
                 heapq.heappush(heap, (queue.clock, evse_id))
         while heap:
-            _when, evse_id = heapq.heappop(heap)
+            when, evse_id = heapq.heappop(heap)
             queue = self.queues[evse_id]
             seen = len(queue.events)
             head = queue.present()
             for event in queue.events[seen:]:
                 self._record(evse_id, event, 0.0)  # heads voided as expired
             if head is None:
+                continue
+            if queue.clock > when:
+                # present() moved the clock up to the head's arrival: decide
+                # there, after every port whose decision comes earlier.
+                heapq.heappush(heap, (queue.clock, evse_id))
                 continue
             decision = self.rule.decide(evse_id, head, self._ordering_holds)
             if decision == 1:

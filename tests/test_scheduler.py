@@ -308,6 +308,21 @@ def test_feed_sweep_agrees_with_direct_sums(intervals, feed, feed_at_load, feed_
     assert message(lambda: audit_outcomes(outcomes, batch, site)) == expected
 
 
+# The tight-feed range: 60 sessions on 3-6 ports, a 50-80 kW feed and a
+# 90-400 min mean gap, where a port's clock often jumps to its next arrival.
+@settings(max_examples=60, deadline=None)
+@given(n_evses=st.integers(3, 6), feed=st.floats(50.0, 80.0),
+       gap=st.floats(90.0, 400.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_replays_keep_feed_conservation_and_determinism(n_evses, feed, gap, seed):
+    batch = generate_synthetic(GeneratorConfig(n_sessions=60, n_evses=n_evses,
+                                               mean_gap_minutes=gap), seed=seed)
+    site = site_for(batch, dso_kw=feed, switching_minutes=5.0)
+    for replay in (fcfs_as_requested_baseline, lambda b, s: execute(None, b, s)):
+        outcomes, report = replay(batch, site)  # audits conservation, caps and feed
+        assert all(o.scheduled != o.voided for o in outcomes)
+        assert replay(batch, site) == (outcomes, report)
+
+
 class TestCompare:
     def make_report(self, rate=10.0):
         batch = spaced_av_batch(n=2)
