@@ -37,8 +37,10 @@ from .mdp import (
     ActionDistribution,
     EvseQueue,
     MdpError,
+    PortSessions,
     ordering_holds,
     ordering_ratio,
+    port_sessions,
     scheduling_indicator,
     session_reward,
     state_vector,

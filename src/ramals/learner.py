@@ -10,7 +10,8 @@ so its forward and backward passes run all ports as one batch, zero-padded to
 decision at a time.  All forward and backward math is explicit numpy so the
 gradients can be checked against central finite differences.
 
-Per-step rewards follow the decision model in :mod:`ramals.mdp`; the one-step
+Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
+decision inputs the execution engine reads too; the one-step
 bootstrapped targets and advantages are constants with respect to the
 parameters (no gradient flows through them).
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mdp
-from .sessions import SessionBatch, SessionError, SiteConfig, rate_ratio, time_ratio
+from .sessions import SessionBatch, SiteConfig
 
 log = logging.getLogger(__name__)
 
@@ -427,7 +428,7 @@ class SharedModel:
         except json.JSONDecodeError as exc:
             raise LearnerError(f"corrupt model file: {exc}") from exc
 
-        def unpack(blob, context):
+        def unpack(blob, context, like=None):
             if not isinstance(blob, dict):
                 raise LearnerError(f"corrupt model file: {context} is not an object")
             out = {}
@@ -441,19 +442,25 @@ class SharedModel:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise LearnerError(f"corrupt model file: bad tensor "
                                        f"{context}.{key}") from exc
+                if like is not None and arr.shape != like[key].shape:
+                    raise LearnerError(f"corrupt model file: tensor {context}.{key} has "
+                                       f"shape {arr.shape}, expected {like[key].shape}")
                 out[key] = arr
             return out
 
         for field_name in ("format", "hidden", "gamma", "beta", "alpha", "risk_value",
-                           "learning_rate", "step", "coordinator", "carries"):
+                           "learning_rate", "step", "coordinator", "adam_m", "adam_v",
+                           "carries"):
             if field_name not in payload:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
         if payload["format"] not in READABLE_FORMATS:
             raise LearnerError(f"corrupt model file: unknown format {payload['format']!r}")
+        if not isinstance(payload["carries"], dict):
+            raise LearnerError("corrupt model file: carries is not an object")
         coordinator = Coordinator(unpack(payload["coordinator"], "coordinator"),
                                   learning_rate=float(payload["learning_rate"]))
-        coordinator.m = unpack(payload["adam_m"], "adam_m")
-        coordinator.v = unpack(payload["adam_v"], "adam_v")
+        coordinator.m = unpack(payload["adam_m"], "adam_m", like=coordinator.params)
+        coordinator.v = unpack(payload["adam_v"], "adam_v", like=coordinator.params)
         coordinator.step = int(payload["step"])
         carries = {}
         for evse, blob in payload["carries"].items():
@@ -474,43 +481,10 @@ class SharedModel:
         )
 
 
-@dataclass
-class _AgentData:
-    """Per-port training arrays precomputed from the batch."""
-
-    evse_id: str
-    states: np.ndarray
-    upsilons: np.ndarray
-    rhos: np.ndarray
-    zeta: float
-
-
-def _prepare_agent_data(batch: SessionBatch) -> list[_AgentData]:
-    prepared = []
-    for evse_id in batch.evse_ids:
-        group = batch.group(evse_id)
-        try:
-            zeta = rate_ratio(group)
-        except SessionError:
-            log.warning("EVSE %r: rate ratio undefined, using 0", evse_id)
-            zeta = 0.0
-        states = np.stack([mdp.state_vector(s) for s in group])
-        upsilons = np.array([mdp.ordering_ratio(s) for s in group])
-        rhos = np.array([time_ratio(s) for s in group])
-        prepared.append(_AgentData(evse_id, states, upsilons, rhos, zeta))
-    return prepared
-
-
-def _episode_rewards(data: _AgentData, actions: np.ndarray, risk: float) -> np.ndarray:
-    # A zero-energy session counts with energy ratio 0, as in execution.
-    n = len(actions)
-    rewards = np.empty(n)
-    for t in range(n):
-        schedule_now = 1 if actions[t] == 0 else 0
-        upsilon_next = data.upsilons[t + 1] if t + 1 < n else None
-        ordered = mdp.ordering_holds(data.upsilons[t], upsilon_next, schedule_now)
-        rewards[t] = mdp.session_reward(data.zeta, data.rhos[t], risk, ordered)
-    return rewards
+def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
+    """Each step's reward; action 0 schedules."""
+    return np.array([port.reward(t, 1 if action == 0 else 0, risk)
+                     for t, action in enumerate(actions)])
 
 
 def train(batch: SessionBatch, site_config: SiteConfig | None,
@@ -538,7 +512,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
 
-    data = _prepare_agent_data(batch)
+    ports = mdp.port_sessions(batch)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if initial_model is not None:
@@ -548,10 +522,10 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     else:
         coordinator = Coordinator(init_params(config.hidden, rng),
                                   learning_rate=config.learning_rate)
-    lengths = np.array([d.states.shape[0] for d in data])
-    states = np.zeros((len(data), lengths.max(), STATE_DIM))
-    for p, agent_data in enumerate(data):
-        states[p, :lengths[p]] = agent_data.states
+    lengths = np.array([len(port.sessions) for port in ports])
+    states = np.zeros((len(ports), lengths.max(), STATE_DIM))
+    for p, port in enumerate(ports):
+        states[p, :lengths[p]] = np.stack([mdp.state_vector(s) for s in port.sessions])
 
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
@@ -561,11 +535,11 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         actions = np.zeros(states.shape[:2], dtype=int)
         q_targets, advantages = np.zeros((2,) + states.shape[:2])
         ep_reward = 0.0
-        for p, agent_data in enumerate(data):
+        for p, port in enumerate(ports):
             n = lengths[p]
             draws = rng.random(n)
             actions[p, :n] = draws >= forward.probs[p, :n, 0]  # 0 = schedule
-            rewards = _episode_rewards(agent_data, actions[p, :n], risk_value)
+            rewards = _episode_rewards(port, actions[p, :n], risk_value)
             q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
                 rewards, forward.values[p, :n], config.gamma)
             ep_reward += float(np.sum(rewards))
@@ -577,7 +551,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 
     final_h, final_c = forward.final_carry
-    carries = {d.evse_id: (final_h[p], final_c[p]) for p, d in enumerate(data)}
+    carries = {port.evse_id: (final_h[p], final_c[p]) for p, port in enumerate(ports)}
     model = SharedModel(
         hidden=config.hidden,
         gamma=config.gamma,

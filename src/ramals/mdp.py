@@ -6,13 +6,13 @@ and window, the three timestamps, delivered energy) scaled into [0, 1].  The
 reward pays out only when the demand-supply ordering between the current and
 the next queued session holds under the chosen action
 (:func:`ordering_holds`), and shrinks with the site's normalized tail risk.
-Training, the execution engine and the policy's ordering override all decide
-through these functions, and all count a zero-energy session with energy
-ratio 0 (:func:`ordering_ratio`).
+Training, the execution engine's reward and the policy's ordering override
+all read one :class:`PortSessions` per port, which counts a zero-energy
+session with energy ratio 0 (:func:`ordering_ratio`).
 
 :class:`EvseQueue` is one port's FCFS queue: :meth:`EvseQueue.present` voids
-expired heads and exposes the head, and :meth:`EvseQueue.transition` applies
-one decision to that head.
+expired heads into ``voided`` and exposes the head, and
+:meth:`EvseQueue.transition` applies one decision to that head.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sessions import ChargingSession, EvseConfig, SessionError, energy_ratio
+from .sessions import (ChargingSession, EvseConfig, SessionBatch, SessionError,
+                       energy_ratio, rate_ratio, time_ratio)
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +126,49 @@ def session_reward(rate_ratio_value: float, time_ratio_value: float, risk: float
 
 
 @dataclass(frozen=True)
+class PortSessions:
+    """One port's decision inputs; decision ``i`` is about ``sessions[i]``.
+
+    ``upsilons`` holds each session's :func:`ordering_ratio`, then ``None``
+    for the last one's missing successor; ``rhos`` holds each time ratio and
+    ``zeta`` is the port's rate ratio.
+    """
+
+    evse_id: str
+    sessions: tuple[ChargingSession, ...]
+    upsilons: tuple[float | None, ...]
+    rhos: tuple[float, ...]
+    zeta: float
+
+    def ordering_holds(self, i: int, schedule_now: int) -> bool:
+        """The demand-supply ordering between session ``i`` and the next one."""
+        return ordering_holds(self.upsilons[i], self.upsilons[i + 1], schedule_now)
+
+    def reward(self, i: int, schedule_now: int, risk: float) -> float:
+        """The reward of deciding ``schedule_now`` on session ``i``."""
+        return session_reward(self.zeta, self.rhos[i], risk,
+                              self.ordering_holds(i, schedule_now))
+
+
+def port_sessions(batch: SessionBatch) -> list[PortSessions]:
+    """Each port's decision inputs, in the batch's port order.  A port whose
+    rate ratio is undefined gets ``zeta`` 0, so its sessions earn no reward."""
+    ports = []
+    for evse_id in batch.evse_ids:
+        group = batch.group(evse_id)
+        try:
+            zeta = rate_ratio(group)
+        except SessionError:
+            log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0",
+                        evse_id)
+            zeta = 0.0
+        ports.append(PortSessions(evse_id, group,
+                                  tuple(ordering_ratio(s) for s in group) + (None,),
+                                  tuple(time_ratio(s) for s in group), zeta))
+    return ports
+
+
+@dataclass(frozen=True)
 class Allocation:
     """Realized charging plan for one scheduled session."""
 
@@ -200,11 +244,11 @@ class EvseQueue:
     """FCFS queue for one port with a private clock in minutes.
 
     :meth:`present` is the one place that voids heads whose charging can no
-    longer start inside their availability window and that moves the clock up
-    to the head's arrival.  :meth:`transition` then acts on the presented
-    head: scheduling pops it and realizes its allocation, queueing keeps it
-    and advances the clock one step.  Sessions are conserved: scheduled +
-    queued + voided always equals the initial count.
+    longer start inside their availability window, into ``voided``, and that
+    moves the clock up to the head's arrival.  :meth:`transition` then acts on
+    the presented head: scheduling pops it and realizes the caller's
+    allocation, queueing keeps it and advances the clock one step.  Sessions
+    are conserved: scheduled + queued + voided always equals the initial count.
     """
 
     def __init__(self, sessions, evse: EvseConfig, origin_minutes_fn,
@@ -215,11 +259,7 @@ class EvseQueue:
         self.step_minutes = step_minutes
         self.position = 0           # index of the head session
         self.clock = self.arrivals[0] if self.sessions else 0.0
-        self.events: list[QueueEvent] = []
-
-    @property
-    def pending(self) -> int:
-        return len(self.sessions) - self.position
+        self.voided: list[QueueEvent] = []
 
     def head(self) -> ChargingSession | None:
         return self.sessions[self.position] if self.position < len(self.sessions) else None
@@ -235,12 +275,12 @@ class EvseQueue:
                 return head
             log.debug("session %r voided: availability window expired unserved",
                       head.session_id)
-            self.events.append(QueueEvent(head, "voided", self.clock,
+            self.voided.append(QueueEvent(head, "voided", self.clock,
                                           wait_minutes=self.clock - arrival))
             self.position += 1
         return None
 
-    def transition(self, schedule_now: int, allocator=rational_allocation) -> QueueEvent:
+    def transition(self, schedule_now: int, allocation=None) -> QueueEvent:
         """Apply one decision to the presented head; returns its event."""
         head = self.head()
         if head is None:
@@ -250,7 +290,9 @@ class EvseQueue:
             raise MdpError(f"session {head.session_id!r} is not presentable at "
                            f"t={self.clock:.1f} min")
         if schedule_now == 1:
-            allocation = allocator(head, self.evse)
+            if allocation is None:
+                raise MdpError(f"session {head.session_id!r}: scheduled without "
+                               "an allocation")
             event = QueueEvent(head, "scheduled", self.clock,
                                wait_minutes=self.clock - arrival,
                                allocation=allocation)
@@ -260,5 +302,4 @@ class EvseQueue:
             event = QueueEvent(head, "queued", self.clock,
                                wait_minutes=self.clock - arrival)
             self.clock += self.step_minutes
-        self.events.append(event)
         return event

@@ -44,7 +44,6 @@ class LaxitySampleSet:
     """Per-session laxity observations in hours, all non-negative."""
 
     samples: tuple[float, ...]
-    source_batch_id: str = ""
 
     def __post_init__(self):
         if any(s < 0 for s in self.samples):
@@ -277,14 +276,14 @@ def cvar_closed_form(fit: StudentTFit, alpha: float, xi: float,
     raise RiskError(f"unknown variant {variant!r}")
 
 
-def upper_tail_cvar(fit: StudentTFit, alpha: float) -> float:
+def upper_tail_cvar(fit: StudentTFit, alpha: float, xi_upper: float) -> float:
     """Expected laxity beyond the alpha-quantile (mean of the worst 1-alpha mass).
 
-    Maps the upper tail onto the lower-tail closed form through the symmetry
-    of the standardized density: the upper cutoff at alpha mirrors the lower
-    cutoff at 1-alpha.
+    ``xi_upper`` is the standardized alpha-quantile,
+    ``standardized_ppf(alpha, fit.dof)``.  Maps the upper tail onto the
+    lower-tail closed form through the symmetry of the standardized density:
+    the upper cutoff at alpha mirrors the lower cutoff at 1-alpha.
     """
-    xi_upper = standardized_ppf(alpha, fit.dof)
     negated_lower = cvar_closed_form(fit, 1.0 - alpha, -xi_upper, variant="standard")
     return negated_lower + 2.0 * fit.location
 
@@ -353,7 +352,7 @@ def estimate_risk(batch: SessionBatch, alpha: float,
     fit = fit_student_t(d)
     xi_upper = standardized_ppf(alpha, fit.dof)
     var = fit.location + fit.scale * xi_upper
-    cvar_std = upper_tail_cvar(fit, alpha)
+    cvar_std = upper_tail_cvar(fit, alpha, xi_upper)
     try:
         cvar_paper = cvar_closed_form(fit, alpha, xi_upper, variant="paper")
     except RiskError:

@@ -9,6 +9,8 @@ simultaneous delivery above the utility feed; a port that would breach it
 defers one step.  Presenting voids the sessions whose charging can no longer
 start inside their availability window.  Decisions run in time order across
 ports: a port whose head arrives later than its turn waits for that arrival.
+The rule and the reward read each port's :class:`ramals.mdp.PortSessions`,
+the same decision inputs training reads.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import learner, mdp
-from .sessions import (ChargingSession, SessionBatch, SessionError, SiteConfig,
-                       rate_ratio, time_ratio)
+from .sessions import ChargingSession, SessionBatch, SiteConfig
 
 log = logging.getLogger(__name__)
 
@@ -141,37 +142,31 @@ class _PolicyRule:
         self.model = model
         self._carries: dict[str, tuple] = {}
 
-    def decide(self, evse_id: str, head: ChargingSession, ordering_holds) -> int:
-        carry = self._carries.get(evse_id)
+    def decide(self, port: mdp.PortSessions, i: int) -> int:
+        carry = self._carries.get(port.evse_id)
         if carry is None:
-            carry = self.model.carry_for(evse_id)
+            carry = self.model.carry_for(port.evse_id)
         dist, _value, carry = learner.policy_value_forward(
-            self.model.coordinator.params, mdp.state_vector(head), carry)
-        self._carries[evse_id] = carry
-        return 1 if ordering_holds(evse_id, mdp.scheduling_indicator(dist)) else 0
+            self.model.coordinator.params, mdp.state_vector(port.sessions[i]), carry)
+        self._carries[port.evse_id] = carry
+        return 1 if port.ordering_holds(i, mdp.scheduling_indicator(dist)) else 0
 
 
 class _ForcedRule:
     """Always schedules: the as-requested baseline's rule, and the rule when
     no model is given."""
 
-    def decide(self, evse_id: str, head: ChargingSession, ordering_holds) -> int:
+    def decide(self, port: mdp.PortSessions, i: int) -> int:
         return 1
-
-
-@dataclass
-class _ActiveInterval:
-    end_minutes: float
-    rate_kw: float
 
 
 class ScheduleEngine:
     """Replays one batch against one site under a decision rule.
 
-    The rule's ``decide(evse_id, head, ordering_holds)`` returns 1 to start
-    the presented head and 0 to queue it; ``ordering_holds(evse_id,
-    schedule_now)`` is the engine's ordering check for that port's head.
-    Each session's energy ratio is computed once, when the engine is built.
+    The rule's ``decide(port, i)`` returns 1 to start session ``i`` of
+    ``port``, the presented head, and 0 to queue it.  Each port's decision
+    inputs are built once, when the engine is built, and a started session's
+    allocation is computed once, for the feed check.
     """
 
     def __init__(self, batch: SessionBatch, site: SiteConfig, rule,
@@ -182,36 +177,20 @@ class ScheduleEngine:
         missing = [e for e in batch.evse_ids if e not in known]
         if missing:
             raise SchedulerError(f"batch references EVSEs absent from site config: {missing}")
-        self.batch = batch
         self.site = site
         self.rule = rule
         self.allocator = allocator
         self.step_minutes = step_minutes
         self.risk_value = risk_value
 
-        if len(batch):
-            self.origin = min(s.plug_in_time for s in batch)
-        else:
-            self.origin = None
-        self._zeta: dict[str, float] = {}
-        # Each port's energy ratios in queue order, padded with None: the
-        # last session has no next one to be ordered against.
-        self._upsilons: dict[str, list[float | None]] = {}
-        self.queues: dict[str, mdp.EvseQueue] = {}
-        for evse_id in batch.evse_ids:
-            group = batch.group(evse_id)
-            self._upsilons[evse_id] = [mdp.ordering_ratio(s) for s in group] + [None]
-            try:
-                self._zeta[evse_id] = rate_ratio(group)
-            except SessionError:
-                log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0",
-                            evse_id)
-                self._zeta[evse_id] = 0.0
-            self.queues[evse_id] = mdp.EvseQueue(
-                group, site.evse(evse_id), self._arrival_minutes,
-                step_minutes=step_minutes)
+        self.origin = min((s.plug_in_time for s in batch), default=None)
+        self.ports = {port.evse_id: port for port in mdp.port_sessions(batch)}
+        self.queues = {evse_id: mdp.EvseQueue(port.sessions, site.evse(evse_id),
+                                              self._arrival_minutes,
+                                              step_minutes=step_minutes)
+                       for evse_id, port in self.ports.items()}
         self.outcomes: list[ScheduleOutcome] = []
-        self._active: list[_ActiveInterval] = []
+        self._active: list[tuple[float, float]] = []  # (end minute, kW) of each start
 
     def _arrival_minutes(self, session: ChargingSession) -> float:
         return (session.plug_in_time - self.origin).total_seconds() / 60.0
@@ -219,17 +198,8 @@ class ScheduleEngine:
     def _site_load(self, at_minutes: float) -> float:
         # Decisions run in time order, so an interval that has ended by now
         # has ended for every later decision too, and can be dropped.
-        self._active = [iv for iv in self._active if iv.end_minutes > at_minutes + 1e-9]
-        return sum(iv.rate_kw for iv in self._active)
-
-    def _ordering_holds(self, evse_id: str, schedule_now: int) -> bool:
-        """The demand-supply ordering between the port's head and next session."""
-        upsilons, i = self._upsilons[evse_id], self.queues[evse_id].position
-        return mdp.ordering_holds(upsilons[i], upsilons[i + 1], schedule_now)
-
-    def _scheduled_reward(self, evse_id: str, head: ChargingSession) -> float:
-        return mdp.session_reward(self._zeta[evse_id], time_ratio(head),
-                                  self.risk_value, self._ordering_holds(evse_id, 1))
+        self._active = [(end, kw) for end, kw in self._active if end > at_minutes + 1e-9]
+        return sum(kw for _end, kw in self._active)
 
     def _record(self, evse_id: str, event: mdp.QueueEvent, reward: float) -> None:
         alloc = event.allocation
@@ -258,11 +228,11 @@ class ScheduleEngine:
                 heapq.heappush(heap, (queue.clock, evse_id))
         while heap:
             when, evse_id = heapq.heappop(heap)
-            queue = self.queues[evse_id]
-            seen = len(queue.events)
+            queue, port = self.queues[evse_id], self.ports[evse_id]
             head = queue.present()
-            for event in queue.events[seen:]:
+            for event in queue.voided:
                 self._record(evse_id, event, 0.0)  # heads voided as expired
+            queue.voided.clear()
             if head is None:
                 continue
             if queue.clock > when:
@@ -270,8 +240,8 @@ class ScheduleEngine:
                 # there, after every port whose decision comes earlier.
                 heapq.heappush(heap, (queue.clock, evse_id))
                 continue
-            decision = self.rule.decide(evse_id, head, self._ordering_holds)
-            if decision == 1:
+            i = queue.position
+            if self.rule.decide(port, i) == 1:
                 allocation = self.allocator(head, self.site.evse(evse_id))
                 load = self._site_load(queue.clock)
                 if load + allocation.rate_kw > self.site.dso_capacity_kw + 1e-9:
@@ -280,14 +250,12 @@ class ScheduleEngine:
                     queue.clock += self.step_minutes
                     heapq.heappush(heap, (queue.clock, evse_id))
                     continue
-                reward = self._scheduled_reward(evse_id, head)
-                event = queue.transition(1, allocator=self.allocator)
-                self._record(evse_id, event, reward)
-                self._active.append(_ActiveInterval(
-                    event.clock_minutes + event.allocation.charge_minutes,
-                    event.allocation.rate_kw))
+                event = queue.transition(1, allocation)
+                self._record(evse_id, event, port.reward(i, 1, self.risk_value))
+                self._active.append((event.clock_minutes + allocation.charge_minutes,
+                                     allocation.rate_kw))
             else:
-                queue.transition(0, allocator=self.allocator)
+                queue.transition(0)
             if queue.head() is not None:
                 heapq.heappush(heap, (queue.clock, evse_id))
         return self.outcomes

@@ -16,8 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -272,9 +271,6 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
             receiving_capacity_kw=(DEFAULT_RECEIVING_CAPACITY_KW if receiving is None
                                    else float(receiving)),
         )
-        if session.energy_requested_kwh == 0.0:
-            log.warning("session %r: zero requested energy, excluded from ratio computations",
-                        session_id)
         sessions.append(session)
     return SessionBatch(sessions)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ramals.learner as learner
+import ramals.mdp as mdp
 from ramals import (
     GeneratorConfig,
     LearnerError,
@@ -17,6 +18,7 @@ from ramals import (
     SiteConfig,
     TrainConfig,
     generate_synthetic,
+    port_sessions,
     train,
 )
 from ramals.learner import (
@@ -477,29 +479,35 @@ class TestTrain:
 
 
 class TestZeroEnergyRule:
-    def test_training_ordering_matches_engine(self):
+    def test_training_ordering_matches_engine(self, monkeypatch):
         # energy ratios 0.8, 0.5, zero request, 0.9, 0.2 on one port
         sessions = [make_session(requested=r, delivered=d, sid=f"s{i}",
                                  start=T0 + timedelta(hours=2 * i))
                     for i, (r, d) in enumerate([(10.0, 8.0), (10.0, 5.0), (0.0, 0.0),
                                                 (10.0, 9.0), (10.0, 2.0)])]
         batch = SessionBatch(sessions)
-        (data,) = learner._prepare_agent_data(batch)
+        built = []
+
+        def recording_port_sessions(batch):
+            built.append(port_sessions(batch))
+            return built[-1]
+
+        monkeypatch.setattr(mdp, "port_sessions", recording_port_sessions)
+        train(batch, site_for(batch), TrainConfig(episodes=1, hidden=4), risk_value=0.0)
         engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
-        queue = engine.queues["EVSE-1"]
-        engine_orderings = {}
+        assert len(built) == 2 and built[0] == built[1]
+        (port,) = built[0]
+        assert engine.ports == {"EVSE-1": port}
+        assert port.upsilons == (0.8, 0.5, 0.0, 0.9, 0.2, None)
         for schedule_now in (0, 1):
             actions = np.full(len(sessions), 1 - schedule_now)  # action 0 schedules
-            rewards = learner._episode_rewards(data, actions, risk=0.0)
+            rewards = learner._episode_rewards(port, actions, risk=0.0)
             assert len(rewards) == len(sessions)
             for t in range(len(sessions)):
-                queue.position = t
-                engine_orderings[t, schedule_now] = engine._ordering_holds("EVSE-1",
-                                                                           schedule_now)
-                assert (rewards[t] != 0.0) == engine_orderings[t, schedule_now]
+                assert (rewards[t] != 0.0) == port.ordering_holds(t, schedule_now)
         # the zero-energy session counts with ratio 0, as head and as next
-        assert engine_orderings[1, 1] and not engine_orderings[1, 0]
-        assert engine_orderings[2, 0] and not engine_orderings[2, 1]
+        assert port.ordering_holds(1, 1) and not port.ordering_holds(1, 0)
+        assert port.ordering_holds(2, 0) and not port.ordering_holds(2, 1)
 
 
 class TestSerialization:
@@ -599,3 +607,36 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(LearnerError, match="coordinator.wx"):
             SharedModel.load(path)
+
+    def saved_payload(self, tmp_path):
+        batch, site = small_scenario(seed=10)
+        model, _ = train(batch, site, TrainConfig(episodes=1, seed=4, hidden=8),
+                         risk_value=0.2)
+        model.save(tmp_path / "model.json")
+        return json.loads((tmp_path / "model.json").read_text())
+
+    def load_payload(self, tmp_path, payload):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return SharedModel.load(path)
+
+    @pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
+    def test_missing_adam_moment_named(self, tmp_path, moment):
+        payload = self.saved_payload(tmp_path)
+        del payload[moment]
+        with pytest.raises(LearnerError, match=f"corrupt model file: missing field "
+                                               f"'{moment}'"):
+            self.load_payload(tmp_path, payload)
+
+    def test_misshapen_adam_moment_named(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        payload["adam_v"]["wh"] = {"shape": [8, 8], "data": [0.0] * 64}
+        with pytest.raises(LearnerError, match=r"corrupt model file: tensor adam_v.wh "
+                                               r"has shape \(8, 8\), expected \(32, 8\)"):
+            self.load_payload(tmp_path, payload)
+
+    def test_non_object_carries_named(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        payload["carries"] = [0.0, 1.0]
+        with pytest.raises(LearnerError, match="corrupt model file: carries is not an object"):
+            self.load_payload(tmp_path, payload)

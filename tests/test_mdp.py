@@ -176,13 +176,25 @@ def build_queue(sessions, switching=0.0, step=15.0):
     return EvseQueue(list(sessions), evse, arrival, step_minutes=step)
 
 
+def schedule(queue):
+    """Start the presented head under the rational allocation."""
+    return queue.transition(1, rational_allocation(queue.head(), queue.evse))
+
+
 class TestEvseQueue:
     def test_schedule_empties_single_session_queue(self):
         queue = build_queue([make_av_session()])
-        event = queue.transition(1)
+        event = schedule(queue)
         assert queue.present() is None
         assert event.kind == "scheduled"
-        assert queue.pending == 0
+        assert queue.head() is None and queue.voided == []
+
+    def test_schedule_without_allocation_names_session(self):
+        queue = build_queue([make_av_session(sid="bare")])
+        with pytest.raises(MdpError, match="'bare': scheduled without an allocation"):
+            queue.transition(1)
+        assert queue.present().session_id == "bare"
+        assert queue.clock == 0.0
 
     def test_queue_represents_same_head(self):
         queue = build_queue([make_session(window_min=600)])
@@ -195,7 +207,7 @@ class TestEvseQueue:
     def test_av_realizes_requested_energy(self):
         session = make_av_session(energy=12.0, charge_min=30)
         queue = build_queue([session])
-        event = queue.transition(1)
+        event = schedule(queue)
         assert event.allocation.energy_kwh == pytest.approx(12.0)
 
     def test_session_conservation_random_decisions(self):
@@ -203,11 +215,15 @@ class TestEvseQueue:
         sessions = [make_av_session(energy=5.0, charge_min=20, sid=f"s{i}",
                                     start=T0) for i in range(10)]
         queue = build_queue(sessions)
+        scheduled = 0
         while queue.present() is not None:
-            queue.transition(int(rng.integers(0, 2)))
-        kinds = [e.kind for e in queue.events]
-        consumed = kinds.count("scheduled") + kinds.count("voided")
-        assert consumed == len(sessions)
+            if rng.integers(0, 2):
+                assert schedule(queue).kind == "scheduled"
+                scheduled += 1
+            else:
+                assert queue.transition(0).kind == "queued"
+        assert all(e.kind == "voided" for e in queue.voided)
+        assert scheduled + len(queue.voided) == len(sessions)
 
     def test_expired_window_voids(self):
         short = make_session(window_min=20, charge_min=20, plugged_min=20)
@@ -215,18 +231,19 @@ class TestEvseQueue:
         queue.transition(0)  # +15
         queue.transition(0)  # +15 -> wait 30 > 20
         assert queue.present() is None
-        assert queue.events[-1].kind == "voided"
+        assert [(e.session, e.kind, e.wait_minutes) for e in queue.voided] == \
+            [(short, "voided", 30.0)]
 
     def test_empty_queue_transition_rejected(self):
         queue = build_queue([make_av_session()])
-        queue.transition(1)
-        with pytest.raises(MdpError):
-            queue.transition(1)
+        event = schedule(queue)
+        with pytest.raises(MdpError, match="transition on an empty queue"):
+            queue.transition(1, event.allocation)
 
     def test_present_moves_clock_to_arrival(self):
         late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
         queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
-        queue.transition(1)
+        schedule(queue)
         assert queue.clock == 30.0
         assert queue.present() is late
         assert queue.clock == 90.0
@@ -234,14 +251,15 @@ class TestEvseQueue:
     def test_transition_rejects_head_not_presentable(self):
         late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
         queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
-        queue.transition(1)
+        schedule(queue)
         with pytest.raises(MdpError, match="'late' is not presentable at t=30.0"):
-            queue.transition(1)
+            schedule(queue)
         queue.present()
         queue.clock = 200.0
         with pytest.raises(MdpError, match="'late' is not presentable at t=200.0"):
             queue.transition(0)
-        assert queue.events[-1].session.session_id == "early"
+        # a rejected transition changes nothing
+        assert queue.head() is late and queue.clock == 200.0
 
 
 class TestAllocations:

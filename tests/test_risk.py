@@ -30,7 +30,8 @@ from ramals import (
     student_t_pdf,
     upper_tail_cvar,
 )
-from ramals.risk import standardized_cdf
+import ramals.risk as risk_module
+from ramals.risk import standardized_cdf, standardized_ppf
 from ramals.sessions import SessionBatch
 
 from helpers import make_session
@@ -247,7 +248,8 @@ class TestCvarClosedForm:
             pdf_q = float(stats.t.pdf(q, dof))
             std_tail = (dof + q * q) / (dof - 1.0) * pdf_q / (1.0 - alpha)
             oracle = loc + scale * std_tail
-            got = upper_tail_cvar(make_fit(dof=dof, location=loc, scale=scale), alpha)
+            fit = make_fit(dof=dof, location=loc, scale=scale)
+            got = upper_tail_cvar(fit, alpha, standardized_ppf(alpha, dof))
             assert got == pytest.approx(oracle, rel=1e-6)
 
 
@@ -317,6 +319,20 @@ class TestEstimateRisk:
         a = estimate_risk(batch, 0.9)
         b = estimate_risk(batch, 0.9)
         assert a == b
+
+    def test_quantile_bisected_once(self, monkeypatch):
+        batch = generate_synthetic(GeneratorConfig(n_sessions=300, cv_fraction=0.6),
+                                   seed=8)
+        cutoffs = []
+
+        def recording_ppf(alpha, dof):
+            cutoffs.append(standardized_ppf(alpha, dof))
+            return cutoffs[-1]
+
+        monkeypatch.setattr(risk_module, "standardized_ppf", recording_ppf)
+        estimate = estimate_risk(batch, 0.9)
+        assert cutoffs == [estimate.cutoff]
+        assert estimate.cvar_standard == upper_tail_cvar(estimate.fit, 0.9, estimate.cutoff)
 
     def test_var_below_empirical_tail_mean(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=600, cv_fraction=0.8),

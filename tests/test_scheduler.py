@@ -23,7 +23,9 @@ from ramals import (
     time_ratio,
     train,
 )
-from ramals.scheduler import ScheduleOutcome, audit_outcomes, comparison_csv
+from ramals.mdp import rational_allocation
+from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule,
+                              audit_outcomes, comparison_csv)
 
 from helpers import make_session, site_for, spaced_av_batch
 from oracles import direct_loads, quadratic_feed_check
@@ -117,6 +119,20 @@ class TestExecute:
         outcomes, report = execute(model, batch, site)
         assert len(outcomes) == len(batch)
         assert 0.0 <= report.assignment_efficiency_pct <= 100.0
+
+    def test_allocates_once_per_started_session(self):
+        batch = spaced_av_batch(n=6, evses=("EVSE-1", "EVSE-2"))
+        site = site_for(batch)  # the feed never defers a start
+        calls = []
+
+        def counting_allocation(session, evse):
+            calls.append(session.session_id)
+            return rational_allocation(session, evse)
+
+        engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=counting_allocation)
+        started = [o.session_id for o in engine.run() if o.scheduled]
+        assert len(started) == len(batch)
+        assert sorted(calls) == sorted(started)
 
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW
