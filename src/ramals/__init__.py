@@ -17,7 +17,6 @@ from .sessions import (
     time_ratio,
 )
 from .risk import (
-    LaxitySampleSet,
     RiskEstimate,
     RiskError,
     StudentTFit,
@@ -26,24 +25,20 @@ from .risk import (
     estimate_risk,
     fit_student_t,
     laxity_samples,
-    log_likelihood,
     normalize_risk,
-    ppf,
     standardized_pdf,
     student_t_pdf,
     upper_tail_cvar,
 )
 from .mdp import (
-    ActionDistribution,
     EvseQueue,
     MdpError,
     PortSessions,
     ordering_holds,
     ordering_ratio,
     port_sessions,
-    scheduling_indicator,
     session_reward,
-    state_vector,
+    state_matrix,
 )
 from .learner import (
     LearnerError,

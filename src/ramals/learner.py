@@ -6,9 +6,11 @@ coordinator holds the shared parameters and applies the (norm-clipped)
 gradient of each agent through Adam in a fixed port order.  Within an episode
 every agent runs on one copy of the parameters taken at the episode's start,
 so its forward and backward passes run all ports as one batch, zero-padded to
-(P, T, 6) and masked by each port's length; execution steps the same cell one
-decision at a time.  All forward and backward math is explicit numpy so the
-gradients can be checked against central finite differences.
+(P, T, 6) and masked by each port's length.  Execution steps the same cell one
+decision at a time (:func:`policy_value_forward`) on rows of an input
+projection computed once per port, as the batched pass hoists it too.  All
+forward and backward math is explicit numpy so the gradients can be checked
+against central finite differences.
 
 Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
 decision inputs the execution engine reads too; the one-step
@@ -95,22 +97,26 @@ def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.nda
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # the array methods skip np.max's and np.sum's Python-level dispatch,
+    # which costs more than the reduction on one decision's two logits
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def policy_value_forward(params: dict, state: np.ndarray, carry=None):
-    """Single decision step: (ActionDistribution, value, new_carry)."""
-    hidden = hidden_size(params)
-    h, c = carry if carry is not None else (np.zeros(hidden), np.zeros(hidden))
-    z = params["wx"] @ np.asarray(state, dtype=float) + params["b"]
-    c, h = _cell_rows(params["wh"], z, h, c)
-    probs = _softmax2(params["wp"] @ h + params["bp"])
+def policy_value_forward(params: dict, z_row: np.ndarray, carry: tuple):
+    """Single decision step: (P(schedule), value, new carry).
+
+    ``z_row`` is the session's row of its port's input projection
+    ``states @ wx.T + b``, computed once per port; it is left unchanged.
+    """
+    h, c = carry
+    c, h = _cell_rows(params["wh"], z_row.copy(), h, c)
+    p_schedule = float(_softmax2(params["wp"] @ h + params["bp"])[0])
     value = float(params["wv"][0] @ h) + float(params["bv"][0])
-    if not np.all(np.isfinite(probs)) or not math.isfinite(value):
+    # both probabilities are finite or neither is
+    if not (math.isfinite(p_schedule) and math.isfinite(value)):
         raise LearnerError("non-finite policy or value output")
-    return mdp.ActionDistribution(float(probs[0]), float(probs[1])), value, (h, c)
+    return p_schedule, value, (h, c)
 
 
 @dataclass
@@ -525,7 +531,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     lengths = np.array([len(port.sessions) for port in ports])
     states = np.zeros((len(ports), lengths.max(), STATE_DIM))
     for p, port in enumerate(ports):
-        states[p, :lengths[p]] = np.stack([mdp.state_vector(s) for s in port.sessions])
+        states[p, :lengths[p]] = mdp.state_matrix(port.sessions)
 
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0

@@ -1,11 +1,12 @@
-"""State encoding, scheduling indicator, ordering check, reward and queue dynamics.
+"""State encoding, ordering check, reward and queue dynamics.
 
 Each arriving session is one decision point: schedule it now or keep it
 queued.  The agent sees the session's six raw properties (requested energy
-and window, the three timestamps, delivered energy) scaled into [0, 1].  The
-reward pays out only when the demand-supply ordering between the current and
-the next queued session holds under the chosen action
-(:func:`ordering_holds`), and shrinks with the site's normalized tail risk.
+and window, the three timestamps, delivered energy) scaled into [0, 1]: one
+row of :func:`state_matrix` per session.  The reward pays out only when the
+demand-supply ordering between the current and the next queued session holds
+under the chosen action (:func:`ordering_holds`), and shrinks with the site's
+normalized tail risk.
 Training, the execution engine's reward and the policy's ordering override
 all read one :class:`PortSessions` per port, which counts a zero-energy
 session with energy ratio 0 (:func:`ordering_ratio`).
@@ -41,42 +42,22 @@ def _minutes_since_midnight(ts) -> float:
     return ts.hour * 60.0 + ts.minute
 
 
-def state_vector(session: ChargingSession) -> np.ndarray:
-    """Six-component observation of one queued session.
+def state_matrix(sessions) -> np.ndarray:
+    """(n, 6) observations of ``sessions``, one row per queued session.
 
     Component order: requested kWh, requested minutes, plug-in, charge-end and
     unplug clock times, delivered kWh.  Energies are scaled by 100 kWh,
     durations by 1440 minutes and timestamps by minutes-since-midnight over
     1440, clipped into [0, 1].
     """
-    raw = np.array([
-        session.energy_requested_kwh / ENERGY_NORM_KWH,
-        session.minutes_available / DURATION_NORM_MIN,
-        _minutes_since_midnight(session.plug_in_time) / DURATION_NORM_MIN,
-        _minutes_since_midnight(session.charge_end_time) / DURATION_NORM_MIN,
-        _minutes_since_midnight(session.unplug_time) / DURATION_NORM_MIN,
-        session.energy_delivered_kwh / ENERGY_NORM_KWH,
-    ])
+    raw = np.array([(s.energy_requested_kwh / ENERGY_NORM_KWH,
+                     s.minutes_available / DURATION_NORM_MIN,
+                     _minutes_since_midnight(s.plug_in_time) / DURATION_NORM_MIN,
+                     _minutes_since_midnight(s.charge_end_time) / DURATION_NORM_MIN,
+                     _minutes_since_midnight(s.unplug_time) / DURATION_NORM_MIN,
+                     s.energy_delivered_kwh / ENERGY_NORM_KWH)
+                    for s in sessions], dtype=float).reshape(-1, STATE_DIM)
     return np.clip(raw, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Two-way policy output: probability of scheduling now vs queueing."""
-
-    schedule_prob: float
-    queue_prob: float
-
-    def __post_init__(self):
-        if self.schedule_prob < 0 or self.queue_prob < 0:
-            raise MdpError("action probabilities must be non-negative")
-        if abs(self.schedule_prob + self.queue_prob - 1.0) > 1e-9:
-            raise MdpError("action probabilities must sum to 1")
-
-
-def scheduling_indicator(dist: ActionDistribution) -> int:
-    """1 when the schedule component is the argmax; ties resolve to schedule."""
-    return 1 if dist.schedule_prob >= dist.queue_prob else 0
 
 
 def ordering_ratio(session: ChargingSession) -> float:

@@ -40,23 +40,6 @@ class RiskError(ValueError):
 
 
 @dataclass(frozen=True)
-class LaxitySampleSet:
-    """Per-session laxity observations in hours, all non-negative."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(s < 0 for s in self.samples):
-            raise RiskError("laxity samples must be non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
 class StudentTFit:
     """Fitted location-scale student-t parameters over laxity hours."""
 
@@ -90,8 +73,9 @@ class RiskEstimate:
             raise RiskError("normalized risk must lie in [0, 1)")
 
 
-def laxity_samples(batch: SessionBatch) -> LaxitySampleSet:
-    """One laxity observation per session, grouped rates computed per EVSE."""
+def laxity_samples(batch: SessionBatch) -> np.ndarray:
+    """One laxity observation per session, in hours and non-negative, with
+    grouped rates computed per EVSE."""
     samples = []
     for evse_id in batch.evse_ids:
         group = batch.group(evse_id)
@@ -102,7 +86,7 @@ def laxity_samples(batch: SessionBatch) -> LaxitySampleSet:
         for s in group:
             samples.append(abs(s.energy_requested_kwh / lam_req
                                - s.energy_delivered_kwh / lam_act))
-    return LaxitySampleSet(tuple(samples))
+    return np.array(samples, dtype=float)
 
 
 def student_t_pdf(d, dof: float, location: float, scale: float):
@@ -122,29 +106,6 @@ def student_t_pdf(d, dof: float, location: float, scale: float):
 def standardized_pdf(xi, dof: float):
     """Student-t density with location 0 and scale 1."""
     return student_t_pdf(xi, dof, 0.0, 1.0)
-
-
-def log_likelihood(samples, dof: float, location: float, scale: float) -> float:
-    """Log-likelihood of a sample set under the fitted density.
-
-    Written in the expanded form
-        J*lgamma((w+1)/2) + (J*w/2)*log w - J*lgamma(w/2)
-        - (J/2)*log(scale^2) - (w+1)/2 * sum log(w + ((d-loc)/scale)^2)
-    which differs from the plain sum of log densities only by the constant
-    (J/2)*log(pi); the test suite checks that equivalence on random inputs.
-    """
-    if dof <= 0 or scale <= 0:
-        raise RiskError("dof and scale must be positive")
-    d = np.asarray(samples, dtype=float)
-    if d.size == 0:
-        raise RiskError("log-likelihood needs a non-empty sample set")
-    n = d.size
-    z = (d - location) / scale
-    return (n * math.lgamma((dof + 1.0) / 2.0)
-            + n * dof / 2.0 * math.log(dof)
-            - n * math.lgamma(dof / 2.0)
-            - n / 2.0 * math.log(scale * scale)
-            - (dof + 1.0) / 2.0 * float(np.sum(np.log(dof + z * z))))
 
 
 def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> float:
@@ -212,13 +173,8 @@ def standardized_cdf(x: float, dof: float) -> float:
     return 0.5 - area if x < 0 else 0.5 + area
 
 
-def ppf(fit: StudentTFit, alpha: float) -> float:
-    """Quantile of the fitted distribution by bisection on the numeric CDF."""
-    xi = standardized_ppf(alpha, fit.dof)
-    return fit.location + fit.scale * xi
-
-
 def standardized_ppf(alpha: float, dof: float) -> float:
+    """Quantile of the standardized density by bisection on the numeric CDF."""
     if not 0.0 < alpha < 1.0:
         raise RiskError("alpha must lie strictly inside (0, 1)")
     if alpha == 0.5:
@@ -331,8 +287,7 @@ def batch_reference_hours(batch: SessionBatch) -> float:
 def estimate_risk(batch: SessionBatch, alpha: float,
                   min_tail: int = 10) -> RiskEstimate:
     """Full pipeline: laxity samples, fit, quantile, tail expectations."""
-    sample_set = laxity_samples(batch)
-    d = sample_set.as_array()
+    d = laxity_samples(batch)
     reference = batch_reference_hours(batch)
     if float(np.std(d)) < DEGENERATE_STD:
         # Constant laxity: every tail statistic is the constant itself, at any

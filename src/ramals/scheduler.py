@@ -136,20 +136,26 @@ class MetricsReport:
 
 
 class _PolicyRule:
-    """Argmax policy pick, then the demand-supply ordering check."""
+    """Argmax policy pick, then the demand-supply ordering check.
+
+    A port's input projection ``states @ wx.T + b`` and its carry are set up
+    on its first decision; each decision then steps the cell on one row.
+    """
 
     def __init__(self, model: learner.SharedModel):
         self.model = model
-        self._carries: dict[str, tuple] = {}
+        self._ports: dict[str, list] = {}  # evse_id -> [projection, carry]
 
     def decide(self, port: mdp.PortSessions, i: int) -> int:
-        carry = self._carries.get(port.evse_id)
-        if carry is None:
-            carry = self.model.carry_for(port.evse_id)
-        dist, _value, carry = learner.policy_value_forward(
-            self.model.coordinator.params, mdp.state_vector(port.sessions[i]), carry)
-        self._carries[port.evse_id] = carry
-        return 1 if port.ordering_holds(i, mdp.scheduling_indicator(dist)) else 0
+        params = self.model.coordinator.params
+        step = self._ports.get(port.evse_id)
+        if step is None:
+            z = mdp.state_matrix(port.sessions) @ params["wx"].T
+            z += params["b"]
+            step = self._ports[port.evse_id] = [z, self.model.carry_for(port.evse_id)]
+        p_schedule, _value, step[1] = learner.policy_value_forward(params, step[0][i], step[1])
+        schedule_now = 1 if p_schedule >= 0.5 else 0  # a tie schedules
+        return 1 if port.ordering_holds(i, schedule_now) else 0
 
 
 class _ForcedRule:

@@ -8,7 +8,10 @@ exactly what they need.  Everything downstream (risk fitting, agent training,
 scheduling) consumes the batch type defined here.
 
 Units: energy in kWh, rates in kW, durations in minutes unless a name says
-otherwise.  Timestamps are stored at minute resolution.
+otherwise.  Timestamps are stored at minute resolution: a record's timestamp
+is ``YYYY-MM-DD``, then ``T`` or whitespace, then ``HH:MM`` with optional
+``:SS``; a trailing ``Z``, offset or fraction is dropped and so are the
+seconds.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -26,8 +30,12 @@ log = logging.getLogger(__name__)
 #: Receiving capacity assumed when the input data does not carry one (kW).
 DEFAULT_RECEIVING_CAPACITY_KW = 50.0
 
-_TIME_FORMATS = ("%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
-                 "%Y-%m-%d %H:%M:%S")
+# strptime's own field patterns for "%Y-%m-%dT%H:%M[:%S]" and
+# "%Y-%m-%d %H:%M[:%S]", whose "T" matches either case and whose space matches
+# any whitespace run.  The datetime constructor checks the ranges.
+_TIMESTAMP = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+    r"(?:[Tt]|\s+)(2[0-3]|[01]\d|\d):([0-5]\d|\d)(?::(6[01]|[0-5]\d|\d))?")
 
 
 class SessionError(ValueError):
@@ -188,12 +196,14 @@ def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
     if not isinstance(raw, str):
         raise SessionError(f"session {session_id!r}: field {field_name!r} must be a string")
     text = raw.strip().replace("Z", "").split("+")[0].split(".")[0]
-    for fmt in _TIME_FORMATS:
-        try:
-            ts = datetime.strptime(text, fmt)
-            return ts.replace(second=0, microsecond=0)
-        except ValueError:
-            continue
+    found = _TIMESTAMP.fullmatch(text)
+    if found is not None:
+        year, month, day, hour, minute, second = map(int, found.groups("0"))
+        if second < 60:  # the seconds are checked, then dropped
+            try:
+                return datetime(year, month, day, hour, minute)
+            except ValueError:  # a day, or a year 0, out of range
+                pass
     raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} in {field_name!r}")
 
 
@@ -220,9 +230,10 @@ def _lookup(record: dict, key: str):
 def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     """Parse a JSON array of session records into a batch.
 
-    Records that violate the timestamp ordering, miss a mandatory field or
-    carry negative energies are rejected by raising :class:`SessionError`
-    naming the offending record; nothing is dropped silently.
+    Records that violate the timestamp ordering, miss a mandatory field,
+    carry negative energies or repeat an earlier record's ``sessionID`` are
+    rejected by raising :class:`SessionError` naming the offending record;
+    nothing is dropped silently.
     """
     try:
         payload = json.loads(json_bytes)
@@ -232,10 +243,15 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
         raise SessionError("session JSON must be a top-level array")
 
     sessions = []
+    first_index: dict[str, int] = {}
     for idx, record in enumerate(payload):
         if not isinstance(record, dict):
             raise SessionError(f"record #{idx}: expected an object")
         session_id = _lookup(record, "sessionID") or f"record-{idx}"
+        first = first_index.setdefault(str(session_id), idx)
+        if first != idx:
+            raise SessionError(f"session {session_id!r}: duplicate id in records "
+                               f"#{first} and #{idx}")
         mandatory = ("evseID", "kWhRequested", "minutesAvailable", "connectionTime",
                      "doneChargingTime", "disconnectTime", "kWhDelivered")
         values = {}

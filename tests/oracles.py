@@ -1,16 +1,81 @@
-"""Reference implementations the vectorised code is checked against.
+"""Reference implementations the package is checked against.
 
-Each is the straightforward loop the package used before it was vectorised:
-one port and one step at a time for the learner, every pair of intervals for
-the feed-capacity audit.
+Each is the straightforward code the package used before it was vectorised
+or made cheaper: one port and one step at a time for the learner, every pair
+of intervals for the feed-capacity audit, one session at a time for the
+state, ``strptime`` over four formats for timestamps, and the risk API that
+only tests used.
 """
 
+import math
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
 from ramals.learner import LOG_PROB_FLOOR, _entropy_rows, hidden_size
+from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH, _minutes_since_midnight
+from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
+from ramals.sessions import SessionError
+
+_TIME_FORMATS = ("%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
+                 "%Y-%m-%d %H:%M:%S")
+
+
+def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
+    if not isinstance(raw, str):
+        raise SessionError(f"session {session_id!r}: field {field_name!r} must be a string")
+    text = raw.strip().replace("Z", "").split("+")[0].split(".")[0]
+    for fmt in _TIME_FORMATS:
+        try:
+            ts = datetime.strptime(text, fmt)
+            return ts.replace(second=0, microsecond=0)
+        except ValueError:
+            continue
+    raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} in {field_name!r}")
+
+
+def state_vector(session) -> np.ndarray:
+    """Six-component observation of one queued session."""
+    raw = np.array([
+        session.energy_requested_kwh / ENERGY_NORM_KWH,
+        session.minutes_available / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.plug_in_time) / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.charge_end_time) / DURATION_NORM_MIN,
+        _minutes_since_midnight(session.unplug_time) / DURATION_NORM_MIN,
+        session.energy_delivered_kwh / ENERGY_NORM_KWH,
+    ])
+    return np.clip(raw, 0.0, 1.0)
+
+
+def log_likelihood(samples, dof: float, location: float, scale: float) -> float:
+    """Log-likelihood of a sample set under the fitted density.
+
+    Written in the expanded form
+        J*lgamma((w+1)/2) + (J*w/2)*log w - J*lgamma(w/2)
+        - (J/2)*log(scale^2) - (w+1)/2 * sum log(w + ((d-loc)/scale)^2)
+    which differs from the plain sum of log densities only by the constant
+    (J/2)*log(pi); the test suite checks that equivalence on random inputs.
+    """
+    if dof <= 0 or scale <= 0:
+        raise RiskError("dof and scale must be positive")
+    d = np.asarray(samples, dtype=float)
+    if d.size == 0:
+        raise RiskError("log-likelihood needs a non-empty sample set")
+    n = d.size
+    z = (d - location) / scale
+    return (n * math.lgamma((dof + 1.0) / 2.0)
+            + n * dof / 2.0 * math.log(dof)
+            - n * math.lgamma(dof / 2.0)
+            - n / 2.0 * math.log(scale * scale)
+            - (dof + 1.0) / 2.0 * float(np.sum(np.log(dof + z * z))))
+
+
+def ppf(fit, alpha: float) -> float:
+    """Quantile of the fitted distribution by bisection on the numeric CDF."""
+    xi = standardized_ppf(alpha, fit.dof)
+    return fit.location + fit.scale * xi
 
 
 def _sigmoid(x):

@@ -155,6 +155,17 @@ class TestRnnForward:
             forward_episode(random_params(4, 0), np.ones((1, 2, 5)), np.array([2]))
 
 
+def projection(params, states):
+    """Input projection rows ``states @ wx.T + b``, as the policy rule
+    computes them once per port."""
+    return np.atleast_2d(states) @ params["wx"].T + params["b"]
+
+
+def zero_carry(params):
+    hidden = learner.hidden_size(params)
+    return np.zeros(hidden), np.zeros(hidden)
+
+
 class TestPolicyValueForward:
     def test_zero_heads_uniform_policy_zero_value(self):
         params = random_params(6, 4)
@@ -162,23 +173,29 @@ class TestPolicyValueForward:
         params["bp"][:] = 0.0
         params["wv"][:] = 0.0
         params["bv"][:] = 0.0
-        dist, value, _ = policy_value_forward(params, np.full(6, 0.3))
-        assert dist.schedule_prob == pytest.approx(0.5)
+        p_schedule, value, _ = policy_value_forward(
+            params, projection(params, np.full(6, 0.3))[0], zero_carry(params))
+        assert p_schedule == pytest.approx(0.5)
         assert value == 0.0
 
     def test_probabilities_sum_to_one_many_parameterizations(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
             params = init_params(4, rng)
-            dist, _, _ = policy_value_forward(params, rng.uniform(0, 1, 6))
-            assert dist.schedule_prob + dist.queue_prob == pytest.approx(1.0, abs=1e-9)
+            z_row = projection(params, rng.uniform(0, 1, 6))[0]
+            p_schedule, _, _ = policy_value_forward(params, z_row, zero_carry(params))
+            assert isinstance(p_schedule, float) and 0.0 <= p_schedule <= 1.0
+            logits = params["wp"] @ learner._cell_rows(params["wh"], z_row.copy(),
+                                                       *zero_carry(params))[1]
+            assert p_schedule == pytest.approx(
+                1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
 
     def test_value_head_separate_from_policy_head(self):
         params = random_params(6, 6)
-        state = np.full(6, 0.4)
-        _, value_before, _ = policy_value_forward(params, state)
+        z_row = projection(params, np.full(6, 0.4))[0]
+        _, value_before, _ = policy_value_forward(params, z_row, zero_carry(params))
         params["wp"] += 0.5
-        _, value_after, _ = policy_value_forward(params, state)
+        _, value_after, _ = policy_value_forward(params, z_row, zero_carry(params))
         assert value_before == value_after
 
     def test_steps_match_episode_forward(self):
@@ -186,13 +203,23 @@ class TestPolicyValueForward:
         params = random_params(6, 7, scale=0.8)
         states = np.random.default_rng(8).uniform(0, 1, (5, 6))
         forward = forward_episode(params, states[None], np.array([5]))
-        carry = None
-        for t, state in enumerate(states):
-            dist, value, carry = policy_value_forward(params, state, carry)
-            assert dist.schedule_prob == pytest.approx(forward.probs[0, t, 0], rel=1e-12)
+        z = projection(params, states)
+        cached = z.copy()
+        carry = zero_carry(params)
+        for t in range(len(states)):
+            p_schedule, value, carry = policy_value_forward(params, z[t], carry)
+            assert p_schedule == pytest.approx(forward.probs[0, t, 0], rel=1e-12)
             assert value == pytest.approx(forward.values[0, t], rel=1e-12)
             assert np.allclose(carry[0], forward.hiddens[0, t + 1], rtol=1e-12, atol=0)
         assert np.allclose(carry[1], forward.final_carry[1][0], rtol=1e-12, atol=0)
+        assert np.array_equal(z, cached)  # the cached projection is only read
+
+    def test_non_finite_output_rejected(self):
+        params = random_params(4, 9)
+        params["bv"][0] = np.inf
+        with pytest.raises(LearnerError, match="non-finite"):
+            policy_value_forward(params, projection(params, np.full(6, 0.5))[0],
+                                 zero_carry(params))
 
 
 class TestLosses:

@@ -1,4 +1,5 @@
-"""Decision model: indicator, ordering ratio, ordering, reward, queue."""
+"""Decision model: the policy's schedule pick, ordering ratio, ordering,
+reward, state and queue."""
 
 from datetime import timedelta
 
@@ -7,23 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramals.learner as learner
 from ramals import (
-    ActionDistribution,
     EvseConfig,
+    GeneratorConfig,
     MdpError,
+    SessionBatch,
+    generate_synthetic,
     ordering_holds,
     ordering_ratio,
-    scheduling_indicator,
+    port_sessions,
     session_reward,
+    state_matrix,
+)
+from ramals.learner import (
+    Coordinator,
+    SharedModel,
+    forward_episode,
+    init_params,
+    policy_value_forward,
 )
 from ramals.mdp import (
     EvseQueue,
     as_requested_allocation,
     rational_allocation,
-    state_vector,
 )
+from ramals.scheduler import _PolicyRule
 
 from helpers import T0, make_av_session, make_session
+from oracles import state_vector
 
 
 def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
@@ -38,21 +51,67 @@ def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
     return 0.0
 
 
+def head_projection(params, state):
+    """The input projection row of one state: what a port's first decision
+    computes for each of its sessions."""
+    return params["wx"] @ state + params["b"]
+
+
+def head_probability(bp, hidden=4):
+    """P(schedule) of one step whose policy logits are exactly ``bp``."""
+    params = init_params(hidden, np.random.default_rng(0))
+    params["wp"][:] = 0.0
+    params["bp"][:] = bp
+    carry = (np.zeros(hidden), np.zeros(hidden))
+    p_schedule, _value, _carry = policy_value_forward(
+        params, head_projection(params, np.full(6, 0.5)), carry)
+    return p_schedule
+
+
+def tiny_model(hidden=4):
+    params = init_params(hidden, np.random.default_rng(1))
+    return SharedModel(hidden=hidden, gamma=0.9, beta=0.05, alpha=0.99, risk_value=0.0,
+                       coordinator=Coordinator(params), carries={})
+
+
 class TestActionDistribution:
+    """The step's P(schedule) is the first of two softmax probabilities."""
+
     def test_must_sum_to_one(self):
-        with pytest.raises(MdpError):
-            ActionDistribution(0.7, 0.4)
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            params = init_params(4, rng)
+            for key in params:
+                params[key] = rng.uniform(-2.0, 2.0, params[key].shape)
+            state = rng.uniform(0.0, 1.0, 6)
+            forward = forward_episode(params, state[None, None], np.array([1]))
+            assert forward.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
+            carry = (np.zeros(4), np.zeros(4))
+            p_schedule, _, _ = policy_value_forward(params, head_projection(params, state),
+                                                    carry)
+            assert p_schedule == pytest.approx(forward.probs[0, 0, 0], rel=1e-12)
 
     def test_non_negative(self):
-        with pytest.raises(MdpError):
-            ActionDistribution(1.2, -0.2)
+        for bp in ([800.0, 0.0], [0.0, 800.0], [-800.0, 800.0], [1e-300, 0.0]):
+            assert 0.0 <= head_probability(bp) <= 1.0
+        assert head_probability([0.0, 800.0]) == 0.0
+        assert head_probability([800.0, 0.0]) == 1.0
 
 
 class TestSchedulingIndicator:
-    def test_argmax_cases(self):
-        assert scheduling_indicator(ActionDistribution(0.7, 0.3)) == 1
-        assert scheduling_indicator(ActionDistribution(0.3, 0.7)) == 0
-        assert scheduling_indicator(ActionDistribution(0.5, 0.5)) == 1
+    """The policy rule's argmax: schedule when P(schedule) >= 0.5."""
+
+    def test_argmax_cases(self, monkeypatch):
+        # energy ratios 0.8 then 0.5: the ordering holds for session 0 only
+        # under the action picked, so the rule returns its pick
+        batch = SessionBatch([make_session(requested=10.0, delivered=8.0, sid="a"),
+                              make_session(requested=10.0, delivered=5.0, sid="b",
+                                           start=T0 + timedelta(hours=2))])
+        (port,) = port_sessions(batch)
+        for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
+            monkeypatch.setattr(learner, "policy_value_forward",
+                                lambda params, z_row, carry, p=p_schedule: (p, 0.0, carry))
+            assert _PolicyRule(tiny_model()).decide(port, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),
@@ -60,14 +119,9 @@ class TestSchedulingIndicator:
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_logit_rescaling(self, gap, scale, base):
         """Scaling logits before the softmax never flips the argmax."""
-        def softmax_pair(a, b):
-            m = max(a, b)
-            ea, eb = np.exp(a - m), np.exp(b - m)
-            return ActionDistribution(ea / (ea + eb), eb / (ea + eb))
-
-        plain = scheduling_indicator(softmax_pair(base + gap, base))
-        scaled = scheduling_indicator(softmax_pair(scale * (base + gap), scale * base))
-        assert plain == scaled == 1
+        plain = head_probability([base + gap, base])
+        scaled = head_probability([scale * (base + gap), scale * base])
+        assert plain >= 0.5 and scaled >= 0.5
 
 
 class TestOrderingRatio:
@@ -153,17 +207,26 @@ class TestEvseState:
     def test_vector_in_unit_box(self):
         s = make_session(requested=35.0, delivered=20.0, charge_min=90,
                          plugged_min=300, window_min=240)
-        vec = state_vector(s)
+        vec = state_matrix([s])[0]
         assert vec.shape == (6,)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
     def test_component_order(self):
         s = make_session(requested=50.0, delivered=25.0, charge_min=144,
                          plugged_min=288, window_min=288)
-        vec = state_vector(s)
+        vec = state_matrix([s])[0]
         assert vec[0] == pytest.approx(0.5)    # requested kWh / 100
         assert vec[1] == pytest.approx(0.2)    # window / 1440
         assert vec[5] == pytest.approx(0.25)   # delivered kWh / 100
+
+    def test_matrix_equals_per_session_rows(self):
+        batch = generate_synthetic(GeneratorConfig(n_sessions=300, n_evses=3,
+                                                   energy_kwh_range=(4.0, 140.0)), seed=4)
+        sessions = list(batch)
+        matrix = state_matrix(sessions)
+        assert np.array_equal(matrix, np.stack([state_vector(s) for s in sessions]))
+        assert matrix[:, 5].max() == 1.0  # clipped
+        assert state_matrix([]).shape == (0, 6)
 
 
 def build_queue(sessions, switching=0.0, step=15.0):

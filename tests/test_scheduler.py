@@ -23,8 +23,9 @@ from ramals import (
     time_ratio,
     train,
 )
-from ramals.mdp import rational_allocation
-from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule,
+import ramals.learner as learner
+from ramals.mdp import rational_allocation, state_matrix
+from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
                               audit_outcomes, comparison_csv)
 
 from helpers import make_session, site_for, spaced_av_batch
@@ -133,6 +134,33 @@ class TestExecute:
         started = [o.session_id for o in engine.run() if o.scheduled]
         assert len(started) == len(batch)
         assert sorted(calls) == sorted(started)
+
+    def test_one_policy_step_per_decision(self, monkeypatch):
+        batch = generate_synthetic(
+            GeneratorConfig(n_sessions=40, cv_fraction=0.5, n_evses=2,
+                            mean_gap_minutes=90), seed=3)
+        site = site_for(batch, dso_kw=60.0)  # some starts wait for the feed
+        model, _ = train(batch, site, TrainConfig(episodes=2, seed=1, hidden=8),
+                         risk_value=0.05)
+        params = model.coordinator.params
+        step, decide = learner.policy_value_forward, _PolicyRule.decide
+        steps, decisions = [], []
+
+        def counting_step(params, z_row, carry):
+            steps.append(z_row.copy())
+            return step(params, z_row, carry)
+
+        def counting_decide(rule, port, i):
+            decisions.append((port, i))
+            return decide(rule, port, i)
+
+        monkeypatch.setattr(learner, "policy_value_forward", counting_step)
+        monkeypatch.setattr(_PolicyRule, "decide", counting_decide)
+        outcomes, _ = execute(model, batch, site)
+        assert len(steps) == len(decisions) > sum(o.scheduled for o in outcomes) > 0
+        for z_row, (port, i) in zip(steps, decisions):
+            rows = state_matrix(port.sessions) @ params["wx"].T + params["b"]
+            assert np.array_equal(z_row, rows[i])
 
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW

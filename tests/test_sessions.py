@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramals.sessions as sessions_module
 from ramals import (
     ChargingSession,
     GeneratorConfig,
@@ -24,6 +25,7 @@ from ramals import (
 )
 
 from helpers import T0, make_session
+from oracles import _parse_timestamp as strptime_parse
 
 
 class TestChargingSession:
@@ -108,6 +110,91 @@ class TestParseSessions:
         batch = generate_synthetic(GeneratorConfig(n_sessions=30), seed=3)
         again = parse_sessions(batch.to_json_bytes())
         assert again == batch
+
+    def test_duplicate_session_id_names_both_records(self):
+        records = [self.record(sessionID=f"r{i}", evseID=f"EVSE-{i % 2}")
+                   for i in range(6)]
+        records[4]["sessionID"] = "r1"
+        with pytest.raises(SessionError, match=r"'r1': duplicate id in records #1 and #4"):
+            parse_sessions(json.dumps(records))
+
+
+def parse(text):
+    return sessions_module._parse_timestamp(text, "connectionTime", "s")
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize("text", [
+        "2026-01-05T06:07Z", "2026-01-05T06:07+01:00", "2026-01-05T06:07:08.123",
+        "2026-01-05T06:07:08", "2026-01-05 06:07", "2026-01-05\t06:07",
+        "2026-01-05 \t 06:07:59", "2026-01-05t06:07", "2026-1-5T6:7", "2026-01- 5T06:07",
+        "  2026-01-05T06:07:08.5Z  ",
+    ])
+    def test_accepted_forms(self, text):
+        assert parse(text) == strptime_parse(text, "connectionTime", "s") \
+            == datetime(2026, 1, 5, 6, 7)
+
+    @pytest.mark.parametrize("text", [
+        "2026-01-05", "2026-01-05T06", "20260105T0600", "2026-01-05x06:00",
+        "2026-01-05T06:00:60", "2026-02-30T06:00", "2026-01-05T24:00", "0000-01-05T06:00",
+        "2026-01-05T06:00:", "2026-01-05T06:00 7", "2026-01-05T6:000", "",
+    ])
+    def test_rejected_forms(self, text):
+        with pytest.raises(SessionError, match="unparseable timestamp"):
+            parse(text)
+        with pytest.raises(SessionError, match="unparseable timestamp"):
+            strptime_parse(text, "connectionTime", "s")
+
+    def test_non_string_rejected(self):
+        with pytest.raises(SessionError, match="must be a string"):
+            parse(202601050600)
+
+
+def stamp_parts():
+    """The pieces of a valid stamp, each in one of the widths and paddings
+    the formats allow."""
+    def number(lo, hi, pad=("{:02d}", "{:d}")):
+        return st.tuples(st.integers(lo, hi), st.sampled_from(pad)).map(
+            lambda pair: pair[1].format(pair[0]))
+    return st.tuples(number(1, 9999, ("{:04d}",)), number(1, 12),
+                     number(1, 31, ("{:02d}", "{:d}", "{:>2d}")),
+                     st.sampled_from(["T", "t", " ", "\t", "  ", " \t"]), number(0, 23),
+                     number(0, 59), st.one_of(st.just(""), number(0, 61).map(":".__add__)),
+                     st.sampled_from(["", "Z", "+01:00", ".123", ".5Z"]))
+
+
+STAMP_ALPHABET = "0123456789-:TtZ+. \t"
+
+
+@st.composite
+def mutated_stamps(draw):
+    year, month, day, sep, hour, minute, second, suffix = draw(stamp_parts())
+    text = f"{year}-{month}-{day}{sep}{hour}:{minute}{second}{suffix}"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(st.sampled_from(STAMP_ALPHABET))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+    return text
+
+
+@given(text=st.one_of(mutated_stamps(), st.text(alphabet=STAMP_ALPHABET, max_size=24)))
+@settings(max_examples=500, deadline=None)
+def test_parser_agrees_with_strptime(text):
+    """The one-pattern parser gives the datetime ``strptime`` gave over its
+    four formats, or both raise."""
+    try:
+        want = strptime_parse(text, "connectionTime", "s")
+    except SessionError:
+        with pytest.raises(SessionError):
+            parse(text)
+    else:
+        assert parse(text) == want
 
 
 class TestSessionBatch:
