@@ -138,22 +138,30 @@ class MetricsReport:
 class _PolicyRule:
     """Argmax policy pick, then the demand-supply ordering check.
 
-    A port's input projection ``states @ wx.T + b`` and its carry are set up
-    on its first decision; each decision then steps the cell on one row.
+    Every port's input projection ``states @ wx.T + b`` and carry are set up
+    when the rule is built; each decision then steps the cell on one row.
+    The projections share one array: at fleet size they take tens of MB, and
+    as one allocation they are returned whole when the replay ends, where
+    per-port blocks could stay resident, pinned in the heap, after it.
     """
 
-    def __init__(self, model: learner.SharedModel):
-        self.model = model
-        self._ports: dict[str, list] = {}  # evse_id -> [projection, carry]
+    def __init__(self, model: learner.SharedModel, ports):
+        ports = list(ports)
+        self.params = params = model.coordinator.params
+        z = np.empty((sum(len(port.sessions) for port in ports), params["wx"].shape[0]))
+        self._rows, self._carries, start = {}, {}, 0
+        for port in ports:
+            rows = z[start:start + len(port.sessions)]
+            np.matmul(mdp.state_matrix(port.sessions), params["wx"].T, out=rows)
+            rows += params["b"]
+            self._rows[port.evse_id] = rows
+            self._carries[port.evse_id] = model.carry_for(port.evse_id)
+            start += len(port.sessions)
 
     def decide(self, port: mdp.PortSessions, i: int) -> int:
-        params = self.model.coordinator.params
-        step = self._ports.get(port.evse_id)
-        if step is None:
-            z = mdp.state_matrix(port.sessions) @ params["wx"].T
-            z += params["b"]
-            step = self._ports[port.evse_id] = [z, self.model.carry_for(port.evse_id)]
-        p_schedule, _value, step[1] = learner.policy_value_forward(params, step[0][i], step[1])
+        evse_id = port.evse_id
+        p_schedule, _value, self._carries[evse_id] = learner.policy_value_forward(
+            self.params, self._rows[evse_id][i], self._carries[evse_id])
         schedule_now = 1 if p_schedule >= 0.5 else 0  # a tie schedules
         return 1 if port.ordering_holds(i, schedule_now) else 0
 
@@ -298,12 +306,11 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
     With no model every presented session is started under the rational
     allocator (the always-schedule rule).
     """
-    if model is None:
-        rule, risk = _ForcedRule(), 0.0
-    else:
-        rule, risk = _PolicyRule(model), model.risk_value
-    engine = ScheduleEngine(batch, site, rule, allocator=mdp.rational_allocation,
-                            step_minutes=step_minutes, risk_value=risk)
+    engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=mdp.rational_allocation,
+                            step_minutes=step_minutes,
+                            risk_value=0.0 if model is None else model.risk_value)
+    if model is not None:  # the policy rule projects the ports the engine built
+        engine.rule = _PolicyRule(model, engine.ports.values())
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)

@@ -111,7 +111,7 @@ class TestSchedulingIndicator:
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
             monkeypatch.setattr(learner, "policy_value_forward",
                                 lambda params, z_row, carry, p=p_schedule: (p, 0.0, carry))
-            assert _PolicyRule(tiny_model()).decide(port, 0) == pick
+            assert _PolicyRule(tiny_model(), [port]).decide(port, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),
