@@ -2,8 +2,9 @@
 
 One gated recurrent cell feeds a two-way softmax policy head and a scalar
 value head.  Every port runs its own agent over its own session sequence; a
-coordinator holds the shared parameters and applies the (norm-clipped)
-gradient of each agent through Adam in a fixed port order.  Within an episode
+coordinator holds the shared parameters, one flat vector laid out by
+:func:`param_shapes`, and applies each agent's (norm-clipped) flat gradient
+through Adam in a fixed port order.  Within an episode
 every agent runs on one copy of the parameters taken at the episode's start,
 so its forward and backward passes run all ports as one batch, zero-padded to
 (P, T, 6) and masked by each port's length.  Execution steps the same cell one
@@ -50,19 +51,19 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.reciprocal(1.0 + np.exp(-x), out=out)
 
 
+def param_shapes(hidden: int) -> dict[str, tuple]:
+    """Shape of each parameter tensor, in ``PARAM_KEYS`` order: the layout of
+    the coordinator's flat vectors and of a model file's tensor blocks."""
+    return {"wx": (4 * hidden, STATE_DIM), "wh": (4 * hidden, hidden), "b": (4 * hidden,),
+            "wp": (2, hidden), "bp": (2,), "wv": (1, hidden), "bv": (1,)}
+
+
 def init_params(hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform gate weights in [-1/sqrt(hidden), 1/sqrt(hidden)], zero biases,
     forget-gate bias 1."""
     limit = 1.0 / math.sqrt(hidden)
-    params = {
-        "wx": rng.uniform(-limit, limit, (4 * hidden, STATE_DIM)),
-        "wh": rng.uniform(-limit, limit, (4 * hidden, hidden)),
-        "b": np.zeros(4 * hidden),
-        "wp": rng.uniform(-limit, limit, (2, hidden)),
-        "bp": np.zeros(2),
-        "wv": rng.uniform(-limit, limit, (1, hidden)),
-        "bv": np.zeros(1),
-    }
+    params = {key: rng.uniform(-limit, limit, shape) if len(shape) == 2 else np.zeros(shape)
+              for key, shape in param_shapes(hidden).items()}
     params["b"][hidden:2 * hidden] = 1.0
     return params
 
@@ -71,14 +72,11 @@ def hidden_size(params: dict) -> int:
     return params["wh"].shape[1]
 
 
-def _check_shapes(params: dict) -> None:
-    h = hidden_size(params)
-    expected = {"wx": (4 * h, STATE_DIM), "wh": (4 * h, h), "b": (4 * h,),
-                "wp": (2, h), "bp": (2,), "wv": (1, h), "bv": (1,)}
-    for key, shape in expected.items():
-        if key not in params or params[key].shape != shape:
-            raise LearnerError(f"parameter {key!r} has shape "
-                               f"{params.get(key, np.empty(0)).shape}, expected {shape}")
+def _views(flat: np.ndarray, hidden: int) -> dict[str, np.ndarray]:
+    """Each tensor of the :func:`param_shapes` layout as a view into ``flat``."""
+    shapes = param_shapes(hidden)
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), parts)}
 
 
 def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -221,8 +219,9 @@ def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
     return losses
 
 
-def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> list[dict]:
-    """Exact reverse-mode gradient of each port's total loss, in port order.
+def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> np.ndarray:
+    """Exact reverse-mode gradient of each port's total loss: one flat row per
+    port, in port order, laid out by :func:`param_shapes`.
 
     The time loop runs over (P, ·) rows.  Padding steps get zero loss
     gradients, so nothing flows back from them, and each port's terms keep
@@ -271,67 +270,63 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> list
 
     dz = local.reshape(n_ports, n_steps, 4 * hidden)
     outputs = forward.hiddens[:, 1:]
-    grads = {
-        "wx": dz.transpose(0, 2, 1) @ batch.states,
-        "wh": dz.transpose(0, 2, 1) @ forward.hiddens[:, :-1],
-        "b": dz.sum(axis=1),
-        "wp": d_logits.transpose(0, 2, 1) @ outputs,
-        "bp": d_logits.sum(axis=1),
-        "wv": d_value[:, None, :] @ outputs,
-        "bv": d_value.sum(axis=1)[:, None],
-    }
-    for key in PARAM_KEYS:
-        if not np.all(np.isfinite(grads[key])):
-            raise LearnerError(f"non-finite gradient in {key!r}")
-    return [{key: grads[key][p] for key in PARAM_KEYS} for p in range(n_ports)]
+    grads = np.concatenate([grad.reshape(n_ports, -1) for grad in (  # PARAM_KEYS order
+        dz.transpose(0, 2, 1) @ batch.states,
+        dz.transpose(0, 2, 1) @ forward.hiddens[:, :-1],
+        dz.sum(axis=1),
+        d_logits.transpose(0, 2, 1) @ outputs,
+        d_logits.sum(axis=1),
+        d_value[:, None, :] @ outputs,
+        d_value.sum(axis=1),
+    )], axis=1)
+    if not np.all(np.isfinite(grads)):
+        raise LearnerError("non-finite gradient")
+    return grads
 
 
-def grad_norm(grads: dict) -> float:
-    """Euclidean norm over every gradient component."""
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def grad_norm(grads: np.ndarray) -> float:
+    """Euclidean norm of one flat gradient."""
+    return math.sqrt(float(grads @ grads))
 
 
-def clipped_delta(grads: dict, clip_threshold: float) -> dict:
-    """Global norm clipping: scale the whole gradient so its norm is at most
-    the threshold."""
+def clipped_delta(grads: np.ndarray, clip_threshold: float) -> np.ndarray:
+    """Global norm clipping: scale the whole flat gradient so its norm is at
+    most the threshold."""
     if clip_threshold <= 0:
         raise LearnerError("clip threshold must be positive")
     norm = grad_norm(grads)
     scale = min(1.0, clip_threshold / norm) if norm > 0 else 1.0
-    return {k: g * scale for k, g in grads.items()}
+    return grads * scale
 
 
 class Coordinator:
-    """Holds the shared parameters and the Adam state."""
+    """Holds the shared parameters and the Adam state: the float64 vectors
+    ``flat``, ``m`` and ``v``, laid out by :func:`param_shapes`.  ``params``
+    maps each key to a view into ``flat``, which is only updated in place."""
 
     def __init__(self, params: dict, learning_rate: float = 0.001):
-        _check_shapes(params)
-        self.params = params
+        self.flat = np.concatenate([np.ravel(params[key]) for key in PARAM_KEYS], dtype=float)
+        self.params = _views(self.flat, hidden_size(params))
         self.learning_rate = learning_rate
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.step = 0
 
-    def apply_update(self, delta: dict) -> None:
-        """One Adam descent step on the shared parameters using ``delta`` as
-        the gradient."""
-        if set(delta) != set(self.params):
-            raise LearnerError("delta keys do not match coordinator parameters")
+    def apply_update(self, delta: np.ndarray) -> None:
+        """One Adam descent step on the shared parameters using the flat
+        ``delta`` as the gradient."""
         self.step += 1
-        b1c = 1.0 - ADAM_BETA1 ** self.step
-        b2c = 1.0 - ADAM_BETA2 ** self.step
-        for key in PARAM_KEYS:
-            g = delta[key]
-            if g.shape != self.params[key].shape:
-                raise LearnerError(f"delta {key!r} shape mismatch")
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[key] / b1c
-            v_hat = self.v[key] / b2c
-            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * delta
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * delta * delta
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
+        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def sync_copy(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
+        """The parameters as views into a copy of ``flat``."""
+        return _views(self.flat.copy(), hidden_size(self.params))
 
 
 @dataclass(frozen=True)
@@ -385,9 +380,12 @@ class SharedModel:
     ``ramals-model-v1`` files are read too.  Their ``agents`` block of
     per-port parameter copies, which training always left equal to the
     coordinator, is ignored.
+
+    ``hidden`` is read off the coordinator's tensors.  ``load`` checks each
+    tensor block against :func:`param_shapes` at the file's ``hidden`` and each
+    carry against ``(hidden,)``, naming the tensor or port that disagrees.
     """
 
-    hidden: int
     gamma: float
     beta: float
     alpha: float
@@ -396,6 +394,10 @@ class SharedModel:
     carries: dict[str, tuple]
     train_episodes: int = 0
 
+    @property
+    def hidden(self) -> int:
+        return hidden_size(self.coordinator.params)
+
     def carry_for(self, evse_id: str):
         if evse_id in self.carries:
             h, c = self.carries[evse_id]
@@ -403,9 +405,9 @@ class SharedModel:
         return np.zeros(self.hidden), np.zeros(self.hidden)
 
     def save(self, path) -> None:
-        def pack(params):
-            return {k: {"shape": list(v.shape), "data": [float(x) for x in v.ravel()]}
-                    for k, v in params.items()}
+        def pack(vector):
+            return {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+                    for k, v in _views(vector, self.hidden).items()}
         payload = {
             "format": MODEL_FORMAT,
             "hidden": self.hidden,
@@ -416,7 +418,7 @@ class SharedModel:
             "learning_rate": self.coordinator.learning_rate,
             "step": self.coordinator.step,
             "train_episodes": self.train_episodes,
-            "coordinator": pack(self.coordinator.params),
+            "coordinator": pack(self.coordinator.flat),
             "adam_m": pack(self.coordinator.m),
             "adam_v": pack(self.coordinator.v),
             "carries": {evse: {"h": [float(x) for x in h], "c": [float(x) for x in c]}
@@ -434,11 +436,10 @@ class SharedModel:
         except json.JSONDecodeError as exc:
             raise LearnerError(f"corrupt model file: {exc}") from exc
 
-        def unpack(blob, context, like=None):
+        def unpack(blob, context, views):
             if not isinstance(blob, dict):
                 raise LearnerError(f"corrupt model file: {context} is not an object")
-            out = {}
-            for key in PARAM_KEYS:
+            for key, view in views.items():
                 if key not in blob:
                     raise LearnerError(f"corrupt model file: missing tensor "
                                        f"{context}.{key}")
@@ -448,11 +449,10 @@ class SharedModel:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise LearnerError(f"corrupt model file: bad tensor "
                                        f"{context}.{key}") from exc
-                if like is not None and arr.shape != like[key].shape:
+                if arr.shape != view.shape:
                     raise LearnerError(f"corrupt model file: tensor {context}.{key} has "
-                                       f"shape {arr.shape}, expected {like[key].shape}")
-                out[key] = arr
-            return out
+                                       f"shape {arr.shape}, expected {view.shape}")
+                view[...] = arr
 
         for field_name in ("format", "hidden", "gamma", "beta", "alpha", "risk_value",
                            "learning_rate", "step", "coordinator", "adam_m", "adam_v",
@@ -461,22 +461,26 @@ class SharedModel:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
         if payload["format"] not in READABLE_FORMATS:
             raise LearnerError(f"corrupt model file: unknown format {payload['format']!r}")
+        hidden = payload["hidden"]
+        if not isinstance(hidden, int) or hidden <= 0:
+            raise LearnerError(f"corrupt model file: bad hidden width {hidden!r}")
         if not isinstance(payload["carries"], dict):
             raise LearnerError("corrupt model file: carries is not an object")
-        coordinator = Coordinator(unpack(payload["coordinator"], "coordinator"),
-                                  learning_rate=float(payload["learning_rate"]))
-        coordinator.m = unpack(payload["adam_m"], "adam_m", like=coordinator.params)
-        coordinator.v = unpack(payload["adam_v"], "adam_v", like=coordinator.params)
+        zeros = {key: np.zeros(shape) for key, shape in param_shapes(hidden).items()}
+        coordinator = Coordinator(zeros, learning_rate=float(payload["learning_rate"]))
+        for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
+                             ("adam_v", coordinator.v)):
+            unpack(payload[name], name, _views(vector, hidden))
         coordinator.step = int(payload["step"])
         carries = {}
         for evse, blob in payload["carries"].items():
             try:
-                carries[evse] = (np.array(blob["h"], dtype=float),
-                                 np.array(blob["c"], dtype=float))
+                carries[evse] = tuple(np.array(blob[k], dtype=float).reshape(hidden)
+                                      for k in ("h", "c"))
             except (KeyError, TypeError, ValueError) as exc:
-                raise LearnerError(f"corrupt model file: bad carry for {evse!r}") from exc
+                raise LearnerError(f"corrupt model file: bad carry for {evse!r}, expected "
+                                   f"h and c of {hidden} floats") from exc
         return cls(
-            hidden=int(payload["hidden"]),
             gamma=float(payload["gamma"]),
             beta=float(payload["beta"]),
             alpha=float(payload["alpha"]),
@@ -494,7 +498,7 @@ def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -
 
 
 def train(batch: SessionBatch, site_config: SiteConfig | None,
-          config: TrainConfig, risk_value: float | None = None,
+          config: TrainConfig, risk_value: float,
           initial_model: SharedModel | None = None):
     """Run the multi-agent training loop; returns (SharedModel, [EpisodeLog]).
 
@@ -512,9 +516,6 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         if missing:
             raise LearnerError(f"batch references EVSEs absent from site config: {missing}")
 
-    if risk_value is None:
-        from .risk import estimate_risk
-        risk_value = estimate_risk(batch, config.alpha).cvar_normalized
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
 
@@ -559,7 +560,6 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     final_h, final_c = forward.final_carry
     carries = {port.evse_id: (final_h[p], final_c[p]) for p, port in enumerate(ports)}
     model = SharedModel(
-        hidden=config.hidden,
         gamma=config.gamma,
         beta=config.beta,
         alpha=config.alpha,

@@ -1,8 +1,9 @@
 """Reference implementations the package is checked against.
 
 Each is the straightforward code the package used before it was vectorised
-or made cheaper: one port and one step at a time for the learner, every pair
-of intervals for the feed-capacity audit, one session at a time for the
+or made cheaper: one port and one step at a time for the learner, one
+parameter tensor at a time for Adam and the gradient norm, every pair of
+intervals for the feed-capacity audit, one session at a time for the
 state, ``strptime`` over four formats for timestamps, and the risk API that
 only tests used.
 """
@@ -13,7 +14,8 @@ from datetime import datetime
 
 import numpy as np
 
-from ramals.learner import LOG_PROB_FLOOR, _entropy_rows, hidden_size
+from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
+                            PARAM_KEYS, _entropy_rows, hidden_size)
 from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH, _minutes_since_midnight
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
@@ -172,6 +174,46 @@ def scalar_backward(params, forward, actions, q_targets, advantages, beta):
         dh_next = params["wh"].T @ dz
         dc_next = dc * gf
     return grads
+
+
+def flatten(tensors):
+    """One vector of a dict of tensors, in ``PARAM_KEYS`` order."""
+    return np.concatenate([np.ravel(tensors[key]) for key in PARAM_KEYS])
+
+
+def keyed_grad_norm(grads):
+    """Euclidean norm over every gradient component, summed tensor by tensor."""
+    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def keyed_clipped_delta(grads, clip_threshold):
+    """Global norm clipping of a dict of gradient tensors."""
+    norm = keyed_grad_norm(grads)
+    scale = min(1.0, clip_threshold / norm) if norm > 0 else 1.0
+    return {k: g * scale for k, g in grads.items()}
+
+
+class KeyedAdam:
+    """Adam over a dict of parameter tensors, one tensor at a time."""
+
+    def __init__(self, params, learning_rate):
+        self.params = {k: v.copy() for k, v in params.items()}
+        self.learning_rate = learning_rate
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.step = 0
+
+    def apply_update(self, delta):
+        self.step += 1
+        b1c = 1.0 - ADAM_BETA1 ** self.step
+        b2c = 1.0 - ADAM_BETA2 ** self.step
+        for key in PARAM_KEYS:
+            g = delta[key]
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[key] / b1c
+            v_hat = self.v[key] / b2c
+            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def direct_loads(outcomes):

@@ -154,6 +154,23 @@ class TestPipeline:
         assert code == 1
         assert "missing field" in capsys.readouterr().err
 
+    def test_resume_rejects_width_its_tensors_contradict(self, workdir, capsys):
+        sessions = self.generate(workdir)
+        model = workdir / "model.json"
+        run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--risk-off", "--out", model)
+        payload = json.loads(model.read_text())
+        payload["hidden"] = 16  # over the 8-wide tensors training wrote
+        model.write_text(json.dumps(payload))
+        (workdir / "wide.cfg").write_text(CONFIG.replace("hidden = 8", "hidden = 16"))
+        resumed = workdir / "resumed.json"
+        code = run_cli("train", "--config", workdir / "wide.cfg", "--sessions", sessions,
+                       "--risk-off", "--resume", model, "--out", resumed)
+        assert code == 1
+        assert "tensor coordinator.wx has shape (32, 6), expected (64, 6)" \
+            in capsys.readouterr().err
+        assert not resumed.exists()
+
     def test_idempotent_rerun(self, workdir):
         sessions = self.generate(workdir)
         model_a, model_b = workdir / "m1.json", workdir / "m2.json"

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ramals import (
     train,
 )
 from ramals.learner import (
+    PARAM_KEYS,
     Coordinator,
     EpisodeBatch,
     SharedModel,
@@ -37,10 +39,17 @@ from ramals.learner import (
     total_loss,
     value_loss,
 )
-from ramals.scheduler import ScheduleEngine, _ForcedRule
+from ramals.scheduler import ScheduleEngine, _ForcedRule, execute
 
 from helpers import T0, make_session, site_for
-from oracles import scalar_backward, scalar_forward
+from oracles import (
+    KeyedAdam,
+    flatten,
+    keyed_clipped_delta,
+    keyed_grad_norm,
+    scalar_backward,
+    scalar_forward,
+)
 
 
 def random_params(hidden=8, seed=0, scale=None):
@@ -98,29 +107,25 @@ def episode_loss_value(params, batch):
 
 
 def finite_difference_grads(params, batch, h=1e-5):
-    grads = {}
-    for key, tensor in params.items():
-        grad = np.zeros_like(tensor)
-        flat = tensor.ravel()
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + h
-            up = episode_loss_value(params, batch)
-            flat[i] = original - h
-            down = episode_loss_value(params, batch)
-            flat[i] = original
-            grad.ravel()[i] = (up - down) / (2.0 * h)
-        grads[key] = grad
-    return grads
+    """Central differences over each entry of the flat parameter vector,
+    perturbed in place under the coordinator's views."""
+    coordinator = Coordinator(params)
+    flat = coordinator.flat
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + h
+        up = episode_loss_value(coordinator.params, batch)
+        flat[i] = original - h
+        down = episode_loss_value(coordinator.params, batch)
+        flat[i] = original
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for key in analytic:
-        denom = np.maximum(np.maximum(np.abs(analytic[key]), np.abs(numeric[key])),
-                           1e-6)
-        worst = max(worst, float(np.max(np.abs(analytic[key] - numeric[key]) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 class TestRnnForward:
@@ -326,17 +331,14 @@ class TestBackward:
                             EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0))[0]
 
         [full] = backward(params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.0))
-        first = silenced(slice(0, 3))
-        second = silenced(slice(3, 6))
-        combined = {k: first[k] + second[k] for k in full}
+        combined = silenced(slice(0, 3)) + silenced(slice(3, 6))
         assert max_relative_error(full, combined) < 1e-9
 
     def test_grad_norm(self):
-        assert grad_norm({"a": np.zeros(3)}) == 0.0
-        assert grad_norm({"a": np.array([3.0]), "b": np.array([4.0])}) == 5.0
-        grads = {"a": np.array([1.0, -2.0]), "b": np.array([[2.0]])}
-        assert grad_norm({k: 3.0 * v for k, v in grads.items()}) \
-            == pytest.approx(3.0 * grad_norm(grads))
+        assert grad_norm(np.zeros(3)) == 0.0
+        assert grad_norm(np.array([3.0, 4.0])) == 5.0
+        grads = np.array([1.0, -2.0, 2.0])
+        assert grad_norm(3.0 * grads) == pytest.approx(3.0 * grad_norm(grads))
 
 
 def random_ports(lengths, hidden=6, seed=20):
@@ -365,6 +367,7 @@ class TestBatchedPass:
     def test_matches_scalar_oracle_over_unequal_ports(self):
         params, forward, batch = random_ports([5, 1, 8, 3])
         grads = backward(params, forward, batch)
+        assert grads.shape == (len(batch.lengths), Coordinator(params).flat.size)
         for p, n in enumerate(batch.lengths):
             oracle = scalar_forward(params, batch.states[p, :n])
             assert_near(forward.probs[p, :n], oracle.probs, self.TOLERANCE)
@@ -374,8 +377,9 @@ class TestBatchedPass:
             reference = scalar_backward(params, oracle, batch.actions[p, :n],
                                         batch.q_targets[p, :n], batch.advantages[p, :n],
                                         batch.beta)
-            for key in reference:
-                assert_near(grads[p][key], reference[key], self.TOLERANCE)
+            ours = learner._views(grads[p], learner.hidden_size(params))
+            for key in PARAM_KEYS:  # the row's layout is the flat vector's
+                assert_near(ours[key], reference[key], self.TOLERANCE)
 
     def test_padding_leaves_port_unchanged(self):
         params, forward, batch = random_ports([4, 1, 6])
@@ -389,67 +393,95 @@ class TestBatchedPass:
                                   extended(batch.actions) % 2, extended(batch.q_targets),
                                   extended(batch.advantages), batch.beta)
         long_forward = forward_episode(params, long_batch.states, long_batch.lengths)
-        short_grads = backward(params, forward, batch)
-        long_grads = backward(params, long_forward, long_batch)
-        for short, long in zip(short_grads, long_grads):
-            for key in short:
-                assert np.array_equal(short[key], long[key]), key
+        assert np.array_equal(backward(params, forward, batch),
+                              backward(params, long_forward, long_batch))
         for short, long in zip(forward.final_carry, long_forward.final_carry):
             assert np.array_equal(short, long)
 
 
 class TestClippedDelta:
     def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        delta = clipped_delta(grads, 40.0)
-        assert np.array_equal(delta["a"], grads["a"])
+        grads = np.array([0.3, 0.4])
+        assert np.array_equal(clipped_delta(grads, 40.0), grads)
 
     def test_double_norm_halved(self):
-        grads = {"a": np.array([16.0]), "b": np.array([12.0])}  # norm 20
+        grads = np.array([16.0, 12.0])  # norm 20
         delta = clipped_delta(grads, 10.0)
         assert grad_norm(delta) == pytest.approx(10.0)
-        assert delta["a"][0] == pytest.approx(8.0)
+        assert delta[0] == pytest.approx(8.0)
 
     def test_post_clip_norm_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            grads = {"a": rng.normal(size=7) * rng.uniform(0, 100)}
+            grads = rng.normal(size=7) * rng.uniform(0, 100)
             assert grad_norm(clipped_delta(grads, 5.0)) <= 5.0 + 1e-9
 
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(LearnerError):
-            clipped_delta({"a": np.ones(2)}, 0.0)
+            clipped_delta(np.ones(2), 0.0)
 
 
 class TestApplyUpdate:
     def test_zero_delta_keeps_parameters(self):
         coordinator = Coordinator(random_params(4, 12), learning_rate=0.001)
-        before = {k: v.copy() for k, v in coordinator.params.items()}
-        coordinator.apply_update({k: np.zeros_like(v) for k, v in before.items()})
+        before = coordinator.flat.copy()
+        coordinator.apply_update(np.zeros_like(before))
         agent = coordinator.sync_copy()
-        for key in before:
-            assert np.array_equal(coordinator.params[key], before[key])
-            assert np.array_equal(agent[key], before[key])
+        assert np.array_equal(coordinator.flat, before)
+        assert np.array_equal(flatten(agent), before)
         assert coordinator.step == 1
 
     def test_two_identical_deltas_descend(self):
         coordinator = Coordinator(random_params(4, 13), learning_rate=0.001)
-        delta = {k: np.full_like(v, 0.5) for k, v in coordinator.params.items()}
-        start = {k: v.copy() for k, v in coordinator.params.items()}
+        delta = np.full_like(coordinator.flat, 0.5)
+        start = coordinator.flat.copy()
         coordinator.apply_update(delta)
-        mid = {k: v.copy() for k, v in coordinator.params.items()}
+        mid = coordinator.flat.copy()
         coordinator.apply_update(delta)
-        for key in start:
-            assert np.all(mid[key] < start[key])
-            assert np.all(coordinator.params[key] < mid[key])
+        assert np.all(mid < start)
+        assert np.all(coordinator.flat < mid)
 
     def test_agent_equals_coordinator_after_sync(self):
         coordinator = Coordinator(random_params(4, 14))
-        coordinator.apply_update({k: np.full_like(v, 0.1)
-                                  for k, v in coordinator.params.items()})
+        coordinator.apply_update(np.full_like(coordinator.flat, 0.1))
         agent = coordinator.sync_copy()
-        for key in agent:
+        for key in PARAM_KEYS:
             assert np.array_equal(agent[key], coordinator.params[key])
+
+
+class TestFlatLayout:
+    """The coordinator's flat vectors against the per-tensor Adam, norm and
+    clipping they replaced."""
+
+    def test_matches_keyed_oracle_over_steps(self):
+        rng = np.random.default_rng(15)
+        params = random_params(5, 15)
+        coordinator = Coordinator(params, learning_rate=0.01)
+        oracle = KeyedAdam(params, learning_rate=0.01)
+        clipped = 0
+        for _ in range(24):
+            grads = rng.normal(size=coordinator.flat.size) * rng.uniform(0.1, 6.0)
+            keyed = learner._views(grads, 5)
+            assert grad_norm(grads) == pytest.approx(keyed_grad_norm(keyed), rel=1e-12)
+            delta = clipped_delta(grads, 40.0)
+            assert_near(delta, flatten(keyed_clipped_delta(keyed, 40.0)), 1e-12)
+            clipped += grad_norm(grads) > 40.0
+            coordinator.apply_update(delta)
+            oracle.apply_update(learner._views(delta, 5))
+            assert np.array_equal(coordinator.flat, flatten(oracle.params))
+            assert np.array_equal(coordinator.m, flatten(oracle.m))
+            assert np.array_equal(coordinator.v, flatten(oracle.v))
+        assert 0 < clipped < 24
+
+    def test_params_are_views_of_flat_and_sync_copy_is_not(self):
+        coordinator = Coordinator(random_params(4, 16))
+        for _ in range(3):
+            coordinator.apply_update(np.full_like(coordinator.flat, 0.2))
+        agent = coordinator.sync_copy()
+        assert np.array_equal(flatten(coordinator.params), coordinator.flat)
+        for key in PARAM_KEYS:
+            assert np.shares_memory(coordinator.params[key], coordinator.flat)
+            assert not np.shares_memory(agent[key], coordinator.flat)
 
 
 def small_scenario(seed=0, n_sessions=40, cv=0.7):
@@ -589,11 +621,9 @@ class TestSerialization:
         payload["agents"] = {evse: payload["coordinator"] for evse in payload["carries"]}
         v1_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         loaded = SharedModel.load(v1_path)
-        for ours, theirs in ((loaded.coordinator.params, model.coordinator.params),
-                             (loaded.coordinator.m, model.coordinator.m),
-                             (loaded.coordinator.v, model.coordinator.v)):
-            for key in theirs:
-                assert np.array_equal(ours[key], theirs[key])
+        for vector in ("flat", "m", "v"):
+            assert np.array_equal(getattr(loaded.coordinator, vector),
+                                  getattr(model.coordinator, vector))
         assert loaded.coordinator.step == model.coordinator.step
         assert loaded.coordinator.learning_rate == model.coordinator.learning_rate
         assert sorted(loaded.carries) == sorted(model.carries)
@@ -667,3 +697,39 @@ class TestSerialization:
         payload["carries"] = [0.0, 1.0]
         with pytest.raises(LearnerError, match="corrupt model file: carries is not an object"):
             self.load_payload(tmp_path, payload)
+
+    def test_hidden_field_contradicted_by_tensors(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        payload["hidden"] = 16
+        with pytest.raises(LearnerError, match=r"corrupt model file: tensor coordinator.wx "
+                                               r"has shape \(32, 6\), expected \(64, 6\)"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("hidden", [0, "8"])
+    def test_bad_hidden_field_named(self, tmp_path, hidden):
+        payload = self.saved_payload(tmp_path)
+        payload["hidden"] = hidden
+        with pytest.raises(LearnerError, match="corrupt model file: bad hidden width"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("state", ["h", "c"])
+    def test_misshapen_carry_names_port(self, tmp_path, state):
+        payload = self.saved_payload(tmp_path)
+        evse = sorted(payload["carries"])[-1]
+        payload["carries"][evse][state] = [0.0, 0.0, 0.0]
+        with pytest.raises(LearnerError, match=f"corrupt model file: bad carry for '{evse}', "
+                                               f"expected h and c of 8 floats"):
+            self.load_payload(tmp_path, payload)
+
+    def test_stored_v2_file_resaves_and_replays(self, tmp_path):
+        """A hidden-4 file written by an earlier version of the package (seed-3
+        batch below, 3 episodes): it re-saves byte for byte and replays."""
+        source = Path(__file__).parent / "data" / "model-v2-hidden4.json"
+        model = SharedModel.load(source)
+        assert model.hidden == 4 and sorted(model.carries) == ["EVSE-1", "EVSE-2"]
+        model.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == source.read_bytes()
+        batch = generate_synthetic(GeneratorConfig(n_sessions=30, cv_fraction=0.5, n_evses=2,
+                                                   mean_gap_minutes=250), seed=3)
+        outcomes, report = execute(model, batch, site_for(batch))  # execute audits
+        assert len(outcomes) == len(batch) and report.sessions_served > 0

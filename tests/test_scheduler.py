@@ -14,6 +14,7 @@ from ramals import (
     compare_report,
     compute_metrics,
     energy_ratio,
+    estimate_risk,
     execute,
     fcfs_as_requested_baseline,
     generate_synthetic,
@@ -226,7 +227,9 @@ class TestRiskOffAblation:
         site = site_for(batch)
         config = TrainConfig(episodes=2, seed=2, hidden=8, alpha=0.9)
         ablated = risk_off_report(batch, site, config)
-        model, _ = train(batch, site, config)  # zero-laxity: risk estimates to 0
+        # zero-laxity: risk estimates to 0
+        model, _ = train(batch, site, config,
+                         risk_value=estimate_risk(batch, config.alpha).cvar_normalized)
         _, full = execute(model, batch, site)
         assert ablated.scalar_metrics() == pytest.approx(full.scalar_metrics())
 
