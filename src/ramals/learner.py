@@ -467,11 +467,11 @@ class SharedModel:
         if not isinstance(payload["carries"], dict):
             raise LearnerError("corrupt model file: carries is not an object")
         zeros = {key: np.zeros(shape) for key, shape in param_shapes(hidden).items()}
-        coordinator = Coordinator(zeros, learning_rate=float(payload["learning_rate"]))
+        coordinator = Coordinator(zeros, learning_rate=_number(payload, "learning_rate"))
         for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
                              ("adam_v", coordinator.v)):
             unpack(payload[name], name, _views(vector, hidden))
-        coordinator.step = int(payload["step"])
+        coordinator.step = _number(payload, "step", int)
         carries = {}
         for evse, blob in payload["carries"].items():
             try:
@@ -481,14 +481,25 @@ class SharedModel:
                 raise LearnerError(f"corrupt model file: bad carry for {evse!r}, expected "
                                    f"h and c of {hidden} floats") from exc
         return cls(
-            gamma=float(payload["gamma"]),
-            beta=float(payload["beta"]),
-            alpha=float(payload["alpha"]),
-            risk_value=float(payload["risk_value"]),
+            gamma=_number(payload, "gamma"),
+            beta=_number(payload, "beta"),
+            alpha=_number(payload, "alpha"),
+            risk_value=_number(payload, "risk_value"),
             coordinator=coordinator,
             carries=carries,
-            train_episodes=int(payload.get("train_episodes", 0)),
+            train_episodes=_number(payload, "train_episodes", int, default=0),
         )
+
+
+def _number(payload: dict, field_name: str, kind=float, default=None):
+    """A model file's scalar field as ``kind``, from a JSON number (for
+    ``int``, a JSON integer); a :class:`LearnerError` names the field
+    otherwise."""
+    value = payload.get(field_name, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise LearnerError(f"corrupt model file: field {field_name!r} must be "
+                           f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
@@ -507,6 +518,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     agent in an episode runs on one copy of the coordinator's parameters
     taken when the episode starts, so one batched forward and backward pass
     covers all ports; action draws, clipping and Adam go port by port.
+    Resuming from ``initial_model`` keeps its parameters, Adam state and
+    carries; ``config``'s learning rate, gamma and beta replace the model's.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -526,6 +539,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         if initial_model.hidden != config.hidden:
             raise LearnerError("resume model hidden width does not match config")
         coordinator = initial_model.coordinator
+        coordinator.learning_rate = config.learning_rate
     else:
         coordinator = Coordinator(init_params(config.hidden, rng),
                                   learning_rate=config.learning_rate)

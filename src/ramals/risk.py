@@ -13,6 +13,11 @@ the CDF is adaptive numeric integration of the standardized density and the
 quantile is a bisection on that CDF.  No t-distribution special functions are
 used outside the test suite, where an independent implementation serves as
 the oracle.
+
+scipy is imported where it is used: ``scipy.optimize`` inside
+:func:`fit_student_t` and ``scipy.integrate`` inside :func:`standardized_cdf`.
+Importing this module, and every command that does not fit a tail model,
+leaves scipy unloaded; the first fit in a process pays its import.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .sessions import SessionBatch, delivery_rate_kw, demand_rate_kw
 
@@ -123,6 +127,8 @@ def fit_student_t(samples, min_samples: int = 8) -> StudentTFit:
     flat in dof once the fit is effectively normal.  Near-equal optima are
     resolved in favour of the lowest dof.
     """
+    from scipy import optimize
+
     d = np.asarray(samples, dtype=float)
     if d.size < min_samples:
         raise RiskError(f"student-t fit needs at least {min_samples} samples, got {d.size}")
@@ -167,6 +173,8 @@ def standardized_cdf(x: float, dof: float) -> float:
         raise RiskError("dof must be positive")
     if x == 0.0:
         return 0.5
+    from scipy import integrate
+
     lo, hi = (x, 0.0) if x < 0 else (0.0, x)
     area, _ = integrate.quad(lambda t: standardized_pdf(t, dof), lo, hi,
                              epsabs=CDF_ABS_TOL, epsrel=1e-10, limit=200)

@@ -16,14 +16,14 @@ the same decision inputs training reads.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import learner, mdp
-from .sessions import ChargingSession, SessionBatch, SiteConfig
+from .sessions import ChargingSession, SessionBatch, SiteConfig, json_number
 
 log = logging.getLogger(__name__)
 
@@ -49,22 +49,6 @@ class ScheduleOutcome:
     allocated_rate_kw: float
     allocated_minutes: float
     reward: float
-
-    def to_json_line(self) -> str:
-        return json.dumps({
-            "session_id": self.session_id,
-            "evse_id": self.evse_id,
-            "scheduled": self.scheduled,
-            "voided": self.voided,
-            "allocated_kwh": self.allocated_energy_kwh,
-            "allocated_kw": self.allocated_rate_kw,
-            "allocated_min": self.allocated_minutes,
-            "realized_kwh": self.realized_energy_kwh,
-            "realized_kw": self.realized_rate_kw,
-            "realized_min": self.realized_minutes,
-            "wait_min": self.wait_minutes,
-            "reward": self.reward,
-        }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -401,5 +385,19 @@ def comparison_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One line of outcomes_jsonl: json.dumps(..., sort_keys=True)'s layout.
+_OUTCOME = ('{"allocated_kw": %s, "allocated_kwh": %s, "allocated_min": %s, "evse_id": %s, '
+            '"realized_kw": %s, "realized_kwh": %s, "realized_min": %s, "reward": %s, '
+            '"scheduled": %s, "session_id": %s, "voided": %s, "wait_min": %s}')
+
+
 def outcomes_jsonl(outcomes) -> str:
-    return "\n".join(o.to_json_line() for o in outcomes) + "\n"
+    """One JSON object per outcome and line, keys in sorted order."""
+    return "\n".join(_OUTCOME % (
+        json_number(o.allocated_rate_kw), json_number(o.allocated_energy_kwh),
+        json_number(o.allocated_minutes), encode_basestring_ascii(o.evse_id),
+        json_number(o.realized_rate_kw), json_number(o.realized_energy_kwh),
+        json_number(o.realized_minutes), json_number(o.reward),
+        "true" if o.scheduled else "false", encode_basestring_ascii(o.session_id),
+        "true" if o.voided else "false", json_number(o.wait_minutes))
+        for o in outcomes) + "\n"

@@ -22,6 +22,7 @@ import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,22 +101,6 @@ class ChargingSession:
             return 0.0
         return self.energy_delivered_kwh / minutes * 60.0
 
-    def to_record(self) -> dict:
-        """Canonical JSON-ready record (inverse of parsing)."""
-        return {
-            "sessionID": self.session_id,
-            "evseID": self.evse_id,
-            "vehicleClass": self.vehicle_class.value,
-            "kWhRequested": self.energy_requested_kwh,
-            "minutesAvailable": self.minutes_available,
-            "connectionTime": self.plug_in_time.strftime("%Y-%m-%dT%H:%M"),
-            "doneChargingTime": self.charge_end_time.strftime("%Y-%m-%dT%H:%M"),
-            "disconnectTime": self.unplug_time.strftime("%Y-%m-%dT%H:%M"),
-            "kWhDelivered": self.energy_delivered_kwh,
-            "receivingCapacityKW": self.receiving_capacity_kw,
-        }
-
-
 @dataclass(frozen=True)
 class EvseConfig:
     """One charging port."""
@@ -188,8 +173,42 @@ class SessionBatch:
         return isinstance(other, SessionBatch) and self._groups == other._groups
 
     def to_json_bytes(self) -> bytes:
-        records = [s.to_record() for s in self]
-        return (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
+        """The batch as a JSON array of canonical records, the inverse of
+        :func:`parse_sessions`.
+
+        The bytes are those of ``json.dumps(records, indent=1,
+        sort_keys=True)`` plus a newline, written directly: each timestamp is
+        ``YYYY-MM-DDTHH:MM``, its year padded to four digits.
+        """
+        records = ",\n".join(_RECORD % (
+            *_minute_fields(s.plug_in_time), *_minute_fields(s.unplug_time),
+            *_minute_fields(s.charge_end_time), encode_basestring_ascii(s.evse_id),
+            json_number(s.energy_delivered_kwh), json_number(s.energy_requested_kwh),
+            json_number(s.minutes_available), json_number(s.receiving_capacity_kw),
+            encode_basestring_ascii(s.session_id), s.vehicle_class.value) for s in self)
+        return f"[\n{records}\n]\n".encode() if records else b"[]\n"
+
+
+# One record of SessionBatch.to_json_bytes, keys in sorted order.
+_STAMP = '"%04d-%02d-%02dT%02d:%02d"'
+_RECORD = (' {\n  "connectionTime": ' + _STAMP + ',\n  "disconnectTime": ' + _STAMP
+           + ',\n  "doneChargingTime": ' + _STAMP + ',\n  "evseID": %s,\n'
+           '  "kWhDelivered": %s,\n  "kWhRequested": %s,\n  "minutesAvailable": %s,\n'
+           '  "receivingCapacityKW": %s,\n  "sessionID": %s,\n  "vehicleClass": "%s"\n }')
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _minute_fields(t: datetime) -> tuple[int, int, int, int, int]:
+    return t.year, t.month, t.day, t.hour, t.minute
+
+
+def json_number(value) -> str:
+    """``value`` as :func:`json.dumps` writes it: a float by ``float.__repr__``
+    or as ``NaN``/``Infinity``/``-Infinity``, and anything else by json."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_CONSTANTS.get(text, text)
+    return json.dumps(value)
 
 
 def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:

@@ -1,6 +1,9 @@
 """Shared builders for tests."""
 
+import math
 from datetime import datetime, timedelta
+
+from hypothesis import strategies as st
 
 from ramals import ChargingSession, EvseConfig, SessionBatch, SiteConfig, VehicleClass
 
@@ -43,3 +46,13 @@ def site_for(batch, dso_kw=1000.0, switching_minutes=0.0, supply_kw=50.0):
                       tuple(EvseConfig(e, supply_capacity_kw=supply_kw,
                                        switching_minutes=switching_minutes)
                             for e in batch.evse_ids))
+
+
+# Values that stress a JSON writer: quotes, backslashes, control and non-ASCII
+# characters in text; non-finite, signed-zero, tiny, huge and int numbers
+# (json writes an int 5 as "5", a float 5.0 as "5.0").
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600'),
+                              st.characters()), max_size=8)
+JSON_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e16, 5, 0, 5.0]),
+    st.floats(), st.integers(-10**20, 10**20))

@@ -4,10 +4,12 @@ Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
 parameter tensor at a time for Adam and the gradient norm, every pair of
 intervals for the feed-capacity audit, one session at a time for the
-state, ``strptime`` over four formats for timestamps, and the risk API that
-only tests used.
+state, ``strptime`` over four formats for timestamps, ``json.dumps`` over
+record dicts for the session file and the outcome lines, and the risk API
+that only tests used.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -36,6 +38,49 @@ def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
         except ValueError:
             continue
     raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} in {field_name!r}")
+
+
+def session_record(session) -> dict:
+    """Canonical JSON-ready record of one session; ``strftime`` writes a year
+    before 1000 unpadded on glibc."""
+    return {
+        "sessionID": session.session_id,
+        "evseID": session.evse_id,
+        "vehicleClass": session.vehicle_class.value,
+        "kWhRequested": session.energy_requested_kwh,
+        "minutesAvailable": session.minutes_available,
+        "connectionTime": session.plug_in_time.strftime("%Y-%m-%dT%H:%M"),
+        "doneChargingTime": session.charge_end_time.strftime("%Y-%m-%dT%H:%M"),
+        "disconnectTime": session.unplug_time.strftime("%Y-%m-%dT%H:%M"),
+        "kWhDelivered": session.energy_delivered_kwh,
+        "receivingCapacityKW": session.receiving_capacity_kw,
+    }
+
+
+def session_json_bytes(batch) -> bytes:
+    records = [session_record(s) for s in batch]
+    return (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
+
+
+def outcome_json_line(outcome) -> str:
+    return json.dumps({
+        "session_id": outcome.session_id,
+        "evse_id": outcome.evse_id,
+        "scheduled": outcome.scheduled,
+        "voided": outcome.voided,
+        "allocated_kwh": outcome.allocated_energy_kwh,
+        "allocated_kw": outcome.allocated_rate_kw,
+        "allocated_min": outcome.allocated_minutes,
+        "realized_kwh": outcome.realized_energy_kwh,
+        "realized_kw": outcome.realized_rate_kw,
+        "realized_min": outcome.realized_minutes,
+        "wait_min": outcome.wait_minutes,
+        "reward": outcome.reward,
+    }, sort_keys=True)
+
+
+def outcomes_json_dumps(outcomes) -> str:
+    return "\n".join(outcome_json_line(o) for o in outcomes) + "\n"
 
 
 def state_vector(session) -> np.ndarray:

@@ -154,6 +154,32 @@ class TestPipeline:
         assert code == 1
         assert "missing field" in capsys.readouterr().err
 
+    def test_resume_takes_config_learning_rate(self, workdir):
+        sessions = self.generate(workdir)
+        model = workdir / "model.json"
+        run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--risk-off", "--out", model)
+        assert json.loads(model.read_text())["learning_rate"] == 0.001
+        (workdir / "fast.cfg").write_text(CONFIG + "learning_rate = 0.5\n")
+        resumed = workdir / "resumed.json"
+        assert run_cli("train", "--config", workdir / "fast.cfg", "--sessions", sessions,
+                       "--risk-off", "--resume", model, "--out", resumed) == 0
+        assert json.loads(resumed.read_text())["learning_rate"] == 0.5
+
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_bad_scalar_field_exits_with_its_name(self, workdir, capsys, value):
+        sessions = self.generate(workdir)
+        model = workdir / "model.json"
+        run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--risk-off", "--out", model)
+        payload = json.loads(model.read_text())
+        payload["gamma"] = value
+        model.write_text(json.dumps(payload))
+        code = run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--model", model, "--out", workdir / "o.jsonl")
+        assert code == 1
+        assert "corrupt model file: field 'gamma' must be a number" in capsys.readouterr().err
+
     def test_resume_rejects_width_its_tensors_contradict(self, workdir, capsys):
         sessions = self.generate(workdir)
         model = workdir / "model.json"

@@ -712,6 +712,22 @@ class TestSerialization:
         with pytest.raises(LearnerError, match="corrupt model file: bad hidden width"):
             self.load_payload(tmp_path, payload)
 
+    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("field_name", ["gamma", "beta", "alpha", "risk_value",
+                                            "learning_rate", "step", "train_episodes"])
+    def test_bad_scalar_field_named(self, tmp_path, field_name, value):
+        payload = self.saved_payload(tmp_path)
+        payload[field_name] = value
+        with pytest.raises(LearnerError, match=f"corrupt model file: field '{field_name}' "
+                                               f"must be an? (integer|number), got {value!r}"):
+            self.load_payload(tmp_path, payload)
+
+    def test_fractional_step_rejected(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        payload["step"] = 2.5
+        with pytest.raises(LearnerError, match="field 'step' must be an integer, got 2.5"):
+            self.load_payload(tmp_path, payload)
+
     @pytest.mark.parametrize("state", ["h", "c"])
     def test_misshapen_carry_names_port(self, tmp_path, state):
         payload = self.saved_payload(tmp_path)

@@ -27,10 +27,10 @@ from ramals import (
 import ramals.learner as learner
 from ramals.mdp import rational_allocation, state_matrix
 from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
-                              audit_outcomes, comparison_csv)
+                              audit_outcomes, comparison_csv, outcomes_jsonl)
 
-from helpers import make_session, site_for, spaced_av_batch
-from oracles import direct_loads, quadratic_feed_check
+from helpers import JSON_NUMBERS, JSON_TEXT, make_session, site_for, spaced_av_batch
+from oracles import direct_loads, outcomes_json_dumps, quadratic_feed_check
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -284,6 +284,22 @@ class TestOutcomeReward:
         batch, site = self.scenario()
         outcomes, _ = execute(None, batch, site)
         self.check(outcomes, batch, 0.0)
+
+
+class TestOutcomesJsonl:
+    def test_matches_json_dumps_on_policy_run(self):
+        batch, site = TestOutcomeReward().scenario()
+        model, _ = train(batch, site, TrainConfig(episodes=2, seed=2, hidden=8),
+                         risk_value=0.15)
+        outcomes, _ = execute(model, batch, site)
+        assert outcomes_jsonl(outcomes) == outcomes_json_dumps(outcomes)
+
+    @given(outcomes=st.lists(st.builds(
+        ScheduleOutcome, JSON_TEXT, JSON_TEXT, st.booleans(), st.booleans(),
+        *[JSON_NUMBERS] * 9), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, outcomes):
+        assert outcomes_jsonl(outcomes) == outcomes_json_dumps(outcomes)
 
 
 class TestAudit:

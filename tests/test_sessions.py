@@ -1,7 +1,7 @@
 """Session model, parsing, synthetic generation and the rate/ratio formulas."""
 
 import json
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -24,8 +24,9 @@ from ramals import (
     time_ratio,
 )
 
-from helpers import T0, make_session
+from helpers import JSON_NUMBERS, JSON_TEXT, T0, make_session
 from oracles import _parse_timestamp as strptime_parse
+from oracles import session_json_bytes
 
 
 class TestChargingSession:
@@ -205,6 +206,40 @@ class TestSessionBatch:
                                 T0 - timedelta(hours=1), T0 - timedelta(hours=1), 1.0)
         batch = SessionBatch([late, early])
         assert [s.session_id for s in batch.group("A")] == ["early", "late"]
+
+    def test_year_999_roundtrip(self):
+        """A year before 1000 is written padded to four digits, the only form
+        the parser reads."""
+        batch = SessionBatch([make_session(start=datetime(999, 1, 5, 6, 0))])
+        text = batch.to_json_bytes()
+        assert b'"connectionTime": "0999-01-05T06:00"' in text
+        assert parse_sessions(text) == batch
+
+
+@st.composite
+def json_stress_batches(draw):
+    """Sessions whose ids, energies and timestamps stress the writer: years
+    1000-9999, one time zone or none for the whole batch, seconds and
+    microseconds that the writer drops."""
+    tz = draw(st.sampled_from([None, timezone.utc, timezone(-timedelta(hours=3, minutes=30))]))
+    non_negative = JSON_NUMBERS.filter(lambda v: not v < 0)
+    positive = JSON_NUMBERS.filter(lambda v: not v <= 0)
+    sessions = []
+    for _ in range(draw(st.integers(0, 4))):
+        plug_in = draw(st.datetimes(datetime(1000, 1, 1), datetime(9999, 12, 1))).replace(tzinfo=tz)
+        charge_end = plug_in + timedelta(seconds=draw(st.integers(0, 10**6)))
+        unplug = charge_end + timedelta(seconds=draw(st.integers(0, 10**6)))
+        sessions.append(ChargingSession(
+            draw(JSON_TEXT), draw(st.sampled_from(["EVSE-1", 'E"\\2'])),
+            draw(st.sampled_from(VehicleClass)), draw(non_negative), draw(positive),
+            plug_in, charge_end, unplug, draw(non_negative), draw(positive)))
+    return SessionBatch(sessions)
+
+
+@given(batch=json_stress_batches())
+@settings(max_examples=150, deadline=None)
+def test_writer_matches_json_dumps(batch):
+    assert batch.to_json_bytes() == session_json_bytes(batch)
 
 
 class TestGenerateSynthetic:
