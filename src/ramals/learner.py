@@ -4,14 +4,15 @@ One gated recurrent cell feeds a two-way softmax policy head and a scalar
 value head.  Every port runs its own agent over its own session sequence; a
 coordinator holds the shared parameters, one flat vector laid out by
 :func:`param_shapes`, and applies each agent's (norm-clipped) flat gradient
-through Adam in a fixed port order.  Within an episode
-every agent runs on one copy of the parameters taken at the episode's start,
-so its forward and backward passes run all ports as one batch, zero-padded to
-(P, T, 6) and masked by each port's length.  Execution steps the same cell one
-decision at a time (:func:`policy_value_forward`) on rows of an input
-projection computed once per port, as the batched pass hoists it too.  All
-forward and backward math is explicit numpy so the gradients can be checked
-against central finite differences.
+through Adam in a fixed port order.  Within an episode every agent runs on
+one copy of the parameters taken at the episode's start, so its forward and
+backward passes run all ports as one batch, zero-padded to (P, T, 6) and
+masked by each port's length.  Execution steps the same cell
+(:func:`policy_value_forward`) for every port awaiting a decision at once, as
+one stack of rows: a port's step reads only its own carry and the row of its
+head session in an input projection computed once per port, as the batched
+pass hoists it too.  All forward and backward math is explicit numpy so the
+gradients can be checked against central finite differences.
 
 Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
 decision inputs the execution engine reads too; the one-step
@@ -96,23 +97,26 @@ def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.nda
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
     # the array methods skip np.max's and np.sum's Python-level dispatch,
-    # which costs more than the reduction on one decision's two logits
+    # which costs more than the reduction on a decision step's few logits
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def policy_value_forward(params: dict, z_row: np.ndarray, carry: tuple):
-    """Single decision step: (P(schedule), value, new carry).
+def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
+    """One decision step for a stack of k independent rows: (P(schedule),
+    value, new carry), the first two as (k,) arrays and the carry as a pair of
+    (k, H) arrays.
 
-    ``z_row`` is the session's row of its port's input projection
-    ``states @ wx.T + b``, computed once per port; it is left unchanged.
+    Row j of ``z_rows`` is one session's row of its port's input projection
+    ``states @ wx.T + b``, computed once per port, and is stepped from row j
+    of the carry ``(h, c)``; ``z_rows`` is left unchanged.
     """
     h, c = carry
-    c, h = _cell_rows(params["wh"], z_row.copy(), h, c)
-    p_schedule = float(_softmax2(params["wp"] @ h + params["bp"])[0])
-    value = float(params["wv"][0] @ h) + float(params["bv"][0])
+    c, h = _cell_rows(params["wh"], np.array(z_rows, dtype=float), h, c)
+    p_schedule = _softmax2(h @ params["wp"].T + params["bp"])[:, 0]
+    value = h @ params["wv"][0] + params["bv"][0]
     # both probabilities are finite or neither is
-    if not (math.isfinite(p_schedule) and math.isfinite(value)):
+    if not (np.all(np.isfinite(p_schedule)) and np.all(np.isfinite(value))):
         raise LearnerError("non-finite policy or value output")
     return p_schedule, value, (h, c)
 
@@ -383,7 +387,8 @@ class SharedModel:
 
     ``hidden`` is read off the coordinator's tensors.  ``load`` checks each
     tensor block against :func:`param_shapes` at the file's ``hidden`` and each
-    carry against ``(hidden,)``, naming the tensor or port that disagrees.
+    carry against ``(hidden,)``, naming the tensor or port that disagrees,
+    and rejects a ``risk_value`` outside [0, 1), as ``train`` does.
     """
 
     gamma: float
@@ -480,11 +485,15 @@ class SharedModel:
             except (KeyError, TypeError, ValueError) as exc:
                 raise LearnerError(f"corrupt model file: bad carry for {evse!r}, expected "
                                    f"h and c of {hidden} floats") from exc
+        risk_value = _number(payload, "risk_value")
+        if not 0.0 <= risk_value < 1.0:  # as train requires
+            raise LearnerError(f"corrupt model file: field 'risk_value' must lie in "
+                               f"[0, 1), got {risk_value!r}")
         return cls(
             gamma=_number(payload, "gamma"),
             beta=_number(payload, "beta"),
             alpha=_number(payload, "alpha"),
-            risk_value=_number(payload, "risk_value"),
+            risk_value=risk_value,
             coordinator=coordinator,
             carries=carries,
             train_episodes=_number(payload, "train_episodes", int, default=0),

@@ -1,16 +1,18 @@
 """Policy execution over session streams, baselines and evaluation metrics.
 
 The engine replays a batch against a site on a global clock in minutes.
-Each port owns an FCFS queue; when a port is free it presents its head
-session to the decision rule, which either starts charging (blocking the
+Each port owns an FCFS queue and waits on a heap keyed by its next decision
+time.  A port is presented when it is queued: presenting voids the sessions
+whose charging can no longer start inside their availability window and
+exposes the head, so every waiting port's next head is known.  When a port
+is popped, the decision rule either starts its head charging (blocking the
 port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  Starting a session must not push the site's
 simultaneous delivery above the utility feed; a port that would breach it
-defers one step.  Presenting voids the sessions whose charging can no longer
-start inside their availability window.  Decisions run in time order across
-ports: a port whose head arrives later than its turn waits for that arrival.
-The rule and the reward read each port's :class:`ramals.mdp.PortSessions`,
-the same decision inputs training reads.
+defers one step.  Decisions run in time order across ports: a port whose
+head arrives later than its turn waits for that arrival.  The rule and the
+reward read each port's :class:`ramals.mdp.PortSessions`, the same decision
+inputs training reads.
 """
 
 from __future__ import annotations
@@ -122,31 +124,53 @@ class MetricsReport:
 class _PolicyRule:
     """Argmax policy pick, then the demand-supply ordering check.
 
-    Every port's input projection ``states @ wx.T + b`` and carry are set up
-    when the rule is built; each decision then steps the cell on one row.
-    The projections share one array: at fleet size they take tens of MB, and
-    as one allocation they are returned whole when the replay ends, where
-    per-port blocks could stay resident, pinned in the heap, after it.
+    Each port is its own agent: its next decision reads only its own carry
+    and its head session, which the engine presents when it queues the port.
+    So a decision on a port whose cached step was consumed steps the cell for
+    every port that still has a head and no unconsumed step, as one stack of
+    rows, and caches each one's P(schedule) and the head it was taken for.
+
+    Every port's input projection ``states @ wx.T + b`` is set up when the
+    rule is built, in one array: at fleet size it takes tens of MB, and as
+    one allocation it is returned whole when the replay ends, where per-port
+    blocks could stay resident, pinned in the heap, after it.
     """
 
-    def __init__(self, model: learner.SharedModel, ports):
-        ports = list(ports)
+    def __init__(self, model: learner.SharedModel, queues: dict[str, mdp.EvseQueue]):
         self.params = params = model.coordinator.params
-        z = np.empty((sum(len(port.sessions) for port in ports), params["wx"].shape[0]))
-        self._rows, self._carries, start = {}, {}, 0
-        for port in ports:
-            rows = z[start:start + len(port.sessions)]
-            np.matmul(mdp.state_matrix(port.sessions), params["wx"].T, out=rows)
+        self._index = {evse_id: p for p, evse_id in enumerate(queues)}
+        self._queues = list(queues.values())
+        self._lengths = np.array([len(queue.sessions) for queue in self._queues], dtype=int)
+        self._offsets = np.cumsum(self._lengths) - self._lengths
+        self._z = np.empty((self._lengths.sum(), params["wx"].shape[0]))
+        for queue, start in zip(self._queues, self._offsets):
+            rows = self._z[start:start + len(queue.sessions)]
+            np.matmul(mdp.state_matrix(queue.sessions), params["wx"].T, out=rows)
             rows += params["b"]
-            self._rows[port.evse_id] = rows
-            self._carries[port.evse_id] = model.carry_for(port.evse_id)
-            start += len(port.sessions)
+        self._h = np.zeros((len(queues), model.hidden))
+        self._c = np.zeros_like(self._h)
+        for p, evse_id in enumerate(queues):
+            self._h[p], self._c[p] = model.carry_for(evse_id)
+        self._p_schedule = np.zeros(len(queues))
+        self._stepped = np.full(len(queues), -1)  # head of each cached step; -1 once consumed
+
+    def _step(self) -> None:
+        heads = np.array([queue.position for queue in self._queues], dtype=int)
+        due = np.flatnonzero((self._stepped < 0) & (heads < self._lengths))
+        p_schedule, _value, (h, c) = learner.policy_value_forward(
+            self.params, self._z[self._offsets[due] + heads[due]], (self._h[due], self._c[due]))
+        self._p_schedule[due], self._h[due], self._c[due] = p_schedule, h, c
+        self._stepped[due] = heads[due]
 
     def decide(self, port: mdp.PortSessions, i: int) -> int:
-        evse_id = port.evse_id
-        p_schedule, _value, self._carries[evse_id] = learner.policy_value_forward(
-            self.params, self._rows[evse_id][i], self._carries[evse_id])
-        schedule_now = 1 if p_schedule >= 0.5 else 0  # a tie schedules
+        p = self._index[port.evse_id]
+        if self._stepped[p] < 0:
+            self._step()
+        if self._stepped[p] != i:
+            raise SchedulerError(f"EVSE {port.evse_id!r}: decision on session {i}, but its "
+                                 f"policy step was taken for head {self._stepped[p]}")
+        self._stepped[p] = -1
+        schedule_now = 1 if self._p_schedule[p] >= 0.5 else 0  # a tie schedules
         return 1 if port.ordering_holds(i, schedule_now) else 0
 
 
@@ -217,26 +241,34 @@ class ScheduleEngine:
             reward=reward,
         ))
 
+    def _push(self, heap: list, evse_id: str) -> None:
+        """Queue a port at its clock, then present its head, so every waiting
+        port's next head is known before it is popped.  Presenting may void
+        heads; they are recorded when the port is popped."""
+        queue = self.queues[evse_id]
+        heapq.heappush(heap, (queue.clock, evse_id))
+        queue.present()
+
     def run(self) -> list[ScheduleOutcome]:
         # Min-heap of (next decision time, evse_id); port order breaks ties,
         # which keeps runs deterministic.
         heap = []
         for evse_id, queue in self.queues.items():
             if queue.head() is not None:
-                heapq.heappush(heap, (queue.clock, evse_id))
+                self._push(heap, evse_id)
         while heap:
             when, evse_id = heapq.heappop(heap)
             queue, port = self.queues[evse_id], self.ports[evse_id]
-            head = queue.present()
             for event in queue.voided:
                 self._record(evse_id, event, 0.0)  # heads voided as expired
             queue.voided.clear()
+            head = queue.head()
             if head is None:
                 continue
             if queue.clock > when:
-                # present() moved the clock up to the head's arrival: decide
+                # presenting moved the clock up to the head's arrival: decide
                 # there, after every port whose decision comes earlier.
-                heapq.heappush(heap, (queue.clock, evse_id))
+                self._push(heap, evse_id)
                 continue
             i = queue.position
             if self.rule.decide(port, i) == 1:
@@ -246,7 +278,7 @@ class ScheduleEngine:
                     log.debug("EVSE %r deferred session %r: site load %.1f kW full",
                               evse_id, head.session_id, load)
                     queue.clock += self.step_minutes
-                    heapq.heappush(heap, (queue.clock, evse_id))
+                    self._push(heap, evse_id)
                     continue
                 event = queue.transition(1, allocation)
                 self._record(evse_id, event, port.reward(i, 1, self.risk_value))
@@ -255,7 +287,7 @@ class ScheduleEngine:
             else:
                 queue.transition(0)
             if queue.head() is not None:
-                heapq.heappush(heap, (queue.clock, evse_id))
+                self._push(heap, evse_id)
         return self.outcomes
 
 
@@ -293,8 +325,8 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
     engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=mdp.rational_allocation,
                             step_minutes=step_minutes,
                             risk_value=0.0 if model is None else model.risk_value)
-    if model is not None:  # the policy rule projects the ports the engine built
-        engine.rule = _PolicyRule(model, engine.ports.values())
+    if model is not None:  # the policy rule projects the queues the engine built
+        engine.rule = _PolicyRule(model, engine.queues)
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -246,13 +247,19 @@ def _lookup(record: dict, key: str):
     return None
 
 
+# The numeric fields parse_sessions reads, in the order it checks them.
+_FINITE_FIELDS = ("kWhRequested", "minutesAvailable", "kWhDelivered", "receivingCapacityKW")
+
+
 def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     """Parse a JSON array of session records into a batch.
 
     Records that violate the timestamp ordering, miss a mandatory field,
-    carry negative energies or repeat an earlier record's ``sessionID`` are
-    rejected by raising :class:`SessionError` naming the offending record;
-    nothing is dropped silently.
+    carry negative energies, hold a non-finite ``kWhRequested``,
+    ``minutesAvailable``, ``kWhDelivered`` or ``receivingCapacityKW``, or
+    repeat an earlier record's ``sessionID`` are rejected by raising
+    :class:`SessionError` naming the offending record; nothing is dropped
+    silently.
     """
     try:
         payload = json.loads(json_bytes)
@@ -292,19 +299,30 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
                     f"session {session_id!r}: vehicleClass must be CV or AV") from exc
 
         receiving = _lookup(record, "receivingCapacityKW")
+        requested = float(values["kWhRequested"])
+        available = float(values["minutesAvailable"])
+        delivered = float(values["kWhDelivered"])
+        capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None else float(receiving)
+        if not (isfinite(requested) and isfinite(available) and isfinite(delivered)
+                and isfinite(capacity)):
+            key, number = next(
+                (key, number) for key, number in zip(
+                    _FINITE_FIELDS, (requested, available, delivered, capacity))
+                if not isfinite(number))
+            raise SessionError(f"session {session_id!r}: field {key!r} must be finite, "
+                               f"got {number!r}")
         session = ChargingSession(
             session_id=str(session_id),
             evse_id=str(values["evseID"]),
             vehicle_class=vehicle_class,
-            energy_requested_kwh=float(values["kWhRequested"]),
-            minutes_available=float(values["minutesAvailable"]),
+            energy_requested_kwh=requested,
+            minutes_available=available,
             plug_in_time=_parse_timestamp(values["connectionTime"], "connectionTime", session_id),
             charge_end_time=_parse_timestamp(values["doneChargingTime"], "doneChargingTime",
                                              session_id),
             unplug_time=_parse_timestamp(values["disconnectTime"], "disconnectTime", session_id),
-            energy_delivered_kwh=float(values["kWhDelivered"]),
-            receiving_capacity_kw=(DEFAULT_RECEIVING_CAPACITY_KW if receiving is None
-                                   else float(receiving)),
+            energy_delivered_kwh=delivered,
+            receiving_capacity_kw=capacity,
         )
         sessions.append(session)
     return SessionBatch(sessions)

@@ -2,11 +2,11 @@
 
 Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
-parameter tensor at a time for Adam and the gradient norm, every pair of
-intervals for the feed-capacity audit, one session at a time for the
-state, ``strptime`` over four formats for timestamps, ``json.dumps`` over
-record dicts for the session file and the outcome lines, and the risk API
-that only tests used.
+single-row cell step per decision for the policy rule, one parameter tensor
+at a time for Adam and the gradient norm, every pair of intervals for the
+feed-capacity audit, one session at a time for the state, ``strptime`` over
+four formats for timestamps, ``json.dumps`` over record dicts for the
+session file and the outcome lines, and the risk API that only tests used.
 """
 
 import json
@@ -16,8 +16,10 @@ from datetime import datetime
 
 import numpy as np
 
+import ramals.learner as learner
+from ramals import mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
-                            PARAM_KEYS, _entropy_rows, hidden_size)
+                            PARAM_KEYS, LearnerError, _entropy_rows, hidden_size)
 from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH, _minutes_since_midnight
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
@@ -146,6 +148,50 @@ def cell_step(params, x, h_prev, c_prev):
     tanh_c = np.tanh(c)
     h = go * tanh_c
     return h, c, (x, h_prev, c_prev, gi, gf, gc, go, tanh_c)
+
+
+def policy_value_step(params: dict, z_row: np.ndarray, carry: tuple):
+    """Single decision step: (P(schedule), value, new carry).
+
+    ``z_row`` is the session's row of its port's input projection
+    ``states @ wx.T + b``, computed once per port; it is left unchanged.
+    """
+    h, c = carry
+    c, h = learner._cell_rows(params["wh"], z_row.copy(), h, c)
+    p_schedule = float(learner._softmax2(params["wp"] @ h + params["bp"])[0])
+    value = float(params["wv"][0] @ h) + float(params["bv"][0])
+    # both probabilities are finite or neither is
+    if not (math.isfinite(p_schedule) and math.isfinite(value)):
+        raise LearnerError("non-finite policy or value output")
+    return p_schedule, value, (h, c)
+
+
+class PerDecisionRule:
+    """Argmax policy pick, then the demand-supply ordering check.
+
+    Every port's input projection ``states @ wx.T + b`` and carry are set up
+    when the rule is built; each decision then steps the cell on one row.
+    """
+
+    def __init__(self, model: learner.SharedModel, ports):
+        ports = list(ports)
+        self.params = params = model.coordinator.params
+        z = np.empty((sum(len(port.sessions) for port in ports), params["wx"].shape[0]))
+        self._rows, self._carries, start = {}, {}, 0
+        for port in ports:
+            rows = z[start:start + len(port.sessions)]
+            np.matmul(mdp.state_matrix(port.sessions), params["wx"].T, out=rows)
+            rows += params["b"]
+            self._rows[port.evse_id] = rows
+            self._carries[port.evse_id] = model.carry_for(port.evse_id)
+            start += len(port.sessions)
+
+    def decide(self, port: mdp.PortSessions, i: int) -> int:
+        evse_id = port.evse_id
+        p_schedule, _value, self._carries[evse_id] = policy_value_step(
+            self.params, self._rows[evse_id][i], self._carries[evse_id])
+        schedule_now = 1 if p_schedule >= 0.5 else 0  # a tie schedules
+        return 1 if port.ordering_holds(i, schedule_now) else 0
 
 
 @dataclass

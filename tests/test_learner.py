@@ -166,9 +166,9 @@ def projection(params, states):
     return np.atleast_2d(states) @ params["wx"].T + params["b"]
 
 
-def zero_carry(params):
+def zero_carry(params, k=1):
     hidden = learner.hidden_size(params)
-    return np.zeros(hidden), np.zeros(hidden)
+    return np.zeros((k, hidden)), np.zeros((k, hidden))
 
 
 class TestPolicyValueForward:
@@ -178,53 +178,63 @@ class TestPolicyValueForward:
         params["bp"][:] = 0.0
         params["wv"][:] = 0.0
         params["bv"][:] = 0.0
+        states = np.random.default_rng(4).uniform(0, 1, (3, 6))
         p_schedule, value, _ = policy_value_forward(
-            params, projection(params, np.full(6, 0.3))[0], zero_carry(params))
-        assert p_schedule == pytest.approx(0.5)
-        assert value == 0.0
+            params, projection(params, states), zero_carry(params, 3))
+        assert p_schedule.shape == value.shape == (3,)
+        assert p_schedule == pytest.approx(np.full(3, 0.5))
+        assert np.array_equal(value, np.zeros(3))
 
     def test_probabilities_sum_to_one_many_parameterizations(self):
         rng = np.random.default_rng(5)
-        for _ in range(500):
+        for k in range(1, 101):
             params = init_params(4, rng)
-            z_row = projection(params, rng.uniform(0, 1, 6))[0]
-            p_schedule, _, _ = policy_value_forward(params, z_row, zero_carry(params))
-            assert isinstance(p_schedule, float) and 0.0 <= p_schedule <= 1.0
-            logits = params["wp"] @ learner._cell_rows(params["wh"], z_row.copy(),
-                                                       *zero_carry(params))[1]
-            assert p_schedule == pytest.approx(
-                1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
+            z_rows = projection(params, rng.uniform(0, 1, (k % 7 + 1, 6)))
+            carry = tuple(rng.uniform(-1, 1, (len(z_rows), 4)) for _ in range(2))
+            p_schedule, _, _ = policy_value_forward(params, z_rows, carry)
+            assert np.all((0.0 <= p_schedule) & (p_schedule <= 1.0))
+            for j, z_row in enumerate(z_rows):
+                h = learner._cell_rows(params["wh"], z_row.copy(), carry[0][j],
+                                       carry[1][j])[1]
+                logits = params["wp"] @ h + params["bp"]
+                assert p_schedule[j] == pytest.approx(
+                    1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
 
     def test_value_head_separate_from_policy_head(self):
         params = random_params(6, 6)
-        z_row = projection(params, np.full(6, 0.4))[0]
-        _, value_before, _ = policy_value_forward(params, z_row, zero_carry(params))
+        z_rows = projection(params, np.random.default_rng(6).uniform(0, 1, (4, 6)))
+        _, value_before, _ = policy_value_forward(params, z_rows, zero_carry(params, 4))
         params["wp"] += 0.5
-        _, value_after, _ = policy_value_forward(params, z_row, zero_carry(params))
-        assert value_before == value_after
+        _, value_after, _ = policy_value_forward(params, z_rows, zero_carry(params, 4))
+        assert np.array_equal(value_before, value_after)
 
     def test_steps_match_episode_forward(self):
-        """Execution steps the same cell that training runs over whole episodes."""
+        """Execution steps the same cell that training runs over whole
+        episodes: each stack holds the ports that still have a step."""
         params = random_params(6, 7, scale=0.8)
-        states = np.random.default_rng(8).uniform(0, 1, (5, 6))
-        forward = forward_episode(params, states[None], np.array([5]))
-        z = projection(params, states)
+        rng = np.random.default_rng(8)
+        sequences = [rng.uniform(0, 1, (n, 6)) for n in (5, 2, 4)]
+        states, lengths = padded(sequences)
+        forward = forward_episode(params, states, lengths)
+        z = projection(params, states.reshape(-1, 6)).reshape(len(lengths), -1, 24)
         cached = z.copy()
-        carry = zero_carry(params)
-        for t in range(len(states)):
-            p_schedule, value, carry = policy_value_forward(params, z[t], carry)
-            assert p_schedule == pytest.approx(forward.probs[0, t, 0], rel=1e-12)
-            assert value == pytest.approx(forward.values[0, t], rel=1e-12)
-            assert np.allclose(carry[0], forward.hiddens[0, t + 1], rtol=1e-12, atol=0)
-        assert np.allclose(carry[1], forward.final_carry[1][0], rtol=1e-12, atol=0)
+        h, c = zero_carry(params, len(lengths))
+        for t in range(lengths.max()):
+            due = np.flatnonzero(lengths > t)
+            p_schedule, value, (h[due], c[due]) = policy_value_forward(
+                params, z[due, t], (h[due], c[due]))
+            assert p_schedule == pytest.approx(forward.probs[due, t, 0], rel=1e-12)
+            assert value == pytest.approx(forward.values[due, t], rel=1e-12)
+            assert np.allclose(h[due], forward.hiddens[due, t + 1], rtol=1e-12, atol=0)
+        assert np.allclose(c, forward.final_carry[1], rtol=1e-12, atol=0)
         assert np.array_equal(z, cached)  # the cached projection is only read
 
     def test_non_finite_output_rejected(self):
         params = random_params(4, 9)
         params["bv"][0] = np.inf
         with pytest.raises(LearnerError, match="non-finite"):
-            policy_value_forward(params, projection(params, np.full(6, 0.5))[0],
-                                 zero_carry(params))
+            policy_value_forward(params, projection(params, np.full((2, 6), 0.5)),
+                                 zero_carry(params, 2))
 
 
 class TestLosses:
@@ -720,6 +730,14 @@ class TestSerialization:
         payload[field_name] = value
         with pytest.raises(LearnerError, match=f"corrupt model file: field '{field_name}' "
                                                f"must be an? (integer|number), got {value!r}"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("value", [3.0, -0.1, 1.0])
+    def test_risk_value_outside_unit_interval_rejected(self, tmp_path, value):
+        payload = self.saved_payload(tmp_path)
+        payload["risk_value"] = value
+        with pytest.raises(LearnerError, match=rf"corrupt model file: field 'risk_value' must "
+                                               rf"lie in \[0, 1\), got {value!r}"):
             self.load_payload(tmp_path, payload)
 
     def test_fractional_step_rejected(self, tmp_path):

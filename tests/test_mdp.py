@@ -17,7 +17,6 @@ from ramals import (
     generate_synthetic,
     ordering_holds,
     ordering_ratio,
-    port_sessions,
     session_reward,
     state_matrix,
 )
@@ -33,9 +32,9 @@ from ramals.mdp import (
     as_requested_allocation,
     rational_allocation,
 )
-from ramals.scheduler import _PolicyRule
+from ramals.scheduler import ScheduleEngine, _ForcedRule, _PolicyRule
 
-from helpers import T0, make_av_session, make_session
+from helpers import T0, make_av_session, make_session, site_for
 from oracles import state_vector
 
 
@@ -62,10 +61,10 @@ def head_probability(bp, hidden=4):
     params = init_params(hidden, np.random.default_rng(0))
     params["wp"][:] = 0.0
     params["bp"][:] = bp
-    carry = (np.zeros(hidden), np.zeros(hidden))
+    carry = (np.zeros((1, hidden)), np.zeros((1, hidden)))
     p_schedule, _value, _carry = policy_value_forward(
-        params, head_projection(params, np.full(6, 0.5)), carry)
-    return p_schedule
+        params, head_projection(params, np.full(6, 0.5))[None], carry)
+    return p_schedule[0]
 
 
 def tiny_model(hidden=4):
@@ -86,10 +85,10 @@ class TestActionDistribution:
             state = rng.uniform(0.0, 1.0, 6)
             forward = forward_episode(params, state[None, None], np.array([1]))
             assert forward.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
-            carry = (np.zeros(4), np.zeros(4))
-            p_schedule, _, _ = policy_value_forward(params, head_projection(params, state),
-                                                    carry)
-            assert p_schedule == pytest.approx(forward.probs[0, 0, 0], rel=1e-12)
+            carry = (np.zeros((1, 4)), np.zeros((1, 4)))
+            p_schedule, _, _ = policy_value_forward(
+                params, head_projection(params, state)[None], carry)
+            assert p_schedule[0] == pytest.approx(forward.probs[0, 0, 0], rel=1e-12)
 
     def test_non_negative(self):
         for bp in ([800.0, 0.0], [0.0, 800.0], [-800.0, 800.0], [1e-300, 0.0]):
@@ -107,11 +106,13 @@ class TestSchedulingIndicator:
         batch = SessionBatch([make_session(requested=10.0, delivered=8.0, sid="a"),
                               make_session(requested=10.0, delivered=5.0, sid="b",
                                            start=T0 + timedelta(hours=2))])
-        (port,) = port_sessions(batch)
+        engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
+        (port,) = engine.ports.values()
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
             monkeypatch.setattr(learner, "policy_value_forward",
-                                lambda params, z_row, carry, p=p_schedule: (p, 0.0, carry))
-            assert _PolicyRule(tiny_model(), [port]).decide(port, 0) == pick
+                                lambda params, z_rows, carry, p=p_schedule:
+                                (np.full(len(z_rows), p), np.zeros(len(z_rows)), carry))
+            assert _PolicyRule(tiny_model(), engine.queues).decide(port, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),

@@ -1,5 +1,7 @@
 """Execution engine, baseline, metrics and comparison tables."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ramals import (
     fcfs_as_requested_baseline,
     generate_synthetic,
     ordering_holds,
+    port_sessions,
     rate_ratio,
     session_reward,
     time_ratio,
@@ -30,7 +33,8 @@ from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _Pol
                               audit_outcomes, comparison_csv, outcomes_jsonl)
 
 from helpers import JSON_NUMBERS, JSON_TEXT, make_session, site_for, spaced_av_batch
-from oracles import direct_loads, outcomes_json_dumps, quadratic_feed_check
+from oracles import (PerDecisionRule, direct_loads, outcomes_json_dumps,
+                     quadratic_feed_check)
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -138,30 +142,54 @@ class TestExecute:
 
     def test_one_policy_step_per_decision(self, monkeypatch):
         batch = generate_synthetic(
-            GeneratorConfig(n_sessions=40, cv_fraction=0.5, n_evses=2,
+            GeneratorConfig(n_sessions=60, cv_fraction=0.5, n_evses=3,
                             mean_gap_minutes=90), seed=3)
-        site = site_for(batch, dso_kw=60.0)  # some starts wait for the feed
+        # a 20 kW feed defers most starts, and voids some heads it deferred
+        site = site_for(batch, dso_kw=20.0)
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=1, hidden=8),
                          risk_value=0.05)
         params = model.coordinator.params
+        session_of = {}  # each session's projection row -> (port, index)
+        for port in port_sessions(batch):
+            rows = state_matrix(port.sessions) @ params["wx"].T + params["b"]
+            session_of.update({row.tobytes(): (port.evse_id, i) for i, row in enumerate(rows)})
+        assert len(session_of) == len(batch)
         step, decide = learner.policy_value_forward, _PolicyRule.decide
-        steps, decisions = [], []
+        stack_sizes, stepped, decided = [], defaultdict(list), defaultdict(list)
 
-        def counting_step(params, z_row, carry):
-            steps.append(z_row.copy())
-            return step(params, z_row, carry)
+        def counting_step(params, z_rows, carry):
+            stack_sizes.append(len(z_rows))
+            for row in z_rows:
+                evse_id, i = session_of[row.tobytes()]
+                stepped[evse_id].append(i)
+            return step(params, z_rows, carry)
 
         def counting_decide(rule, port, i):
-            decisions.append((port, i))
+            decided[port.evse_id].append(i)
             return decide(rule, port, i)
 
         monkeypatch.setattr(learner, "policy_value_forward", counting_step)
         monkeypatch.setattr(_PolicyRule, "decide", counting_decide)
         outcomes, _ = execute(model, batch, site)
-        assert len(steps) == len(decisions) > sum(o.scheduled for o in outcomes) > 0
-        for z_row, (port, i) in zip(steps, decisions):
-            rows = state_matrix(port.sessions) @ params["wx"].T + params["b"]
-            assert np.array_equal(z_row, rows[i])
+        # each decision consumes one stepped row, its own session's, in the
+        # port's decision order, and no row is stepped that is not consumed
+        assert stepped == decided
+        assert sum(stack_sizes) > sum(o.scheduled for o in outcomes) > 0
+        assert len(stack_sizes) < sum(stack_sizes)  # some steps stack several ports
+
+    def test_decide_rejects_head_moved_after_its_step(self):
+        batch = generate_synthetic(GeneratorConfig(n_sessions=12, n_evses=2), seed=3)
+        site = site_for(batch)
+        model, _ = train(batch, site, TrainConfig(episodes=1, seed=1, hidden=4),
+                         risk_value=0.0)
+        engine = ScheduleEngine(batch, site, _ForcedRule())
+        rule = _PolicyRule(model, engine.queues)
+        first, second = engine.ports.values()
+        rule.decide(first, 0)  # steps both ports, each at its first head
+        engine.queues[second.evse_id].position = 1
+        with pytest.raises(SchedulerError, match=f"{second.evse_id!r}: decision on session 1, "
+                                                 "but its policy step was taken for head 0"):
+            rule.decide(second, 1)
 
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW
@@ -384,6 +412,25 @@ def test_replays_keep_feed_conservation_and_determinism(n_evses, feed, gap, seed
         outcomes, report = replay(batch, site)  # audits conservation, caps and feed
         assert all(o.scheduled != o.voided for o in outcomes)
         assert replay(batch, site) == (outcomes, report)
+
+
+# 1-8 ports under 20-400 kW feeds: a 20 kW feed defers most starts, and a
+# deferred head is often voided when its port is queued again.
+@settings(max_examples=40, deadline=None)
+@given(n_sessions=st.integers(1, 80), n_evses=st.integers(1, 8),
+       feed=st.floats(20.0, 400.0), gap=st.floats(10.0, 400.0),
+       hidden=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_policy_run_matches_per_decision_oracle(n_sessions, n_evses, feed, gap, hidden,
+                                                seed):
+    batch = generate_synthetic(GeneratorConfig(n_sessions=n_sessions, n_evses=n_evses,
+                                               mean_gap_minutes=gap), seed=seed)
+    site = site_for(batch, dso_kw=feed, switching_minutes=5.0)
+    model, _ = train(batch, site, TrainConfig(episodes=2, seed=seed, hidden=hidden),
+                     risk_value=0.05)
+    outcomes, _ = execute(model, batch, site)
+    oracle = ScheduleEngine(batch, site, _ForcedRule(), risk_value=model.risk_value)
+    oracle.rule = PerDecisionRule(model, oracle.ports.values())
+    assert outcomes == oracle.run()
 
 
 class TestCompare:

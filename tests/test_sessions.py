@@ -112,6 +112,16 @@ class TestParseSessions:
         again = parse_sessions(batch.to_json_bytes())
         assert again == batch
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["kWhRequested", "kWhDelivered", "minutesAvailable",
+                                     "receivingCapacityKW"])
+    def test_non_finite_number_rejected_with_name(self, key, value):
+        text = json.dumps([self.record(sessionID="r0"), self.record(**{key: 1.0})])
+        text = text.replace(f'"{key}": 1.0', f'"{key}": {value}')
+        with pytest.raises(SessionError, match=f"session 'r1': field '{key}' must be finite, "
+                                               f"got {float(value)!r}"):
+            parse_sessions(text)
+
     def test_duplicate_session_id_names_both_records(self):
         records = [self.record(sessionID=f"r{i}", evseID=f"EVSE-{i % 2}")
                    for i in range(6)]
