@@ -41,7 +41,7 @@ from . import learner, risk, scheduler, sessions
 
 log = logging.getLogger(__name__)
 
-_STAGE_KEYS = {"gen": 0, "train": 1, "run": 2}
+_STAGE_KEYS = {"gen": 0, "train": 1}
 
 DEFAULTS = {
     "site_id": "site",
@@ -153,7 +153,6 @@ def train_config_from(cfg: dict, seed: int, episodes: int | None = None) -> lear
         learning_rate=cfg["learning_rate"],
         gamma=cfg["gamma"],
         beta=cfg["beta"],
-        alpha=cfg["alpha"],
         hidden=int(cfg["hidden"]),
         seed=seed,
         clip_threshold=cfg["clip_threshold"],

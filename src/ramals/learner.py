@@ -37,8 +37,7 @@ log = logging.getLogger(__name__)
 STATE_DIM = mdp.STATE_DIM
 PARAM_KEYS = ("wx", "wh", "b", "wp", "bp", "wv", "bv")
 LOG_PROB_FLOOR = 1e-12
-MODEL_FORMAT = "ramals-model-v2"
-READABLE_FORMATS = (MODEL_FORMAT, "ramals-model-v1")
+MODEL_FORMAT = "ramals-model-v3"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -54,7 +53,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def param_shapes(hidden: int) -> dict[str, tuple]:
     """Shape of each parameter tensor, in ``PARAM_KEYS`` order: the layout of
-    the coordinator's flat vectors and of a model file's tensor blocks."""
+    the coordinator's flat vectors and of a model file's."""
     return {"wx": (4 * hidden, STATE_DIM), "wh": (4 * hidden, hidden), "b": (4 * hidden,),
             "wp": (2, hidden), "bp": (2,), "wv": (1, hidden), "bv": (1,)}
 
@@ -308,15 +307,14 @@ class Coordinator:
     ``flat``, ``m`` and ``v``, laid out by :func:`param_shapes`.  ``params``
     maps each key to a view into ``flat``, which is only updated in place."""
 
-    def __init__(self, params: dict, learning_rate: float = 0.001):
+    def __init__(self, params: dict):
         self.flat = np.concatenate([np.ravel(params[key]) for key in PARAM_KEYS], dtype=float)
         self.params = _views(self.flat, hidden_size(params))
-        self.learning_rate = learning_rate
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.step = 0
 
-    def apply_update(self, delta: np.ndarray) -> None:
+    def apply_update(self, delta: np.ndarray, learning_rate: float) -> None:
         """One Adam descent step on the shared parameters using the flat
         ``delta`` as the gradient."""
         self.step += 1
@@ -326,7 +324,7 @@ class Coordinator:
         self.v += (1.0 - ADAM_BETA2) * delta * delta
         m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
         v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
-        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def sync_copy(self) -> dict:
         """The parameters as views into a copy of ``flat``."""
@@ -339,7 +337,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     gamma: float = 0.9
     beta: float = 0.05
-    alpha: float = 0.99
     hidden: int = 64
     seed: int = 0
     clip_threshold: float = 40.0
@@ -370,30 +367,25 @@ class EpisodeLog:
 class SharedModel:
     """Serializable container for the trained system.
 
-    Every port decides with the coordinator's parameters.  A ``ramals-model-v2``
-    file is one JSON object holding:
+    Every port decides with the coordinator's parameters.  A ``ramals-model-v3``
+    file is one JSON object holding only what ``execute`` or a resumed
+    ``train`` reads:
 
-    - ``format``, ``hidden``, ``gamma``, ``beta``, ``alpha``, ``risk_value``
-      and ``train_episodes``
-    - the coordinator's ``learning_rate``, Adam ``step``, parameters
-      (``coordinator``) and Adam moments (``adam_m``, ``adam_v``), each tensor
-      stored as ``{"shape": [...], "data": [...]}``
+    - ``format``, ``hidden``, ``risk_value``, the Adam ``step`` and
+      ``train_episodes``
+    - the coordinator's parameters (``coordinator``) and Adam moments
+      (``adam_m``, ``adam_v``), each one flat list laid out by
+      :func:`param_shapes`
     - ``carries``: the recurrent carry ``{"h": [...], "c": [...]}`` each port
       ended training with, keyed by EVSE id
 
-    ``ramals-model-v1`` files are read too.  Their ``agents`` block of
-    per-port parameter copies, which training always left equal to the
-    coordinator, is ignored.
-
-    ``hidden`` is read off the coordinator's tensors.  ``load`` checks each
-    tensor block against :func:`param_shapes` at the file's ``hidden`` and each
-    carry against ``(hidden,)``, naming the tensor or port that disagrees,
-    and rejects a ``risk_value`` outside [0, 1), as ``train`` does.
+    ``load`` checks each vector's length against :func:`param_shapes` at the
+    file's ``hidden`` and each carry against ``(hidden,)``, naming the vector
+    or port that disagrees, and rejects a ``risk_value`` outside [0, 1), as
+    ``train`` does.  A file of any other format, ``ramals-model-v1`` and
+    ``-v2`` included, is rejected with its format named.
     """
 
-    gamma: float
-    beta: float
-    alpha: float
     risk_value: float
     coordinator: Coordinator
     carries: dict[str, tuple]
@@ -410,23 +402,16 @@ class SharedModel:
         return np.zeros(self.hidden), np.zeros(self.hidden)
 
     def save(self, path) -> None:
-        def pack(vector):
-            return {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-                    for k, v in _views(vector, self.hidden).items()}
         payload = {
             "format": MODEL_FORMAT,
             "hidden": self.hidden,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "alpha": self.alpha,
             "risk_value": self.risk_value,
-            "learning_rate": self.coordinator.learning_rate,
             "step": self.coordinator.step,
             "train_episodes": self.train_episodes,
-            "coordinator": pack(self.coordinator.flat),
-            "adam_m": pack(self.coordinator.m),
-            "adam_v": pack(self.coordinator.v),
-            "carries": {evse: {"h": [float(x) for x in h], "c": [float(x) for x in c]}
+            "coordinator": self.coordinator.flat.tolist(),
+            "adam_m": self.coordinator.m.tolist(),
+            "adam_v": self.coordinator.v.tolist(),
+            "carries": {evse: {"h": h.tolist(), "c": c.tolist()}
                         for evse, (h, c) in sorted(self.carries.items())},
         }
         with open(path, "w") as fh:
@@ -440,42 +425,32 @@ class SharedModel:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LearnerError(f"corrupt model file: {exc}") from exc
-
-        def unpack(blob, context, views):
-            if not isinstance(blob, dict):
-                raise LearnerError(f"corrupt model file: {context} is not an object")
-            for key, view in views.items():
-                if key not in blob:
-                    raise LearnerError(f"corrupt model file: missing tensor "
-                                       f"{context}.{key}")
-                entry = blob[key]
-                try:
-                    arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise LearnerError(f"corrupt model file: bad tensor "
-                                       f"{context}.{key}") from exc
-                if arr.shape != view.shape:
-                    raise LearnerError(f"corrupt model file: tensor {context}.{key} has "
-                                       f"shape {arr.shape}, expected {view.shape}")
-                view[...] = arr
-
-        for field_name in ("format", "hidden", "gamma", "beta", "alpha", "risk_value",
-                           "learning_rate", "step", "coordinator", "adam_m", "adam_v",
-                           "carries"):
+        if not isinstance(payload, dict):
+            raise LearnerError("corrupt model file: not a JSON object")
+        if payload.get("format", MODEL_FORMAT) != MODEL_FORMAT:  # a missing one is named below
+            raise LearnerError(f"unreadable model file: format {payload['format']!r}, "
+                               f"this version reads {MODEL_FORMAT!r} only")
+        for field_name in ("format", "hidden", "risk_value", "step", "train_episodes",
+                           "coordinator", "adam_m", "adam_v", "carries"):
             if field_name not in payload:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
-        if payload["format"] not in READABLE_FORMATS:
-            raise LearnerError(f"corrupt model file: unknown format {payload['format']!r}")
         hidden = payload["hidden"]
         if not isinstance(hidden, int) or hidden <= 0:
             raise LearnerError(f"corrupt model file: bad hidden width {hidden!r}")
         if not isinstance(payload["carries"], dict):
             raise LearnerError("corrupt model file: carries is not an object")
-        zeros = {key: np.zeros(shape) for key, shape in param_shapes(hidden).items()}
-        coordinator = Coordinator(zeros, learning_rate=_number(payload, "learning_rate"))
+        coordinator = Coordinator({key: np.zeros(shape)
+                                   for key, shape in param_shapes(hidden).items()})
         for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
                              ("adam_v", coordinator.v)):
-            unpack(payload[name], name, _views(vector, hidden))
+            try:
+                values = np.array(payload[name], dtype=float)
+            except (TypeError, ValueError):
+                values = None
+            if values is None or values.shape != vector.shape:
+                raise LearnerError(f"corrupt model file: {name} must be a list of "
+                                   f"{vector.size} numbers at hidden width {hidden}")
+            vector[...] = values
         coordinator.step = _number(payload, "step", int)
         carries = {}
         for evse, blob in payload["carries"].items():
@@ -489,22 +464,15 @@ class SharedModel:
         if not 0.0 <= risk_value < 1.0:  # as train requires
             raise LearnerError(f"corrupt model file: field 'risk_value' must lie in "
                                f"[0, 1), got {risk_value!r}")
-        return cls(
-            gamma=_number(payload, "gamma"),
-            beta=_number(payload, "beta"),
-            alpha=_number(payload, "alpha"),
-            risk_value=risk_value,
-            coordinator=coordinator,
-            carries=carries,
-            train_episodes=_number(payload, "train_episodes", int, default=0),
-        )
+        return cls(risk_value=risk_value, coordinator=coordinator, carries=carries,
+                   train_episodes=_number(payload, "train_episodes", int))
 
 
-def _number(payload: dict, field_name: str, kind=float, default=None):
+def _number(payload: dict, field_name: str, kind=float):
     """A model file's scalar field as ``kind``, from a JSON number (for
     ``int``, a JSON integer); a :class:`LearnerError` names the field
     otherwise."""
-    value = payload.get(field_name, default)
+    value = payload[field_name]
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise LearnerError(f"corrupt model file: field {field_name!r} must be "
                            f"{'an integer' if kind is int else 'a number'}, got {value!r}")
@@ -527,8 +495,10 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     agent in an episode runs on one copy of the coordinator's parameters
     taken when the episode starts, so one batched forward and backward pass
     covers all ports; action draws, clipping and Adam go port by port.
-    Resuming from ``initial_model`` keeps its parameters, Adam state and
-    carries; ``config``'s learning rate, gamma and beta replace the model's.
+    Resuming from ``initial_model`` continues its parameters, Adam moments,
+    Adam step and episode count; the learning rate, gamma, beta and clip
+    threshold always come from ``config``, and the saved carries are those
+    this run's last episode ends with.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -548,10 +518,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         if initial_model.hidden != config.hidden:
             raise LearnerError("resume model hidden width does not match config")
         coordinator = initial_model.coordinator
-        coordinator.learning_rate = config.learning_rate
     else:
-        coordinator = Coordinator(init_params(config.hidden, rng),
-                                  learning_rate=config.learning_rate)
+        coordinator = Coordinator(init_params(config.hidden, rng))
     lengths = np.array([len(port.sessions) for port in ports])
     states = np.zeros((len(ports), lengths.max(), STATE_DIM))
     for p, port in enumerate(ports):
@@ -575,22 +543,16 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
             ep_reward += float(np.sum(rewards))
         ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
         for grads in backward(params, forward, ep_batch):
-            coordinator.apply_update(clipped_delta(grads, config.clip_threshold))
+            coordinator.apply_update(clipped_delta(grads, config.clip_threshold),
+                                     config.learning_rate)
         v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 
     final_h, final_c = forward.final_carry
     carries = {port.evse_id: (final_h[p], final_c[p]) for p, port in enumerate(ports)}
-    model = SharedModel(
-        gamma=config.gamma,
-        beta=config.beta,
-        alpha=config.alpha,
-        risk_value=float(risk_value),
-        coordinator=coordinator,
-        carries=carries,
-        train_episodes=start_episode + config.episodes,
-    )
+    model = SharedModel(risk_value=float(risk_value), coordinator=coordinator,
+                        carries=carries, train_episodes=start_episode + config.episodes)
     return model, logs
 
 

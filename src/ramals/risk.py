@@ -37,6 +37,9 @@ SCALE_BOUNDS = (1e-6, 1e6)
 CDF_ABS_TOL = 1e-10
 #: Sample standard deviation below which a sample set is treated as constant.
 DEGENERATE_STD = 1e-9
+#: Fewest samples a student-t fit takes, and fewest in an empirical tail.
+MIN_FIT_SAMPLES = 8
+MIN_TAIL_SAMPLES = 10
 
 
 class RiskError(ValueError):
@@ -119,7 +122,7 @@ def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> fl
     return float(d.size * log_norm - (dof + 1.0) / 2.0 * np.sum(np.log1p(z * z / dof)))
 
 
-def fit_student_t(samples, min_samples: int = 8) -> StudentTFit:
+def fit_student_t(samples) -> StudentTFit:
     """Maximum-likelihood student-t fit via a derivative-free simplex.
 
     Starts from moment estimates (sample mean, sample stddev, dof = count-1),
@@ -130,8 +133,8 @@ def fit_student_t(samples, min_samples: int = 8) -> StudentTFit:
     from scipy import optimize
 
     d = np.asarray(samples, dtype=float)
-    if d.size < min_samples:
-        raise RiskError(f"student-t fit needs at least {min_samples} samples, got {d.size}")
+    if d.size < MIN_FIT_SAMPLES:
+        raise RiskError(f"student-t fit needs at least {MIN_FIT_SAMPLES} samples, got {d.size}")
     std = float(np.std(d))
     if std < DEGENERATE_STD:
         raise RiskError("student-t fit is degenerate: samples are constant")
@@ -252,14 +255,14 @@ def upper_tail_cvar(fit: StudentTFit, alpha: float, xi_upper: float) -> float:
     return negated_lower + 2.0 * fit.location
 
 
-def cvar_empirical(samples, alpha: float, min_tail: int = 10) -> float:
+def cvar_empirical(samples, alpha: float) -> float:
     """Mean of the worst (1 - alpha) fraction of the samples."""
     if not 0.0 < alpha < 1.0:
         raise RiskError("alpha must lie strictly inside (0, 1)")
     d = np.sort(np.asarray(samples, dtype=float))
     k = int(round(d.size * (1.0 - alpha)))
-    if k < min_tail:
-        raise RiskError(f"tail holds {k} samples, need at least {min_tail}; "
+    if k < MIN_TAIL_SAMPLES:
+        raise RiskError(f"tail holds {k} samples, need at least {MIN_TAIL_SAMPLES}; "
                         "lower alpha or add sessions")
     return float(np.mean(d[-k:]))
 
@@ -292,8 +295,7 @@ def batch_reference_hours(batch: SessionBatch) -> float:
     return total_hours / max(len(batch.evse_ids), 1)
 
 
-def estimate_risk(batch: SessionBatch, alpha: float,
-                  min_tail: int = 10) -> RiskEstimate:
+def estimate_risk(batch: SessionBatch, alpha: float) -> RiskEstimate:
     """Full pipeline: laxity samples, fit, quantile, tail expectations."""
     d = laxity_samples(batch)
     reference = batch_reference_hours(batch)
@@ -329,6 +331,6 @@ def estimate_risk(batch: SessionBatch, alpha: float,
         var=var,
         cvar_paper=cvar_paper,
         cvar_standard=cvar_std,
-        cvar_empirical=cvar_empirical(d, alpha, min_tail=min_tail),
+        cvar_empirical=cvar_empirical(d, alpha),
         cvar_normalized=normalize_risk(cvar_std, reference),
     )

@@ -62,16 +62,10 @@ class MetricsReport:
     assignment_efficiency_pct: float
     sessions_served: int
     sessions_total: int
+    total_active_hours: float  # the per-EVSE figures summed in site order
+    total_energy_kwh: float
     active_hours_by_evse: dict[str, float]
     energy_kwh_by_evse: dict[str, float]
-
-    @property
-    def total_active_hours(self) -> float:
-        return sum(self.active_hours_by_evse.values())
-
-    @property
-    def total_energy_kwh(self) -> float:
-        return sum(self.energy_kwh_by_evse.values())
 
     def scalar_metrics(self) -> dict[str, float]:
         return {
@@ -117,6 +111,8 @@ class MetricsReport:
                    assignment_efficiency_pct=site["assignment_efficiency_pct"],
                    sessions_served=served,
                    sessions_total=total,
+                   total_active_hours=site["active_charging_hours"],
+                   total_energy_kwh=site["energy_delivered_kwh"],
                    active_hours_by_evse=hours,
                    energy_kwh_by_evse=energy)
 
@@ -310,6 +306,8 @@ def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
         assignment_efficiency_pct=efficiency,
         sessions_served=len(served),
         sessions_total=len(outcomes),
+        total_active_hours=sum(hours.values()),
+        total_energy_kwh=sum(energy.values()),
         active_hours_by_evse=hours,
         energy_kwh_by_evse=energy,
     )

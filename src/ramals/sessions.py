@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from sys import float_info
 
 import numpy as np
 
@@ -247,19 +248,30 @@ def _lookup(record: dict, key: str):
     return None
 
 
-# The numeric fields parse_sessions reads, in the order it checks them.
-_FINITE_FIELDS = ("kWhRequested", "minutesAvailable", "kWhDelivered", "receivingCapacityKW")
+def _finite(value, key: str, session_id) -> float:
+    """A record's numeric field as a float: it must be a finite JSON number
+    (a bool or a numeric string is not); a :class:`SessionError` names the
+    session and the field otherwise."""
+    if type(value) is float:
+        if isfinite(value):
+            return value
+    elif type(value) is not int:
+        raise SessionError(f"session {session_id!r}: field {key!r} must be a number, "
+                           f"got {value!r}")
+    elif -float_info.max <= value <= float_info.max:  # float() overflows beyond
+        return float(value)
+    raise SessionError(f"session {session_id!r}: field {key!r} must be finite, got {value!r}")
 
 
 def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     """Parse a JSON array of session records into a batch.
 
     Records that violate the timestamp ordering, miss a mandatory field,
-    carry negative energies, hold a non-finite ``kWhRequested``,
-    ``minutesAvailable``, ``kWhDelivered`` or ``receivingCapacityKW``, or
-    repeat an earlier record's ``sessionID`` are rejected by raising
-    :class:`SessionError` naming the offending record; nothing is dropped
-    silently.
+    carry negative energies, hold anything but a finite JSON number in
+    ``kWhRequested``, ``minutesAvailable``, ``kWhDelivered`` or
+    ``receivingCapacityKW``, or repeat an earlier record's ``sessionID`` are
+    rejected by raising :class:`SessionError` naming the offending record;
+    nothing is dropped silently.
     """
     try:
         payload = json.loads(json_bytes)
@@ -299,18 +311,11 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
                     f"session {session_id!r}: vehicleClass must be CV or AV") from exc
 
         receiving = _lookup(record, "receivingCapacityKW")
-        requested = float(values["kWhRequested"])
-        available = float(values["minutesAvailable"])
-        delivered = float(values["kWhDelivered"])
-        capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None else float(receiving)
-        if not (isfinite(requested) and isfinite(available) and isfinite(delivered)
-                and isfinite(capacity)):
-            key, number = next(
-                (key, number) for key, number in zip(
-                    _FINITE_FIELDS, (requested, available, delivered, capacity))
-                if not isfinite(number))
-            raise SessionError(f"session {session_id!r}: field {key!r} must be finite, "
-                               f"got {number!r}")
+        requested = _finite(values["kWhRequested"], "kWhRequested", session_id)
+        available = _finite(values["minutesAvailable"], "minutesAvailable", session_id)
+        delivered = _finite(values["kWhDelivered"], "kWhDelivered", session_id)
+        capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None \
+            else _finite(receiving, "receivingCapacityKW", session_id)
         session = ChargingSession(
             session_id=str(session_id),
             evse_id=str(values["evseID"]),

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramals.cli import load_config, main, site_from_config, stage_seed
@@ -147,7 +148,7 @@ class TestPipeline:
     def test_corrupt_model_exits_with_field_name(self, workdir, capsys):
         sessions = self.generate(workdir)
         bad = workdir / "bad-model.json"
-        bad.write_text('{"format": "ramals-model-v1"}')
+        bad.write_text('{"format": "ramals-model-v3"}')
         code = run_cli("run", "--config", workdir / "run.cfg",
                        "--sessions", sessions, "--model", bad,
                        "--out", workdir / "o.jsonl")
@@ -155,16 +156,23 @@ class TestPipeline:
         assert "missing field" in capsys.readouterr().err
 
     def test_resume_takes_config_learning_rate(self, workdir):
+        """Adam moves each parameter by about the learning rate a step, so a
+        resume at 0.5 must move the parameters far more than one at the
+        0.001 the model was trained with."""
         sessions = self.generate(workdir)
         model = workdir / "model.json"
         run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
                 "--risk-off", "--out", model)
-        assert json.loads(model.read_text())["learning_rate"] == 0.001
         (workdir / "fast.cfg").write_text(CONFIG + "learning_rate = 0.5\n")
-        resumed = workdir / "resumed.json"
-        assert run_cli("train", "--config", workdir / "fast.cfg", "--sessions", sessions,
-                       "--risk-off", "--resume", model, "--out", resumed) == 0
-        assert json.loads(resumed.read_text())["learning_rate"] == 0.5
+        moved = {}
+        for cfg in ("run.cfg", "fast.cfg"):
+            resumed = workdir / f"resumed-{cfg}.json"
+            assert run_cli("train", "--config", workdir / cfg, "--sessions", sessions,
+                           "--risk-off", "--resume", model, "--out", resumed) == 0
+            moved[cfg] = np.max(np.abs(np.subtract(
+                json.loads(resumed.read_text())["coordinator"],
+                json.loads(model.read_text())["coordinator"])))
+        assert moved["fast.cfg"] > 100 * moved["run.cfg"]
 
     @pytest.mark.parametrize("value", [None, "x"])
     def test_bad_scalar_field_exits_with_its_name(self, workdir, capsys, value):
@@ -173,12 +181,13 @@ class TestPipeline:
         run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
                 "--risk-off", "--out", model)
         payload = json.loads(model.read_text())
-        payload["gamma"] = value
+        payload["risk_value"] = value
         model.write_text(json.dumps(payload))
         code = run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
                        "--model", model, "--out", workdir / "o.jsonl")
         assert code == 1
-        assert "corrupt model file: field 'gamma' must be a number" in capsys.readouterr().err
+        assert "corrupt model file: field 'risk_value' must be a number" \
+            in capsys.readouterr().err
 
     def test_resume_rejects_width_its_tensors_contradict(self, workdir, capsys):
         sessions = self.generate(workdir)
@@ -193,7 +202,7 @@ class TestPipeline:
         code = run_cli("train", "--config", workdir / "wide.cfg", "--sessions", sessions,
                        "--risk-off", "--resume", model, "--out", resumed)
         assert code == 1
-        assert "tensor coordinator.wx has shape (32, 6), expected (64, 6)" \
+        assert "coordinator must be a list of 1523 numbers at hidden width 16" \
             in capsys.readouterr().err
         assert not resumed.exists()
 

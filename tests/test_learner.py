@@ -1,6 +1,7 @@
 """Recurrent actor-critic: forward passes, losses, gradients, updates, training."""
 
 import copy
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -39,7 +40,7 @@ from ramals.learner import (
     total_loss,
     value_loss,
 )
-from ramals.scheduler import ScheduleEngine, _ForcedRule, execute
+from ramals.scheduler import ScheduleEngine, _ForcedRule, execute, outcomes_jsonl
 
 from helpers import T0, make_session, site_for
 from oracles import (
@@ -50,6 +51,12 @@ from oracles import (
     scalar_backward,
     scalar_forward,
 )
+
+
+# SHA-256 of the outcomes JSONL plus report CSV that tests/data/model-v2-hidden4.json
+# replayed to, on the seed-3 batch of test_stored_v3_file_resaves_and_replays,
+# while the v2 format was still read
+V2_FIXTURE_REPLAY_SHA256 = "de79751f531807b2795c22abdb2de016cec367eb51b6b0cc15ced8a65d45b164"
 
 
 def random_params(hidden=8, seed=0, scale=None):
@@ -433,27 +440,27 @@ class TestClippedDelta:
 
 class TestApplyUpdate:
     def test_zero_delta_keeps_parameters(self):
-        coordinator = Coordinator(random_params(4, 12), learning_rate=0.001)
+        coordinator = Coordinator(random_params(4, 12))
         before = coordinator.flat.copy()
-        coordinator.apply_update(np.zeros_like(before))
+        coordinator.apply_update(np.zeros_like(before), 0.001)
         agent = coordinator.sync_copy()
         assert np.array_equal(coordinator.flat, before)
         assert np.array_equal(flatten(agent), before)
         assert coordinator.step == 1
 
     def test_two_identical_deltas_descend(self):
-        coordinator = Coordinator(random_params(4, 13), learning_rate=0.001)
+        coordinator = Coordinator(random_params(4, 13))
         delta = np.full_like(coordinator.flat, 0.5)
         start = coordinator.flat.copy()
-        coordinator.apply_update(delta)
+        coordinator.apply_update(delta, 0.001)
         mid = coordinator.flat.copy()
-        coordinator.apply_update(delta)
+        coordinator.apply_update(delta, 0.001)
         assert np.all(mid < start)
         assert np.all(coordinator.flat < mid)
 
     def test_agent_equals_coordinator_after_sync(self):
         coordinator = Coordinator(random_params(4, 14))
-        coordinator.apply_update(np.full_like(coordinator.flat, 0.1))
+        coordinator.apply_update(np.full_like(coordinator.flat, 0.1), 0.001)
         agent = coordinator.sync_copy()
         for key in PARAM_KEYS:
             assert np.array_equal(agent[key], coordinator.params[key])
@@ -466,7 +473,7 @@ class TestFlatLayout:
     def test_matches_keyed_oracle_over_steps(self):
         rng = np.random.default_rng(15)
         params = random_params(5, 15)
-        coordinator = Coordinator(params, learning_rate=0.01)
+        coordinator = Coordinator(params)
         oracle = KeyedAdam(params, learning_rate=0.01)
         clipped = 0
         for _ in range(24):
@@ -476,7 +483,7 @@ class TestFlatLayout:
             delta = clipped_delta(grads, 40.0)
             assert_near(delta, flatten(keyed_clipped_delta(keyed, 40.0)), 1e-12)
             clipped += grad_norm(grads) > 40.0
-            coordinator.apply_update(delta)
+            coordinator.apply_update(delta, 0.01)
             oracle.apply_update(learner._views(delta, 5))
             assert np.array_equal(coordinator.flat, flatten(oracle.params))
             assert np.array_equal(coordinator.m, flatten(oracle.m))
@@ -486,7 +493,7 @@ class TestFlatLayout:
     def test_params_are_views_of_flat_and_sync_copy_is_not(self):
         coordinator = Coordinator(random_params(4, 16))
         for _ in range(3):
-            coordinator.apply_update(np.full_like(coordinator.flat, 0.2))
+            coordinator.apply_update(np.full_like(coordinator.flat, 0.2), 0.001)
         agent = coordinator.sync_copy()
         assert np.array_equal(flatten(coordinator.params), coordinator.flat)
         for key in PARAM_KEYS:
@@ -504,7 +511,7 @@ def small_scenario(seed=0, n_sessions=40, cv=0.7):
 class TestTrain:
     def test_deterministic_logs(self):
         batch, site = small_scenario()
-        config = TrainConfig(episodes=5, seed=3, hidden=8, alpha=0.9)
+        config = TrainConfig(episodes=5, seed=3, hidden=8)
         _, logs_a = train(batch, site, config, risk_value=0.05)
         _, logs_b = train(batch, site, config, risk_value=0.05)
         assert [(l.cumulative_reward, l.value_loss, l.policy_loss, l.entropy)
@@ -590,9 +597,17 @@ class TestSerialization:
         assert loaded.hidden == model.hidden
         assert loaded.risk_value == model.risk_value
         assert loaded.coordinator.step == model.coordinator.step
+        assert loaded.train_episodes == model.train_episodes
         for key in model.coordinator.params:
             assert np.array_equal(loaded.coordinator.params[key],
                                   model.coordinator.params[key])
+        for vector in ("m", "v"):
+            assert np.array_equal(getattr(loaded.coordinator, vector),
+                                  getattr(model.coordinator, vector))
+        assert sorted(loaded.carries) == sorted(model.carries)
+        for evse, (h, c) in model.carries.items():
+            assert np.array_equal(loaded.carries[evse][0], h)
+            assert np.array_equal(loaded.carries[evse][1], c)
 
     def test_resume_continues_step_counter(self, tmp_path):
         batch, site = small_scenario(seed=9)
@@ -609,71 +624,48 @@ class TestSerialization:
         assert more.train_episodes == episodes + 2
         assert logs[0].episode == episodes + 1
 
-    def test_v2_save_load_save_is_byte_identical(self, tmp_path):
+    def test_v3_save_load_save_is_byte_identical(self, tmp_path):
         batch, site = small_scenario(seed=8)
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
                          risk_value=0.2)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         model.save(first)
-        assert json.loads(first.read_text())["format"] == "ramals-model-v2"
-        assert "agents" not in json.loads(first.read_text())
+        payload = json.loads(first.read_text())
+        assert payload["format"] == "ramals-model-v3"
+        assert sorted(payload) == ["adam_m", "adam_v", "carries", "coordinator", "format",
+                                   "hidden", "risk_value", "step", "train_episodes"]
+        assert payload["coordinator"] == model.coordinator.flat.tolist()
         SharedModel.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_v1_payload_loads_ignoring_agents(self, tmp_path):
-        batch, site = small_scenario(seed=8)
-        model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
-                         risk_value=0.2)
-        v2_path, v1_path = tmp_path / "v2.json", tmp_path / "v1.json"
-        model.save(v2_path)
-        payload = json.loads(v2_path.read_text())
+    def test_v1_payload_rejected_naming_format(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
         payload["format"] = "ramals-model-v1"
         payload["agents"] = {evse: payload["coordinator"] for evse in payload["carries"]}
-        v1_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        loaded = SharedModel.load(v1_path)
-        for vector in ("flat", "m", "v"):
-            assert np.array_equal(getattr(loaded.coordinator, vector),
-                                  getattr(model.coordinator, vector))
-        assert loaded.coordinator.step == model.coordinator.step
-        assert loaded.coordinator.learning_rate == model.coordinator.learning_rate
-        assert sorted(loaded.carries) == sorted(model.carries)
-        for evse, (h, c) in model.carries.items():
-            assert np.array_equal(loaded.carries[evse][0], h)
-            assert np.array_equal(loaded.carries[evse][1], c)
-        assert loaded.train_episodes == model.train_episodes
-        resaved = tmp_path / "resaved.json"
-        loaded.save(resaved)
-        assert resaved.read_bytes() == v2_path.read_bytes()
+        with pytest.raises(LearnerError, match="unreadable model file: format "
+                                               "'ramals-model-v1', this version reads "
+                                               "'ramals-model-v3' only"):
+            self.load_payload(tmp_path, payload)
 
     def test_unknown_format_rejected(self, tmp_path):
-        batch, site = small_scenario(seed=8)
-        model, _ = train(batch, site, TrainConfig(episodes=1, seed=4, hidden=8),
-                         risk_value=0.2)
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text())
-        payload["format"] = "ramals-model-v3"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(LearnerError, match="unknown format"):
-            SharedModel.load(path)
+        payload = self.saved_payload(tmp_path)
+        payload["format"] = "ramals-model-v4"
+        with pytest.raises(LearnerError, match="unreadable model file: format "
+                                               "'ramals-model-v4'"):
+            self.load_payload(tmp_path, payload)
 
     def test_corrupt_model_names_field(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"format": "ramals-model-v1", "hidden": 8}')
+        path.write_text('{"format": "ramals-model-v3", "hidden": 8}')
         with pytest.raises(LearnerError, match="missing field"):
             SharedModel.load(path)
 
     def test_corrupt_tensor_named(self, tmp_path):
-        batch, site = small_scenario(seed=10)
-        model, _ = train(batch, site, TrainConfig(episodes=1, seed=4, hidden=8),
-                         risk_value=0.2)
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text())
-        del payload["coordinator"]["wx"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(LearnerError, match="coordinator.wx"):
-            SharedModel.load(path)
+        payload = self.saved_payload(tmp_path)
+        del payload["coordinator"][-1]
+        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be a "
+                                               "list of 507 numbers at hidden width 8"):
+            self.load_payload(tmp_path, payload)
 
     def saved_payload(self, tmp_path):
         batch, site = small_scenario(seed=10)
@@ -697,9 +689,9 @@ class TestSerialization:
 
     def test_misshapen_adam_moment_named(self, tmp_path):
         payload = self.saved_payload(tmp_path)
-        payload["adam_v"]["wh"] = {"shape": [8, 8], "data": [0.0] * 64}
-        with pytest.raises(LearnerError, match=r"corrupt model file: tensor adam_v.wh "
-                                               r"has shape \(8, 8\), expected \(32, 8\)"):
+        payload["adam_v"] = [payload["adam_v"]]
+        with pytest.raises(LearnerError, match="corrupt model file: adam_v must be a "
+                                               "list of 507 numbers at hidden width 8"):
             self.load_payload(tmp_path, payload)
 
     def test_non_object_carries_named(self, tmp_path):
@@ -711,8 +703,8 @@ class TestSerialization:
     def test_hidden_field_contradicted_by_tensors(self, tmp_path):
         payload = self.saved_payload(tmp_path)
         payload["hidden"] = 16
-        with pytest.raises(LearnerError, match=r"corrupt model file: tensor coordinator.wx "
-                                               r"has shape \(32, 6\), expected \(64, 6\)"):
+        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be a "
+                                               "list of 1523 numbers at hidden width 16"):
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("hidden", [0, "8"])
@@ -723,8 +715,7 @@ class TestSerialization:
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("value", ["x", None])
-    @pytest.mark.parametrize("field_name", ["gamma", "beta", "alpha", "risk_value",
-                                            "learning_rate", "step", "train_episodes"])
+    @pytest.mark.parametrize("field_name", ["risk_value", "step", "train_episodes"])
     def test_bad_scalar_field_named(self, tmp_path, field_name, value):
         payload = self.saved_payload(tmp_path)
         payload[field_name] = value
@@ -755,10 +746,17 @@ class TestSerialization:
                                                f"expected h and c of 8 floats"):
             self.load_payload(tmp_path, payload)
 
-    def test_stored_v2_file_resaves_and_replays(self, tmp_path):
-        """A hidden-4 file written by an earlier version of the package (seed-3
-        batch below, 3 episodes): it re-saves byte for byte and replays."""
-        source = Path(__file__).parent / "data" / "model-v2-hidden4.json"
+    def test_stored_v2_file_rejected_naming_format(self):
+        """A hidden-4 file in the previous format, which also stored gamma,
+        beta, alpha and the learning rate, and a shape with every tensor."""
+        with pytest.raises(LearnerError, match="unreadable model file: format "
+                                               "'ramals-model-v2'"):
+            SharedModel.load(Path(__file__).parent / "data" / "model-v2-hidden4.json")
+
+    def test_stored_v3_file_resaves_and_replays(self, tmp_path):
+        """The stored v2 file converted to v3 (seed-3 batch below, 3 episodes):
+        it re-saves byte for byte and replays to the outcomes the v2 file gave."""
+        source = Path(__file__).parent / "data" / "model-v3-hidden4.json"
         model = SharedModel.load(source)
         assert model.hidden == 4 and sorted(model.carries) == ["EVSE-1", "EVSE-2"]
         model.save(tmp_path / "resaved.json")
@@ -766,4 +764,5 @@ class TestSerialization:
         batch = generate_synthetic(GeneratorConfig(n_sessions=30, cv_fraction=0.5, n_evses=2,
                                                    mean_gap_minutes=250), seed=3)
         outcomes, report = execute(model, batch, site_for(batch))  # execute audits
-        assert len(outcomes) == len(batch) and report.sessions_served > 0
+        text = outcomes_jsonl(outcomes) + report.to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == V2_FIXTURE_REPLAY_SHA256

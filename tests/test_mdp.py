@@ -69,8 +69,7 @@ def head_probability(bp, hidden=4):
 
 def tiny_model(hidden=4):
     params = init_params(hidden, np.random.default_rng(1))
-    return SharedModel(gamma=0.9, beta=0.05, alpha=0.99, risk_value=0.0,
-                       coordinator=Coordinator(params), carries={})
+    return SharedModel(risk_value=0.0, coordinator=Coordinator(params), carries={})
 
 
 class TestActionDistribution:

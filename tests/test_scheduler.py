@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramals import (
+    EvseConfig,
     GeneratorConfig,
     MetricsReport,
     SchedulerError,
     SessionBatch,
+    SiteConfig,
     TrainConfig,
     compare_report,
     compute_metrics,
@@ -89,6 +91,19 @@ class TestComputeMetrics:
         assert again.charging_rate_kw == pytest.approx(report.charging_rate_kw)
         assert again.sessions_total == report.sessions_total
         assert again.active_hours_by_evse == report.active_hours_by_evse
+
+    def test_csv_roundtrip_exact_on_twelve_ports(self):
+        """The CSV lists ports sorted as text (EVSE-10 before EVSE-2); the site
+        totals read back must still equal the ones written, bit for bit."""
+        site = SiteConfig("site", 1000.0, tuple(EvseConfig(f"EVSE-{i}", 50.0)
+                                                for i in range(1, 13)))
+        rng = np.random.default_rng(4)
+        rows = [outcome(sid=f"s{i}", evse=f"EVSE-{i % 12 + 1}",
+                        energy=float(rng.uniform(1.0, 40.0)),
+                        minutes=float(rng.uniform(5.0, 300.0))) for i in range(60)]
+        report = compute_metrics(rows, site)
+        again = MetricsReport.from_csv(report.to_csv(), site_id=report.site_id)
+        assert again.scalar_metrics() == report.scalar_metrics()
 
 
 class TestExecute:
@@ -253,11 +268,11 @@ class TestRiskOffAblation:
     def test_zero_laxity_batch_matches_full(self):
         batch = spaced_av_batch(n=10, evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch)
-        config = TrainConfig(episodes=2, seed=2, hidden=8, alpha=0.9)
+        config = TrainConfig(episodes=2, seed=2, hidden=8)
         ablated = risk_off_report(batch, site, config)
         # zero-laxity: risk estimates to 0
         model, _ = train(batch, site, config,
-                         risk_value=estimate_risk(batch, config.alpha).cvar_normalized)
+                         risk_value=estimate_risk(batch, 0.9).cvar_normalized)
         _, full = execute(model, batch, site)
         assert ablated.scalar_metrics() == pytest.approx(full.scalar_metrics())
 
@@ -461,8 +476,8 @@ class TestCompare:
         a = self.make_report()
         b = MetricsReport(site_id="other", charging_rate_kw=1.0,
                           assignment_efficiency_pct=50.0, sessions_served=1,
-                          sessions_total=2, active_hours_by_evse={},
-                          energy_kwh_by_evse={})
+                          sessions_total=2, total_active_hours=0.0, total_energy_kwh=0.0,
+                          active_hours_by_evse={}, energy_kwh_by_evse={})
         with pytest.raises(SchedulerError, match="mismatched"):
             compare_report({"a": a, "b": b})
 

@@ -1,6 +1,7 @@
 """Session model, parsing, synthetic generation and the rate/ratio formulas."""
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -112,14 +113,24 @@ class TestParseSessions:
         again = parse_sessions(batch.to_json_bytes())
         assert again == batch
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                       pytest.param("1" + "0" * 400, id="int-1e400")])
     @pytest.mark.parametrize("key", ["kWhRequested", "kWhDelivered", "minutesAvailable",
                                      "receivingCapacityKW"])
     def test_non_finite_number_rejected_with_name(self, key, value):
         text = json.dumps([self.record(sessionID="r0"), self.record(**{key: 1.0})])
         text = text.replace(f'"{key}": 1.0', f'"{key}": {value}')
         with pytest.raises(SessionError, match=f"session 'r1': field '{key}' must be finite, "
-                                               f"got {float(value)!r}"):
+                                               f"got {json.loads(value)!r}"):
+            parse_sessions(text)
+
+    @pytest.mark.parametrize("value", ["abc", [1], "15", True])
+    @pytest.mark.parametrize("key", ["kWhRequested", "kWhDelivered", "minutesAvailable",
+                                     "receivingCapacityKW"])
+    def test_non_number_rejected_with_name(self, key, value):
+        text = json.dumps([self.record(sessionID="r0"), self.record(**{key: value})])
+        with pytest.raises(SessionError, match=re.escape(
+                f"session 'r1': field '{key}' must be a number, got {value!r}")):
             parse_sessions(text)
 
     def test_duplicate_session_id_names_both_records(self):
