@@ -10,11 +10,11 @@ from .sessions import (
     VehicleClass,
     delivery_rate_kw,
     demand_rate_kw,
-    energy_ratio,
+    energy_ratios,
     generate_synthetic,
     parse_sessions,
     rate_ratio,
-    time_ratio,
+    time_ratios,
 )
 from .risk import (
     RiskEstimate,
@@ -35,7 +35,6 @@ from .mdp import (
     MdpError,
     PortSessions,
     ordering_holds,
-    ordering_ratio,
     port_sessions,
     session_reward,
     state_matrix,

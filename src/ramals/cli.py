@@ -94,13 +94,13 @@ def load_config(path: str | None) -> dict:
             if key.startswith("evse."):
                 overrides[key] = value
             elif key in DEFAULTS:
-                default = DEFAULTS[key]
-                if isinstance(default, int):
-                    values[key] = int(value)
-                elif isinstance(default, float):
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                kind = type(DEFAULTS[key])
+                try:
+                    values[key] = kind(value)
+                except ValueError:
+                    raise CliError(f"{path}:{lineno}: key {key!r} needs "
+                                   f"{'an integer' if kind is int else 'a number'}, "
+                                   f"got {value!r}") from None
             else:
                 raise CliError(f"{path}:{lineno}: unknown key {key!r}")
     values["evse_overrides"] = overrides

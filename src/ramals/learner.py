@@ -22,6 +22,7 @@ parameters (no gradient flows through them).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -443,23 +444,15 @@ class SharedModel:
                                    for key, shape in param_shapes(hidden).items()})
         for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
                              ("adam_v", coordinator.v)):
-            try:
-                values = np.array(payload[name], dtype=float)
-            except (TypeError, ValueError):
-                values = None
-            if values is None or values.shape != vector.shape:
-                raise LearnerError(f"corrupt model file: {name} must be a list of "
+            vector[...] = _numbers(payload[name], vector.size, f"{name} must be a list of "
                                    f"{vector.size} numbers at hidden width {hidden}")
-            vector[...] = values
         coordinator.step = _number(payload, "step", int)
         carries = {}
         for evse, blob in payload["carries"].items():
-            try:
-                carries[evse] = tuple(np.array(blob[k], dtype=float).reshape(hidden)
-                                      for k in ("h", "c"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LearnerError(f"corrupt model file: bad carry for {evse!r}, expected "
-                                   f"h and c of {hidden} floats") from exc
+            carries[evse] = tuple(
+                _numbers(blob.get(k) if isinstance(blob, dict) else None, hidden,
+                         f"bad carry for {evse!r}, expected h and c of {hidden} floats")
+                for k in ("h", "c"))
         risk_value = _number(payload, "risk_value")
         if not 0.0 <= risk_value < 1.0:  # as train requires
             raise LearnerError(f"corrupt model file: field 'risk_value' must lie in "
@@ -477,6 +470,16 @@ def _number(payload: dict, field_name: str, kind=float):
         raise LearnerError(f"corrupt model file: field {field_name!r} must be "
                            f"{'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
+
+
+def _numbers(values, size: int, problem: str) -> np.ndarray:
+    """A model file's list of ``size`` JSON numbers as a float vector; a
+    :class:`LearnerError` states ``problem`` for anything else, a string or a
+    bool entry included."""
+    if isinstance(values, list) and len(values) == size and {*map(type, values)} <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            return np.array(values, dtype=float)
+    raise LearnerError(f"corrupt model file: {problem}")
 
 
 def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
@@ -520,10 +523,11 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         coordinator = initial_model.coordinator
     else:
         coordinator = Coordinator(init_params(config.hidden, rng))
-    lengths = np.array([len(port.sessions) for port in ports])
+    lengths = np.array([len(port.session_ids) for port in ports])
+    rows = mdp.state_matrix(batch)
     states = np.zeros((len(ports), lengths.max(), STATE_DIM))
-    for p, port in enumerate(ports):
-        states[p, :lengths[p]] = mdp.state_matrix(port.sessions)
+    for p, port_rows in enumerate(batch.slices):
+        states[p, :lengths[p]] = rows[port_rows]
 
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0

@@ -9,7 +9,8 @@ under the chosen action (:func:`ordering_holds`), and shrinks with the site's
 normalized tail risk.
 Training, the execution engine's reward and the policy's ordering override
 all read one :class:`PortSessions` per port, which counts a zero-energy
-session with energy ratio 0 (:func:`ordering_ratio`).
+session with energy ratio 0 and holds each session's fields as plain Python
+values, taken from the batch's columns once per port.
 
 :class:`EvseQueue` is one port's FCFS queue: :meth:`EvseQueue.present` voids
 expired heads into ``voided`` and exposes the head, and
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sessions import (ChargingSession, EvseConfig, SessionBatch, SessionError,
-                       energy_ratio, rate_ratio, time_ratio)
+from .sessions import (EvseConfig, SessionBatch, SessionError, energy_ratios, rate_ratio,
+                       time_ratios)
 
 log = logging.getLogger(__name__)
 
@@ -38,37 +39,21 @@ class MdpError(ValueError):
     """Raised for invalid decision inputs."""
 
 
-def _minutes_since_midnight(ts) -> float:
-    return ts.hour * 60.0 + ts.minute
-
-
-def state_matrix(sessions) -> np.ndarray:
-    """(n, 6) observations of ``sessions``, one row per queued session.
+def state_matrix(batch: SessionBatch) -> np.ndarray:
+    """(n, 6) observations of the batch's sessions, one row per session in
+    batch order.
 
     Component order: requested kWh, requested minutes, plug-in, charge-end and
     unplug clock times, delivered kWh.  Energies are scaled by 100 kWh,
     durations by 1440 minutes and timestamps by minutes-since-midnight over
     1440, clipped into [0, 1].
     """
-    raw = np.array([(s.energy_requested_kwh / ENERGY_NORM_KWH,
-                     s.minutes_available / DURATION_NORM_MIN,
-                     _minutes_since_midnight(s.plug_in_time) / DURATION_NORM_MIN,
-                     _minutes_since_midnight(s.charge_end_time) / DURATION_NORM_MIN,
-                     _minutes_since_midnight(s.unplug_time) / DURATION_NORM_MIN,
-                     s.energy_delivered_kwh / ENERGY_NORM_KWH)
-                    for s in sessions], dtype=float).reshape(-1, STATE_DIM)
+    raw = np.column_stack((batch.requested_kwh / ENERGY_NORM_KWH,
+                           batch.minutes_available / DURATION_NORM_MIN,
+                           *(stamps % 1440 / DURATION_NORM_MIN
+                             for stamps in (batch.plug_in, batch.charge_end, batch.unplug)),
+                           batch.delivered_kwh / ENERGY_NORM_KWH))
     return np.clip(raw, 0.0, 1.0)
-
-
-def ordering_ratio(session: ChargingSession) -> float:
-    """The session's energy ratio as the ordering check counts it: a session
-    that requests no energy counts with ratio 0."""
-    try:
-        return energy_ratio(session)
-    except SessionError:
-        log.warning("session %r: zero requested energy, demand-supply index forced to 0",
-                    session.session_id)
-        return 0.0
 
 
 def _index(upsilon: float, schedule_now: int) -> float:
@@ -108,17 +93,24 @@ def session_reward(rate_ratio_value: float, time_ratio_value: float, risk: float
 
 @dataclass(frozen=True)
 class PortSessions:
-    """One port's decision inputs; decision ``i`` is about ``sessions[i]``.
+    """One port's decision inputs; decision ``i`` is about its session ``i``.
 
-    ``upsilons`` holds each session's :func:`ordering_ratio`, then ``None``
-    for the last one's missing successor; ``rhos`` holds each time ratio and
-    ``zeta`` is the port's rate ratio.
+    Each per-session field is a list of plain Python values in FCFS order:
+    the ids, the four request and delivery figures and ``charge_minutes``,
+    the recorded charging time.  ``upsilons`` holds each session's energy
+    ratio, then ``None`` for the last one's missing successor; ``rhos`` holds
+    each time ratio and ``zeta`` is the port's rate ratio.
     """
 
     evse_id: str
-    sessions: tuple[ChargingSession, ...]
+    session_ids: list[str]
+    requested_kwh: list[float]
+    minutes_available: list[float]
+    delivered_kwh: list[float]
+    receiving_kw: list[float]
+    charge_minutes: list[float]
     upsilons: tuple[float | None, ...]
-    rhos: tuple[float, ...]
+    rhos: list[float]
     zeta: float
 
     def ordering_holds(self, i: int, schedule_now: int) -> bool:
@@ -132,20 +124,25 @@ class PortSessions:
 
 
 def port_sessions(batch: SessionBatch) -> list[PortSessions]:
-    """Each port's decision inputs, in the batch's port order.  A port whose
-    rate ratio is undefined gets ``zeta`` 0, so its sessions earn no reward."""
+    """Each port's decision inputs, in the batch's port order.  A session
+    that requests no energy counts with energy ratio 0, and a port whose rate
+    ratio is undefined gets ``zeta`` 0, so its sessions earn no reward."""
+    for i in np.flatnonzero(batch.requested_kwh <= 0).tolist():
+        log.warning("session %r: zero requested energy, demand-supply index forced to 0",
+                    batch.session_ids[i])
+    columns = (batch.requested_kwh, batch.minutes_available, batch.delivered_kwh,
+               batch.receiving_kw, (batch.charge_end - batch.plug_in).astype(float),
+               time_ratios(batch), energy_ratios(batch))
     ports = []
-    for evse_id in batch.evse_ids:
-        group = batch.group(evse_id)
+    for evse_id, rows in zip(batch.evse_ids, batch.slices):
         try:
-            zeta = rate_ratio(group)
+            zeta = rate_ratio(batch, rows)
         except SessionError:
-            log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0",
-                        evse_id)
+            log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0", evse_id)
             zeta = 0.0
-        ports.append(PortSessions(evse_id, group,
-                                  tuple(ordering_ratio(s) for s in group) + (None,),
-                                  tuple(time_ratio(s) for s in group), zeta))
+        *fields, rhos, upsilons = (column[rows].tolist() for column in columns)
+        ports.append(PortSessions(evse_id, batch.session_ids[rows], *fields,
+                                  (*upsilons, None), rhos, zeta))
     return ports
 
 
@@ -161,8 +158,17 @@ class Allocation:
     allocated_minutes: float
 
 
-def rational_allocation(session: ChargingSession, evse: EvseConfig) -> Allocation:
-    """Deliver the session's actual need, then free the port.
+def _rate(port: PortSessions, i: int, evse: EvseConfig) -> float:
+    """Session ``i``'s recorded delivery rate capped by the port supply and
+    the vehicle's receiving capacity; the cap when it recorded none."""
+    cap = min(evse.supply_capacity_kw, port.receiving_kw[i])
+    minutes = port.charge_minutes[i]
+    implied = port.delivered_kwh[i] / minutes * 60.0 if minutes > 0 else 0.0
+    return min(implied, cap) if implied > 0 else cap
+
+
+def rational_allocation(port: PortSessions, i: int, evse: EvseConfig) -> Allocation:
+    """Deliver session ``i``'s actual need, then free the port.
 
     The rate is the session's own recorded delivery rate capped by the port
     supply and the vehicle's receiving capacity; the granted window is the
@@ -171,50 +177,49 @@ def rational_allocation(session: ChargingSession, evse: EvseConfig) -> Allocatio
     overhead, which is where the idle-time saving over an as-requested
     allocation comes from.
     """
-    cap = min(evse.supply_capacity_kw, session.receiving_capacity_kw)
-    implied = session.implied_rate_kw
-    rate = min(implied, cap) if implied > 0 else cap
-    if session.energy_requested_kwh <= 0:
-        log.warning("session %r requests zero energy; served instantly",
-                    session.session_id)
+    rate = _rate(port, i, evse)
+    requested, available = port.requested_kwh[i], port.minutes_available[i]
+    if requested <= 0:
+        log.warning("session %r requests zero energy; served instantly", port.session_ids[i])
         return Allocation(0.0, rate, 0.0, evse.switching_minutes, 0.0,
                           evse.switching_minutes)
-    window = min(session.minutes_available, session.energy_requested_kwh / rate * 60.0)
-    energy = min(session.energy_delivered_kwh, rate * window / 60.0)
+    window = min(available, requested / rate * 60.0)
+    energy = min(port.delivered_kwh[i], rate * window / 60.0)
     charge_minutes = energy / rate * 60.0
     return Allocation(
         energy_kwh=energy,
         rate_kw=rate,
         charge_minutes=charge_minutes,
         occupy_minutes=charge_minutes + evse.switching_minutes,
-        allocated_energy_kwh=min(session.energy_requested_kwh, rate * window / 60.0),
+        allocated_energy_kwh=min(requested, rate * window / 60.0),
         allocated_minutes=window + evse.switching_minutes,
     )
 
 
-def as_requested_allocation(session: ChargingSession, evse: EvseConfig) -> Allocation:
-    """Grant the inflated request verbatim: the port stays blocked for the
-    whole requested window while the vehicle absorbs only its actual need."""
-    cap = min(evse.supply_capacity_kw, session.receiving_capacity_kw)
-    implied = session.implied_rate_kw
-    rate = min(implied, cap) if implied > 0 else cap
-    energy = min(session.energy_delivered_kwh, rate * session.minutes_available / 60.0)
+def as_requested_allocation(port: PortSessions, i: int, evse: EvseConfig) -> Allocation:
+    """Grant session ``i``'s inflated request verbatim: the port stays blocked
+    for the whole requested window while the vehicle absorbs only its actual
+    need."""
+    rate = _rate(port, i, evse)
+    available = port.minutes_available[i]
+    energy = min(port.delivered_kwh[i], rate * available / 60.0)
     charge_minutes = energy / rate * 60.0 if rate > 0 else 0.0
     return Allocation(
         energy_kwh=energy,
         rate_kw=rate,
         charge_minutes=charge_minutes,
-        occupy_minutes=max(session.minutes_available, charge_minutes),
-        allocated_energy_kwh=session.energy_requested_kwh,
-        allocated_minutes=session.minutes_available,
+        occupy_minutes=max(available, charge_minutes),
+        allocated_energy_kwh=port.requested_kwh[i],
+        allocated_minutes=available,
     )
 
 
 @dataclass
 class QueueEvent:
-    """What happened to the head session at one transition."""
+    """What happened to the head session, the port's session ``index``, at
+    one transition."""
 
-    session: ChargingSession
+    index: int
     kind: str                      # "scheduled" | "queued" | "voided"
     clock_minutes: float
     wait_minutes: float = 0.0
@@ -224,63 +229,66 @@ class QueueEvent:
 class EvseQueue:
     """FCFS queue for one port with a private clock in minutes.
 
-    :meth:`present` is the one place that voids heads whose charging can no
-    longer start inside their availability window, into ``voided``, and that
-    moves the clock up to the head's arrival.  :meth:`transition` then acts on
-    the presented head: scheduling pops it and realizes the caller's
-    allocation, queueing keeps it and advances the clock one step.  Sessions
-    are conserved: scheduled + queued + voided always equals the initial count.
+    ``arrivals`` holds each session's plug-in as minutes on the engine's
+    clock.  :meth:`present` is the one place that voids heads whose charging
+    can no longer start inside their availability window, into ``voided``,
+    and that moves the clock up to the head's arrival.  :meth:`transition`
+    then acts on the presented head: scheduling pops it and realizes the
+    caller's allocation, queueing keeps it and advances the clock one step.
+    Sessions are conserved: scheduled + queued + voided always equals the
+    initial count.
     """
 
-    def __init__(self, sessions, evse: EvseConfig, origin_minutes_fn,
+    def __init__(self, port: PortSessions, evse: EvseConfig, arrivals: list[float],
                  step_minutes: float = DEFAULT_STEP_MINUTES):
-        self.sessions = list(sessions)
-        self.arrivals = [origin_minutes_fn(s) for s in self.sessions]
+        self.port = port
+        self.arrivals = arrivals
         self.evse = evse
         self.step_minutes = step_minutes
+        self.size = len(arrivals)
         self.position = 0           # index of the head session
-        self.clock = self.arrivals[0] if self.sessions else 0.0
+        self.clock = arrivals[0] if arrivals else 0.0
         self.voided: list[QueueEvent] = []
 
-    def head(self) -> ChargingSession | None:
-        return self.sessions[self.position] if self.position < len(self.sessions) else None
+    def head(self) -> int | None:
+        """The head session's index in the port, or None once empty."""
+        return self.position if self.position < self.size else None
 
-    def present(self) -> ChargingSession | None:
+    def present(self) -> int | None:
         """Void heads whose availability window has expired, then return the
-        head, with the clock at or past its arrival; None once empty."""
+        head's index, with the clock at or past its arrival; None once empty."""
         # Once started, a session always runs to completion.
-        while self.position < len(self.sessions):
-            head, arrival = self.sessions[self.position], self.arrivals[self.position]
+        available = self.port.minutes_available
+        while self.position < self.size:
+            i = self.position
+            arrival = self.arrivals[i]
             self.clock = max(self.clock, arrival)
-            if self.clock <= arrival + head.minutes_available + 1e-9:
-                return head
+            if self.clock <= arrival + available[i] + 1e-9:
+                return i
             log.debug("session %r voided: availability window expired unserved",
-                      head.session_id)
-            self.voided.append(QueueEvent(head, "voided", self.clock,
+                      self.port.session_ids[i])
+            self.voided.append(QueueEvent(i, "voided", self.clock,
                                           wait_minutes=self.clock - arrival))
             self.position += 1
         return None
 
     def transition(self, schedule_now: int, allocation=None) -> QueueEvent:
         """Apply one decision to the presented head; returns its event."""
-        head = self.head()
-        if head is None:
+        i = self.head()
+        if i is None:
             raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
-        arrival = self.arrivals[self.position]
-        if not arrival <= self.clock <= arrival + head.minutes_available + 1e-9:
-            raise MdpError(f"session {head.session_id!r} is not presentable at "
+        arrival, session_id = self.arrivals[i], self.port.session_ids[i]
+        if not arrival <= self.clock <= arrival + self.port.minutes_available[i] + 1e-9:
+            raise MdpError(f"session {session_id!r} is not presentable at "
                            f"t={self.clock:.1f} min")
         if schedule_now == 1:
             if allocation is None:
-                raise MdpError(f"session {head.session_id!r}: scheduled without "
-                               "an allocation")
-            event = QueueEvent(head, "scheduled", self.clock,
-                               wait_minutes=self.clock - arrival,
+                raise MdpError(f"session {session_id!r}: scheduled without an allocation")
+            event = QueueEvent(i, "scheduled", self.clock, wait_minutes=self.clock - arrival,
                                allocation=allocation)
             self.position += 1
             self.clock += allocation.occupy_minutes
         else:
-            event = QueueEvent(head, "queued", self.clock,
-                               wait_minutes=self.clock - arrival)
+            event = QueueEvent(i, "queued", self.clock, wait_minutes=self.clock - arrival)
             self.clock += self.step_minutes
         return event

@@ -83,17 +83,15 @@ class RiskEstimate:
 def laxity_samples(batch: SessionBatch) -> np.ndarray:
     """One laxity observation per session, in hours and non-negative, with
     grouped rates computed per EVSE."""
-    samples = []
-    for evse_id in batch.evse_ids:
-        group = batch.group(evse_id)
-        lam_req = demand_rate_kw(group)
-        lam_act = delivery_rate_kw(group)
+    samples = np.empty(len(batch))
+    for evse_id, rows in zip(batch.evse_ids, batch.slices):
+        lam_req = demand_rate_kw(batch, rows)
+        lam_act = delivery_rate_kw(batch, rows)
         if lam_req <= 0 or lam_act <= 0:
             raise RiskError(f"EVSE {evse_id!r}: rates must be positive for laxity")
-        for s in group:
-            samples.append(abs(s.energy_requested_kwh / lam_req
-                               - s.energy_delivered_kwh / lam_act))
-    return np.array(samples, dtype=float)
+        samples[rows] = np.abs(batch.requested_kwh[rows] / lam_req
+                               - batch.delivered_kwh[rows] / lam_act)
+    return samples
 
 
 def student_t_pdf(d, dof: float, location: float, scale: float):
@@ -291,7 +289,7 @@ def batch_reference_hours(batch: SessionBatch) -> float:
     session duration instead saturates the clamp on heavily inflated batches
     and zeroes every reward downstream.
     """
-    total_hours = sum(s.minutes_available for s in batch) / 60.0
+    total_hours = sum(batch.minutes_available.tolist()) / 60.0  # the builtin, left to right
     return total_hours / max(len(batch.evse_ids), 1)
 
 

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import learner, mdp
-from .sessions import ChargingSession, SessionBatch, SiteConfig, json_number
+from .sessions import SessionBatch, SiteConfig, json_number
 
 log = logging.getLogger(__name__)
 
@@ -129,19 +129,21 @@ class _PolicyRule:
     Every port's input projection ``states @ wx.T + b`` is set up when the
     rule is built, in one array: at fleet size it takes tens of MB, and as
     one allocation it is returned whole when the replay ends, where per-port
-    blocks could stay resident, pinned in the heap, after it.
+    blocks could stay resident, pinned in the heap, after it.  ``states`` is
+    the batch's :func:`ramals.mdp.state_matrix`, whose ports are the queues'.
     """
 
-    def __init__(self, model: learner.SharedModel, queues: dict[str, mdp.EvseQueue]):
+    def __init__(self, model: learner.SharedModel, queues: dict[str, mdp.EvseQueue],
+                 states: np.ndarray):
         self.params = params = model.coordinator.params
         self._index = {evse_id: p for p, evse_id in enumerate(queues)}
         self._queues = list(queues.values())
-        self._lengths = np.array([len(queue.sessions) for queue in self._queues], dtype=int)
+        self._lengths = np.array([queue.size for queue in self._queues], dtype=int)
         self._offsets = np.cumsum(self._lengths) - self._lengths
         self._z = np.empty((self._lengths.sum(), params["wx"].shape[0]))
-        for queue, start in zip(self._queues, self._offsets):
-            rows = self._z[start:start + len(queue.sessions)]
-            np.matmul(mdp.state_matrix(queue.sessions), params["wx"].T, out=rows)
+        for start, stop in zip(self._offsets.tolist(), np.cumsum(self._lengths).tolist()):
+            rows = self._z[start:stop]
+            np.matmul(states[start:stop], params["wx"].T, out=rows)
             rows += params["b"]
         self._h = np.zeros((len(queues), model.hidden))
         self._c = np.zeros_like(self._h)
@@ -201,17 +203,14 @@ class ScheduleEngine:
         self.step_minutes = step_minutes
         self.risk_value = risk_value
 
-        self.origin = min((s.plug_in_time for s in batch), default=None)
         self.ports = {port.evse_id: port for port in mdp.port_sessions(batch)}
-        self.queues = {evse_id: mdp.EvseQueue(port.sessions, site.evse(evse_id),
-                                              self._arrival_minutes,
-                                              step_minutes=step_minutes)
-                       for evse_id, port in self.ports.items()}
+        # the clock's minute 0 is the batch's first plug-in
+        arrivals = (batch.plug_in - batch.plug_in.min()).astype(float) if len(batch) else None
+        self.queues = {evse_id: mdp.EvseQueue(port, site.evse(evse_id),
+                                              arrivals[rows].tolist(), step_minutes=step_minutes)
+                       for (evse_id, port), rows in zip(self.ports.items(), batch.slices)}
         self.outcomes: list[ScheduleOutcome] = []
         self._active: list[tuple[float, float]] = []  # (end minute, kW) of each start
-
-    def _arrival_minutes(self, session: ChargingSession) -> float:
-        return (session.plug_in_time - self.origin).total_seconds() / 60.0
 
     def _site_load(self, at_minutes: float) -> float:
         # Decisions run in time order, so an interval that has ended by now
@@ -219,11 +218,11 @@ class ScheduleEngine:
         self._active = [(end, kw) for end, kw in self._active if end > at_minutes + 1e-9]
         return sum(kw for _end, kw in self._active)
 
-    def _record(self, evse_id: str, event: mdp.QueueEvent, reward: float) -> None:
+    def _record(self, port: mdp.PortSessions, event: mdp.QueueEvent, reward: float) -> None:
         alloc = event.allocation
         self.outcomes.append(ScheduleOutcome(
-            session_id=event.session.session_id,
-            evse_id=evse_id,
+            session_id=port.session_ids[event.index],
+            evse_id=port.evse_id,
             scheduled=event.kind == "scheduled",
             voided=event.kind == "voided",
             start_minutes=event.clock_minutes,
@@ -256,28 +255,27 @@ class ScheduleEngine:
             when, evse_id = heapq.heappop(heap)
             queue, port = self.queues[evse_id], self.ports[evse_id]
             for event in queue.voided:
-                self._record(evse_id, event, 0.0)  # heads voided as expired
+                self._record(port, event, 0.0)  # heads voided as expired
             queue.voided.clear()
-            head = queue.head()
-            if head is None:
+            i = queue.head()
+            if i is None:
                 continue
             if queue.clock > when:
                 # presenting moved the clock up to the head's arrival: decide
                 # there, after every port whose decision comes earlier.
                 self._push(heap, evse_id)
                 continue
-            i = queue.position
             if self.rule.decide(port, i) == 1:
-                allocation = self.allocator(head, self.site.evse(evse_id))
+                allocation = self.allocator(port, i, queue.evse)
                 load = self._site_load(queue.clock)
                 if load + allocation.rate_kw > self.site.dso_capacity_kw + 1e-9:
                     log.debug("EVSE %r deferred session %r: site load %.1f kW full",
-                              evse_id, head.session_id, load)
+                              evse_id, port.session_ids[i], load)
                     queue.clock += self.step_minutes
                     self._push(heap, evse_id)
                     continue
                 event = queue.transition(1, allocation)
-                self._record(evse_id, event, port.reward(i, 1, self.risk_value))
+                self._record(port, event, port.reward(i, 1, self.risk_value))
                 self._active.append((event.clock_minutes + allocation.charge_minutes,
                                      allocation.rate_kw))
             else:
@@ -324,7 +322,7 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
                             step_minutes=step_minutes,
                             risk_value=0.0 if model is None else model.risk_value)
     if model is not None:  # the policy rule projects the queues the engine built
-        engine.rule = _PolicyRule(model, engine.queues)
+        engine.rule = _PolicyRule(model, engine.queues, mdp.state_matrix(batch))
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)
@@ -347,17 +345,15 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
     if len(outcomes) != len(batch):
         raise SchedulerError(f"session conservation violated: {len(outcomes)} outcomes "
                              f"for {len(batch)} sessions")
-    ids = sorted(o.session_id for o in outcomes)
-    expected = sorted(s.session_id for s in batch)
-    if ids != expected:
+    if sorted(o.session_id for o in outcomes) != sorted(batch.session_ids):
         raise SchedulerError("session conservation violated: outcome ids differ from batch")
-    by_id = {s.session_id: s for s in batch}
+    receiving = dict(zip(batch.session_ids, batch.receiving_kw.tolist()))
     for o in outcomes:
         if o.voided and o.realized_energy_kwh != 0.0:
             raise SchedulerError(f"voided session {o.session_id!r} delivered energy")
         if o.scheduled:
             evse = site.evse(o.evse_id)
-            cap = min(evse.supply_capacity_kw, by_id[o.session_id].receiving_capacity_kw)
+            cap = min(evse.supply_capacity_kw, receiving[o.session_id])
             if o.realized_rate_kw > cap + 1e-9:
                 raise SchedulerError(f"session {o.session_id!r} rate {o.realized_rate_kw} "
                                      f"exceeds cap {cap}")

@@ -4,14 +4,21 @@ A charging session pairs the request tuple (energy requested in kWh, minutes
 the vehicle is available) with the operational tuple (plug-in, charge-end and
 unplug timestamps plus energy actually delivered).  Human-driven vehicles (CV)
 tend to over-request both energy and time; autonomous vehicles (AV) request
-exactly what they need.  Everything downstream (risk fitting, agent training,
-scheduling) consumes the batch type defined here.
+exactly what they need.
+
+Everything downstream (risk fitting, agent training, scheduling) reads a
+:class:`SessionBatch`: one column per field, ports sorted by id, FCFS by
+plug-in within a port (ties in input order), each port's rows one slice.
+A timestamp is an int64 minute stamp, ``date.toordinal() * 1440 + hour * 60
++ minute``, so ``stamp % 1440`` is the minute of the day.  The row type
+:class:`ChargingSession` is built only by tests, ``iter(batch)``,
+``batch.group()`` and the per-record validator that :func:`parse_sessions`
+falls back to for records not in canonical form or failing a column check.
 
 Units: energy in kWh, rates in kW, durations in minutes unless a name says
-otherwise.  Timestamps are stored at minute resolution: a record's timestamp
-is ``YYYY-MM-DD``, then ``T`` or whitespace, then ``HH:MM`` with optional
-``:SS``; a trailing ``Z``, offset or fraction is dropped and so are the
-seconds.
+otherwise.  A record's timestamp is ``YYYY-MM-DD``, then ``T`` or
+whitespace, then ``HH:MM`` with optional ``:SS``; a trailing ``Z``, offset
+or fraction is dropped and so are the seconds.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import inf, isfinite
 from sys import float_info
 
 import numpy as np
@@ -32,10 +39,12 @@ log = logging.getLogger(__name__)
 
 #: Receiving capacity assumed when the input data does not carry one (kW).
 DEFAULT_RECEIVING_CAPACITY_KW = 50.0
+_DAY = 1440  # minutes
+_UNIX_EPOCH = date(1970, 1, 1).toordinal() * _DAY  # numpy's datetime64 minute 0
 
 # strptime's own field patterns for "%Y-%m-%dT%H:%M[:%S]" and
 # "%Y-%m-%d %H:%M[:%S]", whose "T" matches either case and whose space matches
-# any whitespace run.  The datetime constructor checks the ranges.
+# any whitespace run.  The date constructor checks the ranges.
 _TIMESTAMP = re.compile(
     r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
     r"(?:[Tt]|\s+)(2[0-3]|[01]\d|\d):([0-5]\d|\d)(?::(6[01]|[0-5]\d|\d))?")
@@ -85,23 +94,6 @@ class ChargingSession:
         if self.receiving_capacity_kw <= 0:
             raise SessionError(f"session {self.session_id!r}: receiving capacity must be > 0")
 
-    @property
-    def actual_minutes(self) -> float:
-        """Charging duration: charge_end - plug_in."""
-        return (self.charge_end_time - self.plug_in_time).total_seconds() / 60.0
-
-    @property
-    def plugged_minutes(self) -> float:
-        """Port occupancy: unplug - plug_in."""
-        return (self.unplug_time - self.plug_in_time).total_seconds() / 60.0
-
-    @property
-    def implied_rate_kw(self) -> float:
-        """Average delivery rate over the recorded charging window (kW)."""
-        minutes = self.actual_minutes
-        if minutes <= 0:
-            return 0.0
-        return self.energy_delivered_kwh / minutes * 60.0
 
 @dataclass(frozen=True)
 class EvseConfig:
@@ -112,10 +104,11 @@ class EvseConfig:
     switching_minutes: float = 5.0
 
     def __post_init__(self):
-        if self.supply_capacity_kw <= 0:
-            raise SessionError(f"EVSE {self.evse_id!r}: supply capacity must be > 0")
-        if self.switching_minutes < 0:
-            raise SessionError(f"EVSE {self.evse_id!r}: switching minutes must be >= 0")
+        if not 0 < self.supply_capacity_kw < inf:
+            raise SessionError(f"EVSE {self.evse_id!r}: supply capacity must be finite and > 0")
+        if not 0 <= self.switching_minutes < inf:
+            raise SessionError(f"EVSE {self.evse_id!r}: switching minutes must be finite "
+                               "and >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,8 @@ class SiteConfig:
     evses: tuple[EvseConfig, ...]
 
     def __post_init__(self):
-        if self.dso_capacity_kw <= 0:
-            raise SessionError("site capacity must be > 0")
+        if not 0 < self.dso_capacity_kw < inf:
+            raise SessionError("site capacity must be finite and > 0")
         ids = [e.evse_id for e in self.evses]
         if len(set(ids)) != len(ids):
             raise SessionError("duplicate EVSE ids in site config")
@@ -144,35 +137,66 @@ class SiteConfig:
         return tuple(e.evse_id for e in self.evses)
 
 
+# The numpy columns of a batch, in ChargingSession's field order after the
+# two ids; ``port`` indexes ``evse_ids`` and ``is_cv`` is the vehicle class.
+_COLUMNS = ("port", "is_cv", "requested_kwh", "minutes_available", "plug_in", "charge_end",
+            "unplug", "delivered_kwh", "receiving_kw")
+_DTYPES = (np.intp, bool, float, float, np.int64, np.int64, np.int64, float, float)
+
+
 class SessionBatch:
-    """Sessions grouped by EVSE, FCFS-ordered by plug-in time within each group."""
+    """Sessions as columns: ports sorted by id, FCFS by plug-in within each
+    port, ties in input order.
 
-    def __init__(self, sessions):
-        groups: dict[str, list[ChargingSession]] = {}
-        for s in sessions:
-            groups.setdefault(s.evse_id, []).append(s)
-        for evse_id in groups:
-            groups[evse_id].sort(key=lambda s: s.plug_in_time)
-        self._groups: dict[str, tuple[ChargingSession, ...]] = {
-            evse_id: tuple(groups[evse_id]) for evse_id in sorted(groups)
-        }
+    ``evse_ids`` and ``slices`` give each port's id and its rows;
+    ``session_ids`` is a list, and ``port``, ``is_cv``, ``requested_kwh``,
+    ``minutes_available``, ``delivered_kwh``, ``receiving_kw`` and the minute
+    stamps ``plug_in``, ``charge_end`` and ``unplug`` are arrays.  A batch is
+    built from :class:`ChargingSession` rows, whose seconds and time zone are
+    dropped, or from ``columns`` in input order: the session and EVSE ids,
+    then ``_COLUMNS`` without ``port``.
+    """
 
-    @property
-    def evse_ids(self) -> tuple[str, ...]:
-        return tuple(self._groups)
+    def __init__(self, sessions=(), columns=None):
+        if columns is None:
+            rows = [(s.session_id, s.evse_id, s.vehicle_class is VehicleClass.CV,
+                     s.energy_requested_kwh, s.minutes_available, _minutes(s.plug_in_time),
+                     _minutes(s.charge_end_time), _minutes(s.unplug_time),
+                     s.energy_delivered_kwh, s.receiving_capacity_kw) for s in sessions]
+            columns = list(zip(*rows)) if rows else [()] * 10
+        session_ids, evse_ids, *columns = columns
+        self.evse_ids = tuple(sorted(set(evse_ids)))
+        index = {evse_id: p for p, evse_id in enumerate(self.evse_ids)}
+        port = np.fromiter(map(index.__getitem__, evse_ids), np.intp, len(evse_ids))
+        columns = [np.asarray(c, dtype=t) for c, t in zip((port, *columns), _DTYPES)]
+        order = np.lexsort((columns[_COLUMNS.index("plug_in")], port))
+        for name, column in zip(_COLUMNS, columns):
+            setattr(self, name, column[order])
+        self.session_ids = [session_ids[i] for i in order.tolist()]
+        bounds = np.searchsorted(self.port, np.arange(len(self.evse_ids) + 1)).tolist()
+        self.slices = tuple(map(slice, bounds[:-1], bounds[1:]))
 
     def group(self, evse_id: str) -> tuple[ChargingSession, ...]:
-        return self._groups[evse_id]
+        return tuple(self._rows(self.slices[self.evse_ids.index(evse_id)]))
+
+    def _rows(self, rows: slice):
+        for session_id, p, is_cv, *values in zip(
+                self.session_ids[rows], *(getattr(self, name)[rows].tolist() for name in _COLUMNS)):
+            values[2:5] = map(_datetime, values[2:5])
+            yield ChargingSession(session_id, self.evse_ids[p],
+                                  VehicleClass.CV if is_cv else VehicleClass.AV, *values)
 
     def __iter__(self):
-        for evse_id in self._groups:
-            yield from self._groups[evse_id]
+        return self._rows(slice(None))
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self._groups.values())
+        return len(self.session_ids)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SessionBatch) and self._groups == other._groups
+        return (isinstance(other, SessionBatch) and self.evse_ids == other.evse_ids
+                and self.session_ids == other.session_ids
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _COLUMNS))
 
     def to_json_bytes(self) -> bytes:
         """The batch as a JSON array of canonical records, the inverse of
@@ -182,26 +206,35 @@ class SessionBatch:
         sort_keys=True)`` plus a newline, written directly: each timestamp is
         ``YYYY-MM-DDTHH:MM``, its year padded to four digits.
         """
-        records = ",\n".join(_RECORD % (
-            *_minute_fields(s.plug_in_time), *_minute_fields(s.unplug_time),
-            *_minute_fields(s.charge_end_time), encode_basestring_ascii(s.evse_id),
-            json_number(s.energy_delivered_kwh), json_number(s.energy_requested_kwh),
-            json_number(s.minutes_available), json_number(s.receiving_capacity_kw),
-            encode_basestring_ascii(s.session_id), s.vehicle_class.value) for s in self)
+        evse_ids = [encode_basestring_ascii(evse_id) for evse_id in self.evse_ids]
+        fields = [np.datetime_as_string((stamps - _UNIX_EPOCH).astype("datetime64[m]"),
+                                        unit="m").tolist()
+                  for stamps in (self.plug_in, self.unplug, self.charge_end)]
+        fields.append([evse_ids[p] for p in self.port.tolist()])
+        fields += [list(map(json_number, column.tolist())) for column in (
+            self.delivered_kwh, self.requested_kwh, self.minutes_available, self.receiving_kw)]
+        fields.append(list(map(encode_basestring_ascii, self.session_ids)))
+        fields.append(["CV" if is_cv else "AV" for is_cv in self.is_cv.tolist()])
+        records = ",\n".join(_RECORD % record for record in zip(*fields))
         return f"[\n{records}\n]\n".encode() if records else b"[]\n"
 
 
 # One record of SessionBatch.to_json_bytes, keys in sorted order.
-_STAMP = '"%04d-%02d-%02dT%02d:%02d"'
-_RECORD = (' {\n  "connectionTime": ' + _STAMP + ',\n  "disconnectTime": ' + _STAMP
-           + ',\n  "doneChargingTime": ' + _STAMP + ',\n  "evseID": %s,\n'
-           '  "kWhDelivered": %s,\n  "kWhRequested": %s,\n  "minutesAvailable": %s,\n'
+_RECORD = (' {\n  "connectionTime": "%s",\n  "disconnectTime": "%s",\n'
+           '  "doneChargingTime": "%s",\n  "evseID": %s,\n  "kWhDelivered": %s,\n'
+           '  "kWhRequested": %s,\n  "minutesAvailable": %s,\n'
            '  "receivingCapacityKW": %s,\n  "sessionID": %s,\n  "vehicleClass": "%s"\n }')
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _minute_fields(t: datetime) -> tuple[int, int, int, int, int]:
-    return t.year, t.month, t.day, t.hour, t.minute
+def _minutes(t: datetime) -> int:
+    """A datetime as a minute stamp; its seconds and time zone are dropped."""
+    return t.toordinal() * _DAY + t.hour * 60 + t.minute
+
+
+def _datetime(stamp: int) -> datetime:
+    day, minute = divmod(stamp, _DAY)
+    return datetime.fromordinal(day) + timedelta(minutes=minute)
 
 
 def json_number(value) -> str:
@@ -213,19 +246,29 @@ def json_number(value) -> str:
     return json.dumps(value)
 
 
+def _stamp_minutes(raw: str) -> int | None:
+    """The minute stamp of a timestamp string, or None if it does not parse."""
+    text = raw.strip().replace("Z", "").split("+")[0].split(".")[0]
+    found = _TIMESTAMP.fullmatch(text)
+    if found is None:
+        return None
+    year, month, day, hour, minute, second = map(int, found.groups("0"))
+    if second >= 60:  # the seconds are checked, then dropped
+        return None
+    try:
+        return date(year, month, day).toordinal() * _DAY + hour * 60 + minute
+    except ValueError:  # a day, or a year 0, out of range
+        return None
+
+
 def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
     if not isinstance(raw, str):
         raise SessionError(f"session {session_id!r}: field {field_name!r} must be a string")
-    text = raw.strip().replace("Z", "").split("+")[0].split(".")[0]
-    found = _TIMESTAMP.fullmatch(text)
-    if found is not None:
-        year, month, day, hour, minute, second = map(int, found.groups("0"))
-        if second < 60:  # the seconds are checked, then dropped
-            try:
-                return datetime(year, month, day, hour, minute)
-            except ValueError:  # a day, or a year 0, out of range
-                pass
-    raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} in {field_name!r}")
+    stamp = _stamp_minutes(raw)
+    if stamp is None:
+        raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} "
+                           f"in {field_name!r}")
+    return _datetime(stamp)
 
 
 def _lookup(record: dict, key: str):
@@ -272,6 +315,11 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     ``receivingCapacityKW``, or repeat an earlier record's ``sessionID`` are
     rejected by raising :class:`SessionError` naming the offending record;
     nothing is dropped silently.
+
+    Canonical records, as :meth:`SessionBatch.to_json_bytes` writes them, are
+    read and checked column by column, each distinct timestamp string parsed
+    once.  Any other input, valid or not, goes through the per-record
+    validator, which reads the ACN aliases and names the first bad record.
     """
     try:
         payload = json.loads(json_bytes)
@@ -279,7 +327,58 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
         raise SessionError(f"malformed session JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise SessionError("session JSON must be a top-level array")
+    # This may be the text's last reference: freed before the columns are
+    # made, it leaves no hole in the heap below them.
+    del json_bytes
+    batch = _canonical_batch(payload)
+    return batch if batch is not None else _parse_records(payload)
 
+
+_CLASSES = {"CV": True, "AV": False}
+_NUMBER_KEYS = ("kWhRequested", "minutesAvailable")
+_STAMP_KEYS = ("connectionTime", "doneChargingTime", "disconnectTime")
+
+
+def _only(values, *types) -> bool:
+    return set(map(type, values)) <= set(types)
+
+
+def _canonical_batch(payload: list) -> SessionBatch | None:
+    """The batch of canonical, valid records by whole-column checks; None
+    for anything else."""
+    try:
+        session_ids, evse_ids, classes, *numbers = (
+            [r[key] for r in payload]
+            for key in ("sessionID", "evseID", "vehicleClass", *_NUMBER_KEYS, "kWhDelivered"))
+        numbers.append([r.get("receivingCapacityKW", DEFAULT_RECEIVING_CAPACITY_KW)
+                        for r in payload])
+        texts = [[r[key] for r in payload] for key in _STAMP_KEYS]
+        is_cv = [_CLASSES[c] for c in classes]
+        if not (_only(session_ids, str) and all(session_ids) and _only(evse_ids, str)
+                and len(set(session_ids)) == len(session_ids)
+                and all(_only(column, float, int) for column in numbers)
+                and all(_only(column, str) for column in texts)):
+            return None
+        requested, available, delivered, receiving = (np.array(c, dtype=float) for c in numbers)
+    except (KeyError, TypeError, OverflowError):  # not canonical, or an int beyond float
+        return None
+    stamps = {text: _stamp_minutes(text) for text in set().union(*texts)}
+    if None in stamps.values():
+        return None
+    plug_in, charge_end, unplug = (np.fromiter(map(stamps.__getitem__, column), np.int64,
+                                               len(column)) for column in texts)
+    if not (all(np.isfinite(c).all() for c in (requested, available, delivered, receiving))
+            and (requested >= 0).all() and (delivered >= 0).all()
+            and (available > 0).all() and (receiving > 0).all()
+            and (plug_in <= charge_end).all() and (charge_end <= unplug).all()):
+        return None
+    return SessionBatch(columns=(session_ids, evse_ids, is_cv, requested, available, plug_in,
+                                 charge_end, unplug, delivered, receiving))
+
+
+def _parse_records(payload: list) -> SessionBatch:
+    """The per-record validator: each record through the alias map and the
+    :class:`ChargingSession` checks, in file order."""
     sessions = []
     first_index: dict[str, int] = {}
     for idx, record in enumerate(payload):
@@ -290,10 +389,8 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
         if first != idx:
             raise SessionError(f"session {session_id!r}: duplicate id in records "
                                f"#{first} and #{idx}")
-        mandatory = ("evseID", "kWhRequested", "minutesAvailable", "connectionTime",
-                     "doneChargingTime", "disconnectTime", "kWhDelivered")
         values = {}
-        for key in mandatory:
+        for key in ("evseID", *_NUMBER_KEYS, *_STAMP_KEYS, "kWhDelivered"):
             value = _lookup(record, key)
             if value is None:
                 raise SessionError(f"session {session_id!r}: missing mandatory field {key!r}")
@@ -311,25 +408,15 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
                     f"session {session_id!r}: vehicleClass must be CV or AV") from exc
 
         receiving = _lookup(record, "receivingCapacityKW")
-        requested = _finite(values["kWhRequested"], "kWhRequested", session_id)
-        available = _finite(values["minutesAvailable"], "minutesAvailable", session_id)
-        delivered = _finite(values["kWhDelivered"], "kWhDelivered", session_id)
+        requested, available, delivered = (_finite(values[key], key, session_id)
+                                           for key in (*_NUMBER_KEYS, "kWhDelivered"))
         capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None \
             else _finite(receiving, "receivingCapacityKW", session_id)
-        session = ChargingSession(
-            session_id=str(session_id),
-            evse_id=str(values["evseID"]),
-            vehicle_class=vehicle_class,
-            energy_requested_kwh=requested,
-            minutes_available=available,
-            plug_in_time=_parse_timestamp(values["connectionTime"], "connectionTime", session_id),
-            charge_end_time=_parse_timestamp(values["doneChargingTime"], "doneChargingTime",
-                                             session_id),
-            unplug_time=_parse_timestamp(values["disconnectTime"], "disconnectTime", session_id),
-            energy_delivered_kwh=delivered,
-            receiving_capacity_kw=capacity,
-        )
-        sessions.append(session)
+        plug_in, charge_end, unplug = (_parse_timestamp(values[key], key, session_id)
+                                       for key in _STAMP_KEYS)
+        sessions.append(ChargingSession(str(session_id), str(values["evseID"]), vehicle_class,
+                                        requested, available, plug_in, charge_end, unplug,
+                                        delivered, capacity))
     return SessionBatch(sessions)
 
 
@@ -373,14 +460,12 @@ class GeneratorConfig:
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
     """Draw a synthetic batch; a pure function of (config, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    start = datetime.strptime(config.start, "%Y-%m-%dT%H:%M")
-    clocks = {i: start for i in range(config.n_evses)}
-    sessions = []
+    clocks = [_minutes(datetime.strptime(config.start, "%Y-%m-%dT%H:%M"))] * config.n_evses
+    rows = []
     for i in range(config.n_sessions):
         evse_idx = i % config.n_evses
-        evse_id = f"{config.evse_prefix}-{evse_idx + 1}"
         gap = max(1, int(round(rng.exponential(config.mean_gap_minutes))))
-        arrival = clocks[evse_idx] + timedelta(minutes=gap)
+        arrival = clocks[evse_idx] = clocks[evse_idx] + gap
 
         energy = rng.uniform(*config.energy_kwh_range)
         rate = rng.uniform(*config.rate_kw_range)
@@ -391,68 +476,59 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
             requested = energy * rng.uniform(*config.energy_inflation)
             window = max(actual_minutes,
                          int(round(actual_minutes * rng.uniform(*config.time_inflation))))
-            unplug = arrival + timedelta(minutes=window)
         else:
             requested = energy
             window = actual_minutes
-            unplug = arrival + timedelta(minutes=actual_minutes)
-
-        sessions.append(ChargingSession(
-            session_id=f"S{i:06d}",
-            evse_id=evse_id,
-            vehicle_class=VehicleClass.CV if is_cv else VehicleClass.AV,
-            energy_requested_kwh=float(requested),
-            minutes_available=float(window),
-            plug_in_time=arrival,
-            charge_end_time=arrival + timedelta(minutes=actual_minutes),
-            unplug_time=unplug,
-            energy_delivered_kwh=float(energy),
-            receiving_capacity_kw=config.receiving_capacity_kw,
-        ))
-        clocks[evse_idx] = arrival
-    return SessionBatch(sessions)
+        rows.append((f"S{i:06d}", f"{config.evse_prefix}-{evse_idx + 1}", is_cv,
+                     float(requested), float(window), arrival, arrival + actual_minutes,
+                     arrival + window, float(energy), config.receiving_capacity_kw))
+    return SessionBatch(columns=list(zip(*rows)))
 
 
-def demand_rate_kw(sessions) -> float:
-    """Average requested energy rate: total kWh asked over total minutes asked, in kW."""
-    sessions = list(sessions)
-    if not sessions:
-        raise SessionError("demand rate needs at least one session")
-    total_minutes = sum(s.minutes_available for s in sessions)
+def _mean_rate(energy: np.ndarray, minutes: np.ndarray, name: str, kind: str) -> float:
+    # the builtin sum, left to right as the outputs were pinned with
+    if not len(minutes):
+        raise SessionError(f"{name} rate needs at least one session")
+    total_minutes = sum(minutes.tolist())
     if total_minutes <= 0:
-        raise SessionError("demand rate undefined: zero total requested minutes")
-    return sum(s.energy_requested_kwh for s in sessions) / total_minutes * 60.0
+        raise SessionError(f"{name} rate undefined: zero total {kind} minutes")
+    return sum(energy.tolist()) / total_minutes * 60.0
 
 
-def delivery_rate_kw(sessions) -> float:
-    """Average delivered energy rate over the recorded charging windows, in kW."""
-    sessions = list(sessions)
-    if not sessions:
-        raise SessionError("delivery rate needs at least one session")
-    total_minutes = sum(s.actual_minutes for s in sessions)
-    if total_minutes <= 0:
-        raise SessionError("delivery rate undefined: zero total charging minutes")
-    return sum(s.energy_delivered_kwh for s in sessions) / total_minutes * 60.0
+def demand_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
+    """Average requested energy rate of the sessions in ``rows``: total kWh
+    asked over total minutes asked, in kW."""
+    return _mean_rate(batch.requested_kwh[rows], batch.minutes_available[rows],
+                      "demand", "requested")
 
 
-def rate_ratio(sessions) -> float:
+def delivery_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
+    """Average delivered energy rate of the sessions in ``rows`` over their
+    recorded charging windows, in kW."""
+    return _mean_rate(batch.delivered_kwh[rows],
+                      (batch.charge_end[rows] - batch.plug_in[rows]).astype(float),
+                      "delivery", "charging")
+
+
+def rate_ratio(batch: SessionBatch, rows: slice = slice(None)) -> float:
     """Delivered over requested rate. Equals 1 exactly when the rates match."""
-    demand = demand_rate_kw(sessions)
+    demand = demand_rate_kw(batch, rows)
     if demand <= 0:
         raise SessionError("rate ratio undefined: zero demand rate")
-    return delivery_rate_kw(sessions) / demand
+    return delivery_rate_kw(batch, rows) / demand
 
 
-def time_ratio(session: ChargingSession) -> float:
-    """Fraction of the plugged-in window spent actually charging; in [0, 1]."""
-    plugged = session.plugged_minutes
-    if plugged <= 0:
-        raise SessionError(f"session {session.session_id!r}: zero plugged-in duration")
-    return session.actual_minutes / plugged
+def time_ratios(batch: SessionBatch) -> np.ndarray:
+    """Fraction of each plugged-in window spent actually charging; in [0, 1]."""
+    plugged = batch.unplug - batch.plug_in
+    empty = np.flatnonzero(plugged <= 0)
+    if empty.size:
+        raise SessionError(f"session {batch.session_ids[empty[0]]!r}: zero plugged-in duration")
+    return (batch.charge_end - batch.plug_in) / plugged
 
 
-def energy_ratio(session: ChargingSession) -> float:
-    """Delivered over requested energy."""
-    if session.energy_requested_kwh <= 0:
-        raise SessionError(f"session {session.session_id!r}: zero requested energy")
-    return session.energy_delivered_kwh / session.energy_requested_kwh
+def energy_ratios(batch: SessionBatch) -> np.ndarray:
+    """Delivered over requested energy of each session; 0 for a session that
+    requests no energy."""
+    return np.divide(batch.delivered_kwh, batch.requested_kwh, out=np.zeros(len(batch)),
+                     where=batch.requested_kwh > 0)

@@ -4,15 +4,18 @@ Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
 single-row cell step per decision for the policy rule, one parameter tensor
 at a time for Adam and the gradient norm, every pair of intervals for the
-feed-capacity audit, one session at a time for the state, ``strptime`` over
-four formats for timestamps, ``json.dumps`` over record dicts for the
-session file and the outcome lines, and the risk API that only tests used.
+feed-capacity audit, one session at a time for the state, the rate and
+ratio formulas and the session parser, ``strptime`` over four formats for
+timestamps, ``json.dumps`` over record dicts for the session file and the
+outcome lines, and the risk API that only tests used.
 """
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from sys import float_info
 
 import numpy as np
 
@@ -20,10 +23,13 @@ import ramals.learner as learner
 from ramals import mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
                             PARAM_KEYS, LearnerError, _entropy_rows, hidden_size)
-from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH, _minutes_since_midnight
+from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
-from ramals.sessions import SessionError
+from ramals.sessions import (DEFAULT_RECEIVING_CAPACITY_KW, ChargingSession, SessionBatch,
+                             SessionError, VehicleClass)
+
+log = logging.getLogger(__name__)
 
 _TIME_FORMATS = ("%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
                  "%Y-%m-%d %H:%M:%S")
@@ -40,6 +46,143 @@ def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
         except ValueError:
             continue
     raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} in {field_name!r}")
+
+
+def _lookup(record: dict, key: str):
+    """Resolve a schema field, applying the ACN alias map."""
+    if key in record:
+        return record[key]
+    aliases = {"evseID": ("stationID", "spaceID"), "sessionID": ("_id",)}
+    for alias in aliases.get(key, ()):
+        if alias in record:
+            return record[alias]
+    if key in ("kWhRequested", "minutesAvailable"):
+        inputs = record.get("userInputs")
+        if isinstance(inputs, list) and inputs and isinstance(inputs[0], dict):
+            if key in inputs[0]:
+                return inputs[0][key]
+    return None
+
+
+def _finite(value, key: str, session_id) -> float:
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+    elif type(value) is not int:
+        raise SessionError(f"session {session_id!r}: field {key!r} must be a number, "
+                           f"got {value!r}")
+    elif -float_info.max <= value <= float_info.max:
+        return float(value)
+    raise SessionError(f"session {session_id!r}: field {key!r} must be finite, got {value!r}")
+
+
+def parse_sessions(json_bytes) -> SessionBatch:
+    """Every record through the alias map and the row checks, in file
+    order, one :class:`ChargingSession` each."""
+    try:
+        payload = json.loads(json_bytes)
+    except json.JSONDecodeError as exc:
+        raise SessionError(f"malformed session JSON: {exc}") from exc
+    if not isinstance(payload, list):
+        raise SessionError("session JSON must be a top-level array")
+
+    sessions = []
+    first_index: dict[str, int] = {}
+    for idx, record in enumerate(payload):
+        if not isinstance(record, dict):
+            raise SessionError(f"record #{idx}: expected an object")
+        session_id = _lookup(record, "sessionID") or f"record-{idx}"
+        first = first_index.setdefault(str(session_id), idx)
+        if first != idx:
+            raise SessionError(f"session {session_id!r}: duplicate id in records "
+                               f"#{first} and #{idx}")
+        mandatory = ("evseID", "kWhRequested", "minutesAvailable", "connectionTime",
+                     "doneChargingTime", "disconnectTime", "kWhDelivered")
+        values = {}
+        for key in mandatory:
+            value = _lookup(record, key)
+            if value is None:
+                raise SessionError(f"session {session_id!r}: missing mandatory field {key!r}")
+            values[key] = value
+
+        raw_class = _lookup(record, "vehicleClass")
+        if raw_class is None:
+            log.warning("session %r: no vehicleClass, assuming CV", session_id)
+            vehicle_class = VehicleClass.CV
+        else:
+            try:
+                vehicle_class = VehicleClass(str(raw_class).upper())
+            except ValueError as exc:
+                raise SessionError(
+                    f"session {session_id!r}: vehicleClass must be CV or AV") from exc
+
+        receiving = _lookup(record, "receivingCapacityKW")
+        requested = _finite(values["kWhRequested"], "kWhRequested", session_id)
+        available = _finite(values["minutesAvailable"], "minutesAvailable", session_id)
+        delivered = _finite(values["kWhDelivered"], "kWhDelivered", session_id)
+        capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None \
+            else _finite(receiving, "receivingCapacityKW", session_id)
+        session = ChargingSession(
+            session_id=str(session_id),
+            evse_id=str(values["evseID"]),
+            vehicle_class=vehicle_class,
+            energy_requested_kwh=requested,
+            minutes_available=available,
+            plug_in_time=_parse_timestamp(values["connectionTime"], "connectionTime", session_id),
+            charge_end_time=_parse_timestamp(values["doneChargingTime"], "doneChargingTime",
+                                             session_id),
+            unplug_time=_parse_timestamp(values["disconnectTime"], "disconnectTime", session_id),
+            energy_delivered_kwh=delivered,
+            receiving_capacity_kw=capacity,
+        )
+        sessions.append(session)
+    return SessionBatch(sessions)
+
+
+def _minutes(start: datetime, end: datetime) -> float:
+    return (end - start).total_seconds() / 60.0
+
+
+def demand_rate_kw(sessions) -> float:
+    """Total kWh asked over total minutes asked, in kW."""
+    sessions = list(sessions)
+    if not sessions:
+        raise SessionError("demand rate needs at least one session")
+    total_minutes = sum(s.minutes_available for s in sessions)
+    if total_minutes <= 0:
+        raise SessionError("demand rate undefined: zero total requested minutes")
+    return sum(s.energy_requested_kwh for s in sessions) / total_minutes * 60.0
+
+
+def delivery_rate_kw(sessions) -> float:
+    """Total kWh delivered over total recorded charging minutes, in kW."""
+    sessions = list(sessions)
+    if not sessions:
+        raise SessionError("delivery rate needs at least one session")
+    total_minutes = sum(_minutes(s.plug_in_time, s.charge_end_time) for s in sessions)
+    if total_minutes <= 0:
+        raise SessionError("delivery rate undefined: zero total charging minutes")
+    return sum(s.energy_delivered_kwh for s in sessions) / total_minutes * 60.0
+
+
+def rate_ratio(sessions) -> float:
+    demand = demand_rate_kw(sessions)
+    if demand <= 0:
+        raise SessionError("rate ratio undefined: zero demand rate")
+    return delivery_rate_kw(sessions) / demand
+
+
+def time_ratio(session) -> float:
+    plugged = _minutes(session.plug_in_time, session.unplug_time)
+    if plugged <= 0:
+        raise SessionError(f"session {session.session_id!r}: zero plugged-in duration")
+    return _minutes(session.plug_in_time, session.charge_end_time) / plugged
+
+
+def energy_ratio(session) -> float:
+    if session.energy_requested_kwh <= 0:
+        raise SessionError(f"session {session.session_id!r}: zero requested energy")
+    return session.energy_delivered_kwh / session.energy_requested_kwh
 
 
 def session_record(session) -> dict:
@@ -83,6 +226,10 @@ def outcome_json_line(outcome) -> str:
 
 def outcomes_json_dumps(outcomes) -> str:
     return "\n".join(outcome_json_line(o) for o in outcomes) + "\n"
+
+
+def _minutes_since_midnight(ts) -> float:
+    return ts.hour * 60.0 + ts.minute
 
 
 def state_vector(session) -> np.ndarray:
@@ -170,21 +317,22 @@ class PerDecisionRule:
     """Argmax policy pick, then the demand-supply ordering check.
 
     Every port's input projection ``states @ wx.T + b`` and carry are set up
-    when the rule is built; each decision then steps the cell on one row.
+    when the rule is built, from the batch's state rows ``states``; each
+    decision then steps the cell on one row.
     """
 
-    def __init__(self, model: learner.SharedModel, ports):
+    def __init__(self, model: learner.SharedModel, ports, states):
         ports = list(ports)
         self.params = params = model.coordinator.params
-        z = np.empty((sum(len(port.sessions) for port in ports), params["wx"].shape[0]))
+        z = np.empty((len(states), params["wx"].shape[0]))
         self._rows, self._carries, start = {}, {}, 0
         for port in ports:
-            rows = z[start:start + len(port.sessions)]
-            np.matmul(mdp.state_matrix(port.sessions), params["wx"].T, out=rows)
-            rows += params["b"]
-            self._rows[port.evse_id] = rows
+            stop = start + len(port.session_ids)
+            np.matmul(states[start:stop], params["wx"].T, out=z[start:stop])
+            z[start:stop] += params["b"]
+            self._rows[port.evse_id] = z[start:stop]
             self._carries[port.evse_id] = model.carry_for(port.evse_id)
-            start += len(port.sessions)
+            start = stop
 
     def decide(self, port: mdp.PortSessions, i: int) -> int:
         evse_id = port.evse_id

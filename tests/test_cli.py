@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramals.cli import load_config, main, site_from_config, stage_seed
+from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
+from ramals.sessions import ChargingSession
 
 CONFIG = """
 # desk-scale smoke scenario
@@ -51,6 +52,31 @@ class TestConfig:
         path.write_text("not_a_key = 1\n")
         with pytest.raises(Exception):
             load_config(path)
+
+    @pytest.mark.parametrize("line, needs", [("hidden = 8.5", "an integer"),
+                                             ("dso_capacity_kw = lots", "a number")])
+    def test_bad_value_names_key_and_line(self, tmp_path, capsys, line, needs):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# site\n{line}\n")
+        key, value = line.split(" = ")
+        with pytest.raises(CliError, match=f"c.cfg:2: key '{key}' needs {needs}, "
+                                           f"got '{value}'"):
+            load_config(path)
+        assert run_cli("train", "--config", path, "--sessions", tmp_path / "s.json",
+                       "--out", tmp_path / "m.json") == 1
+        assert f"c.cfg:2: key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["dso_capacity_kw = nan", "dso_capacity_kw = inf",
+                                      "supply_capacity_kw = nan",
+                                      "evse.EVSE-1.switching_minutes = inf"])
+    def test_non_finite_capacity_rejected(self, workdir, capsys, line):
+        path = workdir / "c.cfg"
+        path.write_text(f"{line}\n")
+        sessions = workdir / "sessions.json"
+        assert run_cli("gen-data", "--out", sessions) == 0
+        assert run_cli("run", "--baseline", "--config", path, "--sessions", sessions,
+                       "--out", workdir / "o.jsonl") == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_stage_seeds_distinct_and_stable(self):
         assert stage_seed(7, "gen") == stage_seed(7, "gen")
@@ -205,6 +231,25 @@ class TestPipeline:
         assert "coordinator must be a list of 1523 numbers at hidden width 16" \
             in capsys.readouterr().err
         assert not resumed.exists()
+
+    def test_no_session_rows_built(self, workdir, monkeypatch):
+        """Every command reads and writes the batch as columns: none builds a
+        ChargingSession row."""
+        def no_rows(session):
+            raise AssertionError(f"row built for session {session.session_id!r}")
+
+        monkeypatch.setattr(ChargingSession, "__post_init__", no_rows)
+        cfg, sessions = workdir / "run.cfg", workdir / "sessions.json"
+        common = ["--config", cfg, "--sessions", sessions]
+        for argv in (["gen-data", "--config", cfg, "--out", sessions],
+                     ["fit-risk", *common, "--out", workdir / "risk.json"],
+                     ["train", *common, "--risk", workdir / "risk.json",
+                      "--out", workdir / "model.json"],
+                     ["run", "--baseline", *common, "--out", workdir / "base.jsonl",
+                      "--report", workdir / "base.csv"],
+                     ["run", "--model", workdir / "model.json", *common,
+                      "--out", workdir / "policy.jsonl", "--report", workdir / "policy.csv"]):
+            assert run_cli(*argv) == 0, argv
 
     def test_idempotent_rerun(self, workdir):
         sessions = self.generate(workdir)

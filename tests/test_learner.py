@@ -737,6 +737,20 @@ class TestSerialization:
         with pytest.raises(LearnerError, match="field 'step' must be an integer, got 2.5"):
             self.load_payload(tmp_path, payload)
 
+    @pytest.mark.parametrize("entry", ["0.05", True])
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    def test_non_number_entry_named(self, tmp_path, vector, entry):
+        """A string or a bool is not a JSON number, in a vector as in a
+        scalar field."""
+        payload = self.saved_payload(tmp_path)
+        evse = sorted(payload["carries"])[0]
+        values = payload["carries"][evse][vector] if vector in "hc" else payload[vector]
+        values[3] = entry
+        message = (f"bad carry for '{evse}', expected h and c of 8 floats" if vector in "hc"
+                   else f"{vector} must be a list of 507 numbers at hidden width 8")
+        with pytest.raises(LearnerError, match=f"corrupt model file: {message}"):
+            self.load_payload(tmp_path, payload)
+
     @pytest.mark.parametrize("state", ["h", "c"])
     def test_misshapen_carry_names_port(self, tmp_path, state):
         payload = self.saved_payload(tmp_path)

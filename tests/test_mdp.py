@@ -16,7 +16,7 @@ from ramals import (
     SessionBatch,
     generate_synthetic,
     ordering_holds,
-    ordering_ratio,
+    port_sessions,
     session_reward,
     state_matrix,
 )
@@ -111,7 +111,8 @@ class TestSchedulingIndicator:
             monkeypatch.setattr(learner, "policy_value_forward",
                                 lambda params, z_rows, carry, p=p_schedule:
                                 (np.full(len(z_rows), p), np.zeros(len(z_rows)), carry))
-            assert _PolicyRule(tiny_model(), engine.queues).decide(port, 0) == pick
+            rule = _PolicyRule(tiny_model(), engine.queues, state_matrix(batch))
+            assert rule.decide(port, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),
@@ -124,15 +125,22 @@ class TestSchedulingIndicator:
         assert plain >= 0.5 and scaled >= 0.5
 
 
+def port_of(session):
+    """The decision inputs of a one-session port."""
+    (port,) = port_sessions(SessionBatch([session]))
+    return port
+
+
 class TestOrderingRatio:
     def test_selects_energy_ratio(self):
-        assert ordering_ratio(make_session(requested=10.0, delivered=8.0)) == pytest.approx(0.8)
+        assert port_of(make_session(requested=10.0, delivered=8.0)).upsilons[0] \
+            == pytest.approx(0.8)
 
     def test_exact_request(self):
-        assert ordering_ratio(make_session(requested=10.0, delivered=10.0)) == 1.0
+        assert port_of(make_session(requested=10.0, delivered=10.0)).upsilons[0] == 1.0
 
     def test_zero_energy_counts_as_zero(self, caplog):
-        assert ordering_ratio(make_session(requested=0.0, delivered=0.0, sid="z")) == 0.0
+        assert port_of(make_session(requested=0.0, delivered=0.0, sid="z")).upsilons[0] == 0.0
         assert "'z': zero requested energy" in caplog.text
 
 
@@ -207,14 +215,14 @@ class TestEvseState:
     def test_vector_in_unit_box(self):
         s = make_session(requested=35.0, delivered=20.0, charge_min=90,
                          plugged_min=300, window_min=240)
-        vec = state_matrix([s])[0]
+        vec = state_matrix(SessionBatch([s]))[0]
         assert vec.shape == (6,)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
     def test_component_order(self):
         s = make_session(requested=50.0, delivered=25.0, charge_min=144,
                          plugged_min=288, window_min=288)
-        vec = state_matrix([s])[0]
+        vec = state_matrix(SessionBatch([s]))[0]
         assert vec[0] == pytest.approx(0.5)    # requested kWh / 100
         assert vec[1] == pytest.approx(0.2)    # window / 1440
         assert vec[5] == pytest.approx(0.25)   # delivered kWh / 100
@@ -222,26 +230,25 @@ class TestEvseState:
     def test_matrix_equals_per_session_rows(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=300, n_evses=3,
                                                    energy_kwh_range=(4.0, 140.0)), seed=4)
-        sessions = list(batch)
-        matrix = state_matrix(sessions)
-        assert np.array_equal(matrix, np.stack([state_vector(s) for s in sessions]))
+        matrix = state_matrix(batch)
+        assert np.array_equal(matrix, np.stack([state_vector(s) for s in batch]))
         assert matrix[:, 5].max() == 1.0  # clipped
-        assert state_matrix([]).shape == (0, 6)
+        assert state_matrix(SessionBatch()).shape == (0, 6)
 
 
 def build_queue(sessions, switching=0.0, step=15.0):
-    evse = EvseConfig("EVSE-1", switching_minutes=switching)
-    origin = min(s.plug_in_time for s in sessions)
-
-    def arrival(session):
-        return (session.plug_in_time - origin).total_seconds() / 60.0
-
-    return EvseQueue(list(sessions), evse, arrival, step_minutes=step)
+    """The queue of port EVSE-1, its clock's minute 0 at the first plug-in."""
+    batch = SessionBatch(sessions)
+    port = port_sessions(batch)[0]
+    plug_in = batch.plug_in.tolist()
+    arrivals = [float(t - plug_in[0]) for t in plug_in]
+    return EvseQueue(port, EvseConfig("EVSE-1", switching_minutes=switching), arrivals,
+                     step_minutes=step)
 
 
 def schedule(queue):
     """Start the presented head under the rational allocation."""
-    return queue.transition(1, rational_allocation(queue.head(), queue.evse))
+    return queue.transition(1, rational_allocation(queue.port, queue.head(), queue.evse))
 
 
 class TestEvseQueue:
@@ -256,7 +263,7 @@ class TestEvseQueue:
         queue = build_queue([make_av_session(sid="bare")])
         with pytest.raises(MdpError, match="'bare': scheduled without an allocation"):
             queue.transition(1)
-        assert queue.present().session_id == "bare"
+        assert queue.port.session_ids[queue.present()] == "bare"
         assert queue.clock == 0.0
 
     def test_queue_represents_same_head(self):
@@ -264,7 +271,7 @@ class TestEvseQueue:
         head_before = queue.present()
         event = queue.transition(0)
         assert event.kind == "queued"
-        assert queue.present() is head_before
+        assert queue.present() == head_before == 0
         assert queue.clock == 15.0
 
     def test_av_realizes_requested_energy(self):
@@ -294,8 +301,8 @@ class TestEvseQueue:
         queue.transition(0)  # +15
         queue.transition(0)  # +15 -> wait 30 > 20
         assert queue.present() is None
-        assert [(e.session, e.kind, e.wait_minutes) for e in queue.voided] == \
-            [(short, "voided", 30.0)]
+        assert [(e.index, e.kind, e.wait_minutes) for e in queue.voided] == \
+            [(0, "voided", 30.0)]
 
     def test_empty_queue_transition_rejected(self):
         queue = build_queue([make_av_session()])
@@ -308,7 +315,7 @@ class TestEvseQueue:
         queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
         schedule(queue)
         assert queue.clock == 30.0
-        assert queue.present() is late
+        assert queue.port.session_ids[queue.present()] == "late"
         assert queue.clock == 90.0
 
     def test_transition_rejects_head_not_presentable(self):
@@ -322,7 +329,7 @@ class TestEvseQueue:
         with pytest.raises(MdpError, match="'late' is not presentable at t=200.0"):
             queue.transition(0)
         # a rejected transition changes nothing
-        assert queue.head() is late and queue.clock == 200.0
+        assert queue.head() == 1 and queue.clock == 200.0
 
 
 class TestAllocations:
@@ -331,7 +338,7 @@ class TestAllocations:
         # the realized charging time plus switching
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
-        alloc = rational_allocation(s, EvseConfig("e", switching_minutes=5.0))
+        alloc = rational_allocation(port_of(s), 0, EvseConfig("e", switching_minutes=5.0))
         assert alloc.rate_kw == pytest.approx(10.0)
         assert alloc.energy_kwh == pytest.approx(10.0)
         assert alloc.occupy_minutes == pytest.approx(65.0)
@@ -339,13 +346,13 @@ class TestAllocations:
     def test_rational_respects_caps(self):
         s = make_session(requested=50.0, delivered=45.0, charge_min=45,
                          window_min=90, receiving_kw=30.0)
-        alloc = rational_allocation(s, EvseConfig("e", supply_capacity_kw=50.0))
+        alloc = rational_allocation(port_of(s), 0, EvseConfig("e", supply_capacity_kw=50.0))
         assert alloc.rate_kw <= 30.0
 
     def test_as_requested_blocks_whole_window(self):
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
-        alloc = as_requested_allocation(s, EvseConfig("e"))
+        alloc = as_requested_allocation(port_of(s), 0, EvseConfig("e"))
         assert alloc.occupy_minutes == pytest.approx(240.0)
         assert alloc.allocated_minutes == pytest.approx(240.0)
         assert alloc.energy_kwh == pytest.approx(10.0)

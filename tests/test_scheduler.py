@@ -17,16 +17,13 @@ from ramals import (
     TrainConfig,
     compare_report,
     compute_metrics,
-    energy_ratio,
     estimate_risk,
     execute,
     fcfs_as_requested_baseline,
     generate_synthetic,
     ordering_holds,
     port_sessions,
-    rate_ratio,
     session_reward,
-    time_ratio,
     train,
 )
 import ramals.learner as learner
@@ -35,8 +32,8 @@ from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _Pol
                               audit_outcomes, comparison_csv, outcomes_jsonl)
 
 from helpers import JSON_NUMBERS, JSON_TEXT, make_session, site_for, spaced_av_batch
-from oracles import (PerDecisionRule, direct_loads, outcomes_json_dumps,
-                     quadratic_feed_check)
+from oracles import (PerDecisionRule, direct_loads, energy_ratio, outcomes_json_dumps,
+                     quadratic_feed_check, rate_ratio, time_ratio)
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -146,9 +143,9 @@ class TestExecute:
         site = site_for(batch)  # the feed never defers a start
         calls = []
 
-        def counting_allocation(session, evse):
-            calls.append(session.session_id)
-            return rational_allocation(session, evse)
+        def counting_allocation(port, i, evse):
+            calls.append(port.session_ids[i])
+            return rational_allocation(port, i, evse)
 
         engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=counting_allocation)
         started = [o.session_id for o in engine.run() if o.scheduled]
@@ -165,8 +162,9 @@ class TestExecute:
                          risk_value=0.05)
         params = model.coordinator.params
         session_of = {}  # each session's projection row -> (port, index)
-        for port in port_sessions(batch):
-            rows = state_matrix(port.sessions) @ params["wx"].T + params["b"]
+        states = state_matrix(batch)
+        for port, rows in zip(port_sessions(batch), batch.slices):
+            rows = states[rows] @ params["wx"].T + params["b"]
             session_of.update({row.tobytes(): (port.evse_id, i) for i, row in enumerate(rows)})
         assert len(session_of) == len(batch)
         step, decide = learner.policy_value_forward, _PolicyRule.decide
@@ -198,7 +196,7 @@ class TestExecute:
         model, _ = train(batch, site, TrainConfig(episodes=1, seed=1, hidden=4),
                          risk_value=0.0)
         engine = ScheduleEngine(batch, site, _ForcedRule())
-        rule = _PolicyRule(model, engine.queues)
+        rule = _PolicyRule(model, engine.queues, state_matrix(batch))
         first, second = engine.ports.values()
         rule.decide(first, 0)  # steps both ports, each at its first head
         engine.queues[second.evse_id].position = 1
@@ -444,7 +442,7 @@ def test_policy_run_matches_per_decision_oracle(n_sessions, n_evses, feed, gap, 
                      risk_value=0.05)
     outcomes, _ = execute(model, batch, site)
     oracle = ScheduleEngine(batch, site, _ForcedRule(), risk_value=model.risk_value)
-    oracle.rule = PerDecisionRule(model, oracle.ports.values())
+    oracle.rule = PerDecisionRule(model, oracle.ports.values(), state_matrix(batch))
     assert outcomes == oracle.run()
 
 

@@ -1,6 +1,7 @@
 """Session model, parsing, synthetic generation and the rate/ratio formulas."""
 
 import json
+import math
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -18,15 +19,16 @@ from ramals import (
     VehicleClass,
     delivery_rate_kw,
     demand_rate_kw,
-    energy_ratio,
+    energy_ratios,
     generate_synthetic,
     parse_sessions,
     rate_ratio,
-    time_ratio,
+    time_ratios,
 )
 
 from helpers import JSON_NUMBERS, JSON_TEXT, T0, make_session
 from oracles import _parse_timestamp as strptime_parse
+from oracles import parse_sessions as per_record_parse
 from oracles import session_json_bytes
 
 
@@ -43,9 +45,9 @@ class TestChargingSession:
             make_session(delivered=-1.0)
 
     def test_durations(self):
-        s = make_session(charge_min=90, plugged_min=120)
-        assert s.actual_minutes == 90
-        assert s.plugged_minutes == 120
+        batch = SessionBatch([make_session(charge_min=90, plugged_min=120)])
+        assert (batch.charge_end - batch.plug_in).tolist() == [90]
+        assert (batch.unplug - batch.plug_in).tolist() == [120]
 
 
 class TestParseSessions:
@@ -219,6 +221,88 @@ def test_parser_agrees_with_strptime(text):
         assert parse(text) == want
 
 
+NUMBERS = [None, True, "15", "abc", [1], 0, 0.0, -0.0, -1.0, 7, 10**20, 10**400,
+           math.nan, math.inf, -math.inf]
+STAMPS = [None, 202601050600, "2026-02-30T06:00", "0000-01-05T06:00", "2026-01-05T24:00",
+          "2026-01-05 06:07:08Z", "2026-01-05T06:07", "2030-01-05T06:07"]
+IDS = [None, "", 0, 7, True, "S000000", "EVSE-1"]
+FIELD_VALUES = {"sessionID": IDS, "evseID": IDS, "vehicleClass": [None, "cv", "av", "XV", 1],
+                **dict.fromkeys(["kWhRequested", "minutesAvailable", "kWhDelivered",
+                                 "receivingCapacityKW"], NUMBERS),
+                **dict.fromkeys(["connectionTime", "doneChargingTime", "disconnectTime"], STAMPS)}
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid generated record list with a few edits: ACN aliases, missing
+    fields, odd values, duplicate ids, inverted timestamps and non-object
+    records."""
+    batch = generate_synthetic(GeneratorConfig(n_sessions=draw(st.integers(1, 6)), n_evses=2,
+                                               mean_gap_minutes=draw(st.sampled_from([1, 60]))),
+                               seed=draw(st.integers(0, 20)))
+    records = json.loads(batch.to_json_bytes())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        record = records[i]
+        edit = draw(st.sampled_from(["alias", "drop", "value", "value", "value", "duplicate",
+                                     "invert", "record"]))
+        if not isinstance(record, dict):
+            continue
+        if edit == "alias":
+            alias = draw(st.sampled_from(["stationID", "spaceID", "_id", "userInputs"]))
+            if alias == "userInputs":
+                record["userInputs"] = [{key: record.pop(key) for key in
+                                         ("kWhRequested", "minutesAvailable") if key in record}]
+            elif (source := "sessionID" if alias == "_id" else "evseID") in record:
+                record[alias] = record.pop(source)
+        elif edit == "drop":
+            record.pop(draw(st.sampled_from(sorted(FIELD_VALUES))), None)
+        elif edit == "value":
+            key = draw(st.sampled_from(sorted(FIELD_VALUES)))
+            record[key] = draw(st.sampled_from(FIELD_VALUES[key]))
+        elif edit == "duplicate":
+            other = records[draw(st.integers(0, len(records) - 1))]
+            record["sessionID"] = other.get("sessionID") if isinstance(other, dict) else None
+        elif edit == "invert":
+            record["connectionTime"], record["disconnectTime"] = \
+                record.get("disconnectTime"), record.get("connectionTime")
+        else:
+            records[i] = draw(st.sampled_from([[], "x", 1, None, [record]]))
+    return records
+
+
+def assert_parsers_agree(records):
+    """The column parser returns the batch the per-record parser builds, or
+    raises its exact message."""
+    def parsed(parse):
+        try:
+            return parse(json.dumps(records))
+        except SessionError as exc:
+            return f"SessionError: {exc}"
+
+    want, got = parsed(per_record_parse), parsed(parse_sessions)
+    assert type(got) is type(want) and got == want
+
+
+@given(records=mutated_records())
+@settings(max_examples=400, deadline=None)
+def test_parser_agrees_with_per_record_oracle(records):
+    assert_parsers_agree(records)
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key, values in FIELD_VALUES.items()
+                                        for value in [*values, "<dropped>"]])
+def test_one_edit_agrees_with_per_record_oracle(key, value):
+    """Every odd value in every field of the middle one of three records."""
+    records = json.loads(generate_synthetic(GeneratorConfig(n_sessions=3), seed=1)
+                         .to_json_bytes())
+    if value == "<dropped>":
+        del records[1][key]
+    else:
+        records[1][key] = value
+    assert_parsers_agree(records)
+
+
 class TestSessionBatch:
     def test_groups_sorted_fcfs(self):
         late = make_session(sid="late", evse="A")
@@ -266,10 +350,9 @@ def test_writer_matches_json_dumps(batch):
 class TestGenerateSynthetic:
     def test_all_av_exactness(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=10, cv_fraction=0.0), seed=1)
-        for s in batch:
-            assert s.vehicle_class is VehicleClass.AV
-            assert s.energy_requested_kwh == s.energy_delivered_kwh
-            assert abs(s.actual_minutes - s.minutes_available) <= 1e-6
+        assert not batch.is_cv.any()
+        assert np.array_equal(batch.requested_kwh, batch.delivered_kwh)
+        assert np.array_equal(batch.charge_end - batch.plug_in, batch.minutes_available)
 
     def test_cv_inflation_mean(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=10000, cv_fraction=1.0),
@@ -298,68 +381,77 @@ class TestGenerateSynthetic:
 
     def test_rates_respect_supply_cap(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=400), seed=2)
-        for evse_id in batch.evse_ids:
-            assert delivery_rate_kw(batch.group(evse_id)) <= 50.0
-        for s in batch:
-            assert s.implied_rate_kw <= 50.0
+        for rows in batch.slices:
+            assert delivery_rate_kw(batch, rows) <= 50.0
+        assert np.all(batch.delivered_kwh / (batch.charge_end - batch.plug_in) * 60.0 <= 50.0)
+
+
+def batch_of(*sessions):
+    return SessionBatch([make_session(sid=f"s{i}", **kwargs)
+                         for i, kwargs in enumerate(sessions)])
 
 
 class TestRates:
     def test_demand_rate_unit_identity(self):
-        assert demand_rate_kw([make_session(requested=10.0, window_min=60)]) == 10.0
+        assert demand_rate_kw(batch_of(dict(requested=10.0, window_min=60))) == 10.0
 
     def test_demand_rate_two_sessions(self):
-        sessions = [make_session(requested=10.0, window_min=30),
-                    make_session(requested=5.0, window_min=30)]
-        assert demand_rate_kw(sessions) == pytest.approx(15.0)
+        batch = batch_of(dict(requested=10.0, window_min=30), dict(requested=5.0, window_min=30))
+        assert demand_rate_kw(batch) == pytest.approx(15.0)
 
     def test_demand_rate_zero_numerator(self):
-        assert demand_rate_kw([make_session(requested=0.0, window_min=30)]) == 0.0
+        assert demand_rate_kw(batch_of(dict(requested=0.0, window_min=30))) == 0.0
 
     def test_demand_rate_empty(self):
         with pytest.raises(SessionError):
-            demand_rate_kw([])
+            demand_rate_kw(SessionBatch())
 
     def test_delivery_rate_appendix_energy(self):
-        assert delivery_rate_kw([make_session(delivered=8.794, charge_min=60)]) \
+        assert delivery_rate_kw(batch_of(dict(delivered=8.794, charge_min=60))) \
             == pytest.approx(8.794)
 
     def test_delivery_rate_two_sessions(self):
-        sessions = [make_session(delivered=6.0, charge_min=20, plugged_min=40),
-                    make_session(delivered=6.0, charge_min=40)]
-        assert delivery_rate_kw(sessions) == pytest.approx(12.0)
+        batch = batch_of(dict(delivered=6.0, charge_min=20, plugged_min=40),
+                         dict(delivered=6.0, charge_min=40))
+        assert delivery_rate_kw(batch) == pytest.approx(12.0)
+        assert delivery_rate_kw(batch, slice(1, 2)) == pytest.approx(9.0)
 
     def test_matched_sessions_rates_equal(self):
-        s = make_session(requested=12.0, delivered=12.0, charge_min=45, window_min=45)
-        assert delivery_rate_kw([s]) == pytest.approx(demand_rate_kw([s]))
+        batch = batch_of(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
+        assert delivery_rate_kw(batch) == pytest.approx(demand_rate_kw(batch))
 
     def test_rate_ratio(self):
-        matched = make_session(requested=12.0, delivered=12.0, charge_min=45,
-                               window_min=45)
-        assert rate_ratio([matched]) == 1.0
-        half = make_session(requested=15.0, delivered=7.5, charge_min=60, window_min=60)
-        assert rate_ratio([half]) == pytest.approx(0.5)
-        zero = make_session(requested=15.0, delivered=0.0, charge_min=60, window_min=60)
-        assert rate_ratio([zero]) == 0.0
+        matched = batch_of(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
+        assert rate_ratio(matched) == 1.0
+        half = batch_of(dict(requested=15.0, delivered=7.5, charge_min=60, window_min=60))
+        assert rate_ratio(half) == pytest.approx(0.5)
+        zero = batch_of(dict(requested=15.0, delivered=0.0, charge_min=60, window_min=60))
+        assert rate_ratio(zero) == 0.0
 
     def test_time_ratio(self):
-        assert time_ratio(make_session(charge_min=60, plugged_min=60)) == 1.0
-        assert time_ratio(make_session(charge_min=120, plugged_min=480)) == 0.25
         zero = ChargingSession("s", "e", VehicleClass.CV, 1.0, 60.0, T0, T0,
                                T0 + timedelta(minutes=30), 1.0)
-        assert time_ratio(zero) == 0.0
+        ratios = time_ratios(SessionBatch([make_session(charge_min=60, plugged_min=60),
+                                           make_session(charge_min=120, plugged_min=480,
+                                                        start=T0 + timedelta(hours=1)),
+                                           zero]))
+        assert ratios.tolist() == [1.0, 0.25, 0.0]  # port "EVSE-1" sorts before "e"
+        bare = ChargingSession("bare", "e", VehicleClass.CV, 1.0, 60.0, T0, T0, T0, 1.0)
+        with pytest.raises(SessionError, match="'bare': zero plugged-in duration"):
+            time_ratios(SessionBatch([bare]))
 
     def test_energy_ratio(self):
-        appendix = make_session(requested=15.0, delivered=8.794)
-        assert energy_ratio(appendix) == pytest.approx(0.5863, abs=1e-4)
-        assert energy_ratio(make_session(requested=7.0, delivered=7.0)) == 1.0
-        assert energy_ratio(make_session(requested=7.0, delivered=0.0)) == 0.0
-        with pytest.raises(SessionError):
-            energy_ratio(make_session(requested=0.0))
+        ratios = energy_ratios(batch_of(dict(requested=15.0, delivered=8.794),
+                                        dict(requested=7.0, delivered=7.0),
+                                        dict(requested=7.0, delivered=0.0),
+                                        dict(requested=0.0)))
+        assert ratios[0] == pytest.approx(0.5863, abs=1e-4)
+        assert ratios[1:].tolist() == [1.0, 0.0, 0.0]  # no energy requested counts as 0
 
 
 class TestRatioInvariants:
-    @given(scale=st.floats(min_value=0.1, max_value=10.0),
+    # a batch holds whole minutes, so the durations scale by whole numbers
+    @given(scale=st.integers(min_value=1, max_value=10),
            requested=st.floats(min_value=1.0, max_value=50.0),
            delivered=st.floats(min_value=0.5, max_value=50.0),
            charge_min=st.integers(min_value=10, max_value=300),
@@ -378,12 +470,11 @@ class TestRatioInvariants:
                 unplug_time=T0 + timedelta(minutes=(charge_min + extra_min) * factor),
                 energy_delivered_kwh=delivered * factor)
 
-        base, scaled = build(1.0), build(scale)
-        assert rate_ratio([scaled]) == pytest.approx(rate_ratio([base]), rel=1e-6)
-        assert time_ratio(scaled) == pytest.approx(time_ratio(base), rel=1e-6)
-        assert energy_ratio(scaled) == pytest.approx(energy_ratio(base), rel=1e-6)
+        base, scaled = (SessionBatch([build(factor)]) for factor in (1, scale))
+        assert rate_ratio(scaled) == pytest.approx(rate_ratio(base), rel=1e-6)
+        for ratios in (time_ratios, energy_ratios):
+            assert ratios(scaled) == pytest.approx(ratios(base), rel=1e-6)
 
     def test_time_ratio_bounded(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=300), seed=5)
-        for s in batch:
-            assert 0.0 <= time_ratio(s) <= 1.0
+        assert np.all((time_ratios(batch) >= 0.0) & (time_ratios(batch) <= 1.0))
