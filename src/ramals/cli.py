@@ -23,7 +23,10 @@ Recognized keys (defaults in parentheses):
   step_minutes (15)             seed (0)
 
 Per-EVSE overrides: ``evse.<id>.supply_capacity_kw`` and
-``evse.<id>.switching_minutes``.
+``evse.<id>.switching_minutes``, each a number, for a port the site has
+(``<evse_prefix>-1`` to ``<evse_prefix>-<evse_count>``).  Any other
+``evse.`` key, a value that is not a number, or a port the site does not
+have is an error that names the key.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class CliError(ValueError):
 
 def load_config(path: str | None) -> dict:
     values = dict(DEFAULTS)
-    overrides: dict[str, str] = {}
+    overrides: dict[str, float] = {}
     if path:
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -92,17 +95,21 @@ def load_config(path: str | None) -> dict:
                 raise CliError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key.startswith("evse."):
-                overrides[key] = value
+                evse_id, _, field = key[len("evse."):].rpartition(".")
+                if not evse_id or field not in ("supply_capacity_kw", "switching_minutes"):
+                    raise CliError(f"{path}:{lineno}: unknown per-EVSE key {key!r}; expected "
+                                   "evse.<id>.supply_capacity_kw or evse.<id>.switching_minutes")
+                kind, target = float, overrides
             elif key in DEFAULTS:
-                kind = type(DEFAULTS[key])
-                try:
-                    values[key] = kind(value)
-                except ValueError:
-                    raise CliError(f"{path}:{lineno}: key {key!r} needs "
-                                   f"{'an integer' if kind is int else 'a number'}, "
-                                   f"got {value!r}") from None
+                kind, target = type(DEFAULTS[key]), values
             else:
                 raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                target[key] = kind(value)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: key {key!r} needs "
+                               f"{'an integer' if kind is int else 'a number'}, "
+                               f"got {value!r}") from None
     values["evse_overrides"] = overrides
     return values
 
@@ -114,18 +121,21 @@ def stage_seed(root_seed: int, stage: str) -> int:
 
 
 def site_from_config(cfg: dict) -> sessions.SiteConfig:
+    overrides = dict(cfg["evse_overrides"])
     evses = []
     for i in range(int(cfg["evse_count"])):
         evse_id = f"{cfg['evse_prefix']}-{i + 1}"
-        supply = cfg["evse_overrides"].get(f"evse.{evse_id}.supply_capacity_kw")
-        switching = cfg["evse_overrides"].get(f"evse.{evse_id}.switching_minutes")
         evses.append(sessions.EvseConfig(
             evse_id=evse_id,
-            supply_capacity_kw=float(supply) if supply is not None
-            else cfg["supply_capacity_kw"],
-            switching_minutes=float(switching) if switching is not None
-            else cfg["switching_minutes"],
+            supply_capacity_kw=overrides.pop(f"evse.{evse_id}.supply_capacity_kw",
+                                              cfg["supply_capacity_kw"]),
+            switching_minutes=overrides.pop(f"evse.{evse_id}.switching_minutes",
+                                            cfg["switching_minutes"]),
         ))
+    if overrides:
+        raise CliError(f"key {next(iter(overrides))!r} overrides a port the site does not "
+                       f"have; its ports are {cfg['evse_prefix']}-1 to "
+                       f"{cfg['evse_prefix']}-{int(cfg['evse_count'])}")
     return sessions.SiteConfig(site_id=cfg["site_id"],
                                dso_capacity_kw=cfg["dso_capacity_kw"],
                                evses=tuple(evses))
@@ -261,7 +271,10 @@ def cmd_compare(args) -> int:
         if "=" not in item:
             raise CliError("compare arguments must look like label=report.csv")
         label, path = item.split("=", 1)
-        reports[label] = scheduler.MetricsReport.from_csv(Path(path).read_text())
+        try:
+            reports[label] = scheduler.MetricsReport.from_csv(Path(path).read_text())
+        except scheduler.SchedulerError as exc:
+            raise CliError(f"report {path}: {exc}") from None
     rows = scheduler.compare_report(reports)
     text = scheduler.comparison_csv(rows)
     if args.out:

@@ -14,13 +14,16 @@ values, taken from the batch's columns once per port.
 
 :class:`EvseQueue` is one port's FCFS queue: :meth:`EvseQueue.present` voids
 expired heads into ``voided`` and exposes the head, and
-:meth:`EvseQueue.transition` applies one decision to that head.
+:meth:`EvseQueue.transition` applies one decision to that head.  The records
+a replay makes per session, :class:`Allocation` and :class:`QueueEvent`, are
+named tuples: cheap to build, read by field name like any record.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +149,7 @@ def port_sessions(batch: SessionBatch) -> list[PortSessions]:
     return ports
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Realized charging plan for one scheduled session."""
 
     energy_kwh: float
@@ -186,14 +188,8 @@ def rational_allocation(port: PortSessions, i: int, evse: EvseConfig) -> Allocat
     window = min(available, requested / rate * 60.0)
     energy = min(port.delivered_kwh[i], rate * window / 60.0)
     charge_minutes = energy / rate * 60.0
-    return Allocation(
-        energy_kwh=energy,
-        rate_kw=rate,
-        charge_minutes=charge_minutes,
-        occupy_minutes=charge_minutes + evse.switching_minutes,
-        allocated_energy_kwh=min(requested, rate * window / 60.0),
-        allocated_minutes=window + evse.switching_minutes,
-    )
+    return Allocation(energy, rate, charge_minutes, charge_minutes + evse.switching_minutes,
+                      min(requested, rate * window / 60.0), window + evse.switching_minutes)
 
 
 def as_requested_allocation(port: PortSessions, i: int, evse: EvseConfig) -> Allocation:
@@ -204,18 +200,11 @@ def as_requested_allocation(port: PortSessions, i: int, evse: EvseConfig) -> All
     available = port.minutes_available[i]
     energy = min(port.delivered_kwh[i], rate * available / 60.0)
     charge_minutes = energy / rate * 60.0 if rate > 0 else 0.0
-    return Allocation(
-        energy_kwh=energy,
-        rate_kw=rate,
-        charge_minutes=charge_minutes,
-        occupy_minutes=max(available, charge_minutes),
-        allocated_energy_kwh=port.requested_kwh[i],
-        allocated_minutes=available,
-    )
+    return Allocation(energy, rate, charge_minutes, max(available, charge_minutes),
+                      port.requested_kwh[i], available)
 
 
-@dataclass
-class QueueEvent:
+class QueueEvent(NamedTuple):
     """What happened to the head session, the port's session ``index``, at
     one transition."""
 
@@ -259,18 +248,19 @@ class EvseQueue:
         head's index, with the clock at or past its arrival; None once empty."""
         # Once started, a session always runs to completion.
         available = self.port.minutes_available
-        while self.position < self.size:
-            i = self.position
+        i, clock = self.position, self.clock
+        while i < self.size:
             arrival = self.arrivals[i]
-            self.clock = max(self.clock, arrival)
-            if self.clock <= arrival + available[i] + 1e-9:
-                return i
+            if arrival > clock:
+                clock = arrival
+            if clock <= arrival + available[i] + 1e-9:
+                break
             log.debug("session %r voided: availability window expired unserved",
                       self.port.session_ids[i])
-            self.voided.append(QueueEvent(i, "voided", self.clock,
-                                          wait_minutes=self.clock - arrival))
-            self.position += 1
-        return None
+            self.voided.append(QueueEvent(i, "voided", clock, clock - arrival))
+            i += 1
+        self.position, self.clock = i, clock
+        return i if i < self.size else None
 
     def transition(self, schedule_now: int, allocation=None) -> QueueEvent:
         """Apply one decision to the presented head; returns its event."""
@@ -284,11 +274,10 @@ class EvseQueue:
         if schedule_now == 1:
             if allocation is None:
                 raise MdpError(f"session {session_id!r}: scheduled without an allocation")
-            event = QueueEvent(i, "scheduled", self.clock, wait_minutes=self.clock - arrival,
-                               allocation=allocation)
+            event = QueueEvent(i, "scheduled", self.clock, self.clock - arrival, allocation)
             self.position += 1
             self.clock += allocation.occupy_minutes
         else:
-            event = QueueEvent(i, "queued", self.clock, wait_minutes=self.clock - arrival)
+            event = QueueEvent(i, "queued", self.clock, self.clock - arrival)
             self.clock += self.step_minutes
         return event

@@ -12,15 +12,18 @@ simultaneous delivery above the utility feed; a port that would breach it
 defers one step.  Decisions run in time order across ports: a port whose
 head arrives later than its turn waits for that arrival.  The rule and the
 reward read each port's :class:`ramals.mdp.PortSessions`, the same decision
-inputs training reads.
+inputs training reads.  Each session's fate is one :class:`ScheduleOutcome`,
+a named tuple, and :func:`outcomes_jsonl` writes them a column at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +37,7 @@ class SchedulerError(ValueError):
     """Raised for invalid execution inputs."""
 
 
-@dataclass(frozen=True)
-class ScheduleOutcome:
+class ScheduleOutcome(NamedTuple):
     """Final fate of one session."""
 
     session_id: str
@@ -93,24 +95,38 @@ class MetricsReport:
         site: dict[str, float] = {}
         hours: dict[str, float] = {}
         energy: dict[str, float] = {}
-        rows = text.strip().splitlines()
-        if not rows or rows[0] != "metric,scope,value":
+        rows = [(lineno, row.strip()) for lineno, row in enumerate(text.splitlines(), 1)
+                if row.strip()]
+        if not rows or rows[0][1] != "metric,scope,value":
             raise SchedulerError("unrecognized metrics CSV header")
-        for row in rows[1:]:
-            name, scope, value = row.split(",")
+        for lineno, row in rows[1:]:
+            fields = row.split(",")
+            if len(fields) != 3:
+                raise SchedulerError(f"line {lineno}: expected metric,scope,value, got {row!r}")
+            name, scope, value = fields
+            try:
+                number = float(value)
+            except ValueError:
+                raise SchedulerError(f"line {lineno}: value {value!r} is not a number") from None
             if scope == "site":
-                site[name] = float(value)
+                site[name] = number
             elif name == "active_charging_hours":
-                hours[scope] = float(value)
+                hours[scope] = number
             elif name == "energy_delivered_kwh":
-                energy[scope] = float(value)
-        served = int(site["sessions_served"])
-        total = int(site.get("sessions_total", 0.0))
+                energy[scope] = number
+        missing = [name for name in ("sessions_served", "charging_rate_kw",
+                                     "assignment_efficiency_pct", "active_charging_hours",
+                                     "energy_delivered_kwh") if name not in site]
+        if missing:
+            raise SchedulerError(f"no site row for {', '.join(missing)}")
+        served, total = site["sessions_served"], site.get("sessions_total", 0.0)
+        if not (math.isfinite(served) and math.isfinite(total)):
+            raise SchedulerError("sessions_served and sessions_total must be finite")
         return cls(site_id=site_id,
                    charging_rate_kw=site["charging_rate_kw"],
                    assignment_efficiency_pct=site["assignment_efficiency_pct"],
-                   sessions_served=served,
-                   sessions_total=total,
+                   sessions_served=int(served),
+                   sessions_total=int(total),
                    total_active_hours=site["active_charging_hours"],
                    total_energy_kwh=site["energy_delivered_kwh"],
                    active_hours_by_evse=hours,
@@ -210,78 +226,61 @@ class ScheduleEngine:
                                               arrivals[rows].tolist(), step_minutes=step_minutes)
                        for (evse_id, port), rows in zip(self.ports.items(), batch.slices)}
         self.outcomes: list[ScheduleOutcome] = []
-        self._active: list[tuple[float, float]] = []  # (end minute, kW) of each start
-
-    def _site_load(self, at_minutes: float) -> float:
-        # Decisions run in time order, so an interval that has ended by now
-        # has ended for every later decision too, and can be dropped.
-        self._active = [(end, kw) for end, kw in self._active if end > at_minutes + 1e-9]
-        return sum(kw for _end, kw in self._active)
-
-    def _record(self, port: mdp.PortSessions, event: mdp.QueueEvent, reward: float) -> None:
-        alloc = event.allocation
-        self.outcomes.append(ScheduleOutcome(
-            session_id=port.session_ids[event.index],
-            evse_id=port.evse_id,
-            scheduled=event.kind == "scheduled",
-            voided=event.kind == "voided",
-            start_minutes=event.clock_minutes,
-            wait_minutes=event.wait_minutes,
-            realized_energy_kwh=alloc.energy_kwh if alloc else 0.0,
-            realized_rate_kw=alloc.rate_kw if alloc else 0.0,
-            realized_minutes=alloc.charge_minutes if alloc else 0.0,
-            allocated_energy_kwh=alloc.allocated_energy_kwh if alloc else 0.0,
-            allocated_rate_kw=alloc.rate_kw if alloc else 0.0,
-            allocated_minutes=alloc.allocated_minutes if alloc else 0.0,
-            reward=reward,
-        ))
-
-    def _push(self, heap: list, evse_id: str) -> None:
-        """Queue a port at its clock, then present its head, so every waiting
-        port's next head is known before it is popped.  Presenting may void
-        heads; they are recorded when the port is popped."""
-        queue = self.queues[evse_id]
-        heapq.heappush(heap, (queue.clock, evse_id))
-        queue.present()
 
     def run(self) -> list[ScheduleOutcome]:
         # Min-heap of (next decision time, evse_id); port order breaks ties,
-        # which keeps runs deterministic.
+        # which keeps runs deterministic.  A port is presented when it is
+        # pushed, so every waiting port's next head is known before it is
+        # popped; heads that presenting voids are recorded when it is popped.
         heap = []
         for evse_id, queue in self.queues.items():
             if queue.head() is not None:
-                self._push(heap, evse_id)
+                heapq.heappush(heap, (queue.clock, evse_id))
+                queue.present()
+        decide, allocate, outcomes = self.rule.decide, self.allocator, self.outcomes
+        feed_kw = self.site.dso_capacity_kw + 1e-9
+        active: list[tuple[float, float]] = []  # (end minute, kW) of each start
         while heap:
             when, evse_id = heapq.heappop(heap)
-            queue, port = self.queues[evse_id], self.ports[evse_id]
-            for event in queue.voided:
-                self._record(port, event, 0.0)  # heads voided as expired
+            queue = self.queues[evse_id]
+            port = queue.port
+            for event in queue.voided:  # heads voided as expired
+                outcomes.append(ScheduleOutcome(
+                    port.session_ids[event.index], evse_id, False, True, event.clock_minutes,
+                    event.wait_minutes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             queue.voided.clear()
             i = queue.head()
             if i is None:
                 continue
-            if queue.clock > when:
-                # presenting moved the clock up to the head's arrival: decide
-                # there, after every port whose decision comes earlier.
-                self._push(heap, evse_id)
-                continue
-            if self.rule.decide(port, i) == 1:
-                allocation = self.allocator(port, i, queue.evse)
-                load = self._site_load(queue.clock)
-                if load + allocation.rate_kw > self.site.dso_capacity_kw + 1e-9:
-                    log.debug("EVSE %r deferred session %r: site load %.1f kW full",
-                              evse_id, port.session_ids[i], load)
-                    queue.clock += self.step_minutes
-                    self._push(heap, evse_id)
+            # When presenting moved the clock up to the head's arrival, the
+            # port decides there, after every port whose decision comes earlier.
+            if queue.clock <= when:
+                if decide(port, i) == 1:
+                    allocation = allocate(port, i, queue.evse)
+                    # Decisions run in time order, so an interval that has
+                    # ended by now has ended for every later decision too.
+                    active = [(end, kw) for end, kw in active if end > queue.clock + 1e-9]
+                    load = sum(kw for _end, kw in active)
+                    if load + allocation.rate_kw > feed_kw:
+                        log.debug("EVSE %r deferred session %r: site load %.1f kW full",
+                                  evse_id, port.session_ids[i], load)
+                        queue.clock += self.step_minutes
+                    else:
+                        event = queue.transition(1, allocation)
+                        outcomes.append(ScheduleOutcome(
+                            port.session_ids[i], evse_id, True, False, event.clock_minutes,
+                            event.wait_minutes, allocation.energy_kwh, allocation.rate_kw,
+                            allocation.charge_minutes, allocation.allocated_energy_kwh,
+                            allocation.rate_kw, allocation.allocated_minutes,
+                            port.reward(i, 1, self.risk_value)))
+                        active.append((event.clock_minutes + allocation.charge_minutes,
+                                       allocation.rate_kw))
+                else:
+                    queue.transition(0)
+                if queue.head() is None:
                     continue
-                event = queue.transition(1, allocation)
-                self._record(port, event, port.reward(i, 1, self.risk_value))
-                self._active.append((event.clock_minutes + allocation.charge_minutes,
-                                     allocation.rate_kw))
-            else:
-                queue.transition(0)
-            if queue.head() is not None:
-                self._push(heap, evse_id)
+            heapq.heappush(heap, (queue.clock, evse_id))
+            queue.present()
         return self.outcomes
 
 
@@ -415,15 +414,39 @@ def comparison_csv(rows: list[dict]) -> str:
 _OUTCOME = ('{"allocated_kw": %s, "allocated_kwh": %s, "allocated_min": %s, "evse_id": %s, '
             '"realized_kw": %s, "realized_kwh": %s, "realized_min": %s, "reward": %s, '
             '"scheduled": %s, "session_id": %s, "voided": %s, "wait_min": %s}')
+_JSON_BOOLS = ("false", "true")
+
+
+def _number_column(values: tuple) -> map:
+    """A column of numbers, each as json.dumps writes it."""
+    # A float sum is finite only when every term is.
+    if {*map(type, values)} == {float} and math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    return map(json_number, values)
 
 
 def outcomes_jsonl(outcomes) -> str:
-    """One JSON object per outcome and line, keys in sorted order."""
-    return "\n".join(_OUTCOME % (
-        json_number(o.allocated_rate_kw), json_number(o.allocated_energy_kwh),
-        json_number(o.allocated_minutes), encode_basestring_ascii(o.evse_id),
-        json_number(o.realized_rate_kw), json_number(o.realized_energy_kwh),
-        json_number(o.realized_minutes), json_number(o.reward),
-        "true" if o.scheduled else "false", encode_basestring_ascii(o.session_id),
-        "true" if o.voided else "false", json_number(o.wait_minutes))
-        for o in outcomes) + "\n"
+    """One JSON object per outcome and line, keys in sorted order, as
+    ``json.dumps(..., sort_keys=True)`` writes it; no outcomes give an empty
+    string.
+
+    The outcomes are transposed once and written a column at a time.  A
+    numeric column whose entries are all finite floats is one
+    ``float.__repr__`` map; any other column goes through
+    :func:`ramals.sessions.json_number`, so NaN, ±Infinity and ints keep
+    json's spelling.
+    """
+    outcomes = list(outcomes)
+    if not outcomes:
+        return ""
+    (session_id, evse_id, scheduled, voided, _start, wait, realized_kwh, realized_kw,
+     realized_min, allocated_kwh, allocated_kw, allocated_min, reward) = zip(*outcomes)
+    columns = (
+        _number_column(allocated_kw), _number_column(allocated_kwh),
+        _number_column(allocated_min), map(encode_basestring_ascii, evse_id),
+        _number_column(realized_kw), _number_column(realized_kwh),
+        _number_column(realized_min), _number_column(reward),
+        map(_JSON_BOOLS.__getitem__, map(bool, scheduled)),
+        map(encode_basestring_ascii, session_id),
+        map(_JSON_BOOLS.__getitem__, map(bool, voided)), _number_column(wait))
+    return "\n".join(map(_OUTCOME.__mod__, zip(*columns))) + "\n"

@@ -225,7 +225,9 @@ def outcome_json_line(outcome) -> str:
 
 
 def outcomes_json_dumps(outcomes) -> str:
-    return "\n".join(outcome_json_line(o) for o in outcomes) + "\n"
+    """One json.dumps line per outcome, each ending in a newline; no outcomes
+    give an empty file."""
+    return "".join(outcome_json_line(o) + "\n" for o in outcomes)
 
 
 def _minutes_since_midnight(ts) -> float:

@@ -66,6 +66,45 @@ class TestConfig:
                        "--out", tmp_path / "m.json") == 1
         assert f"c.cfg:2: key '{key}'" in capsys.readouterr().err
 
+    def test_bad_override_value_names_key_and_line(self, workdir, capsys):
+        path = workdir / "c.cfg"
+        path.write_text("# site\nevse.EVSE-1.supply_capacity_kw = lots\n")
+        with pytest.raises(CliError, match="c.cfg:2: key 'evse.EVSE-1.supply_capacity_kw' "
+                                           "needs a number, got 'lots'"):
+            load_config(path)
+        assert self.run_baseline(workdir, path) == 1
+        assert "c.cfg:2: key 'evse.EVSE-1.supply_capacity_kw'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["evse.EVSE-1.supply_kw", "evse.supply_capacity_kw",
+                                     "evse.EVSE-1"])
+    def test_unknown_override_field_rejected(self, workdir, capsys, key):
+        path = workdir / "c.cfg"
+        path.write_text(f"{key} = 5\n")
+        with pytest.raises(CliError, match=f"c.cfg:1: unknown per-EVSE key '{key}'"):
+            load_config(path)
+        assert self.run_baseline(workdir, path) == 1
+        assert f"unknown per-EVSE key '{key}'" in capsys.readouterr().err
+        assert not (workdir / "o.jsonl").exists()
+
+    def test_override_for_missing_port_rejected(self, workdir, capsys):
+        path = workdir / "c.cfg"
+        path.write_text("evse_count = 4\nevse.EVSE-9.supply_capacity_kw = 5\n")
+        with pytest.raises(CliError, match="key 'evse.EVSE-9.supply_capacity_kw' overrides "
+                                           "a port the site does not have; its ports are "
+                                           "EVSE-1 to EVSE-4"):
+            site_from_config(load_config(path))
+        assert self.run_baseline(workdir, path) == 1
+        assert "'evse.EVSE-9.supply_capacity_kw'" in capsys.readouterr().err
+        assert not (workdir / "o.jsonl").exists()
+
+    @staticmethod
+    def run_baseline(workdir, config):
+        sessions = workdir / "sessions.json"
+        if not sessions.exists():
+            assert run_cli("gen-data", "--out", sessions) == 0
+        return run_cli("run", "--baseline", "--config", config, "--sessions", sessions,
+                       "--out", workdir / "o.jsonl")
+
     @pytest.mark.parametrize("line", ["dso_capacity_kw = nan", "dso_capacity_kw = inf",
                                       "supply_capacity_kw = nan",
                                       "evse.EVSE-1.switching_minutes = inf"])
@@ -160,6 +199,21 @@ class TestPipeline:
                        "--out", table) == 0
         header = table.read_text().splitlines()[0]
         assert "delta_pct_ramals" in header
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [r for r in rows if not r.startswith("sessions_served,site,")],
+         "no site row for sessions_served"),
+        (lambda rows: rows[:2] + ["charging_rate_kw,site"] + rows[2:],
+         "line 3: expected metric,scope,value")])
+    def test_compare_malformed_report_names_file(self, workdir, capsys, edit, message):
+        sessions = self.generate(workdir)
+        report = workdir / "base.csv"
+        assert run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--baseline", "--out", workdir / "base.jsonl", "--report", report) == 0
+        bad = workdir / "bad.csv"
+        bad.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
+        assert run_cli("compare", f"base={report}", f"bad={bad}") == 1
+        assert f"error: report {bad}: {message}" in capsys.readouterr().err
 
     def test_resume_continues_counter(self, workdir):
         sessions = self.generate(workdir)

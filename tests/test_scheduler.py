@@ -1,5 +1,6 @@
 """Execution engine, baseline, metrics and comparison tables."""
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -27,6 +28,7 @@ from ramals import (
     train,
 )
 import ramals.learner as learner
+from ramals.cli import main as cli_main
 from ramals.mdp import rational_allocation, state_matrix
 from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
                               audit_outcomes, comparison_csv, outcomes_jsonl)
@@ -89,6 +91,25 @@ class TestComputeMetrics:
         assert again.sessions_total == report.sessions_total
         assert again.active_hours_by_evse == report.active_hours_by_evse
 
+    def test_csv_without_a_site_metric_names_it(self):
+        text = compute_metrics([outcome()], site_for(spaced_av_batch(n=1))).to_csv()
+        dropped = "".join(row for row in text.splitlines(keepends=True)
+                          if not row.startswith("sessions_served,"))
+        with pytest.raises(SchedulerError, match="no site row for sessions_served"):
+            MetricsReport.from_csv(dropped)
+
+    @pytest.mark.parametrize("row, message", [
+        ("charging_rate_kw,site", r"line 3: expected metric,scope,value, got "
+                                  r"'charging_rate_kw,site'"),
+        ("charging_rate_kw,site,fast", r"line 3: value 'fast' is not a number"),
+        ("sessions_served,site,nan", r"sessions_served and sessions_total must be finite")])
+    def test_csv_bad_row_names_its_line(self, row, message):
+        text = compute_metrics([outcome()], site_for(spaced_av_batch(n=1))).to_csv()
+        rows = [r for r in text.splitlines() if not r.startswith(row.split(",")[0] + ",site")]
+        rows.insert(2, row)
+        with pytest.raises(SchedulerError, match=message):
+            MetricsReport.from_csv("\n".join(rows))
+
     def test_csv_roundtrip_exact_on_twelve_ports(self):
         """The CSV lists ports sorted as text (EVSE-10 before EVSE-2); the site
         totals read back must still equal the ones written, bit for bit."""
@@ -104,13 +125,21 @@ class TestComputeMetrics:
 
 
 class TestExecute:
-    def test_empty_batch(self):
+    def test_empty_batch(self, tmp_path):
         batch = SessionBatch([])
         site = site_for(spaced_av_batch(n=1))
         outcomes, report = execute(None, batch, site)
         assert outcomes == []
         assert report.sessions_served == 0
         assert report.assignment_efficiency_pct == 0.0
+        # through the CLI: an empty outcome file, not one blank line
+        (tmp_path / "empty.json").write_text("[]")
+        out, report_path = tmp_path / "o.jsonl", tmp_path / "r.csv"
+        assert cli_main(["run", "--baseline", "--sessions", str(tmp_path / "empty.json"),
+                         "--out", str(out), "--report", str(report_path)]) == 0
+        assert out.read_bytes() == b""
+        read = MetricsReport.from_csv(report_path.read_text())
+        assert (read.sessions_served, read.sessions_total) == (0, 0)
 
     def test_all_av_oracle_schedule_is_fully_efficient(self):
         batch = spaced_av_batch(n=8, evses=("EVSE-1", "EVSE-2"))
@@ -337,10 +366,28 @@ class TestOutcomesJsonl:
 
     @given(outcomes=st.lists(st.builds(
         ScheduleOutcome, JSON_TEXT, JSON_TEXT, st.booleans(), st.booleans(),
-        *[JSON_NUMBERS] * 9), max_size=3))
+        *[JSON_NUMBERS] * 9), max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_matches_json_dumps(self, outcomes):
         assert outcomes_jsonl(outcomes) == outcomes_json_dumps(outcomes)
+
+    @pytest.mark.parametrize("odd", [math.nan, math.inf, -math.inf, 7, True])
+    def test_one_odd_value_in_a_float_column(self, odd):
+        """A column of finite floats but one entry is written as json.dumps
+        writes it, entry by entry."""
+        outcomes = [outcome(sid=f"s{i}", energy=1.5 * i, reward=0.25 * i) for i in range(5)]
+        outcomes[3] = outcomes[3]._replace(reward=odd)
+        assert outcomes_jsonl(outcomes) == outcomes_json_dumps(outcomes)
+
+    def test_empty_is_an_empty_file(self):
+        assert outcomes_jsonl([]) == outcomes_json_dumps([]) == ""
+
+    def test_fields_pinned(self):
+        """Readers of outcomes take their fields by name, in this order."""
+        assert ScheduleOutcome._fields == (
+            "session_id", "evse_id", "scheduled", "voided", "start_minutes", "wait_minutes",
+            "realized_energy_kwh", "realized_rate_kw", "realized_minutes",
+            "allocated_energy_kwh", "allocated_rate_kw", "allocated_minutes", "reward")
 
 
 class TestAudit:
