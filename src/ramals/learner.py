@@ -22,7 +22,7 @@ parameters (no gradient flows through them).
 
 from __future__ import annotations
 
-import contextlib
+import base64
 import json
 import logging
 import math
@@ -38,7 +38,7 @@ log = logging.getLogger(__name__)
 STATE_DIM = mdp.STATE_DIM
 PARAM_KEYS = ("wx", "wh", "b", "wp", "bp", "wv", "bv")
 LOG_PROB_FLOOR = 1e-12
-MODEL_FORMAT = "ramals-model-v3"
+MODEL_FORMAT = "ramals-model-v4"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -368,23 +368,25 @@ class EpisodeLog:
 class SharedModel:
     """Serializable container for the trained system.
 
-    Every port decides with the coordinator's parameters.  A ``ramals-model-v3``
+    Every port decides with the coordinator's parameters.  A ``ramals-model-v4``
     file is one JSON object holding only what ``execute`` or a resumed
     ``train`` reads:
 
     - ``format``, ``hidden``, ``risk_value``, the Adam ``step`` and
-      ``train_episodes``
+      ``train_episodes``, as JSON numbers
     - the coordinator's parameters (``coordinator``) and Adam moments
-      (``adam_m``, ``adam_v``), each one flat list laid out by
+      (``adam_m``, ``adam_v``), each one flat vector laid out by
       :func:`param_shapes`
-    - ``carries``: the recurrent carry ``{"h": [...], "c": [...]}`` each port
+    - ``carries``: the recurrent carry ``{"h": ..., "c": ...}`` each port
       ended training with, keyed by EVSE id
 
-    ``load`` checks each vector's length against :func:`param_shapes` at the
-    file's ``hidden`` and each carry against ``(hidden,)``, naming the vector
-    or port that disagrees, and rejects a ``risk_value`` outside [0, 1), as
-    ``train`` does.  A file of any other format, ``ramals-model-v1`` and
-    ``-v2`` included, is rejected with its format named.
+    Each vector is the base64 text of its little-endian float64 bytes, so a
+    file round-trips bit for bit.  ``load`` requires each vector to decode to
+    exactly the :func:`param_shapes` size at the file's ``hidden`` (a carry,
+    ``hidden``) of finite numbers, naming the vector, or the port of a carry,
+    that does not, and rejects a ``risk_value`` outside [0, 1), as ``train``
+    does.  A file of any other format, ``ramals-model-v1`` to ``-v3``
+    included, is rejected with its format named.
     """
 
     risk_value: float
@@ -409,10 +411,10 @@ class SharedModel:
             "risk_value": self.risk_value,
             "step": self.coordinator.step,
             "train_episodes": self.train_episodes,
-            "coordinator": self.coordinator.flat.tolist(),
-            "adam_m": self.coordinator.m.tolist(),
-            "adam_v": self.coordinator.v.tolist(),
-            "carries": {evse: {"h": h.tolist(), "c": c.tolist()}
+            "coordinator": _base64(self.coordinator.flat),
+            "adam_m": _base64(self.coordinator.m),
+            "adam_v": _base64(self.coordinator.v),
+            "carries": {evse: {"h": _base64(h), "c": _base64(c)}
                         for evse, (h, c) in sorted(self.carries.items())},
         }
         with open(path, "w") as fh:
@@ -444,14 +446,13 @@ class SharedModel:
                                    for key, shape in param_shapes(hidden).items()})
         for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
                              ("adam_v", coordinator.v)):
-            vector[...] = _numbers(payload[name], vector.size, f"{name} must be a list of "
-                                   f"{vector.size} numbers at hidden width {hidden}")
+            vector[...] = _vector(payload[name], vector.size, name, hidden)
         coordinator.step = _number(payload, "step", int)
         carries = {}
         for evse, blob in payload["carries"].items():
             carries[evse] = tuple(
-                _numbers(blob.get(k) if isinstance(blob, dict) else None, hidden,
-                         f"bad carry for {evse!r}, expected h and c of {hidden} floats")
+                _vector(blob.get(k) if isinstance(blob, dict) else None, hidden,
+                        f"carry {k} of {evse!r}", hidden)
                 for k in ("h", "c"))
         risk_value = _number(payload, "risk_value")
         if not 0.0 <= risk_value < 1.0:  # as train requires
@@ -472,14 +473,33 @@ def _number(payload: dict, field_name: str, kind=float):
     return kind(value)
 
 
-def _numbers(values, size: int, problem: str) -> np.ndarray:
-    """A model file's list of ``size`` JSON numbers as a float vector; a
-    :class:`LearnerError` states ``problem`` for anything else, a string or a
-    bool entry included."""
-    if isinstance(values, list) and len(values) == size and {*map(type, values)} <= {int, float}:
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            return np.array(values, dtype=float)
-    raise LearnerError(f"corrupt model file: {problem}")
+def _base64(vector: np.ndarray) -> str:
+    """A vector as a model file stores it: base64 of its little-endian float64
+    bytes."""
+    return base64.b64encode(np.asarray(vector, "<f8").tobytes()).decode("ascii")
+
+
+def _vector(text, size: int, name: str, hidden: int) -> np.ndarray:
+    """A model file's vector of ``size`` finite floats, from the text
+    :func:`_base64` writes; a :class:`LearnerError` names the vector
+    otherwise."""
+    def corrupt(problem: str) -> LearnerError:
+        return LearnerError(f"corrupt model file: {name} must be base64 of {size} float64 "
+                            f"at hidden width {hidden}, {problem}")
+
+    if not isinstance(text, str):
+        raise corrupt(f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise corrupt("not valid base64") from None
+    if len(raw) != 8 * size:
+        raise corrupt(f"got {len(raw)} bytes")
+    values = np.frombuffer(raw, "<f8")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise corrupt(f"entry {bad[0]} is not finite")
+    return values.astype(float)
 
 
 def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:

@@ -22,13 +22,15 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
 
 from . import learner, mdp
-from .sessions import SessionBatch, SiteConfig, json_number
+from .sessions import SessionBatch, SiteConfig, number_column
 
 log = logging.getLogger(__name__)
 
@@ -284,24 +286,32 @@ class ScheduleEngine:
         return self.outcomes
 
 
+def _columns(outcomes: list) -> ScheduleOutcome:
+    """The outcomes transposed: each field a tuple of every outcome's value."""
+    return ScheduleOutcome(*(list(zip(*outcomes)) or [()] * len(ScheduleOutcome._fields)))
+
+
 def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
     """Summarize realized outcomes into the evaluation report."""
     outcomes = list(outcomes)
-    served = [o for o in outcomes if o.scheduled]
+    columns = _columns(outcomes)
+    minutes = list(compress(columns.realized_minutes, columns.scheduled))
+    kwh = list(compress(columns.realized_energy_kwh, columns.scheduled))
     hours = {evse_id: 0.0 for evse_id in site.evse_ids}
     energy = {evse_id: 0.0 for evse_id in site.evse_ids}
-    for o in served:
-        hours[o.evse_id] = hours.get(o.evse_id, 0.0) + o.realized_minutes / 60.0
-        energy[o.evse_id] = energy.get(o.evse_id, 0.0) + o.realized_energy_kwh
-    total_minutes = sum(o.realized_minutes for o in served)
-    total_energy = sum(o.realized_energy_kwh for o in served)
+    for evse_id, realized_minutes, realized_kwh in zip(
+            compress(columns.evse_id, columns.scheduled), minutes, kwh):
+        hours[evse_id] = hours.get(evse_id, 0.0) + realized_minutes / 60.0
+        energy[evse_id] = energy.get(evse_id, 0.0) + realized_kwh
+    total_minutes = sum(minutes)
+    total_energy = sum(kwh)
     rate = total_energy / total_minutes * 60.0 if total_minutes > 0 else 0.0
-    efficiency = 100.0 * len(served) / len(outcomes) if outcomes else 0.0
+    efficiency = 100.0 * len(minutes) / len(outcomes) if outcomes else 0.0
     return MetricsReport(
         site_id=site.site_id,
         charging_rate_kw=rate,
         assignment_efficiency_pct=efficiency,
-        sessions_served=len(served),
+        sessions_served=len(minutes),
         sessions_total=len(outcomes),
         total_active_hours=sum(hours.values()),
         total_energy_kwh=sum(energy.values()),
@@ -344,26 +354,31 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
     if len(outcomes) != len(batch):
         raise SchedulerError(f"session conservation violated: {len(outcomes)} outcomes "
                              f"for {len(batch)} sessions")
-    if sorted(o.session_id for o in outcomes) != sorted(batch.session_ids):
+    columns = _columns(outcomes)
+    if sorted(columns.session_id) != sorted(batch.session_ids):
         raise SchedulerError("session conservation violated: outcome ids differ from batch")
     receiving = dict(zip(batch.session_ids, batch.receiving_kw.tolist()))
-    for o in outcomes:
-        if o.voided and o.realized_energy_kwh != 0.0:
-            raise SchedulerError(f"voided session {o.session_id!r} delivered energy")
-        if o.scheduled:
-            evse = site.evse(o.evse_id)
-            cap = min(evse.supply_capacity_kw, receiving[o.session_id])
-            if o.realized_rate_kw > cap + 1e-9:
-                raise SchedulerError(f"session {o.session_id!r} rate {o.realized_rate_kw} "
-                                     f"exceeds cap {cap}")
+    supply = {evse.evse_id: evse.supply_capacity_kw for evse in site.evses}
+    for session_id, evse_id, is_scheduled, is_voided, energy, rate in zip(
+            columns.session_id, columns.evse_id, columns.scheduled, columns.voided,
+            columns.realized_energy_kwh, columns.realized_rate_kw):
+        if is_voided and energy != 0.0:
+            raise SchedulerError(f"voided session {session_id!r} delivered energy")
+        if is_scheduled:
+            # site.evse raises for a port the site lacks
+            cap = min(supply.get(evse_id) or site.evse(evse_id).supply_capacity_kw,
+                      receiving[session_id])
+            if rate > cap + 1e-9:
+                raise SchedulerError(f"session {session_id!r} rate {rate} exceeds cap {cap}")
     # Site load: charging intervals are constant-rate, so the maximum load
     # occurs at some charging start t.  The rate of the intervals with
     # s <= t + 1e-9 < e is a prefix sum over sorted starts minus one over ends.
-    served = [o for o in outcomes if o.scheduled and o.realized_minutes > 0]
-    starts = np.array([o.start_minutes for o in served])
-    ends = starts + np.array([o.realized_minutes for o in served])
-    rates = np.array([o.realized_rate_kw for o in served])
-    loads = np.zeros(len(served))
+    lengths = np.array(columns.realized_minutes, dtype=float)
+    served = np.array(columns.scheduled, dtype=bool) & (lengths > 0)
+    starts = np.array(columns.start_minutes, dtype=float)[served]
+    ends = starts + lengths[served]
+    rates = np.array(columns.realized_rate_kw, dtype=float)[served]
+    loads = np.zeros(len(starts))
     for bounds, sign in ((starts, 1.0), (ends, -1.0)):
         order = np.argsort(bounds)
         prefix = np.concatenate(([0.0], np.cumsum(rates[order])))
@@ -417,36 +432,30 @@ _OUTCOME = ('{"allocated_kw": %s, "allocated_kwh": %s, "allocated_min": %s, "evs
 _JSON_BOOLS = ("false", "true")
 
 
-def _number_column(values: tuple) -> map:
-    """A column of numbers, each as json.dumps writes it."""
-    # A float sum is finite only when every term is.
-    if {*map(type, values)} == {float} and math.isfinite(sum(values)):
-        return map(float.__repr__, values)
-    return map(json_number, values)
-
-
 def outcomes_jsonl(outcomes) -> str:
     """One JSON object per outcome and line, keys in sorted order, as
     ``json.dumps(..., sort_keys=True)`` writes it; no outcomes give an empty
     string.
 
-    The outcomes are transposed once and written a column at a time.  A
-    numeric column whose entries are all finite floats is one
-    ``float.__repr__`` map; any other column goes through
-    :func:`ramals.sessions.json_number`, so NaN, ±Infinity and ints keep
-    json's spelling.
+    The outcomes are transposed once and written a column at a time by
+    :func:`ramals.sessions.number_column`, so NaN, ±Infinity and ints keep
+    json's spelling.  The engine sets ``allocated_rate_kw`` to the very
+    ``realized_rate_kw`` object, so when every entry is, that column is
+    formatted once for both; equal values need not be (``0.0``, ``-0.0``).
     """
     outcomes = list(outcomes)
     if not outcomes:
         return ""
     (session_id, evse_id, scheduled, voided, _start, wait, realized_kwh, realized_kw,
      realized_min, allocated_kwh, allocated_kw, allocated_min, reward) = zip(*outcomes)
+    realized_kw_text = list(number_column(realized_kw))
     columns = (
-        _number_column(allocated_kw), _number_column(allocated_kwh),
-        _number_column(allocated_min), map(encode_basestring_ascii, evse_id),
-        _number_column(realized_kw), _number_column(realized_kwh),
-        _number_column(realized_min), _number_column(reward),
+        realized_kw_text if all(map(is_, allocated_kw, realized_kw))
+        else number_column(allocated_kw),
+        number_column(allocated_kwh), number_column(allocated_min),
+        map(encode_basestring_ascii, evse_id), realized_kw_text,
+        number_column(realized_kwh), number_column(realized_min), number_column(reward),
         map(_JSON_BOOLS.__getitem__, map(bool, scheduled)),
         map(encode_basestring_ascii, session_id),
-        map(_JSON_BOOLS.__getitem__, map(bool, voided)), _number_column(wait))
+        map(_JSON_BOOLS.__getitem__, map(bool, voided)), number_column(wait))
     return "\n".join(map(_OUTCOME.__mod__, zip(*columns))) + "\n"

@@ -18,7 +18,8 @@ falls back to for records not in canonical form or failing a column check.
 Units: energy in kWh, rates in kW, durations in minutes unless a name says
 otherwise.  A record's timestamp is ``YYYY-MM-DD``, then ``T`` or
 whitespace, then ``HH:MM`` with optional ``:SS``; a trailing ``Z``, offset
-or fraction is dropped and so are the seconds.
+or fraction is dropped and so are the seconds.  A canonical stamp, the form
+the writer uses, is exactly ``YYYY-MM-DDTHH:MM``.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class SessionBatch:
                                         unit="m").tolist()
                   for stamps in (self.plug_in, self.unplug, self.charge_end)]
         fields.append([evse_ids[p] for p in self.port.tolist()])
-        fields += [list(map(json_number, column.tolist())) for column in (
+        fields += [number_column(column.tolist()) for column in (
             self.delivered_kwh, self.requested_kwh, self.minutes_available, self.receiving_kw)]
         fields.append(list(map(encode_basestring_ascii, self.session_ids)))
         fields.append(["CV" if is_cv else "AV" for is_cv in self.is_cv.tolist()])
@@ -244,6 +245,14 @@ def json_number(value) -> str:
         text = float.__repr__(value)
         return _JSON_CONSTANTS.get(text, text)
     return json.dumps(value)
+
+
+def number_column(values) -> map:
+    """A column of numbers, each as :func:`json_number` writes it."""
+    # A float sum is finite only when every term is.
+    if {*map(type, values)} == {float} and isfinite(sum(values)):
+        return map(float.__repr__, values)
+    return map(json_number, values)
 
 
 def _stamp_minutes(raw: str) -> int | None:
@@ -317,7 +326,8 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     nothing is dropped silently.
 
     Canonical records, as :meth:`SessionBatch.to_json_bytes` writes them, are
-    read and checked column by column, each distinct timestamp string parsed
+    read and checked column by column; a canonical timestamp is exactly
+    ``YYYY-MM-DDTHH:MM``, and each timestamp column is converted by numpy at
     once.  Any other input, valid or not, goes through the per-record
     validator, which reads the ACN aliases and names the first bad record.
     """
@@ -362,11 +372,10 @@ def _canonical_batch(payload: list) -> SessionBatch | None:
         requested, available, delivered, receiving = (np.array(c, dtype=float) for c in numbers)
     except (KeyError, TypeError, OverflowError):  # not canonical, or an int beyond float
         return None
-    stamps = {text: _stamp_minutes(text) for text in set().union(*texts)}
-    if None in stamps.values():
+    stamps = [_canonical_stamps(column) for column in texts]
+    if any(column is None for column in stamps):
         return None
-    plug_in, charge_end, unplug = (np.fromiter(map(stamps.__getitem__, column), np.int64,
-                                               len(column)) for column in texts)
+    plug_in, charge_end, unplug = stamps
     if not (all(np.isfinite(c).all() for c in (requested, available, delivered, receiving))
             and (requested >= 0).all() and (delivered >= 0).all()
             and (available > 0).all() and (receiving > 0).all()
@@ -374,6 +383,32 @@ def _canonical_batch(payload: list) -> SessionBatch | None:
         return None
     return SessionBatch(columns=(session_ids, evse_ids, is_cv, requested, available, plug_in,
                                  charge_end, unplug, delivered, receiving))
+
+
+# The offsets of the digits and of the separators in "YYYY-MM-DDTHH:MM".
+_STAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15)
+_STAMP_SEPARATORS = ((4, "-"), (7, "-"), (10, "T"), (13, ":"))
+
+
+def _canonical_stamps(texts: list) -> np.ndarray | None:
+    """The minute stamps of a column of ``YYYY-MM-DDTHH:MM`` strings, year
+    not 0000, by one numpy conversion; None if any has another form or is no
+    date."""
+    if {*map(len, texts)} != {16}:
+        return None
+    # The strings as a grid of 16 characters a row, checked a grid column at a
+    # time.  numpy's own parser would also take a sign or a space separator.
+    grid = "".join(texts)
+    digits = "".join([grid[k::16] for k in _STAMP_DIGITS])
+    if not (digits.isascii() and digits.isdigit()
+            and all(grid[k::16] == char * len(texts) for k, char in _STAMP_SEPARATORS)):
+        return None
+    try:
+        stamps = np.array(texts).astype("datetime64[m]").view(np.int64) + _UNIX_EPOCH
+    except ValueError:  # a month, day, hour or minute out of range
+        return None
+    # numpy reads a year 0000 too, as days before day 1 of year 1
+    return stamps if (stamps >= _DAY).all() else None
 
 
 def _parse_records(payload: list) -> SessionBatch:

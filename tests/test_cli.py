@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
+from ramals.learner import SharedModel
 from ramals.sessions import ChargingSession
 
 CONFIG = """
@@ -228,7 +229,7 @@ class TestPipeline:
     def test_corrupt_model_exits_with_field_name(self, workdir, capsys):
         sessions = self.generate(workdir)
         bad = workdir / "bad-model.json"
-        bad.write_text('{"format": "ramals-model-v3"}')
+        bad.write_text('{"format": "ramals-model-v4"}')
         code = run_cli("run", "--config", workdir / "run.cfg",
                        "--sessions", sessions, "--model", bad,
                        "--out", workdir / "o.jsonl")
@@ -249,9 +250,8 @@ class TestPipeline:
             resumed = workdir / f"resumed-{cfg}.json"
             assert run_cli("train", "--config", workdir / cfg, "--sessions", sessions,
                            "--risk-off", "--resume", model, "--out", resumed) == 0
-            moved[cfg] = np.max(np.abs(np.subtract(
-                json.loads(resumed.read_text())["coordinator"],
-                json.loads(model.read_text())["coordinator"])))
+            moved[cfg] = np.max(np.abs(SharedModel.load(resumed).coordinator.flat
+                                       - SharedModel.load(model).coordinator.flat))
         assert moved["fast.cfg"] > 100 * moved["run.cfg"]
 
     @pytest.mark.parametrize("value", [None, "x"])
@@ -282,7 +282,7 @@ class TestPipeline:
         code = run_cli("train", "--config", workdir / "wide.cfg", "--sessions", sessions,
                        "--risk-off", "--resume", model, "--out", resumed)
         assert code == 1
-        assert "coordinator must be a list of 1523 numbers at hidden width 16" \
+        assert "coordinator must be base64 of 1523 float64 at hidden width 16, got 4056 bytes" \
             in capsys.readouterr().err
         assert not resumed.exists()
 

@@ -1,5 +1,6 @@
 """Recurrent actor-critic: forward passes, losses, gradients, updates, training."""
 
+import base64
 import copy
 import hashlib
 import json
@@ -55,8 +56,22 @@ from oracles import (
 
 # SHA-256 of the outcomes JSONL plus report CSV that tests/data/model-v2-hidden4.json
 # replayed to, on the seed-3 batch of test_stored_v3_file_resaves_and_replays,
-# while the v2 format was still read
+# while the v2 format was still read; its v3 and v4 conversions replay to it too
 V2_FIXTURE_REPLAY_SHA256 = "de79751f531807b2795c22abdb2de016cec367eb51b6b0cc15ced8a65d45b164"
+
+
+def decode(text: str) -> np.ndarray:
+    """A model file's vector text as a writable float array."""
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def encode(values: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def vector_name(vector: str, evse: str) -> str:
+    """How a load error names a model file vector, or a carry with its port."""
+    return f"carry {vector} of '{evse}'" if vector in "hc" else vector
 
 
 def random_params(hidden=8, seed=0, scale=None):
@@ -625,18 +640,46 @@ class TestSerialization:
         assert logs[0].episode == episodes + 1
 
     def test_v3_save_load_save_is_byte_identical(self, tmp_path):
+        """A v4 file (the name is the v3 test's) re-saves byte for byte, and
+        each vector is base64 of its little-endian float64 bytes."""
         batch, site = small_scenario(seed=8)
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
                          risk_value=0.2)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         model.save(first)
         payload = json.loads(first.read_text())
-        assert payload["format"] == "ramals-model-v3"
+        assert payload["format"] == "ramals-model-v4"
         assert sorted(payload) == ["adam_m", "adam_v", "carries", "coordinator", "format",
                                    "hidden", "risk_value", "step", "train_episodes"]
-        assert payload["coordinator"] == model.coordinator.flat.tolist()
+        assert base64.b64decode(payload["coordinator"]) \
+            == model.coordinator.flat.astype("<f8").tobytes()
+        assert first.read_text().startswith('{\n "adam_m": "')  # sort_keys, indent=1
         SharedModel.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_round_trip_is_bit_exact_on_extreme_values(self, tmp_path):
+        """-0.0, subnormals and the ends of the float range come back bit for
+        bit in the parameters, both moments and every carry."""
+        extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308,
+                             np.nextafter(1.0, 2.0), -1.7976931348623157e308])
+        model = SharedModel(risk_value=0.25, coordinator=Coordinator(random_params(hidden=4)),
+                            carries={}, train_episodes=7)
+        for vector in (model.coordinator.flat, model.coordinator.m, model.coordinator.v):
+            vector[:extremes.size] = extremes
+        model.coordinator.step = 11
+        model.carries = {"EVSE-1": (extremes[:4].copy(), extremes[-4:].copy()),
+                         "EVSE-2": (np.full(4, 5e-324), np.full(4, -0.0))}
+        model.save(tmp_path / "model.json")
+        loaded = SharedModel.load(tmp_path / "model.json")
+        for name in ("flat", "m", "v"):
+            got, want = getattr(loaded.coordinator, name), getattr(model.coordinator, name)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the sign of -0.0 too
+        assert sorted(loaded.carries) == ["EVSE-1", "EVSE-2"]
+        for evse, (h, c) in model.carries.items():
+            for got, want in zip(loaded.carries[evse], (h, c)):
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert (loaded.coordinator.step, loaded.train_episodes, loaded.risk_value) == (11, 7, 0.25)
 
     def test_v1_payload_rejected_naming_format(self, tmp_path):
         payload = self.saved_payload(tmp_path)
@@ -644,27 +687,28 @@ class TestSerialization:
         payload["agents"] = {evse: payload["coordinator"] for evse in payload["carries"]}
         with pytest.raises(LearnerError, match="unreadable model file: format "
                                                "'ramals-model-v1', this version reads "
-                                               "'ramals-model-v3' only"):
+                                               "'ramals-model-v4' only"):
             self.load_payload(tmp_path, payload)
 
     def test_unknown_format_rejected(self, tmp_path):
         payload = self.saved_payload(tmp_path)
-        payload["format"] = "ramals-model-v4"
+        payload["format"] = "ramals-model-v5"
         with pytest.raises(LearnerError, match="unreadable model file: format "
-                                               "'ramals-model-v4'"):
+                                               "'ramals-model-v5'"):
             self.load_payload(tmp_path, payload)
 
     def test_corrupt_model_names_field(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"format": "ramals-model-v3", "hidden": 8}')
+        path.write_text('{"format": "ramals-model-v4", "hidden": 8}')
         with pytest.raises(LearnerError, match="missing field"):
             SharedModel.load(path)
 
     def test_corrupt_tensor_named(self, tmp_path):
         payload = self.saved_payload(tmp_path)
-        del payload["coordinator"][-1]
-        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be a "
-                                               "list of 507 numbers at hidden width 8"):
+        payload["coordinator"] = encode(decode(payload["coordinator"])[:-1])
+        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be base64 "
+                                               "of 507 float64 at hidden width 8, got 4048 "
+                                               "bytes"):
             self.load_payload(tmp_path, payload)
 
     def saved_payload(self, tmp_path):
@@ -690,8 +734,8 @@ class TestSerialization:
     def test_misshapen_adam_moment_named(self, tmp_path):
         payload = self.saved_payload(tmp_path)
         payload["adam_v"] = [payload["adam_v"]]
-        with pytest.raises(LearnerError, match="corrupt model file: adam_v must be a "
-                                               "list of 507 numbers at hidden width 8"):
+        with pytest.raises(LearnerError, match="corrupt model file: adam_v must be base64 of "
+                                               "507 float64 at hidden width 8, got list"):
             self.load_payload(tmp_path, payload)
 
     def test_non_object_carries_named(self, tmp_path):
@@ -703,8 +747,9 @@ class TestSerialization:
     def test_hidden_field_contradicted_by_tensors(self, tmp_path):
         payload = self.saved_payload(tmp_path)
         payload["hidden"] = 16
-        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be a "
-                                               "list of 1523 numbers at hidden width 16"):
+        with pytest.raises(LearnerError, match="corrupt model file: coordinator must be base64 "
+                                               "of 1523 float64 at hidden width 16, got 4056 "
+                                               "bytes"):
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("hidden", [0, "8"])
@@ -740,24 +785,77 @@ class TestSerialization:
     @pytest.mark.parametrize("entry", ["0.05", True])
     @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
     def test_non_number_entry_named(self, tmp_path, vector, entry):
-        """A string or a bool is not a JSON number, in a vector as in a
-        scalar field."""
+        """A vector written as a JSON list, the v3 form, is rejected naming
+        the vector or the carry's port, whatever its entries."""
         payload = self.saved_payload(tmp_path)
         evse = sorted(payload["carries"])[0]
-        values = payload["carries"][evse][vector] if vector in "hc" else payload[vector]
-        values[3] = entry
-        message = (f"bad carry for '{evse}', expected h and c of 8 floats" if vector in "hc"
-                   else f"{vector} must be a list of 507 numbers at hidden width 8")
-        with pytest.raises(LearnerError, match=f"corrupt model file: {message}"):
+        holder = payload["carries"][evse] if vector in "hc" else payload
+        holder[vector] = decode(holder[vector]).tolist()
+        holder[vector][3] = entry
+        with pytest.raises(LearnerError, match=f"corrupt model file: "
+                                               f"{vector_name(vector, evse)} must be base64 of "
+                                               f"{8 if vector in 'hc' else 507} float64 at "
+                                               f"hidden width 8, got list"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda text: None, "got NoneType", id="null"),
+        pytest.param(lambda text: 0.5, "got float", id="number"),
+        pytest.param(lambda text: text[:-1], "not valid base64", id="cut"),
+        pytest.param(lambda text: "*" + text[1:], "not valid base64", id="symbol"),
+        pytest.param(lambda text: text[:4] + " " + text[4:], "not valid base64", id="space"),
+        pytest.param(lambda text: text[:4] + "\u00e9" + text[5:], "not valid base64",
+                     id="non-ascii"),
+        pytest.param(lambda text: encode(decode(text)[1:]), "got [0-9]+ bytes",
+                     id="one-float-short"),
+        pytest.param(lambda text: base64.b64encode(base64.b64decode(text) + b"\0").decode(),
+                     "got [0-9]+ bytes", id="one-byte-long"),
+        pytest.param(lambda text: base64.b64encode(base64.b64decode(text)[:-1]).decode(),
+                     "got [0-9]+ bytes", id="one-byte-short"),
+    ])
+    def test_bad_vector_text_named(self, tmp_path, vector, edit, problem):
+        payload = self.saved_payload(tmp_path)
+        evse = sorted(payload["carries"])[-1]
+        holder = payload["carries"][evse] if vector in "hc" else payload
+        holder[vector] = edit(holder[vector])
+        with pytest.raises(LearnerError, match=f"corrupt model file: "
+                                               f"{vector_name(vector, evse)} must be base64 of "
+                                               f"[0-9]+ float64 at hidden width 8, {problem}$"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_named(self, tmp_path, vector, bad):
+        payload = self.saved_payload(tmp_path)
+        evse = sorted(payload["carries"])[0]
+        holder = payload["carries"][evse] if vector in "hc" else payload
+        values = decode(holder[vector])
+        values[5] = bad
+        holder[vector] = encode(values)
+        with pytest.raises(LearnerError, match=f"corrupt model file: "
+                                               f"{vector_name(vector, evse)} must be base64 of "
+                                               f"[0-9]+ float64 at hidden width 8, entry 5 is "
+                                               f"not finite"):
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("state", ["h", "c"])
     def test_misshapen_carry_names_port(self, tmp_path, state):
         payload = self.saved_payload(tmp_path)
         evse = sorted(payload["carries"])[-1]
-        payload["carries"][evse][state] = [0.0, 0.0, 0.0]
-        with pytest.raises(LearnerError, match=f"corrupt model file: bad carry for '{evse}', "
-                                               f"expected h and c of 8 floats"):
+        payload["carries"][evse][state] = encode(np.zeros(3))
+        with pytest.raises(LearnerError, match=f"corrupt model file: carry {state} of '{evse}' "
+                                               f"must be base64 of 8 float64 at hidden width 8, "
+                                               f"got 24 bytes"):
+            self.load_payload(tmp_path, payload)
+
+    def test_carry_without_state_names_port(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        evse = sorted(payload["carries"])[0]
+        del payload["carries"][evse]["c"]
+        with pytest.raises(LearnerError, match=f"corrupt model file: carry c of '{evse}' must "
+                                               f"be base64 of 8 float64 at hidden width 8, "
+                                               f"got NoneType"):
             self.load_payload(tmp_path, payload)
 
     def test_stored_v2_file_rejected_naming_format(self):
@@ -767,10 +865,19 @@ class TestSerialization:
                                                "'ramals-model-v2'"):
             SharedModel.load(Path(__file__).parent / "data" / "model-v2-hidden4.json")
 
+    def test_stored_v3_file_rejected_naming_format(self):
+        """The stored v2 file converted to v3, which wrote each vector as a
+        JSON list of numbers."""
+        with pytest.raises(LearnerError, match="unreadable model file: format "
+                                               "'ramals-model-v3', this version reads "
+                                               "'ramals-model-v4' only"):
+            SharedModel.load(Path(__file__).parent / "data" / "model-v3-hidden4.json")
+
     def test_stored_v3_file_resaves_and_replays(self, tmp_path):
-        """The stored v2 file converted to v3 (seed-3 batch below, 3 episodes):
-        it re-saves byte for byte and replays to the outcomes the v2 file gave."""
-        source = Path(__file__).parent / "data" / "model-v3-hidden4.json"
+        """The stored v3 file converted to v4 (the name is the v3 test's;
+        seed-3 batch below, 3 episodes): it re-saves byte for byte and replays
+        to the outcomes the v2 file gave."""
+        source = Path(__file__).parent / "data" / "model-v4-hidden4.json"
         model = SharedModel.load(source)
         assert model.hidden == 4 and sorted(model.carries) == ["EVSE-1", "EVSE-2"]
         model.save(tmp_path / "resaved.json")

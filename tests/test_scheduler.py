@@ -1,5 +1,6 @@
 """Execution engine, baseline, metrics and comparison tables."""
 
+import json
 import math
 from collections import defaultdict
 
@@ -382,6 +383,18 @@ class TestOutcomesJsonl:
     def test_empty_is_an_empty_file(self):
         assert outcomes_jsonl([]) == outcomes_json_dumps([]) == ""
 
+    @pytest.mark.parametrize("allocated", [[2.5, 3.0, 4.0], [2.5, 3.0, -0.0], [2.5, 3, 0.0],
+                                           [2.5, 3.0, 0.0]])
+    def test_allocated_rate_differs_from_realized(self, allocated):
+        """The engine gives both rate columns one value; any other outcomes
+        write their allocated rate on its own, -0.0 and an int included."""
+        realized = [2.5, 3.0, 0.0]
+        outcomes = [outcome(sid=f"s{i}", rate=rate)._replace(allocated_rate_kw=kw)
+                    for i, (rate, kw) in enumerate(zip(realized, allocated))]
+        text = outcomes_jsonl(outcomes)
+        assert text == outcomes_json_dumps(outcomes)
+        assert [json.loads(line)["allocated_kw"] for line in text.splitlines()] == allocated
+
     def test_fields_pinned(self):
         """Readers of outcomes take their fields by name, in this order."""
         assert ScheduleOutcome._fields == (
@@ -404,6 +417,16 @@ class TestAudit:
         with pytest.raises(SchedulerError, match="exceeds cap"):
             audit_outcomes([bad], batch, site)
 
+    def test_first_of_two_over_cap_sessions_named(self):
+        """Outcomes are checked in outcome order, not batch order."""
+        batch = spaced_av_batch(n=2)
+        site = site_for(batch)
+        late, early = (outcome(sid=f"EVSE-1-s{i}", rate=rate, start=60.0 * i)
+                       for i, rate in ((1, 70.0), (0, 80.0)))
+        with pytest.raises(SchedulerError, match="session 'EVSE-1-s1' rate 70.0 exceeds cap 50.0"):
+            audit_outcomes([late, early], batch, site)
+        with pytest.raises(SchedulerError, match="session 'EVSE-1-s0' rate 80.0 exceeds cap 50.0"):
+            audit_outcomes([early, late], batch, site)
 
     def test_overlap_over_feed_raises_touching_passes(self):
         batch = spaced_av_batch(n=1, evses=("EVSE-1", "EVSE-2"))

@@ -303,6 +303,74 @@ def test_one_edit_agrees_with_per_record_oracle(key, value):
     assert_parsers_agree(records)
 
 
+STAMP_EDITS = ["0000", "+026", "02-29", "02-30", "24:00", ":60", "digit", "t", " "]
+
+
+@st.composite
+def canonical_shaped_stamps(draw):
+    """Nine valid ``YYYY-MM-DDTHH:MM`` stamps with up to two edits that keep
+    the shape: a year 0000 or with a sign, Feb 29 (in a leap year or not),
+    Feb 30, hour 24, minute 60, a non-ASCII digit, a lowercase ``t`` or a
+    space."""
+    parts = st.tuples(st.sampled_from(["0001", "1900", "2000", "2023", "2024", "9999"]),
+                      st.sampled_from(["01-05", "02-28", "12-31"]),
+                      st.sampled_from(["00:00", "06:07", "23:59"]))
+    stamps = ["{}-{}T{}".format(*part)
+              for part in draw(st.lists(parts, min_size=9, max_size=9))]
+    for _ in range(draw(st.integers(0, 2))):
+        i, edit = draw(st.integers(0, 8)), draw(st.sampled_from(STAMP_EDITS))
+        text = stamps[i]
+        if edit in ("0000", "+026"):
+            text = edit + text[4:]
+        elif edit.startswith("02-"):
+            text = text[:5] + edit + text[10:]
+        elif edit == "24:00":
+            text = text[:11] + edit
+        elif edit == ":60":
+            text = text[:13] + edit
+        elif edit == "digit":  # a fullwidth or an Arabic-Indic digit of the same value
+            # a place an earlier edit left as an ASCII digit (a "+026" year has
+            # a sign at 0, a fullwidth digit may already stand anywhere)
+            at = draw(st.sampled_from([at for at in (0, 3, 6, 9, 12, 15)
+                                       if text[at] in "0123456789"]))
+            zero = draw(st.sampled_from([0xFF10, 0x0660]))
+            text = text[:at] + chr(zero + int(text[at])) + text[at + 1:]
+        else:
+            text = text[:10] + edit + text[11:]
+        stamps[i] = text
+    return stamps
+
+
+@given(seed=st.integers(0, 20), stamps=canonical_shaped_stamps())
+@settings(max_examples=300, deadline=None)
+def test_stamp_columns_agree_with_per_record_validator(seed, stamps):
+    """Three records with drawn stamps: the column path gives the per-record
+    validator's batch or returns None, parse_sessions gives the validator's
+    batch or its SessionError, and stamps that are all exactly canonical and
+    valid take the column path."""
+    records = json.loads(generate_synthetic(GeneratorConfig(n_sessions=3, n_evses=2),
+                                            seed=seed).to_json_bytes())
+    for i, record in enumerate(records):
+        # sorted, so that the stamps of a record are mostly in order
+        record.update(zip(("connectionTime", "doneChargingTime", "disconnectTime"),
+                          sorted(stamps[3 * i:3 * i + 3])))
+
+    def parsed(parse):
+        try:
+            return parse(records)
+        except SessionError as exc:
+            return f"SessionError: {exc}"
+
+    want = parsed(sessions_module._parse_records)
+    assert parsed(lambda payload: parse_sessions(json.dumps(payload))) == want
+    column = sessions_module._canonical_batch(records)
+    assert column is None or column == want
+    canonical = all(re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}", text)
+                    and not text.startswith("0000") for text in stamps)
+    if canonical and isinstance(want, SessionBatch):
+        assert column == want
+
+
 class TestSessionBatch:
     def test_groups_sorted_fcfs(self):
         late = make_session(sid="late", evse="A")
