@@ -27,6 +27,11 @@ Per-EVSE overrides: ``evse.<id>.supply_capacity_kw`` and
 (``<evse_prefix>-1`` to ``<evse_prefix>-<evse_count>``).  Any other
 ``evse.`` key, a value that is not a number, or a port the site does not
 have is an error that names the key.
+
+The risk factor that drives training's rewards is the standard, normalized
+CVaR, ``cvar_normalized`` in a ``fit-risk`` file: ``train --risk FILE``
+reads that key alone, and it must be a number in [0, 1).  ``fit-risk`` also
+writes the paper's printed form, ``cvar_paper``, for reference only.
 """
 
 from __future__ import annotations
@@ -214,15 +219,13 @@ def _risk_value_for_train(args, cfg, batch) -> float:
         return 0.0
     if args.risk:
         payload = json.loads(Path(args.risk).read_text())
-        variant = args.cvar_variant
-        key = "cvar_normalized" if variant == "standard" else "cvar_paper"
-        value = payload.get(key)
-        if value is None:
-            raise CliError(f"risk file {args.risk} has no usable {key!r} "
-                           "(the printed variant is singular at location 0)")
-        if variant == "paper":
-            # The verbatim form is unnormalized; clamp it into the reward range.
-            value = risk.normalize_risk(abs(value), 1.0)
+        if not isinstance(payload, dict) or "cvar_normalized" not in payload:
+            raise CliError(f"risk file {args.risk} has no 'cvar_normalized' key")
+        value = payload["cvar_normalized"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0.0 <= value < 1.0:
+            raise CliError(f"risk file {args.risk}: key 'cvar_normalized' must be a number "
+                           f"in [0, 1), got {value!r}")
         return float(value)
     return risk.estimate_risk(batch, cfg["alpha"]).cvar_normalized
 
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--sessions", required=True)
     p.add_argument("--risk", help="risk JSON from fit-risk (computed if omitted)")
-    p.add_argument("--cvar-variant", choices=("standard", "paper"), default="standard")
     p.add_argument("--risk-off", action="store_true", help="pin the risk factor to 0")
     p.add_argument("--seed", type=int)
     p.add_argument("--episodes", type=int)

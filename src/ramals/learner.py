@@ -11,8 +11,10 @@ masked by each port's length.  Execution steps the same cell
 (:func:`policy_value_forward`) for every port awaiting a decision at once, as
 one stack of rows: a port's step reads only its own carry and the row of its
 head session in an input projection computed once per port, as the batched
-pass hoists it too.  All forward and backward math is explicit numpy so the
-gradients can be checked against central finite differences.
+pass hoists it too.  Training and execution both start every port from a
+zero carry, so a model is its parameters alone.  All forward and backward
+math is explicit numpy so the gradients can be checked against central
+finite differences.
 
 Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
 decision inputs the execution engine reads too; the one-step
@@ -38,7 +40,7 @@ log = logging.getLogger(__name__)
 STATE_DIM = mdp.STATE_DIM
 PARAM_KEYS = ("wx", "wh", "b", "wp", "bp", "wv", "bv")
 LOG_PROB_FLOOR = 1e-12
-MODEL_FORMAT = "ramals-model-v4"
+MODEL_FORMAT = "ramals-model-v5"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -124,19 +126,20 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
 @dataclass
 class EpisodeForward:
     """Cached forward pass over a padded batch of P port sequences of T steps;
-    steps past a port's length are computed but never read."""
+    steps past a port's length are computed but never read, so port p's last
+    carry is ``(hiddens[p, n_p], cells[p, n_p])``."""
 
     probs: np.ndarray        # (P, T, 2)
     values: np.ndarray       # (P, T)
     hiddens: np.ndarray      # (P, T + 1, H); step 0 is the zero start carry
     cells: np.ndarray        # (P, T + 1, H)
     gates: np.ndarray        # (P, T, 4H) activated [i, f, g, o]
-    final_carry: tuple       # ((P, H), (P, H)) after each port's last step
 
 
-def forward_episode(params: dict, states: np.ndarray, lengths: np.ndarray) -> EpisodeForward:
+def forward_episode(params: dict, states: np.ndarray) -> EpisodeForward:
     """Run every port of an episode from a zero carry as one batch.  ``states``
-    is (P, T, 6), zero-padded past each port's length in ``lengths``."""
+    is (P, T, 6), zero-padded past each port's length; the padding steps do
+    not reach a port's earlier steps."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[2] != STATE_DIM:
         raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
@@ -152,8 +155,7 @@ def forward_episode(params: dict, states: np.ndarray, lengths: np.ndarray) -> Ep
     values = hiddens[:, 1:] @ params["wv"][0] + params["bv"][0]
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
         raise LearnerError("non-finite output in episode forward pass")
-    last = (np.arange(n_ports), lengths)
-    return EpisodeForward(probs, values, hiddens, cells, gates, (hiddens[last], cells[last]))
+    return EpisodeForward(probs, values, hiddens, cells, gates)
 
 
 def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
@@ -368,7 +370,8 @@ class EpisodeLog:
 class SharedModel:
     """Serializable container for the trained system.
 
-    Every port decides with the coordinator's parameters.  A ``ramals-model-v4``
+    Every port decides with the coordinator's parameters, from a zero carry,
+    so a model names no port and runs on any site.  A ``ramals-model-v5``
     file is one JSON object holding only what ``execute`` or a resumed
     ``train`` reads:
 
@@ -377,32 +380,23 @@ class SharedModel:
     - the coordinator's parameters (``coordinator``) and Adam moments
       (``adam_m``, ``adam_v``), each one flat vector laid out by
       :func:`param_shapes`
-    - ``carries``: the recurrent carry ``{"h": ..., "c": ...}`` each port
-      ended training with, keyed by EVSE id
 
     Each vector is the base64 text of its little-endian float64 bytes, so a
     file round-trips bit for bit.  ``load`` requires each vector to decode to
-    exactly the :func:`param_shapes` size at the file's ``hidden`` (a carry,
-    ``hidden``) of finite numbers, naming the vector, or the port of a carry,
-    that does not, and rejects a ``risk_value`` outside [0, 1), as ``train``
-    does.  A file of any other format, ``ramals-model-v1`` to ``-v3``
-    included, is rejected with its format named.
+    exactly the :func:`param_shapes` size at the file's ``hidden`` of finite
+    numbers, naming the vector that does not, and rejects a ``risk_value``
+    outside [0, 1), as ``train`` does.  A file of any other format,
+    ``ramals-model-v1`` to ``-v4`` included, is rejected with its format
+    named.
     """
 
     risk_value: float
     coordinator: Coordinator
-    carries: dict[str, tuple]
     train_episodes: int = 0
 
     @property
     def hidden(self) -> int:
         return hidden_size(self.coordinator.params)
-
-    def carry_for(self, evse_id: str):
-        if evse_id in self.carries:
-            h, c = self.carries[evse_id]
-            return h.copy(), c.copy()
-        return np.zeros(self.hidden), np.zeros(self.hidden)
 
     def save(self, path) -> None:
         payload = {
@@ -414,8 +408,6 @@ class SharedModel:
             "coordinator": _base64(self.coordinator.flat),
             "adam_m": _base64(self.coordinator.m),
             "adam_v": _base64(self.coordinator.v),
-            "carries": {evse: {"h": _base64(h), "c": _base64(c)}
-                        for evse, (h, c) in sorted(self.carries.items())},
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
@@ -434,31 +426,23 @@ class SharedModel:
             raise LearnerError(f"unreadable model file: format {payload['format']!r}, "
                                f"this version reads {MODEL_FORMAT!r} only")
         for field_name in ("format", "hidden", "risk_value", "step", "train_episodes",
-                           "coordinator", "adam_m", "adam_v", "carries"):
+                           "coordinator", "adam_m", "adam_v"):
             if field_name not in payload:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
         hidden = payload["hidden"]
         if not isinstance(hidden, int) or hidden <= 0:
             raise LearnerError(f"corrupt model file: bad hidden width {hidden!r}")
-        if not isinstance(payload["carries"], dict):
-            raise LearnerError("corrupt model file: carries is not an object")
         coordinator = Coordinator({key: np.zeros(shape)
                                    for key, shape in param_shapes(hidden).items()})
         for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
                              ("adam_v", coordinator.v)):
             vector[...] = _vector(payload[name], vector.size, name, hidden)
         coordinator.step = _number(payload, "step", int)
-        carries = {}
-        for evse, blob in payload["carries"].items():
-            carries[evse] = tuple(
-                _vector(blob.get(k) if isinstance(blob, dict) else None, hidden,
-                        f"carry {k} of {evse!r}", hidden)
-                for k in ("h", "c"))
         risk_value = _number(payload, "risk_value")
         if not 0.0 <= risk_value < 1.0:  # as train requires
             raise LearnerError(f"corrupt model file: field 'risk_value' must lie in "
                                f"[0, 1), got {risk_value!r}")
-        return cls(risk_value=risk_value, coordinator=coordinator, carries=carries,
+        return cls(risk_value=risk_value, coordinator=coordinator,
                    train_episodes=_number(payload, "train_episodes", int))
 
 
@@ -520,8 +504,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     covers all ports; action draws, clipping and Adam go port by port.
     Resuming from ``initial_model`` continues its parameters, Adam moments,
     Adam step and episode count; the learning rate, gamma, beta and clip
-    threshold always come from ``config``, and the saved carries are those
-    this run's last episode ends with.
+    threshold always come from ``config``.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -553,7 +536,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         params = coordinator.sync_copy()
-        forward = forward_episode(params, states, lengths)
+        forward = forward_episode(params, states)
         actions = np.zeros(states.shape[:2], dtype=int)
         q_targets, advantages = np.zeros((2,) + states.shape[:2])
         ep_reward = 0.0
@@ -573,10 +556,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 
-    final_h, final_c = forward.final_carry
-    carries = {port.evse_id: (final_h[p], final_c[p]) for p, port in enumerate(ports)}
     model = SharedModel(risk_value=float(risk_value), coordinator=coordinator,
-                        carries=carries, train_episodes=start_episode + config.episodes)
+                        train_episodes=start_episode + config.episodes)
     return model, logs
 
 

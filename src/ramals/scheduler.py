@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +39,8 @@ class SchedulerError(ValueError):
 
 
 class ScheduleOutcome(NamedTuple):
-    """Final fate of one session."""
+    """Final fate of one session.  A session is allocated the rate it
+    realizes, so the outcome file's ``allocated_kw`` is ``realized_rate_kw``."""
 
     session_id: str
     evse_id: str
@@ -52,7 +52,6 @@ class ScheduleOutcome(NamedTuple):
     realized_rate_kw: float
     realized_minutes: float
     allocated_energy_kwh: float
-    allocated_rate_kw: float
     allocated_minutes: float
     reward: float
 
@@ -143,6 +142,8 @@ class _PolicyRule:
     So a decision on a port whose cached step was consumed steps the cell for
     every port that still has a head and no unconsumed step, as one stack of
     rows, and caches each one's P(schedule) and the head it was taken for.
+    Every port starts from a zero carry, as each training episode does, so
+    the rule runs a model on any site, whatever ports it was trained on.
 
     Every port's input projection ``states @ wx.T + b`` is set up when the
     rule is built, in one array: at fleet size it takes tens of MB, and as
@@ -165,8 +166,6 @@ class _PolicyRule:
             rows += params["b"]
         self._h = np.zeros((len(queues), model.hidden))
         self._c = np.zeros_like(self._h)
-        for p, evse_id in enumerate(queues):
-            self._h[p], self._c[p] = model.carry_for(evse_id)
         self._p_schedule = np.zeros(len(queues))
         self._stepped = np.full(len(queues), -1)  # head of each cached step; -1 once consumed
 
@@ -249,7 +248,7 @@ class ScheduleEngine:
             for event in queue.voided:  # heads voided as expired
                 outcomes.append(ScheduleOutcome(
                     port.session_ids[event.index], evse_id, False, True, event.clock_minutes,
-                    event.wait_minutes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+                    event.wait_minutes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             queue.voided.clear()
             i = queue.head()
             if i is None:
@@ -273,7 +272,7 @@ class ScheduleEngine:
                             port.session_ids[i], evse_id, True, False, event.clock_minutes,
                             event.wait_minutes, allocation.energy_kwh, allocation.rate_kw,
                             allocation.charge_minutes, allocation.allocated_energy_kwh,
-                            allocation.rate_kw, allocation.allocated_minutes,
+                            allocation.allocated_minutes,
                             port.reward(i, 1, self.risk_value)))
                         active.append((event.clock_minutes + allocation.charge_minutes,
                                        allocation.rate_kw))
@@ -439,20 +438,17 @@ def outcomes_jsonl(outcomes) -> str:
 
     The outcomes are transposed once and written a column at a time by
     :func:`ramals.sessions.number_column`, so NaN, ±Infinity and ints keep
-    json's spelling.  The engine sets ``allocated_rate_kw`` to the very
-    ``realized_rate_kw`` object, so when every entry is, that column is
-    formatted once for both; equal values need not be (``0.0``, ``-0.0``).
+    json's spelling.  The realized rate fills both ``allocated_kw`` and
+    ``realized_kw``.
     """
     outcomes = list(outcomes)
     if not outcomes:
         return ""
     (session_id, evse_id, scheduled, voided, _start, wait, realized_kwh, realized_kw,
-     realized_min, allocated_kwh, allocated_kw, allocated_min, reward) = zip(*outcomes)
+     realized_min, allocated_kwh, allocated_min, reward) = zip(*outcomes)
     realized_kw_text = list(number_column(realized_kw))
     columns = (
-        realized_kw_text if all(map(is_, allocated_kw, realized_kw))
-        else number_column(allocated_kw),
-        number_column(allocated_kwh), number_column(allocated_min),
+        realized_kw_text, number_column(allocated_kwh), number_column(allocated_min),
         map(encode_basestring_ascii, evse_id), realized_kw_text,
         number_column(realized_kwh), number_column(realized_min), number_column(reward),
         map(_JSON_BOOLS.__getitem__, map(bool, scheduled)),

@@ -45,10 +45,12 @@ _UNIX_EPOCH = date(1970, 1, 1).toordinal() * _DAY  # numpy's datetime64 minute 0
 
 # strptime's own field patterns for "%Y-%m-%dT%H:%M[:%S]" and
 # "%Y-%m-%d %H:%M[:%S]", whose "T" matches either case and whose space matches
-# any whitespace run.  The date constructor checks the ranges.
+# any whitespace run, with ASCII digits and whitespace only, as the column
+# path takes them: strptime would also take other Unicode digits and spaces.
+# The date constructor checks the ranges.
 _TIMESTAMP = re.compile(
     r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
-    r"(?:[Tt]|\s+)(2[0-3]|[01]\d|\d):([0-5]\d|\d)(?::(6[01]|[0-5]\d|\d))?")
+    r"(?:[Tt]|\s+)(2[0-3]|[01]\d|\d):([0-5]\d|\d)(?::(6[01]|[0-5]\d|\d))?", re.ASCII)
 
 
 class SessionError(ValueError):

@@ -8,6 +8,10 @@ feed-capacity audit, one session at a time for the state, the rate and
 ratio formulas and the session parser, ``strptime`` over four formats for
 timestamps, ``json.dumps`` over record dicts for the session file and the
 outcome lines, and the risk API that only tests used.
+
+One departure is kept on purpose: ``strptime`` reads any Unicode decimal
+digit and whitespace, while the package's stamp parser reads ASCII ones
+only, so stamps with other digits or spaces are not checked against it.
 """
 
 import json
@@ -214,7 +218,7 @@ def outcome_json_line(outcome) -> str:
         "scheduled": outcome.scheduled,
         "voided": outcome.voided,
         "allocated_kwh": outcome.allocated_energy_kwh,
-        "allocated_kw": outcome.allocated_rate_kw,
+        "allocated_kw": outcome.realized_rate_kw,
         "allocated_min": outcome.allocated_minutes,
         "realized_kwh": outcome.realized_energy_kwh,
         "realized_kw": outcome.realized_rate_kw,
@@ -318,9 +322,9 @@ def policy_value_step(params: dict, z_row: np.ndarray, carry: tuple):
 class PerDecisionRule:
     """Argmax policy pick, then the demand-supply ordering check.
 
-    Every port's input projection ``states @ wx.T + b`` and carry are set up
-    when the rule is built, from the batch's state rows ``states``; each
-    decision then steps the cell on one row.
+    Every port's input projection ``states @ wx.T + b`` is set up when the
+    rule is built, from the batch's state rows ``states``, and every port's
+    carry starts at zero; each decision then steps the cell on one row.
     """
 
     def __init__(self, model: learner.SharedModel, ports, states):
@@ -328,12 +332,13 @@ class PerDecisionRule:
         self.params = params = model.coordinator.params
         z = np.empty((len(states), params["wx"].shape[0]))
         self._rows, self._carries, start = {}, {}, 0
+        hidden = model.hidden
         for port in ports:
             stop = start + len(port.session_ids)
             np.matmul(states[start:stop], params["wx"].T, out=z[start:stop])
             z[start:stop] += params["b"]
             self._rows[port.evse_id] = z[start:stop]
-            self._carries[port.evse_id] = model.carry_for(port.evse_id)
+            self._carries[port.evse_id] = (np.zeros(hidden), np.zeros(hidden))
             start = stop
 
     def decide(self, port: mdp.PortSessions, i: int) -> int:

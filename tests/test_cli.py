@@ -168,6 +168,32 @@ class TestPipeline:
                        "--out", workdir / "risk.json")
         assert code == 1
 
+    @pytest.mark.parametrize("value, problem", [
+        pytest.param(None, "has no 'cvar_normalized' key", id="missing"),
+        pytest.param("0.5", "must be a number in [0, 1), got '0.5'", id="string"),
+        pytest.param(True, "must be a number in [0, 1), got True", id="bool"),
+        pytest.param(1.0, "must be a number in [0, 1), got 1.0", id="one"),
+        pytest.param(-0.25, "must be a number in [0, 1), got -0.25", id="negative"),
+    ])
+    def test_train_rejects_unusable_risk_file(self, workdir, capsys, value, problem):
+        """``--risk`` reads the standard form alone; the paper's printed form
+        beside it is never a fallback."""
+        sessions = self.generate(workdir)
+        risk = workdir / "risk.json"
+        run_cli("fit-risk", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--out", risk)
+        payload = json.loads(risk.read_text())
+        del payload["cvar_normalized"]
+        if value is not None:
+            payload["cvar_normalized"] = value
+        risk.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--risk", risk, "--out", workdir / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: risk file {risk}") and problem in err
+        assert not (workdir / "model.json").exists()
+
     def test_train_run_compare(self, workdir):
         sessions = self.generate(workdir)
         risk = workdir / "risk.json"
@@ -229,7 +255,7 @@ class TestPipeline:
     def test_corrupt_model_exits_with_field_name(self, workdir, capsys):
         sessions = self.generate(workdir)
         bad = workdir / "bad-model.json"
-        bad.write_text('{"format": "ramals-model-v4"}')
+        bad.write_text('{"format": "ramals-model-v5"}')
         code = run_cli("run", "--config", workdir / "run.cfg",
                        "--sessions", sessions, "--model", bad,
                        "--out", workdir / "o.jsonl")

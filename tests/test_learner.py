@@ -56,7 +56,8 @@ from oracles import (
 
 # SHA-256 of the outcomes JSONL plus report CSV that tests/data/model-v2-hidden4.json
 # replayed to, on the seed-3 batch of test_stored_v3_file_resaves_and_replays,
-# while the v2 format was still read; its v3 and v4 conversions replay to it too
+# while the v2 format was still read; its v3 and v4 conversions replay to it too,
+# and so does its v5 conversion, whose ports start from zero carries
 V2_FIXTURE_REPLAY_SHA256 = "de79751f531807b2795c22abdb2de016cec367eb51b6b0cc15ced8a65d45b164"
 
 
@@ -67,11 +68,6 @@ def decode(text: str) -> np.ndarray:
 
 def encode(values: np.ndarray) -> str:
     return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
-
-
-def vector_name(vector: str, evse: str) -> str:
-    """How a load error names a model file vector, or a carry with its port."""
-    return f"carry {vector} of '{evse}'" if vector in "hc" else vector
 
 
 def random_params(hidden=8, seed=0, scale=None):
@@ -106,7 +102,7 @@ def random_batch(hidden=8, n=3, seed=0, beta=0.05):
     rng = np.random.default_rng(seed)
     params = random_params(hidden, seed)
     states, lengths = padded([rng.uniform(0.0, 1.0, (n, 6))])
-    forward = forward_episode(params, states, lengths)
+    forward = forward_episode(params, states)
     actions = rng.integers(0, 2, (1, n))
     rewards = rng.uniform(0.0, 2.0, (1, n))
     q, adv = targets(forward, rewards, lengths)
@@ -116,15 +112,14 @@ def random_batch(hidden=8, n=3, seed=0, beta=0.05):
 def hidden_sequence(params, states):
     """Hidden state after each step of one port's (T, 6) sequence, and the
     final carry."""
-    forward = forward_episode(params, states[None], np.array([len(states)]))
-    h, c = forward.final_carry
-    return forward.hiddens[0, 1:], (h[0], c[0])
+    forward = forward_episode(params, states[None])
+    return forward.hiddens[0, 1:], (forward.hiddens[0, -1], forward.cells[0, -1])
 
 
 def episode_loss_value(params, batch):
     """Summed total loss of the batch's ports as a plain function of the
     parameters (targets held fixed); what the finite differences perturb."""
-    forward = forward_episode(params, batch.states, batch.lengths)
+    forward = forward_episode(params, batch.states)
     return sum(losses[3] for losses in episode_losses(forward, batch))
 
 
@@ -179,7 +174,7 @@ class TestRnnForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(LearnerError):
-            forward_episode(random_params(4, 0), np.ones((1, 2, 5)), np.array([2]))
+            forward_episode(random_params(4, 0), np.ones((1, 2, 5)))
 
 
 def projection(params, states):
@@ -237,7 +232,7 @@ class TestPolicyValueForward:
         rng = np.random.default_rng(8)
         sequences = [rng.uniform(0, 1, (n, 6)) for n in (5, 2, 4)]
         states, lengths = padded(sequences)
-        forward = forward_episode(params, states, lengths)
+        forward = forward_episode(params, states)
         z = projection(params, states.reshape(-1, 6)).reshape(len(lengths), -1, 24)
         cached = z.copy()
         h, c = zero_carry(params, len(lengths))
@@ -248,7 +243,9 @@ class TestPolicyValueForward:
             assert p_schedule == pytest.approx(forward.probs[due, t, 0], rel=1e-12)
             assert value == pytest.approx(forward.values[due, t], rel=1e-12)
             assert np.allclose(h[due], forward.hiddens[due, t + 1], rtol=1e-12, atol=0)
-        assert np.allclose(c, forward.final_carry[1], rtol=1e-12, atol=0)
+        last = (np.arange(len(lengths)), lengths)
+        assert np.allclose(h, forward.hiddens[last], rtol=1e-12, atol=0)
+        assert np.allclose(c, forward.cells[last], rtol=1e-12, atol=0)
         assert np.array_equal(z, cached)  # the cached projection is only read
 
     def test_non_finite_output_rejected(self):
@@ -350,7 +347,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         states, lengths = padded([rng.uniform(0, 1, (6, 6))])
         actions = rng.integers(0, 2, (1, 6))
-        forward = forward_episode(params, states, lengths)
+        forward = forward_episode(params, states)
         q = forward.values + rng.normal(size=(1, 6))
         adv = rng.normal(size=(1, 6))
 
@@ -380,7 +377,7 @@ def random_ports(lengths, hidden=6, seed=20):
     params = random_params(hidden, seed, scale=0.8)
     states = rng.uniform(0.0, 1.0, (len(lengths), max(lengths), 6))
     lengths = np.array(lengths)
-    forward = forward_episode(params, states, lengths)
+    forward = forward_episode(params, states)
     actions = rng.integers(0, 2, states.shape[:2])
     q, adv = targets(forward, rng.uniform(0.0, 2.0, states.shape[:2]), lengths)
     return params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.05)
@@ -404,8 +401,9 @@ class TestBatchedPass:
             oracle = scalar_forward(params, batch.states[p, :n])
             assert_near(forward.probs[p, :n], oracle.probs, self.TOLERANCE)
             assert_near(forward.values[p, :n], oracle.values, self.TOLERANCE)
-            for ours, theirs in zip(forward.final_carry, oracle.final_carry):
-                assert_near(ours[p], theirs, self.TOLERANCE)
+            for ours, theirs in zip((forward.hiddens[p, n], forward.cells[p, n]),
+                                    oracle.final_carry):
+                assert_near(ours, theirs, self.TOLERANCE)
             reference = scalar_backward(params, oracle, batch.actions[p, :n],
                                         batch.q_targets[p, :n], batch.advantages[p, :n],
                                         batch.beta)
@@ -424,11 +422,13 @@ class TestBatchedPass:
         long_batch = EpisodeBatch(extended(batch.states, 6), batch.lengths,
                                   extended(batch.actions) % 2, extended(batch.q_targets),
                                   extended(batch.advantages), batch.beta)
-        long_forward = forward_episode(params, long_batch.states, long_batch.lengths)
+        long_forward = forward_episode(params, long_batch.states)
         assert np.array_equal(backward(params, forward, batch),
                               backward(params, long_forward, long_batch))
-        for short, long in zip(forward.final_carry, long_forward.final_carry):
-            assert np.array_equal(short, long)
+        last = (np.arange(len(batch.lengths)), batch.lengths)
+        for name in ("hiddens", "cells"):  # each port's last carry
+            assert np.array_equal(getattr(forward, name)[last],
+                                  getattr(long_forward, name)[last])
 
 
 class TestClippedDelta:
@@ -619,10 +619,6 @@ class TestSerialization:
         for vector in ("m", "v"):
             assert np.array_equal(getattr(loaded.coordinator, vector),
                                   getattr(model.coordinator, vector))
-        assert sorted(loaded.carries) == sorted(model.carries)
-        for evse, (h, c) in model.carries.items():
-            assert np.array_equal(loaded.carries[evse][0], h)
-            assert np.array_equal(loaded.carries[evse][1], c)
 
     def test_resume_continues_step_counter(self, tmp_path):
         batch, site = small_scenario(seed=9)
@@ -640,17 +636,18 @@ class TestSerialization:
         assert logs[0].episode == episodes + 1
 
     def test_v3_save_load_save_is_byte_identical(self, tmp_path):
-        """A v4 file (the name is the v3 test's) re-saves byte for byte, and
-        each vector is base64 of its little-endian float64 bytes."""
+        """A v5 file (the name is the v3 test's) holds only the parameters,
+        the Adam state and the header, re-saves byte for byte, and each vector
+        is base64 of its little-endian float64 bytes."""
         batch, site = small_scenario(seed=8)
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=4, hidden=8),
                          risk_value=0.2)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         model.save(first)
         payload = json.loads(first.read_text())
-        assert payload["format"] == "ramals-model-v4"
-        assert sorted(payload) == ["adam_m", "adam_v", "carries", "coordinator", "format",
-                                   "hidden", "risk_value", "step", "train_episodes"]
+        assert payload["format"] == "ramals-model-v5"
+        assert sorted(payload) == ["adam_m", "adam_v", "coordinator", "format", "hidden",
+                                   "risk_value", "step", "train_episodes"]
         assert base64.b64decode(payload["coordinator"]) \
             == model.coordinator.flat.astype("<f8").tobytes()
         assert first.read_text().startswith('{\n "adam_m": "')  # sort_keys, indent=1
@@ -659,47 +656,41 @@ class TestSerialization:
 
     def test_round_trip_is_bit_exact_on_extreme_values(self, tmp_path):
         """-0.0, subnormals and the ends of the float range come back bit for
-        bit in the parameters, both moments and every carry."""
+        bit in the parameters and both moments."""
         extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308,
                              np.nextafter(1.0, 2.0), -1.7976931348623157e308])
         model = SharedModel(risk_value=0.25, coordinator=Coordinator(random_params(hidden=4)),
-                            carries={}, train_episodes=7)
+                            train_episodes=7)
         for vector in (model.coordinator.flat, model.coordinator.m, model.coordinator.v):
             vector[:extremes.size] = extremes
         model.coordinator.step = 11
-        model.carries = {"EVSE-1": (extremes[:4].copy(), extremes[-4:].copy()),
-                         "EVSE-2": (np.full(4, 5e-324), np.full(4, -0.0))}
         model.save(tmp_path / "model.json")
         loaded = SharedModel.load(tmp_path / "model.json")
         for name in ("flat", "m", "v"):
             got, want = getattr(loaded.coordinator, name), getattr(model.coordinator, name)
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # the sign of -0.0 too
-        assert sorted(loaded.carries) == ["EVSE-1", "EVSE-2"]
-        for evse, (h, c) in model.carries.items():
-            for got, want in zip(loaded.carries[evse], (h, c)):
-                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
         assert (loaded.coordinator.step, loaded.train_episodes, loaded.risk_value) == (11, 7, 0.25)
 
     def test_v1_payload_rejected_naming_format(self, tmp_path):
         payload = self.saved_payload(tmp_path)
         payload["format"] = "ramals-model-v1"
-        payload["agents"] = {evse: payload["coordinator"] for evse in payload["carries"]}
+        payload["agents"] = {evse: payload["coordinator"] for evse in ("EVSE-1", "EVSE-2")}
         with pytest.raises(LearnerError, match="unreadable model file: format "
                                                "'ramals-model-v1', this version reads "
-                                               "'ramals-model-v4' only"):
+                                               "'ramals-model-v5' only"):
             self.load_payload(tmp_path, payload)
 
     def test_unknown_format_rejected(self, tmp_path):
         payload = self.saved_payload(tmp_path)
-        payload["format"] = "ramals-model-v5"
+        payload["format"] = "ramals-model-v6"
         with pytest.raises(LearnerError, match="unreadable model file: format "
-                                               "'ramals-model-v5'"):
+                                               "'ramals-model-v6'"):
             self.load_payload(tmp_path, payload)
 
     def test_corrupt_model_names_field(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"format": "ramals-model-v4", "hidden": 8}')
+        path.write_text('{"format": "ramals-model-v5", "hidden": 8}')
         with pytest.raises(LearnerError, match="missing field"):
             SharedModel.load(path)
 
@@ -736,12 +727,6 @@ class TestSerialization:
         payload["adam_v"] = [payload["adam_v"]]
         with pytest.raises(LearnerError, match="corrupt model file: adam_v must be base64 of "
                                                "507 float64 at hidden width 8, got list"):
-            self.load_payload(tmp_path, payload)
-
-    def test_non_object_carries_named(self, tmp_path):
-        payload = self.saved_payload(tmp_path)
-        payload["carries"] = [0.0, 1.0]
-        with pytest.raises(LearnerError, match="corrupt model file: carries is not an object"):
             self.load_payload(tmp_path, payload)
 
     def test_hidden_field_contradicted_by_tensors(self, tmp_path):
@@ -783,22 +768,18 @@ class TestSerialization:
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("entry", ["0.05", True])
-    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v"])
     def test_non_number_entry_named(self, tmp_path, vector, entry):
         """A vector written as a JSON list, the v3 form, is rejected naming
-        the vector or the carry's port, whatever its entries."""
+        the vector, whatever its entries."""
         payload = self.saved_payload(tmp_path)
-        evse = sorted(payload["carries"])[0]
-        holder = payload["carries"][evse] if vector in "hc" else payload
-        holder[vector] = decode(holder[vector]).tolist()
-        holder[vector][3] = entry
-        with pytest.raises(LearnerError, match=f"corrupt model file: "
-                                               f"{vector_name(vector, evse)} must be base64 of "
-                                               f"{8 if vector in 'hc' else 507} float64 at "
-                                               f"hidden width 8, got list"):
+        payload[vector] = decode(payload[vector]).tolist()
+        payload[vector][3] = entry
+        with pytest.raises(LearnerError, match=f"corrupt model file: {vector} must be base64 "
+                                               f"of 507 float64 at hidden width 8, got list"):
             self.load_payload(tmp_path, payload)
 
-    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v"])
     @pytest.mark.parametrize("edit, problem", [
         pytest.param(lambda text: None, "got NoneType", id="null"),
         pytest.param(lambda text: 0.5, "got float", id="number"),
@@ -816,70 +797,41 @@ class TestSerialization:
     ])
     def test_bad_vector_text_named(self, tmp_path, vector, edit, problem):
         payload = self.saved_payload(tmp_path)
-        evse = sorted(payload["carries"])[-1]
-        holder = payload["carries"][evse] if vector in "hc" else payload
-        holder[vector] = edit(holder[vector])
-        with pytest.raises(LearnerError, match=f"corrupt model file: "
-                                               f"{vector_name(vector, evse)} must be base64 of "
-                                               f"[0-9]+ float64 at hidden width 8, {problem}$"):
+        payload[vector] = edit(payload[vector])
+        with pytest.raises(LearnerError, match=f"corrupt model file: {vector} must be base64 "
+                                               f"of 507 float64 at hidden width 8, {problem}$"):
             self.load_payload(tmp_path, payload)
 
-    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v", "h", "c"])
+    @pytest.mark.parametrize("vector", ["coordinator", "adam_m", "adam_v"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_named(self, tmp_path, vector, bad):
         payload = self.saved_payload(tmp_path)
-        evse = sorted(payload["carries"])[0]
-        holder = payload["carries"][evse] if vector in "hc" else payload
-        values = decode(holder[vector])
+        values = decode(payload[vector])
         values[5] = bad
-        holder[vector] = encode(values)
-        with pytest.raises(LearnerError, match=f"corrupt model file: "
-                                               f"{vector_name(vector, evse)} must be base64 of "
-                                               f"[0-9]+ float64 at hidden width 8, entry 5 is "
+        payload[vector] = encode(values)
+        with pytest.raises(LearnerError, match=f"corrupt model file: {vector} must be base64 "
+                                               f"of 507 float64 at hidden width 8, entry 5 is "
                                                f"not finite"):
             self.load_payload(tmp_path, payload)
 
-    @pytest.mark.parametrize("state", ["h", "c"])
-    def test_misshapen_carry_names_port(self, tmp_path, state):
-        payload = self.saved_payload(tmp_path)
-        evse = sorted(payload["carries"])[-1]
-        payload["carries"][evse][state] = encode(np.zeros(3))
-        with pytest.raises(LearnerError, match=f"corrupt model file: carry {state} of '{evse}' "
-                                               f"must be base64 of 8 float64 at hidden width 8, "
-                                               f"got 24 bytes"):
-            self.load_payload(tmp_path, payload)
-
-    def test_carry_without_state_names_port(self, tmp_path):
-        payload = self.saved_payload(tmp_path)
-        evse = sorted(payload["carries"])[0]
-        del payload["carries"][evse]["c"]
-        with pytest.raises(LearnerError, match=f"corrupt model file: carry c of '{evse}' must "
-                                               f"be base64 of 8 float64 at hidden width 8, "
-                                               f"got NoneType"):
-            self.load_payload(tmp_path, payload)
-
-    def test_stored_v2_file_rejected_naming_format(self):
-        """A hidden-4 file in the previous format, which also stored gamma,
-        beta, alpha and the learning rate, and a shape with every tensor."""
-        with pytest.raises(LearnerError, match="unreadable model file: format "
-                                               "'ramals-model-v2'"):
-            SharedModel.load(Path(__file__).parent / "data" / "model-v2-hidden4.json")
-
-    def test_stored_v3_file_rejected_naming_format(self):
-        """The stored v2 file converted to v3, which wrote each vector as a
-        JSON list of numbers."""
-        with pytest.raises(LearnerError, match="unreadable model file: format "
-                                               "'ramals-model-v3', this version reads "
-                                               "'ramals-model-v4' only"):
-            SharedModel.load(Path(__file__).parent / "data" / "model-v3-hidden4.json")
+    @pytest.mark.parametrize("version", ["v2", "v3", "v4"])
+    def test_stored_file_of_older_format_rejected(self, version):
+        """One hidden-4 model in each earlier format: v2 also stored gamma,
+        beta, alpha, the learning rate and a shape with every tensor, v3
+        wrote each vector as a JSON list of numbers, and v4 stored the carry
+        each port ended training with."""
+        with pytest.raises(LearnerError, match=f"unreadable model file: format "
+                                               f"'ramals-model-{version}', this version reads "
+                                               f"'ramals-model-v5' only"):
+            SharedModel.load(Path(__file__).parent / "data" / f"model-{version}-hidden4.json")
 
     def test_stored_v3_file_resaves_and_replays(self, tmp_path):
-        """The stored v3 file converted to v4 (the name is the v3 test's;
-        seed-3 batch below, 3 episodes): it re-saves byte for byte and replays
-        to the outcomes the v2 file gave."""
-        source = Path(__file__).parent / "data" / "model-v4-hidden4.json"
+        """The stored v4 file converted to v5, its carries dropped (the name
+        is the v3 test's; seed-3 batch below, 3 episodes): it re-saves byte
+        for byte and replays to the outcomes the v2 file gave."""
+        source = Path(__file__).parent / "data" / "model-v5-hidden4.json"
         model = SharedModel.load(source)
-        assert model.hidden == 4 and sorted(model.carries) == ["EVSE-1", "EVSE-2"]
+        assert model.hidden == 4
         model.save(tmp_path / "resaved.json")
         assert (tmp_path / "resaved.json").read_bytes() == source.read_bytes()
         batch = generate_synthetic(GeneratorConfig(n_sessions=30, cv_fraction=0.5, n_evses=2,

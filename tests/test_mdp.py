@@ -69,7 +69,7 @@ def head_probability(bp, hidden=4):
 
 def tiny_model(hidden=4):
     params = init_params(hidden, np.random.default_rng(1))
-    return SharedModel(risk_value=0.0, coordinator=Coordinator(params), carries={})
+    return SharedModel(risk_value=0.0, coordinator=Coordinator(params))
 
 
 class TestActionDistribution:
@@ -82,7 +82,7 @@ class TestActionDistribution:
             for key in params:
                 params[key] = rng.uniform(-2.0, 2.0, params[key].shape)
             state = rng.uniform(0.0, 1.0, 6)
-            forward = forward_episode(params, state[None, None], np.array([1]))
+            forward = forward_episode(params, state[None, None])
             assert forward.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
             carry = (np.zeros((1, 4)), np.zeros((1, 4)))
             p_schedule, _, _ = policy_value_forward(

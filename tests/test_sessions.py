@@ -169,6 +169,24 @@ class TestParseTimestamp:
         with pytest.raises(SessionError, match="unparseable timestamp"):
             strptime_parse(text, "connectionTime", "s")
 
+    @pytest.mark.parametrize("text", [
+        "2026-01-05T0٠:41", "２026-01-05T06:07", "2026-01-1٥T06:07",
+        "2026-01-05　06:07",
+    ])
+    def test_non_ascii_digit_or_space_rejected(self, text):
+        """An Arabic-Indic or fullwidth digit, or an ideographic space, is no
+        part of a stamp, in the hour, the year, the day or the separator.
+        strptime takes each of them, so the oracle is not asked."""
+        with pytest.raises(SessionError, match="unparseable timestamp"):
+            parse(text)
+        record = {"sessionID": "r1", "evseID": "EVSE-1", "vehicleClass": "CV",
+                  "kWhRequested": 15.0, "minutesAvailable": 120.0, "connectionTime": text,
+                  "doneChargingTime": "2026-01-05T09:00",
+                  "disconnectTime": "2026-01-05T10:00", "kWhDelivered": 8.794}
+        with pytest.raises(SessionError, match=re.escape(
+                f"session 'r1': unparseable timestamp {text!r} in 'connectionTime'")):
+            parse_sessions(json.dumps([record]))
+
     def test_non_string_rejected(self):
         with pytest.raises(SessionError, match="must be a string"):
             parse(202601050600)
