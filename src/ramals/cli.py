@@ -218,7 +218,10 @@ def _risk_value_for_train(args, cfg, batch) -> float:
     if args.risk_off:
         return 0.0
     if args.risk:
-        payload = json.loads(Path(args.risk).read_text())
+        try:
+            payload = json.loads(Path(args.risk).read_text())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise CliError(f"risk file {args.risk} is not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or "cvar_normalized" not in payload:
             raise CliError(f"risk file {args.risk} has no 'cvar_normalized' key")
         value = payload["cvar_normalized"]

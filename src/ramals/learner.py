@@ -16,6 +16,15 @@ zero carry, so a model is its parameters alone.  All forward and backward
 math is explicit numpy so the gradients can be checked against central
 finite differences.
 
+The batched passes keep their arrays time-major, (T, P, ·), in an
+:class:`EpisodeBuffers`: each step of the forward and the reverse time loop
+reads and writes contiguous (P, ·) rows in place, and a training run
+allocates one set and reuses it for every episode, as Adam reuses two
+scratch vectors.  :class:`EpisodeForward` shows the forward arrays as
+(P, T, ·) views.  The layout changes no arithmetic: every product and
+elementwise operation is the one a port-major pass over fresh arrays makes,
+in the same order, so models and logs come out the same bit for bit.
+
 Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
 decision inputs the execution engine reads too; the one-step
 bootstrapped targets and advantages are constants with respect to the
@@ -50,8 +59,12 @@ class LearnerError(ValueError):
     """Raised for invalid learner inputs or corrupt model files."""
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.reciprocal(1.0 + np.exp(-x), out=out)
+def _sigmoid(x: np.ndarray) -> None:
+    """The logistic function, in place: ``1 / (1 + exp(-x))``."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
 
 
 def param_shapes(hidden: int) -> dict[str, tuple]:
@@ -76,25 +89,37 @@ def hidden_size(params: dict) -> int:
 
 
 def _views(flat: np.ndarray, hidden: int) -> dict[str, np.ndarray]:
-    """Each tensor of the :func:`param_shapes` layout as a view into ``flat``."""
+    """Each tensor of the :func:`param_shapes` layout as a view into the last
+    axis of ``flat``: shaped ``(*lead, *shape)`` for a ``(*lead, n)`` array."""
     shapes = param_shapes(hidden)
-    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
-    return {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), parts)}
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1],
+                     axis=-1)
+    return {key: part.reshape(flat.shape[:-1] + shape)
+            for (key, shape), part in zip(shapes.items(), parts)}
 
 
-def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+               c=None, h=None, scratch=None):
     """One cell step for one row or a stack of rows: ``z`` holds each row's
     input projection ``x @ wx.T + b`` on entry and its activated gates
-    ``[i, f, g, o]`` on return.  Returns the new (cell, hidden) state."""
+    ``[i, f, g, o]`` on return.  Returns the new (cell, hidden) state, written
+    into ``c`` and ``h`` when they are given; ``scratch``, shaped like ``z``,
+    takes the recurrent product.  Arrays that are not given are allocated."""
     hidden = h_prev.shape[-1]
-    z += h_prev @ wh.T
+    z += np.dot(h_prev, wh.T, out=scratch)
     gi, gf = z[..., :hidden], z[..., hidden:2 * hidden]
     gc, go = z[..., 2 * hidden:3 * hidden], z[..., 3 * hidden:]
-    _sigmoid(z[..., :2 * hidden], out=z[..., :2 * hidden])
-    np.tanh(gc, out=gc)
-    _sigmoid(go, out=go)
-    c = gf * c_prev + gi * gc
-    return c, go * np.tanh(c)
+    tanh_g = np.tanh(gc, out=None if scratch is None else scratch[..., :hidden])
+    # the logistic over whole rows at once; meanwhile the g slot holds
+    # tanh(g), in [-1, 1], so its discarded logistic cannot overflow
+    gc[...] = tanh_g
+    _sigmoid(z)
+    gc[...] = tanh_g
+    c = np.multiply(gf, c_prev, out=c)
+    c += np.multiply(gi, gc, out=tanh_g)
+    h = np.tanh(c, out=h)
+    h *= go
+    return c, h
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
@@ -127,7 +152,9 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
 class EpisodeForward:
     """Cached forward pass over a padded batch of P port sequences of T steps;
     steps past a port's length are computed but never read, so port p's last
-    carry is ``(hiddens[p, n_p], cells[p, n_p])``."""
+    carry is ``(hiddens[p, n_p], cells[p, n_p])``.  ``hiddens``, ``cells``
+    and ``gates`` are transposed views of the time-major arrays of an
+    :class:`EpisodeBuffers`."""
 
     probs: np.ndarray        # (P, T, 2)
     values: np.ndarray       # (P, T)
@@ -136,26 +163,65 @@ class EpisodeForward:
     gates: np.ndarray        # (P, T, 4H) activated [i, f, g, o]
 
 
-def forward_episode(params: dict, states: np.ndarray) -> EpisodeForward:
+class EpisodeBuffers:
+    """Time-major arrays for the episodes of one training run, of P ports, T
+    steps and hidden width H: each step of a recurrent loop reads and writes
+    contiguous (P, ·) rows, and no episode allocates them anew.
+
+    - forward pass: ``hiddens`` and ``cells`` (T + 1, P, H), whose step 0 is
+      the zero start carry, and ``gates`` (T, P, 4H)
+    - backward pass: ``dz`` (T, P, 4H), ``dh_heads`` and ``tanh_c``
+      (T, P, H), and ``grads``, one flat gradient row per port
+
+    Each pass writes every entry before it reads it, the zero start carry
+    included, so a set can serve episode after episode.
+    """
+
+    def __init__(self, n_ports: int, n_steps: int, hidden: int):
+        self.hiddens = np.zeros((n_steps + 1, n_ports, hidden))
+        self.cells = np.zeros_like(self.hiddens)
+        self.gates = np.empty((n_steps, n_ports, 4 * hidden))
+        self.dz = np.empty_like(self.gates)
+        self.dh_heads = np.empty((n_steps, n_ports, hidden))
+        self.tanh_c = np.empty_like(self.dh_heads)
+        self.grads = np.empty((n_ports, sum(math.prod(shape)
+                                            for shape in param_shapes(hidden).values())))
+
+
+def forward_episode(params: dict, states: np.ndarray,
+                    buffers: EpisodeBuffers | None = None) -> EpisodeForward:
     """Run every port of an episode from a zero carry as one batch.  ``states``
     is (P, T, 6), zero-padded past each port's length; the padding steps do
-    not reach a port's earlier steps."""
+    not reach a port's earlier steps.
+
+    The pass writes its hidden states, cells and gates into ``buffers``, or
+    into new ones for this call, and its result views them: the next pass
+    over the same buffers overwrites it.  The time loop steps the cell on
+    contiguous (P, ·) rows of the time-major arrays, in place.
+    """
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[2] != STATE_DIM:
         raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
     n_ports, n_steps, _ = states.shape
-    hiddens = np.zeros((n_ports, n_steps + 1, hidden_size(params)))
-    cells = np.zeros_like(hiddens)
-    gates = states @ params["wx"].T  # the input projection, hoisted
+    hidden = hidden_size(params)
+    if buffers is None:
+        buffers = EpisodeBuffers(n_ports, n_steps, hidden)
+    elif buffers.gates.shape != (n_steps, n_ports, 4 * hidden):
+        raise LearnerError("episode buffers do not match the states and hidden width")
+    hiddens, cells, gates = buffers.hiddens, buffers.cells, buffers.gates
+    hiddens[0] = cells[0] = 0.0
+    np.matmul(states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
     gates += params["b"]
+    wh, scratch = params["wh"], np.empty((n_ports, 4 * hidden))
     for t in range(n_steps):
-        cells[:, t + 1], hiddens[:, t + 1] = _cell_rows(params["wh"], gates[:, t],
-                                                        hiddens[:, t], cells[:, t])
-    probs = _softmax2(hiddens[:, 1:] @ params["wp"].T + params["bp"])
-    values = hiddens[:, 1:] @ params["wv"][0] + params["bv"][0]
+        _cell_rows(wh, gates[t], hiddens[t], cells[t], cells[t + 1], hiddens[t + 1], scratch)
+    outputs = hiddens[1:].transpose(1, 0, 2)
+    probs = _softmax2(outputs @ params["wp"].T + params["bp"])
+    values = outputs @ params["wv"][0] + params["bv"][0]
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
         raise LearnerError("non-finite output in episode forward pass")
-    return EpisodeForward(probs, values, hiddens, cells, gates)
+    return EpisodeForward(probs, values, hiddens.transpose(1, 0, 2),
+                          cells.transpose(1, 0, 2), gates.transpose(1, 0, 2))
 
 
 def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
@@ -225,16 +291,24 @@ def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
     return losses
 
 
-def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> np.ndarray:
+def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
+             buffers: EpisodeBuffers | None = None) -> np.ndarray:
     """Exact reverse-mode gradient of each port's total loss: one flat row per
     port, in port order, laid out by :func:`param_shapes`.
 
-    The time loop runs over (P, ·) rows.  Padding steps get zero loss
+    The time loop runs backwards over contiguous (P, ·) rows of the
+    time-major arrays in ``buffers``, or in new ones for this call; it reads
+    the forward pass and leaves it unchanged.  Padding steps get zero loss
     gradients, so nothing flows back from them, and each port's terms keep
-    its own 1/T_p.  Weight gradients are one batched product per episode.
+    its own 1/T_p.  Weight gradients are one batched product per episode,
+    over (P, T, ·) views of the time-major ``dz``, written into the rows of
+    ``buffers.grads``, which are returned: the next pass over the same
+    buffers overwrites them.
     """
     n_ports, n_steps = batch.actions.shape
     hidden = hidden_size(params)
+    if buffers is None:
+        buffers = EpisodeBuffers(n_ports, n_steps, hidden)
     mask = np.arange(n_steps) < batch.lengths[:, None]
     inv_n = 1.0 / batch.lengths[:, None]
     probs = forward.probs
@@ -252,42 +326,61 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch) -> np.n
     # value term: 0.5 * mean((q - v)^2)
     d_value = (forward.values - batch.q_targets) * inv_n * mask
 
-    gates = forward.gates.reshape(n_ports, n_steps, 4, hidden)
+    cells = forward.cells.transpose(1, 0, 2)  # time-major views
+    gates = forward.gates.transpose(1, 0, 2).reshape(n_steps, n_ports, 4, hidden)
     gi, gf, gc, go = (gates[:, :, k] for k in range(4))
-    tanh_c = np.tanh(forward.cells[:, 1:])
+    # dh_heads = d_logits @ wp + d_value * wv, the product staged in tanh_c
+    dh_heads, tanh_c = buffers.dh_heads, buffers.tanh_c
+    np.matmul(d_logits, params["wp"], out=dh_heads.transpose(1, 0, 2))
+    dh_heads += np.multiply(d_value.T[..., None], params["wv"][0], out=tanh_c)
     # dz of each gate is dc (rows i, f, g) or dh (row o) times ``local``: the
     # gate's activation slope times its partner in c = f*c_prev + i*g and
     # h = o*tanh(c).
-    local = 1.0 - gates
+    local = buffers.dz.reshape(n_steps, n_ports, 4, hidden)
+    np.subtract(1.0, gates, out=local)
     local *= gates
-    local[:, :, 2] = 1.0 - gc * gc
-    for k, partner in enumerate((gc, forward.cells[:, :-1], gi, tanh_c)):
+    slope_g = np.multiply(gc, gc, out=local[:, :, 2])
+    np.subtract(1.0, slope_g, out=slope_g)
+    np.tanh(cells[1:], out=tanh_c)
+    for k, partner in enumerate((gc, cells[:-1], gi, tanh_c)):
         local[:, :, k] *= partner
-    dh_to_dc = go * (1.0 - tanh_c * tanh_c)
-    dh_heads = d_logits @ params["wp"] + d_value[..., None] * params["wv"][0]
-    dh_next = dc_next = np.zeros((n_ports, hidden))
+    dh_to_dc = tanh_c  # go * (1 - tanh(c)^2), over tanh(c)
+    dh_to_dc *= tanh_c
+    np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+    dh_to_dc *= go
+    dh_next, dc_next = np.zeros((2, n_ports, hidden))
+    wh, dz_rows = params["wh"], buffers.dz
+    local_ifg, local_o, dc_rows = local[:, :, :3], local[:, :, 3], dh_to_dc[:, :, None]
     for t in range(n_steps - 1, -1, -1):  # turns local into dz step by step
-        dh = dh_heads[:, t] + dh_next
-        dc = dh * dh_to_dc[:, t] + dc_next
-        local[:, t, :3] *= dc[:, None]
-        local[:, t, 3] *= dh
-        dh_next = local[:, t].reshape(n_ports, 4 * hidden) @ params["wh"]
-        dc_next = dc * gf[:, t]
+        dh = dh_heads[t]
+        dh += dh_next
+        dc = dh_to_dc[t]
+        dc *= dh
+        dc += dc_next
+        local_ifg[t] *= dc_rows[t]
+        local_o[t] *= dh
+        np.dot(dz_rows[t], wh, out=dh_next)
+        np.multiply(dc, gf[t], out=dc_next)
 
-    dz = local.reshape(n_ports, n_steps, 4 * hidden)
-    outputs = forward.hiddens[:, 1:]
-    grads = np.concatenate([grad.reshape(n_ports, -1) for grad in (  # PARAM_KEYS order
-        dz.transpose(0, 2, 1) @ batch.states,
-        dz.transpose(0, 2, 1) @ forward.hiddens[:, :-1],
-        dz.sum(axis=1),
-        d_logits.transpose(0, 2, 1) @ outputs,
-        d_logits.sum(axis=1),
-        d_value[:, None, :] @ outputs,
-        d_value.sum(axis=1),
-    )], axis=1)
-    if not np.all(np.isfinite(grads)):
+    dz = dz_rows.transpose(1, 2, 0)  # (P, 4H, T)
+    # port-major copies of the cell's inputs and outputs, in the loop's dead
+    # (T, P, H) buffers: BLAS may round a product over a strided operand
+    # differently at small widths
+    inputs = dh_heads.reshape(n_ports, n_steps, hidden)
+    inputs[...] = forward.hiddens[:, :-1]
+    outputs = tanh_c.reshape(n_ports, n_steps, hidden)
+    outputs[...] = forward.hiddens[:, 1:]
+    grads = _views(buffers.grads, hidden)  # each port's row, by tensor
+    np.matmul(dz, batch.states, out=grads["wx"])
+    np.matmul(dz, inputs, out=grads["wh"])
+    np.sum(dz_rows, axis=0, out=grads["b"])
+    np.matmul(d_logits.transpose(0, 2, 1), outputs, out=grads["wp"])
+    np.sum(d_logits, axis=1, out=grads["bp"])
+    np.matmul(d_value[:, None, :], outputs, out=grads["wv"])
+    np.sum(d_value, axis=1, keepdims=True, out=grads["bv"])
+    if not np.all(np.isfinite(buffers.grads)):
         raise LearnerError("non-finite gradient")
-    return grads
+    return buffers.grads
 
 
 def grad_norm(grads: np.ndarray) -> float:
@@ -316,18 +409,26 @@ class Coordinator:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.step = 0
+        self._scratch = np.empty((2, self.flat.size))
 
     def apply_update(self, delta: np.ndarray, learning_rate: float) -> None:
         """One Adam descent step on the shared parameters using the flat
-        ``delta`` as the gradient."""
+        ``delta`` as the gradient, in place, through two scratch vectors."""
         self.step += 1
+        term, root = self._scratch
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * delta
+        self.m += np.multiply(delta, 1.0 - ADAM_BETA1, out=term)
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * delta * delta
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
-        self.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(delta, 1.0 - ADAM_BETA2, out=term)
+        term *= delta
+        self.v += term
+        np.divide(self.m, 1.0 - ADAM_BETA1 ** self.step, out=term)  # m_hat
+        term *= learning_rate
+        np.divide(self.v, 1.0 - ADAM_BETA2 ** self.step, out=root)  # v_hat
+        np.sqrt(root, out=root)
+        root += ADAM_EPS
+        term /= root
+        self.flat -= term
 
     def sync_copy(self) -> dict:
         """The parameters as views into a copy of ``flat``."""
@@ -351,10 +452,14 @@ class TrainConfig:
             raise LearnerError("gamma must lie in (0, 1)")
         if self.hidden <= 0:
             raise LearnerError("hidden width must be positive")
-        if self.learning_rate <= 0:
-            raise LearnerError("learning rate must be positive")
-        if self.beta < 0:
-            raise LearnerError("entropy weight must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise LearnerError(f"learning_rate must be a finite positive number, "
+                               f"got {self.learning_rate!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise LearnerError(f"beta must be a finite non-negative number, got {self.beta!r}")
+        if not (math.isfinite(self.clip_threshold) and self.clip_threshold > 0):
+            raise LearnerError(f"clip_threshold must be a finite positive number, "
+                               f"got {self.clip_threshold!r}")
 
 
 @dataclass
@@ -502,7 +607,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     agent in an episode runs on one copy of the coordinator's parameters
     taken when the episode starts, so one batched forward and backward pass
     covers all ports; action draws, clipping and Adam go port by port.
-    Resuming from ``initial_model`` continues its parameters, Adam moments,
+    The passes run in one :class:`EpisodeBuffers` allocated for the call:
+    every episode has the same ports and padded length.  Resuming from ``initial_model`` continues its parameters, Adam moments,
     Adam step and episode count; the learning rate, gamma, beta and clip
     threshold always come from ``config``.
     """
@@ -532,11 +638,12 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     for p, port_rows in enumerate(batch.slices):
         states[p, :lengths[p]] = rows[port_rows]
 
+    buffers = EpisodeBuffers(len(ports), lengths.max(), config.hidden)
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         params = coordinator.sync_copy()
-        forward = forward_episode(params, states)
+        forward = forward_episode(params, states, buffers)
         actions = np.zeros(states.shape[:2], dtype=int)
         q_targets, advantages = np.zeros((2,) + states.shape[:2])
         ep_reward = 0.0
@@ -549,7 +656,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
                 rewards, forward.values[p, :n], config.gamma)
             ep_reward += float(np.sum(rewards))
         ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
-        for grads in backward(params, forward, ep_batch):
+        for grads in backward(params, forward, ep_batch, buffers):
             coordinator.apply_update(clipped_delta(grads, config.clip_threshold),
                                      config.learning_rate)
         v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))

@@ -2,8 +2,9 @@
 
 Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
-single-row cell step per decision for the policy rule, one parameter tensor
-at a time for Adam and the gradient norm, every pair of intervals for the
+single-row cell step per decision for the policy rule, the padded (P, T)
+batched pass and whole-vector Adam that allocate their arrays on every call,
+one parameter tensor at a time for Adam and the gradient norm, every pair of intervals for the
 feed-capacity audit, one session at a time for the state, the rate and
 ratio formulas and the session parser, ``strptime`` over four formats for
 timestamps, ``json.dumps`` over record dicts for the session file and the
@@ -26,7 +27,8 @@ import numpy as np
 import ramals.learner as learner
 from ramals import mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
-                            PARAM_KEYS, LearnerError, _entropy_rows, hidden_size)
+                            PARAM_KEYS, STATE_DIM, EpisodeForward, LearnerError,
+                            _entropy_rows, hidden_size)
 from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
@@ -420,6 +422,125 @@ def scalar_backward(params, forward, actions, q_targets, advantages, beta):
         dh_next = params["wh"].T @ dz
         dc_next = dc * gf
     return grads
+
+
+def _batched_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.reciprocal(1.0 + np.exp(-x), out=out)
+
+
+def _batched_softmax2(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _allocating_cell_rows(wh, z, h_prev, c_prev):
+    """One cell step for one row or a stack of rows: ``z`` holds each row's
+    input projection ``x @ wx.T + b`` on entry and its activated gates
+    ``[i, f, g, o]`` on return.  Returns the new (cell, hidden) state."""
+    hidden = h_prev.shape[-1]
+    z += h_prev @ wh.T
+    gi, gf = z[..., :hidden], z[..., hidden:2 * hidden]
+    gc, go = z[..., 2 * hidden:3 * hidden], z[..., 3 * hidden:]
+    _batched_sigmoid(z[..., :2 * hidden], out=z[..., :2 * hidden])
+    np.tanh(gc, out=gc)
+    _batched_sigmoid(go, out=go)
+    c = gf * c_prev + gi * gc
+    return c, go * np.tanh(c)
+
+
+def padded_forward_episode(params, states):
+    """The batched forward pass over fresh port-major (P, T, ·) arrays, each
+    step's product and state in new temporaries."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[2] != STATE_DIM:
+        raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
+    n_ports, n_steps, _ = states.shape
+    hiddens = np.zeros((n_ports, n_steps + 1, hidden_size(params)))
+    cells = np.zeros_like(hiddens)
+    gates = states @ params["wx"].T  # the input projection, hoisted
+    gates += params["b"]
+    for t in range(n_steps):
+        cells[:, t + 1], hiddens[:, t + 1] = _allocating_cell_rows(
+            params["wh"], gates[:, t], hiddens[:, t], cells[:, t])
+    probs = _batched_softmax2(hiddens[:, 1:] @ params["wp"].T + params["bp"])
+    values = hiddens[:, 1:] @ params["wv"][0] + params["bv"][0]
+    if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
+        raise LearnerError("non-finite output in episode forward pass")
+    return EpisodeForward(probs, values, hiddens, cells, gates)
+
+
+def padded_backward(params, forward, batch):
+    """The batched backward pass over port-major (P, T, ·) arrays: one flat
+    gradient row per port, its temporaries allocated on every call."""
+    n_ports, n_steps = batch.actions.shape
+    hidden = hidden_size(params)
+    mask = np.arange(n_steps) < batch.lengths[:, None]
+    inv_n = 1.0 / batch.lengths[:, None]
+    probs = forward.probs
+    one_hot = np.eye(2)[batch.actions]
+    taken = np.sum(probs * one_hot, axis=-1)
+    policy_weight = np.where(taken >= LOG_PROB_FLOOR, -batch.advantages * inv_n, 0.0)
+    d_logits = policy_weight[..., None] * (one_hot - probs)
+    safe_log = np.log(np.maximum(probs, LOG_PROB_FLOOR))
+    d_logits += (batch.beta * inv_n)[..., None] * probs \
+        * (safe_log + _entropy_rows(probs)[..., None])
+    d_logits *= mask[..., None]
+    d_value = (forward.values - batch.q_targets) * inv_n * mask
+
+    gates = forward.gates.reshape(n_ports, n_steps, 4, hidden)
+    gi, gf, gc, go = (gates[:, :, k] for k in range(4))
+    tanh_c = np.tanh(forward.cells[:, 1:])
+    local = 1.0 - gates
+    local *= gates
+    local[:, :, 2] = 1.0 - gc * gc
+    for k, partner in enumerate((gc, forward.cells[:, :-1], gi, tanh_c)):
+        local[:, :, k] *= partner
+    dh_to_dc = go * (1.0 - tanh_c * tanh_c)
+    dh_heads = d_logits @ params["wp"] + d_value[..., None] * params["wv"][0]
+    dh_next = dc_next = np.zeros((n_ports, hidden))
+    for t in range(n_steps - 1, -1, -1):
+        dh = dh_heads[:, t] + dh_next
+        dc = dh * dh_to_dc[:, t] + dc_next
+        local[:, t, :3] *= dc[:, None]
+        local[:, t, 3] *= dh
+        dh_next = local[:, t].reshape(n_ports, 4 * hidden) @ params["wh"]
+        dc_next = dc * gf[:, t]
+
+    dz = local.reshape(n_ports, n_steps, 4 * hidden)
+    outputs = forward.hiddens[:, 1:]
+    grads = np.concatenate([grad.reshape(n_ports, -1) for grad in (  # PARAM_KEYS order
+        dz.transpose(0, 2, 1) @ batch.states,
+        dz.transpose(0, 2, 1) @ forward.hiddens[:, :-1],
+        dz.sum(axis=1),
+        d_logits.transpose(0, 2, 1) @ outputs,
+        d_logits.sum(axis=1),
+        d_value[:, None, :] @ outputs,
+        d_value.sum(axis=1),
+    )], axis=1)
+    if not np.all(np.isfinite(grads)):
+        raise LearnerError("non-finite gradient")
+    return grads
+
+
+class FlatAdam:
+    """Adam over one flat parameter vector, each step's terms in new
+    temporaries."""
+
+    def __init__(self, flat):
+        self.flat = np.array(flat, dtype=float)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.step = 0
+
+    def apply_update(self, delta, learning_rate):
+        self.step += 1
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * delta
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * delta * delta
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
+        self.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def flatten(tensors):

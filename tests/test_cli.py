@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramals import learner
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
 from ramals.learner import SharedModel
 from ramals.sessions import ChargingSession
@@ -192,6 +193,36 @@ class TestPipeline:
                        "--risk", risk, "--out", workdir / "model.json") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: risk file {risk}") and problem in err
+        assert not (workdir / "model.json").exists()
+
+    def test_train_rejects_risk_file_that_is_not_json(self, workdir, capsys):
+        sessions = self.generate(workdir)
+        risk = workdir / "risk.json"
+        run_cli("fit-risk", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--out", risk)
+        risk.write_text(risk.read_text()[:30])  # truncated
+        capsys.readouterr()
+        assert run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--risk", risk, "--out", workdir / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: risk file {risk} is not valid JSON: ")
+        assert "Traceback" not in err
+        assert not (workdir / "model.json").exists()
+
+    @pytest.mark.parametrize("line, field_name", [("learning_rate = nan", "learning_rate"),
+                                                  ("beta = inf", "beta"),
+                                                  ("clip_threshold = 0", "clip_threshold")])
+    def test_train_rejects_unusable_config_before_training(self, workdir, capsys, monkeypatch,
+                                                           line, field_name):
+        sessions = self.generate(workdir)
+        config = workdir / "bad.cfg"
+        config.write_text(f"{line}\n")
+        monkeypatch.setattr(learner, "forward_episode", None)  # never reached
+        capsys.readouterr()
+        assert run_cli("train", "--config", config, "--sessions", sessions, "--risk-off",
+                       "--out", workdir / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field_name} must be a finite ")
         assert not (workdir / "model.json").exists()
 
     def test_train_run_compare(self, workdir):

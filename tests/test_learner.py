@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramals.learner as learner
 import ramals.mdp as mdp
@@ -28,6 +30,7 @@ from ramals.learner import (
     PARAM_KEYS,
     Coordinator,
     EpisodeBatch,
+    EpisodeBuffers,
     SharedModel,
     backward,
     bootstrap_targets,
@@ -45,10 +48,13 @@ from ramals.scheduler import ScheduleEngine, _ForcedRule, execute, outcomes_json
 
 from helpers import T0, make_session, site_for
 from oracles import (
+    FlatAdam,
     KeyedAdam,
     flatten,
     keyed_clipped_delta,
     keyed_grad_norm,
+    padded_backward,
+    padded_forward_episode,
     scalar_backward,
     scalar_forward,
 )
@@ -431,6 +437,92 @@ class TestBatchedPass:
                                   getattr(long_forward, name)[last])
 
 
+def garbage_padded_episode(rng, lengths, hidden, scale=1.0):
+    """Parameters and an episode batch for ports of the given lengths, with
+    garbage states, actions and targets in every padding step."""
+    params = init_params(hidden, rng)
+    for key in params:
+        params[key] = rng.uniform(-scale, scale, params[key].shape)
+    lengths = np.array(lengths)
+    shape = (len(lengths), lengths.max())
+    states = rng.uniform(0.0, 1.0, shape + (6,))
+    batch = EpisodeBatch(states, lengths, rng.integers(0, 2, shape),
+                         rng.normal(size=shape), rng.normal(size=shape), rng.uniform(0.0, 0.2))
+    return params, batch
+
+
+FORWARD_FIELDS = ("probs", "values", "hiddens", "cells", "gates")
+
+
+class TestTimeMajorPass:
+    """The time-major pass in reusable buffers against the port-major pass
+    that allocated its arrays on every call: the same operations in the same
+    order, so the same bits."""
+
+    @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+           hidden=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_padded_oracle_bit_for_bit(self, lengths, hidden, seed):
+        params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden)
+        forward = forward_episode(params, batch.states)
+        oracle = padded_forward_episode(params, batch.states)
+        for name in FORWARD_FIELDS:
+            assert getattr(forward, name).shape == getattr(oracle, name).shape
+            assert np.array_equal(getattr(forward, name), getattr(oracle, name)), name
+        grads = backward(params, forward, batch)
+        reference = padded_backward(params, oracle, batch)
+        assert grads.shape == reference.shape
+        for p, row in enumerate(grads):
+            assert np.array_equal(row, reference[p]), p
+
+    def test_reused_buffers_match_fresh_ones(self):
+        """A second episode over the same buffers, with other parameters and
+        lengths, ends as a fresh call does: nothing carries over, neither the
+        first episode's carries nor the reverse loop's dh and dc."""
+        rng = np.random.default_rng(31)
+        buffers = EpisodeBuffers(3, 9, 5)
+        for lengths in ([9, 4, 7], [2, 9, 5]):
+            params, batch = garbage_padded_episode(rng, lengths, 5, scale=0.8)
+            forward = forward_episode(params, batch.states, buffers)
+            grads = backward(params, forward, batch, buffers)
+            fresh = forward_episode(params, batch.states)
+            for name in FORWARD_FIELDS:  # backward left the forward pass as it was
+                assert np.array_equal(getattr(forward, name), getattr(fresh, name)), name
+            assert np.array_equal(grads, backward(params, fresh, batch))
+            assert np.shares_memory(forward.gates, buffers.gates)
+
+    def test_buffers_of_another_shape_rejected(self):
+        params, batch = garbage_padded_episode(np.random.default_rng(32), [3, 2], 4)
+        with pytest.raises(LearnerError, match="buffers"):
+            forward_episode(params, batch.states, EpisodeBuffers(2, 4, 4))
+
+    def test_train_matches_padded_oracle_model_file(self, tmp_path, monkeypatch):
+        """Training through the oracles writes the same model file byte for
+        byte: every episode's passes and every Adam step agree."""
+        batch, site = small_scenario(n_sessions=50)
+        config = TrainConfig(episodes=4, seed=6, hidden=8)
+        model, logs = train(batch, site, config, risk_value=0.05)
+        model.save(tmp_path / "model.json")
+
+        def oracle_update(coordinator, delta, learning_rate):
+            adam = FlatAdam(coordinator.flat)
+            adam.m, adam.v, adam.step = coordinator.m, coordinator.v, coordinator.step
+            adam.apply_update(delta, learning_rate)
+            coordinator.flat[...] = adam.flat
+            coordinator.step = adam.step
+
+        monkeypatch.setattr(learner, "forward_episode",
+                            lambda params, states, buffers: padded_forward_episode(params, states))
+        monkeypatch.setattr(learner, "backward",
+                            lambda params, forward, batch, buffers: padded_backward(
+                                params, forward, batch))
+        monkeypatch.setattr(Coordinator, "apply_update", oracle_update)
+        oracle_model, oracle_logs = train(batch, site, config, risk_value=0.05)
+        oracle_model.save(tmp_path / "oracle.json")
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+        assert learner.training_log_csv(logs) == learner.training_log_csv(oracle_logs)
+
+
 class TestClippedDelta:
     def test_below_threshold_unchanged(self):
         grads = np.array([0.3, 0.4])
@@ -479,6 +571,22 @@ class TestApplyUpdate:
         agent = coordinator.sync_copy()
         for key in PARAM_KEYS:
             assert np.array_equal(agent[key], coordinator.params[key])
+
+    def test_matches_flat_oracle_bit_for_bit(self):
+        """Five in-place steps against the whole-vector Adam that allocated
+        each term."""
+        rng = np.random.default_rng(17)
+        coordinator = Coordinator(random_params(6, 17))
+        oracle = FlatAdam(coordinator.flat)
+        for _ in range(5):
+            delta = rng.normal(size=coordinator.flat.size) * rng.uniform(0.01, 5.0)
+            kept = delta.copy()
+            coordinator.apply_update(delta, 0.003)
+            oracle.apply_update(delta, 0.003)
+            assert np.array_equal(delta, kept)
+            for name in ("flat", "m", "v"):
+                assert np.array_equal(getattr(coordinator, name), getattr(oracle, name)), name
+        assert coordinator.step == oracle.step == 5
 
 
 class TestFlatLayout:
@@ -542,6 +650,29 @@ class TestTrain:
             model, _ = train(batch, site, config, risk_value=0.05)
             model.save(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_runs_of_other_shapes_leave_no_state(self, tmp_path):
+        """Each train call has its own buffers: a run on another batch and
+        width in between leaves the next run's model file byte-identical."""
+        batch, site = small_scenario(n_sessions=50)
+        other, other_site = small_scenario(seed=2, n_sessions=30)
+        config = TrainConfig(episodes=3, seed=6, hidden=8)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model, _ = train(batch, site, config, risk_value=0.05)
+            model.save(path)
+            train(other, other_site, TrainConfig(episodes=2, seed=1, hidden=5), risk_value=0.0)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+        ("beta", math.nan), ("beta", math.inf), ("beta", -0.1),
+        ("clip_threshold", math.nan), ("clip_threshold", math.inf), ("clip_threshold", 0.0),
+        ("clip_threshold", -1.0),
+    ])
+    def test_config_rejects_unusable_value_naming_field(self, field_name, value):
+        with pytest.raises(LearnerError, match=f"^{field_name} must be a finite "):
+            TrainConfig(**{field_name: value})
 
     def test_all_av_reward_is_twice_sessions(self):
         batch, site = small_scenario(seed=5, cv=0.0)
