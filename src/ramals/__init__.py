@@ -1,13 +1,11 @@
 """Risk-adversarial multi-agent learning scheduler for EV charging sessions."""
 
 from .sessions import (
-    ChargingSession,
     EvseConfig,
     GeneratorConfig,
     SessionBatch,
     SessionError,
     SiteConfig,
-    VehicleClass,
     delivery_rate_kw,
     demand_rate_kw,
     energy_ratios,

@@ -10,10 +10,10 @@ Everything downstream (risk fitting, agent training, scheduling) reads a
 :class:`SessionBatch`: one column per field, ports sorted by id, FCFS by
 plug-in within a port (ties in input order), each port's rows one slice.
 A timestamp is an int64 minute stamp, ``date.toordinal() * 1440 + hour * 60
-+ minute``, so ``stamp % 1440`` is the minute of the day.  The row type
-:class:`ChargingSession` is built only by tests, ``iter(batch)``,
-``batch.group()`` and the per-record validator that :func:`parse_sessions`
-falls back to for records not in canonical form or failing a column check.
++ minute``, so ``stamp % 1440`` is the minute of the day.  Session files are
+read by one parser, :func:`parse_sessions`, a field at a time: it reads each
+field of every record into a column, resolves ACN-Data's field names only
+for the records that lack the canonical key, and checks each column whole.
 
 Units: energy in kWh, rates in kW, durations in minutes unless a name says
 otherwise.  A record's timestamp is ``YYYY-MM-DD``, then ``T`` or
@@ -24,15 +24,17 @@ the writer uses, is exactly ``YYYY-MM-DDTHH:MM``.
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite
+from math import inf, isfinite, nan
+from operator import itemgetter
 from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +47,8 @@ _UNIX_EPOCH = date(1970, 1, 1).toordinal() * _DAY  # numpy's datetime64 minute 0
 
 # strptime's own field patterns for "%Y-%m-%dT%H:%M[:%S]" and
 # "%Y-%m-%d %H:%M[:%S]", whose "T" matches either case and whose space matches
-# any whitespace run, with ASCII digits and whitespace only, as the column
-# path takes them: strptime would also take other Unicode digits and spaces.
+# any whitespace run, with ASCII digits and whitespace only, as the canonical
+# stamps have them: strptime would also take other Unicode digits and spaces.
 # The date constructor checks the ranges.
 _TIMESTAMP = re.compile(
     r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
@@ -55,47 +57,6 @@ _TIMESTAMP = re.compile(
 
 class SessionError(ValueError):
     """Raised for malformed or inconsistent session data."""
-
-
-class VehicleClass(enum.Enum):
-    CV = "CV"
-    AV = "AV"
-
-
-@dataclass(frozen=True)
-class ChargingSession:
-    """One EV plug-in event.
-
-    ``minutes_available`` is the charging window the vehicle asked for; the
-    vehicle physically occupies the port from ``plug_in_time`` until
-    ``unplug_time`` while energy flows only until ``charge_end_time``.
-    """
-
-    session_id: str
-    evse_id: str
-    vehicle_class: VehicleClass
-    energy_requested_kwh: float
-    minutes_available: float
-    plug_in_time: datetime
-    charge_end_time: datetime
-    unplug_time: datetime
-    energy_delivered_kwh: float
-    receiving_capacity_kw: float = DEFAULT_RECEIVING_CAPACITY_KW
-
-    def __post_init__(self):
-        if not (self.plug_in_time <= self.charge_end_time <= self.unplug_time):
-            raise SessionError(
-                f"session {self.session_id!r}: timestamps must satisfy "
-                "plug_in <= charge_end <= unplug, got "
-                f"{self.plug_in_time} / {self.charge_end_time} / {self.unplug_time}")
-        if self.energy_requested_kwh < 0:
-            raise SessionError(f"session {self.session_id!r}: negative requested energy")
-        if self.energy_delivered_kwh < 0:
-            raise SessionError(f"session {self.session_id!r}: negative delivered energy")
-        if self.minutes_available <= 0:
-            raise SessionError(f"session {self.session_id!r}: minutes_available must be > 0")
-        if self.receiving_capacity_kw <= 0:
-            raise SessionError(f"session {self.session_id!r}: receiving capacity must be > 0")
 
 
 @dataclass(frozen=True)
@@ -140,11 +101,15 @@ class SiteConfig:
         return tuple(e.evse_id for e in self.evses)
 
 
-# The numpy columns of a batch, in ChargingSession's field order after the
-# two ids; ``port`` indexes ``evse_ids`` and ``is_cv`` is the vehicle class.
+# The numpy columns of a batch after the two ids; ``port`` indexes
+# ``evse_ids`` and ``is_cv`` is the vehicle class.
 _COLUMNS = ("port", "is_cv", "requested_kwh", "minutes_available", "plug_in", "charge_end",
             "unplug", "delivered_kwh", "receiving_kw")
 _DTYPES = (np.intp, bool, float, float, np.int64, np.int64, np.int64, float, float)
+
+
+SessionRow = NamedTuple("SessionRow", [("session_id", str), ("evse_id", str),
+                                       ("receiving_capacity_kw", float)])
 
 
 class SessionBatch:
@@ -155,18 +120,11 @@ class SessionBatch:
     ``session_ids`` is a list, and ``port``, ``is_cv``, ``requested_kwh``,
     ``minutes_available``, ``delivered_kwh``, ``receiving_kw`` and the minute
     stamps ``plug_in``, ``charge_end`` and ``unplug`` are arrays.  A batch is
-    built from :class:`ChargingSession` rows, whose seconds and time zone are
-    dropped, or from ``columns`` in input order: the session and EVSE ids,
-    then ``_COLUMNS`` without ``port``.
+    built from ``columns`` in input order: the session and EVSE ids, then
+    ``_COLUMNS`` without ``port``.
     """
 
-    def __init__(self, sessions=(), columns=None):
-        if columns is None:
-            rows = [(s.session_id, s.evse_id, s.vehicle_class is VehicleClass.CV,
-                     s.energy_requested_kwh, s.minutes_available, _minutes(s.plug_in_time),
-                     _minutes(s.charge_end_time), _minutes(s.unplug_time),
-                     s.energy_delivered_kwh, s.receiving_capacity_kw) for s in sessions]
-            columns = list(zip(*rows)) if rows else [()] * 10
+    def __init__(self, columns):
         session_ids, evse_ids, *columns = columns
         self.evse_ids = tuple(sorted(set(evse_ids)))
         index = {evse_id: p for p, evse_id in enumerate(self.evse_ids)}
@@ -179,18 +137,13 @@ class SessionBatch:
         bounds = np.searchsorted(self.port, np.arange(len(self.evse_ids) + 1)).tolist()
         self.slices = tuple(map(slice, bounds[:-1], bounds[1:]))
 
-    def group(self, evse_id: str) -> tuple[ChargingSession, ...]:
-        return tuple(self._rows(self.slices[self.evse_ids.index(evse_id)]))
-
-    def _rows(self, rows: slice):
-        for session_id, p, is_cv, *values in zip(
-                self.session_ids[rows], *(getattr(self, name)[rows].tolist() for name in _COLUMNS)):
-            values[2:5] = map(_datetime, values[2:5])
-            yield ChargingSession(session_id, self.evse_ids[p],
-                                  VehicleClass.CV if is_cv else VehicleClass.AV, *values)
-
     def __iter__(self):
-        return self._rows(slice(None))
+        """Each session's id, EVSE id and receiving capacity, in batch order.
+
+        The benchmark's tight-feed workload is the only reader; ROADMAP item 4,
+        the benchmark refresh, removes this view."""
+        return map(SessionRow, self.session_ids,
+                   map(self.evse_ids.__getitem__, self.port.tolist()), self.receiving_kw.tolist())
 
     def __len__(self) -> int:
         return len(self.session_ids)
@@ -230,16 +183,6 @@ _RECORD = (' {\n  "connectionTime": "%s",\n  "disconnectTime": "%s",\n'
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _minutes(t: datetime) -> int:
-    """A datetime as a minute stamp; its seconds and time zone are dropped."""
-    return t.toordinal() * _DAY + t.hour * 60 + t.minute
-
-
-def _datetime(stamp: int) -> datetime:
-    day, minute = divmod(stamp, _DAY)
-    return datetime.fromordinal(day) + timedelta(minutes=minute)
-
-
 def json_number(value) -> str:
     """``value`` as :func:`json.dumps` writes it: a float by ``float.__repr__``
     or as ``NaN``/``Infinity``/``-Infinity``, and anything else by json."""
@@ -272,66 +215,30 @@ def _stamp_minutes(raw: str) -> int | None:
         return None
 
 
-def _parse_timestamp(raw, field_name: str, session_id: str) -> datetime:
-    if not isinstance(raw, str):
-        raise SessionError(f"session {session_id!r}: field {field_name!r} must be a string")
-    stamp = _stamp_minutes(raw)
-    if stamp is None:
-        raise SessionError(f"session {session_id!r}: unparseable timestamp {raw!r} "
-                           f"in {field_name!r}")
-    return _datetime(stamp)
-
-
-def _lookup(record: dict, key: str):
-    """Resolve a schema field, applying the ACN alias map.
-
-    Aliases: stationID/spaceID -> evseID, _id -> sessionID, and the nested
-    userInputs[0] block for kWhRequested / minutesAvailable.
-    """
-    if key in record:
-        return record[key]
-    aliases = {"evseID": ("stationID", "spaceID"), "sessionID": ("_id",)}
-    for alias in aliases.get(key, ()):
-        if alias in record:
-            return record[alias]
-    if key in ("kWhRequested", "minutesAvailable"):
-        inputs = record.get("userInputs")
-        if isinstance(inputs, list) and inputs and isinstance(inputs[0], dict):
-            if key in inputs[0]:
-                return inputs[0][key]
-    return None
-
-
-def _finite(value, key: str, session_id) -> float:
-    """A record's numeric field as a float: it must be a finite JSON number
-    (a bool or a numeric string is not); a :class:`SessionError` names the
-    session and the field otherwise."""
-    if type(value) is float:
-        if isfinite(value):
-            return value
-    elif type(value) is not int:
-        raise SessionError(f"session {session_id!r}: field {key!r} must be a number, "
-                           f"got {value!r}")
-    elif -float_info.max <= value <= float_info.max:  # float() overflows beyond
-        return float(value)
-    raise SessionError(f"session {session_id!r}: field {key!r} must be finite, got {value!r}")
+_NONE = type(None)
+_CLASSES = {"CV": True, "AV": False}
+_STAMP_KEYS = ("connectionTime", "doneChargingTime", "disconnectTime")
+_MANDATORY = ("evseID", "kWhRequested", "minutesAvailable", *_STAMP_KEYS, "kWhDelivered")
+_USER_INPUTS = ("kWhRequested", "minutesAvailable")  # also read from userInputs[0]
+# ACN-Data's names for a field, tried in order (userInputs holds it in entry 0)
+_ALIASES = {"sessionID": ("_id",), "evseID": ("stationID", "spaceID"),
+            **dict.fromkeys(_USER_INPUTS, ("userInputs",))}
 
 
 def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
-    """Parse a JSON array of session records into a batch.
+    """Parse a JSON array of session records into a batch, a field at a time.
 
-    Records that violate the timestamp ordering, miss a mandatory field,
-    carry negative energies, hold anything but a finite JSON number in
-    ``kWhRequested``, ``minutesAvailable``, ``kWhDelivered`` or
-    ``receivingCapacityKW``, or repeat an earlier record's ``sessionID`` are
-    rejected by raising :class:`SessionError` naming the offending record;
-    nothing is dropped silently.
-
-    Canonical records, as :meth:`SessionBatch.to_json_bytes` writes them, are
-    read and checked column by column; a canonical timestamp is exactly
-    ``YYYY-MM-DDTHH:MM``, and each timestamp column is converted by numpy at
-    once.  Any other input, valid or not, goes through the per-record
-    validator, which reads the ACN aliases and names the first bad record.
+    A key that is absent or ``null`` misses its field; only a record that
+    lacks the key itself has its ACN-Data alias (``_ALIASES``) read.  A
+    missing ``vehicleClass`` is CV, with a warning, and a missing
+    ``receivingCapacityKW`` the default.  Each check runs on whole columns,
+    and nothing is dropped silently: a :class:`SessionError` names the first
+    bad record in file order, at its first failing check of (1) an object,
+    (2) an id (``record-<i>`` when empty) no earlier record has, (3) the
+    mandatory fields present, (4) a class of CV or AV in any case, (5) the
+    numbers finite JSON numbers, (6) the stamps strings that parse, and (7)
+    plug-in <= charge end <= unplug, energies >= 0 and the window and
+    receiving capacity > 0.
     """
     try:
         payload = json.loads(json_bytes)
@@ -342,49 +249,133 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     # This may be the text's last reference: freed before the columns are
     # made, it leaves no hole in the heap below them.
     del json_bytes
-    batch = _canonical_batch(payload)
-    return batch if batch is not None else _parse_records(payload)
+    # Each check's first bad record, in check order; the first of the earliest
+    # record is the error.  A check may also mark a record that fails an
+    # earlier one, as its input there is a stand-in.
+    faults: list[tuple[int, str]] = []
+    if not {*map(type, payload)} <= {dict}:
+        i = next(i for i, record in enumerate(payload) if type(record) is not dict)
+        faults.append((i, f"record #{i}: expected an object"))
+        payload = payload[:i]
 
+    ids, types = _field(payload, "sessionID")
+    if not all(ids):
+        ids = [session_id or f"record-{i}" for i, session_id in enumerate(ids)]
+    keys = ids if types <= {str} else list(map(str, ids))
+    if len(set(keys)) < len(keys):
+        first: dict[str, int] = {}
+        i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+        faults.append((i, f"session {ids[i]!r}: duplicate id in records "
+                          f"#{first[keys[i]]} and #{i}"))
 
-_CLASSES = {"CV": True, "AV": False}
-_NUMBER_KEYS = ("kWhRequested", "minutesAvailable")
-_STAMP_KEYS = ("connectionTime", "doneChargingTime", "disconnectTime")
+    columns = {}
+    for key in _MANDATORY:
+        columns[key] = column, types = _field(payload, key)
+        if _NONE in types:
+            i = column.index(None)
+            faults.append((i, f"session {ids[i]!r}: missing mandatory field {key!r}"))
+    checked = len(faults)  # a record failing these is not warned of a missing class
 
+    classes, types = _field(payload, "vehicleClass")
+    unclassed = []
+    if types <= {str} and {*classes} <= _CLASSES.keys():
+        is_cv = list(map(_CLASSES.__getitem__, classes))
+    else:
+        unclassed = [i for i, raw in enumerate(classes) if raw is None]
+        is_cv = [True if raw is None else _CLASSES.get(str(raw).upper()) for raw in classes]
+        if None in is_cv:
+            i = is_cv.index(None)
+            faults.append((i, f"session {ids[i]!r}: vehicleClass must be CV or AV"))
 
-def _only(values, *types) -> bool:
-    return set(map(type, values)) <= set(types)
+    requested, available, delivered = (_finite(*columns[key], key, ids, faults)
+                                       for key in ("kWhRequested", "minutesAvailable",
+                                                   "kWhDelivered"))
+    receiving = _finite(*_field(payload, "receivingCapacityKW"), "receivingCapacityKW", ids,
+                        faults, missing=DEFAULT_RECEIVING_CAPACITY_KW)
+    stamps = [_stamps(*columns[key], key, ids, faults) for key in _STAMP_KEYS]
 
-
-def _canonical_batch(payload: list) -> SessionBatch | None:
-    """The batch of canonical, valid records by whole-column checks; None
-    for anything else."""
-    try:
-        session_ids, evse_ids, classes, *numbers = (
-            [r[key] for r in payload]
-            for key in ("sessionID", "evseID", "vehicleClass", *_NUMBER_KEYS, "kWhDelivered"))
-        numbers.append([r.get("receivingCapacityKW", DEFAULT_RECEIVING_CAPACITY_KW)
-                        for r in payload])
-        texts = [[r[key] for r in payload] for key in _STAMP_KEYS]
-        is_cv = [_CLASSES[c] for c in classes]
-        if not (_only(session_ids, str) and all(session_ids) and _only(evse_ids, str)
-                and len(set(session_ids)) == len(session_ids)
-                and all(_only(column, float, int) for column in numbers)
-                and all(_only(column, str) for column in texts)):
-            return None
-        requested, available, delivered, receiving = (np.array(c, dtype=float) for c in numbers)
-    except (KeyError, TypeError, OverflowError):  # not canonical, or an int beyond float
-        return None
-    stamps = [_canonical_stamps(column) for column in texts]
-    if any(column is None for column in stamps):
-        return None
     plug_in, charge_end, unplug = stamps
-    if not (all(np.isfinite(c).all() for c in (requested, available, delivered, receiving))
-            and (requested >= 0).all() and (delivered >= 0).all()
-            and (available > 0).all() and (receiving > 0).all()
-            and (plug_in <= charge_end).all() and (charge_end <= unplug).all()):
-        return None
-    return SessionBatch(columns=(session_ids, evse_ids, is_cv, requested, available, plug_in,
-                                 charge_end, unplug, delivered, receiving))
+    inverted = (plug_in > charge_end) | (charge_end > unplug)
+    for mask, problem in ((inverted, "timestamps must satisfy plug_in <= charge_end <= unplug"),
+                          (requested < 0, "negative requested energy"),
+                          (delivered < 0, "negative delivered energy"),
+                          (available <= 0, "minutes_available must be > 0"),
+                          (receiving <= 0, "receiving capacity must be > 0")):
+        if mask.any():
+            i = int(mask.argmax())
+            if mask is inverted:
+                problem += ", got " + " / ".join(  # datetime.min is minute stamp _DAY
+                    str(datetime.min + timedelta(minutes=int(s[i]) - _DAY)) for s in stamps)
+            faults.append((i, f"session {keys[i]!r}: {problem}"))
+
+    error = min(faults, key=itemgetter(0), default=None)
+    # A missing class is warned of for each record before the bad one, and
+    # for the bad one too when it fails a check after the class check.
+    reached = len(payload) if error is None else error[0] + (faults.index(error) >= checked)
+    for i in unclassed:
+        if i < reached:
+            log.warning("session %r: no vehicleClass, assuming CV", ids[i])
+    if error is not None:
+        raise SessionError(error[1])
+    evse_ids, types = columns["evseID"]
+    return SessionBatch(columns=(keys, evse_ids if types <= {str} else list(map(str, evse_ids)),
+                                 is_cv, requested, available, *stamps, delivered, receiving))
+
+
+def _field(payload: list, key: str) -> tuple[list, set]:
+    """``key`` of every record, None where it is missing, and the set of the
+    values' types.  A record that lacks ``key`` has its alias read."""
+    column = list(map(dict.get, payload, repeat(key)))
+    types = {*map(type, column)}
+    if _NONE in types and key in _ALIASES:
+        for i, record in enumerate(payload):
+            if column[i] is not None or key in record:
+                continue
+            if key in _USER_INPUTS:
+                inputs = record.get("userInputs")
+                if isinstance(inputs, list) and inputs and isinstance(inputs[0], dict):
+                    column[i] = inputs[0].get(key)
+            else:
+                column[i] = next((record[a] for a in _ALIASES[key] if a in record), None)
+        types = {*map(type, column)}
+    return column, types
+
+
+def _finite(column: list, types: set, key: str, ids: list, faults: list,
+            missing: float = nan) -> np.ndarray:
+    """A numeric column as floats, ``missing`` for None.  Its first value
+    that is not a finite JSON number goes into ``faults``; each such is NaN."""
+    if types == {float} and np.isfinite(values := np.array(column, dtype=float)).all():
+        return values
+    # an int is checked exactly: numpy rounds one just above the float range
+    values = np.array([missing if value is None else value if type(value) in (float, int)
+                       and -float_info.max <= value <= float_info.max else nan
+                       for value in column], dtype=float)
+    bad = np.isnan(values)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = "finite" if type(column[i]) in (float, int) else "a number"
+        faults.append((i, f"session {ids[i]!r}: field {key!r} must be {problem}, "
+                          f"got {column[i]!r}"))
+    return values
+
+
+def _stamps(texts: list, types: set, key: str, ids: list, faults: list) -> np.ndarray:
+    """A timestamp column as minute stamps.  The first value that is not a
+    string that parses goes into ``faults``."""
+    if types == {str}:
+        stamps = _canonical_stamps(texts)
+        if stamps is not None:
+            return stamps
+    minutes = {text: _stamp_minutes(text) for text in {t for t in texts if type(t) is str}}
+    stamps = [minutes[text] if type(text) is str else None for text in texts]
+    if None in stamps:
+        i = stamps.index(None)
+        faults.append((i, f"session {ids[i]!r}: field {key!r} must be a string"
+                       if type(texts[i]) is not str else
+                       f"session {ids[i]!r}: unparseable timestamp {texts[i]!r} in {key!r}"))
+        stamps = [stamp or _DAY for stamp in stamps]  # year 1 stands in for each bad one
+    return np.array(stamps, dtype=np.int64)
 
 
 # The offsets of the digits and of the separators in "YYYY-MM-DDTHH:MM".
@@ -406,55 +397,11 @@ def _canonical_stamps(texts: list) -> np.ndarray | None:
             and all(grid[k::16] == char * len(texts) for k, char in _STAMP_SEPARATORS)):
         return None
     try:
-        stamps = np.array(texts).astype("datetime64[m]").view(np.int64) + _UNIX_EPOCH
+        stamps = np.array(texts, dtype="datetime64[m]").view(np.int64) + _UNIX_EPOCH
     except ValueError:  # a month, day, hour or minute out of range
         return None
     # numpy reads a year 0000 too, as days before day 1 of year 1
     return stamps if (stamps >= _DAY).all() else None
-
-
-def _parse_records(payload: list) -> SessionBatch:
-    """The per-record validator: each record through the alias map and the
-    :class:`ChargingSession` checks, in file order."""
-    sessions = []
-    first_index: dict[str, int] = {}
-    for idx, record in enumerate(payload):
-        if not isinstance(record, dict):
-            raise SessionError(f"record #{idx}: expected an object")
-        session_id = _lookup(record, "sessionID") or f"record-{idx}"
-        first = first_index.setdefault(str(session_id), idx)
-        if first != idx:
-            raise SessionError(f"session {session_id!r}: duplicate id in records "
-                               f"#{first} and #{idx}")
-        values = {}
-        for key in ("evseID", *_NUMBER_KEYS, *_STAMP_KEYS, "kWhDelivered"):
-            value = _lookup(record, key)
-            if value is None:
-                raise SessionError(f"session {session_id!r}: missing mandatory field {key!r}")
-            values[key] = value
-
-        raw_class = _lookup(record, "vehicleClass")
-        if raw_class is None:
-            log.warning("session %r: no vehicleClass, assuming CV", session_id)
-            vehicle_class = VehicleClass.CV
-        else:
-            try:
-                vehicle_class = VehicleClass(str(raw_class).upper())
-            except ValueError as exc:
-                raise SessionError(
-                    f"session {session_id!r}: vehicleClass must be CV or AV") from exc
-
-        receiving = _lookup(record, "receivingCapacityKW")
-        requested, available, delivered = (_finite(values[key], key, session_id)
-                                           for key in (*_NUMBER_KEYS, "kWhDelivered"))
-        capacity = DEFAULT_RECEIVING_CAPACITY_KW if receiving is None \
-            else _finite(receiving, "receivingCapacityKW", session_id)
-        plug_in, charge_end, unplug = (_parse_timestamp(values[key], key, session_id)
-                                       for key in _STAMP_KEYS)
-        sessions.append(ChargingSession(str(session_id), str(values["evseID"]), vehicle_class,
-                                        requested, available, plug_in, charge_end, unplug,
-                                        delivered, capacity))
-    return SessionBatch(sessions)
 
 
 @dataclass(frozen=True)
@@ -486,18 +433,21 @@ class GeneratorConfig:
             raise SessionError("cv_fraction must lie in [0, 1]")
         if self.n_evses <= 0:
             raise SessionError("generator needs at least one EVSE")
-        if self.mean_gap_minutes <= 0:
-            raise SessionError("mean_gap_minutes must be > 0")
+        for name in ("mean_gap_minutes", "receiving_capacity_kw"):
+            if not 0 < getattr(self, name) < inf:
+                raise SessionError(f"{name} must be finite and > 0")
         for name in ("energy_kwh_range", "rate_kw_range", "energy_inflation", "time_inflation"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise SessionError(f"{name} must be an increasing positive pair")
+            if not (0 < lo <= hi < inf):
+                raise SessionError(f"{name} must be an increasing positive finite pair")
+        if _canonical_stamps([self.start]) is None:
+            raise SessionError(f"start must be a YYYY-MM-DDTHH:MM timestamp, got {self.start!r}")
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
     """Draw a synthetic batch; a pure function of (config, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    clocks = [_minutes(datetime.strptime(config.start, "%Y-%m-%dT%H:%M"))] * config.n_evses
+    clocks = _canonical_stamps([config.start]).tolist() * config.n_evses
     rows = []
     for i in range(config.n_sessions):
         evse_idx = i % config.n_evses

@@ -5,9 +5,25 @@ from datetime import datetime, timedelta
 
 from hypothesis import strategies as st
 
-from ramals import ChargingSession, EvseConfig, SessionBatch, SiteConfig, VehicleClass
+from ramals import EvseConfig, SessionBatch, SiteConfig
+
+from oracles import ChargingSession, VehicleClass
 
 T0 = datetime(2026, 1, 5, 8, 0)
+
+
+def _minutes(t: datetime) -> int:
+    """A datetime as a minute stamp; its seconds and time zone are dropped."""
+    return t.toordinal() * 1440 + t.hour * 60 + t.minute
+
+
+def batch_of(sessions) -> SessionBatch:
+    """The batch of :class:`ChargingSession` rows, built from their columns."""
+    columns = [(s.session_id, s.evse_id, s.vehicle_class is VehicleClass.CV,
+                s.energy_requested_kwh, s.minutes_available, _minutes(s.plug_in_time),
+                _minutes(s.charge_end_time), _minutes(s.unplug_time), s.energy_delivered_kwh,
+                s.receiving_capacity_kw) for s in sessions]
+    return SessionBatch(columns=list(zip(*columns)) if columns else [()] * 10)
 
 
 def make_session(requested=10.0, delivered=10.0, charge_min=60, plugged_min=None,
@@ -38,7 +54,7 @@ def spaced_av_batch(n=12, energy=20.0, charge_min=30, gap_min=10, evses=("EVSE-1
             sessions.append(make_av_session(energy=energy, charge_min=charge_min,
                                             evse=evse, sid=f"{evse}-s{i}", start=t))
             t = t + timedelta(minutes=charge_min + gap_min)
-    return SessionBatch(sessions)
+    return batch_of(sessions)
 
 
 def site_for(batch, dso_kw=1000.0, switching_minutes=0.0, supply_kw=50.0):

@@ -10,16 +10,22 @@ ratio formulas and the session parser, ``strptime`` over four formats for
 timestamps, ``json.dumps`` over record dicts for the session file and the
 outcome lines, and the risk API that only tests used.
 
+:class:`ChargingSession` is the oracle parser's row, with the per-record
+checks the package once made in its constructor.  The package keeps no row
+type: :func:`rows` views a batch as these rows for the one-session-at-a-time
+formulas, and ``helpers.batch_of`` builds a batch from them.
+
 One departure is kept on purpose: ``strptime`` reads any Unicode decimal
 digit and whitespace, while the package's stamp parser reads ASCII ones
 only, so stamps with other digits or spaces are not checked against it.
 """
 
+import enum
 import json
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from sys import float_info
 
 import numpy as np
@@ -32,10 +38,70 @@ from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
 from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
-from ramals.sessions import (DEFAULT_RECEIVING_CAPACITY_KW, ChargingSession, SessionBatch,
-                             SessionError, VehicleClass)
+from ramals.sessions import DEFAULT_RECEIVING_CAPACITY_KW, SessionError
 
 log = logging.getLogger(__name__)
+
+
+class VehicleClass(enum.Enum):
+    CV = "CV"
+    AV = "AV"
+
+
+@dataclass(frozen=True)
+class ChargingSession:
+    """One EV plug-in event.
+
+    ``minutes_available`` is the charging window the vehicle asked for; the
+    vehicle physically occupies the port from ``plug_in_time`` until
+    ``unplug_time`` while energy flows only until ``charge_end_time``.
+    """
+
+    session_id: str
+    evse_id: str
+    vehicle_class: VehicleClass
+    energy_requested_kwh: float
+    minutes_available: float
+    plug_in_time: datetime
+    charge_end_time: datetime
+    unplug_time: datetime
+    energy_delivered_kwh: float
+    receiving_capacity_kw: float = DEFAULT_RECEIVING_CAPACITY_KW
+
+    def __post_init__(self):
+        if not (self.plug_in_time <= self.charge_end_time <= self.unplug_time):
+            raise SessionError(
+                f"session {self.session_id!r}: timestamps must satisfy "
+                "plug_in <= charge_end <= unplug, got "
+                f"{self.plug_in_time} / {self.charge_end_time} / {self.unplug_time}")
+        if self.energy_requested_kwh < 0:
+            raise SessionError(f"session {self.session_id!r}: negative requested energy")
+        if self.energy_delivered_kwh < 0:
+            raise SessionError(f"session {self.session_id!r}: negative delivered energy")
+        if self.minutes_available <= 0:
+            raise SessionError(f"session {self.session_id!r}: minutes_available must be > 0")
+        if self.receiving_capacity_kw <= 0:
+            raise SessionError(f"session {self.session_id!r}: receiving capacity must be > 0")
+
+
+def _datetime(stamp: int) -> datetime:
+    day, minute = divmod(stamp, 1440)
+    return datetime.fromordinal(day) + timedelta(minutes=minute)
+
+
+def rows(batch) -> list[ChargingSession]:
+    """The batch's sessions as rows, in batch order: port, then FCFS."""
+    columns = (batch.port, batch.is_cv, batch.requested_kwh, batch.minutes_available,
+               batch.plug_in, batch.charge_end, batch.unplug, batch.delivered_kwh,
+               batch.receiving_kw)
+    sessions = []
+    for session_id, p, is_cv, *values in zip(batch.session_ids,
+                                             *(column.tolist() for column in columns)):
+        values[2:5] = map(_datetime, values[2:5])
+        sessions.append(ChargingSession(session_id, batch.evse_ids[p],
+                                        VehicleClass.CV if is_cv else VehicleClass.AV, *values))
+    return sessions
+
 
 _TIME_FORMATS = ("%Y-%m-%dT%H:%M", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
                  "%Y-%m-%d %H:%M:%S")
@@ -82,7 +148,7 @@ def _finite(value, key: str, session_id) -> float:
     raise SessionError(f"session {session_id!r}: field {key!r} must be finite, got {value!r}")
 
 
-def parse_sessions(json_bytes) -> SessionBatch:
+def parse_sessions(json_bytes) -> list[ChargingSession]:
     """Every record through the alias map and the row checks, in file
     order, one :class:`ChargingSession` each."""
     try:
@@ -142,7 +208,7 @@ def parse_sessions(json_bytes) -> SessionBatch:
             receiving_capacity_kw=capacity,
         )
         sessions.append(session)
-    return SessionBatch(sessions)
+    return sessions
 
 
 def _minutes(start: datetime, end: datetime) -> float:
@@ -209,7 +275,7 @@ def session_record(session) -> dict:
 
 
 def session_json_bytes(batch) -> bytes:
-    records = [session_record(s) for s in batch]
+    records = [session_record(s) for s in rows(batch)]
     return (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
 
 

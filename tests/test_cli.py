@@ -9,7 +9,7 @@ import pytest
 from ramals import learner
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
 from ramals.learner import SharedModel
-from ramals.sessions import ChargingSession
+from ramals.sessions import SessionBatch
 
 CONFIG = """
 # desk-scale smoke scenario
@@ -143,6 +143,22 @@ class TestGenData:
         code = run_cli("gen-data", "--config", bad, "--out", workdir / "x.json")
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, knob", [
+        ("receiving_capacity_kw = 0", "receiving_capacity_kw"),
+        ("mean_gap_minutes = inf", "mean_gap_minutes"),
+        ("mean_gap_minutes = nan", "mean_gap_minutes"),
+        ("rate_kw_max = inf", "rate_kw_range"),
+        ("start = 2026-01-05 06:00", "start"),
+    ])
+    def test_bad_generator_knob_names_it(self, workdir, capsys, line, knob):
+        """A knob that would write a file fit-risk refuses, or end in an
+        overflow, exits 1 naming the knob and writes no file."""
+        bad, out = workdir / "bad.cfg", workdir / "x.json"
+        bad.write_text(line + "\n")
+        assert run_cli("gen-data", "--config", bad, "--out", out) == 1
+        assert f"error: {knob} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -344,12 +360,12 @@ class TestPipeline:
         assert not resumed.exists()
 
     def test_no_session_rows_built(self, workdir, monkeypatch):
-        """Every command reads and writes the batch as columns: none builds a
-        ChargingSession row."""
-        def no_rows(session):
-            raise AssertionError(f"row built for session {session.session_id!r}")
+        """Every command reads and writes the batch as columns: none iterates
+        a batch's rows."""
+        def no_rows(batch):
+            raise AssertionError(f"rows read from a batch of {len(batch)} sessions")
 
-        monkeypatch.setattr(ChargingSession, "__post_init__", no_rows)
+        monkeypatch.setattr(SessionBatch, "__iter__", no_rows)
         cfg, sessions = workdir / "run.cfg", workdir / "sessions.json"
         common = ["--config", cfg, "--sessions", sessions]
         for argv in (["gen-data", "--config", cfg, "--out", sessions],

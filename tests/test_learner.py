@@ -19,7 +19,6 @@ import ramals.mdp as mdp
 from ramals import (
     GeneratorConfig,
     LearnerError,
-    SessionBatch,
     SiteConfig,
     TrainConfig,
     generate_synthetic,
@@ -46,7 +45,7 @@ from ramals.learner import (
 )
 from ramals.scheduler import ScheduleEngine, _ForcedRule, execute, outcomes_jsonl
 
-from helpers import T0, make_session, site_for
+from helpers import T0, batch_of, make_session, site_for
 from oracles import (
     FlatAdam,
     KeyedAdam,
@@ -707,7 +706,7 @@ class TestZeroEnergyRule:
                                  start=T0 + timedelta(hours=2 * i))
                     for i, (r, d) in enumerate([(10.0, 8.0), (10.0, 5.0), (0.0, 0.0),
                                                 (10.0, 9.0), (10.0, 2.0)])]
-        batch = SessionBatch(sessions)
+        batch = batch_of(sessions)
         built = []
 
         def recording_port_sessions(batch):

@@ -13,7 +13,6 @@ from ramals import (
     EvseConfig,
     GeneratorConfig,
     MdpError,
-    SessionBatch,
     generate_synthetic,
     ordering_holds,
     port_sessions,
@@ -34,8 +33,8 @@ from ramals.mdp import (
 )
 from ramals.scheduler import ScheduleEngine, _ForcedRule, _PolicyRule
 
-from helpers import T0, make_av_session, make_session, site_for
-from oracles import state_vector
+from helpers import T0, batch_of, make_av_session, make_session, site_for
+from oracles import rows, state_vector
 
 
 def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
@@ -102,9 +101,9 @@ class TestSchedulingIndicator:
     def test_argmax_cases(self, monkeypatch):
         # energy ratios 0.8 then 0.5: the ordering holds for session 0 only
         # under the action picked, so the rule returns its pick
-        batch = SessionBatch([make_session(requested=10.0, delivered=8.0, sid="a"),
-                              make_session(requested=10.0, delivered=5.0, sid="b",
-                                           start=T0 + timedelta(hours=2))])
+        batch = batch_of([make_session(requested=10.0, delivered=8.0, sid="a"),
+                          make_session(requested=10.0, delivered=5.0, sid="b",
+                                       start=T0 + timedelta(hours=2))])
         engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
         (port,) = engine.ports.values()
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
@@ -127,7 +126,7 @@ class TestSchedulingIndicator:
 
 def port_of(session):
     """The decision inputs of a one-session port."""
-    (port,) = port_sessions(SessionBatch([session]))
+    (port,) = port_sessions(batch_of([session]))
     return port
 
 
@@ -215,14 +214,14 @@ class TestEvseState:
     def test_vector_in_unit_box(self):
         s = make_session(requested=35.0, delivered=20.0, charge_min=90,
                          plugged_min=300, window_min=240)
-        vec = state_matrix(SessionBatch([s]))[0]
+        vec = state_matrix(batch_of([s]))[0]
         assert vec.shape == (6,)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
     def test_component_order(self):
         s = make_session(requested=50.0, delivered=25.0, charge_min=144,
                          plugged_min=288, window_min=288)
-        vec = state_matrix(SessionBatch([s]))[0]
+        vec = state_matrix(batch_of([s]))[0]
         assert vec[0] == pytest.approx(0.5)    # requested kWh / 100
         assert vec[1] == pytest.approx(0.2)    # window / 1440
         assert vec[5] == pytest.approx(0.25)   # delivered kWh / 100
@@ -231,14 +230,14 @@ class TestEvseState:
         batch = generate_synthetic(GeneratorConfig(n_sessions=300, n_evses=3,
                                                    energy_kwh_range=(4.0, 140.0)), seed=4)
         matrix = state_matrix(batch)
-        assert np.array_equal(matrix, np.stack([state_vector(s) for s in batch]))
+        assert np.array_equal(matrix, np.stack([state_vector(s) for s in rows(batch)]))
         assert matrix[:, 5].max() == 1.0  # clipped
-        assert state_matrix(SessionBatch()).shape == (0, 6)
+        assert state_matrix(batch_of([])).shape == (0, 6)
 
 
 def build_queue(sessions, switching=0.0, step=15.0):
     """The queue of port EVSE-1, its clock's minute 0 at the first plug-in."""
-    batch = SessionBatch(sessions)
+    batch = batch_of(sessions)
     port = port_sessions(batch)[0]
     plug_in = batch.plug_in.tolist()
     arrivals = [float(t - plug_in[0]) for t in plug_in]

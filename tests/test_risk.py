@@ -30,9 +30,8 @@ from ramals import (
 )
 import ramals.risk as risk_module
 from ramals.risk import _sum_log_pdf, standardized_cdf, standardized_ppf
-from ramals.sessions import SessionBatch
 
-from helpers import make_session
+from helpers import batch_of, make_session
 from oracles import log_likelihood, ppf
 
 
@@ -53,15 +52,15 @@ class TestLaxitySamples:
         # one session: requested 10 kWh at an aggregate 10 kW, delivered 5 kWh
         # at 10 kW -> |1.0 - 0.5| = 0.5 h
         s = make_session(requested=10.0, delivered=5.0, charge_min=30, window_min=60)
-        batch = SessionBatch([s])
+        batch = batch_of([s])
         (value,) = laxity_samples(batch)
         assert value == pytest.approx(0.5)
 
     def test_swap_symmetry(self):
         a = make_session(requested=10.0, delivered=5.0, charge_min=30, window_min=60)
         b = make_session(requested=5.0, delivered=10.0, charge_min=60, window_min=30)
-        va = laxity_samples(SessionBatch([a]))[0]
-        vb = laxity_samples(SessionBatch([b]))[0]
+        va = laxity_samples(batch_of([a]))[0]
+        vb = laxity_samples(batch_of([b]))[0]
         assert va == pytest.approx(vb)
 
 

@@ -13,7 +13,6 @@ from ramals import (
     GeneratorConfig,
     MetricsReport,
     SchedulerError,
-    SessionBatch,
     SiteConfig,
     TrainConfig,
     compare_report,
@@ -33,9 +32,9 @@ from ramals.mdp import rational_allocation, state_matrix
 from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
                               audit_outcomes, comparison_csv, outcomes_jsonl)
 
-from helpers import JSON_NUMBERS, JSON_TEXT, make_session, site_for, spaced_av_batch
+from helpers import JSON_NUMBERS, JSON_TEXT, batch_of, make_session, site_for, spaced_av_batch
 from oracles import (PerDecisionRule, direct_loads, energy_ratio, outcomes_json_dumps,
-                     quadratic_feed_check, rate_ratio, time_ratio)
+                     quadratic_feed_check, rate_ratio, rows, time_ratio)
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -125,7 +124,7 @@ class TestComputeMetrics:
 
 class TestExecute:
     def test_empty_batch(self, tmp_path):
-        batch = SessionBatch([])
+        batch = batch_of([])
         site = site_for(spaced_av_batch(n=1))
         outcomes, report = execute(None, batch, site)
         assert outcomes == []
@@ -299,7 +298,7 @@ class TestBaseline:
     def test_cv_keeps_inflated_window(self):
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240, sid="cv")
-        batch = SessionBatch([s])
+        batch = batch_of([s])
         site = site_for(batch)
         outcomes, _ = fcfs_as_requested_baseline(batch, site)
         (o,) = outcomes
@@ -311,7 +310,7 @@ class TestBaseline:
                             mean_gap_minutes=600), seed=4)
         site = site_for(batch)
         outcomes, _ = fcfs_as_requested_baseline(batch, site)
-        by_id = {s.session_id: s for s in batch}
+        by_id = {s.session_id: s for s in rows(batch)}
         for o in outcomes:
             if o.scheduled:
                 session = by_id[o.session_id]
@@ -361,8 +360,9 @@ class TestOutcomeReward:
 
     def expected_rewards(self, batch, risk):
         want = {}
-        for evse_id in batch.evse_ids:
-            group = batch.group(evse_id)
+        sessions = rows(batch)
+        for port in batch.slices:
+            group = sessions[port]
             zeta = rate_ratio(group)
             for i, session in enumerate(group):
                 upsilon_next = energy_ratio(group[i + 1]) if i + 1 < len(group) else None
@@ -496,8 +496,8 @@ def test_feed_sweep_agrees_with_direct_sums(intervals, feed, feed_at_load, feed_
     loads = [load for _start, load in direct_loads(outcomes)]
     if feed_at_load is not None and loads:
         feed = loads[feed_at_load % len(loads)]
-    batch = SessionBatch([make_session(sid=o.session_id, evse=o.evse_id, receiving_kw=100.0)
-                          for o in outcomes])
+    batch = batch_of([make_session(sid=o.session_id, evse=o.evse_id, receiving_kw=100.0)
+                      for o in outcomes])
     site = site_for(batch, dso_kw=feed + feed_offset, supply_kw=100.0)
 
     def message(check):

@@ -4,6 +4,8 @@ import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
+from sys import float_info
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +14,9 @@ from hypothesis import strategies as st
 
 import ramals.sessions as sessions_module
 from ramals import (
-    ChargingSession,
     GeneratorConfig,
     SessionBatch,
     SessionError,
-    VehicleClass,
     delivery_rate_kw,
     demand_rate_kw,
     energy_ratios,
@@ -26,48 +26,66 @@ from ramals import (
     time_ratios,
 )
 
-from helpers import JSON_NUMBERS, JSON_TEXT, T0, make_session
+from helpers import JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session
+from oracles import ChargingSession, VehicleClass, _datetime, rows, session_json_bytes
 from oracles import _parse_timestamp as strptime_parse
 from oracles import parse_sessions as per_record_parse
-from oracles import session_json_bytes
+
+
+def record(**overrides):
+    """One valid canonical record, with ``overrides``."""
+    base = {
+        "sessionID": "r1", "evseID": "EVSE-1", "vehicleClass": "CV",
+        "kWhRequested": 15.0, "minutesAvailable": 120.0,
+        "connectionTime": "2026-01-05T08:00",
+        "doneChargingTime": "2026-01-05T09:00",
+        "disconnectTime": "2026-01-05T10:00",
+        "kWhDelivered": 8.794,
+    }
+    base.update(overrides)
+    return base
 
 
 class TestChargingSession:
+    """The checks on one session's values, in the words of the oracle's row."""
+
     def test_rejects_timestamp_inversion(self):
-        with pytest.raises(SessionError, match="plug_in <= charge_end <= unplug"):
-            ChargingSession("s", "e", VehicleClass.CV, 1.0, 60.0,
-                            T0, T0 - timedelta(minutes=1), T0, 1.0)
+        bad = record(doneChargingTime="2026-01-05T07:59")
+        with pytest.raises(SessionError, match=re.escape(
+                "session 'r1': timestamps must satisfy plug_in <= charge_end <= unplug, got "
+                "2026-01-05 08:00:00 / 2026-01-05 07:59:00 / 2026-01-05 10:00:00")):
+            parse_sessions(json.dumps([bad]))
+
+    @staticmethod
+    def assert_rejected(key, value, message):
+        """A record with ``value`` in ``key`` is refused by both parsers with
+        ``message``, its id as a string."""
+        text = json.dumps([record(sessionID=7, **{key: value})])
+        for parse in (parse_sessions, per_record_parse):
+            with pytest.raises(SessionError, match=re.escape(f"session '7': {message}")):
+                parse(text)
 
     def test_rejects_negative_energy(self):
-        with pytest.raises(SessionError):
-            make_session(requested=-1.0)
-        with pytest.raises(SessionError):
-            make_session(delivered=-1.0)
+        self.assert_rejected("kWhRequested", -1.0, "negative requested energy")
+        self.assert_rejected("kWhDelivered", -1e-300, "negative delivered energy")
+
+    def test_rejects_window_or_capacity_not_positive(self):
+        self.assert_rejected("minutesAvailable", 0, "minutes_available must be > 0")
+        self.assert_rejected("receivingCapacityKW", -0.0, "receiving capacity must be > 0")
 
     def test_durations(self):
-        batch = SessionBatch([make_session(charge_min=90, plugged_min=120)])
+        batch = batch_of([make_session(charge_min=90, plugged_min=120)])
         assert (batch.charge_end - batch.plug_in).tolist() == [90]
         assert (batch.unplug - batch.plug_in).tolist() == [120]
 
 
 class TestParseSessions:
-    def record(self, **overrides):
-        base = {
-            "sessionID": "r1", "evseID": "EVSE-1", "vehicleClass": "CV",
-            "kWhRequested": 15.0, "minutesAvailable": 120.0,
-            "connectionTime": "2026-01-05T08:00",
-            "doneChargingTime": "2026-01-05T09:00",
-            "disconnectTime": "2026-01-05T10:00",
-            "kWhDelivered": 8.794,
-        }
-        base.update(overrides)
-        return base
+    record = staticmethod(record)
 
     def test_single_record_energy_fields(self):
         batch = parse_sessions(json.dumps([self.record()]))
-        (session,) = list(batch)
-        assert session.energy_requested_kwh == 15.0
-        assert session.energy_delivered_kwh == 8.794
+        assert batch.requested_kwh.tolist() == [15.0]
+        assert batch.delivered_kwh.tolist() == [8.794]
 
     def test_empty_array(self):
         assert len(parse_sessions(b"[]")) == 0
@@ -93,22 +111,22 @@ class TestParseSessions:
         del record["kWhRequested"]
         del record["minutesAvailable"]
         record["userInputs"] = [{"kWhRequested": 20.0, "minutesAvailable": 240.0}]
-        (session,) = list(parse_sessions(json.dumps([record])))
-        assert session.evse_id == "ACN-7"
-        assert session.energy_requested_kwh == 20.0
-        assert session.minutes_available == 240.0
+        batch = parse_sessions(json.dumps([record]))
+        assert batch.evse_ids == ("ACN-7",)
+        assert batch.requested_kwh.tolist() == [20.0]
+        assert batch.minutes_available.tolist() == [240.0]
 
     def test_missing_vehicle_class_defaults_to_cv(self, caplog):
         record = self.record()
         del record["vehicleClass"]
         with caplog.at_level("WARNING"):
-            (session,) = list(parse_sessions(json.dumps([record])))
-        assert session.vehicle_class is VehicleClass.CV
+            batch = parse_sessions(json.dumps([record]))
+        assert batch.is_cv.tolist() == [True]
         assert "assuming CV" in caplog.text
 
     def test_receiving_capacity_default(self):
-        (session,) = list(parse_sessions(json.dumps([self.record()])))
-        assert session.receiving_capacity_kw == 50.0
+        batch = parse_sessions(json.dumps([self.record()]))
+        assert batch.receiving_kw.tolist() == [50.0]
 
     def test_roundtrip(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=30), seed=3)
@@ -116,7 +134,10 @@ class TestParseSessions:
         assert again == batch
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
-                                       pytest.param("1" + "0" * 400, id="int-1e400")])
+                                       pytest.param("1" + "0" * 400, id="int-1e400"),
+                                       # numpy rounds this int to the largest float
+                                       pytest.param(str(int(float_info.max) + 1),
+                                                    id="int-above-float-max")])
     @pytest.mark.parametrize("key", ["kWhRequested", "kWhDelivered", "minutesAvailable",
                                      "receivingCapacityKW"])
     def test_non_finite_number_rejected_with_name(self, key, value):
@@ -143,8 +164,15 @@ class TestParseSessions:
             parse_sessions(json.dumps(records))
 
 
+# the fullwidth and Arabic-Indic digits the tests draw, and their ASCII values
+ASCII_DIGITS = str.maketrans({chr(zero + k): str(k) for zero in (0xFF10, 0x0660)
+                              for k in range(10)})
+
+
 def parse(text):
-    return sessions_module._parse_timestamp(text, "connectionTime", "s")
+    """The datetime of a stamp by the package's parser, or None."""
+    stamp = sessions_module._stamp_minutes(text)
+    return None if stamp is None else _datetime(stamp)
 
 
 class TestParseTimestamp:
@@ -164,8 +192,7 @@ class TestParseTimestamp:
         "2026-01-05T06:00:", "2026-01-05T06:00 7", "2026-01-05T6:000", "",
     ])
     def test_rejected_forms(self, text):
-        with pytest.raises(SessionError, match="unparseable timestamp"):
-            parse(text)
+        assert parse(text) is None
         with pytest.raises(SessionError, match="unparseable timestamp"):
             strptime_parse(text, "connectionTime", "s")
 
@@ -176,20 +203,19 @@ class TestParseTimestamp:
     def test_non_ascii_digit_or_space_rejected(self, text):
         """An Arabic-Indic or fullwidth digit, or an ideographic space, is no
         part of a stamp, in the hour, the year, the day or the separator.
-        strptime takes each of them, so the oracle is not asked."""
-        with pytest.raises(SessionError, match="unparseable timestamp"):
-            parse(text)
-        record = {"sessionID": "r1", "evseID": "EVSE-1", "vehicleClass": "CV",
-                  "kWhRequested": 15.0, "minutesAvailable": 120.0, "connectionTime": text,
-                  "doneChargingTime": "2026-01-05T09:00",
-                  "disconnectTime": "2026-01-05T10:00", "kWhDelivered": 8.794}
+        strptime takes each of them, as its ASCII form: the one departure
+        from the oracle."""
+        assert parse(text) is None
+        assert strptime_parse(text, "connectionTime", "s") == strptime_parse(
+            text.translate(ASCII_DIGITS).replace("\u3000", " "), "connectionTime", "s")
         with pytest.raises(SessionError, match=re.escape(
                 f"session 'r1': unparseable timestamp {text!r} in 'connectionTime'")):
-            parse_sessions(json.dumps([record]))
+            parse_sessions(json.dumps([record(connectionTime=text)]))
 
     def test_non_string_rejected(self):
-        with pytest.raises(SessionError, match="must be a string"):
-            parse(202601050600)
+        with pytest.raises(SessionError, match=re.escape(
+                "session 'r1': field 'connectionTime' must be a string")):
+            parse_sessions(json.dumps([record(connectionTime=202601050600)]))
 
 
 def stamp_parts():
@@ -229,16 +255,15 @@ def mutated_stamps(draw):
 @settings(max_examples=500, deadline=None)
 def test_parser_agrees_with_strptime(text):
     """The one-pattern parser gives the datetime ``strptime`` gave over its
-    four formats, or both raise."""
+    four formats, or both reject the text."""
     try:
         want = strptime_parse(text, "connectionTime", "s")
     except SessionError:
-        with pytest.raises(SessionError):
-            parse(text)
-    else:
-        assert parse(text) == want
+        want = None
+    assert parse(text) == want
 
 
+STAMP_KEYS = ("connectionTime", "doneChargingTime", "disconnectTime")
 NUMBERS = [None, True, "15", "abc", [1], 0, 0.0, -0.0, -1.0, 7, 10**20, 10**400,
            math.nan, math.inf, -math.inf]
 STAMPS = [None, 202601050600, "2026-02-30T06:00", "0000-01-05T06:00", "2026-01-05T24:00",
@@ -259,7 +284,7 @@ def mutated_records(draw):
                                                mean_gap_minutes=draw(st.sampled_from([1, 60]))),
                                seed=draw(st.integers(0, 20)))
     records = json.loads(batch.to_json_bytes())
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 6))):
         i = draw(st.integers(0, len(records) - 1))
         record = records[i]
         edit = draw(st.sampled_from(["alias", "drop", "value", "value", "value", "duplicate",
@@ -289,16 +314,22 @@ def mutated_records(draw):
     return records
 
 
-def assert_parsers_agree(records):
-    """The column parser returns the batch the per-record parser builds, or
-    raises its exact message."""
-    def parsed(parse):
-        try:
-            return parse(json.dumps(records))
-        except SessionError as exc:
-            return f"SessionError: {exc}"
+def parsed(parse, records):
+    """The batch ``parse`` reads from ``records``, or its error's text."""
+    try:
+        return parse(json.dumps(records))
+    except SessionError as exc:
+        return f"SessionError: {exc}"
 
-    want, got = parsed(per_record_parse), parsed(parse_sessions)
+
+def oracle_parse(text):
+    return batch_of(per_record_parse(text))
+
+
+def assert_parsers_agree(records):
+    """The column parser returns the batch of the per-record parser's rows,
+    or raises its exact message."""
+    want, got = parsed(oracle_parse, records), parsed(parse_sessions, records)
     assert type(got) is type(want) and got == want
 
 
@@ -312,13 +343,60 @@ def test_parser_agrees_with_per_record_oracle(records):
                                         for value in [*values, "<dropped>"]])
 def test_one_edit_agrees_with_per_record_oracle(key, value):
     """Every odd value in every field of the middle one of three records."""
+    assert_parsers_agree(with_edits((1, key, value)))
+
+
+def with_edits(*edits):
+    """Three valid records, each ``(i, key, value)`` edit applied in turn; a
+    value of ``"<dropped>"`` deletes the key."""
     records = json.loads(generate_synthetic(GeneratorConfig(n_sessions=3), seed=1)
                          .to_json_bytes())
-    if value == "<dropped>":
-        del records[1][key]
-    else:
-        records[1][key] = value
-    assert_parsers_agree(records)
+    for i, key, value in edits:
+        if value == "<dropped>":
+            del records[i][key]
+        else:
+            records[i][key] = value
+    return records
+
+
+@pytest.mark.parametrize("edits", [
+    # a canonical key that holds null misses its field: its alias is not read
+    pytest.param([(1, "evseID", None), (1, "stationID", "ACN-7")], id="null-evseID-stationID"),
+    pytest.param([(1, "kWhRequested", None), (1, "userInputs", [{"kWhRequested": 9.0}])],
+                 id="null-kWhRequested-userInputs"),
+    # an empty sessionID is record-<i>, whatever _id holds
+    pytest.param([(1, "sessionID", ""), (1, "_id", "S000000")], id="empty-sessionID-dup-_id"),
+    pytest.param([(1, "sessionID", ""), (1, "_id", "x")], id="empty-sessionID-_id"),
+    # the alias of an absent key is read; a null alias misses the field
+    pytest.param([(1, "evseID", "<dropped>"), (1, "stationID", None), (1, "spaceID", "E9")],
+                 id="null-stationID-spaceID"),
+    pytest.param([(1, "evseID", "<dropped>"), (1, "spaceID", "E9")], id="spaceID"),
+    pytest.param([(1, "sessionID", "<dropped>"), (1, "_id", "S000000")], id="dup-_id"),
+    pytest.param([(1, "kWhRequested", "<dropped>"), (1, "userInputs", [])],
+                 id="empty-userInputs"),
+    pytest.param([(1, "minutesAvailable", "<dropped>"), (1, "userInputs", [[60.0]])],
+                 id="userInputs-no-object"),
+    pytest.param([(1, "minutesAvailable", "<dropped>"),
+                  (1, "userInputs", [{"minutesAvailable": None}])], id="userInputs-null"),
+    # two faults in one record: the earlier check names it
+    pytest.param([(1, "kWhDelivered", -1.0), (1, "connectionTime", "2026-01-05")],
+                 id="stamp-before-energy"),
+    pytest.param([(1, "vehicleClass", "XV"), (1, "kWhRequested", "15")],
+                 id="class-before-number"),
+    pytest.param([(1, "disconnectTime", 7), (1, "doneChargingTime", "never")],
+                 id="stamp-fields-in-order"),
+    pytest.param([(1, "evseID", None), (1, "sessionID", "S000000")],
+                 id="duplicate-before-missing"),
+    # faults in records 0 and 2, record 2's check the earlier: record 0 is named
+    pytest.param([(0, "receivingCapacityKW", 0), (2, "evseID", None)],
+                 id="record-0-capacity-record-2-missing"),
+    pytest.param([(0, "connectionTime", "2030-01-05T06:07"), (2, "sessionID", "S000000")],
+                 id="record-0-order-record-2-duplicate"),
+    pytest.param([(0, "minutesAvailable", math.inf), (2, "vehicleClass", None),
+                  (2, "kWhDelivered", None)], id="record-0-number-record-2-missing"),
+])
+def test_alias_and_error_precedence_agree_with_oracle(edits):
+    assert_parsers_agree(with_edits(*edits))
 
 
 STAMP_EDITS = ["0000", "+026", "02-29", "02-30", "24:00", ":60", "digit", "t", " "]
@@ -362,31 +440,40 @@ def canonical_shaped_stamps(draw):
 @given(seed=st.integers(0, 20), stamps=canonical_shaped_stamps())
 @settings(max_examples=300, deadline=None)
 def test_stamp_columns_agree_with_per_record_validator(seed, stamps):
-    """Three records with drawn stamps: the column path gives the per-record
-    validator's batch or returns None, parse_sessions gives the validator's
-    batch or its SessionError, and stamps that are all exactly canonical and
-    valid take the column path."""
+    """Three records with drawn stamps: the package gives the oracle's batch
+    or its SessionError; stamps that are all exactly canonical and valid are
+    converted by numpy, none parsed alone.
+
+    The one departure is asserted as such: the package refuses a stamp with a
+    non-ASCII digit, which ``strptime`` reads as its value wherever its
+    pattern has ``\\d``."""
     records = json.loads(generate_synthetic(GeneratorConfig(n_sessions=3, n_evses=2),
                                             seed=seed).to_json_bytes())
     for i, record in enumerate(records):
         # sorted, so that the stamps of a record are mostly in order
-        record.update(zip(("connectionTime", "doneChargingTime", "disconnectTime"),
-                          sorted(stamps[3 * i:3 * i + 3])))
+        record.update(zip(STAMP_KEYS, sorted(stamps[3 * i:3 * i + 3])))
+    ascii_records = json.loads(json.dumps(records, ensure_ascii=False).translate(ASCII_DIGITS))
 
-    def parsed(parse):
-        try:
-            return parse(records)
-        except SessionError as exc:
-            return f"SessionError: {exc}"
-
-    want = parsed(sessions_module._parse_records)
-    assert parsed(lambda payload: parse_sessions(json.dumps(payload))) == want
-    column = sessions_module._canonical_batch(records)
-    assert column is None or column == want
+    with mock.patch.object(sessions_module, "_stamp_minutes",
+                           wraps=sessions_module._stamp_minutes) as stamp_minutes:
+        got = parsed(parse_sessions, records)
+    want = parsed(oracle_parse, records)
+    if records == ascii_records:
+        assert got == want
+    else:
+        ascii_want = parsed(oracle_parse, ascii_records)
+        assert parsed(parse_sessions, ascii_records) == ascii_want
+        if isinstance(ascii_want, SessionBatch):  # the non-ASCII digits are the only faults
+            session_id, text, key = next(
+                (record["sessionID"], record[key], key) for record in records
+                for key in STAMP_KEYS if not record[key].isascii())
+            assert got == (f"SessionError: session {session_id!r}: unparseable timestamp "
+                           f"{text!r} in {key!r}")
+            assert want == ascii_want or "unparseable timestamp" in want
     canonical = all(re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}", text)
                     and not text.startswith("0000") for text in stamps)
     if canonical and isinstance(want, SessionBatch):
-        assert column == want
+        assert not stamp_minutes.called
 
 
 class TestSessionBatch:
@@ -395,16 +482,23 @@ class TestSessionBatch:
         early = ChargingSession("early", "A", VehicleClass.CV, 1.0, 60.0,
                                 T0 - timedelta(hours=2),
                                 T0 - timedelta(hours=1), T0 - timedelta(hours=1), 1.0)
-        batch = SessionBatch([late, early])
-        assert [s.session_id for s in batch.group("A")] == ["early", "late"]
+        batch = batch_of([late, early])
+        (port,) = batch.slices
+        assert [s.session_id for s in rows(batch)[port]] == ["early", "late"]
 
     def test_year_999_roundtrip(self):
         """A year before 1000 is written padded to four digits, the only form
         the parser reads."""
-        batch = SessionBatch([make_session(start=datetime(999, 1, 5, 6, 0))])
+        batch = batch_of([make_session(start=datetime(999, 1, 5, 6, 0))])
         text = batch.to_json_bytes()
         assert b'"connectionTime": "0999-01-05T06:00"' in text
         assert parse_sessions(text) == batch
+
+    def test_iter_yields_id_port_and_capacity(self):
+        batch = batch_of([make_session(sid="b", evse="E2", receiving_kw=7.0),
+                          make_session(sid="a", evse="E1")])
+        assert [tuple(row) for row in batch] == [("a", "E1", 50.0), ("b", "E2", 7.0)]
+        assert next(iter(batch)).receiving_capacity_kw == 50.0
 
 
 @st.composite
@@ -424,7 +518,7 @@ def json_stress_batches(draw):
             draw(JSON_TEXT), draw(st.sampled_from(["EVSE-1", 'E"\\2'])),
             draw(st.sampled_from(VehicleClass)), draw(non_negative), draw(positive),
             plug_in, charge_end, unplug, draw(non_negative), draw(positive)))
-    return SessionBatch(sessions)
+    return batch_of(sessions)
 
 
 @given(batch=json_stress_batches())
@@ -443,7 +537,7 @@ class TestGenerateSynthetic:
     def test_cv_inflation_mean(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=10000, cv_fraction=1.0),
                                    seed=11)
-        ratios = [s.energy_requested_kwh / s.energy_delivered_kwh for s in batch]
+        ratios = batch.requested_kwh / batch.delivered_kwh
         assert 1.45 <= np.mean(ratios) <= 1.55
 
     def test_determinism_byte_identical(self):
@@ -465,6 +559,19 @@ class TestGenerateSynthetic:
         with pytest.raises(SessionError):
             GeneratorConfig(n_sessions=5, cv_fraction=1.5)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("receiving_capacity_kw", 0.0), ("receiving_capacity_kw", math.nan),
+        ("mean_gap_minutes", math.inf), ("mean_gap_minutes", math.nan),
+        ("energy_kwh_range", (4.0, math.inf)), ("rate_kw_range", (3.0, math.inf)),
+        ("energy_inflation", (1.0, math.inf)), ("time_inflation", (1.0, math.inf)),
+        ("start", "2026-01-05 06:00"), ("start", "2026-02-30T06:00"), ("start", "tomorrow"),
+    ])
+    def test_bad_knob_rejected_by_name(self, knob, value):
+        """A knob that would write a file the parser refuses, overflow or
+        fail in strptime is refused first, by name."""
+        with pytest.raises(SessionError, match=f"^{knob} must be"):
+            GeneratorConfig(n_sessions=5, **{knob: value})
+
     def test_rates_respect_supply_cap(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=400), seed=2)
         for rows in batch.slices:
@@ -472,62 +579,62 @@ class TestGenerateSynthetic:
         assert np.all(batch.delivered_kwh / (batch.charge_end - batch.plug_in) * 60.0 <= 50.0)
 
 
-def batch_of(*sessions):
-    return SessionBatch([make_session(sid=f"s{i}", **kwargs)
-                         for i, kwargs in enumerate(sessions)])
+def made_batch(*sessions):
+    """The batch of one :func:`make_session` row for each keyword dict."""
+    return batch_of([make_session(sid=f"s{i}", **kwargs) for i, kwargs in enumerate(sessions)])
 
 
 class TestRates:
     def test_demand_rate_unit_identity(self):
-        assert demand_rate_kw(batch_of(dict(requested=10.0, window_min=60))) == 10.0
+        assert demand_rate_kw(made_batch(dict(requested=10.0, window_min=60))) == 10.0
 
     def test_demand_rate_two_sessions(self):
-        batch = batch_of(dict(requested=10.0, window_min=30), dict(requested=5.0, window_min=30))
+        batch = made_batch(dict(requested=10.0, window_min=30), dict(requested=5.0, window_min=30))
         assert demand_rate_kw(batch) == pytest.approx(15.0)
 
     def test_demand_rate_zero_numerator(self):
-        assert demand_rate_kw(batch_of(dict(requested=0.0, window_min=30))) == 0.0
+        assert demand_rate_kw(made_batch(dict(requested=0.0, window_min=30))) == 0.0
 
     def test_demand_rate_empty(self):
         with pytest.raises(SessionError):
-            demand_rate_kw(SessionBatch())
+            demand_rate_kw(batch_of([]))
 
     def test_delivery_rate_appendix_energy(self):
-        assert delivery_rate_kw(batch_of(dict(delivered=8.794, charge_min=60))) \
+        assert delivery_rate_kw(made_batch(dict(delivered=8.794, charge_min=60))) \
             == pytest.approx(8.794)
 
     def test_delivery_rate_two_sessions(self):
-        batch = batch_of(dict(delivered=6.0, charge_min=20, plugged_min=40),
+        batch = made_batch(dict(delivered=6.0, charge_min=20, plugged_min=40),
                          dict(delivered=6.0, charge_min=40))
         assert delivery_rate_kw(batch) == pytest.approx(12.0)
         assert delivery_rate_kw(batch, slice(1, 2)) == pytest.approx(9.0)
 
     def test_matched_sessions_rates_equal(self):
-        batch = batch_of(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
+        batch = made_batch(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
         assert delivery_rate_kw(batch) == pytest.approx(demand_rate_kw(batch))
 
     def test_rate_ratio(self):
-        matched = batch_of(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
+        matched = made_batch(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
         assert rate_ratio(matched) == 1.0
-        half = batch_of(dict(requested=15.0, delivered=7.5, charge_min=60, window_min=60))
+        half = made_batch(dict(requested=15.0, delivered=7.5, charge_min=60, window_min=60))
         assert rate_ratio(half) == pytest.approx(0.5)
-        zero = batch_of(dict(requested=15.0, delivered=0.0, charge_min=60, window_min=60))
+        zero = made_batch(dict(requested=15.0, delivered=0.0, charge_min=60, window_min=60))
         assert rate_ratio(zero) == 0.0
 
     def test_time_ratio(self):
         zero = ChargingSession("s", "e", VehicleClass.CV, 1.0, 60.0, T0, T0,
                                T0 + timedelta(minutes=30), 1.0)
-        ratios = time_ratios(SessionBatch([make_session(charge_min=60, plugged_min=60),
-                                           make_session(charge_min=120, plugged_min=480,
-                                                        start=T0 + timedelta(hours=1)),
-                                           zero]))
+        ratios = time_ratios(batch_of([make_session(charge_min=60, plugged_min=60),
+                                       make_session(charge_min=120, plugged_min=480,
+                                                    start=T0 + timedelta(hours=1)),
+                                       zero]))
         assert ratios.tolist() == [1.0, 0.25, 0.0]  # port "EVSE-1" sorts before "e"
         bare = ChargingSession("bare", "e", VehicleClass.CV, 1.0, 60.0, T0, T0, T0, 1.0)
         with pytest.raises(SessionError, match="'bare': zero plugged-in duration"):
-            time_ratios(SessionBatch([bare]))
+            time_ratios(batch_of([bare]))
 
     def test_energy_ratio(self):
-        ratios = energy_ratios(batch_of(dict(requested=15.0, delivered=8.794),
+        ratios = energy_ratios(made_batch(dict(requested=15.0, delivered=8.794),
                                         dict(requested=7.0, delivered=7.0),
                                         dict(requested=7.0, delivered=0.0),
                                         dict(requested=0.0)))
@@ -556,7 +663,7 @@ class TestRatioInvariants:
                 unplug_time=T0 + timedelta(minutes=(charge_min + extra_min) * factor),
                 energy_delivered_kwh=delivered * factor)
 
-        base, scaled = (SessionBatch([build(factor)]) for factor in (1, scale))
+        base, scaled = (batch_of([build(factor)]) for factor in (1, scale))
         assert rate_ratio(scaled) == pytest.approx(rate_ratio(base), rel=1e-6)
         for ratios in (time_ratios, energy_ratios):
             assert ratios(scaled) == pytest.approx(ratios(base), rel=1e-6)
