@@ -18,17 +18,20 @@ finite differences.
 
 The batched passes keep their arrays time-major, (T, P, ·), in an
 :class:`EpisodeBuffers`: each step of the forward and the reverse time loop
-reads and writes contiguous (P, ·) rows in place, and a training run
-allocates one set and reuses it for every episode, as Adam reuses two
-scratch vectors.  :class:`EpisodeForward` shows the forward arrays as
-(P, T, ·) views.  The layout changes no arithmetic: every product and
-elementwise operation is the one a port-major pass over fresh arrays makes,
-in the same order, so models and logs come out the same bit for bit.
+reads and writes contiguous (P, ·) rows in place, through row views built
+once with the buffers, and a training run allocates one set and reuses it
+for every episode, as Adam reuses two scratch vectors.
+:class:`EpisodeForward` shows the forward arrays as (P, T, ·) views.  The
+layout changes no arithmetic: every product and elementwise operation is the
+one a port-major pass over fresh arrays makes, in the same order, so models
+and logs come out the same bit for bit.
 
 Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
-decision inputs the execution engine reads too; the one-step
-bootstrapped targets and advantages are constants with respect to the
-parameters (no gradient flows through them).
+decision inputs the execution engine reads too, tabulated under both actions
+once per training run; an episode picks its rewards by its sampled actions,
+drawn as one uniform per step of every port.  Its one-step bootstrapped
+targets and advantages, padded (P, T) arrays like its losses, are constants
+with respect to the parameters (no gradient flows through them).
 """
 
 from __future__ import annotations
@@ -98,18 +101,26 @@ def _views(flat: np.ndarray, hidden: int) -> dict[str, np.ndarray]:
             for (key, shape), part in zip(shapes.items(), parts)}
 
 
-def _cell_rows(wh: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-               c=None, h=None, scratch=None):
+def _gate_blocks(z: np.ndarray) -> tuple:
+    """The ``[i, f, g, o]`` blocks of each row of ``z``, as views."""
+    hidden = z.shape[-1] // 4
+    return (z[..., :hidden], z[..., hidden:2 * hidden], z[..., 2 * hidden:3 * hidden],
+            z[..., 3 * hidden:])
+
+
+def _cell_rows(wh_t: np.ndarray, z: np.ndarray, gates: tuple, h_prev: np.ndarray,
+               c_prev: np.ndarray, out: tuple | None = None):
     """One cell step for one row or a stack of rows: ``z`` holds each row's
     input projection ``x @ wx.T + b`` on entry and its activated gates
-    ``[i, f, g, o]`` on return.  Returns the new (cell, hidden) state, written
-    into ``c`` and ``h`` when they are given; ``scratch``, shaped like ``z``,
-    takes the recurrent product.  Arrays that are not given are allocated."""
-    hidden = h_prev.shape[-1]
-    z += np.dot(h_prev, wh.T, out=scratch)
-    gi, gf = z[..., :hidden], z[..., hidden:2 * hidden]
-    gc, go = z[..., 2 * hidden:3 * hidden], z[..., 3 * hidden:]
-    tanh_g = np.tanh(gc, out=None if scratch is None else scratch[..., :hidden])
+    ``[i, f, g, o]`` on return, ``gates`` are its :func:`_gate_blocks` and
+    ``wh_t`` is ``wh.T``.  Returns the new (cell, hidden) state.  ``out`` is
+    ``(c, h, product, tanh_g)``: the arrays for that state, a scratch shaped
+    like ``z`` for the recurrent product and a view of its first H columns;
+    without it they are allocated."""
+    gi, gf, gc, go = gates
+    c, h, product, tanh_g = out or (None,) * 4
+    z += np.dot(h_prev, wh_t, out=product)
+    tanh_g = np.tanh(gc, out=tanh_g)
     # the logistic over whole rows at once; meanwhile the g slot holds
     # tanh(g), in [-1, 1], so its discarded logistic cannot overflow
     gc[...] = tanh_g
@@ -139,7 +150,8 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
     of the carry ``(h, c)``; ``z_rows`` is left unchanged.
     """
     h, c = carry
-    c, h = _cell_rows(params["wh"], np.array(z_rows, dtype=float), h, c)
+    z = np.array(z_rows, dtype=float)
+    c, h = _cell_rows(params["wh"].T, z, _gate_blocks(z), h, c)
     p_schedule = _softmax2(h @ params["wp"].T + params["bp"])[:, 0]
     value = h @ params["wv"][0] + params["bv"][0]
     # both probabilities are finite or neither is
@@ -169,12 +181,16 @@ class EpisodeBuffers:
     contiguous (P, ·) rows, and no episode allocates them anew.
 
     - forward pass: ``hiddens`` and ``cells`` (T + 1, P, H), whose step 0 is
-      the zero start carry, and ``gates`` (T, P, 4H)
+      the zero start carry, ``gates`` (T, P, 4H) and the cell's scratch
     - backward pass: ``dz`` (T, P, 4H), ``dh_heads`` and ``tanh_c``
       (T, P, H), and ``grads``, one flat gradient row per port
 
-    Each pass writes every entry before it reads it, the zero start carry
-    included, so a set can serve episode after episode.
+    Each step's row views are built here once: ``cell_steps`` holds the
+    arguments of each forward step's :func:`_cell_rows` after ``wh.T``, and
+    ``reverse_steps`` the rows of each backward step, last step first, so
+    neither time loop makes a view.  Each pass writes every entry before it
+    reads it, the zero start carry included, so a set can serve episode
+    after episode.
     """
 
     def __init__(self, n_ports: int, n_steps: int, hidden: int):
@@ -186,6 +202,18 @@ class EpisodeBuffers:
         self.tanh_c = np.empty_like(self.dh_heads)
         self.grads = np.empty((n_ports, sum(math.prod(shape)
                                             for shape in param_shapes(hidden).values())))
+        self.grad_views = _views(self.grads, hidden)  # each port's row, by tensor
+        product = np.empty((n_ports, 4 * hidden))
+        scratch = (product, product[:, :hidden])
+        self.cell_steps = [(z, _gate_blocks(z), h_prev, c_prev, (c, h, *scratch))
+                           for z, h_prev, c_prev, h, c in zip(
+                               self.gates, self.hiddens[:-1], self.cells[:-1],
+                               self.hiddens[1:], self.cells[1:])]
+        # dh, dc (in tanh_c), dc broadcast over the i, f, g rows, those rows
+        # and the o row of dz, and the whole dz row
+        local = self.dz.reshape(n_steps, n_ports, 4, hidden)
+        self.reverse_steps = list(zip(self.dh_heads, self.tanh_c, self.tanh_c[:, :, None],
+                                      local[:, :, :3], local[:, :, 3], self.dz))[::-1]
 
 
 def forward_episode(params: dict, states: np.ndarray,
@@ -197,7 +225,8 @@ def forward_episode(params: dict, states: np.ndarray,
     The pass writes its hidden states, cells and gates into ``buffers``, or
     into new ones for this call, and its result views them: the next pass
     over the same buffers overwrites it.  The time loop steps the cell on
-    contiguous (P, ·) rows of the time-major arrays, in place.
+    contiguous (P, ·) rows of the time-major arrays, in place, through the
+    row views the buffers hold.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[2] != STATE_DIM:
@@ -212,9 +241,9 @@ def forward_episode(params: dict, states: np.ndarray,
     hiddens[0] = cells[0] = 0.0
     np.matmul(states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
     gates += params["b"]
-    wh, scratch = params["wh"], np.empty((n_ports, 4 * hidden))
-    for t in range(n_steps):
-        _cell_rows(wh, gates[t], hiddens[t], cells[t], cells[t + 1], hiddens[t + 1], scratch)
+    wh_t = params["wh"].T
+    for step in buffers.cell_steps:
+        _cell_rows(wh_t, *step)
     outputs = hiddens[1:].transpose(1, 0, 2)
     probs = _softmax2(outputs @ params["wp"].T + params["bp"])
     values = outputs @ params["wv"][0] + params["bv"][0]
@@ -224,32 +253,18 @@ def forward_episode(params: dict, states: np.ndarray,
                           cells.transpose(1, 0, 2), gates.transpose(1, 0, 2))
 
 
-def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
-    """One-step targets q_t = r_t + gamma * V(s_{t+1}) with terminal value 0,
-    and the advantages q - V.  Both are constants for the backward pass."""
-    next_values = np.append(values[1:], 0.0)
+def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, lengths: np.ndarray,
+                      gamma: float):
+    """One-step targets q_t = r_t + gamma * V(s_{t+1}) and the advantages
+    q - V of P ports padded to T steps, from (P, T) rewards and values and the
+    (P,) lengths.  The value after a port's last step is 0, and both are
+    exactly 0 past its length.  Both are constants for the backward pass."""
+    steps = np.arange(rewards.shape[1])
+    next_values = np.zeros_like(values)
+    np.copyto(next_values[:, :-1], values[:, 1:], where=steps[1:] < lengths[:, None])
     q = rewards + gamma * next_values
-    return q, q - values
-
-
-def value_loss(q_targets, values) -> float:
-    """Half mean squared bootstrap residual."""
-    q = np.asarray(q_targets, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.size == 0:
-        raise LearnerError("value loss needs a non-empty batch")
-    return float(0.5 * np.mean((q - v) ** 2))
-
-
-def policy_loss(advantages, taken_probs) -> float:
-    """Negative advantage-weighted log probability of the taken actions."""
-    adv = np.asarray(advantages, dtype=float)
-    p = np.asarray(taken_probs, dtype=float)
-    if p.size == 0:
-        raise LearnerError("policy loss needs a non-empty batch")
-    if np.any(p < LOG_PROB_FLOOR):
-        log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
-    return float(-np.mean(adv * np.log(np.maximum(p, LOG_PROB_FLOOR))))
+    inside = steps < lengths[:, None]
+    return np.where(inside, q, 0.0), np.where(inside, q - values, 0.0)
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -278,14 +293,20 @@ class EpisodeBatch:
 
 def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
     """(value, policy, entropy, total) loss of each port, in port order; each
-    is a mean over that port's own steps."""
+    is a mean over that port's own steps.  The elementwise terms are computed
+    once over the padded (P, T) steps; each port's means read its own row."""
+    taken = np.take_along_axis(forward.probs, batch.actions[..., None], axis=-1)[..., 0]
+    squares = (batch.q_targets - forward.values) ** 2
+    weighted = batch.advantages * np.log(np.maximum(taken, LOG_PROB_FLOOR))
+    entropies = _entropy_rows(forward.probs)
+    clamped = taken < LOG_PROB_FLOOR
     losses = []
-    for p, n in enumerate(batch.lengths):
-        probs = forward.probs[p, :n]
-        taken = probs[np.arange(n), batch.actions[p, :n]]
-        v_loss = value_loss(batch.q_targets[p, :n], forward.values[p, :n])
-        p_loss = policy_loss(batch.advantages[p, :n], taken)
-        entropy_mean = float(np.mean(_entropy_rows(probs)))
+    for p, n in enumerate(batch.lengths.tolist()):
+        v_loss = float(0.5 * np.mean(squares[p, :n]))
+        if clamped[p, :n].any():
+            log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
+        p_loss = float(-np.mean(weighted[p, :n]))
+        entropy_mean = float(np.mean(entropies[p, :n]))
         losses.append((v_loss, p_loss, entropy_mean,
                        total_loss(v_loss, p_loss, entropy_mean, batch.beta)))
     return losses
@@ -349,20 +370,20 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
     np.subtract(1.0, dh_to_dc, out=dh_to_dc)
     dh_to_dc *= go
     dh_next, dc_next = np.zeros((2, n_ports, hidden))
-    wh, dz_rows = params["wh"], buffers.dz
-    local_ifg, local_o, dc_rows = local[:, :, :3], local[:, :, 3], dh_to_dc[:, :, None]
-    for t in range(n_steps - 1, -1, -1):  # turns local into dz step by step
-        dh = dh_heads[t]
+    wh = params["wh"]
+    # turns local into dz step by step, over the buffers' row views and the
+    # forward pass's own forget-gate rows
+    for (dh, dc, dc_ifg, local_ifg, local_o, dz_row), forget in zip(buffers.reverse_steps,
+                                                                   gf[::-1]):
         dh += dh_next
-        dc = dh_to_dc[t]
         dc *= dh
         dc += dc_next
-        local_ifg[t] *= dc_rows[t]
-        local_o[t] *= dh
-        np.dot(dz_rows[t], wh, out=dh_next)
-        np.multiply(dc, gf[t], out=dc_next)
+        local_ifg *= dc_ifg
+        local_o *= dh
+        np.dot(dz_row, wh, out=dh_next)
+        np.multiply(dc, forget, out=dc_next)
 
-    dz = dz_rows.transpose(1, 2, 0)  # (P, 4H, T)
+    dz = buffers.dz.transpose(1, 2, 0)  # (P, 4H, T)
     # port-major copies of the cell's inputs and outputs, in the loop's dead
     # (T, P, H) buffers: BLAS may round a product over a strided operand
     # differently at small widths
@@ -370,10 +391,10 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
     inputs[...] = forward.hiddens[:, :-1]
     outputs = tanh_c.reshape(n_ports, n_steps, hidden)
     outputs[...] = forward.hiddens[:, 1:]
-    grads = _views(buffers.grads, hidden)  # each port's row, by tensor
+    grads = buffers.grad_views
     np.matmul(dz, batch.states, out=grads["wx"])
     np.matmul(dz, inputs, out=grads["wh"])
-    np.sum(dz_rows, axis=0, out=grads["b"])
+    np.sum(buffers.dz, axis=0, out=grads["b"])
     np.matmul(d_logits.transpose(0, 2, 1), outputs, out=grads["wp"])
     np.sum(d_logits, axis=1, out=grads["bp"])
     np.matmul(d_value[:, None, :], outputs, out=grads["wv"])
@@ -591,10 +612,16 @@ def _vector(text, size: int, name: str, hidden: int) -> np.ndarray:
     return values.astype(float)
 
 
-def _episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
-    """Each step's reward; action 0 schedules."""
-    return np.array([port.reward(t, 1 if action == 0 else 0, risk)
-                     for t, action in enumerate(actions)])
+def _reward_table(ports: list, n_steps: int, risk: float) -> np.ndarray:
+    """(2, P, T): each port's reward at each step under action 0 (schedule)
+    and action 1 (queue), from :meth:`ramals.mdp.PortSessions.reward`; zero
+    past the port's length."""
+    table = np.zeros((2, len(ports), n_steps))
+    for p, port in enumerate(ports):
+        steps = range(len(port.session_ids))
+        for action, schedule_now in enumerate((1, 0)):
+            table[action, p, :len(steps)] = [port.reward(t, schedule_now, risk) for t in steps]
+    return table
 
 
 def train(batch: SessionBatch, site_config: SiteConfig | None,
@@ -606,11 +633,14 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     in port order, coordinator updates applied in that same order.  Every
     agent in an episode runs on one copy of the coordinator's parameters
     taken when the episode starts, so one batched forward and backward pass
-    covers all ports; action draws, clipping and Adam go port by port.
-    The passes run in one :class:`EpisodeBuffers` allocated for the call:
-    every episode has the same ports and padded length.  Resuming from ``initial_model`` continues its parameters, Adam moments,
-    Adam step and episode count; the learning rate, gamma, beta and clip
-    threshold always come from ``config``.
+    covers all ports; clipping and Adam go port by port.  An episode's
+    actions come from one draw of a uniform per step, in port order, the
+    stream per-port draws would give, and pick its rewards from a
+    :func:`_reward_table` built once per call.  The call allocates one
+    :class:`EpisodeBuffers`, with its row views, and one vector for the
+    parameter copy.  Resuming from ``initial_model`` continues its
+    parameters, Adam moments, Adam step and episode count; the learning
+    rate, gamma, beta and clip threshold always come from ``config``.
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
@@ -633,28 +663,27 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     else:
         coordinator = Coordinator(init_params(config.hidden, rng))
     lengths = np.array([len(port.session_ids) for port in ports])
-    rows = mdp.state_matrix(batch)
-    states = np.zeros((len(ports), lengths.max(), STATE_DIM))
-    for p, port_rows in enumerate(batch.slices):
-        states[p, :lengths[p]] = rows[port_rows]
+    n_steps = lengths.max()
+    inside = np.arange(n_steps) < lengths[:, None]  # each port's steps, in port order
+    states = np.zeros((len(ports), n_steps, STATE_DIM))
+    states[inside] = mdp.state_matrix(batch)
+    rewards_by_action = _reward_table(ports, n_steps, risk_value)
 
-    buffers = EpisodeBuffers(len(ports), lengths.max(), config.hidden)
+    buffers = EpisodeBuffers(len(ports), n_steps, config.hidden)
+    flat = np.empty_like(coordinator.flat)
+    params = _views(flat, config.hidden)
+    actions = np.zeros(states.shape[:2], dtype=int)  # padding stays 0
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
-        params = coordinator.sync_copy()
+        flat[...] = coordinator.flat
         forward = forward_episode(params, states, buffers)
-        actions = np.zeros(states.shape[:2], dtype=int)
-        q_targets, advantages = np.zeros((2,) + states.shape[:2])
+        actions[inside] = rng.random(lengths.sum()) >= forward.probs[inside, 0]  # 0 = schedule
+        rewards = np.where(actions == 0, rewards_by_action[0], rewards_by_action[1])
+        q_targets, advantages = bootstrap_targets(rewards, forward.values, lengths, config.gamma)
         ep_reward = 0.0
-        for p, port in enumerate(ports):
-            n = lengths[p]
-            draws = rng.random(n)
-            actions[p, :n] = draws >= forward.probs[p, :n, 0]  # 0 = schedule
-            rewards = _episode_rewards(port, actions[p, :n], risk_value)
-            q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
-                rewards, forward.values[p, :n], config.gamma)
-            ep_reward += float(np.sum(rewards))
+        for port_rewards, n in zip(rewards, lengths.tolist()):
+            ep_reward += float(np.sum(port_rewards[:n]))  # unpadded: the same pairwise sum
         ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
         for grads in backward(params, forward, ep_batch, buffers):
             coordinator.apply_update(clipped_delta(grads, config.clip_threshold),

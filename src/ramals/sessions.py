@@ -44,6 +44,7 @@ log = logging.getLogger(__name__)
 DEFAULT_RECEIVING_CAPACITY_KW = 50.0
 _DAY = 1440  # minutes
 _UNIX_EPOCH = date(1970, 1, 1).toordinal() * _DAY  # numpy's datetime64 minute 0
+_LAST_STAMP = date(9999, 12, 31).toordinal() * _DAY + _DAY - 1  # 9999-12-31T23:59
 
 # strptime's own field patterns for "%Y-%m-%dT%H:%M[:%S]" and
 # "%Y-%m-%d %H:%M[:%S]", whose "T" matches either case and whose space matches
@@ -445,31 +446,41 @@ class GeneratorConfig:
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
-    """Draw a synthetic batch; a pure function of (config, seed)."""
+    """Draw a synthetic batch; a pure function of (config, seed).  Knobs whose
+    clocks overflow, or pass the year 9999, are refused by name."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     clocks = _canonical_stamps([config.start]).tolist() * config.n_evses
     rows = []
-    for i in range(config.n_sessions):
-        evse_idx = i % config.n_evses
-        gap = max(1, int(round(rng.exponential(config.mean_gap_minutes))))
-        arrival = clocks[evse_idx] = clocks[evse_idx] + gap
+    try:
+        for i in range(config.n_sessions):
+            evse_idx = i % config.n_evses
+            gap = max(1, int(round(rng.exponential(config.mean_gap_minutes))))
+            arrival = clocks[evse_idx] = clocks[evse_idx] + gap
 
-        energy = rng.uniform(*config.energy_kwh_range)
-        rate = rng.uniform(*config.rate_kw_range)
-        actual_minutes = max(1, int(round(energy / rate * 60.0)))
-        is_cv = rng.random() < config.cv_fraction
+            energy = rng.uniform(*config.energy_kwh_range)
+            rate = rng.uniform(*config.rate_kw_range)
+            actual_minutes = max(1, int(round(energy / rate * 60.0)))
+            is_cv = rng.random() < config.cv_fraction
 
-        if is_cv:
-            requested = energy * rng.uniform(*config.energy_inflation)
-            window = max(actual_minutes,
-                         int(round(actual_minutes * rng.uniform(*config.time_inflation))))
-        else:
-            requested = energy
-            window = actual_minutes
-        rows.append((f"S{i:06d}", f"{config.evse_prefix}-{evse_idx + 1}", is_cv,
-                     float(requested), float(window), arrival, arrival + actual_minutes,
-                     arrival + window, float(energy), config.receiving_capacity_kw))
-    return SessionBatch(columns=list(zip(*rows)))
+            if is_cv:
+                requested = energy * rng.uniform(*config.energy_inflation)
+                window = max(actual_minutes,
+                             int(round(actual_minutes * rng.uniform(*config.time_inflation))))
+            else:
+                requested = energy
+                window = actual_minutes
+            rows.append((f"S{i:06d}", f"{config.evse_prefix}-{evse_idx + 1}", is_cv,
+                         float(requested), float(window), arrival, arrival + actual_minutes,
+                         arrival + window, float(energy), config.receiving_capacity_kw))
+        batch = SessionBatch(columns=list(zip(*rows)))
+    except OverflowError:
+        raise SessionError("session clocks overflow: mean_gap_minutes, energy_kwh_range, "
+                           "rate_kw_range and time_inflation set them") from None
+    if batch.unplug.max() > _LAST_STAMP:
+        raise SessionError(f"sessions from start {config.start!r} run past 9999-12-31T23:59, "
+                           "the last stamp a session file holds; start earlier or shrink "
+                           "mean_gap_minutes")
+    return batch
 
 
 def _mean_rate(energy: np.ndarray, minutes: np.ndarray, name: str, kind: str) -> float:

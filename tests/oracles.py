@@ -4,11 +4,12 @@ Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
 single-row cell step per decision for the policy rule, the padded (P, T)
 batched pass and whole-vector Adam that allocate their arrays on every call,
-one parameter tensor at a time for Adam and the gradient norm, every pair of intervals for the
-feed-capacity audit, one session at a time for the state, the rate and
-ratio formulas and the session parser, ``strptime`` over four formats for
-timestamps, ``json.dumps`` over record dicts for the session file and the
-outcome lines, and the risk API that only tests used.
+one parameter tensor at a time for Adam and the gradient norm, one port at a
+time for each training episode's draws, rewards, targets and losses, every
+pair of intervals for the feed-capacity audit, one session at a time for the
+state, the rate and ratio formulas and the session parser, ``strptime`` over
+four formats for timestamps, ``json.dumps`` over record dicts for the session
+file and the outcome lines, and the risk API that only tests used.
 
 :class:`ChargingSession` is the oracle parser's row, with the per-record
 checks the package once made in its constructor.  The package keeps no row
@@ -33,8 +34,9 @@ import numpy as np
 import ramals.learner as learner
 from ramals import mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
-                            PARAM_KEYS, STATE_DIM, EpisodeForward, LearnerError,
-                            _entropy_rows, hidden_size)
+                            PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBatch, EpisodeBuffers,
+                            EpisodeForward, EpisodeLog, LearnerError, SharedModel,
+                            _entropy_rows, hidden_size, init_params, total_loss)
 from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import SchedulerError
@@ -378,7 +380,8 @@ def policy_value_step(params: dict, z_row: np.ndarray, carry: tuple):
     ``states @ wx.T + b``, computed once per port; it is left unchanged.
     """
     h, c = carry
-    c, h = learner._cell_rows(params["wh"], z_row.copy(), h, c)
+    z = z_row.copy()
+    c, h = learner._cell_rows(params["wh"].T, z, learner._gate_blocks(z), h, c)
     p_schedule = float(learner._softmax2(params["wp"] @ h + params["bp"])[0])
     value = float(params["wv"][0] @ h) + float(params["bv"][0])
     # both probabilities are finite or neither is
@@ -624,6 +627,116 @@ def keyed_clipped_delta(grads, clip_threshold):
     norm = keyed_grad_norm(grads)
     scale = min(1.0, clip_threshold / norm) if norm > 0 else 1.0
     return {k: g * scale for k, g in grads.items()}
+
+
+def episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
+    """Each step's reward; action 0 schedules."""
+    return np.array([port.reward(t, 1 if action == 0 else 0, risk)
+                     for t, action in enumerate(actions)])
+
+
+def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, gamma: float):
+    """One port's one-step targets q_t = r_t + gamma * V(s_{t+1}) with
+    terminal value 0, and the advantages q - V."""
+    next_values = np.append(values[1:], 0.0)
+    q = rewards + gamma * next_values
+    return q, q - values
+
+
+def value_loss(q_targets, values) -> float:
+    """Half mean squared bootstrap residual."""
+    q = np.asarray(q_targets, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if q.size == 0:
+        raise LearnerError("value loss needs a non-empty batch")
+    return float(0.5 * np.mean((q - v) ** 2))
+
+
+def policy_loss(advantages, taken_probs) -> float:
+    """Negative advantage-weighted log probability of the taken actions; the
+    clamp warning goes to the package's logger, as the package's does."""
+    adv = np.asarray(advantages, dtype=float)
+    p = np.asarray(taken_probs, dtype=float)
+    if p.size == 0:
+        raise LearnerError("policy loss needs a non-empty batch")
+    if np.any(p < LOG_PROB_FLOOR):
+        learner.log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
+    return float(-np.mean(adv * np.log(np.maximum(p, LOG_PROB_FLOOR))))
+
+
+def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
+    """(value, policy, entropy, total) loss of each port, in port order, one
+    port's slices at a time."""
+    losses = []
+    for p, n in enumerate(batch.lengths):
+        probs = forward.probs[p, :n]
+        taken = probs[np.arange(n), batch.actions[p, :n]]
+        v_loss = value_loss(batch.q_targets[p, :n], forward.values[p, :n])
+        p_loss = policy_loss(batch.advantages[p, :n], taken)
+        entropy_mean = float(np.mean(_entropy_rows(probs)))
+        losses.append((v_loss, p_loss, entropy_mean,
+                       total_loss(v_loss, p_loss, entropy_mean, batch.beta)))
+    return losses
+
+
+def train(batch, site_config, config, risk_value, initial_model=None):
+    """The training loop with the per-port draws, rewards and targets of each
+    episode, and a fresh parameter copy per episode; the passes, clipping and
+    Adam are the package's, looked up on its module and class."""
+    if len(batch) == 0:
+        raise LearnerError("training needs a non-empty batch")
+    if site_config is not None:
+        known = set(site_config.evse_ids)
+        missing = [e for e in batch.evse_ids if e not in known]
+        if missing:
+            raise LearnerError(f"batch references EVSEs absent from site config: {missing}")
+
+    if not 0.0 <= risk_value < 1.0:
+        raise LearnerError("risk value must lie in [0, 1)")
+
+    ports = mdp.port_sessions(batch)
+
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    if initial_model is not None:
+        if initial_model.hidden != config.hidden:
+            raise LearnerError("resume model hidden width does not match config")
+        coordinator = initial_model.coordinator
+    else:
+        coordinator = Coordinator(init_params(config.hidden, rng))
+    lengths = np.array([len(port.session_ids) for port in ports])
+    rows = mdp.state_matrix(batch)
+    states = np.zeros((len(ports), lengths.max(), STATE_DIM))
+    for p, port_rows in enumerate(batch.slices):
+        states[p, :lengths[p]] = rows[port_rows]
+
+    buffers = EpisodeBuffers(len(ports), lengths.max(), config.hidden)
+    logs = []
+    start_episode = initial_model.train_episodes if initial_model is not None else 0
+    for episode in range(start_episode, start_episode + config.episodes):
+        params = coordinator.sync_copy()
+        forward = learner.forward_episode(params, states, buffers)
+        actions = np.zeros(states.shape[:2], dtype=int)
+        q_targets, advantages = np.zeros((2,) + states.shape[:2])
+        ep_reward = 0.0
+        for p, port in enumerate(ports):
+            n = lengths[p]
+            draws = rng.random(n)
+            actions[p, :n] = draws >= forward.probs[p, :n, 0]  # 0 = schedule
+            rewards = episode_rewards(port, actions[p, :n], risk_value)
+            q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
+                rewards, forward.values[p, :n], config.gamma)
+            ep_reward += float(np.sum(rewards))
+        ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
+        for grads in learner.backward(params, forward, ep_batch, buffers):
+            coordinator.apply_update(learner.clipped_delta(grads, config.clip_threshold),
+                                     config.learning_rate)
+        v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))
+        logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
+                               float(np.mean(p_losses)), float(np.mean(entropies))))
+
+    model = SharedModel(risk_value=float(risk_value), coordinator=coordinator,
+                        train_episodes=start_episode + config.episodes)
+    return model, logs
 
 
 class KeyedAdam:

@@ -161,6 +161,23 @@ class TestGenData:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("lines, knob", [
+        ("mean_gap_minutes = 1e300", "mean_gap_minutes"),
+        ("energy_kwh_max = 1e308", "energy_kwh_range"),
+        ("rate_kw_min = 1e-300\nrate_kw_max = 1e-300", "rate_kw_range"),
+        ("start = 9999-12-31T23:00\nn_sessions = 3", "start"),
+    ])
+    def test_clocks_out_of_range_name_the_knob(self, workdir, capsys, lines, knob):
+        """Finite knobs whose clocks overflow, or pass the year 9999 that
+        fit-risk reads, exit 1 naming the knob and write no file."""
+        bad, out = workdir / "bad.cfg", workdir / "x.json"
+        bad.write_text(lines + "\n")
+        assert run_cli("gen-data", "--config", bad, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and knob in err
+        assert not out.exists()
+
+
 class TestPipeline:
     def generate(self, workdir):
         out = workdir / "sessions.json"

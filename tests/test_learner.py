@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ramals.learner as learner
@@ -38,24 +38,26 @@ from ramals.learner import (
     forward_episode,
     grad_norm,
     init_params,
-    policy_loss,
     policy_value_forward,
     total_loss,
-    value_loss,
 )
 from ramals.scheduler import ScheduleEngine, _ForcedRule, execute, outcomes_jsonl
 
+import oracles
 from helpers import T0, batch_of, make_session, site_for
 from oracles import (
     FlatAdam,
     KeyedAdam,
+    VehicleClass,
     flatten,
     keyed_clipped_delta,
     keyed_grad_norm,
     padded_backward,
     padded_forward_episode,
+    policy_loss,
     scalar_backward,
     scalar_forward,
+    value_loss,
 )
 
 
@@ -96,10 +98,7 @@ def padded(sequences):
 
 def targets(forward, rewards, lengths, gamma=0.9):
     """Per-port bootstrap targets and advantages, zero past each length."""
-    q, adv = np.zeros(rewards.shape), np.zeros(rewards.shape)
-    for p, n in enumerate(lengths):
-        q[p, :n], adv[p, :n] = bootstrap_targets(rewards[p, :n], forward.values[p, :n], gamma)
-    return q, adv
+    return bootstrap_targets(rewards, forward.values, lengths, gamma)
 
 
 def random_batch(hidden=8, n=3, seed=0, beta=0.05):
@@ -216,8 +215,9 @@ class TestPolicyValueForward:
             p_schedule, _, _ = policy_value_forward(params, z_rows, carry)
             assert np.all((0.0 <= p_schedule) & (p_schedule <= 1.0))
             for j, z_row in enumerate(z_rows):
-                h = learner._cell_rows(params["wh"], z_row.copy(), carry[0][j],
-                                       carry[1][j])[1]
+                z = z_row.copy()
+                h = learner._cell_rows(params["wh"].T, z, learner._gate_blocks(z),
+                                       carry[0][j], carry[1][j])[1]
                 logits = params["wp"] @ h + params["bp"]
                 assert p_schedule[j] == pytest.approx(
                     1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
@@ -264,12 +264,13 @@ class TestPolicyValueForward:
 class TestLosses:
     def test_td_advantage(self):
         # q_t = r_t + gamma * V(s_{t+1}), terminal value 0; advantage q - V
-        q, adv = bootstrap_targets(np.array([1.0, 3.0]), np.array([2.0, 3.0]), 0.9)
-        assert q == pytest.approx([1.0 + 0.9 * 3.0, 3.0])
-        assert adv == pytest.approx([1.7, 0.0])
-        _, flipped = bootstrap_targets(np.array([1.0]), np.array([2.0]), 0.9)
-        _, mirrored = bootstrap_targets(np.array([3.0]), np.array([2.0]), 0.9)
-        assert flipped[0] == -mirrored[0]
+        q, adv = bootstrap_targets(np.array([[1.0, 3.0]]), np.array([[2.0, 3.0]]),
+                                   np.array([2]), 0.9)
+        assert q[0] == pytest.approx([1.0 + 0.9 * 3.0, 3.0])
+        assert adv[0] == pytest.approx([1.7, 0.0])
+        _, flipped = bootstrap_targets(np.array([[1.0]]), np.array([[2.0]]), np.array([1]), 0.9)
+        _, mirrored = bootstrap_targets(np.array([[3.0]]), np.array([[2.0]]), np.array([1]), 0.9)
+        assert flipped[0, 0] == -mirrored[0, 0]
 
     def test_value_loss_perfect_prediction(self):
         assert value_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -490,6 +491,23 @@ class TestTimeMajorPass:
             assert np.array_equal(grads, backward(params, fresh, batch))
             assert np.shares_memory(forward.gates, buffers.gates)
 
+    def test_backward_reads_the_forward_argument(self):
+        """The reverse loop takes the forward pass's rows, such as the forget
+        gates, from ``forward``, wherever it lives: in other buffers, in
+        buffers that hold another episode, or in no buffers at all."""
+        rng = np.random.default_rng(33)
+        params, batch = garbage_padded_episode(rng, [6, 3, 5], 4)
+        other_params, other_batch = garbage_padded_episode(rng, [2, 6, 4], 4)
+        expected = backward(params, forward_episode(params, batch.states), batch).copy()
+        own, other = EpisodeBuffers(3, 6, 4), EpisodeBuffers(3, 6, 4)
+        for forward in (forward_episode(params, batch.states, other),
+                        padded_forward_episode(params, batch.states)):
+            forward_episode(other_params, other_batch.states, own)  # a stale episode
+            assert np.array_equal(backward(params, forward, batch, own), expected)
+            assert np.array_equal(backward(params, forward, batch), expected)
+        forward = forward_episode(params, batch.states, own)
+        assert np.array_equal(backward(params, forward, batch, own), expected)
+
     def test_buffers_of_another_shape_rejected(self):
         params, batch = garbage_padded_episode(np.random.default_rng(32), [3, 2], 4)
         with pytest.raises(LearnerError, match="buffers"):
@@ -520,6 +538,115 @@ class TestTimeMajorPass:
         oracle_model.save(tmp_path / "oracle.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
         assert learner.training_log_csv(logs) == learner.training_log_csv(oracle_logs)
+
+
+class TestPaddedTargetsAndLosses:
+    """The padded (P, T) targets and losses against the per-port code they
+    replaced: the same floats, and the same clamp warnings in port order."""
+
+    @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_targets_match_per_port_oracle(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        shape = (len(lengths), lengths.max())
+        inside = np.arange(shape[1]) < lengths[:, None]
+        rewards = np.where(inside, rng.uniform(0.0, 2.0, shape), 0.0)
+        values = rng.normal(size=shape)  # the padding steps' values are garbage
+        q, adv = bootstrap_targets(rewards, values, lengths, 0.9)
+        for p, n in enumerate(lengths):
+            q_p, adv_p = oracles.bootstrap_targets(rewards[p, :n], values[p, :n], 0.9)
+            assert np.array_equal(q[p, :n], q_p) and np.array_equal(adv[p, :n], adv_p)
+        for result in (q, adv):  # exactly +0.0 past each length
+            assert np.all(result[~inside] == 0.0) and not np.any(np.signbit(result[~inside]))
+
+    @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           hidden=st.integers(1, 8), scale=st.sampled_from([0.5, 80.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_losses_match_per_port_oracle(self, lengths, hidden, scale, seed, caplog):
+        """At scale 80 the policy saturates and the garbage actions often
+        take a clamped probability."""
+        params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden,
+                                               scale=scale)
+        forward = forward_episode(params, batch.states)
+        results = []
+        for losses in (episode_losses, oracles.episode_losses):
+            caplog.clear()
+            results.append((losses(forward, batch),
+                            [(r.name, r.levelno, r.getMessage()) for r in caplog.records]))
+        assert results[0] == results[1]
+
+    def test_clamp_warning_once_per_clamped_port(self, caplog):
+        params, batch = garbage_padded_episode(np.random.default_rng(34), [5, 5, 5], 3)
+        forward = forward_episode(params, batch.states)
+        forward.probs[0, 1] = forward.probs[2, 4] = [0.0, 1.0]
+        forward.probs[1, 2] = [1.0, 0.0]  # port 1 takes the sure action
+        batch.actions[:, :] = 0
+        episode_losses(forward, batch)
+        assert [r.getMessage() for r in caplog.records] \
+            == ["policy probability below 1e-12 clamped in log"] * 2
+
+
+def oracle_scenario(rng, counts):
+    """A batch with ``counts[k]`` random sessions on port k: some AV, some
+    requesting no energy, some with no charging time."""
+    sessions = []
+    for k, count in enumerate(counts):
+        start = T0
+        for i in range(count):
+            charge_min = int(rng.integers(0, 120))
+            if rng.random() < 0.3:  # an AV gets exactly what it asked for
+                energy = float(rng.uniform(1.0, 40.0))
+                sessions.append(make_session(requested=energy, delivered=energy,
+                                             charge_min=charge_min + 1, evse=f"E{k}",
+                                             sid=f"E{k}-{i}", klass=VehicleClass.AV,
+                                             start=start))
+            else:
+                requested = 0.0 if rng.random() < 0.1 else float(rng.uniform(1.0, 40.0))
+                sessions.append(make_session(
+                    requested=requested, delivered=float(rng.uniform(0.0, requested + 1.0)),
+                    charge_min=charge_min, plugged_min=charge_min + int(rng.integers(1, 60)),
+                    window_min=int(rng.integers(1, 240)), evse=f"E{k}", sid=f"E{k}-{i}",
+                    start=start))
+            start += timedelta(minutes=int(rng.integers(0, 180)))
+    return batch_of(sessions)
+
+
+@given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       hidden=st.integers(1, 8), risk=st.floats(0.0, 0.5, exclude_max=True),
+       episodes=st.integers(1, 4), scale=st.sampled_from([None, 0.5, 60.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_train_matches_per_port_oracle_bit_for_bit(counts, hidden, risk, episodes, scale,
+                                                   seed, caplog):
+    """The padded episode (one draw, the reward table, padded targets and
+    losses) trains the model the per-port loop trained, bit for bit, and logs
+    the same warnings.  ``scale`` resumes from large random parameters, whose
+    saturated policy clamps probabilities in the log."""
+    rng = np.random.default_rng(seed)
+    batch = oracle_scenario(rng, counts)
+    config = TrainConfig(episodes=episodes, seed=seed % 1000, hidden=hidden)
+    initial = None
+    if scale is not None:
+        initial = SharedModel(risk, Coordinator(random_params(hidden, seed % 1000, scale)), 2)
+    results = []
+    for run in (train, oracles.train):
+        caplog.clear()
+        model, logs = run(batch, None, config, risk, copy.deepcopy(initial))
+        results.append((model, learner.training_log_csv(logs),
+                        [(r.name, r.levelno, r.getMessage()) for r in caplog.records]))
+    (model, csv, records), (oracle_model, oracle_csv, oracle_records) = results
+    for vector in ("flat", "m", "v"):
+        assert np.array_equal(getattr(model.coordinator, vector),
+                              getattr(oracle_model.coordinator, vector)), vector
+    assert model.coordinator.step == oracle_model.coordinator.step
+    assert model.train_episodes == oracle_model.train_episodes
+    assert csv == oracle_csv
+    assert records == oracle_records
 
 
 class TestClippedDelta:
@@ -720,10 +847,10 @@ class TestZeroEnergyRule:
         (port,) = built[0]
         assert engine.ports == {"EVSE-1": port}
         assert port.upsilons == (0.8, 0.5, 0.0, 0.9, 0.2, None)
+        table = learner._reward_table([port], len(sessions), risk=0.0)
+        assert table.shape == (2, 1, len(sessions))
         for schedule_now in (0, 1):
-            actions = np.full(len(sessions), 1 - schedule_now)  # action 0 schedules
-            rewards = learner._episode_rewards(port, actions, risk=0.0)
-            assert len(rewards) == len(sessions)
+            rewards = table[1 - schedule_now, 0]  # action 0 schedules
             for t in range(len(sessions)):
                 assert (rewards[t] != 0.0) == port.ordering_holds(t, schedule_now)
         # the zero-energy session counts with ratio 0, as head and as next

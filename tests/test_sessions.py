@@ -572,6 +572,28 @@ class TestGenerateSynthetic:
         with pytest.raises(SessionError, match=f"^{knob} must be"):
             GeneratorConfig(n_sessions=5, **{knob: value})
 
+    @pytest.mark.parametrize("knobs", [
+        dict(mean_gap_minutes=1e300),  # an arrival past int64
+        dict(energy_kwh_range=(4.0, 1e308)),  # an infinite charging time
+        dict(rate_kw_range=(1e-300, 1e-300)),
+    ])
+    def test_overflowing_clocks_refused_by_name(self, knobs):
+        with pytest.raises(SessionError, match="^session clocks overflow: mean_gap_minutes, "
+                                               "energy_kwh_range, rate_kw_range and "
+                                               "time_inflation"):
+            generate_synthetic(GeneratorConfig(n_sessions=5, **knobs), seed=1)
+
+    def test_clocks_past_year_9999_refused_by_name(self):
+        with pytest.raises(SessionError, match="^sessions from start '9999-12-31T23:00' run "
+                                               "past 9999-12-31T23:59"):
+            generate_synthetic(GeneratorConfig(n_sessions=3, start="9999-12-31T23:00"), seed=1)
+
+    def test_clocks_up_to_year_9999_written_and_read(self):
+        batch = generate_synthetic(GeneratorConfig(n_sessions=3, start="9999-12-31T06:00"),
+                                   seed=1)
+        assert batch.unplug.max() <= datetime(9999, 12, 31).toordinal() * 1440 + 1439
+        assert parse_sessions(batch.to_json_bytes()) == batch
+
     def test_rates_respect_supply_cap(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=400), seed=2)
         for rows in batch.slices:
