@@ -31,10 +31,7 @@ from .risk import (
 from .mdp import (
     EvseQueue,
     MdpError,
-    PortSessions,
-    ordering_holds,
-    port_sessions,
-    session_reward,
+    decision_table,
     state_matrix,
 )
 from .learner import (

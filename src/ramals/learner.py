@@ -26,9 +26,9 @@ layout changes no arithmetic: every product and elementwise operation is the
 one a port-major pass over fresh arrays makes, in the same order, so models
 and logs come out the same bit for bit.
 
-Per-step rewards come from each port's :class:`ramals.mdp.PortSessions`, the
-decision inputs the execution engine reads too, tabulated under both actions
-once per training run; an episode picks its rewards by its sampled actions,
+Per-step rewards come from the batch's :func:`ramals.mdp.decision_table`,
+which the execution engine reads too, padded to (2, P, T) once per training
+run; an episode picks its rewards by its sampled actions,
 drawn as one uniform per step of every port.  Its one-step bootstrapped
 targets and advantages, padded (P, T) arrays like its losses, are constants
 with respect to the parameters (no gradient flows through them).
@@ -451,10 +451,6 @@ class Coordinator:
         term /= root
         self.flat -= term
 
-    def sync_copy(self) -> dict:
-        """The parameters as views into a copy of ``flat``."""
-        return _views(self.flat.copy(), hidden_size(self.params))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -612,18 +608,6 @@ def _vector(text, size: int, name: str, hidden: int) -> np.ndarray:
     return values.astype(float)
 
 
-def _reward_table(ports: list, n_steps: int, risk: float) -> np.ndarray:
-    """(2, P, T): each port's reward at each step under action 0 (schedule)
-    and action 1 (queue), from :meth:`ramals.mdp.PortSessions.reward`; zero
-    past the port's length."""
-    table = np.zeros((2, len(ports), n_steps))
-    for p, port in enumerate(ports):
-        steps = range(len(port.session_ids))
-        for action, schedule_now in enumerate((1, 0)):
-            table[action, p, :len(steps)] = [port.reward(t, schedule_now, risk) for t in steps]
-    return table
-
-
 def train(batch: SessionBatch, site_config: SiteConfig | None,
           config: TrainConfig, risk_value: float,
           initial_model: SharedModel | None = None):
@@ -635,8 +619,8 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     taken when the episode starts, so one batched forward and backward pass
     covers all ports; clipping and Adam go port by port.  An episode's
     actions come from one draw of a uniform per step, in port order, the
-    stream per-port draws would give, and pick its rewards from a
-    :func:`_reward_table` built once per call.  The call allocates one
+    stream per-port draws would give, and pick its rewards from the batch's
+    decision table, built once per call.  The call allocates one
     :class:`EpisodeBuffers`, with its row views, and one vector for the
     parameter copy.  Resuming from ``initial_model`` continues its
     parameters, Adam moments, Adam step and episode count; the learning
@@ -645,15 +629,9 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
     if site_config is not None:
-        known = set(site_config.evse_ids)
-        missing = [e for e in batch.evse_ids if e not in known]
-        if missing:
-            raise LearnerError(f"batch references EVSEs absent from site config: {missing}")
-
+        site_config.port_configs(batch)  # refuses a port the site lacks
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
-
-    ports = mdp.port_sessions(batch)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if initial_model is not None:
@@ -662,14 +640,15 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
         coordinator = initial_model.coordinator
     else:
         coordinator = Coordinator(init_params(config.hidden, rng))
-    lengths = np.array([len(port.session_ids) for port in ports])
+    lengths = np.array([rows.stop - rows.start for rows in batch.slices])
     n_steps = lengths.max()
     inside = np.arange(n_steps) < lengths[:, None]  # each port's steps, in port order
-    states = np.zeros((len(ports), n_steps, STATE_DIM))
+    states = np.zeros((len(lengths), n_steps, STATE_DIM))
     states[inside] = mdp.state_matrix(batch)
-    rewards_by_action = _reward_table(ports, n_steps, risk_value)
+    rewards_by_action = np.zeros((2,) + inside.shape)  # action 0 schedules
+    rewards_by_action[:, inside] = mdp.decision_table(batch, risk_value).reward
 
-    buffers = EpisodeBuffers(len(ports), n_steps, config.hidden)
+    buffers = EpisodeBuffers(len(lengths), n_steps, config.hidden)
     flat = np.empty_like(coordinator.flat)
     params = _views(flat, config.hidden)
     actions = np.zeros(states.shape[:2], dtype=int)  # padding stays 0

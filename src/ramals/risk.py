@@ -53,7 +53,6 @@ class StudentTFit:
     dof: float
     location: float
     scale: float
-    log_likelihood_at_optimum: float
 
     def __post_init__(self):
         if self.dof <= 1.0:
@@ -94,6 +93,12 @@ def laxity_samples(batch: SessionBatch) -> np.ndarray:
     return samples
 
 
+def _log_norm(dof: float, scale: float) -> float:
+    """Log of the location-scale student-t density's normalising constant."""
+    return (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
+            - 0.5 * math.log(math.pi * dof) - math.log(scale))
+
+
 def student_t_pdf(d, dof: float, location: float, scale: float):
     """Location-scale student-t density."""
     if dof <= 0:
@@ -102,9 +107,7 @@ def student_t_pdf(d, dof: float, location: float, scale: float):
         raise RiskError("scale must be positive")
     d = np.asarray(d, dtype=float)
     z = (d - location) / scale
-    log_norm = (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
-                - 0.5 * math.log(math.pi * dof) - math.log(scale))
-    value = np.exp(log_norm - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
+    value = np.exp(_log_norm(dof, scale) - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
     return float(value) if value.ndim == 0 else value
 
 
@@ -115,9 +118,8 @@ def standardized_pdf(xi, dof: float):
 
 def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> float:
     z = (d - location) / scale
-    log_norm = (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
-                - 0.5 * math.log(math.pi * dof) - math.log(scale))
-    return float(d.size * log_norm - (dof + 1.0) / 2.0 * np.sum(np.log1p(z * z / dof)))
+    return float(d.size * _log_norm(dof, scale)
+                 - (dof + 1.0) / 2.0 * np.sum(np.log1p(z * z / dof)))
 
 
 def fit_student_t(samples) -> StudentTFit:
@@ -164,8 +166,7 @@ def fit_student_t(samples) -> StudentTFit:
     neg_ll, dof, location, scale = best
     if not math.isfinite(neg_ll):
         raise RiskError("student-t fit failed to converge")
-    return StudentTFit(dof=dof, location=location, scale=scale,
-                       log_likelihood_at_optimum=-neg_ll)
+    return StudentTFit(dof=dof, location=location, scale=scale)
 
 
 def standardized_cdf(x: float, dof: float) -> float:
@@ -275,8 +276,7 @@ def normalize_risk(raw_cvar: float, reference_scale: float) -> float:
 def _degenerate_fit(value: float) -> StudentTFit:
     # Constant samples: pin dof and scale at their bounds so the closed forms
     # collapse to the constant itself.
-    return StudentTFit(dof=DOF_BOUNDS[1], location=value, scale=SCALE_BOUNDS[0],
-                       log_likelihood_at_optimum=float("nan"))
+    return StudentTFit(dof=DOF_BOUNDS[1], location=value, scale=SCALE_BOUNDS[0])
 
 
 def batch_reference_hours(batch: SessionBatch) -> float:

@@ -10,10 +10,12 @@ port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  Starting a session must not push the site's
 simultaneous delivery above the utility feed; a port that would breach it
 defers one step.  Decisions run in time order across ports: a port whose
-head arrives later than its turn waits for that arrival.  The rule and the
-reward read each port's :class:`ramals.mdp.PortSessions`, the same decision
-inputs training reads.  Each session's fate is one :class:`ScheduleOutcome`,
-a named tuple, and :func:`outcomes_jsonl` writes them a column at a time.
+head arrives later than its turn waits for that arrival.  The rule's
+ordering check and each start's reward come from the batch's
+:func:`ramals.mdp.decision_table`, the table training reads, and each start's
+allocation from one whole-batch allocator call; each queue reads its port's
+rows of the batch.  Each session's fate is one :class:`ScheduleOutcome`, a
+named tuple, and :func:`outcomes_jsonl` writes them a column at a time.
 """
 
 from __future__ import annotations
@@ -145,25 +147,24 @@ class _PolicyRule:
     Every port starts from a zero carry, as each training episode does, so
     the rule runs a model on any site, whatever ports it was trained on.
 
-    Every port's input projection ``states @ wx.T + b`` is set up when the
-    rule is built, in one array: at fleet size it takes tens of MB, and as
-    one allocation it is returned whole when the replay ends, where per-port
-    blocks could stay resident, pinned in the heap, after it.  ``states`` is
-    the batch's :func:`ramals.mdp.state_matrix`, whose ports are the queues'.
+    Every session's input projection ``states @ wx.T + b`` is set up when the
+    rule is built, a port's rows at a time, in one array: at fleet size it
+    takes tens of MB, and one allocation is returned whole when the replay
+    ends, where per-port blocks could stay pinned in the heap after it.
+    ``queues`` and ``ordered``, the decision table's, are the engine's.
     """
 
-    def __init__(self, model: learner.SharedModel, queues: dict[str, mdp.EvseQueue],
-                 states: np.ndarray):
+    def __init__(self, model: learner.SharedModel, batch: SessionBatch,
+                 queues: list[mdp.EvseQueue], ordered: np.ndarray):
         self.params = params = model.coordinator.params
-        self._index = {evse_id: p for p, evse_id in enumerate(queues)}
-        self._queues = list(queues.values())
-        self._lengths = np.array([queue.size for queue in self._queues], dtype=int)
-        self._offsets = np.cumsum(self._lengths) - self._lengths
-        self._z = np.empty((self._lengths.sum(), params["wx"].shape[0]))
-        for start, stop in zip(self._offsets.tolist(), np.cumsum(self._lengths).tolist()):
-            rows = self._z[start:stop]
-            np.matmul(states[start:stop], params["wx"].T, out=rows)
-            rows += params["b"]
+        self._queues = queues
+        self._ordered = ordered
+        self._stops = np.array([rows.stop for rows in batch.slices], dtype=int)
+        states = mdp.state_matrix(batch)
+        self._z = np.empty((len(batch), params["wx"].shape[0]))
+        for rows in batch.slices:
+            np.matmul(states[rows], params["wx"].T, out=self._z[rows])
+            self._z[rows] += params["b"]
         self._h = np.zeros((len(queues), model.hidden))
         self._c = np.zeros_like(self._h)
         self._p_schedule = np.zeros(len(queues))
@@ -171,83 +172,83 @@ class _PolicyRule:
 
     def _step(self) -> None:
         heads = np.array([queue.position for queue in self._queues], dtype=int)
-        due = np.flatnonzero((self._stepped < 0) & (heads < self._lengths))
+        due = np.flatnonzero((self._stepped < 0) & (heads < self._stops))
         p_schedule, _value, (h, c) = learner.policy_value_forward(
-            self.params, self._z[self._offsets[due] + heads[due]], (self._h[due], self._c[due]))
+            self.params, self._z[heads[due]], (self._h[due], self._c[due]))
         self._p_schedule[due], self._h[due], self._c[due] = p_schedule, h, c
         self._stepped[due] = heads[due]
 
-    def decide(self, port: mdp.PortSessions, i: int) -> int:
-        p = self._index[port.evse_id]
+    def decide(self, p: int, i: int) -> int:
         if self._stepped[p] < 0:
             self._step()
         if self._stepped[p] != i:
-            raise SchedulerError(f"EVSE {port.evse_id!r}: decision on session {i}, but its "
-                                 f"policy step was taken for head {self._stepped[p]}")
+            queue = self._queues[p]
+            raise SchedulerError(
+                f"EVSE {queue.evse.evse_id!r}: decision on session {queue.session_ids[i]!r}, "
+                f"but its policy step was taken for {queue.session_ids[self._stepped[p]]!r}")
         self._stepped[p] = -1
-        schedule_now = 1 if self._p_schedule[p] >= 0.5 else 0  # a tie schedules
-        return 1 if port.ordering_holds(i, schedule_now) else 0
+        action = 0 if self._p_schedule[p] >= 0.5 else 1  # 0 schedules; a tie schedules
+        return 1 if self._ordered[action, i] else 0
 
 
 class _ForcedRule:
     """Always schedules: the as-requested baseline's rule, and the rule when
     no model is given."""
 
-    def decide(self, port: mdp.PortSessions, i: int) -> int:
+    def decide(self, p: int, i: int) -> int:
         return 1
 
 
 class ScheduleEngine:
     """Replays one batch against one site under a decision rule.
 
-    The rule's ``decide(port, i)`` returns 1 to start session ``i`` of
-    ``port``, the presented head, and 0 to queue it.  Each port's decision
-    inputs are built once, when the engine is built, and a started session's
-    allocation is computed once, for the feed check.
+    The rule's ``decide(p, i)`` returns 1 to start batch row ``i``, the
+    presented head of port ``p``, and 0 to queue it.  The batch's decision
+    table and every session's allocation under ``allocator`` are built once,
+    when the engine is built: a start reads its allocation, for the feed
+    check, and its reward from them.
     """
 
     def __init__(self, batch: SessionBatch, site: SiteConfig, rule,
                  allocator=mdp.rational_allocation,
                  step_minutes: float = mdp.DEFAULT_STEP_MINUTES,
                  risk_value: float = 0.0):
-        known = set(site.evse_ids)
-        missing = [e for e in batch.evse_ids if e not in known]
-        if missing:
-            raise SchedulerError(f"batch references EVSEs absent from site config: {missing}")
+        evses = site.port_configs(batch)
         self.site = site
         self.rule = rule
-        self.allocator = allocator
         self.step_minutes = step_minutes
-        self.risk_value = risk_value
-
-        self.ports = {port.evse_id: port for port in mdp.port_sessions(batch)}
+        self.session_ids = batch.session_ids
+        self.table = mdp.decision_table(batch, risk_value)
+        self.allocations = allocator(batch, evses)
         # the clock's minute 0 is the batch's first plug-in
-        arrivals = (batch.plug_in - batch.plug_in.min()).astype(float) if len(batch) else None
-        self.queues = {evse_id: mdp.EvseQueue(port, site.evse(evse_id),
-                                              arrivals[rows].tolist(), step_minutes=step_minutes)
-                       for (evse_id, port), rows in zip(self.ports.items(), batch.slices)}
+        arrivals = (batch.plug_in - (batch.plug_in.min() if len(batch) else 0)).astype(float)
+        arrivals, deadlines = arrivals.tolist(), (arrivals + batch.minutes_available).tolist()
+        self.queues = [mdp.EvseQueue(evse, rows, batch.session_ids, arrivals, deadlines,
+                                     step_minutes=step_minutes)
+                       for evse, rows in zip(evses, batch.slices)]
         self.outcomes: list[ScheduleOutcome] = []
 
     def run(self) -> list[ScheduleOutcome]:
-        # Min-heap of (next decision time, evse_id); port order breaks ties,
+        # Min-heap of (next decision time, port); port order breaks ties,
         # which keeps runs deterministic.  A port is presented when it is
         # pushed, so every waiting port's next head is known before it is
         # popped; heads that presenting voids are recorded when it is popped.
         heap = []
-        for evse_id, queue in self.queues.items():
+        for p, queue in enumerate(self.queues):
             if queue.head() is not None:
-                heapq.heappush(heap, (queue.clock, evse_id))
+                heapq.heappush(heap, (queue.clock, p))
                 queue.present()
-        decide, allocate, outcomes = self.rule.decide, self.allocator, self.outcomes
+        decide, outcomes, session_ids = self.rule.decide, self.outcomes, self.session_ids
+        allocations, rewards = self.allocations, self.table.reward[0].tolist()
         feed_kw = self.site.dso_capacity_kw + 1e-9
         active: list[tuple[float, float]] = []  # (end minute, kW) of each start
         while heap:
-            when, evse_id = heapq.heappop(heap)
-            queue = self.queues[evse_id]
-            port = queue.port
+            when, p = heapq.heappop(heap)
+            queue = self.queues[p]
+            evse_id = queue.evse.evse_id
             for event in queue.voided:  # heads voided as expired
                 outcomes.append(ScheduleOutcome(
-                    port.session_ids[event.index], evse_id, False, True, event.clock_minutes,
+                    session_ids[event.index], evse_id, False, True, event.clock_minutes,
                     event.wait_minutes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             queue.voided.clear()
             i = queue.head()
@@ -256,31 +257,30 @@ class ScheduleEngine:
             # When presenting moved the clock up to the head's arrival, the
             # port decides there, after every port whose decision comes earlier.
             if queue.clock <= when:
-                if decide(port, i) == 1:
-                    allocation = allocate(port, i, queue.evse)
+                if decide(p, i) == 1:
+                    allocation = allocations[i]
                     # Decisions run in time order, so an interval that has
                     # ended by now has ended for every later decision too.
                     active = [(end, kw) for end, kw in active if end > queue.clock + 1e-9]
                     load = sum(kw for _end, kw in active)
                     if load + allocation.rate_kw > feed_kw:
                         log.debug("EVSE %r deferred session %r: site load %.1f kW full",
-                                  evse_id, port.session_ids[i], load)
+                                  evse_id, session_ids[i], load)
                         queue.clock += self.step_minutes
                     else:
                         event = queue.transition(1, allocation)
                         outcomes.append(ScheduleOutcome(
-                            port.session_ids[i], evse_id, True, False, event.clock_minutes,
+                            session_ids[i], evse_id, True, False, event.clock_minutes,
                             event.wait_minutes, allocation.energy_kwh, allocation.rate_kw,
                             allocation.charge_minutes, allocation.allocated_energy_kwh,
-                            allocation.allocated_minutes,
-                            port.reward(i, 1, self.risk_value)))
+                            allocation.allocated_minutes, rewards[i]))
                         active.append((event.clock_minutes + allocation.charge_minutes,
                                        allocation.rate_kw))
                 else:
                     queue.transition(0)
                 if queue.head() is None:
                     continue
-            heapq.heappush(heap, (queue.clock, evse_id))
+            heapq.heappush(heap, (queue.clock, p))
             queue.present()
         return self.outcomes
 
@@ -329,8 +329,8 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
     engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=mdp.rational_allocation,
                             step_minutes=step_minutes,
                             risk_value=0.0 if model is None else model.risk_value)
-    if model is not None:  # the policy rule projects the queues the engine built
-        engine.rule = _PolicyRule(model, engine.queues, mdp.state_matrix(batch))
+    if model is not None:  # the policy rule reads the queues and table the engine built
+        engine.rule = _PolicyRule(model, batch, engine.queues, engine.table.ordered)
     outcomes = engine.run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)

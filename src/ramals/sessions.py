@@ -97,6 +97,14 @@ class SiteConfig:
                 return e
         raise SessionError(f"unknown EVSE {evse_id!r}")
 
+    def port_configs(self, batch: SessionBatch) -> list[EvseConfig]:
+        """The config of each of the batch's ports, in the batch's port order."""
+        configs = {e.evse_id: e for e in self.evses}
+        missing = [e for e in batch.evse_ids if e not in configs]
+        if missing:
+            raise SessionError(f"batch references EVSEs absent from site config: {missing}")
+        return [configs[e] for e in batch.evse_ids]
+
     @property
     def evse_ids(self) -> tuple[str, ...]:
         return tuple(e.evse_id for e in self.evses)

@@ -7,7 +7,9 @@ batched pass and whole-vector Adam that allocate their arrays on every call,
 one parameter tensor at a time for Adam and the gradient norm, one port at a
 time for each training episode's draws, rewards, targets and losses, every
 pair of intervals for the feed-capacity audit, one session at a time for the
-state, the rate and ratio formulas and the session parser, ``strptime`` over
+state, the rate and ratio formulas and the session parser, one session and
+one start at a time for the ordering check, the reward, the allocators and
+the replay they drive (:func:`scalar_replay`), ``strptime`` over
 four formats for timestamps, ``json.dumps`` over record dicts for the session
 file and the outcome lines, and the risk API that only tests used.
 
@@ -22,6 +24,7 @@ only, so stamps with other digits or spaces are not checked against it.
 """
 
 import enum
+import heapq
 import json
 import logging
 import math
@@ -32,15 +35,17 @@ from sys import float_info
 import numpy as np
 
 import ramals.learner as learner
-from ramals import mdp
+import ramals.mdp as mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
                             PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBatch, EpisodeBuffers,
                             EpisodeForward, EpisodeLog, LearnerError, SharedModel,
                             _entropy_rows, hidden_size, init_params, total_loss)
-from ramals.mdp import DURATION_NORM_MIN, ENERGY_NORM_KWH
+from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH, Allocation
 from ramals.risk import RiskError, standardized_ppf
-from ramals.scheduler import SchedulerError
-from ramals.sessions import DEFAULT_RECEIVING_CAPACITY_KW, SessionError
+from ramals.scheduler import ScheduleOutcome, SchedulerError
+from ramals.sessions import (DEFAULT_RECEIVING_CAPACITY_KW, SessionError, energy_ratios,
+                             time_ratios)
+from ramals.sessions import rate_ratio as port_rate_ratio
 
 log = logging.getLogger(__name__)
 
@@ -412,7 +417,7 @@ class PerDecisionRule:
             self._carries[port.evse_id] = (np.zeros(hidden), np.zeros(hidden))
             start = stop
 
-    def decide(self, port: mdp.PortSessions, i: int) -> int:
+    def decide(self, port: "PortSessions", i: int) -> int:
         evse_id = port.evse_id
         p_schedule, _value, self._carries[evse_id] = policy_value_step(
             self.params, self._rows[evse_id][i], self._carries[evse_id])
@@ -629,7 +634,7 @@ def keyed_clipped_delta(grads, clip_threshold):
     return {k: g * scale for k, g in grads.items()}
 
 
-def episode_rewards(port: mdp.PortSessions, actions: np.ndarray, risk: float) -> np.ndarray:
+def episode_rewards(port: "PortSessions", actions: np.ndarray, risk: float) -> np.ndarray:
     """Each step's reward; action 0 schedules."""
     return np.array([port.reward(t, 1 if action == 0 else 0, risk)
                      for t, action in enumerate(actions)])
@@ -694,7 +699,7 @@ def train(batch, site_config, config, risk_value, initial_model=None):
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
 
-    ports = mdp.port_sessions(batch)
+    ports = port_sessions(batch)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if initial_model is not None:
@@ -713,7 +718,7 @@ def train(batch, site_config, config, risk_value, initial_model=None):
     logs = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
-        params = coordinator.sync_copy()
+        params = learner._views(coordinator.flat.copy(), config.hidden)
         forward = learner.forward_episode(params, states, buffers)
         actions = np.zeros(states.shape[:2], dtype=int)
         q_targets, advantages = np.zeros((2,) + states.shape[:2])
@@ -778,3 +783,208 @@ def quadratic_feed_check(outcomes, dso_capacity_kw):
         if load > dso_capacity_kw + 1e-6:
             raise SchedulerError(f"site load {load:.3f} kW exceeds feed capacity "
                                  f"{dso_capacity_kw} kW at t={start:.1f} min")
+
+
+# --- the scalar decision layer: one session and one start at a time --------
+
+def _index(upsilon: float, schedule_now: int) -> float:
+    return upsilon if schedule_now == 1 else 1.0 - upsilon
+
+
+def ordering_holds(upsilon_head: float, upsilon_next: float | None,
+                   schedule_now: int) -> bool:
+    """Demand-supply ordering between the head session and the next queued
+    one: their energy ratios when scheduling, their complements when
+    queueing; vacuous with no next session."""
+    if upsilon_next is None:
+        return True
+    return _index(upsilon_head, schedule_now) >= _index(upsilon_next, schedule_now)
+
+
+def session_reward(rate_ratio_value: float, time_ratio_value: float, risk: float,
+                   ordered: bool) -> float:
+    """Zero unless ordered; a unit rate ratio earns the bonus branch, any
+    other non-zero ratio the plain product, everything else zero."""
+    if not ordered:
+        return 0.0
+    if rate_ratio_value == 1.0:
+        return 1.0 + rate_ratio_value * time_ratio_value * (1.0 - risk)
+    if rate_ratio_value != 0.0:
+        return rate_ratio_value * time_ratio_value * (1.0 - risk)
+    return 0.0
+
+
+@dataclass(frozen=True)
+class PortSessions:
+    """One port's decision inputs as plain Python values in FCFS order;
+    ``upsilons`` ends with ``None`` for the last session's missing
+    successor."""
+
+    evse_id: str
+    session_ids: list
+    requested_kwh: list
+    minutes_available: list
+    delivered_kwh: list
+    receiving_kw: list
+    charge_minutes: list
+    upsilons: tuple
+    rhos: list
+    zeta: float
+
+    def ordering_holds(self, i: int, schedule_now: int) -> bool:
+        return ordering_holds(self.upsilons[i], self.upsilons[i + 1], schedule_now)
+
+    def reward(self, i: int, schedule_now: int, risk: float) -> float:
+        return session_reward(self.zeta, self.rhos[i], risk,
+                              self.ordering_holds(i, schedule_now))
+
+
+def port_sessions(batch) -> list[PortSessions]:
+    """Each port's decision inputs, in the batch's port order, its ratios from
+    the package's batch formulas; a zero request counts with energy ratio 0,
+    and a port whose rate ratio is undefined with rate ratio 0.  Both warn on
+    the package's logger, as the package does."""
+    for i in np.flatnonzero(batch.requested_kwh <= 0).tolist():
+        mdp.log.warning("session %r: zero requested energy, demand-supply index forced to 0",
+                        batch.session_ids[i])
+    columns = (batch.requested_kwh, batch.minutes_available, batch.delivered_kwh,
+               batch.receiving_kw, (batch.charge_end - batch.plug_in).astype(float),
+               time_ratios(batch), energy_ratios(batch))
+    ports = []
+    for evse_id, port_rows in zip(batch.evse_ids, batch.slices):
+        try:
+            zeta = port_rate_ratio(batch, port_rows)
+        except SessionError:
+            mdp.log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0", evse_id)
+            zeta = 0.0
+        *fields, rhos, upsilons = (column[port_rows].tolist() for column in columns)
+        ports.append(PortSessions(evse_id, batch.session_ids[port_rows], *fields,
+                                  (*upsilons, None), rhos, zeta))
+    return ports
+
+
+def _rate(port: PortSessions, i: int, evse) -> float:
+    cap = min(evse.supply_capacity_kw, port.receiving_kw[i])
+    minutes = port.charge_minutes[i]
+    implied = port.delivered_kwh[i] / minutes * 60.0 if minutes > 0 else 0.0
+    return min(implied, cap) if implied > 0 else cap
+
+
+def rational_allocation(port: PortSessions, i: int, evse) -> Allocation:
+    """Session ``i``'s actual need at its capped recorded rate, inside its
+    requested window; a zero request is served instantly."""
+    rate = _rate(port, i, evse)
+    requested, available = port.requested_kwh[i], port.minutes_available[i]
+    if requested <= 0:
+        return Allocation(0.0, rate, 0.0, evse.switching_minutes, 0.0,
+                          evse.switching_minutes)
+    window = min(available, requested / rate * 60.0)
+    energy = min(port.delivered_kwh[i], rate * window / 60.0)
+    charge_minutes = energy / rate * 60.0
+    return Allocation(energy, rate, charge_minutes, charge_minutes + evse.switching_minutes,
+                      min(requested, rate * window / 60.0), window + evse.switching_minutes)
+
+
+def as_requested_allocation(port: PortSessions, i: int, evse) -> Allocation:
+    """Session ``i``'s request granted verbatim: the port stays blocked for
+    the whole requested window."""
+    rate = _rate(port, i, evse)
+    available = port.minutes_available[i]
+    energy = min(port.delivered_kwh[i], rate * available / 60.0)
+    charge_minutes = energy / rate * 60.0 if rate > 0 else 0.0
+    return Allocation(energy, rate, charge_minutes, max(available, charge_minutes),
+                      port.requested_kwh[i], available)
+
+
+class ForcedRule:
+    """Always schedules."""
+
+    def decide(self, port: PortSessions, i: int) -> int:
+        return 1
+
+
+class PortQueue:
+    """One port's FCFS queue over its own lists, indexed within the port:
+    ``present`` voids expired heads into ``voided`` as (index, clock, wait),
+    and ``transition`` acts on the head and returns its (clock, wait)."""
+
+    def __init__(self, port: PortSessions, evse, arrivals: list, step_minutes: float):
+        self.port, self.evse, self.arrivals = port, evse, arrivals
+        self.step_minutes = step_minutes
+        self.position = 0
+        self.clock = arrivals[0]
+        self.voided = []
+
+    def head(self):
+        return self.position if self.position < len(self.arrivals) else None
+
+    def present(self):
+        available = self.port.minutes_available
+        i, clock = self.position, self.clock
+        while i < len(self.arrivals):
+            arrival = self.arrivals[i]
+            if arrival > clock:
+                clock = arrival
+            if clock <= arrival + available[i] + 1e-9:
+                break
+            self.voided.append((i, clock, clock - arrival))
+            i += 1
+        self.position, self.clock = i, clock
+
+    def transition(self, schedule_now: int, allocation=None):
+        event = (self.clock, self.clock - self.arrivals[self.position])
+        if schedule_now == 1:
+            self.position += 1
+            self.clock += allocation.occupy_minutes
+        else:
+            self.clock += self.step_minutes
+        return event
+
+
+def scalar_replay(batch, site, rule, allocator=rational_allocation,
+                  step_minutes: float = DEFAULT_STEP_MINUTES, risk_value: float = 0.0):
+    """The replay on per-port decision inputs: the rule's ``decide(port, i)``
+    is asked about a port's presented head, and every start, a feed deferral
+    included, calls the allocator; a start then reads the port's reward."""
+    ports = {port.evse_id: port for port in port_sessions(batch)}
+    arrivals = (batch.plug_in - batch.plug_in.min()).astype(float) if len(batch) else None
+    queues = {evse_id: PortQueue(port, site.evse(evse_id), arrivals[port_rows].tolist(),
+                                 step_minutes)
+              for (evse_id, port), port_rows in zip(ports.items(), batch.slices)}
+    heap, outcomes, active = [], [], []
+    for evse_id, queue in queues.items():
+        heapq.heappush(heap, (queue.clock, evse_id))
+        queue.present()
+    while heap:
+        when, evse_id = heapq.heappop(heap)
+        queue = queues[evse_id]
+        port = queue.port
+        for index, clock, wait in queue.voided:
+            outcomes.append(ScheduleOutcome(port.session_ids[index], evse_id, False, True,
+                                            clock, wait, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        queue.voided.clear()
+        i = queue.head()
+        if i is None:
+            continue
+        if queue.clock <= when:
+            if rule.decide(port, i) == 1:
+                allocation = allocator(port, i, queue.evse)
+                active = [(end, kw) for end, kw in active if end > queue.clock + 1e-9]
+                if (sum(kw for _end, kw in active) + allocation.rate_kw
+                        > site.dso_capacity_kw + 1e-9):
+                    queue.clock += step_minutes
+                else:
+                    clock, wait = queue.transition(1, allocation)
+                    outcomes.append(ScheduleOutcome(
+                        port.session_ids[i], evse_id, True, False, clock, wait,
+                        allocation.energy_kwh, allocation.rate_kw, allocation.charge_minutes,
+                        allocation.allocated_energy_kwh, allocation.allocated_minutes,
+                        port.reward(i, 1, risk_value)))
+                    active.append((clock + allocation.charge_minutes, allocation.rate_kw))
+            else:
+                queue.transition(0)
+            if queue.head() is None:
+                continue
+        heapq.heappush(heap, (queue.clock, evse_id))
+        queue.present()
+    return outcomes

@@ -99,6 +99,23 @@ class TestConfig:
         assert "'evse.EVSE-9.supply_capacity_kw'" in capsys.readouterr().err
         assert not (workdir / "o.jsonl").exists()
 
+    def test_sessions_on_a_port_the_site_lacks_rejected(self, workdir, capsys):
+        """A session file naming EVSE-9 on a 4-port site stops ``train`` and
+        ``run --baseline`` with the port named, and no traceback."""
+        sessions = workdir / "sessions.json"
+        assert run_cli("gen-data", "--config", workdir / "run.cfg", "--out", sessions) == 0
+        records = json.loads(sessions.read_text())
+        records[5]["evseID"] = "EVSE-9"
+        sessions.write_text(json.dumps(records))
+        capsys.readouterr()
+        for argv in (["train", "--out", workdir / "m.json"],
+                     ["run", "--baseline", "--out", workdir / "o.jsonl"]):
+            assert run_cli(*argv, "--config", workdir / "run.cfg", "--sessions", sessions) == 1
+            err = capsys.readouterr().err
+            assert "absent from site config: ['EVSE-9']" in err
+            assert "Traceback" not in err
+        assert not (workdir / "m.json").exists() and not (workdir / "o.jsonl").exists()
+
     @staticmethod
     def run_baseline(workdir, config):
         sessions = workdir / "sessions.json"

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+definition in the package is read in it.
 
 No linter is installed, so this parses each module with ``ast``.
-``__init__.py`` is skipped: its imports are the package's exports.
+``__init__.py`` is skipped by the import check: its imports are the
+package's exports, which the definition check counts as reads.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ramals"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,48 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each top-level function or class, and
+    ``module:Class.method`` of each method that is not a dunder, whose name
+    no module of ``sources`` reads as a name, as an attribute or in an
+    import; an ``__init__.py`` import is an export.  Names match across
+    modules and classes, by name alone."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((f"{module}:{node.name}.{item.name}", item.name)
+                               for item in node.body if isinstance(item, ast.FunctionDef)
+                               and not (item.name.startswith("__") and item.name.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(where for where, name in defined if name not in read)
+
+
+def test_definition_checker_flags_only_unread_names():
+    source = ("class Box:\n"
+              "    def __init__(self): pass\n"
+              "    def opened(self): pass\n"
+              "    def never(self): pass\n"
+              "    @property\n"
+              "    def size(self): return 1\n"
+              "def used(): return Box().opened, Box().size\n"
+              "def exported(): pass\n"
+              "def unread(): pass\n"
+              "print(used())\n")
+    assert unread_definitions({"__init__.py": "from .box import exported\n",
+                               "box.py": source}) == ["box.py:Box.never", "box.py:unread"]
+
+
+def test_package_reads_every_definition():
+    assert unread_definitions({path.name: path.read_text() for path in SOURCES}) == []

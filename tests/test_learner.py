@@ -21,8 +21,8 @@ from ramals import (
     LearnerError,
     SiteConfig,
     TrainConfig,
+    decision_table,
     generate_synthetic,
-    port_sessions,
     train,
 )
 from ramals.learner import (
@@ -676,9 +676,8 @@ class TestApplyUpdate:
         coordinator = Coordinator(random_params(4, 12))
         before = coordinator.flat.copy()
         coordinator.apply_update(np.zeros_like(before), 0.001)
-        agent = coordinator.sync_copy()
         assert np.array_equal(coordinator.flat, before)
-        assert np.array_equal(flatten(agent), before)
+        assert np.array_equal(flatten(coordinator.params), before)
         assert coordinator.step == 1
 
     def test_two_identical_deltas_descend(self):
@@ -694,7 +693,7 @@ class TestApplyUpdate:
     def test_agent_equals_coordinator_after_sync(self):
         coordinator = Coordinator(random_params(4, 14))
         coordinator.apply_update(np.full_like(coordinator.flat, 0.1), 0.001)
-        agent = coordinator.sync_copy()
+        agent = learner._views(coordinator.flat.copy(), 4)  # as an episode copies them
         for key in PARAM_KEYS:
             assert np.array_equal(agent[key], coordinator.params[key])
 
@@ -739,15 +738,13 @@ class TestFlatLayout:
             assert np.array_equal(coordinator.v, flatten(oracle.v))
         assert 0 < clipped < 24
 
-    def test_params_are_views_of_flat_and_sync_copy_is_not(self):
+    def test_params_are_views_of_flat(self):
         coordinator = Coordinator(random_params(4, 16))
         for _ in range(3):
             coordinator.apply_update(np.full_like(coordinator.flat, 0.2), 0.001)
-        agent = coordinator.sync_copy()
         assert np.array_equal(flatten(coordinator.params), coordinator.flat)
         for key in PARAM_KEYS:
             assert np.shares_memory(coordinator.params[key], coordinator.flat)
-            assert not np.shares_memory(agent[key], coordinator.flat)
 
 
 def small_scenario(seed=0, n_sessions=40, cv=0.7):
@@ -836,26 +833,23 @@ class TestZeroEnergyRule:
         batch = batch_of(sessions)
         built = []
 
-        def recording_port_sessions(batch):
-            built.append(port_sessions(batch))
+        def recording_table(batch, risk):
+            built.append(decision_table(batch, risk))
             return built[-1]
 
-        monkeypatch.setattr(mdp, "port_sessions", recording_port_sessions)
+        monkeypatch.setattr(mdp, "decision_table", recording_table)
         train(batch, site_for(batch), TrainConfig(episodes=1, hidden=4), risk_value=0.0)
         engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
-        assert len(built) == 2 and built[0] == built[1]
-        (port,) = built[0]
-        assert engine.ports == {"EVSE-1": port}
-        assert port.upsilons == (0.8, 0.5, 0.0, 0.9, 0.2, None)
-        table = learner._reward_table([port], len(sessions), risk=0.0)
-        assert table.shape == (2, 1, len(sessions))
-        for schedule_now in (0, 1):
-            rewards = table[1 - schedule_now, 0]  # action 0 schedules
-            for t in range(len(sessions)):
-                assert (rewards[t] != 0.0) == port.ordering_holds(t, schedule_now)
-        # the zero-energy session counts with ratio 0, as head and as next
-        assert port.ordering_holds(1, 1) and not port.ordering_holds(1, 0)
-        assert port.ordering_holds(2, 0) and not port.ordering_holds(2, 1)
+        assert len(built) == 2 and engine.table is built[1]
+        for trained, replayed in zip(*built):
+            assert np.array_equal(trained, replayed)
+        ordered, rewards = built[0]
+        # action 0 schedules: each ratio against the next one's, and each
+        # complement when queueing; the zero-energy session counts with ratio
+        # 0, as head and as next, and the last session's ordering is vacuous
+        assert ordered.tolist() == [[True, True, False, True, True],
+                                    [False, False, True, False, True]]
+        assert np.array_equal(rewards != 0.0, ordered)
 
 
 class TestSerialization:

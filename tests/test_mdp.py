@@ -1,5 +1,5 @@
 """Decision model: the policy's schedule pick, ordering ratio, ordering,
-reward, state and queue."""
+reward, state, allocations and queue."""
 
 from datetime import timedelta
 
@@ -13,10 +13,9 @@ from ramals import (
     EvseConfig,
     GeneratorConfig,
     MdpError,
+    decision_table,
+    energy_ratios,
     generate_synthetic,
-    ordering_holds,
-    port_sessions,
-    session_reward,
     state_matrix,
 )
 from ramals.learner import (
@@ -34,7 +33,7 @@ from ramals.mdp import (
 from ramals.scheduler import ScheduleEngine, _ForcedRule, _PolicyRule
 
 from helpers import T0, batch_of, make_av_session, make_session, site_for
-from oracles import rows, state_vector
+from oracles import ordering_holds, rows, session_reward, state_vector
 
 
 def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
@@ -105,13 +104,12 @@ class TestSchedulingIndicator:
                           make_session(requested=10.0, delivered=5.0, sid="b",
                                        start=T0 + timedelta(hours=2))])
         engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
-        (port,) = engine.ports.values()
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
             monkeypatch.setattr(learner, "policy_value_forward",
                                 lambda params, z_rows, carry, p=p_schedule:
                                 (np.full(len(z_rows), p), np.zeros(len(z_rows)), carry))
-            rule = _PolicyRule(tiny_model(), engine.queues, state_matrix(batch))
-            assert rule.decide(port, 0) == pick
+            rule = _PolicyRule(tiny_model(), batch, engine.queues, engine.table.ordered)
+            assert rule.decide(0, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),
@@ -124,39 +122,49 @@ class TestSchedulingIndicator:
         assert plain >= 0.5 and scaled >= 0.5
 
 
-def port_of(session):
-    """The decision inputs of a one-session port."""
-    (port,) = port_sessions(batch_of([session]))
-    return port
+def ratio_of(session):
+    """The ordering ratio of a one-session batch's session."""
+    return energy_ratios(batch_of([session]))[0]
 
 
 class TestOrderingRatio:
     def test_selects_energy_ratio(self):
-        assert port_of(make_session(requested=10.0, delivered=8.0)).upsilons[0] \
-            == pytest.approx(0.8)
+        assert ratio_of(make_session(requested=10.0, delivered=8.0)) == pytest.approx(0.8)
 
     def test_exact_request(self):
-        assert port_of(make_session(requested=10.0, delivered=10.0)).upsilons[0] == 1.0
+        assert ratio_of(make_session(requested=10.0, delivered=10.0)) == 1.0
 
     def test_zero_energy_counts_as_zero(self, caplog):
-        assert port_of(make_session(requested=0.0, delivered=0.0, sid="z")).upsilons[0] == 0.0
-        assert "'z': zero requested energy" in caplog.text
+        zero = make_session(requested=0.0, delivered=0.0, sid="z")
+        assert ratio_of(zero) == 0.0
+        decision_table(batch_of([zero]), 0.0)
+        assert [r.getMessage() for r in caplog.records if "'z'" in r.getMessage()] == \
+            ["session 'z': zero requested energy, demand-supply index forced to 0"]
+
+
+def head_ordering(*ratios):
+    """The decision table's ordering check of the first of one port's
+    sessions with these energy ratios, as (schedule, queue)."""
+    batch = batch_of([make_session(requested=10.0, delivered=10.0 * ratio, sid=f"s{i}",
+                                   start=T0 + timedelta(hours=i))
+                      for i, ratio in enumerate(ratios)])
+    return tuple(decision_table(batch, 0.0).ordered[:, 0].tolist())
 
 
 class TestOrderingHolds:
     def test_schedule_compares_ratios(self):
-        assert ordering_holds(0.8, 0.5, 1)
-        assert not ordering_holds(0.5, 0.8, 1)
-        assert ordering_holds(0.5, 0.5, 1)
+        assert head_ordering(0.8, 0.5)[0]
+        assert not head_ordering(0.5, 0.8)[0]
+        assert head_ordering(0.5, 0.5)[0]
 
     def test_queue_compares_complements(self):
-        assert ordering_holds(0.5, 0.8, 0)
-        assert not ordering_holds(0.8, 0.5, 0)
-        assert ordering_holds(0.5, 0.5, 0)
+        assert head_ordering(0.5, 0.8)[1]
+        assert not head_ordering(0.8, 0.5)[1]
+        assert head_ordering(0.5, 0.5)[1]
 
     def test_no_next_session_holds_for_either_action(self):
-        assert ordering_holds(0.1, None, 1)
-        assert ordering_holds(0.9, None, 0)
+        assert head_ordering(0.1) == (True, True)
+        assert head_ordering(0.9) == (True, True)
 
 
 def reward(zeta, rho, risk, eta_cur, eta_next):
@@ -235,94 +243,101 @@ class TestEvseState:
         assert state_matrix(batch_of([])).shape == (0, 6)
 
 
-def build_queue(sessions, switching=0.0, step=15.0):
-    """The queue of port EVSE-1, its clock's minute 0 at the first plug-in."""
-    batch = batch_of(sessions)
-    port = port_sessions(batch)[0]
-    plug_in = batch.plug_in.tolist()
-    arrivals = [float(t - plug_in[0]) for t in plug_in]
-    return EvseQueue(port, EvseConfig("EVSE-1", switching_minutes=switching), arrivals,
-                     step_minutes=step)
+class PortQueue:
+    """The queue of port EVSE-1 over a one-port batch, its clock's minute 0
+    at the first plug-in, and each session's rational allocation."""
 
+    def __init__(self, sessions):
+        batch = batch_of(sessions)
+        evse = EvseConfig("EVSE-1", switching_minutes=0.0)
+        arrivals = (batch.plug_in - batch.plug_in[0]).astype(float)
+        self.queue = EvseQueue(evse, batch.slices[0], batch.session_ids, arrivals.tolist(),
+                               (arrivals + batch.minutes_available).tolist(),
+                               step_minutes=15.0)
+        self.allocations = rational_allocation(batch, [evse])
 
-def schedule(queue):
-    """Start the presented head under the rational allocation."""
-    return queue.transition(1, rational_allocation(queue.port, queue.head(), queue.evse))
+    def schedule(self):
+        """Start the presented head under its rational allocation."""
+        return self.queue.transition(1, self.allocations[self.queue.head()])
 
 
 class TestEvseQueue:
     def test_schedule_empties_single_session_queue(self):
-        queue = build_queue([make_av_session()])
-        event = schedule(queue)
+        port = PortQueue([make_av_session()])
+        queue = port.queue
+        event = port.schedule()
         assert queue.present() is None
-        assert event.kind == "scheduled"
+        assert (event.index, event.clock_minutes, queue.clock) == (0, 0.0, 60.0)
         assert queue.head() is None and queue.voided == []
 
     def test_schedule_without_allocation_names_session(self):
-        queue = build_queue([make_av_session(sid="bare")])
+        queue = PortQueue([make_av_session(sid="bare")]).queue
         with pytest.raises(MdpError, match="'bare': scheduled without an allocation"):
             queue.transition(1)
-        assert queue.port.session_ids[queue.present()] == "bare"
+        assert queue.session_ids[queue.present()] == "bare"
         assert queue.clock == 0.0
 
     def test_queue_represents_same_head(self):
-        queue = build_queue([make_session(window_min=600)])
+        queue = PortQueue([make_session(window_min=600)]).queue
         head_before = queue.present()
         event = queue.transition(0)
-        assert event.kind == "queued"
+        assert (event.index, event.clock_minutes) == (head_before, 0.0)
         assert queue.present() == head_before == 0
         assert queue.clock == 15.0
 
     def test_av_realizes_requested_energy(self):
         session = make_av_session(energy=12.0, charge_min=30)
-        queue = build_queue([session])
-        event = schedule(queue)
-        assert event.allocation.energy_kwh == pytest.approx(12.0)
+        port = PortQueue([session])
+        event = port.schedule()
+        assert port.allocations[event.index].energy_kwh == pytest.approx(12.0)
+        assert port.queue.clock == 30.0
 
     def test_session_conservation_random_decisions(self):
         rng = np.random.default_rng(5)
         sessions = [make_av_session(energy=5.0, charge_min=20, sid=f"s{i}",
                                     start=T0) for i in range(10)]
-        queue = build_queue(sessions)
-        scheduled = 0
+        port = PortQueue(sessions)
+        queue = port.queue
+        scheduled = []
         while queue.present() is not None:
             if rng.integers(0, 2):
-                assert schedule(queue).kind == "scheduled"
-                scheduled += 1
+                scheduled.append(port.schedule().index)
             else:
-                assert queue.transition(0).kind == "queued"
-        assert all(e.kind == "voided" for e in queue.voided)
-        assert scheduled + len(queue.voided) == len(sessions)
+                assert queue.transition(0).index == queue.head()  # still the head
+        voided = [e.index for e in queue.voided]
+        assert sorted(scheduled + voided) == list(range(len(sessions)))
 
     def test_expired_window_voids(self):
         short = make_session(window_min=20, charge_min=20, plugged_min=20)
-        queue = build_queue([short])
+        queue = PortQueue([short]).queue
         queue.transition(0)  # +15
         queue.transition(0)  # +15 -> wait 30 > 20
         assert queue.present() is None
-        assert [(e.index, e.kind, e.wait_minutes) for e in queue.voided] == \
-            [(0, "voided", 30.0)]
+        assert [(e.index, e.clock_minutes, e.wait_minutes) for e in queue.voided] == \
+            [(0, 30.0, 30.0)]
 
     def test_empty_queue_transition_rejected(self):
-        queue = build_queue([make_av_session()])
-        event = schedule(queue)
+        port = PortQueue([make_av_session()])
+        port.schedule()
         with pytest.raises(MdpError, match="transition on an empty queue"):
-            queue.transition(1, event.allocation)
+            port.queue.transition(1, port.allocations[0])
 
     def test_present_moves_clock_to_arrival(self):
         late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
-        queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
-        schedule(queue)
+        port = PortQueue([make_av_session(charge_min=30, sid="early"), late])
+        queue = port.queue
+        port.schedule()
         assert queue.clock == 30.0
-        assert queue.port.session_ids[queue.present()] == "late"
+        assert queue.session_ids[queue.present()] == "late"
         assert queue.clock == 90.0
 
     def test_transition_rejects_head_not_presentable(self):
         late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
-        queue = build_queue([make_av_session(charge_min=30, sid="early"), late])
-        schedule(queue)
+        port = PortQueue([make_av_session(charge_min=30, sid="early"), late])
+        queue = port.queue
+        port.schedule()
         with pytest.raises(MdpError, match="'late' is not presentable at t=30.0"):
-            schedule(queue)
+            port.schedule()
         queue.present()
         queue.clock = 200.0
         with pytest.raises(MdpError, match="'late' is not presentable at t=200.0"):
@@ -331,13 +346,19 @@ class TestEvseQueue:
         assert queue.head() == 1 and queue.clock == 200.0
 
 
+def allocate(allocator, session, evse):
+    """The allocation of a one-session batch's session on port ``evse``."""
+    (allocation,) = allocator(batch_of([session]), [evse])
+    return allocation
+
+
 class TestAllocations:
     def test_rational_frees_port_early(self):
         # 10 kWh actually needed, requested window 240 min: port busy only for
         # the realized charging time plus switching
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
-        alloc = rational_allocation(port_of(s), 0, EvseConfig("e", switching_minutes=5.0))
+        alloc = allocate(rational_allocation, s, EvseConfig("e", switching_minutes=5.0))
         assert alloc.rate_kw == pytest.approx(10.0)
         assert alloc.energy_kwh == pytest.approx(10.0)
         assert alloc.occupy_minutes == pytest.approx(65.0)
@@ -345,13 +366,13 @@ class TestAllocations:
     def test_rational_respects_caps(self):
         s = make_session(requested=50.0, delivered=45.0, charge_min=45,
                          window_min=90, receiving_kw=30.0)
-        alloc = rational_allocation(port_of(s), 0, EvseConfig("e", supply_capacity_kw=50.0))
+        alloc = allocate(rational_allocation, s, EvseConfig("e", supply_capacity_kw=50.0))
         assert alloc.rate_kw <= 30.0
 
     def test_as_requested_blocks_whole_window(self):
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
-        alloc = as_requested_allocation(port_of(s), 0, EvseConfig("e"))
+        alloc = allocate(as_requested_allocation, s, EvseConfig("e"))
         assert alloc.occupy_minutes == pytest.approx(240.0)
         assert alloc.allocated_minutes == pytest.approx(240.0)
         assert alloc.energy_kwh == pytest.approx(10.0)

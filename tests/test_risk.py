@@ -36,8 +36,7 @@ from oracles import log_likelihood, ppf
 
 
 def make_fit(dof=5.0, location=0.0, scale=1.0):
-    return StudentTFit(dof=dof, location=location, scale=scale,
-                       log_likelihood_at_optimum=0.0)
+    return StudentTFit(dof=dof, location=location, scale=scale)
 
 
 class TestLaxitySamples:
@@ -239,7 +238,7 @@ class TestCvarClosedForm:
 
     def test_dof_at_most_one_rejected(self):
         with pytest.raises(RiskError):
-            StudentTFit(dof=1.0, location=0.0, scale=1.0, log_likelihood_at_optimum=0.0)
+            StudentTFit(dof=1.0, location=0.0, scale=1.0)
 
     def test_unknown_variant(self):
         with pytest.raises(RiskError):

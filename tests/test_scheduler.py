@@ -1,11 +1,13 @@
 """Execution engine, baseline, metrics and comparison tables."""
 
 import math
+import re
 from collections import defaultdict
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ramals import (
@@ -17,24 +19,26 @@ from ramals import (
     TrainConfig,
     compare_report,
     compute_metrics,
+    decision_table,
     estimate_risk,
     execute,
     fcfs_as_requested_baseline,
     generate_synthetic,
-    ordering_holds,
-    port_sessions,
-    session_reward,
     train,
 )
 import ramals.learner as learner
 from ramals.cli import main as cli_main
-from ramals.mdp import rational_allocation, state_matrix
+from ramals.learner import Coordinator, SharedModel, init_params
+from ramals.mdp import as_requested_allocation, rational_allocation, state_matrix
 from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
                               audit_outcomes, comparison_csv, outcomes_jsonl)
 
-from helpers import JSON_NUMBERS, JSON_TEXT, batch_of, make_session, site_for, spaced_av_batch
-from oracles import (PerDecisionRule, direct_loads, energy_ratio, outcomes_json_dumps,
-                     quadratic_feed_check, rate_ratio, rows, time_ratio)
+import oracles
+from helpers import (JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, site_for,
+                     spaced_av_batch)
+from oracles import (PerDecisionRule, direct_loads, energy_ratio, ordering_holds,
+                     outcomes_json_dumps, port_sessions, quadratic_feed_check, rate_ratio, rows,
+                     scalar_replay, session_reward, time_ratio)
 
 
 def outcome(sid="s1", evse="EVSE-1", scheduled=True, voided=False, energy=8.794,
@@ -165,19 +169,30 @@ class TestExecute:
         assert len(outcomes) == len(batch)
         assert 0.0 <= report.assignment_efficiency_pct <= 100.0
 
-    def test_allocates_once_per_started_session(self):
-        batch = spaced_av_batch(n=6, evses=("EVSE-1", "EVSE-2"))
-        site = site_for(batch)  # the feed never defers a start
+    def test_allocates_once_per_replay(self):
+        """One allocator call covers the batch, however often a tight feed
+        defers a start; each start realizes its session's allocation."""
+        batch = generate_synthetic(GeneratorConfig(n_sessions=40, n_evses=3,
+                                                   mean_gap_minutes=30), seed=7)
+        site = site_for(batch, dso_kw=20.0)
         calls = []
 
-        def counting_allocation(port, i, evse):
-            calls.append(port.session_ids[i])
-            return rational_allocation(port, i, evse)
+        def counting_allocation(batch, evses):
+            calls.append((len(batch), evses))
+            return rational_allocation(batch, evses)
 
         engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=counting_allocation)
-        started = [o.session_id for o in engine.run() if o.scheduled]
-        assert len(started) == len(batch)
-        assert sorted(calls) == sorted(started)
+        outcomes = engine.run()
+        assert calls == [(len(batch), list(site.evses))]
+        allocation_of = dict(zip(batch.session_ids, rational_allocation(batch, site.evses)))
+        started = [o for o in outcomes if o.scheduled]
+        assert 0 < len(started) < len(batch)
+        for o in started:
+            allocation = allocation_of[o.session_id]
+            assert (o.realized_energy_kwh, o.realized_rate_kw, o.realized_minutes,
+                    o.allocated_energy_kwh, o.allocated_minutes) == (
+                allocation.energy_kwh, allocation.rate_kw, allocation.charge_minutes,
+                allocation.allocated_energy_kwh, allocation.allocated_minutes)
 
     def test_one_policy_step_per_decision(self, monkeypatch):
         batch = generate_synthetic(
@@ -188,11 +203,12 @@ class TestExecute:
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=1, hidden=8),
                          risk_value=0.05)
         params = model.coordinator.params
-        session_of = {}  # each session's projection row -> (port, index)
+        session_of = {}  # each session's projection row -> (port, batch row)
         states = state_matrix(batch)
-        for port, rows in zip(port_sessions(batch), batch.slices):
-            rows = states[rows] @ params["wx"].T + params["b"]
-            session_of.update({row.tobytes(): (port.evse_id, i) for i, row in enumerate(rows)})
+        for p, rows in enumerate(batch.slices):
+            z = states[rows] @ params["wx"].T + params["b"]
+            session_of.update({row.tobytes(): (p, i)
+                               for i, row in zip(range(rows.start, rows.stop), z)})
         assert len(session_of) == len(batch)
         step, decide = learner.policy_value_forward, _PolicyRule.decide
         stack_sizes, stepped, decided = [], defaultdict(list), defaultdict(list)
@@ -200,13 +216,13 @@ class TestExecute:
         def counting_step(params, z_rows, carry):
             stack_sizes.append(len(z_rows))
             for row in z_rows:
-                evse_id, i = session_of[row.tobytes()]
-                stepped[evse_id].append(i)
+                p, i = session_of[row.tobytes()]
+                stepped[p].append(i)
             return step(params, z_rows, carry)
 
-        def counting_decide(rule, port, i):
-            decided[port.evse_id].append(i)
-            return decide(rule, port, i)
+        def counting_decide(rule, p, i):
+            decided[p].append(i)
+            return decide(rule, p, i)
 
         monkeypatch.setattr(learner, "policy_value_forward", counting_step)
         monkeypatch.setattr(_PolicyRule, "decide", counting_decide)
@@ -228,9 +244,9 @@ class TestExecute:
                          risk_value=0.05)
         states = state_matrix(batch)
         port_of = {}  # each session's projection row -> its port
-        for port, rows in zip(port_sessions(batch), batch.slices):
+        for evse_id, rows in zip(batch.evse_ids, batch.slices):
             rows = states[rows] @ model.coordinator.params["wx"].T + model.coordinator.params["b"]
-            port_of.update({row.tobytes(): port.evse_id for row in rows})
+            port_of.update({row.tobytes(): evse_id for row in rows})
         step, first_carries = learner.policy_value_forward, {}
 
         def recording_step(params, z_rows, carry):
@@ -255,9 +271,8 @@ class TestExecute:
         site = site_for(batch, dso_kw=60.0)
         assert len(site.evse_ids) == 5
         outcomes, _ = execute(model, batch, site)
-        oracle = ScheduleEngine(batch, site, _ForcedRule(), risk_value=model.risk_value)
-        oracle.rule = PerDecisionRule(model, oracle.ports.values(), state_matrix(batch))
-        assert outcomes == oracle.run()
+        rule = PerDecisionRule(model, port_sessions(batch), state_matrix(batch))
+        assert outcomes == scalar_replay(batch, site, rule, risk_value=model.risk_value)
         assert any(o.scheduled for o in outcomes) and any(not o.scheduled for o in outcomes)
 
     def test_decide_rejects_head_moved_after_its_step(self):
@@ -266,13 +281,15 @@ class TestExecute:
         model, _ = train(batch, site, TrainConfig(episodes=1, seed=1, hidden=4),
                          risk_value=0.0)
         engine = ScheduleEngine(batch, site, _ForcedRule())
-        rule = _PolicyRule(model, engine.queues, state_matrix(batch))
-        first, second = engine.ports.values()
-        rule.decide(first, 0)  # steps both ports, each at its first head
-        engine.queues[second.evse_id].position = 1
-        with pytest.raises(SchedulerError, match=f"{second.evse_id!r}: decision on session 1, "
-                                                 "but its policy step was taken for head 0"):
-            rule.decide(second, 1)
+        rule = _PolicyRule(model, batch, engine.queues, engine.table.ordered)
+        first, second = batch.slices
+        rule.decide(0, first.start)  # steps both ports, each at its first head
+        engine.queues[1].position = moved = second.start + 1
+        head, moved_id = batch.session_ids[second.start], batch.session_ids[moved]
+        with pytest.raises(SchedulerError, match=re.escape(
+                f"'EVSE-2': decision on session {moved_id!r}, but its policy step was "
+                f"taken for {head!r}")):
+            rule.decide(1, moved)
 
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW
@@ -540,9 +557,100 @@ def test_policy_run_matches_per_decision_oracle(n_sessions, n_evses, feed, gap, 
     model, _ = train(batch, site, TrainConfig(episodes=2, seed=seed, hidden=hidden),
                      risk_value=0.05)
     outcomes, _ = execute(model, batch, site)
-    oracle = ScheduleEngine(batch, site, _ForcedRule(), risk_value=model.risk_value)
-    oracle.rule = PerDecisionRule(model, oracle.ports.values(), state_matrix(batch))
-    assert outcomes == oracle.run()
+    rule = PerDecisionRule(model, port_sessions(batch), state_matrix(batch))
+    assert outcomes == scalar_replay(batch, site, rule, risk_value=model.risk_value)
+
+
+# Hand-built ports of 1-6 sessions whose energy ratios come from a few
+# values, so ordering ties are common, and whose requests are often zero,
+# signed zeros included.  With ``idle_port`` the first port requests nothing,
+# so its rate ratio is undefined; with ``exact_port`` the last port's
+# sessions get exactly what they asked for, so its rate ratio is exactly 1.
+_SESSION = st.tuples(st.sampled_from([0.0, -0.0, 5.0, 10.0, 20.0]),  # requested kWh
+                     st.sampled_from([0.0, 0.5, 0.8, 1.0, 1.25]),   # delivered share
+                     st.integers(0, 120), st.integers(1, 120),      # charge, idle minutes
+                     st.integers(1, 240), st.integers(0, 600),      # window, plug-in offset
+                     st.sampled_from([7.0, 50.0]))                  # receiving kW
+
+
+def _table_batch(ports, idle_port, exact_port):
+    sessions = []
+    for p, port in enumerate(ports):
+        for i, (requested, share, charge, idle, window, offset, receiving) in enumerate(port):
+            if idle_port and p == 0:
+                requested = 0.0
+            elif exact_port and p == len(ports) - 1:
+                requested, share, charge = requested or 10.0, 1.0, max(charge, 1)
+                window = charge
+            sessions.append(make_session(
+                requested=requested, delivered=share * (requested or 10.0),
+                charge_min=charge, plugged_min=charge + idle, window_min=window,
+                evse=f"EVSE-{p}", sid=f"p{p}s{i}", start=T0 + timedelta(minutes=offset),
+                receiving_kw=receiving))
+    return batch_of(sessions)
+
+
+def _bits(records):
+    """Named tuples as text that tells every float apart, signed zeros
+    included."""
+    return [repr(tuple(record)) for record in records]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ports=st.lists(st.lists(_SESSION, min_size=1, max_size=6), min_size=1, max_size=4),
+       idle_port=st.booleans(), exact_port=st.booleans(),
+       supplies=st.lists(st.sampled_from([7.0, 22.0, 50.0]), min_size=4, max_size=4),
+       switching=st.sampled_from([0.0, -0.0, 5.0]), feed=st.sampled_from([15.0, 40.0, 1000.0]),
+       risk=st.sampled_from([0.0, 0.0213, 0.5]), scale=st.sampled_from([1.0, 30.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(  # a one-session port with an undefined rate ratio, then a tie and a zero request
+    ports=[[(5.0, 0.5, 30, 10, 60, 0, 50.0)],
+           [(10.0, 0.5, 30, 10, 60, 0, 50.0), (20.0, 0.5, 20, 10, 60, 5, 7.0),
+            (0.0, 0.0, 0, 5, 30, 10, 7.0)]],
+    idle_port=True, exact_port=False, supplies=[22.0] * 4, switching=5.0, feed=15.0,
+    risk=0.0213, scale=30.0, seed=0)
+def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exact_port,
+                                                   supplies, switching, feed, risk, scale,
+                                                   seed):
+    """The decision table and the whole-batch allocations equal the scalar
+    reward and allocators at every session, and the engine that reads them
+    replays as the scalar oracle does, bit for bit, under both allocators,
+    the forced rule and the policy rule."""
+    batch = _table_batch(ports, idle_port, exact_port)
+    site = SiteConfig("test-site", feed, tuple(
+        EvseConfig(evse_id, supply_capacity_kw=supply, switching_minutes=switching)
+        for evse_id, supply in zip(batch.evse_ids, supplies)))
+    scalar_ports = port_sessions(batch)
+    sessions = [(port, i, site.evse(port.evse_id))
+                for port in scalar_ports for i in range(len(port.session_ids))]
+    caplog.clear()
+    table = decision_table(batch, risk)
+    for action, schedule_now in enumerate((1, 0)):  # action 0 schedules
+        want = [port.reward(i, schedule_now, risk) for port, i, _evse in sessions]
+        assert list(map(repr, table.reward[action].tolist())) == list(map(repr, want))
+    zero = [sid for sid, kwh in zip(batch.session_ids, batch.requested_kwh) if kwh <= 0]
+    assert sorted(r.args[0] for r in caplog.records
+                  if "zero requested energy" in r.getMessage()) == sorted(zero)
+
+    for allocator, scalar_allocator in ((rational_allocation, oracles.rational_allocation),
+                                        (as_requested_allocation,
+                                         oracles.as_requested_allocation)):
+        assert _bits(allocator(batch, site.evses)) == \
+            _bits(scalar_allocator(port, i, evse) for port, i, evse in sessions)
+        got = ScheduleEngine(batch, site, _ForcedRule(), allocator=allocator,
+                             risk_value=risk).run()
+        want = scalar_replay(batch, site, oracles.ForcedRule(), allocator=scalar_allocator,
+                             risk_value=risk)
+        assert _bits(got) == _bits(want)
+
+    params = init_params(4, np.random.default_rng(seed))
+    for key in params:
+        params[key] *= scale
+    model = SharedModel(risk_value=risk, coordinator=Coordinator(params))
+    got, _ = execute(model, batch, site)
+    rule = PerDecisionRule(model, scalar_ports, state_matrix(batch))
+    assert _bits(got) == _bits(scalar_replay(batch, site, rule, risk_value=risk))
 
 
 class TestCompare:
