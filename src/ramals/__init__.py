@@ -18,14 +18,13 @@ from .risk import (
     RiskEstimate,
     RiskError,
     StudentTFit,
-    cvar_closed_form,
     cvar_empirical,
     estimate_risk,
     fit_student_t,
     laxity_samples,
     normalize_risk,
+    paper_cvar,
     standardized_pdf,
-    student_t_pdf,
     upper_tail_cvar,
 )
 from .mdp import (

@@ -277,6 +277,11 @@ def cmd_compare(args) -> int:
         if "=" not in item:
             raise CliError("compare arguments must look like label=report.csv")
         label, path = item.split("=", 1)
+        # each label is a dict key and a CSV header field of the comparison
+        if (not label or "," in label or label in reports or label == "metric"
+                or label.startswith("delta_pct_")):
+            raise CliError(f"compare label {label!r} must be non-empty, hold no comma, "
+                           "repeat no other label and name no other column")
         try:
             reports[label] = scheduler.MetricsReport.from_csv(Path(path).read_text())
         except scheduler.SchedulerError as exc:

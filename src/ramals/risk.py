@@ -4,18 +4,15 @@ Laxity of one session is the absolute gap, in hours, between the time its
 requested energy would take at the port's aggregate requested rate and the
 time its delivered energy took at the aggregate delivery rate.  A student-t
 model is fitted over those samples by maximum likelihood; the significance
-cutoff comes from inverting the fitted CDF; the tail expectation (CVaR) is
-evaluated both in a closed form validated against an empirical tail mean and
-in the verbatim printed form kept for reference (singular at location 0).
-
-The density, CDF, quantile and tail-expectation code below is self-contained:
-the CDF is adaptive numeric integration of the standardized density and the
-quantile is a bisection on that CDF.  No t-distribution special functions are
-used outside the test suite, where an independent implementation serves as
-the oracle.
+cutoff is a bisection on scipy's student-t CDF (``scipy.special.stdtr``).
+The tail expectation (CVaR) has two closed forms, one function each:
+:func:`upper_tail_cvar`, validated against an empirical tail mean, drives
+decisions through ``cvar_normalized``; :func:`paper_cvar`, the verbatim
+printed form, is singular at location 0 and kept for reference.  The test
+suite checks the CDF against an independent quadrature of the density.
 
 scipy is imported where it is used: ``scipy.optimize`` inside
-:func:`fit_student_t` and ``scipy.integrate`` inside :func:`standardized_cdf`.
+:func:`fit_student_t` and ``scipy.special`` inside :func:`standardized_cdf`.
 Importing this module, and every command that does not fit a tail model,
 leaves scipy unloaded; the first fit in a process pays its import.
 """
@@ -34,7 +31,6 @@ log = logging.getLogger(__name__)
 
 DOF_BOUNDS = (1.001, 1e6)
 SCALE_BOUNDS = (1e-6, 1e6)
-CDF_ABS_TOL = 1e-10
 #: Sample standard deviation below which a sample set is treated as constant.
 DEGENERATE_STD = 1e-9
 #: Fewest samples a student-t fit takes, and fewest in an empirical tail.
@@ -79,6 +75,11 @@ class RiskEstimate:
             raise RiskError("normalized risk must lie in [0, 1)")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise RiskError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+
+
 def laxity_samples(batch: SessionBatch) -> np.ndarray:
     """One laxity observation per session, in hours and non-negative, with
     grouped rates computed per EVSE."""
@@ -99,21 +100,13 @@ def _log_norm(dof: float, scale: float) -> float:
             - 0.5 * math.log(math.pi * dof) - math.log(scale))
 
 
-def student_t_pdf(d, dof: float, location: float, scale: float):
-    """Location-scale student-t density."""
-    if dof <= 0:
-        raise RiskError("dof must be positive")
-    if scale <= 0:
-        raise RiskError("scale must be positive")
-    d = np.asarray(d, dtype=float)
-    z = (d - location) / scale
-    value = np.exp(_log_norm(dof, scale) - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
-    return float(value) if value.ndim == 0 else value
-
-
 def standardized_pdf(xi, dof: float):
     """Student-t density with location 0 and scale 1."""
-    return student_t_pdf(xi, dof, 0.0, 1.0)
+    if dof <= 0:
+        raise RiskError("dof must be positive")
+    xi = np.asarray(xi, dtype=float)
+    value = np.exp(_log_norm(dof, 1.0) - (dof + 1.0) / 2.0 * np.log1p(xi * xi / dof))
+    return float(value) if value.ndim == 0 else value
 
 
 def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> float:
@@ -170,23 +163,17 @@ def fit_student_t(samples) -> StudentTFit:
 
 
 def standardized_cdf(x: float, dof: float) -> float:
-    """CDF of the standardized density by adaptive quadrature from the median."""
+    """CDF of the standardized density."""
     if dof <= 0:
         raise RiskError("dof must be positive")
-    if x == 0.0:
-        return 0.5
-    from scipy import integrate
+    from scipy import special
 
-    lo, hi = (x, 0.0) if x < 0 else (0.0, x)
-    area, _ = integrate.quad(lambda t: standardized_pdf(t, dof), lo, hi,
-                             epsabs=CDF_ABS_TOL, epsrel=1e-10, limit=200)
-    return 0.5 - area if x < 0 else 0.5 + area
+    return float(special.stdtr(dof, x))
 
 
 def standardized_ppf(alpha: float, dof: float) -> float:
-    """Quantile of the standardized density by bisection on the numeric CDF."""
-    if not 0.0 < alpha < 1.0:
-        raise RiskError("alpha must lie strictly inside (0, 1)")
+    """Quantile of the standardized density by bisection on the CDF."""
+    _check_alpha(alpha)
     if alpha == 0.5:
         return 0.0
     lo, hi = -1.0, 1.0
@@ -212,52 +199,34 @@ def standardized_ppf(alpha: float, dof: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def cvar_closed_form(fit: StudentTFit, alpha: float, xi: float,
-                     variant: str = "standard") -> float:
-    """Closed-form tail risk at a standardized cutoff ``xi``.
-
-    variant "standard" treats ``alpha`` as the mass of the lower tail below
-    ``xi`` and returns the negated conditional mean of that tail,
-
-        scale * ((dof + xi^2) / (dof - 1)) * pdf(xi) / alpha - location,
-
-    which for a symmetric fit equals the mean of the upper ``alpha`` tail and
-    is validated against the empirical tail average.  variant "paper" is the
-    verbatim printed expression with scale and location inside the reciprocal;
-    it is singular at location 0 and kept for reference only.
-    """
-    if fit.dof <= 1.0:
-        raise RiskError("closed-form tail risk requires dof > 1")
-    if not 0.0 < alpha < 1.0:
-        raise RiskError("alpha must lie strictly inside (0, 1)")
-    density = standardized_pdf(xi, fit.dof)
-    if variant == "standard":
-        tail = (fit.dof + xi * xi) / (fit.dof - 1.0) * density / alpha
-        return fit.scale * tail - fit.location
-    if variant == "paper":
-        if fit.location == 0.0:
-            raise RiskError("printed closed form divides by location 0")
-        return -1.0 / (alpha * (1.0 - fit.dof) * (fit.dof + xi * xi)
-                       * density * fit.scale * fit.location)
-    raise RiskError(f"unknown variant {variant!r}")
-
-
 def upper_tail_cvar(fit: StudentTFit, alpha: float, xi_upper: float) -> float:
-    """Expected laxity beyond the alpha-quantile (mean of the worst 1-alpha mass).
+    """Expected laxity beyond the standardized alpha-quantile ``xi_upper``
+    (the mean of the worst 1-alpha mass): the form that drives decisions.
 
-    ``xi_upper`` is the standardized alpha-quantile,
-    ``standardized_ppf(alpha, fit.dof)``.  Maps the upper tail onto the
-    lower-tail closed form through the symmetry of the standardized density:
-    the upper cutoff at alpha mirrors the lower cutoff at 1-alpha.
+    By symmetry it is the negated mean of the lower 1-alpha tail below
+    ``-xi_upper``, ``scale * (dof + xi^2) / (dof - 1) * pdf(xi) / (1 - alpha)
+    - location``, plus ``2 * location``, summed in that order.
     """
-    negated_lower = cvar_closed_form(fit, 1.0 - alpha, -xi_upper, variant="standard")
-    return negated_lower + 2.0 * fit.location
+    _check_alpha(alpha)
+    tail = ((fit.dof + xi_upper * xi_upper) / (fit.dof - 1.0)
+            * standardized_pdf(xi_upper, fit.dof) / (1.0 - alpha))
+    return fit.scale * tail - fit.location + 2.0 * fit.location
+
+
+def paper_cvar(fit: StudentTFit, alpha: float, xi: float) -> float:
+    """The paper's printed closed form, verbatim, with scale and location
+    inside the reciprocal.  It is singular at location 0 and drives nothing:
+    it is reported beside :func:`upper_tail_cvar` for reference."""
+    _check_alpha(alpha)
+    if fit.location == 0.0:
+        raise RiskError("printed closed form divides by location 0")
+    return -1.0 / (alpha * (1.0 - fit.dof) * (fit.dof + xi * xi)
+                   * standardized_pdf(xi, fit.dof) * fit.scale * fit.location)
 
 
 def cvar_empirical(samples, alpha: float) -> float:
     """Mean of the worst (1 - alpha) fraction of the samples."""
-    if not 0.0 < alpha < 1.0:
-        raise RiskError("alpha must lie strictly inside (0, 1)")
+    _check_alpha(alpha)
     d = np.sort(np.asarray(samples, dtype=float))
     k = int(round(d.size * (1.0 - alpha)))
     if k < MIN_TAIL_SAMPLES:
@@ -295,6 +264,7 @@ def batch_reference_hours(batch: SessionBatch) -> float:
 
 def estimate_risk(batch: SessionBatch, alpha: float) -> RiskEstimate:
     """Full pipeline: laxity samples, fit, quantile, tail expectations."""
+    _check_alpha(alpha)
     d = laxity_samples(batch)
     reference = batch_reference_hours(batch)
     if float(np.std(d)) < DEGENERATE_STD:
@@ -317,7 +287,7 @@ def estimate_risk(batch: SessionBatch, alpha: float) -> RiskEstimate:
     var = fit.location + fit.scale * xi_upper
     cvar_std = upper_tail_cvar(fit, alpha, xi_upper)
     try:
-        cvar_paper = cvar_closed_form(fit, alpha, xi_upper, variant="paper")
+        cvar_paper = paper_cvar(fit, alpha, xi_upper)
     except RiskError:
         log.warning("printed closed form singular at location %.3g; reporting nan",
                     fit.location)

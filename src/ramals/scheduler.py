@@ -5,11 +5,12 @@ Each port owns an FCFS queue and waits on a heap keyed by its next decision
 time.  A port is presented when it is queued: presenting voids the sessions
 whose charging can no longer start inside their availability window and
 exposes the head, so every waiting port's next head is known.  When a port
-is popped, the decision rule either starts its head charging (blocking the
+is popped, the engine's rule either starts its head charging (blocking the
 port for the realized charging time plus switching overhead) or requeues the
-head for one time step.  Starting a session must not push the site's
-simultaneous delivery above the utility feed; a port that would breach it
-defers one step.  Decisions run in time order across ports: a port whose
+head for one time step.  The engine builds that rule itself: a model's
+argmax policy, or, with no model, a start for every presented head.
+Starting a session must not push the site's simultaneous delivery above the
+utility feed; a port that would breach it defers one step.  Decisions run in time order across ports: a port whose
 head arrives later than its turn waits for that arrival.  The rule's
 ordering check and each start's reward come from the batch's
 :func:`ramals.mdp.decision_table`, the table training reads, and each start's
@@ -191,34 +192,29 @@ class _PolicyRule:
         return 1 if self._ordered[action, i] else 0
 
 
-class _ForcedRule:
-    """Always schedules: the as-requested baseline's rule, and the rule when
-    no model is given."""
-
-    def decide(self, p: int, i: int) -> int:
-        return 1
-
-
 class ScheduleEngine:
-    """Replays one batch against one site under a decision rule.
+    """Replays one batch against one site under the argmax policy of
+    ``model``, or with no model starting every presented head.
 
-    The rule's ``decide(p, i)`` returns 1 to start batch row ``i``, the
-    presented head of port ``p``, and 0 to queue it.  The batch's decision
-    table and every session's allocation under ``allocator`` are built once,
-    when the engine is built: a start reads its allocation, for the feed
-    check, and its reward from them.
+    The policy rule reads the engine's queues and decision table, whose
+    rewards carry the model's risk value (0 with no model).  The table and
+    every session's allocation under ``allocator`` are built once, here: a
+    start reads its allocation, for the feed check, and its reward from
+    them.  Each deferral or queued head moves its port's clock on by
+    ``step_minutes``, so the step must be finite and positive.
     """
 
-    def __init__(self, batch: SessionBatch, site: SiteConfig, rule,
+    def __init__(self, batch: SessionBatch, site: SiteConfig,
+                 model: learner.SharedModel | None = None,
                  allocator=mdp.rational_allocation,
-                 step_minutes: float = mdp.DEFAULT_STEP_MINUTES,
-                 risk_value: float = 0.0):
+                 step_minutes: float = mdp.DEFAULT_STEP_MINUTES):
+        if not (math.isfinite(step_minutes) and step_minutes > 0):
+            raise SchedulerError(f"step_minutes must be finite and > 0, got {step_minutes!r}")
         evses = site.port_configs(batch)
         self.site = site
-        self.rule = rule
         self.step_minutes = step_minutes
         self.session_ids = batch.session_ids
-        self.table = mdp.decision_table(batch, risk_value)
+        self.table = mdp.decision_table(batch, 0.0 if model is None else model.risk_value)
         self.allocations = allocator(batch, evses)
         # the clock's minute 0 is the batch's first plug-in
         arrivals = (batch.plug_in - (batch.plug_in.min() if len(batch) else 0)).astype(float)
@@ -226,7 +222,8 @@ class ScheduleEngine:
         self.queues = [mdp.EvseQueue(evse, rows, batch.session_ids, arrivals, deadlines,
                                      step_minutes=step_minutes)
                        for evse, rows in zip(evses, batch.slices)]
-        self.outcomes: list[ScheduleOutcome] = []
+        self.rule = (None if model is None
+                     else _PolicyRule(model, batch, self.queues, self.table.ordered))
 
     def run(self) -> list[ScheduleOutcome]:
         # Min-heap of (next decision time, port); port order breaks ties,
@@ -238,7 +235,9 @@ class ScheduleEngine:
             if queue.head() is not None:
                 heapq.heappush(heap, (queue.clock, p))
                 queue.present()
-        decide, outcomes, session_ids = self.rule.decide, self.outcomes, self.session_ids
+        decide = None if self.rule is None else self.rule.decide
+        outcomes: list[ScheduleOutcome] = []
+        session_ids = self.session_ids
         allocations, rewards = self.allocations, self.table.reward[0].tolist()
         feed_kw = self.site.dso_capacity_kw + 1e-9
         active: list[tuple[float, float]] = []  # (end minute, kW) of each start
@@ -257,7 +256,7 @@ class ScheduleEngine:
             # When presenting moved the clock up to the head's arrival, the
             # port decides there, after every port whose decision comes earlier.
             if queue.clock <= when:
-                if decide(p, i) == 1:
+                if decide is None or decide(p, i) == 1:
                     allocation = allocations[i]
                     # Decisions run in time order, so an interval that has
                     # ended by now has ended for every later decision too.
@@ -282,7 +281,7 @@ class ScheduleEngine:
                     continue
             heapq.heappush(heap, (queue.clock, p))
             queue.present()
-        return self.outcomes
+        return outcomes
 
 
 def _columns(outcomes: list) -> ScheduleOutcome:
@@ -326,23 +325,17 @@ def execute(model: learner.SharedModel | None, batch: SessionBatch, site: SiteCo
     With no model every presented session is started under the rational
     allocator (the always-schedule rule).
     """
-    engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=mdp.rational_allocation,
-                            step_minutes=step_minutes,
-                            risk_value=0.0 if model is None else model.risk_value)
-    if model is not None:  # the policy rule reads the queues and table the engine built
-        engine.rule = _PolicyRule(model, batch, engine.queues, engine.table.ordered)
-    outcomes = engine.run()
-    audit_outcomes(outcomes, batch, site)
-    return outcomes, compute_metrics(outcomes, site)
+    return _replay(batch, site, model, mdp.rational_allocation, step_minutes)
 
 
 def fcfs_as_requested_baseline(batch: SessionBatch, site: SiteConfig,
                                step_minutes: float = mdp.DEFAULT_STEP_MINUTES):
     """Replay the requested allocations verbatim (the deployed-system baseline)."""
-    engine = ScheduleEngine(batch, site, _ForcedRule(),
-                            allocator=mdp.as_requested_allocation,
-                            step_minutes=step_minutes, risk_value=0.0)
-    outcomes = engine.run()
+    return _replay(batch, site, None, mdp.as_requested_allocation, step_minutes)
+
+
+def _replay(batch: SessionBatch, site: SiteConfig, model, allocator, step_minutes: float):
+    outcomes = ScheduleEngine(batch, site, model, allocator, step_minutes).run()
     audit_outcomes(outcomes, batch, site)
     return outcomes, compute_metrics(outcomes, site)
 

@@ -11,7 +11,9 @@ state, the rate and ratio formulas and the session parser, one session and
 one start at a time for the ordering check, the reward, the allocators and
 the replay they drive (:func:`scalar_replay`), ``strptime`` over
 four formats for timestamps, ``json.dumps`` over record dicts for the session
-file and the outcome lines, and the risk API that only tests used.
+file and the outcome lines, the risk API that only tests used, and the
+location-scale density, the quadrature CDF, its quantile bisection and the
+mirrored lower-tail CVaR the risk fit once used.
 
 :class:`ChargingSession` is the oracle parser's row, with the per-record
 checks the package once made in its constructor.  The package keeps no row
@@ -350,9 +352,74 @@ def log_likelihood(samples, dof: float, location: float, scale: float) -> float:
 
 
 def ppf(fit, alpha: float) -> float:
-    """Quantile of the fitted distribution by bisection on the numeric CDF."""
+    """Quantile of the fitted distribution, from the package's standardized one."""
     xi = standardized_ppf(alpha, fit.dof)
     return fit.location + fit.scale * xi
+
+
+def student_t_pdf(d, dof: float, location: float, scale: float):
+    """Location-scale student-t density, the package's former one."""
+    if dof <= 0:
+        raise RiskError("dof must be positive")
+    if scale <= 0:
+        raise RiskError("scale must be positive")
+    d = np.asarray(d, dtype=float)
+    z = (d - location) / scale
+    log_norm = (math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)
+                - 0.5 * math.log(math.pi * dof) - math.log(scale))
+    value = np.exp(log_norm - (dof + 1.0) / 2.0 * np.log1p(z * z / dof))
+    return float(value) if value.ndim == 0 else value
+
+
+def quadrature_cdf(x: float, dof: float) -> float:
+    """CDF of the standardized density by adaptive quadrature from the median,
+    independent of scipy's special functions."""
+    if x == 0.0:
+        return 0.5
+    from scipy import integrate
+
+    lo, hi = (x, 0.0) if x < 0 else (0.0, x)
+    area, _ = integrate.quad(lambda t: student_t_pdf(t, dof, 0.0, 1.0), lo, hi,
+                             epsabs=1e-10, epsrel=1e-10, limit=200)
+    return 0.5 - area if x < 0 else 0.5 + area
+
+
+def bisection_ppf(alpha: float, dof: float) -> float:
+    """The package's quantile bisection, stopping rule included, run on
+    :func:`quadrature_cdf`."""
+    if alpha == 0.5:
+        return 0.0
+    lo, hi = -1.0, 1.0
+    while quadrature_cdf(lo, dof) > alpha:
+        lo *= 2.0
+    while quadrature_cdf(hi, dof) < alpha:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        c = quadrature_cdf(mid, dof)
+        if abs(c - alpha) <= 1e-9:
+            return mid
+        if c < alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def lower_tail_cvar(fit, alpha: float, xi: float) -> float:
+    """Negated mean of the lower ``alpha`` tail below the standardized cutoff
+    ``xi``: the package's former ``cvar_closed_form(..., variant="standard")``."""
+    density = student_t_pdf(xi, fit.dof, 0.0, 1.0)
+    tail = (fit.dof + xi * xi) / (fit.dof - 1.0) * density / alpha
+    return fit.scale * tail - fit.location
+
+
+def mirrored_upper_tail_cvar(fit, alpha: float, xi_upper: float) -> float:
+    """The upper tail beyond ``xi_upper`` through the lower tail it mirrors,
+    as the package once computed it."""
+    return lower_tail_cvar(fit, 1.0 - alpha, -xi_upper) + 2.0 * fit.location
 
 
 def _sigmoid(x):

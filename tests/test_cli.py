@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ramals import learner
+from ramals import learner, scheduler
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
 from ramals.learner import SharedModel
 from ramals.sessions import SessionBatch
@@ -136,6 +136,29 @@ class TestConfig:
                        "--out", workdir / "o.jsonl") == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-15", "nan", "inf"])
+    def test_step_that_is_not_finite_and_positive_rejected(self, workdir, capsys, monkeypatch,
+                                                           value):
+        """Each deferral and queued head moves a clock on by the step, so a
+        step of 0 or less never ends a replay: ``run`` and ``run --baseline``
+        refuse it by name before replaying, and write nothing."""
+        cfg, sessions, model = workdir / "run.cfg", workdir / "sessions.json", workdir / "m.json"
+        assert run_cli("gen-data", "--config", cfg, "--out", sessions) == 0
+        assert run_cli("train", "--config", cfg, "--sessions", sessions, "--risk-off",
+                       "--out", model) == 0
+        bad = workdir / "bad.cfg"
+        bad.write_text(f"{CONFIG}step_minutes = {value}\n")
+        monkeypatch.setattr(scheduler.ScheduleEngine, "run",
+                            lambda engine: pytest.fail("replayed with a bad step"))
+        capsys.readouterr()
+        for rule in (["--model", model], ["--baseline"]):
+            assert run_cli("run", *rule, "--config", bad, "--sessions", sessions,
+                           "--out", workdir / "o.jsonl", "--report", workdir / "o.csv") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: step_minutes must be finite and > 0, got ")
+            assert "Traceback" not in err
+        assert not (workdir / "o.jsonl").exists() and not (workdir / "o.csv").exists()
+
     def test_stage_seeds_distinct_and_stable(self):
         assert stage_seed(7, "gen") == stage_seed(7, "gen")
         assert stage_seed(7, "gen") != stage_seed(7, "train")
@@ -212,6 +235,22 @@ class TestPipeline:
                     "cvar_normalized"):
             assert key in payload
         assert 0.0 <= payload["cvar_normalized"] < 1.0
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_fit_risk_rejects_alpha_on_constant_laxity(self, workdir, capsys, alpha):
+        """A batch of AVs has constant laxity, which needs no quantile; the
+        level is still checked, by value, and no risk file is written."""
+        cfg, sessions, out = workdir / "av.cfg", workdir / "av.json", workdir / "risk.json"
+        cfg.write_text("cv_fraction = 0\n")
+        assert run_cli("gen-data", "--config", cfg, "--out", sessions) == 0
+        capsys.readouterr()
+        assert run_cli("fit-risk", "--config", cfg, "--sessions", sessions,
+                       "--alpha", alpha, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: alpha must lie strictly inside (0, 1), "
+                              f"got {float(alpha)!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_fit_risk_missing_file(self, workdir, capsys):
         code = run_cli("fit-risk", "--config", workdir / "run.cfg",
@@ -322,6 +361,25 @@ class TestPipeline:
         bad.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
         assert run_cli("compare", f"base={report}", f"bad={bad}") == 1
         assert f"error: report {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels, bad", [
+        (["a", "a"], "a"), (["a,b", "c"], "a,b"), (["", "b"], ""), (["a", ""], ""),
+        (["metric", "b"], "metric"), (["b", "delta_pct_b"], "delta_pct_b")])
+    def test_compare_rejects_labels_that_are_not_distinct_columns(self, workdir, capsys,
+                                                                   labels, bad):
+        """Each label is a dict key and a CSV header field: one that repeats,
+        holds a comma, is empty or names another column is refused by name."""
+        sessions, report = self.generate(workdir), workdir / "base.csv"
+        assert run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--baseline", "--out", workdir / "base.jsonl", "--report", report) == 0
+        capsys.readouterr()
+        table = workdir / "table.csv"
+        assert run_cli("compare", *(f"{label}={report}" for label in labels),
+                       "--out", table) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: compare label {bad!r} must be ")
+        assert "Traceback" not in err
+        assert not table.exists()
 
     def test_resume_continues_counter(self, workdir):
         sessions = self.generate(workdir)

@@ -41,7 +41,7 @@ from ramals.learner import (
     policy_value_forward,
     total_loss,
 )
-from ramals.scheduler import ScheduleEngine, _ForcedRule, execute, outcomes_jsonl
+from ramals.scheduler import ScheduleEngine, execute, outcomes_jsonl
 
 import oracles
 from helpers import T0, batch_of, make_session, site_for
@@ -839,7 +839,7 @@ class TestZeroEnergyRule:
 
         monkeypatch.setattr(mdp, "decision_table", recording_table)
         train(batch, site_for(batch), TrainConfig(episodes=1, hidden=4), risk_value=0.0)
-        engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
+        engine = ScheduleEngine(batch, site_for(batch))
         assert len(built) == 2 and engine.table is built[1]
         for trained, replayed in zip(*built):
             assert np.array_equal(trained, replayed)

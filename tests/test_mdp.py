@@ -30,7 +30,7 @@ from ramals.mdp import (
     as_requested_allocation,
     rational_allocation,
 )
-from ramals.scheduler import ScheduleEngine, _ForcedRule, _PolicyRule
+from ramals.scheduler import ScheduleEngine
 
 from helpers import T0, batch_of, make_av_session, make_session, site_for
 from oracles import ordering_holds, rows, session_reward, state_vector
@@ -103,13 +103,12 @@ class TestSchedulingIndicator:
         batch = batch_of([make_session(requested=10.0, delivered=8.0, sid="a"),
                           make_session(requested=10.0, delivered=5.0, sid="b",
                                        start=T0 + timedelta(hours=2))])
-        engine = ScheduleEngine(batch, site_for(batch), _ForcedRule())
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
             monkeypatch.setattr(learner, "policy_value_forward",
                                 lambda params, z_rows, carry, p=p_schedule:
                                 (np.full(len(z_rows), p), np.zeros(len(z_rows)), carry))
-            rule = _PolicyRule(tiny_model(), batch, engine.queues, engine.table.ordered)
-            assert rule.decide(0, 0) == pick
+            engine = ScheduleEngine(batch, site_for(batch), tiny_model())
+            assert engine.rule.decide(0, 0) == pick
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),

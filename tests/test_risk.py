@@ -1,8 +1,10 @@
 """Tail-risk pipeline: density, likelihood, fit, quantile and CVaR oracles.
 
-The independent oracle throughout is scipy.stats.t (incomplete-beta based),
-plus Monte-Carlo tail averages and direct enumeration; the implementation
-itself never touches scipy's t distribution.
+The package's CDF is scipy's ``special.stdtr``, the routine behind
+``scipy.stats.t.cdf``, so the CDF and the quantile are checked against the
+independent adaptive quadrature of the density in ``oracles``.  The density
+and the tail expectations are checked against scipy.stats.t, Monte-Carlo
+tail averages and direct enumeration.
 """
 
 import math
@@ -17,22 +19,23 @@ from ramals import (
     GeneratorConfig,
     RiskError,
     StudentTFit,
-    cvar_closed_form,
     cvar_empirical,
     estimate_risk,
     fit_student_t,
     generate_synthetic,
     laxity_samples,
     normalize_risk,
+    paper_cvar,
     standardized_pdf,
-    student_t_pdf,
     upper_tail_cvar,
 )
 import ramals.risk as risk_module
-from ramals.risk import _sum_log_pdf, standardized_cdf, standardized_ppf
+from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _sum_log_pdf, standardized_cdf,
+                         standardized_ppf)
 
 from helpers import batch_of, make_session
-from oracles import log_likelihood, ppf
+from oracles import (bisection_ppf, log_likelihood, mirrored_upper_tail_cvar, ppf,
+                     quadrature_cdf, student_t_pdf)
 
 
 def make_fit(dof=5.0, location=0.0, scale=1.0):
@@ -64,23 +67,22 @@ class TestLaxitySamples:
 
 
 class TestStudentTPdf:
+    """The standardized density; location and scale enter as (x - loc) / scale."""
+
     def test_cauchy_special_case(self):
-        assert student_t_pdf(0.0, 1.0, 0.0, 1.0) == pytest.approx(1.0 / math.pi)
         assert standardized_pdf(0.0, 1.0) == pytest.approx(1.0 / math.pi)
 
     def test_normal_limit(self):
         normal_peak = 1.0 / math.sqrt(2.0 * math.pi)
-        assert student_t_pdf(0.0, 1e6, 0.0, 1.0) == pytest.approx(normal_peak, abs=1e-3)
+        assert standardized_pdf(0.0, 1e6) == pytest.approx(normal_peak, abs=1e-3)
 
     def test_mode_at_location(self):
         xs = np.linspace(-3, 3, 61)
-        values = student_t_pdf(xs + 2.0, 4.0, 2.0, 1.5)
-        assert np.argmax(values) == np.argmin(np.abs(xs))
+        assert np.argmax(standardized_pdf(xs, 4.0)) == np.argmin(np.abs(xs))
 
     def test_integrates_to_one(self):
         from scipy import integrate
-        total, _ = integrate.quad(lambda x: student_t_pdf(x, 3.0, 1.0, 2.0),
-                                  -np.inf, np.inf)
+        total, _ = integrate.quad(lambda x: standardized_pdf(x, 3.0), -np.inf, np.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_scipy_oracle(self):
@@ -90,18 +92,22 @@ class TestStudentTPdf:
             loc = rng.uniform(-5, 5)
             scale = rng.uniform(0.1, 4)
             x = rng.uniform(-10, 10)
-            assert student_t_pdf(x, dof, loc, scale) == pytest.approx(
+            assert standardized_pdf((x - loc) / scale, dof) / scale == pytest.approx(
                 stats.t.pdf(x, dof, loc, scale), rel=1e-10)
 
     def test_standardized_symmetry_and_equivalence(self):
-        assert standardized_pdf(1.7, 6.0) == pytest.approx(standardized_pdf(-1.7, 6.0))
-        assert standardized_pdf(1.7, 6.0) == student_t_pdf(1.7, 6.0, 0.0, 1.0)
+        """Symmetric, and equal bit for bit to the former location-scale
+        density at location 0 and scale 1, which the CVaR oracles read."""
+        assert standardized_pdf(1.7, 6.0) == standardized_pdf(-1.7, 6.0)
+        xs = np.linspace(-30.0, 30.0, 121)
+        for dof in (1.001, 2.5, 6.0, 1e6):
+            assert np.array_equal(standardized_pdf(xs, dof), student_t_pdf(xs, dof, 0.0, 1.0))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(RiskError):
-            student_t_pdf(0.0, -1.0, 0.0, 1.0)
+            standardized_pdf(0.0, -1.0)
         with pytest.raises(RiskError):
-            student_t_pdf(0.0, 2.0, 0.0, 0.0)
+            standardized_cdf(0.0, 0.0)
 
 
 class TestLogLikelihood:
@@ -205,44 +211,63 @@ class TestPpf:
                 assert ppf(make_fit(dof=dof), alpha) == pytest.approx(
                     float(stats.t.ppf(alpha, dof)), abs=1e-6)
 
+    def test_cdf_matches_quadrature_oracle(self):
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 161), [-1e-9, 0.0, 1e-9, 1e3]])
+        for dof in (1.001, 1.5, 2.0, 3.7, 5.0, 12.0, 50.0, 100.0, 1e3):
+            for x in xs:
+                assert abs(standardized_cdf(x, dof) - quadrature_cdf(x, dof)) <= 1e-12
+        # Above dof 1e3 the oracle's normaliser, a difference of two lgamma
+        # values near dof/2 * log(dof/2), loses digits (2.7e-10 of absolute
+        # CDF error at dof 1e6); it scales the area from the median, so
+        # compare that area relatively there.
+        for dof in (1e4, 1e5, 1e6):
+            for x in xs[xs != 0.0]:
+                assert standardized_cdf(x, dof) - 0.5 == pytest.approx(
+                    quadrature_cdf(x, dof) - 0.5, rel=1e-9)
+
+    def test_ppf_matches_oracle_bisection_bit_for_bit(self):
+        """The bisection and its 1e-9 stopping rule are unchanged, so the
+        cutoff is the quadrature bisection's to the last bit wherever the
+        two CDFs agree to well inside that rule."""
+        for dof in (1.001, 1.5, 2.0, 3.7, 5.0, 12.0, 50.0, 100.0, 1e3, 1e4, 1e5):
+            for alpha in (0.05, 0.5, 0.8, 0.9, 0.95, 0.99):
+                assert standardized_ppf(alpha, dof) == bisection_ppf(alpha, dof), (alpha, dof)
+        # At the fit's dof bound the oracle's CDF is off by up to 2.7e-10
+        # (above), which moves its cutoff by up to 3.2e-8 relative.
+        for alpha in (0.05, 0.5, 0.8, 0.9, 0.95, 0.99):
+            assert standardized_ppf(alpha, 1e6) == pytest.approx(
+                bisection_ppf(alpha, 1e6), rel=5e-8, abs=0.0)
+
 
 class TestCvarClosedForm:
     def test_standard_matches_monte_carlo(self):
-        """Lower-tail cutoff at alpha=0.05 equals the upper 5% tail mean."""
+        """The upper 5% tail mean of a standard t5."""
         rng = np.random.default_rng(42)
         samples = rng.standard_t(5.0, size=10**6)
-        fit = make_fit(dof=5.0)
-        closed = cvar_closed_form(fit, 0.05, -2.0150, variant="standard")
+        closed = upper_tail_cvar(make_fit(dof=5.0), 0.95, 2.0150)
         empirical = cvar_empirical(samples, 0.95)
         assert closed == pytest.approx(empirical, rel=0.02)
 
     def test_paper_variant_singular_at_zero_location(self):
         with pytest.raises(RiskError, match="location 0"):
-            cvar_closed_form(make_fit(location=0.0), 0.05, -2.0, variant="paper")
+            paper_cvar(make_fit(location=0.0), 0.95, 2.0)
 
     def test_paper_variant_verbatim_value(self):
         fit = make_fit(dof=5.0, location=2.0, scale=0.5)
         xi = 2.0150
         expected = -1.0 / (0.95 * (1.0 - 5.0) * (5.0 + xi * xi)
                            * standardized_pdf(xi, 5.0) * 0.5 * 2.0)
-        assert cvar_closed_form(fit, 0.95, xi, variant="paper") \
-            == pytest.approx(expected, rel=1e-12)
+        assert paper_cvar(fit, 0.95, xi) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_scales_tail_term(self):
-        alpha, xi = 0.05, -2.0150
-        base = cvar_closed_form(make_fit(scale=1.0, location=0.3), alpha, xi,
-                                variant="standard")
-        scaled = cvar_closed_form(make_fit(scale=3.0, location=0.3), alpha, xi,
-                                  variant="standard")
-        assert scaled + 0.3 == pytest.approx(3.0 * (base + 0.3), rel=1e-12)
+        alpha, xi = 0.95, 2.0150
+        base = upper_tail_cvar(make_fit(scale=1.0, location=0.3), alpha, xi)
+        scaled = upper_tail_cvar(make_fit(scale=3.0, location=0.3), alpha, xi)
+        assert scaled - 0.3 == pytest.approx(3.0 * (base - 0.3), rel=1e-12)
 
     def test_dof_at_most_one_rejected(self):
         with pytest.raises(RiskError):
             StudentTFit(dof=1.0, location=0.0, scale=1.0)
-
-    def test_unknown_variant(self):
-        with pytest.raises(RiskError):
-            cvar_closed_form(make_fit(), 0.05, -2.0, variant="other")
 
     def test_upper_tail_cvar_location_scale_oracle(self):
         """Against the analytic location-scale tail mean built on scipy."""
@@ -254,6 +279,27 @@ class TestCvarClosedForm:
             fit = make_fit(dof=dof, location=loc, scale=scale)
             got = upper_tail_cvar(fit, alpha, standardized_ppf(alpha, dof))
             assert got == pytest.approx(oracle, rel=1e-6)
+
+    def test_upper_tail_cvar_is_the_mirrored_lower_tail_bit_for_bit(self):
+        """The upper-tail form equals the lower-tail closed form at 1 - alpha
+        and -xi, plus twice the location, to the last bit."""
+        rng = np.random.default_rng(5)
+        fits = [make_fit(dof=DOF_BOUNDS[1], location=3.25, scale=SCALE_BOUNDS[0])]
+        fits += [make_fit(dof=float(np.exp(rng.uniform(0.001, 12.0))) + 1.0,
+                          location=float(rng.uniform(-5.0, 5.0)),
+                          scale=float(np.exp(rng.uniform(-5.0, 3.0)))) for _ in range(60)]
+        for fit in fits:
+            for alpha in (0.05, 0.5, 0.8, 0.9, 0.95, 0.99):
+                for xi in (standardized_ppf(alpha, fit.dof), float(rng.uniform(-8.0, 8.0))):
+                    got = upper_tail_cvar(fit, alpha, xi)
+                    assert repr(got) == repr(mirrored_upper_tail_cvar(fit, alpha, xi))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -3.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        for form in (upper_tail_cvar, paper_cvar):
+            with pytest.raises(RiskError, match=rf"alpha must lie strictly inside \(0, 1\), "
+                                                rf"got {alpha!r}"):
+                form(make_fit(location=1.0), alpha, 1.0)
 
 
 class TestCvarEmpirical:
@@ -336,6 +382,18 @@ class TestEstimateRisk:
         estimate = estimate_risk(batch, 0.9)
         assert cutoffs == [estimate.cutoff]
         assert estimate.cvar_standard == upper_tail_cvar(estimate.fit, 0.9, estimate.cutoff)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -3.0, math.nan])
+    @pytest.mark.parametrize("cv_fraction", [0.0, 0.7])  # constant laxity, then a fit
+    def test_alpha_outside_unit_interval_rejected(self, monkeypatch, alpha, cv_fraction):
+        """Checked on entry, so constant laxity, which needs no quantile, is
+        refused too, and nothing is fitted first."""
+        batch = generate_synthetic(GeneratorConfig(n_sessions=200, cv_fraction=cv_fraction),
+                                   seed=4)
+        monkeypatch.setattr(risk_module, "fit_student_t", None)
+        with pytest.raises(RiskError, match=rf"alpha must lie strictly inside \(0, 1\), "
+                                            rf"got {alpha!r}"):
+            estimate_risk(batch, alpha)
 
     def test_var_below_empirical_tail_mean(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=600, cv_fraction=0.8),

@@ -30,8 +30,8 @@ import ramals.learner as learner
 from ramals.cli import main as cli_main
 from ramals.learner import Coordinator, SharedModel, init_params
 from ramals.mdp import as_requested_allocation, rational_allocation, state_matrix
-from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _ForcedRule, _PolicyRule,
-                              audit_outcomes, comparison_csv, outcomes_jsonl)
+from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _PolicyRule, audit_outcomes,
+                              comparison_csv, outcomes_jsonl)
 
 import oracles
 from helpers import (JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, site_for,
@@ -181,7 +181,7 @@ class TestExecute:
             calls.append((len(batch), evses))
             return rational_allocation(batch, evses)
 
-        engine = ScheduleEngine(batch, site, _ForcedRule(), allocator=counting_allocation)
+        engine = ScheduleEngine(batch, site, allocator=counting_allocation)
         outcomes = engine.run()
         assert calls == [(len(batch), list(site.evses))]
         allocation_of = dict(zip(batch.session_ids, rational_allocation(batch, site.evses)))
@@ -280,8 +280,8 @@ class TestExecute:
         site = site_for(batch)
         model, _ = train(batch, site, TrainConfig(episodes=1, seed=1, hidden=4),
                          risk_value=0.0)
-        engine = ScheduleEngine(batch, site, _ForcedRule())
-        rule = _PolicyRule(model, batch, engine.queues, engine.table.ordered)
+        engine = ScheduleEngine(batch, site, model)
+        rule = engine.rule
         first, second = batch.slices
         rule.decide(0, first.start)  # steps both ports, each at its first head
         engine.queues[1].position = moved = second.start + 1
@@ -616,7 +616,8 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
     """The decision table and the whole-batch allocations equal the scalar
     reward and allocators at every session, and the engine that reads them
     replays as the scalar oracle does, bit for bit, under both allocators,
-    the forced rule and the policy rule."""
+    with no model, where every head starts at risk 0, and under a model's
+    policy rule."""
     batch = _table_batch(ports, idle_port, exact_port)
     site = SiteConfig("test-site", feed, tuple(
         EvseConfig(evse_id, supply_capacity_kw=supply, switching_minutes=switching)
@@ -638,10 +639,9 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
                                          oracles.as_requested_allocation)):
         assert _bits(allocator(batch, site.evses)) == \
             _bits(scalar_allocator(port, i, evse) for port, i, evse in sessions)
-        got = ScheduleEngine(batch, site, _ForcedRule(), allocator=allocator,
-                             risk_value=risk).run()
+        got = ScheduleEngine(batch, site, None, allocator).run()  # no model: risk 0
         want = scalar_replay(batch, site, oracles.ForcedRule(), allocator=scalar_allocator,
-                             risk_value=risk)
+                             risk_value=0.0)
         assert _bits(got) == _bits(want)
 
     params = init_params(4, np.random.default_rng(seed))
