@@ -7,20 +7,20 @@ the same inputs reproduces every output byte for byte.
 
 Recognized keys (defaults in parentheses):
 
-  site_id (site)                dso_capacity_kw (150)
-  evse_count (4)                supply_capacity_kw (50)
-  switching_minutes (5)         evse_prefix (EVSE)
-  n_sessions (200)              cv_fraction (0.7)
-  mean_gap_minutes (60)         start (2026-01-05T06:00)
-  energy_kwh_min (4)            energy_kwh_max (40)
-  rate_kw_min (3)               rate_kw_max (45)
-  energy_inflation_min (1)      energy_inflation_max (2)
-  time_inflation_min (1)        time_inflation_max (3)
-  receiving_capacity_kw (50)    alpha (0.95)
-  episodes (2000)               learning_rate (0.001)
-  gamma (0.9)                   beta (0.05)
-  hidden (64)                   clip_threshold (40)
-  step_minutes (15)             seed (0)
+  dso_capacity_kw (150)         evse_count (4)
+  supply_capacity_kw (50)       switching_minutes (5)
+  evse_prefix (EVSE)            n_sessions (200)
+  cv_fraction (0.7)             mean_gap_minutes (60)
+  start (2026-01-05T06:00)      energy_kwh_min (4)
+  energy_kwh_max (40)           rate_kw_min (3)
+  rate_kw_max (45)              energy_inflation_min (1)
+  energy_inflation_max (2)      time_inflation_min (1)
+  time_inflation_max (3)        receiving_capacity_kw (50)
+  alpha (0.95)                  episodes (2000)
+  learning_rate (0.001)         gamma (0.9)
+  beta (0.05)                   hidden (64)
+  clip_threshold (40)           step_minutes (15)
+  seed (0)
 
 Per-EVSE overrides: ``evse.<id>.supply_capacity_kw`` and
 ``evse.<id>.switching_minutes``, each a number, for a port the site has
@@ -52,7 +52,6 @@ log = logging.getLogger(__name__)
 _STAGE_KEYS = {"gen": 0, "train": 1}
 
 DEFAULTS = {
-    "site_id": "site",
     "dso_capacity_kw": 150.0,
     "evse_count": 4,
     "supply_capacity_kw": 50.0,
@@ -141,9 +140,7 @@ def site_from_config(cfg: dict) -> sessions.SiteConfig:
         raise CliError(f"key {next(iter(overrides))!r} overrides a port the site does not "
                        f"have; its ports are {cfg['evse_prefix']}-1 to "
                        f"{cfg['evse_prefix']}-{int(cfg['evse_count'])}")
-    return sessions.SiteConfig(site_id=cfg["site_id"],
-                               dso_capacity_kw=cfg["dso_capacity_kw"],
-                               evses=tuple(evses))
+    return sessions.SiteConfig(dso_capacity_kw=cfg["dso_capacity_kw"], evses=tuple(evses))
 
 
 def generator_from_config(cfg: dict) -> sessions.GeneratorConfig:

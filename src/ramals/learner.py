@@ -16,12 +16,14 @@ zero carry, so a model is its parameters alone.  All forward and backward
 math is explicit numpy so the gradients can be checked against central
 finite differences.
 
-The batched passes keep their arrays time-major, (T, P, ·), in an
-:class:`EpisodeBuffers`: each step of the forward and the reverse time loop
-reads and writes contiguous (P, ·) rows in place, through row views built
-once with the buffers, and a training run allocates one set and reuses it
-for every episode, as Adam reuses two scratch vectors.
-:class:`EpisodeForward` shows the forward arrays as (P, T, ·) views.  The
+A training pass is an :class:`EpisodeBuffers`: :func:`forward_episode`
+writes its recurrent states, gates, probabilities and values there, and
+:func:`backward` and :func:`episode_losses` read them from there, so no
+caller can pair one pass's outputs with another pass's recurrent state.  The
+recurrent arrays are time-major, (T, P, ·): each step of the forward and the
+reverse time loop reads and writes contiguous (P, ·) rows in place, through
+row views built once with the buffers, and a training run allocates one set
+and reuses it for every episode, as Adam reuses two scratch vectors.  The
 layout changes no arithmetic: every product and elementwise operation is the
 one a port-major pass over fresh arrays makes, in the same order, so models
 and logs come out the same bit for bit.
@@ -134,10 +136,12 @@ def _cell_rows(wh_t: np.ndarray, z: np.ndarray, gates: tuple, h_prev: np.ndarray
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
-    # the array methods skip np.max's and np.sum's Python-level dispatch,
-    # which costs more than the reduction on a decision step's few logits
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # in place; the array methods skip np.max's and np.sum's Python-level
+    # dispatch, which costs more than the reduction on a decision step's logits
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
@@ -160,43 +164,33 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
     return p_schedule, value, (h, c)
 
 
-@dataclass
-class EpisodeForward:
-    """Cached forward pass over a padded batch of P port sequences of T steps;
-    steps past a port's length are computed but never read, so port p's last
-    carry is ``(hiddens[p, n_p], cells[p, n_p])``.  ``hiddens``, ``cells``
-    and ``gates`` are transposed views of the time-major arrays of an
-    :class:`EpisodeBuffers`."""
-
-    probs: np.ndarray        # (P, T, 2)
-    values: np.ndarray       # (P, T)
-    hiddens: np.ndarray      # (P, T + 1, H); step 0 is the zero start carry
-    cells: np.ndarray        # (P, T + 1, H)
-    gates: np.ndarray        # (P, T, 4H) activated [i, f, g, o]
-
-
 class EpisodeBuffers:
-    """Time-major arrays for the episodes of one training run, of P ports, T
-    steps and hidden width H: each step of a recurrent loop reads and writes
-    contiguous (P, ·) rows, and no episode allocates them anew.
+    """One training pass over P ports of T steps at hidden width H, in arrays
+    a training run allocates once and every episode overwrites.
 
-    - forward pass: ``hiddens`` and ``cells`` (T + 1, P, H), whose step 0 is
-      the zero start carry, ``gates`` (T, P, 4H) and the cell's scratch
-    - backward pass: ``dz`` (T, P, 4H), ``dh_heads`` and ``tanh_c``
-      (T, P, H), and ``grads``, one flat gradient row per port
+    - forward pass, written by :func:`forward_episode`: ``hiddens`` and
+      ``cells`` (T + 1, P, H), whose step 0 is the zero start carry,
+      ``gates`` (T, P, 4H), activated ``[i, f, g, o]``, and the heads'
+      ``probs`` (P, T, 2) and ``values`` (P, T), port-major as an
+      :class:`EpisodeBatch` is; steps past a port's length are computed but
+      never read, so port p's last carry is ``(hiddens[n_p, p], cells[n_p, p])``
+    - backward pass, written by :func:`backward`: ``dz`` (T, P, 4H),
+      ``dh_heads`` and ``tanh_c`` (T, P, H), and ``grads``, one flat
+      gradient row per port
 
     Each step's row views are built here once: ``cell_steps`` holds the
     arguments of each forward step's :func:`_cell_rows` after ``wh.T``, and
     ``reverse_steps`` the rows of each backward step, last step first, so
     neither time loop makes a view.  Each pass writes every entry before it
-    reads it, the zero start carry included, so a set can serve episode
-    after episode.
+    reads it, the zero start carry included.
     """
 
     def __init__(self, n_ports: int, n_steps: int, hidden: int):
         self.hiddens = np.zeros((n_steps + 1, n_ports, hidden))
         self.cells = np.zeros_like(self.hiddens)
         self.gates = np.empty((n_steps, n_ports, 4 * hidden))
+        self.probs = np.empty((n_ports, n_steps, 2))
+        self.values = np.empty((n_ports, n_steps))
         self.dz = np.empty_like(self.gates)
         self.dh_heads = np.empty((n_steps, n_ports, hidden))
         self.tanh_c = np.empty_like(self.dh_heads)
@@ -210,33 +204,31 @@ class EpisodeBuffers:
                                self.gates, self.hiddens[:-1], self.cells[:-1],
                                self.hiddens[1:], self.cells[1:])]
         # dh, dc (in tanh_c), dc broadcast over the i, f, g rows, those rows
-        # and the o row of dz, and the whole dz row
+        # and the o row of dz, the whole dz row and the step's forget gates
         local = self.dz.reshape(n_steps, n_ports, 4, hidden)
         self.reverse_steps = list(zip(self.dh_heads, self.tanh_c, self.tanh_c[:, :, None],
-                                      local[:, :, :3], local[:, :, 3], self.dz))[::-1]
+                                      local[:, :, :3], local[:, :, 3], self.dz,
+                                      self.gates[:, :, hidden:2 * hidden]))[::-1]
+
+    def check(self, n_ports: int, n_steps: int, hidden: int) -> None:
+        """Refuse a pass of another shape than these buffers hold."""
+        steps, ports, width = self.gates.shape
+        if (steps, ports, width) != (n_steps, n_ports, 4 * hidden):
+            raise LearnerError(f"episode buffers fit {ports} ports of {steps} steps at hidden "
+                               f"width {width // 4}, not {n_ports} of {n_steps} at {hidden}")
 
 
-def forward_episode(params: dict, states: np.ndarray,
-                    buffers: EpisodeBuffers | None = None) -> EpisodeForward:
-    """Run every port of an episode from a zero carry as one batch.  ``states``
-    is (P, T, 6), zero-padded past each port's length; the padding steps do
-    not reach a port's earlier steps.
-
-    The pass writes its hidden states, cells and gates into ``buffers``, or
-    into new ones for this call, and its result views them: the next pass
-    over the same buffers overwrites it.  The time loop steps the cell on
-    contiguous (P, ·) rows of the time-major arrays, in place, through the
-    row views the buffers hold.
+def forward_episode(params: dict, states: np.ndarray, buffers: EpisodeBuffers) -> None:
+    """Run every port of an episode from a zero carry as one batch, into
+    ``buffers``.  ``states`` is (P, T, 6), zero-padded past each port's
+    length; the padding steps do not reach a port's earlier steps.  The time
+    loop steps the cell on contiguous (P, ·) rows of the time-major arrays,
+    in place, through the row views the buffers hold.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[2] != STATE_DIM:
         raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
-    n_ports, n_steps, _ = states.shape
-    hidden = hidden_size(params)
-    if buffers is None:
-        buffers = EpisodeBuffers(n_ports, n_steps, hidden)
-    elif buffers.gates.shape != (n_steps, n_ports, 4 * hidden):
-        raise LearnerError("episode buffers do not match the states and hidden width")
+    buffers.check(states.shape[0], states.shape[1], hidden_size(params))
     hiddens, cells, gates = buffers.hiddens, buffers.cells, buffers.gates
     hiddens[0] = cells[0] = 0.0
     np.matmul(states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
@@ -245,12 +237,10 @@ def forward_episode(params: dict, states: np.ndarray,
     for step in buffers.cell_steps:
         _cell_rows(wh_t, *step)
     outputs = hiddens[1:].transpose(1, 0, 2)
-    probs = _softmax2(outputs @ params["wp"].T + params["bp"])
-    values = outputs @ params["wv"][0] + params["bv"][0]
+    probs = _softmax2(np.add(outputs @ params["wp"].T, params["bp"], out=buffers.probs))
+    values = np.add(outputs @ params["wv"][0], params["bv"][0], out=buffers.values)
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
         raise LearnerError("non-finite output in episode forward pass")
-    return EpisodeForward(probs, values, hiddens.transpose(1, 0, 2),
-                          cells.transpose(1, 0, 2), gates.transpose(1, 0, 2))
 
 
 def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, lengths: np.ndarray,
@@ -273,11 +263,6 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * np.log(safe), axis=-1)
 
 
-def total_loss(value: float, policy: float, entropy_mean: float, beta: float) -> float:
-    """Overall self-learning loss: value + policy - beta * entropy."""
-    return value + policy - beta * entropy_mean
-
-
 @dataclass
 class EpisodeBatch:
     """Everything the backward pass needs for one episode of P ports, padded
@@ -291,14 +276,15 @@ class EpisodeBatch:
     beta: float
 
 
-def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
-    """(value, policy, entropy, total) loss of each port, in port order; each
-    is a mean over that port's own steps.  The elementwise terms are computed
-    once over the padded (P, T) steps; each port's means read its own row."""
-    taken = np.take_along_axis(forward.probs, batch.actions[..., None], axis=-1)[..., 0]
-    squares = (batch.q_targets - forward.values) ** 2
+def episode_losses(batch: EpisodeBatch, buffers: EpisodeBuffers) -> list[tuple]:
+    """(value, policy, entropy) loss of each port for the pass in
+    ``buffers``, in port order; each is a mean over that port's own steps.
+    The elementwise terms are computed once over the padded (P, T) steps;
+    each port's means read its own row."""
+    taken = np.take_along_axis(buffers.probs, batch.actions[..., None], axis=-1)[..., 0]
+    squares = (batch.q_targets - buffers.values) ** 2
     weighted = batch.advantages * np.log(np.maximum(taken, LOG_PROB_FLOOR))
-    entropies = _entropy_rows(forward.probs)
+    entropies = _entropy_rows(buffers.probs)
     clamped = taken < LOG_PROB_FLOOR
     losses = []
     for p, n in enumerate(batch.lengths.tolist()):
@@ -307,32 +293,29 @@ def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
             log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
         p_loss = float(-np.mean(weighted[p, :n]))
         entropy_mean = float(np.mean(entropies[p, :n]))
-        losses.append((v_loss, p_loss, entropy_mean,
-                       total_loss(v_loss, p_loss, entropy_mean, batch.beta)))
+        losses.append((v_loss, p_loss, entropy_mean))
     return losses
 
 
-def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
-             buffers: EpisodeBuffers | None = None) -> np.ndarray:
-    """Exact reverse-mode gradient of each port's total loss: one flat row per
-    port, in port order, laid out by :func:`param_shapes`.
+def backward(params: dict, batch: EpisodeBatch, buffers: EpisodeBuffers) -> np.ndarray:
+    """Exact reverse-mode gradient of each port's total loss, value + policy
+    - beta * entropy, through the pass in ``buffers``: one flat row per port,
+    in port order, laid out by :func:`param_shapes`.
 
     The time loop runs backwards over contiguous (P, ·) rows of the
-    time-major arrays in ``buffers``, or in new ones for this call; it reads
-    the forward pass and leaves it unchanged.  Padding steps get zero loss
-    gradients, so nothing flows back from them, and each port's terms keep
-    its own 1/T_p.  Weight gradients are one batched product per episode,
-    over (P, T, ·) views of the time-major ``dz``, written into the rows of
-    ``buffers.grads``, which are returned: the next pass over the same
-    buffers overwrites them.
+    time-major arrays; it reads the forward pass and leaves it unchanged.
+    Padding steps get zero loss gradients, so nothing flows back from them,
+    and each port's terms keep its own 1/T_p.  Weight gradients are one
+    batched product per episode, over (P, T, ·) views of the time-major
+    ``dz``, written into the rows of ``buffers.grads``, which are returned:
+    the next pass over the same buffers overwrites them.
     """
     n_ports, n_steps = batch.actions.shape
     hidden = hidden_size(params)
-    if buffers is None:
-        buffers = EpisodeBuffers(n_ports, n_steps, hidden)
+    buffers.check(n_ports, n_steps, hidden)
     mask = np.arange(n_steps) < batch.lengths[:, None]
     inv_n = 1.0 / batch.lengths[:, None]
-    probs = forward.probs
+    probs = buffers.probs
     one_hot = np.eye(2)[batch.actions]
     # policy term: -mean(adv * log pi_taken); clamped probabilities have
     # zero slope, matching the loss definition
@@ -345,11 +328,10 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
         * (safe_log + _entropy_rows(probs)[..., None])
     d_logits *= mask[..., None]
     # value term: 0.5 * mean((q - v)^2)
-    d_value = (forward.values - batch.q_targets) * inv_n * mask
+    d_value = (buffers.values - batch.q_targets) * inv_n * mask
 
-    cells = forward.cells.transpose(1, 0, 2)  # time-major views
-    gates = forward.gates.transpose(1, 0, 2).reshape(n_steps, n_ports, 4, hidden)
-    gi, gf, gc, go = (gates[:, :, k] for k in range(4))
+    gates = buffers.gates.reshape(n_steps, n_ports, 4, hidden)
+    gi, _, gc, go = (gates[:, :, k] for k in range(4))
     # dh_heads = d_logits @ wp + d_value * wv, the product staged in tanh_c
     dh_heads, tanh_c = buffers.dh_heads, buffers.tanh_c
     np.matmul(d_logits, params["wp"], out=dh_heads.transpose(1, 0, 2))
@@ -362,8 +344,8 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
     local *= gates
     slope_g = np.multiply(gc, gc, out=local[:, :, 2])
     np.subtract(1.0, slope_g, out=slope_g)
-    np.tanh(cells[1:], out=tanh_c)
-    for k, partner in enumerate((gc, cells[:-1], gi, tanh_c)):
+    np.tanh(buffers.cells[1:], out=tanh_c)
+    for k, partner in enumerate((gc, buffers.cells[:-1], gi, tanh_c)):
         local[:, :, k] *= partner
     dh_to_dc = tanh_c  # go * (1 - tanh(c)^2), over tanh(c)
     dh_to_dc *= tanh_c
@@ -371,10 +353,8 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
     dh_to_dc *= go
     dh_next, dc_next = np.zeros((2, n_ports, hidden))
     wh = params["wh"]
-    # turns local into dz step by step, over the buffers' row views and the
-    # forward pass's own forget-gate rows
-    for (dh, dc, dc_ifg, local_ifg, local_o, dz_row), forget in zip(buffers.reverse_steps,
-                                                                   gf[::-1]):
+    # turns local into dz step by step, over the buffers' row views
+    for dh, dc, dc_ifg, local_ifg, local_o, dz_row, forget in buffers.reverse_steps:
         dh += dh_next
         dc *= dh
         dc += dc_next
@@ -388,9 +368,9 @@ def backward(params: dict, forward: EpisodeForward, batch: EpisodeBatch,
     # (T, P, H) buffers: BLAS may round a product over a strided operand
     # differently at small widths
     inputs = dh_heads.reshape(n_ports, n_steps, hidden)
-    inputs[...] = forward.hiddens[:, :-1]
+    inputs[...] = buffers.hiddens[:-1].transpose(1, 0, 2)
     outputs = tanh_c.reshape(n_ports, n_steps, hidden)
-    outputs[...] = forward.hiddens[:, 1:]
+    outputs[...] = buffers.hiddens[1:].transpose(1, 0, 2)
     grads = buffers.grad_views
     np.matmul(dz, batch.states, out=grads["wx"])
     np.matmul(dz, inputs, out=grads["wh"])
@@ -504,12 +484,12 @@ class SharedModel:
       :func:`param_shapes`
 
     Each vector is the base64 text of its little-endian float64 bytes, so a
-    file round-trips bit for bit.  ``load`` requires each vector to decode to
-    exactly the :func:`param_shapes` size at the file's ``hidden`` of finite
-    numbers, naming the vector that does not, and rejects a ``risk_value``
-    outside [0, 1), as ``train`` does.  A file of any other format,
-    ``ramals-model-v1`` to ``-v4`` included, is rejected with its format
-    named.
+    file round-trips bit for bit.  ``load`` requires ``hidden`` to be an
+    integer > 0 and each vector to decode to exactly the :func:`param_shapes`
+    size at that width of finite numbers, naming the vector that does not,
+    and rejects a ``risk_value`` outside [0, 1), as ``train`` does.  A file
+    of any other format, ``ramals-model-v1`` to ``-v4`` included, is
+    rejected with its format named.
     """
 
     risk_value: float
@@ -551,14 +531,15 @@ class SharedModel:
                            "coordinator", "adam_m", "adam_v"):
             if field_name not in payload:
                 raise LearnerError(f"corrupt model file: missing field {field_name!r}")
-        hidden = payload["hidden"]
-        if not isinstance(hidden, int) or hidden <= 0:
-            raise LearnerError(f"corrupt model file: bad hidden width {hidden!r}")
-        coordinator = Coordinator({key: np.zeros(shape)
-                                   for key, shape in param_shapes(hidden).items()})
-        for name, vector in (("coordinator", coordinator.flat), ("adam_m", coordinator.m),
-                             ("adam_v", coordinator.v)):
-            vector[...] = _vector(payload[name], vector.size, name, hidden)
+        hidden = _number(payload, "hidden", int)
+        if hidden <= 0:
+            raise LearnerError(f"corrupt model file: field 'hidden' must be > 0, got {hidden}")
+        # every vector's size is checked before anything of that size is made
+        size = sum(math.prod(shape) for shape in param_shapes(hidden).values())
+        flat, m, v = (_vector(payload[name], size, name, hidden)
+                      for name in ("coordinator", "adam_m", "adam_v"))
+        coordinator = Coordinator(_views(flat, hidden))
+        coordinator.m, coordinator.v = m, v
         coordinator.step = _number(payload, "step", int)
         risk_value = _number(payload, "risk_value")
         if not 0.0 <= risk_value < 1.0:  # as train requires
@@ -608,8 +589,7 @@ def _vector(text, size: int, name: str, hidden: int) -> np.ndarray:
     return values.astype(float)
 
 
-def train(batch: SessionBatch, site_config: SiteConfig | None,
-          config: TrainConfig, risk_value: float,
+def train(batch: SessionBatch, site_config: SiteConfig, config: TrainConfig, risk_value: float,
           initial_model: SharedModel | None = None):
     """Run the multi-agent training loop; returns (SharedModel, [EpisodeLog]).
 
@@ -628,8 +608,7 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     """
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
-    if site_config is not None:
-        site_config.port_configs(batch)  # refuses a port the site lacks
+    site_config.port_configs(batch)  # refuses a port the site lacks
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
 
@@ -656,18 +635,18 @@ def train(batch: SessionBatch, site_config: SiteConfig | None,
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         flat[...] = coordinator.flat
-        forward = forward_episode(params, states, buffers)
-        actions[inside] = rng.random(lengths.sum()) >= forward.probs[inside, 0]  # 0 = schedule
+        forward_episode(params, states, buffers)
+        actions[inside] = rng.random(lengths.sum()) >= buffers.probs[inside, 0]  # 0 = schedule
         rewards = np.where(actions == 0, rewards_by_action[0], rewards_by_action[1])
-        q_targets, advantages = bootstrap_targets(rewards, forward.values, lengths, config.gamma)
+        q_targets, advantages = bootstrap_targets(rewards, buffers.values, lengths, config.gamma)
         ep_reward = 0.0
         for port_rewards, n in zip(rewards, lengths.tolist()):
             ep_reward += float(np.sum(port_rewards[:n]))  # unpadded: the same pairwise sum
         ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
-        for grads in backward(params, forward, ep_batch, buffers):
+        for grads in backward(params, ep_batch, buffers):
             coordinator.apply_update(clipped_delta(grads, config.clip_threshold),
                                      config.learning_rate)
-        v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))
+        v_losses, p_losses, entropies = zip(*episode_losses(ep_batch, buffers))
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 

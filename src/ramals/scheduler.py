@@ -63,7 +63,6 @@ class ScheduleOutcome(NamedTuple):
 class MetricsReport:
     """Site-level evaluation summary."""
 
-    site_id: str
     charging_rate_kw: float
     assignment_efficiency_pct: float
     sessions_served: int
@@ -95,7 +94,7 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, site_id: str = "") -> "MetricsReport":
+    def from_csv(cls, text: str) -> "MetricsReport":
         site: dict[str, float] = {}
         hours: dict[str, float] = {}
         energy: dict[str, float] = {}
@@ -126,8 +125,7 @@ class MetricsReport:
         served, total = site["sessions_served"], site.get("sessions_total", 0.0)
         if not (math.isfinite(served) and math.isfinite(total)):
             raise SchedulerError("sessions_served and sessions_total must be finite")
-        return cls(site_id=site_id,
-                   charging_rate_kw=site["charging_rate_kw"],
+        return cls(charging_rate_kw=site["charging_rate_kw"],
                    assignment_efficiency_pct=site["assignment_efficiency_pct"],
                    sessions_served=int(served),
                    sessions_total=int(total),
@@ -306,7 +304,6 @@ def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
     rate = total_energy / total_minutes * 60.0 if total_minutes > 0 else 0.0
     efficiency = 100.0 * len(minutes) / len(outcomes) if outcomes else 0.0
     return MetricsReport(
-        site_id=site.site_id,
         charging_rate_kw=rate,
         assignment_efficiency_pct=efficiency,
         sessions_served=len(minutes),
@@ -386,9 +383,6 @@ def compare_report(reports: dict[str, MetricsReport]) -> list[dict]:
     if not reports:
         raise SchedulerError("compare needs at least one report")
     labels = list(reports)
-    site_ids = {r.site_id for r in reports.values() if r.site_id}
-    if len(site_ids) > 1:
-        raise SchedulerError(f"mismatched site configs in comparison: {sorted(site_ids)}")
     base_label = labels[0]
     base = reports[base_label].scalar_metrics()
     rows = []

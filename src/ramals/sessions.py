@@ -80,7 +80,6 @@ class EvseConfig:
 class SiteConfig:
     """A site: one utility feed shared by several ports."""
 
-    site_id: str
     dso_capacity_kw: float
     evses: tuple[EvseConfig, ...]
 

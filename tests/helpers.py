@@ -58,7 +58,7 @@ def spaced_av_batch(n=12, energy=20.0, charge_min=30, gap_min=10, evses=("EVSE-1
 
 
 def site_for(batch, dso_kw=1000.0, switching_minutes=0.0, supply_kw=50.0):
-    return SiteConfig("test-site", dso_kw,
+    return SiteConfig(dso_kw,
                       tuple(EvseConfig(e, supply_capacity_kw=supply_kw,
                                        switching_minutes=switching_minutes)
                             for e in batch.evse_ids))

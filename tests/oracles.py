@@ -4,7 +4,9 @@ Each is the straightforward code the package used before it was vectorised
 or made cheaper: one port and one step at a time for the learner, one
 single-row cell step per decision for the policy rule, the padded (P, T)
 batched pass and whole-vector Adam that allocate their arrays on every call,
-one parameter tensor at a time for Adam and the gradient norm, one port at a
+the package's own pass into new buffers on every call (:func:`forward_pass`),
+the total loss that the finite-difference gradient checks differentiate, one
+parameter tensor at a time for Adam and the gradient norm, one port at a
 time for each training episode's draws, rewards, targets and losses, every
 pair of intervals for the feed-capacity audit, one session at a time for the
 state, the rate and ratio formulas and the session parser, one session and
@@ -40,8 +42,8 @@ import ramals.learner as learner
 import ramals.mdp as mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
                             PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBatch, EpisodeBuffers,
-                            EpisodeForward, EpisodeLog, LearnerError, SharedModel,
-                            _entropy_rows, hidden_size, init_params, total_loss)
+                            EpisodeLog, LearnerError, SharedModel, _entropy_rows, hidden_size,
+                            init_params)
 from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH, Allocation
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import ScheduleOutcome, SchedulerError
@@ -589,7 +591,40 @@ def _allocating_cell_rows(wh, z, h_prev, c_prev):
     return c, go * np.tanh(c)
 
 
-def padded_forward_episode(params, states):
+def forward_pass(params, states) -> EpisodeBuffers:
+    """The package's forward pass over ``states``, in new buffers of their
+    shape: the pass that allocates its arrays on every call."""
+    states = np.asarray(states, dtype=float)
+    buffers = EpisodeBuffers(states.shape[0], states.shape[1], hidden_size(params))
+    learner.forward_episode(params, states, buffers)
+    return buffers
+
+
+@dataclass
+class PaddedForward:
+    """A forward pass over P ports of T steps as port-major arrays; steps
+    past a port's length are computed but never read."""
+
+    probs: np.ndarray        # (P, T, 2)
+    values: np.ndarray       # (P, T)
+    hiddens: np.ndarray      # (P, T + 1, H); step 0 is the zero start carry
+    cells: np.ndarray        # (P, T + 1, H)
+    gates: np.ndarray        # (P, T, 4H) activated [i, f, g, o]
+
+    @classmethod
+    def of(cls, buffers: EpisodeBuffers) -> "PaddedForward":
+        """The pass in ``buffers``, its time-major arrays as (P, ·) views."""
+        return cls(buffers.probs, buffers.values, *(array.transpose(1, 0, 2) for array in (
+            buffers.hiddens, buffers.cells, buffers.gates)))
+
+    def write(self, buffers: EpisodeBuffers) -> None:
+        """Copy this pass into ``buffers``, as ``forward_episode`` writes one."""
+        view = PaddedForward.of(buffers)
+        for name in ("probs", "values", "hiddens", "cells", "gates"):
+            getattr(view, name)[...] = getattr(self, name)
+
+
+def padded_forward_episode(params, states) -> PaddedForward:
     """The batched forward pass over fresh port-major (P, T, ·) arrays, each
     step's product and state in new temporaries."""
     states = np.asarray(states, dtype=float)
@@ -607,7 +642,7 @@ def padded_forward_episode(params, states):
     values = hiddens[:, 1:] @ params["wv"][0] + params["bv"][0]
     if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
         raise LearnerError("non-finite output in episode forward pass")
-    return EpisodeForward(probs, values, hiddens, cells, gates)
+    return PaddedForward(probs, values, hiddens, cells, gates)
 
 
 def padded_backward(params, forward, batch):
@@ -736,9 +771,16 @@ def policy_loss(advantages, taken_probs) -> float:
     return float(-np.mean(adv * np.log(np.maximum(p, LOG_PROB_FLOOR))))
 
 
-def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
-    """(value, policy, entropy, total) loss of each port, in port order, one
-    port's slices at a time."""
+def total_loss(value: float, policy: float, entropy_mean: float, beta: float) -> float:
+    """Overall self-learning loss: value + policy - beta * entropy, the loss
+    whose gradient ``backward`` returns."""
+    return value + policy - beta * entropy_mean
+
+
+def episode_losses(batch: EpisodeBatch, forward) -> list[tuple]:
+    """(value, policy, entropy) loss of each port, in port order, one port's
+    slices at a time, from the port-major ``probs`` and ``values`` of
+    ``forward``: an :class:`EpisodeBuffers` or a :class:`PaddedForward`."""
     losses = []
     for p, n in enumerate(batch.lengths):
         probs = forward.probs[p, :n]
@@ -746,22 +788,21 @@ def episode_losses(forward: EpisodeForward, batch: EpisodeBatch) -> list[tuple]:
         v_loss = value_loss(batch.q_targets[p, :n], forward.values[p, :n])
         p_loss = policy_loss(batch.advantages[p, :n], taken)
         entropy_mean = float(np.mean(_entropy_rows(probs)))
-        losses.append((v_loss, p_loss, entropy_mean,
-                       total_loss(v_loss, p_loss, entropy_mean, batch.beta)))
+        losses.append((v_loss, p_loss, entropy_mean))
     return losses
 
 
 def train(batch, site_config, config, risk_value, initial_model=None):
     """The training loop with the per-port draws, rewards and targets of each
-    episode, and a fresh parameter copy per episode; the passes, clipping and
-    Adam are the package's, looked up on its module and class."""
+    episode, and a fresh parameter copy and fresh buffers per episode; the
+    passes, clipping and Adam are the package's, looked up on its module and
+    class."""
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
-    if site_config is not None:
-        known = set(site_config.evse_ids)
-        missing = [e for e in batch.evse_ids if e not in known]
-        if missing:
-            raise LearnerError(f"batch references EVSEs absent from site config: {missing}")
+    known = set(site_config.evse_ids)
+    missing = [e for e in batch.evse_ids if e not in known]
+    if missing:
+        raise LearnerError(f"batch references EVSEs absent from site config: {missing}")
 
     if not 0.0 <= risk_value < 1.0:
         raise LearnerError("risk value must lie in [0, 1)")
@@ -781,28 +822,27 @@ def train(batch, site_config, config, risk_value, initial_model=None):
     for p, port_rows in enumerate(batch.slices):
         states[p, :lengths[p]] = rows[port_rows]
 
-    buffers = EpisodeBuffers(len(ports), lengths.max(), config.hidden)
     logs = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         params = learner._views(coordinator.flat.copy(), config.hidden)
-        forward = learner.forward_episode(params, states, buffers)
+        buffers = forward_pass(params, states)
         actions = np.zeros(states.shape[:2], dtype=int)
         q_targets, advantages = np.zeros((2,) + states.shape[:2])
         ep_reward = 0.0
         for p, port in enumerate(ports):
             n = lengths[p]
             draws = rng.random(n)
-            actions[p, :n] = draws >= forward.probs[p, :n, 0]  # 0 = schedule
+            actions[p, :n] = draws >= buffers.probs[p, :n, 0]  # 0 = schedule
             rewards = episode_rewards(port, actions[p, :n], risk_value)
             q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
-                rewards, forward.values[p, :n], config.gamma)
+                rewards, buffers.values[p, :n], config.gamma)
             ep_reward += float(np.sum(rewards))
         ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
-        for grads in learner.backward(params, forward, ep_batch, buffers):
+        for grads in learner.backward(params, ep_batch, buffers):
             coordinator.apply_update(learner.clipped_delta(grads, config.clip_threshold),
                                      config.learning_rate)
-        v_losses, p_losses, entropies, _totals = zip(*episode_losses(forward, ep_batch))
+        v_losses, p_losses, entropies = zip(*episode_losses(ep_batch, buffers))
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 

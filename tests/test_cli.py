@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config(path)
 
+    def test_site_id_key_refused(self, workdir, capsys):
+        """A site has no name: reports carry none, so ``site_id`` is an
+        unknown key like any other."""
+        path = workdir / "c.cfg"
+        path.write_text("site_id = depot\n")
+        assert run_cli("gen-data", "--config", path, "--out", workdir / "s.json") == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: unknown key 'site_id'" in err
+        assert "Traceback" not in err
+        assert not (workdir / "s.json").exists()
+
     @pytest.mark.parametrize("line, needs", [("hidden = 8.5", "an integer"),
                                              ("dso_capacity_kw = lots", "a number")])
     def test_bad_value_names_key_and_line(self, tmp_path, capsys, line, needs):
@@ -433,6 +444,23 @@ class TestPipeline:
         assert code == 1
         assert "corrupt model file: field 'risk_value' must be a number" \
             in capsys.readouterr().err
+
+    def test_model_with_boolean_hidden_exits_with_field_name(self, workdir, capsys):
+        sessions = self.generate(workdir)
+        model = workdir / "model.json"
+        run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--risk-off", "--out", model)
+        payload = json.loads(model.read_text())
+        payload["hidden"] = True
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--model", model, "--out", workdir / "o.jsonl")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "corrupt model file: field 'hidden' must be an integer, got True" in err
+        assert "Traceback" not in err
+        assert not (workdir / "o.jsonl").exists()
 
     def test_resume_rejects_width_its_tensors_contradict(self, workdir, capsys):
         sessions = self.generate(workdir)

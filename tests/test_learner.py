@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -39,7 +40,6 @@ from ramals.learner import (
     grad_norm,
     init_params,
     policy_value_forward,
-    total_loss,
 )
 from ramals.scheduler import ScheduleEngine, execute, outcomes_jsonl
 
@@ -48,8 +48,10 @@ from helpers import T0, batch_of, make_session, site_for
 from oracles import (
     FlatAdam,
     KeyedAdam,
+    PaddedForward,
     VehicleClass,
     flatten,
+    forward_pass,
     keyed_clipped_delta,
     keyed_grad_norm,
     padded_backward,
@@ -57,6 +59,7 @@ from oracles import (
     policy_loss,
     scalar_backward,
     scalar_forward,
+    total_loss,
     value_loss,
 )
 
@@ -96,9 +99,9 @@ def padded(sequences):
     return out, lengths
 
 
-def targets(forward, rewards, lengths, gamma=0.9):
+def targets(buffers, rewards, lengths, gamma=0.9):
     """Per-port bootstrap targets and advantages, zero past each length."""
-    return bootstrap_targets(rewards, forward.values, lengths, gamma)
+    return bootstrap_targets(rewards, buffers.values, lengths, gamma)
 
 
 def random_batch(hidden=8, n=3, seed=0, beta=0.05):
@@ -106,25 +109,25 @@ def random_batch(hidden=8, n=3, seed=0, beta=0.05):
     rng = np.random.default_rng(seed)
     params = random_params(hidden, seed)
     states, lengths = padded([rng.uniform(0.0, 1.0, (n, 6))])
-    forward = forward_episode(params, states)
+    buffers = forward_pass(params, states)
     actions = rng.integers(0, 2, (1, n))
     rewards = rng.uniform(0.0, 2.0, (1, n))
-    q, adv = targets(forward, rewards, lengths)
-    return params, forward, EpisodeBatch(states, lengths, actions, q, adv, beta)
+    q, adv = targets(buffers, rewards, lengths)
+    return params, buffers, EpisodeBatch(states, lengths, actions, q, adv, beta)
 
 
 def hidden_sequence(params, states):
     """Hidden state after each step of one port's (T, 6) sequence, and the
     final carry."""
-    forward = forward_episode(params, states[None])
-    return forward.hiddens[0, 1:], (forward.hiddens[0, -1], forward.cells[0, -1])
+    buffers = forward_pass(params, states[None])
+    return buffers.hiddens[1:, 0], (buffers.hiddens[-1, 0], buffers.cells[-1, 0])
 
 
 def episode_loss_value(params, batch):
     """Summed total loss of the batch's ports as a plain function of the
     parameters (targets held fixed); what the finite differences perturb."""
-    forward = forward_episode(params, batch.states)
-    return sum(losses[3] for losses in episode_losses(forward, batch))
+    buffers = forward_pass(params, batch.states)
+    return sum(total_loss(*losses, batch.beta) for losses in episode_losses(batch, buffers))
 
 
 def finite_difference_grads(params, batch, h=1e-5):
@@ -178,7 +181,7 @@ class TestRnnForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(LearnerError):
-            forward_episode(random_params(4, 0), np.ones((1, 2, 5)))
+            forward_pass(random_params(4, 0), np.ones((1, 2, 5)))
 
 
 def projection(params, states):
@@ -237,7 +240,7 @@ class TestPolicyValueForward:
         rng = np.random.default_rng(8)
         sequences = [rng.uniform(0, 1, (n, 6)) for n in (5, 2, 4)]
         states, lengths = padded(sequences)
-        forward = forward_episode(params, states)
+        buffers = forward_pass(params, states)
         z = projection(params, states.reshape(-1, 6)).reshape(len(lengths), -1, 24)
         cached = z.copy()
         h, c = zero_carry(params, len(lengths))
@@ -245,12 +248,12 @@ class TestPolicyValueForward:
             due = np.flatnonzero(lengths > t)
             p_schedule, value, (h[due], c[due]) = policy_value_forward(
                 params, z[due, t], (h[due], c[due]))
-            assert p_schedule == pytest.approx(forward.probs[due, t, 0], rel=1e-12)
-            assert value == pytest.approx(forward.values[due, t], rel=1e-12)
-            assert np.allclose(h[due], forward.hiddens[due, t + 1], rtol=1e-12, atol=0)
-        last = (np.arange(len(lengths)), lengths)
-        assert np.allclose(h, forward.hiddens[last], rtol=1e-12, atol=0)
-        assert np.allclose(c, forward.cells[last], rtol=1e-12, atol=0)
+            assert p_schedule == pytest.approx(buffers.probs[due, t, 0], rel=1e-12)
+            assert value == pytest.approx(buffers.values[due, t], rel=1e-12)
+            assert np.allclose(h[due], buffers.hiddens[t + 1, due], rtol=1e-12, atol=0)
+        last = (lengths, np.arange(len(lengths)))  # time-major
+        assert np.allclose(h, buffers.hiddens[last], rtol=1e-12, atol=0)
+        assert np.allclose(c, buffers.cells[last], rtol=1e-12, atol=0)
         assert np.array_equal(z, cached)  # the cached projection is only read
 
     def test_non_finite_output_rejected(self):
@@ -310,39 +313,38 @@ class TestLosses:
             == pytest.approx(-0.05 * uniform_entropy)
 
     def test_entropy_term_never_increases_when_beta_zero(self):
-        _, forward, batch = random_batch(seed=11)
-        [(v, p, ent, total_b)] = episode_losses(forward, batch)
-        total_0 = total_loss(v, p, ent, 0.0)
-        assert total_b <= total_0 + 1e-12
+        _, buffers, batch = random_batch(seed=11)
+        [(v, p, ent)] = episode_losses(batch, buffers)
+        assert total_loss(v, p, ent, batch.beta) <= total_loss(v, p, ent, 0.0) + 1e-12
 
 
 class TestBackward:
     def test_gradcheck_total_loss(self):
-        params, forward, batch = random_batch(hidden=6, n=4, seed=1)
-        [analytic] = backward(params, forward, batch)
+        params, buffers, batch = random_batch(hidden=6, n=4, seed=1)
+        [analytic] = backward(params, batch, buffers)
         numeric = finite_difference_grads(params, batch)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_gradcheck_term_isolation(self):
-        params, forward, batch = random_batch(hidden=5, n=3, seed=2)
+        params, buffers, batch = random_batch(hidden=5, n=3, seed=2)
         zero_adv = np.zeros_like(batch.advantages)
         for isolated in (
             # value only: zero advantages and beta
             replace(batch, advantages=zero_adv, beta=0.0),
             # policy only: targets equal to values kill the value residual
-            replace(batch, q_targets=forward.values.copy(), beta=0.0),
+            replace(batch, q_targets=buffers.values.copy(), beta=0.0),
             # entropy only
-            replace(batch, q_targets=forward.values.copy(), advantages=zero_adv, beta=0.7),
+            replace(batch, q_targets=buffers.values.copy(), advantages=zero_adv, beta=0.7),
         ):
-            [analytic] = backward(params, forward, isolated)
+            [analytic] = backward(params, isolated, buffers)
             assert max_relative_error(analytic,
                                       finite_difference_grads(params, isolated)) < 1e-4
 
     def test_zero_signal_zero_gradient(self):
-        params, forward, batch = random_batch(hidden=4, n=3, seed=3)
-        silent = replace(batch, q_targets=forward.values.copy(),
+        params, buffers, batch = random_batch(hidden=4, n=3, seed=3)
+        silent = replace(batch, q_targets=buffers.values.copy(),
                          advantages=np.zeros_like(batch.advantages), beta=0.0)
-        [grads] = backward(params, forward, silent)
+        [grads] = backward(params, silent, buffers)
         assert grad_norm(grads) == pytest.approx(0.0, abs=1e-12)
 
     def test_record_additivity(self):
@@ -353,19 +355,20 @@ class TestBackward:
         rng = np.random.default_rng(10)
         states, lengths = padded([rng.uniform(0, 1, (6, 6))])
         actions = rng.integers(0, 2, (1, 6))
-        forward = forward_episode(params, states)
-        q = forward.values + rng.normal(size=(1, 6))
+        buffers = forward_pass(params, states)
+        q = buffers.values + rng.normal(size=(1, 6))
         adv = rng.normal(size=(1, 6))
 
         def silenced(keep):
-            q_part = forward.values.copy()
+            q_part = buffers.values.copy()
             adv_part = np.zeros((1, 6))
             q_part[:, keep] = q[:, keep]
             adv_part[:, keep] = adv[:, keep]
-            return backward(params, forward,
-                            EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0))[0]
+            return backward(params, EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0),
+                            buffers)[0].copy()
 
-        [full] = backward(params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.0))
+        full = backward(params, EpisodeBatch(states, lengths, actions, q, adv, 0.0),
+                        buffers)[0].copy()
         combined = silenced(slice(0, 3)) + silenced(slice(3, 6))
         assert max_relative_error(full, combined) < 1e-9
 
@@ -383,10 +386,10 @@ def random_ports(lengths, hidden=6, seed=20):
     params = random_params(hidden, seed, scale=0.8)
     states = rng.uniform(0.0, 1.0, (len(lengths), max(lengths), 6))
     lengths = np.array(lengths)
-    forward = forward_episode(params, states)
+    buffers = forward_pass(params, states)
     actions = rng.integers(0, 2, states.shape[:2])
-    q, adv = targets(forward, rng.uniform(0.0, 2.0, states.shape[:2]), lengths)
-    return params, forward, EpisodeBatch(states, lengths, actions, q, adv, 0.05)
+    q, adv = targets(buffers, rng.uniform(0.0, 2.0, states.shape[:2]), lengths)
+    return params, buffers, EpisodeBatch(states, lengths, actions, q, adv, 0.05)
 
 
 def assert_near(ours, reference, rel):
@@ -400,14 +403,14 @@ class TestBatchedPass:
     TOLERANCE = 1e-12  # relative; the batched products sum in another order
 
     def test_matches_scalar_oracle_over_unequal_ports(self):
-        params, forward, batch = random_ports([5, 1, 8, 3])
-        grads = backward(params, forward, batch)
+        params, buffers, batch = random_ports([5, 1, 8, 3])
+        grads = backward(params, batch, buffers)
         assert grads.shape == (len(batch.lengths), Coordinator(params).flat.size)
         for p, n in enumerate(batch.lengths):
             oracle = scalar_forward(params, batch.states[p, :n])
-            assert_near(forward.probs[p, :n], oracle.probs, self.TOLERANCE)
-            assert_near(forward.values[p, :n], oracle.values, self.TOLERANCE)
-            for ours, theirs in zip((forward.hiddens[p, n], forward.cells[p, n]),
+            assert_near(buffers.probs[p, :n], oracle.probs, self.TOLERANCE)
+            assert_near(buffers.values[p, :n], oracle.values, self.TOLERANCE)
+            for ours, theirs in zip((buffers.hiddens[n, p], buffers.cells[n, p]),
                                     oracle.final_carry):
                 assert_near(ours, theirs, self.TOLERANCE)
             reference = scalar_backward(params, oracle, batch.actions[p, :n],
@@ -418,7 +421,7 @@ class TestBatchedPass:
                 assert_near(ours[key], reference[key], self.TOLERANCE)
 
     def test_padding_leaves_port_unchanged(self):
-        params, forward, batch = random_ports([4, 1, 6])
+        params, buffers, batch = random_ports([4, 1, 6])
         rng = np.random.default_rng(21)
 
         def extended(a, *extra):
@@ -428,13 +431,13 @@ class TestBatchedPass:
         long_batch = EpisodeBatch(extended(batch.states, 6), batch.lengths,
                                   extended(batch.actions) % 2, extended(batch.q_targets),
                                   extended(batch.advantages), batch.beta)
-        long_forward = forward_episode(params, long_batch.states)
-        assert np.array_equal(backward(params, forward, batch),
-                              backward(params, long_forward, long_batch))
-        last = (np.arange(len(batch.lengths)), batch.lengths)
+        long_buffers = forward_pass(params, long_batch.states)
+        assert np.array_equal(backward(params, batch, buffers),
+                              backward(params, long_batch, long_buffers))
+        last = (batch.lengths, np.arange(len(batch.lengths)))  # time-major
         for name in ("hiddens", "cells"):  # each port's last carry
-            assert np.array_equal(getattr(forward, name)[last],
-                                  getattr(long_forward, name)[last])
+            assert np.array_equal(getattr(buffers, name)[last],
+                                  getattr(long_buffers, name)[last])
 
 
 def garbage_padded_episode(rng, lengths, hidden, scale=1.0):
@@ -464,12 +467,13 @@ class TestTimeMajorPass:
     @settings(max_examples=60, deadline=None)
     def test_matches_padded_oracle_bit_for_bit(self, lengths, hidden, seed):
         params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden)
-        forward = forward_episode(params, batch.states)
+        buffers = forward_pass(params, batch.states)
+        forward = PaddedForward.of(buffers)
         oracle = padded_forward_episode(params, batch.states)
         for name in FORWARD_FIELDS:
             assert getattr(forward, name).shape == getattr(oracle, name).shape
             assert np.array_equal(getattr(forward, name), getattr(oracle, name)), name
-        grads = backward(params, forward, batch)
+        grads = backward(params, batch, buffers)
         reference = padded_backward(params, oracle, batch)
         assert grads.shape == reference.shape
         for p, row in enumerate(grads):
@@ -483,35 +487,43 @@ class TestTimeMajorPass:
         buffers = EpisodeBuffers(3, 9, 5)
         for lengths in ([9, 4, 7], [2, 9, 5]):
             params, batch = garbage_padded_episode(rng, lengths, 5, scale=0.8)
-            forward = forward_episode(params, batch.states, buffers)
-            grads = backward(params, forward, batch, buffers)
-            fresh = forward_episode(params, batch.states)
+            forward_episode(params, batch.states, buffers)
+            grads = backward(params, batch, buffers)
+            fresh = forward_pass(params, batch.states)
             for name in FORWARD_FIELDS:  # backward left the forward pass as it was
-                assert np.array_equal(getattr(forward, name), getattr(fresh, name)), name
-            assert np.array_equal(grads, backward(params, fresh, batch))
-            assert np.shares_memory(forward.gates, buffers.gates)
+                assert np.array_equal(getattr(buffers, name), getattr(fresh, name)), name
+            assert np.array_equal(grads, backward(params, batch, fresh))
 
-    def test_backward_reads_the_forward_argument(self):
-        """The reverse loop takes the forward pass's rows, such as the forget
-        gates, from ``forward``, wherever it lives: in other buffers, in
-        buffers that hold another episode, or in no buffers at all."""
+    def test_backward_reads_the_pass_in_its_buffers(self):
+        """The reverse loop takes the whole forward pass, the forget-gate rows
+        included, from the arrays of its buffers, whatever wrote them: over
+        a stale episode of other parameters, a pass the port-major oracle
+        copies in gives the gradient of the package's own pass, bit for bit."""
         rng = np.random.default_rng(33)
         params, batch = garbage_padded_episode(rng, [6, 3, 5], 4)
         other_params, other_batch = garbage_padded_episode(rng, [2, 6, 4], 4)
-        expected = backward(params, forward_episode(params, batch.states), batch).copy()
-        own, other = EpisodeBuffers(3, 6, 4), EpisodeBuffers(3, 6, 4)
-        for forward in (forward_episode(params, batch.states, other),
-                        padded_forward_episode(params, batch.states)):
-            forward_episode(other_params, other_batch.states, own)  # a stale episode
-            assert np.array_equal(backward(params, forward, batch, own), expected)
-            assert np.array_equal(backward(params, forward, batch), expected)
-        forward = forward_episode(params, batch.states, own)
-        assert np.array_equal(backward(params, forward, batch, own), expected)
+        expected = backward(params, batch, forward_pass(params, batch.states)).copy()
+        buffers = EpisodeBuffers(3, 6, 4)
+        forward_episode(other_params, other_batch.states, buffers)  # a stale episode
+        padded_forward_episode(params, batch.states).write(buffers)
+        assert np.array_equal(backward(params, batch, buffers), expected)
 
     def test_buffers_of_another_shape_rejected(self):
         params, batch = garbage_padded_episode(np.random.default_rng(32), [3, 2], 4)
         with pytest.raises(LearnerError, match="buffers"):
             forward_episode(params, batch.states, EpisodeBuffers(2, 4, 4))
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 4, 4), (2, 3, 5)],
+                             ids=["ports", "steps", "width"])
+    def test_backward_refuses_buffers_of_another_shape(self, shape):
+        """Ports of 3 and 2 steps at width 4, against buffers with one more
+        port, step or unit of width: refused by the check the forward pass
+        makes, before any product."""
+        params, batch = garbage_padded_episode(np.random.default_rng(35), [3, 2], 4)
+        with pytest.raises(LearnerError, match=f"^episode buffers fit {shape[0]} ports of "
+                                               f"{shape[1]} steps at hidden width {shape[2]}, "
+                                               f"not 2 of 3 at 4$"):
+            backward(params, batch, EpisodeBuffers(*shape))
 
     def test_train_matches_padded_oracle_model_file(self, tmp_path, monkeypatch):
         """Training through the oracles writes the same model file byte for
@@ -529,10 +541,11 @@ class TestTimeMajorPass:
             coordinator.step = adam.step
 
         monkeypatch.setattr(learner, "forward_episode",
-                            lambda params, states, buffers: padded_forward_episode(params, states))
+                            lambda params, states, buffers: padded_forward_episode(
+                                params, states).write(buffers))
         monkeypatch.setattr(learner, "backward",
-                            lambda params, forward, batch, buffers: padded_backward(
-                                params, forward, batch))
+                            lambda params, batch, buffers: padded_backward(
+                                params, PaddedForward.of(buffers), batch))
         monkeypatch.setattr(Coordinator, "apply_update", oracle_update)
         oracle_model, oracle_logs = train(batch, site, config, risk_value=0.05)
         oracle_model.save(tmp_path / "oracle.json")
@@ -571,21 +584,21 @@ class TestPaddedTargetsAndLosses:
         take a clamped probability."""
         params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden,
                                                scale=scale)
-        forward = forward_episode(params, batch.states)
+        buffers = forward_pass(params, batch.states)
         results = []
         for losses in (episode_losses, oracles.episode_losses):
             caplog.clear()
-            results.append((losses(forward, batch),
+            results.append((losses(batch, buffers),
                             [(r.name, r.levelno, r.getMessage()) for r in caplog.records]))
         assert results[0] == results[1]
 
     def test_clamp_warning_once_per_clamped_port(self, caplog):
         params, batch = garbage_padded_episode(np.random.default_rng(34), [5, 5, 5], 3)
-        forward = forward_episode(params, batch.states)
-        forward.probs[0, 1] = forward.probs[2, 4] = [0.0, 1.0]
-        forward.probs[1, 2] = [1.0, 0.0]  # port 1 takes the sure action
+        buffers = forward_pass(params, batch.states)
+        buffers.probs[0, 1] = buffers.probs[2, 4] = [0.0, 1.0]
+        buffers.probs[1, 2] = [1.0, 0.0]  # port 1 takes the sure action
         batch.actions[:, :] = 0
-        episode_losses(forward, batch)
+        episode_losses(batch, buffers)
         assert [r.getMessage() for r in caplog.records] \
             == ["policy probability below 1e-12 clamped in log"] * 2
 
@@ -636,7 +649,7 @@ def test_train_matches_per_port_oracle_bit_for_bit(counts, hidden, risk, episode
     results = []
     for run in (train, oracles.train):
         caplog.clear()
-        model, logs = run(batch, None, config, risk, copy.deepcopy(initial))
+        model, logs = run(batch, site_for(batch), config, risk, copy.deepcopy(initial))
         results.append((model, learner.training_log_csv(logs),
                         [(r.name, r.levelno, r.getMessage()) for r in caplog.records]))
     (model, csv, records), (oracle_model, oracle_csv, oracle_records) = results
@@ -988,11 +1001,30 @@ class TestSerialization:
                                                "bytes"):
             self.load_payload(tmp_path, payload)
 
-    @pytest.mark.parametrize("hidden", [0, "8"])
+    @pytest.mark.parametrize("hidden", [0, "8", True, 8.0])
     def test_bad_hidden_field_named(self, tmp_path, hidden):
+        """A width that is not a JSON integer > 0 is refused by name; ``true``
+        once reached ``np.zeros`` as a width of 1 and raised a TypeError."""
         payload = self.saved_payload(tmp_path)
         payload["hidden"] = hidden
-        with pytest.raises(LearnerError, match="corrupt model file: bad hidden width"):
+        problem = "> 0" if hidden == 0 else "an integer"
+        with pytest.raises(LearnerError, match=f"^corrupt model file: field 'hidden' must be "
+                                               f"{problem}, got {re.escape(repr(hidden))}$"):
+            self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("hidden", [4, 9])
+    def test_hidden_field_contradicted_before_any_allocation(self, tmp_path, monkeypatch,
+                                                             hidden):
+        """Every vector is measured against the file's width before a
+        coordinator of that width is built, so the width alone never sizes
+        an array."""
+        payload = self.saved_payload(tmp_path)
+        payload["hidden"] = hidden
+        monkeypatch.setattr(learner, "Coordinator",
+                            lambda params: pytest.fail("built before the vectors were checked"))
+        with pytest.raises(LearnerError, match=f"^corrupt model file: coordinator must be "
+                                               f"base64 of [0-9]+ float64 at hidden width "
+                                               f"{hidden}, got 4056 bytes$"):
             self.load_payload(tmp_path, payload)
 
     @pytest.mark.parametrize("value", ["x", None])

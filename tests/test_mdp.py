@@ -21,7 +21,6 @@ from ramals import (
 from ramals.learner import (
     Coordinator,
     SharedModel,
-    forward_episode,
     init_params,
     policy_value_forward,
 )
@@ -33,7 +32,7 @@ from ramals.mdp import (
 from ramals.scheduler import ScheduleEngine
 
 from helpers import T0, batch_of, make_av_session, make_session, site_for
-from oracles import ordering_holds, rows, session_reward, state_vector
+from oracles import forward_pass, ordering_holds, rows, session_reward, state_vector
 
 
 def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
@@ -80,12 +79,12 @@ class TestActionDistribution:
             for key in params:
                 params[key] = rng.uniform(-2.0, 2.0, params[key].shape)
             state = rng.uniform(0.0, 1.0, 6)
-            forward = forward_episode(params, state[None, None])
-            assert forward.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
+            buffers = forward_pass(params, state[None, None])
+            assert buffers.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
             carry = (np.zeros((1, 4)), np.zeros((1, 4)))
             p_schedule, _, _ = policy_value_forward(
                 params, head_projection(params, state)[None], carry)
-            assert p_schedule[0] == pytest.approx(forward.probs[0, 0, 0], rel=1e-12)
+            assert p_schedule[0] == pytest.approx(buffers.probs[0, 0, 0], rel=1e-12)
 
     def test_non_negative(self):
         for bp in ([800.0, 0.0], [0.0, 800.0], [-800.0, 800.0], [1e-300, 0.0]):
