@@ -114,8 +114,21 @@ def load_config(path: str | None) -> dict:
                 raise CliError(f"{path}:{lineno}: key {key!r} needs "
                                f"{'an integer' if kind is int else 'a number'}, "
                                f"got {value!r}") from None
+            if key == "seed" and values[key] < 0:
+                raise CliError(f"{path}:{lineno}: key 'seed' needs a non-negative integer, "
+                               f"got {value!r}")
     values["evse_overrides"] = overrides
     return values
+
+
+def _root_seed(args, cfg: dict) -> int:
+    """The run's root seed: ``--seed``, else the config's ``seed`` key, which
+    :func:`load_config` checked."""
+    if args.seed is None:
+        return cfg["seed"]
+    if args.seed < 0:
+        raise CliError(f"--seed needs a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def stage_seed(root_seed: int, stage: str) -> int:
@@ -181,7 +194,7 @@ def _json_safe(value: float):
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = _root_seed(args, cfg)
     batch = sessions.generate_synthetic(generator_from_config(cfg),
                                         stage_seed(seed, "gen"))
     Path(args.out).write_bytes(batch.to_json_bytes())
@@ -232,7 +245,7 @@ def _risk_value_for_train(args, cfg, batch) -> float:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = _root_seed(args, cfg)
     batch = _read_batch(args.sessions)
     site = site_from_config(cfg)
     config = train_config_from(cfg, stage_seed(seed, "train"), args.episodes)

@@ -15,6 +15,12 @@ read by one parser, :func:`parse_sessions`, a field at a time: it reads each
 field of every record into a column, resolves ACN-Data's field names only
 for the records that lack the canonical key, and checks each column whole.
 
+Synthetic batches come from :func:`generate_synthetic`, whose per-session
+draw order is a stream contract: one ``standard_exponential()``, then
+``random()`` for the energy, the rate and the vehicle class, then two more
+``random()`` for a CV's inflations.  A seed's session file stays the same
+bytes for as long as that order and the transforms its docstring states hold.
+
 Units: energy in kWh, rates in kW, durations in minutes unless a name says
 otherwise.  A record's timestamp is ``YYYY-MM-DD``, then ``T`` or
 whitespace, then ``HH:MM`` with optional ``:SS``; a trailing ``Z``, offset
@@ -452,34 +458,70 @@ class GeneratorConfig:
             raise SessionError(f"start must be a YYYY-MM-DDTHH:MM timestamp, got {self.start!r}")
 
 
+def _scaled(bounds: tuple[float, float], u: np.ndarray) -> np.ndarray:
+    """Draws ``u`` in [0, 1) as values in ``bounds``, as ``Generator.uniform``
+    makes them."""
+    lo, hi = map(float, bounds)
+    return lo + (hi - lo) * u
+
+
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
     """Draw a synthetic batch; a pure function of (config, seed).  Knobs whose
-    clocks overflow, or pass the year 9999, are refused by name."""
+    clocks overflow, or pass the year 9999, are refused by name.
+
+    The stream contract: session ``i`` goes to port ``i % n_evses`` and
+    draws, from ``default_rng(SeedSequence(seed))`` and in this order, one
+    ``standard_exponential()`` for its gap after the port's previous arrival,
+    then ``random()`` for its energy, its rate and its CV flag (CV when the
+    draw is below ``cv_fraction``), and, for a CV only, two more ``random()``
+    for its energy and time inflation.  A draw ``u`` for a range ``(lo, hi)``
+    is the value ``lo + (hi - lo) * u``, as ``Generator.uniform`` makes it,
+    and a gap is ``mean_gap_minutes`` times its draw, as
+    ``Generator.exponential`` makes it; minute counts round half to even.
+    The loop below only draws; every transform is a column.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    clocks = _canonical_stamps([config.start]).tolist() * config.n_evses
-    rows = []
+    exponential, uniform = rng.standard_exponential, rng.random
+    n, cv_fraction = config.n_sessions, config.cv_fraction
+    draws, inflations = [], []
+    record, inflate = draws.extend, inflations.extend
+    for _ in range(n):
+        draw = (exponential(), uniform(), uniform(), uniform())
+        record(draw)
+        if draw[3] < cv_fraction:
+            inflate((uniform(), uniform()))
+    e, u_energy, u_rate, u_class = np.array(draws).reshape(n, 4).T
+    u_energy_inflation, u_time_inflation = np.array(inflations).reshape(-1, 2).T
+    is_cv = u_class < cv_fraction
     try:
-        for i in range(config.n_sessions):
-            evse_idx = i % config.n_evses
-            gap = max(1, int(round(rng.exponential(config.mean_gap_minutes))))
-            arrival = clocks[evse_idx] = clocks[evse_idx] + gap
-
-            energy = rng.uniform(*config.energy_kwh_range)
-            rate = rng.uniform(*config.rate_kw_range)
-            actual_minutes = max(1, int(round(energy / rate * 60.0)))
-            is_cv = rng.random() < config.cv_fraction
-
-            if is_cv:
-                requested = energy * rng.uniform(*config.energy_inflation)
-                window = max(actual_minutes,
-                             int(round(actual_minutes * rng.uniform(*config.time_inflation))))
-            else:
-                requested = energy
-                window = actual_minutes
-            rows.append((f"S{i:06d}", f"{config.evse_prefix}-{evse_idx + 1}", is_cv,
-                         float(requested), float(window), arrival, arrival + actual_minutes,
-                         arrival + window, float(energy), config.receiving_capacity_kw))
-        batch = SessionBatch(columns=list(zip(*rows)))
+        with np.errstate(over="ignore"):  # a value past the float range is refused below
+            gap = np.maximum(1.0, np.rint(float(config.mean_gap_minutes) * e))
+            energy = _scaled(config.energy_kwh_range, u_energy)
+            actual = np.maximum(1.0, np.rint(energy / _scaled(config.rate_kw_range, u_rate)
+                                             * 60.0))
+            requested, window = energy.copy(), actual.copy()
+            requested[is_cv] *= _scaled(config.energy_inflation, u_energy_inflation)
+            window[is_cv] = np.maximum(actual[is_cv], np.rint(
+                actual[is_cv] * _scaled(config.time_inflation, u_time_inflation)))
+        # Each count is a whole float, so one below 2**63 is an exact int64.
+        if not (np.maximum(gap, window) < 2.0 ** 63).all():
+            raise OverflowError
+        # Each port's arrivals are its start plus the running sum of its gaps,
+        # one port a column.  Every term is >= 0 and < 2**63, so the first sum
+        # that passes 2**63 - 1 wraps to a negative one.
+        ports, depth = config.n_evses, -(-n // config.n_evses)
+        steps = np.zeros(depth * ports, np.int64)
+        steps[:n] = gap
+        steps[:ports] += _canonical_stamps([config.start])[0]
+        arrival = steps.reshape(depth, ports).cumsum(axis=0).ravel()[:n]
+        unplug = arrival + window.astype(np.int64)
+        if min(arrival.min(), unplug.min()) < 0:
+            raise OverflowError
+        names = [f"{config.evse_prefix}-{p + 1}" for p in range(ports)]
+        batch = SessionBatch(columns=(
+            ["S%06d" % i for i in range(n)], (names * depth)[:n], is_cv, requested,
+            window, arrival, arrival + actual.astype(np.int64), unplug, energy,
+            np.full(n, config.receiving_capacity_kw, dtype=float)))
     except OverflowError:
         raise SessionError("session clocks overflow: mean_gap_minutes, energy_kwh_range, "
                            "rate_kw_range and time_inflation set them") from None

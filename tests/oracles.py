@@ -9,13 +9,13 @@ the total loss that the finite-difference gradient checks differentiate, one
 parameter tensor at a time for Adam and the gradient norm, one port at a
 time for each training episode's draws, rewards, targets and losses, every
 pair of intervals for the feed-capacity audit, one session at a time for the
-state, the rate and ratio formulas and the session parser, one session and
-one start at a time for the ordering check, the reward, the allocators and
-the replay they drive (:func:`scalar_replay`), ``strptime`` over
-four formats for timestamps, ``json.dumps`` over record dicts for the session
-file and the outcome lines, the risk API that only tests used, and the
-location-scale density, the quadrature CDF, its quantile bisection and the
-mirrored lower-tail CVaR the risk fit once used.
+state, the rate and ratio formulas, the session parser and the synthetic
+generator, one session and one start at a time for the ordering check, the
+reward, the allocators and the replay they drive (:func:`scalar_replay`),
+``strptime`` over four formats for timestamps, ``json.dumps`` over record
+dicts for the session file and the outcome lines, the risk API that only
+tests used, and the location-scale density, the quadrature CDF, its quantile
+bisection and the mirrored lower-tail CVaR the risk fit once used.
 
 :class:`ChargingSession` is the oracle parser's row, with the per-record
 checks the package once made in its constructor.  The package keeps no row
@@ -47,8 +47,8 @@ from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
 from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH, Allocation
 from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import ScheduleOutcome, SchedulerError
-from ramals.sessions import (DEFAULT_RECEIVING_CAPACITY_KW, SessionError, energy_ratios,
-                             time_ratios)
+from ramals.sessions import (_LAST_STAMP, DEFAULT_RECEIVING_CAPACITY_KW, SessionBatch,
+                             SessionError, _canonical_stamps, energy_ratios, time_ratios)
 from ramals.sessions import rate_ratio as port_rate_ratio
 
 log = logging.getLogger(__name__)
@@ -288,6 +288,45 @@ def session_record(session) -> dict:
 def session_json_bytes(batch) -> bytes:
     records = [session_record(s) for s in rows(batch)]
     return (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
+
+
+def generate_synthetic(config, seed: int):
+    """The synthetic batch drawn one session at a time, each draw through
+    ``Generator.exponential`` or ``Generator.uniform``, with Python ints for
+    the clocks."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    clocks = _canonical_stamps([config.start]).tolist() * config.n_evses
+    rows = []
+    try:
+        for i in range(config.n_sessions):
+            evse_idx = i % config.n_evses
+            gap = max(1, int(round(rng.exponential(config.mean_gap_minutes))))
+            arrival = clocks[evse_idx] = clocks[evse_idx] + gap
+
+            energy = rng.uniform(*config.energy_kwh_range)
+            rate = rng.uniform(*config.rate_kw_range)
+            actual_minutes = max(1, int(round(energy / rate * 60.0)))
+            is_cv = rng.random() < config.cv_fraction
+
+            if is_cv:
+                requested = energy * rng.uniform(*config.energy_inflation)
+                window = max(actual_minutes,
+                             int(round(actual_minutes * rng.uniform(*config.time_inflation))))
+            else:
+                requested = energy
+                window = actual_minutes
+            rows.append((f"S{i:06d}", f"{config.evse_prefix}-{evse_idx + 1}", is_cv,
+                         float(requested), float(window), arrival, arrival + actual_minutes,
+                         arrival + window, float(energy), config.receiving_capacity_kw))
+        batch = SessionBatch(columns=list(zip(*rows)))
+    except OverflowError:
+        raise SessionError("session clocks overflow: mean_gap_minutes, energy_kwh_range, "
+                           "rate_kw_range and time_inflation set them") from None
+    if batch.unplug.max() > _LAST_STAMP:
+        raise SessionError(f"sessions from start {config.start!r} run past 9999-12-31T23:59, "
+                           "the last stamp a session file holds; start earlier or shrink "
+                           "mean_gap_minutes")
+    return batch
 
 
 def outcome_json_line(outcome) -> str:

@@ -175,6 +175,25 @@ class TestConfig:
         assert stage_seed(7, "gen") != stage_seed(7, "train")
         assert stage_seed(7, "gen") != stage_seed(8, "gen")
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("flag, line, named", [
+        (["--seed", "-1"], "", "--seed needs"),
+        ([], "seed = -2", "bad.cfg:2: key 'seed' needs"),
+    ])
+    def test_negative_seed_refused_by_name(self, workdir, capsys, command, flag, line, named):
+        """A negative root seed exits 1 naming the flag or the config line,
+        and writes no file."""
+        sessions, out = workdir / "sessions.json", workdir / "out.json"
+        run_cli("gen-data", "--config", workdir / "run.cfg", "--out", sessions)
+        bad = workdir / "bad.cfg"
+        bad.write_text(f"n_sessions = 12\n{line}\n")
+        inputs = ["--sessions", sessions, "--risk-off"] if command == "train" else []
+        capsys.readouterr()
+        assert run_cli(command, "--config", bad, *flag, *inputs, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{named} a non-negative integer" in err
+        assert not list(workdir.glob("out.json*"))
+
 
 class TestGenData:
     def test_writes_requested_count(self, workdir):

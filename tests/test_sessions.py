@@ -28,6 +28,7 @@ from ramals import (
 
 from helpers import JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session
 from oracles import ChargingSession, VehicleClass, _datetime, rows, session_json_bytes
+from oracles import generate_synthetic as oracle_generate
 from oracles import _parse_timestamp as strptime_parse
 from oracles import parse_sessions as per_record_parse
 
@@ -599,6 +600,119 @@ class TestGenerateSynthetic:
         for rows in batch.slices:
             assert delivery_rate_kw(batch, rows) <= 50.0
         assert np.all(batch.delivered_kwh / (batch.charge_end - batch.plug_in) * 60.0 <= 50.0)
+
+    @pytest.mark.parametrize("n_sessions, n_evses", [(1, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("past_int64", [False, True])
+    def test_clocks_at_the_int64_edge(self, n_sessions, n_evses, past_int64):
+        """A last unplug of exactly 2**63 - 1 is a clock that runs past 9999;
+        one minute later it overflows."""
+        seed = 4
+        draws = np.random.default_rng(np.random.SeedSequence(seed))
+        stream = [(draws.standard_exponential(), *draws.random(3)) for _ in range(n_sessions)]
+        ports = [stream[p::n_evses] for p in range(n_evses)]
+        # gaps that leave about 3e9 minutes, a start in year 5704, below 2**63
+        mean_gap = (2 ** 63 - 3e9) / max(sum(e for e, *_ in port) for port in ports)
+
+        def last_unplug(port):  # less the start, as the stream contract makes it
+            span = 0
+            for e, u_energy, u_rate, _ in port:
+                span += max(1, round(mean_gap * e))
+                window = max(1, round((4.0 + 36.0 * u_energy) / (3.0 + 42.0 * u_rate) * 60.0))
+            return span + window
+
+        stamp = 2 ** 63 - 1 - max(map(last_unplug, ports)) + past_int64
+        config = GeneratorConfig(n_sessions=n_sessions, n_evses=n_evses, cv_fraction=0.0,
+                                 mean_gap_minutes=mean_gap,
+                                 start=canonical(datetime.min + timedelta(minutes=stamp - 1440)))
+        message = ("^session clocks overflow" if past_int64
+                   else f"^sessions from start {config.start!r} run past 9999")
+        for generate in (generate_synthetic, oracle_generate):
+            with pytest.raises(SessionError, match=message):
+                generate(config, seed)
+
+
+def twin_streams(seed: int = 7):
+    """Two generators on one stream, one for each side of a draw identity."""
+    return (np.random.default_rng(np.random.SeedSequence(seed)) for _ in range(2))
+
+
+@pytest.mark.parametrize("lo, hi", [(4.0, 40.0), (1.0, 1.0), (1e-300, 1e-300),
+                                    (5e-324, float_info.max), (1e308, float_info.max),
+                                    (1.0, math.nextafter(1.0, 2.0))])
+def test_uniform_is_lo_plus_range_times_random(lo, hi):
+    """``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``, bit for
+    bit, the identity session files rest on; a numpy whose C code fuses the
+    multiply and add fails here.  20000 draws a range, 120000 in all."""
+    scalar, column = twin_streams()
+    drawn = np.array([scalar.uniform(lo, hi) for _ in range(20000)])
+    made = lo + (hi - lo) * np.array([column.random() for _ in range(20000)])
+    assert drawn.tobytes() == made.tobytes()
+
+
+@pytest.mark.parametrize("scale", [60.0, 1.0, 5e-324, 1e-300, 1e300, float_info.max])
+def test_exponential_is_scale_times_standard_exponential(scale):
+    """``Generator.exponential(s)`` is ``s * standard_exponential()``, bit for
+    bit, overflowing to infinity alike.  20000 draws a scale, 120000 in all."""
+    scalar, column = twin_streams()
+    drawn = np.array([scalar.exponential(scale) for _ in range(20000)])
+    with np.errstate(over="ignore"):
+        made = scale * np.array([column.standard_exponential() for _ in range(20000)])
+    assert drawn.tobytes() == made.tobytes()
+
+
+FINITE_POSITIVE = st.floats(min_value=0.0, max_value=float_info.max, exclude_min=True)
+
+
+def knob_ranges(values):
+    """``(lo, hi)`` pairs of ``values``, ``lo == hi`` among them."""
+    return st.one_of(values.map(lambda v: (v, v)),
+                     st.lists(values, min_size=2, max_size=2).map(sorted).map(tuple))
+
+
+def canonical(moment: datetime) -> str:
+    return f"{moment.year:04d}-{moment:%m-%dT%H:%M}"
+
+
+@st.composite
+def generator_configs(draw):
+    """Knobs from the defaults to extreme finite ones, up to two extreme at
+    once: gaps whose clocks land near 2**63, starts in year 9999, one-value
+    ranges, more ports than sessions."""
+    extreme = draw(st.sets(st.sampled_from(["gap", "energy", "rate", "inflation", "receiving"]),
+                           max_size=2))
+
+    def knob(name, modest, extremes=FINITE_POSITIVE):
+        return extremes if name in extreme else modest
+
+    start = st.one_of(st.just("2026-01-05T06:00"),
+                      st.datetimes(datetime(9999, 1, 1)).map(canonical),
+                      st.datetimes().map(canonical))
+    return GeneratorConfig(
+        n_sessions=draw(st.integers(1, 400)), n_evses=draw(st.integers(1, 50)),
+        cv_fraction=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        evse_prefix=draw(st.sampled_from(["EVSE", "port"])), start=draw(start),
+        mean_gap_minutes=draw(knob("gap", st.floats(0.01, 1e4),
+                                   st.one_of(st.floats(1e16, 1e19), FINITE_POSITIVE))),
+        energy_kwh_range=draw(knob_ranges(knob("energy", st.floats(0.5, 100.0)))),
+        rate_kw_range=draw(knob_ranges(knob("rate", st.floats(0.5, 100.0)))),
+        energy_inflation=draw(knob_ranges(knob("inflation", st.floats(1.0, 4.0)))),
+        time_inflation=draw(knob_ranges(knob("inflation", st.floats(1.0, 4.0)))),
+        receiving_capacity_kw=draw(knob("receiving", st.floats(0.5, 100.0))))
+
+
+def generated(generate, config: GeneratorConfig, seed: int) -> bytes | str:
+    """The session file ``generate`` writes, or the message it refuses with."""
+    try:
+        return generate(config, seed).to_json_bytes()
+    except SessionError as exc:
+        return str(exc)
+
+
+@given(config=generator_configs(), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_generator_matches_per_session_oracle(config, seed):
+    assert generated(generate_synthetic, config, seed) == generated(oracle_generate, config,
+                                                                    seed)
 
 
 def made_batch(*sessions):
