@@ -6,12 +6,10 @@ from .sessions import (
     SessionBatch,
     SessionError,
     SiteConfig,
-    delivery_rate_kw,
-    demand_rate_kw,
     energy_ratios,
     generate_synthetic,
     parse_sessions,
-    rate_ratio,
+    port_rates,
     time_ratios,
 )
 from .risk import (

@@ -12,6 +12,13 @@ ordering check and reward under each action.  An allocator maps a batch to
 every session's :class:`Allocation` at once, from the session and its
 port's config alone.
 
+Training is a contextual bandit whose optimum is each session's larger table
+reward, a tie scheduling.  Both actions share one reward before the ordering
+check zeroes it, and one of the two checks always holds, so wherever every
+session's larger reward is > 0 the optimum replays as always-schedule.  The
+``(1 - risk)`` factor moves that shared reward alike for both actions, so no
+risk in [0, 1) changes the optimum.
+
 :class:`EvseQueue` is one port's FCFS queue over its rows of the batch:
 :meth:`EvseQueue.present` voids expired heads into ``voided`` and exposes
 the head, and :meth:`EvseQueue.transition` applies one decision to that
@@ -25,8 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sessions import (EvseConfig, SessionBatch, SessionError, energy_ratios, rate_ratio,
-                       time_ratios)
+from .sessions import EvseConfig, SessionBatch, energy_ratios, port_rates, time_ratios
 
 log = logging.getLogger(__name__)
 
@@ -72,8 +78,10 @@ def decision_table(batch: SessionBatch, risk: float) -> DecisionTable:
     on its port: the energy ratios when scheduling, their complements when
     queueing, a zero request counting with ratio 0.  It holds vacuously for a
     port's last session.  Where it fails the reward is zero; otherwise a unit
-    port rate ratio ``zeta`` earns ``1 + rho * (1 - risk)`` and any other
-    ``zeta * rho * (1 - risk)``, an undefined ``zeta`` counting as 0.
+    port rate ratio ``zeta``, delivery over demand rate from
+    :func:`ramals.sessions.port_rates`, earns ``1 + rho * (1 - risk)`` and any
+    other ``zeta * rho * (1 - risk)``; ``zeta`` counts as 0 where the demand
+    rate is not > 0 or the delivery rate is NaN.
     """
     for i in np.flatnonzero(batch.requested_kwh <= 0).tolist():
         log.warning("session %r: zero requested energy, demand-supply index forced to 0",
@@ -83,13 +91,11 @@ def decision_table(batch: SessionBatch, risk: float) -> DecisionTable:
     ordered = np.ones(index.shape, dtype=bool)
     ordered[:, :-1] = index[:, :-1] >= index[:, 1:]
     ordered[:, [rows.stop - 1 for rows in batch.slices]] = True
-    zeta = np.zeros(len(batch.evse_ids))
-    for p, (evse_id, rows) in enumerate(zip(batch.evse_ids, batch.slices)):
-        try:
-            zeta[p] = rate_ratio(batch, rows)
-        except SessionError:
-            log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0", evse_id)
-    zeta = zeta[batch.port]
+    demand, delivery = port_rates(batch)
+    defined = (demand > 0) & ~np.isnan(delivery)
+    for p in np.flatnonzero(~defined).tolist():
+        log.warning("EVSE %r: rate ratio undefined, reward ratio forced to 0", batch.evse_ids[p])
+    zeta = np.divide(delivery, demand, out=np.zeros(len(demand)), where=defined)[batch.port]
     gain = zeta * time_ratios(batch) * (1.0 - risk)
     reward = np.where(zeta == 1.0, 1.0 + gain, np.where(zeta != 0.0, gain, 0.0))
     return DecisionTable(ordered, np.where(ordered, reward, 0.0))

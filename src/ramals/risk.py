@@ -2,9 +2,10 @@
 
 Laxity of one session is the absolute gap, in hours, between the time its
 requested energy would take at the port's aggregate requested rate and the
-time its delivered energy took at the aggregate delivery rate.  A student-t
-model is fitted over those samples by maximum likelihood; the significance
-cutoff is a bisection on scipy's student-t CDF (``scipy.special.stdtr``).
+time its delivered energy took at the aggregate delivery rate, both read
+from :func:`ramals.sessions.port_rates`.  A student-t model is fitted over
+those samples by maximum likelihood; the significance cutoff is a bisection
+on scipy's student-t CDF (``scipy.special.stdtr``).
 The tail expectation (CVaR) has two closed forms, one function each:
 :func:`upper_tail_cvar`, validated against an empirical tail mean, drives
 decisions through ``cvar_normalized``; :func:`paper_cvar`, the verbatim
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sessions import SessionBatch, delivery_rate_kw, demand_rate_kw
+from .sessions import SessionBatch, port_rates
 
 log = logging.getLogger(__name__)
 
@@ -81,17 +82,18 @@ def _check_alpha(alpha: float) -> None:
 
 
 def laxity_samples(batch: SessionBatch) -> np.ndarray:
-    """One laxity observation per session, in hours and non-negative, with
-    grouped rates computed per EVSE."""
-    samples = np.empty(len(batch))
-    for evse_id, rows in zip(batch.evse_ids, batch.slices):
-        lam_req = demand_rate_kw(batch, rows)
-        lam_act = delivery_rate_kw(batch, rows)
-        if lam_req <= 0 or lam_act <= 0:
-            raise RiskError(f"EVSE {evse_id!r}: rates must be positive for laxity")
-        samples[rows] = np.abs(batch.requested_kwh[rows] / lam_req
-                               - batch.delivered_kwh[rows] / lam_act)
-    return samples
+    """One laxity observation per session, in hours and non-negative, from
+    its port's demand and delivery rates (:func:`ramals.sessions.port_rates`).
+    A port whose two rates are not both > 0 is refused by name."""
+    demand, delivery = port_rates(batch)
+    bad = np.flatnonzero(~((demand > 0) & (delivery > 0)))
+    if bad.size:
+        p = bad[0]
+        raise RiskError(f"EVSE {batch.evse_ids[p]!r}: rates must be positive for laxity, got "
+                        f"demand {float(demand[p])!r} kW and delivery {float(delivery[p])!r} "
+                        "kW; a rate is nan when its minutes total 0")
+    return np.abs(batch.requested_kwh / demand[batch.port]
+                  - batch.delivered_kwh / delivery[batch.port])
 
 
 def _log_norm(dof: float, scale: float) -> float:

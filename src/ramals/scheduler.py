@@ -10,13 +10,14 @@ port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  The engine builds that rule itself: a model's
 argmax policy, or, with no model, a start for every presented head.
 Starting a session must not push the site's simultaneous delivery above the
-utility feed; a port that would breach it defers one step.  Decisions run in time order across ports: a port whose
-head arrives later than its turn waits for that arrival.  The rule's
-ordering check and each start's reward come from the batch's
-:func:`ramals.mdp.decision_table`, the table training reads, and each start's
-allocation from one whole-batch allocator call; each queue reads its port's
-rows of the batch.  Each session's fate is one :class:`ScheduleOutcome`, a
-named tuple, and :func:`outcomes_jsonl` writes them a column at a time.
+utility feed; a port that would breach it defers one step.  Decisions run in
+time order across ports: a port whose head arrives later than its turn waits
+for that arrival.  The rule's ordering check and each start's reward come
+from the batch's :func:`ramals.mdp.decision_table`, the table training
+reads, and each start's allocation from one whole-batch allocator call; each
+queue reads its port's rows of the batch.  Each session's fate is one
+:class:`ScheduleOutcome`, a named tuple, and :func:`outcomes_jsonl` writes
+them a column at a time.
 """
 
 from __future__ import annotations
@@ -351,12 +352,13 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
     for session_id, evse_id, is_scheduled, is_voided, energy, rate in zip(
             columns.session_id, columns.evse_id, columns.scheduled, columns.voided,
             columns.realized_energy_kwh, columns.realized_rate_kw):
+        if evse_id not in supply:
+            raise SchedulerError(f"session {session_id!r}: outcome names EVSE {evse_id!r}, "
+                                 "which the site lacks")
         if is_voided and energy != 0.0:
             raise SchedulerError(f"voided session {session_id!r} delivered energy")
         if is_scheduled:
-            # site.evse raises for a port the site lacks
-            cap = min(supply.get(evse_id) or site.evse(evse_id).supply_capacity_kw,
-                      receiving[session_id])
+            cap = min(supply[evse_id], receiving[session_id])
             if rate > cap + 1e-9:
                 raise SchedulerError(f"session {session_id!r} rate {rate} exceeds cap {cap}")
     # Site load: charging intervals are constant-rate, so the maximum load

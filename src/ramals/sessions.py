@@ -8,7 +8,8 @@ exactly what they need.
 
 Everything downstream (risk fitting, agent training, scheduling) reads a
 :class:`SessionBatch`: one column per field, ports sorted by id, FCFS by
-plug-in within a port (ties in input order), each port's rows one slice.
+plug-in within a port (ties in input order), each port's rows one slice;
+the reward and the laxity risk read each port's rates from :func:`port_rates`.
 A timestamp is an int64 minute stamp, ``date.toordinal() * 1440 + hour * 60
 + minute``, so ``stamp % 1440`` is the minute of the day.  Session files are
 read by one parser, :func:`parse_sessions`, a field at a time: it reads each
@@ -532,37 +533,20 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
     return batch
 
 
-def _mean_rate(energy: np.ndarray, minutes: np.ndarray, name: str, kind: str) -> float:
-    # the builtin sum, left to right as the outputs were pinned with
-    if not len(minutes):
-        raise SessionError(f"{name} rate needs at least one session")
-    total_minutes = sum(minutes.tolist())
-    if total_minutes <= 0:
-        raise SessionError(f"{name} rate undefined: zero total {kind} minutes")
-    return sum(energy.tolist()) / total_minutes * 60.0
-
-
-def demand_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
-    """Average requested energy rate of the sessions in ``rows``: total kWh
-    asked over total minutes asked, in kW."""
-    return _mean_rate(batch.requested_kwh[rows], batch.minutes_available[rows],
-                      "demand", "requested")
-
-
-def delivery_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
-    """Average delivered energy rate of the sessions in ``rows`` over their
-    recorded charging windows, in kW."""
-    return _mean_rate(batch.delivered_kwh[rows],
-                      (batch.charge_end[rows] - batch.plug_in[rows]).astype(float),
-                      "delivery", "charging")
-
-
-def rate_ratio(batch: SessionBatch, rows: slice = slice(None)) -> float:
-    """Delivered over requested rate. Equals 1 exactly when the rates match."""
-    demand = demand_rate_kw(batch, rows)
-    if demand <= 0:
-        raise SessionError("rate ratio undefined: zero demand rate")
-    return delivery_rate_kw(batch, rows) / demand
+def port_rates(batch: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Each port's demand and delivery rates in kW, two (P,) columns in port
+    order: total requested kWh over total requested minutes, and total
+    delivered kWh over total charging minutes, times 60; NaN where the
+    minutes total 0 or less.  Each total is the builtin sum, left to right,
+    as the outputs were pinned with."""
+    requested, available, delivered, charging = (column.tolist() for column in (
+        batch.requested_kwh, batch.minutes_available, batch.delivered_kwh,
+        (batch.charge_end - batch.plug_in).astype(float)))
+    demand, delivery = (np.array([sum(kwh[rows]) / total * 60.0
+                                  if (total := sum(minutes[rows])) > 0 else nan
+                                  for rows in batch.slices], dtype=float)
+                        for kwh, minutes in ((requested, available), (delivered, charging)))
+    return demand, delivery
 
 
 def time_ratios(batch: SessionBatch) -> np.ndarray:

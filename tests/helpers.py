@@ -64,6 +64,27 @@ def site_for(batch, dso_kw=1000.0, switching_minutes=0.0, supply_kw=50.0):
                             for e in batch.evse_ids))
 
 
+# A quarter of these are zeros, signed zeros included.
+_KWH = st.one_of(st.sampled_from([0.0, -0.0]), *[st.floats(0.0, 80.0)] * 3)
+
+
+@st.composite
+def rate_batches(draw):
+    """Batches of 0-4 ports of 1-5 sessions whose requests, deliveries and
+    charging minutes are often zero.  A whole port may request no energy or
+    record no charging minutes."""
+    sessions = []
+    for p in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["mixed"] * 4 + ["no request", "no charging"]))
+        for i in range(draw(st.integers(1, 5))):
+            sessions.append(make_session(
+                requested=-0.0 if kind == "no request" else draw(_KWH), delivered=draw(_KWH),
+                charge_min=0 if kind == "no charging" else draw(st.integers(0, 240)),
+                window_min=draw(st.floats(1e-3, 600.0)), evse=f"EVSE-{p}", sid=f"p{p}s{i}",
+                start=T0 + timedelta(minutes=7 * i)))
+    return batch_of(sessions)
+
+
 # Values that stress a JSON writer: quotes, backslashes, control and non-ASCII
 # characters in text; non-finite, signed-zero, tiny, huge and int numbers
 # (json writes an int 5 as "5", a float 5.0 as "5.0").

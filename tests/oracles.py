@@ -10,7 +10,8 @@ parameter tensor at a time for Adam and the gradient norm, one port at a
 time for each training episode's draws, rewards, targets and losses, every
 pair of intervals for the feed-capacity audit, one session at a time for the
 state, the rate and ratio formulas, the session parser and the synthetic
-generator, one session and one start at a time for the ordering check, the
+generator, one port at a time for the rates, the rate ratio and the laxity
+samples, one session and one start at a time for the ordering check, the
 reward, the allocators and the replay they drive (:func:`scalar_replay`),
 ``strptime`` over four formats for timestamps, ``json.dumps`` over record
 dicts for the session file and the outcome lines, the risk API that only
@@ -49,7 +50,6 @@ from ramals.risk import RiskError, standardized_ppf
 from ramals.scheduler import ScheduleOutcome, SchedulerError
 from ramals.sessions import (_LAST_STAMP, DEFAULT_RECEIVING_CAPACITY_KW, SessionBatch,
                              SessionError, _canonical_stamps, energy_ratios, time_ratios)
-from ramals.sessions import rate_ratio as port_rate_ratio
 
 log = logging.getLogger(__name__)
 
@@ -253,6 +253,53 @@ def rate_ratio(sessions) -> float:
     if demand <= 0:
         raise SessionError("rate ratio undefined: zero demand rate")
     return delivery_rate_kw(sessions) / demand
+
+
+def _mean_rate(energy: np.ndarray, minutes: np.ndarray, name: str, kind: str) -> float:
+    # the builtin sum, left to right as the outputs were pinned with
+    if not len(minutes):
+        raise SessionError(f"{name} rate needs at least one session")
+    total_minutes = sum(minutes.tolist())
+    if total_minutes <= 0:
+        raise SessionError(f"{name} rate undefined: zero total {kind} minutes")
+    return sum(energy.tolist()) / total_minutes * 60.0
+
+
+def port_demand_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
+    """Average requested energy rate of the sessions in ``rows``: total kWh
+    asked over total minutes asked, in kW."""
+    return _mean_rate(batch.requested_kwh[rows], batch.minutes_available[rows],
+                      "demand", "requested")
+
+
+def port_delivery_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
+    """Average delivered energy rate of the sessions in ``rows`` over their
+    recorded charging windows, in kW."""
+    return _mean_rate(batch.delivered_kwh[rows],
+                      (batch.charge_end[rows] - batch.plug_in[rows]).astype(float),
+                      "delivery", "charging")
+
+
+def port_rate_ratio(batch: SessionBatch, rows: slice = slice(None)) -> float:
+    """Delivered over requested rate. Equals 1 exactly when the rates match."""
+    demand = port_demand_rate_kw(batch, rows)
+    if demand <= 0:
+        raise SessionError("rate ratio undefined: zero demand rate")
+    return port_delivery_rate_kw(batch, rows) / demand
+
+
+def laxity_samples(batch: SessionBatch) -> np.ndarray:
+    """One laxity observation per session, in hours and non-negative, with
+    grouped rates computed per EVSE."""
+    samples = np.empty(len(batch))
+    for evse_id, rows in zip(batch.evse_ids, batch.slices):
+        lam_req = port_demand_rate_kw(batch, rows)
+        lam_act = port_delivery_rate_kw(batch, rows)
+        if lam_req <= 0 or lam_act <= 0:
+            raise RiskError(f"EVSE {evse_id!r}: rates must be positive for laxity")
+        samples[rows] = np.abs(batch.requested_kwh[rows] / lam_req
+                               - batch.delivered_kwh[rows] / lam_act)
+    return samples
 
 
 def time_ratio(session) -> float:
@@ -986,10 +1033,11 @@ class PortSessions:
 
 
 def port_sessions(batch) -> list[PortSessions]:
-    """Each port's decision inputs, in the batch's port order, its ratios from
-    the package's batch formulas; a zero request counts with energy ratio 0,
-    and a port whose rate ratio is undefined with rate ratio 0.  Both warn on
-    the package's logger, as the package does."""
+    """Each port's decision inputs, in the batch's port order: the time and
+    energy ratios from the package's batch formulas, and the rate ratio from
+    :func:`port_rate_ratio`, one port's sums at a time.  A zero request
+    counts with energy ratio 0, and a port whose rate ratio is undefined with
+    rate ratio 0.  Both warn on the package's logger, as the package does."""
     for i in np.flatnonzero(batch.requested_kwh <= 0).tolist():
         mdp.log.warning("session %r: zero requested energy, demand-supply index forced to 0",
                         batch.session_ids[i])
@@ -1094,7 +1142,8 @@ def scalar_replay(batch, site, rule, allocator=rational_allocation,
     included, calls the allocator; a start then reads the port's reward."""
     ports = {port.evse_id: port for port in port_sessions(batch)}
     arrivals = (batch.plug_in - batch.plug_in.min()).astype(float) if len(batch) else None
-    queues = {evse_id: PortQueue(port, site.evse(evse_id), arrivals[port_rows].tolist(),
+    evses = {evse.evse_id: evse for evse in site.evses}
+    queues = {evse_id: PortQueue(port, evses[evse_id], arrivals[port_rows].tolist(),
                                  step_minutes)
               for (evse_id, port), port_rows in zip(ports.items(), batch.slices)}
     heap, outcomes, active = [], [], []

@@ -282,6 +282,25 @@ class TestPipeline:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_fit_risk_names_a_port_without_charging_minutes(self, workdir, capsys):
+        """A port whose sessions record no charging minutes has no delivery
+        rate: fit-risk exits 1 naming the port and writes no file."""
+        sessions, out = workdir / "still.json", workdir / "risk.json"
+        sessions.write_text(json.dumps([
+            {"sessionID": f"s{i}", "evseID": evse, "vehicleClass": "CV",
+             "kWhRequested": 10.0, "minutesAvailable": 60.0, "kWhDelivered": kwh,
+             "connectionTime": f"2026-01-05T0{i}:00",
+             "doneChargingTime": f"2026-01-05T0{i}:{minutes:02d}",
+             "disconnectTime": f"2026-01-05T0{i}:30"}
+            for i, (evse, kwh, minutes) in enumerate([("EVSE-2", 5.0, 20), ("EVSE-1", 0.0, 0),
+                                                      ("EVSE-2", 5.0, 20)])]))
+        assert run_cli("fit-risk", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: EVSE 'EVSE-1': rates must be positive for laxity")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_fit_risk_missing_file(self, workdir, capsys):
         code = run_cli("fit-risk", "--config", workdir / "run.cfg",
                        "--sessions", workdir / "nope.json",

@@ -16,6 +16,7 @@ from ramals import (
     decision_table,
     energy_ratios,
     generate_synthetic,
+    port_rates,
     state_matrix,
 )
 from ramals.learner import (
@@ -183,6 +184,11 @@ class TestSessionReward:
         assert session_reward(1.0, 1.0, 0.0, ordering_holds(0.8, 0.2, 0)) == 0.0
 
     def test_zero_rate_ratio(self):
+        """A port that delivered nothing has rate ratio 0, which earns 0
+        under either action."""
+        batch = batch_of([make_session(requested=10.0, delivered=0.0, charge_min=60)])
+        assert [rates.tolist() for rates in port_rates(batch)] == [[10.0], [0.0]]
+        assert decision_table(batch, 0.0).reward.tolist() == [[0.0], [0.0]]
         assert reward(0.0, 1.0, 0.0, 0.9, None) == 0.0
 
     def test_vacuous_next(self):

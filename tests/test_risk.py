@@ -18,6 +18,7 @@ from scipy import stats
 from ramals import (
     GeneratorConfig,
     RiskError,
+    SessionError,
     StudentTFit,
     cvar_empirical,
     estimate_risk,
@@ -33,9 +34,10 @@ import ramals.risk as risk_module
 from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _sum_log_pdf, standardized_cdf,
                          standardized_ppf)
 
-from helpers import batch_of, make_session
+import oracles
+from helpers import batch_of, make_session, rate_batches
 from oracles import (bisection_ppf, log_likelihood, mirrored_upper_tail_cvar, ppf,
-                     quadrature_cdf, student_t_pdf)
+                     port_delivery_rate_kw, port_demand_rate_kw, quadrature_cdf, student_t_pdf)
 
 
 def make_fit(dof=5.0, location=0.0, scale=1.0):
@@ -64,6 +66,34 @@ class TestLaxitySamples:
         va = laxity_samples(batch_of([a]))[0]
         vb = laxity_samples(batch_of([b]))[0]
         assert va == pytest.approx(vb)
+
+
+def first_port_without_rates(batch):
+    """The first port whose oracle rates raise or are not both > 0, or None."""
+    for evse_id, rows in zip(batch.evse_ids, batch.slices):
+        try:
+            if port_demand_rate_kw(batch, rows) > 0 and port_delivery_rate_kw(batch, rows) > 0:
+                continue
+        except SessionError:
+            pass
+        return evse_id
+    return None
+
+
+@given(batch=rate_batches())
+@settings(max_examples=200, deadline=None)
+def test_laxity_samples_match_per_port_oracle(batch):
+    """The whole-batch samples equal the per-port loop's bit for bit; where
+    that loop raises, the first port whose rates are not both > 0 is named."""
+    bad = first_port_without_rates(batch)
+    if bad is None:
+        assert list(map(repr, laxity_samples(batch).tolist())) == \
+            list(map(repr, oracles.laxity_samples(batch).tolist()))
+        return
+    with pytest.raises((SessionError, RiskError)):
+        oracles.laxity_samples(batch)
+    with pytest.raises(RiskError, match=f"^EVSE {bad!r}: rates must be positive for laxity"):
+        laxity_samples(batch)
 
 
 class TestStudentTPdf:

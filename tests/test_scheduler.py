@@ -7,7 +7,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramals import (
@@ -15,6 +15,7 @@ from ramals import (
     GeneratorConfig,
     MetricsReport,
     SchedulerError,
+    SessionError,
     SiteConfig,
     TrainConfig,
     compare_report,
@@ -473,6 +474,14 @@ class TestAudit:
         with pytest.raises(SchedulerError, match="session 'EVSE-1-s0' rate 80.0 exceeds cap 50.0"):
             audit_outcomes([early, late], batch, site)
 
+    def test_outcome_on_a_port_the_site_lacks_named(self):
+        batch = spaced_av_batch(n=1, evses=("EVSE-1", "EVSE-2"))
+        site = site_for(batch_of([make_session(evse="EVSE-1")]))
+        outcomes = [outcome(sid="EVSE-1-s0"), outcome(sid="EVSE-2-s0", evse="EVSE-2")]
+        with pytest.raises(SchedulerError, match="^session 'EVSE-2-s0': outcome names EVSE "
+                                                 "'EVSE-2', which the site lacks$"):
+            audit_outcomes(outcomes, batch, site)
+
     def test_overlap_over_feed_raises_touching_passes(self):
         batch = spaced_av_batch(n=1, evses=("EVSE-1", "EVSE-2"))
         site = site_for(batch, dso_kw=60.0)
@@ -589,6 +598,14 @@ def _table_batch(ports, idle_port, exact_port):
     return batch_of(sessions)
 
 
+def _rate_ratio_undefined(batch, rows):
+    try:
+        oracles.port_rate_ratio(batch, rows)
+    except SessionError:
+        return True
+    return False
+
+
 def _bits(records):
     """Named tuples as text that tells every float apart, signed zeros
     included."""
@@ -622,7 +639,8 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
         EvseConfig(evse_id, supply_capacity_kw=supply, switching_minutes=switching)
         for evse_id, supply in zip(batch.evse_ids, supplies)))
     scalar_ports = port_sessions(batch)
-    sessions = [(port, i, site.evse(port.evse_id))
+    evses = {evse.evse_id: evse for evse in site.evses}
+    sessions = [(port, i, evses[port.evse_id])
                 for port in scalar_ports for i in range(len(port.session_ids))]
     caplog.clear()
     table = decision_table(batch, risk)
@@ -632,6 +650,9 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
     zero = [sid for sid, kwh in zip(batch.session_ids, batch.requested_kwh) if kwh <= 0]
     assert sorted(r.args[0] for r in caplog.records
                   if "zero requested energy" in r.getMessage()) == sorted(zero)
+    assert [r.args[0] for r in caplog.records if "rate ratio undefined" in r.getMessage()] \
+        == [evse_id for evse_id, rows in zip(batch.evse_ids, batch.slices)
+            if _rate_ratio_undefined(batch, rows)]
 
     for allocator, scalar_allocator in ((rational_allocation, oracles.rational_allocation),
                                         (as_requested_allocation,
@@ -650,6 +671,48 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
     got, _ = execute(model, batch, site)
     rule = PerDecisionRule(model, scalar_ports, state_matrix(batch))
     assert _bits(got) == _bits(scalar_replay(batch, site, rule, risk_value=risk))
+
+
+class TableArgmaxRule:
+    """Training's optimum: each session's larger table reward, a tie
+    scheduling, then the engine's ordering override."""
+
+    def __init__(self, batch, table):
+        self.starts = {evse_id: rows.start for evse_id, rows in zip(batch.evse_ids,
+                                                                     batch.slices)}
+        self.table = table
+
+    def decide(self, port, i):
+        row = self.starts[port.evse_id] + i
+        reward = self.table.reward[:, row]
+        action = 0 if reward[0] >= reward[1] else 1  # action 0 schedules
+        return 1 if self.table.ordered[action, row] else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_sessions=st.integers(1, 80), n_evses=st.integers(1, 4),
+       cv_fraction=st.sampled_from([0.0, 0.7, 1.0]) | st.floats(0.0, 1.0),
+       risk=st.floats(0.0, 1.0, exclude_max=True), feed=st.sampled_from([60.0, 150.0, 1000.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_training_optimum_is_always_schedule(n_sessions, n_evses, cv_fraction, risk, feed,
+                                             seed):
+    """Replayed with the table's argmax, the training optimum, the engine
+    starts every presented head wherever every session's larger reward is
+    > 0, at any risk in [0, 1).
+
+    Under scheduling the ordering check compares a session's energy ratio
+    with the next one's, and under queueing their complements, so one of
+    the two checks always holds.  A failed check pays 0, so a larger reward
+    > 0 belongs to an action whose check holds, a tie included, and the
+    override starts the head.  The risk moves both actions' rewards alike
+    and cannot change which is larger."""
+    batch = generate_synthetic(GeneratorConfig(n_sessions=n_sessions, n_evses=n_evses,
+                                               cv_fraction=cv_fraction), seed=seed)
+    site = site_for(batch, dso_kw=feed, switching_minutes=5.0)
+    table = decision_table(batch, risk)
+    assume((table.reward.max(axis=0) > 0).all())
+    assert scalar_replay(batch, site, TableArgmaxRule(batch, table), risk_value=risk) == \
+        scalar_replay(batch, site, oracles.ForcedRule(), risk_value=risk)
 
 
 class TestCompare:

@@ -17,17 +17,16 @@ from ramals import (
     GeneratorConfig,
     SessionBatch,
     SessionError,
-    delivery_rate_kw,
-    demand_rate_kw,
     energy_ratios,
     generate_synthetic,
     parse_sessions,
-    rate_ratio,
+    port_rates,
     time_ratios,
 )
 
-from helpers import JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session
-from oracles import ChargingSession, VehicleClass, _datetime, rows, session_json_bytes
+from helpers import JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, rate_batches
+from oracles import (ChargingSession, VehicleClass, _datetime, port_delivery_rate_kw,
+                     port_demand_rate_kw, rows, session_json_bytes)
 from oracles import generate_synthetic as oracle_generate
 from oracles import _parse_timestamp as strptime_parse
 from oracles import parse_sessions as per_record_parse
@@ -597,8 +596,7 @@ class TestGenerateSynthetic:
 
     def test_rates_respect_supply_cap(self):
         batch = generate_synthetic(GeneratorConfig(n_sessions=400), seed=2)
-        for rows in batch.slices:
-            assert delivery_rate_kw(batch, rows) <= 50.0
+        assert (port_rates(batch)[1] <= 50.0).all()
         assert np.all(batch.delivered_kwh / (batch.charge_end - batch.plug_in) * 60.0 <= 50.0)
 
     @pytest.mark.parametrize("n_sessions, n_evses", [(1, 1), (3, 1), (2, 2)])
@@ -720,42 +718,50 @@ def made_batch(*sessions):
     return batch_of([make_session(sid=f"s{i}", **kwargs) for i, kwargs in enumerate(sessions)])
 
 
+def rate_ratio(batch):
+    """Each port's delivery rate over its demand rate."""
+    demand, delivery = port_rates(batch)
+    return delivery / demand
+
+
 class TestRates:
     def test_demand_rate_unit_identity(self):
-        assert demand_rate_kw(made_batch(dict(requested=10.0, window_min=60))) == 10.0
+        assert port_rates(made_batch(dict(requested=10.0, window_min=60)))[0].tolist() == [10.0]
 
     def test_demand_rate_two_sessions(self):
         batch = made_batch(dict(requested=10.0, window_min=30), dict(requested=5.0, window_min=30))
-        assert demand_rate_kw(batch) == pytest.approx(15.0)
+        assert port_rates(batch)[0] == pytest.approx([15.0])
 
     def test_demand_rate_zero_numerator(self):
-        assert demand_rate_kw(made_batch(dict(requested=0.0, window_min=30))) == 0.0
+        assert port_rates(made_batch(dict(requested=0.0, window_min=30)))[0].tolist() == [0.0]
 
     def test_demand_rate_empty(self):
-        with pytest.raises(SessionError):
-            demand_rate_kw(batch_of([]))
+        """An empty batch has no ports."""
+        assert [rates.shape for rates in port_rates(batch_of([]))] == [(0,), (0,)]
 
     def test_delivery_rate_appendix_energy(self):
-        assert delivery_rate_kw(made_batch(dict(delivered=8.794, charge_min=60))) \
-            == pytest.approx(8.794)
+        assert port_rates(made_batch(dict(delivered=8.794, charge_min=60)))[1] \
+            == pytest.approx([8.794])
 
     def test_delivery_rate_two_sessions(self):
+        """Two sessions on one port, and the second alone on another."""
         batch = made_batch(dict(delivered=6.0, charge_min=20, plugged_min=40),
-                         dict(delivered=6.0, charge_min=40))
-        assert delivery_rate_kw(batch) == pytest.approx(12.0)
-        assert delivery_rate_kw(batch, slice(1, 2)) == pytest.approx(9.0)
+                           dict(delivered=6.0, charge_min=40),
+                           dict(delivered=6.0, charge_min=40, evse="EVSE-2"))
+        assert port_rates(batch)[1] == pytest.approx([12.0, 9.0])
 
     def test_matched_sessions_rates_equal(self):
-        batch = made_batch(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
-        assert delivery_rate_kw(batch) == pytest.approx(demand_rate_kw(batch))
+        demand, delivery = port_rates(
+            made_batch(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45)))
+        assert delivery == pytest.approx(demand)
 
     def test_rate_ratio(self):
         matched = made_batch(dict(requested=12.0, delivered=12.0, charge_min=45, window_min=45))
-        assert rate_ratio(matched) == 1.0
+        assert rate_ratio(matched).tolist() == [1.0]
         half = made_batch(dict(requested=15.0, delivered=7.5, charge_min=60, window_min=60))
-        assert rate_ratio(half) == pytest.approx(0.5)
+        assert rate_ratio(half) == pytest.approx([0.5])
         zero = made_batch(dict(requested=15.0, delivered=0.0, charge_min=60, window_min=60))
-        assert rate_ratio(zero) == 0.0
+        assert rate_ratio(zero).tolist() == [0.0]
 
     def test_time_ratio(self):
         zero = ChargingSession("s", "e", VehicleClass.CV, 1.0, 60.0, T0, T0,
@@ -776,6 +782,22 @@ class TestRates:
                                         dict(requested=0.0)))
         assert ratios[0] == pytest.approx(0.5863, abs=1e-4)
         assert ratios[1:].tolist() == [1.0, 0.0, 0.0]  # no energy requested counts as 0
+
+
+@given(batch=rate_batches())
+@settings(max_examples=200, deadline=None)
+def test_port_rates_match_per_port_oracle(batch):
+    """Each port's rates equal the per-port oracle's bit for bit, and are NaN
+    exactly where it raises."""
+    def oracle(rate, rows):
+        try:
+            return rate(batch, rows)
+        except SessionError:
+            return math.nan
+
+    want = [[repr(oracle(rate, rows)) for rows in batch.slices]
+            for rate in (port_demand_rate_kw, port_delivery_rate_kw)]
+    assert [list(map(repr, rates.tolist())) for rates in port_rates(batch)] == want
 
 
 class TestRatioInvariants:
