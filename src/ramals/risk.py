@@ -12,10 +12,10 @@ decisions through ``cvar_normalized``; :func:`paper_cvar`, the verbatim
 printed form, is singular at location 0 and kept for reference.  The test
 suite checks the CDF against an independent quadrature of the density.
 
-scipy is imported where it is used: ``scipy.optimize`` inside
-:func:`fit_student_t` and ``scipy.special`` inside :func:`standardized_cdf`.
-Importing this module, and every command that does not fit a tail model,
-leaves scipy unloaded; the first fit in a process pays its import.
+The fit's Nelder-Mead simplex is written here, step for step scipy's, so the
+package never loads scipy's optimize module (about 23 MB resident).
+``scipy.special`` is imported inside :func:`standardized_cdf`: importing
+this module, and every command that takes no quantile, leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -117,23 +117,68 @@ def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> fl
                  - (dof + 1.0) / 2.0 * np.sum(np.log1p(z * z / dof)))
 
 
+def _simplex_minimum(func, x0: np.ndarray, maxiter: int = 3000) -> tuple[np.ndarray, float]:
+    """Nelder-Mead minimum of ``func`` from ``x0``: scipy's search with its
+    default coefficients, step for step, each folded constant exact in
+    float64.  ``func`` must not modify the point it is given."""
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.array([func(x) for x in sim])
+    for _ in range(2):  # scipy orders the start simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    for _ in range(1, maxiter):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2.0 * xbar - sim[-1]  # reflect
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]  # expand
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract: outside when xr beats the worst point, else inside
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = func(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best point
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [func(x) for x in sim[1:]]
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], np.min(fsim)
+
+
 def fit_student_t(samples) -> StudentTFit:
-    """Maximum-likelihood student-t fit via a derivative-free simplex.
-
-    Starts from moment estimates (sample mean, sample stddev, dof = count-1),
-    plus a small grid of low-dof starts because the likelihood ridge is nearly
-    flat in dof once the fit is effectively normal.  Near-equal optima are
-    resolved in favour of the lowest dof.
+    """Maximum-likelihood student-t fit over (log(dof - 1.001), location,
+    log scale) by the Nelder-Mead simplex :func:`_simplex_minimum`: start
+    points x0 and x0 with one coordinate times 1.05 (0.00025 where it is 0);
+    reflect 1, expand 2, contract and shrink 0.5; at most 3000 iterations,
+    stopping once the points lie within 1e-8 and their values within 1e-10.
+    Searches start at the sample mean and stddev, at dof = count-1 and a few
+    low dofs (the likelihood is nearly flat in dof once the fit is effectively
+    normal); near-equal optima go to the lowest dof.  Non-finite samples and a
+    spread that overflows float64 are refused before any search.
     """
-    from scipy import optimize
-
     d = np.asarray(samples, dtype=float)
     if d.size < MIN_FIT_SAMPLES:
         raise RiskError(f"student-t fit needs at least {MIN_FIT_SAMPLES} samples, got {d.size}")
-    std = float(np.std(d))
+    if not np.isfinite(d).all():
+        i = int(np.flatnonzero(~np.isfinite(d))[0])
+        raise RiskError(f"student-t fit needs finite samples; sample {i} is {float(d[i])!r}")
+    with np.errstate(over="raise"):
+        try:
+            std, mean = float(np.std(d)), float(np.mean(d))
+        except FloatingPointError:
+            raise RiskError("student-t fit: the sample spread overflows float64") from None
     if std < DEGENERATE_STD:
         raise RiskError("student-t fit is degenerate: samples are constant")
-    mean = float(np.mean(d))
 
     def negative_ll(params: np.ndarray) -> float:
         log_dof_off, location, log_scale = params
@@ -148,11 +193,10 @@ def fit_student_t(samples) -> StudentTFit:
     best = None
     for dof0 in dof_starts:
         x0 = np.array([math.log(dof0 - DOF_BOUNDS[0]), mean, math.log(std)])
-        result = optimize.minimize(negative_ll, x0, method="Nelder-Mead",
-                                   options={"maxiter": 3000, "xatol": 1e-8, "fatol": 1e-10})
-        dof = DOF_BOUNDS[0] + math.exp(result.x[0])
-        candidate = (float(result.fun), min(dof, DOF_BOUNDS[1]), float(result.x[1]),
-                     float(np.clip(math.exp(result.x[2]), *SCALE_BOUNDS)))
+        x, fun = _simplex_minimum(negative_ll, x0)
+        dof = DOF_BOUNDS[0] + math.exp(x[0])
+        candidate = (float(fun), min(dof, DOF_BOUNDS[1]), float(x[1]),
+                     float(np.clip(math.exp(x[2]), *SCALE_BOUNDS)))
         tie_tol = 1e-6 * max(1.0, abs(candidate[0]))
         if best is None or candidate[0] < best[0] - tie_tol:
             best = candidate

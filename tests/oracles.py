@@ -15,8 +15,9 @@ samples, one session and one start at a time for the ordering check, the
 reward, the allocators and the replay they drive (:func:`scalar_replay`),
 ``strptime`` over four formats for timestamps, ``json.dumps`` over record
 dicts for the session file and the outcome lines, the risk API that only
-tests used, and the location-scale density, the quadrature CDF, its quantile
-bisection and the mirrored lower-tail CVaR the risk fit once used.
+tests used, the location-scale density, the quadrature CDF, its quantile
+bisection and the mirrored lower-tail CVaR the risk fit once used, and the
+student-t fit through scipy's Nelder-Mead (:func:`scipy_fit_student_t`).
 
 :class:`ChargingSession` is the oracle parser's row, with the per-record
 checks the package once made in its constructor.  The package keeps no row
@@ -46,7 +47,8 @@ from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
                             EpisodeLog, LearnerError, SharedModel, _entropy_rows, hidden_size,
                             init_params)
 from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH, Allocation
-from ramals.risk import RiskError, standardized_ppf
+from ramals.risk import (DEGENERATE_STD, DOF_BOUNDS, MIN_FIT_SAMPLES, SCALE_BOUNDS, RiskError,
+                         StudentTFit, _sum_log_pdf, standardized_ppf)
 from ramals.scheduler import ScheduleOutcome, SchedulerError
 from ramals.sessions import (_LAST_STAMP, DEFAULT_RECEIVING_CAPACITY_KW, SessionBatch,
                              SessionError, _canonical_stamps, energy_ratios, time_ratios)
@@ -437,6 +439,53 @@ def log_likelihood(samples, dof: float, location: float, scale: float) -> float:
             - n * math.lgamma(dof / 2.0)
             - n / 2.0 * math.log(scale * scale)
             - (dof + 1.0) / 2.0 * float(np.sum(np.log(dof + z * z))))
+
+
+def scipy_fit_student_t(samples) -> StudentTFit:
+    """Maximum-likelihood student-t fit via a derivative-free simplex.
+
+    Starts from moment estimates (sample mean, sample stddev, dof = count-1),
+    plus a small grid of low-dof starts because the likelihood ridge is nearly
+    flat in dof once the fit is effectively normal.  Near-equal optima are
+    resolved in favour of the lowest dof.
+    """
+    from scipy import optimize
+
+    d = np.asarray(samples, dtype=float)
+    if d.size < MIN_FIT_SAMPLES:
+        raise RiskError(f"student-t fit needs at least {MIN_FIT_SAMPLES} samples, got {d.size}")
+    std = float(np.std(d))
+    if std < DEGENERATE_STD:
+        raise RiskError("student-t fit is degenerate: samples are constant")
+    mean = float(np.mean(d))
+
+    def negative_ll(params: np.ndarray) -> float:
+        log_dof_off, location, log_scale = params
+        dof = DOF_BOUNDS[0] + math.exp(log_dof_off)
+        scale = math.exp(log_scale)
+        if not (DOF_BOUNDS[0] < dof <= DOF_BOUNDS[1] * 10
+                and SCALE_BOUNDS[0] / 10 <= scale <= SCALE_BOUNDS[1] * 10):
+            return float("inf")
+        return -_sum_log_pdf(d, dof, location, scale)
+
+    dof_starts = [min(max(2.0, d.size - 1.0), 1e5), 2.0, 5.0, 20.0]
+    best = None
+    for dof0 in dof_starts:
+        x0 = np.array([math.log(dof0 - DOF_BOUNDS[0]), mean, math.log(std)])
+        result = optimize.minimize(negative_ll, x0, method="Nelder-Mead",
+                                   options={"maxiter": 3000, "xatol": 1e-8, "fatol": 1e-10})
+        dof = DOF_BOUNDS[0] + math.exp(result.x[0])
+        candidate = (float(result.fun), min(dof, DOF_BOUNDS[1]), float(result.x[1]),
+                     float(np.clip(math.exp(result.x[2]), *SCALE_BOUNDS)))
+        tie_tol = 1e-6 * max(1.0, abs(candidate[0]))
+        if best is None or candidate[0] < best[0] - tie_tol:
+            best = candidate
+        elif abs(candidate[0] - best[0]) <= tie_tol and candidate[1] < best[1]:
+            best = candidate
+    neg_ll, dof, location, scale = best
+    if not math.isfinite(neg_ll):
+        raise RiskError("student-t fit failed to converge")
+    return StudentTFit(dof=dof, location=location, scale=scale)
 
 
 def ppf(fit, alpha: float) -> float:

@@ -1,8 +1,12 @@
-"""Only the risk fit imports scipy.
+"""Only the commands that take a tail quantile import scipy, and never its
+optimizer.
 
 Each check runs in a fresh interpreter, since this test process has loaded
 scipy already: importing the package and every command that fits no tail
-model leave ``scipy`` out of ``sys.modules``, and ``fit-risk`` loads it.
+model leave ``scipy`` out of ``sys.modules``; ``fit-risk``, and ``train``
+without ``--risk``, which estimates the risk, load ``scipy.special``; and no
+command loads ``scipy.optimize``, since the fit's simplex is the package's
+own.
 """
 
 import json
@@ -17,14 +21,18 @@ SCRIPT = """
 import json, sys
 import ramals
 from ramals.cli import main
-loaded = {"import ramals": "scipy" in sys.modules}
+def scipy_modules():
+    return [name for name in ("scipy", "scipy.special", "scipy.optimize") if name in sys.modules]
+loaded = {"import ramals": scipy_modules()}
 for label, argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, label
-    loaded[label] = "scipy" in sys.modules
+    loaded[label] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 CONFIG = "n_sessions = 60\nevse_count = 2\nepisodes = 1\nhidden = 4\nalpha = 0.8\n"
+
+SPECIAL = ["scipy", "scipy.special"]
 
 
 def scipy_loaded_after(commands, cwd):
@@ -50,7 +58,17 @@ def test_only_fit_risk_loads_scipy(tmp_path):
         ("compare", ["compare", "base=base.csv", "policy=policy.csv"]),
         ("fit-risk", ["fit-risk", *common, "--out", "fitted.json"]),
     ], tmp_path)
-    assert loaded == {"import ramals": False, "gen-data": False, "run --baseline": False,
-                      "train --risk": False, "run --model": False, "compare": False,
-                      "fit-risk": True}
+    assert loaded == {"import ramals": [], "gen-data": [], "run --baseline": [],
+                      "train --risk": [], "run --model": [], "compare": [],
+                      "fit-risk": SPECIAL}
     assert 0.0 <= json.loads((tmp_path / "fitted.json").read_text())["cvar_normalized"] < 1.0
+
+
+def test_train_estimating_its_risk_loads_scipy_special_only(tmp_path):
+    (tmp_path / "run.cfg").write_text(CONFIG)
+    loaded = scipy_loaded_after([
+        ("gen-data", ["gen-data", "--config", "run.cfg", "--out", "sessions.json"]),
+        ("train", ["train", "--config", "run.cfg", "--sessions", "sessions.json",
+                   "--out", "model.json"]),
+    ], tmp_path)
+    assert loaded == {"import ramals": [], "gen-data": [], "train": SPECIAL}

@@ -1,5 +1,8 @@
 """Tail-risk pipeline: density, likelihood, fit, quantile and CVaR oracles.
 
+The fit's simplex is checked bit for bit against scipy's Nelder-Mead, and the
+fit against the scipy-driven one it replaced, ``oracles.scipy_fit_student_t``.
+
 The package's CDF is scipy's ``special.stdtr``, the routine behind
 ``scipy.stats.t.cdf``, so the CDF and the quantile are checked against the
 independent adaptive quadrature of the density in ``oracles``.  The density
@@ -8,12 +11,13 @@ tail averages and direct enumeration.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from ramals import (
     GeneratorConfig,
@@ -31,8 +35,8 @@ from ramals import (
     upper_tail_cvar,
 )
 import ramals.risk as risk_module
-from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _sum_log_pdf, standardized_cdf,
-                         standardized_ppf)
+from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _simplex_minimum, _sum_log_pdf,
+                         standardized_cdf, standardized_ppf)
 
 import oracles
 from helpers import batch_of, make_session, rate_batches
@@ -206,6 +210,105 @@ class TestFitStudentT:
     def test_too_few_samples(self):
         with pytest.raises(RiskError, match="at least"):
             fit_student_t([1.0, 2.0, 3.0])
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_named(self, bad):
+        """The first non-finite sample is named by index and value before any
+        search; none runs its 3000 iterations or escapes as a numpy warning."""
+        samples = np.linspace(0.0, 1.0, 12)
+        samples[5], samples[9] = bad, math.nan
+        with pytest.raises(RiskError, match=re.escape(
+                f"student-t fit needs finite samples; sample 5 is {bad!r}")):
+            fit_student_t(samples)
+
+    @pytest.mark.parametrize("samples", [[1e300, -1e300] * 4, [1e200, 0.0] * 4,
+                                         [1.7e308] * 7 + [1e308]])
+    def test_spread_overflowing_float64_refused(self, samples):
+        with pytest.raises(RiskError, match="sample spread overflows float64"):
+            fit_student_t(samples)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_batch_fit_matches_scipy_oracle(self, seed):
+        d = laxity_samples(generate_synthetic(GeneratorConfig(n_sessions=200), seed=seed))
+        assert repr(fit_student_t(d)) == repr(oracles.scipy_fit_student_t(d))
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def walled(x):
+    """A bowl centred past an infinite wall at x[0] = 1.3."""
+    return math.inf if x[0] > 1.3 else float((x[0] - 2.0) ** 2 + 3.0 * x[1] ** 2)
+
+
+def holed(x):
+    """The same bowl, undefined (NaN) past x[0] = 1.3."""
+    return math.nan if x[0] > 1.3 else walled(x)
+
+
+def plateau(x):
+    """Flat steps, so contractions often fail to improve and the simplex shrinks."""
+    return float(np.floor(4.0 * np.sum(x * x)))
+
+
+@pytest.mark.parametrize("func, x0", [
+    (rosenbrock, [-1.2, 1.0]),
+    (rosenbrock, [0.0, 0.0, 0.0]),
+    (rosenbrock, [1.3, 0.7, 0.8, 1.9, 1.2]),
+    (walled, [0.0, 1.0]),
+    (walled, [1.0, 0.0]),
+    (holed, [1.25, 0.0]),
+    (plateau, [0.0, 2.0, 0.0]),
+], ids=["rosenbrock", "rosenbrock-at-0", "rosenbrock-5d", "walled", "walled-at-0", "holed",
+        "plateau"])
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 5, 10, 40, 3000])
+def test_simplex_matches_scipy_nelder_mead_bit_for_bit(func, x0, maxiter):
+    """Reflect, expand, outside and inside contraction, shrink, an infinite
+    wall, a NaN value, zero start coordinates and the iteration cap, against
+    scipy."""
+    x0 = np.array(x0)
+    expected = optimize.minimize(func, x0, method="Nelder-Mead",
+                                 options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10})
+    x, fun = _simplex_minimum(func, x0, maxiter)
+    assert x.tobytes() == expected.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
+
+
+@st.composite
+def laxity_like_samples(draw):
+    """Heavy- or light-tailed sets of 8 to 3000 samples at scales 1e-3 to 1e3,
+    some rounded into many ties and some mostly zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.one_of(st.integers(8, 40), st.integers(41, 3000)))
+    tail = draw(st.sampled_from(["t", "cauchy", "normal", "uniform"]))
+    dof = draw(st.floats(1.1, 30.0))
+    d = {"t": lambda: rng.standard_t(dof, n), "cauchy": lambda: rng.standard_cauchy(n),
+         "normal": lambda: rng.normal(size=n), "uniform": lambda: rng.random(n)}[tail]()
+    if draw(st.booleans()):
+        d = np.abs(d)
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        d = np.round(d, decimals)
+    d[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))] = 0.0
+    return d * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+def fit_or_error(fit, samples) -> str:
+    try:
+        return repr(fit(samples))
+    except RiskError as exc:
+        return f"RiskError: {exc}"
+
+
+@given(samples=laxity_like_samples())
+@settings(max_examples=40, deadline=None)
+def test_fit_matches_scipy_oracle(samples):
+    """The package fit equals the scipy-driven one by repr, or raises the same
+    refusal."""
+    assert fit_or_error(fit_student_t, samples) == \
+        fit_or_error(oracles.scipy_fit_student_t, samples)
 
 
 class TestPpf:
