@@ -4,18 +4,17 @@ Laxity of one session is the absolute gap, in hours, between the time its
 requested energy would take at the port's aggregate requested rate and the
 time its delivered energy took at the aggregate delivery rate, both read
 from :func:`ramals.sessions.port_rates`.  A student-t model is fitted over
-those samples by maximum likelihood; the significance cutoff is a bisection
-on scipy's student-t CDF (``scipy.special.stdtr``).
+those samples by maximum likelihood, by a Nelder-Mead simplex that is
+scipy's step for step.  The significance cutoff is a bisection on the
+student-t CDF: the incomplete beta ratio I_x(dof/2, ½) by its continued
+fraction (modified Lentz) in x or in 1 - x, whichever converges, as in
+DiDonato & Morris (1992, ACM TOMS Algorithm 708).  It is within 1e-13 of
+``scipy.special.stdtr`` for dof up to 1e3 and 1e-11 up to the fit's bound
+of 1e6, so the package needs numpy alone.
 The tail expectation (CVaR) has two closed forms, one function each:
 :func:`upper_tail_cvar`, validated against an empirical tail mean, drives
 decisions through ``cvar_normalized``; :func:`paper_cvar`, the verbatim
-printed form, is singular at location 0 and kept for reference.  The test
-suite checks the CDF against an independent quadrature of the density.
-
-The fit's Nelder-Mead simplex is written here, step for step scipy's, so the
-package never loads scipy's optimize module (about 23 MB resident).
-``scipy.special`` is imported inside :func:`standardized_cdf`: importing
-this module, and every command that takes no quantile, leaves scipy unloaded.
+printed form, is singular at location 0 and kept for reference.
 """
 
 from __future__ import annotations
@@ -163,8 +162,10 @@ def fit_student_t(samples) -> StudentTFit:
     stopping once the points lie within 1e-8 and their values within 1e-10.
     Searches start at the sample mean and stddev, at dof = count-1 and a few
     low dofs (the likelihood is nearly flat in dof once the fit is effectively
-    normal); near-equal optima go to the lowest dof.  Non-finite samples and a
-    spread that overflows float64 are refused before any search.
+    normal); near-equal optima go to the lowest dof.  Non-finite samples, a
+    spread that overflows float64 and a standard deviation outside the scale
+    range the likelihood admits, where every start would read only inf, are
+    refused before any search.
     """
     d = np.asarray(samples, dtype=float)
     if d.size < MIN_FIT_SAMPLES:
@@ -179,13 +180,16 @@ def fit_student_t(samples) -> StudentTFit:
             raise RiskError("student-t fit: the sample spread overflows float64") from None
     if std < DEGENERATE_STD:
         raise RiskError("student-t fit is degenerate: samples are constant")
+    low, high = SCALE_BOUNDS[0] / 10, SCALE_BOUNDS[1] * 10
+    if not low <= std <= high:
+        raise RiskError(f"student-t fit: sample standard deviation {std:.3g} h lies outside "
+                        f"the fit's scale range [{low:g}, {high:g}] h")
 
     def negative_ll(params: np.ndarray) -> float:
         log_dof_off, location, log_scale = params
         dof = DOF_BOUNDS[0] + math.exp(log_dof_off)
         scale = math.exp(log_scale)
-        if not (DOF_BOUNDS[0] < dof <= DOF_BOUNDS[1] * 10
-                and SCALE_BOUNDS[0] / 10 <= scale <= SCALE_BOUNDS[1] * 10):
+        if not (DOF_BOUNDS[0] < dof <= DOF_BOUNDS[1] * 10 and low <= scale <= high):
             return float("inf")
         return -_sum_log_pdf(d, dof, location, scale)
 
@@ -208,13 +212,57 @@ def fit_student_t(samples) -> StudentTFit:
     return StudentTFit(dof=dof, location=location, scale=scale)
 
 
-def standardized_cdf(x: float, dof: float) -> float:
-    """CDF of the standardized density."""
-    if dof <= 0:
-        raise RiskError("dof must be positive")
-    from scipy import special
+def _log_gamma_half_step(a: float) -> float:
+    """log Γ(a + ½) − log Γ(a); above a = 50 by its asymptotic series, whose
+    first omitted term is below 2e-15, since there the two lgamma values are
+    large and their difference loses digits (5.5e-10 at a = 5e5)."""
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (0.125 - (1.0 / 192.0 - r / 640.0) * r) / a
 
-    return float(special.stdtr(dof, x))
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) times
+    it, by the modified Lentz method; quick for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, 1000):
+        for term in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + term / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) <= 2.2e-16:
+            return fraction
+    raise RiskError(f"incomplete beta fraction did not converge at a={a!r}, b={b!r}, x={x!r}")
+
+
+def standardized_cdf(x: float, dof: float) -> float:
+    """CDF of the standardized density: below 0 it is ½ I_u(dof/2, ½) at
+    u = dof / (dof + x²), read from :func:`_beta_fraction` in u or, once u
+    passes the fraction's switch point, as ½ − ½ I_{1-u}(½, dof/2)."""
+    x, dof = float(x), float(dof)
+    if not 0.0 < dof <= DOF_BOUNDS[1]:
+        raise RiskError(f"dof must lie in (0, {DOF_BOUNDS[1]:g}], got {dof!r}")
+    t2 = x * x
+    if not t2 < math.inf:  # |x| beyond 1.3e154, or nan
+        return math.nan if math.isnan(x) else float(x > 0)
+    a = 0.5 * dof
+    u, v = dof / (dof + t2), t2 / (dof + t2)  # v is 1 - u without the subtraction
+    if v == 0.0:  # x is 0 or so near it that the CDF rounds to ½
+        return 0.5
+    log_front = (-a * math.log1p(t2 / dof) + 0.5 * math.log(v)  # log u^a v^½ / B(a, ½)
+                 + _log_gamma_half_step(a) - 0.5 * math.log(math.pi))
+    if v > 1.5 / (a + 2.5):
+        tail = 0.5 * math.exp(log_front) * _beta_fraction(a, 0.5, u) / a
+    else:
+        tail = 0.5 - math.exp(log_front) * _beta_fraction(0.5, a, v)
+    return tail if x < 0 else 1.0 - tail
 
 
 def standardized_ppf(alpha: float, dof: float) -> float:

@@ -16,8 +16,9 @@ reward, the allocators and the replay they drive (:func:`scalar_replay`),
 ``strptime`` over four formats for timestamps, ``json.dumps`` over record
 dicts for the session file and the outcome lines, the risk API that only
 tests used, the location-scale density, the quadrature CDF, its quantile
-bisection and the mirrored lower-tail CVaR the risk fit once used, and the
-student-t fit through scipy's Nelder-Mead (:func:`scipy_fit_student_t`).
+bisection and the mirrored lower-tail CVaR the risk fit once used, the
+student-t fit through scipy's Nelder-Mead (:func:`scipy_fit_student_t`) and
+the student-t CDF as ``scipy.special.stdtr`` (:func:`scipy_standardized_cdf`).
 
 :class:`ChargingSession` is the oracle parser's row, with the per-record
 checks the package once made in its constructor.  The package keeps no row
@@ -521,19 +522,29 @@ def quadrature_cdf(x: float, dof: float) -> float:
     return 0.5 - area if x < 0 else 0.5 + area
 
 
-def bisection_ppf(alpha: float, dof: float) -> float:
+def scipy_standardized_cdf(x: float, dof: float) -> float:
+    """CDF of the standardized density."""
+    if dof <= 0:
+        raise RiskError("dof must be positive")
+    from scipy import special
+
+    return float(special.stdtr(dof, x))
+
+
+def bisection_ppf(alpha: float, dof: float, cdf=quadrature_cdf) -> float:
     """The package's quantile bisection, stopping rule included, run on
-    :func:`quadrature_cdf`."""
+    ``cdf``: :func:`quadrature_cdf`, or :func:`scipy_standardized_cdf` for
+    the bisection the package ran on scipy's CDF."""
     if alpha == 0.5:
         return 0.0
     lo, hi = -1.0, 1.0
-    while quadrature_cdf(lo, dof) > alpha:
+    while cdf(lo, dof) > alpha:
         lo *= 2.0
-    while quadrature_cdf(hi, dof) < alpha:
+    while cdf(hi, dof) < alpha:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        c = quadrature_cdf(mid, dof)
+        c = cdf(mid, dof)
         if abs(c - alpha) <= 1e-9:
             return mid
         if c < alpha:

@@ -3,11 +3,15 @@
 The fit's simplex is checked bit for bit against scipy's Nelder-Mead, and the
 fit against the scipy-driven one it replaced, ``oracles.scipy_fit_student_t``.
 
-The package's CDF is scipy's ``special.stdtr``, the routine behind
-``scipy.stats.t.cdf``, so the CDF and the quantile are checked against the
-independent adaptive quadrature of the density in ``oracles``.  The density
-and the tail expectations are checked against scipy.stats.t, Monte-Carlo
-tail averages and direct enumeration.
+The package's CDF is the incomplete beta ratio I_x(dof/2, ½) by its
+continued fraction (modified Lentz).  It is checked against
+``scipy.special.stdtr``, the routine behind ``scipy.stats.t.cdf`` and the
+CDF it replaced (``oracles.scipy_standardized_cdf``), to 1e-13 for dof up to
+1e3 and 1e-11 up to the fit's bound of 1e6, and against the independent
+adaptive quadrature of the density in ``oracles``.  The quantile bisection
+on it returns the cutoffs of the bisection on either oracle bit for bit.
+The density and the tail expectations are checked against scipy.stats.t,
+Monte-Carlo tail averages and direct enumeration.
 """
 
 import math
@@ -35,6 +39,7 @@ from ramals import (
     upper_tail_cvar,
 )
 import ramals.risk as risk_module
+from ramals.cli import generator_from_config, load_config, stage_seed
 from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _simplex_minimum, _sum_log_pdf,
                          standardized_cdf, standardized_ppf)
 
@@ -228,6 +233,16 @@ class TestFitStudentT:
         with pytest.raises(RiskError, match="sample spread overflows float64"):
             fit_student_t(samples)
 
+    @pytest.mark.parametrize("scale, std", [(1e8, "3.03e+07"), (5e-8, "1.52e-08")])
+    def test_spread_outside_scale_range_refused(self, scale, std):
+        """A standard deviation beyond either end of the scale range the
+        likelihood admits starts every search where it reads only inf; it is
+        refused by name before any search, with no numpy warning."""
+        with pytest.raises(RiskError, match=re.escape(
+                f"sample standard deviation {std} h lies outside the fit's scale range "
+                "[1e-07, 1e+07] h")):
+            fit_student_t(np.linspace(0.0, 1.0, 20) * scale)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_default_batch_fit_matches_scipy_oracle(self, seed):
         d = laxity_samples(generate_synthetic(GeneratorConfig(n_sessions=200), seed=seed))
@@ -306,9 +321,14 @@ def fit_or_error(fit, samples) -> str:
 @settings(max_examples=40, deadline=None)
 def test_fit_matches_scipy_oracle(samples):
     """The package fit equals the scipy-driven one by repr, or raises the same
-    refusal."""
-    assert fit_or_error(fit_student_t, samples) == \
-        fit_or_error(oracles.scipy_fit_student_t, samples)
+    refusal; a spread outside the scale range, refused before any search,
+    is one the oracle's search fails on."""
+    got, expected = (fit_or_error(fit, samples)
+                     for fit in (fit_student_t, oracles.scipy_fit_student_t))
+    if "outside the fit's scale range" in got:
+        assert expected == "RiskError: student-t fit failed to converge"
+    else:
+        assert got == expected
 
 
 class TestPpf:
@@ -370,6 +390,43 @@ class TestPpf:
         for alpha in (0.05, 0.5, 0.8, 0.9, 0.95, 0.99):
             assert standardized_ppf(alpha, 1e6) == pytest.approx(
                 bisection_ppf(alpha, 1e6), rel=5e-8, abs=0.0)
+
+
+@given(dof=st.floats(math.log(1.001), math.log(1e6)).map(lambda v: min(math.exp(v), 1e6)),
+       x=st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, 1e3, -1e3]), st.floats(-1e3, 1e3)))
+@settings(max_examples=500, deadline=None)
+def test_cdf_matches_scipy_stdtr(dof, x):
+    """Within 1e-13 of scipy's ``stdtr`` for dof up to 1e3 and 1e-11 above,
+    where the fraction's terms lose digits near its switch point."""
+    bound = 1e-13 if dof <= 1e3 else 1e-11
+    assert abs(standardized_cdf(x, dof) - oracles.scipy_standardized_cdf(x, dof)) <= bound
+
+
+def test_cdf_limits_and_refusals():
+    """The limits at ±inf and the median, nan in and out, dof outside the fit's
+    range refused, and the fraction refused far past its switch point."""
+    assert standardized_cdf(-math.inf, 3.0) == 0.0
+    assert standardized_cdf(1e200, 3.0) == 1.0
+    assert standardized_cdf(-5e-324, 1e6) == standardized_cdf(0.0, 3.0) == 0.5
+    assert math.isnan(standardized_cdf(math.nan, 3.0))
+    for dof in (0.0, -1.0, 1.0000001e6, math.inf, math.nan):
+        with pytest.raises(RiskError, match=r"dof must lie in \(0, 1e\+06\]"):
+            standardized_cdf(0.5, dof)
+    with pytest.raises(RiskError, match="incomplete beta fraction did not converge"):
+        risk_module._beta_fraction(5e5, 0.5, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ppf_matches_stdtr_bisection_bit_for_bit_at_fitted_dof(seed):
+    """At the dof fitted to the default configuration's session file for
+    each seed, the cutoff is the one the bisection on scipy's ``stdtr``
+    returned, to the last bit."""
+    batch = generate_synthetic(generator_from_config(load_config(None)),
+                               stage_seed(seed, "gen"))
+    dof = fit_student_t(laxity_samples(batch)).dof
+    for alpha in (0.8, 0.95, 0.99):
+        assert standardized_ppf(alpha, dof) == bisection_ppf(
+            alpha, dof, oracles.scipy_standardized_cdf), (alpha, dof)
 
 
 class TestCvarClosedForm:
