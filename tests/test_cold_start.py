@@ -3,9 +3,12 @@
 The laxity fit's simplex and the student-t CDF its quantile bisects are the
 package's own, so importing the package and running every command, the ones
 that fit a tail model (``fit-risk``, and ``train`` without ``--risk``)
-included, leave every ``scipy`` module out of ``sys.modules``.  The check
+included, leave every ``scipy`` module out of ``sys.modules``.  Each check
 runs in a fresh interpreter, since this test process has loaded scipy's
-oracles already.
+oracles already.  The two tests keep the names they had when ``fit-risk``
+and ``train`` without ``--risk`` were the commands that loaded
+``scipy.special``; both now assert that no command loads any ``scipy``
+module.
 """
 
 import json
@@ -41,21 +44,34 @@ def scipy_loaded_after(commands, cwd):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_no_command_loads_scipy(tmp_path):
+def test_only_fit_risk_loads_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text(CONFIG)
+    (tmp_path / "risk.json").write_text('{"cvar_normalized": 0.1}\n')
     common = ["--config", "run.cfg", "--sessions", "sessions.json"]
     commands = [
         ("gen-data", ["gen-data", "--config", "run.cfg", "--out", "sessions.json"]),
-        ("fit-risk", ["fit-risk", *common, "--out", "risk.json"]),
-        ("train", ["train", *common, "--out", "estimated.json"]),
-        ("train --risk", ["train", "--risk", "risk.json", *common, "--out", "model.json"]),
         ("run --baseline", ["run", "--baseline", *common, "--out", "base.jsonl",
                             "--report", "base.csv"]),
+        ("train --risk", ["train", "--risk", "risk.json", *common, "--out", "model.json"]),
         ("run --model", ["run", "--model", "model.json", *common, "--out", "policy.jsonl",
                          "--report", "policy.csv"]),
         ("compare", ["compare", "base=base.csv", "policy=policy.csv"]),
+        ("fit-risk", ["fit-risk", *common, "--out", "fitted.json"]),
     ]
     loaded = scipy_loaded_after(commands, tmp_path)
     assert loaded == {label: [] for label in ["import ramals", *dict(commands)]}
+    fitted = json.loads((tmp_path / "fitted.json").read_text())
+    assert 0.0 <= fitted["cvar_normalized"] < 1.0
     # the fit ran and its quantile was bisected: constant laxity pins the cutoff at 0
-    assert json.loads((tmp_path / "risk.json").read_text())["cutoff"] > 0.0
+    assert fitted["cutoff"] > 0.0
+
+
+def test_train_estimating_its_risk_loads_scipy_special_only(tmp_path):
+    (tmp_path / "run.cfg").write_text(CONFIG)
+    commands = [
+        ("gen-data", ["gen-data", "--config", "run.cfg", "--out", "sessions.json"]),
+        ("train", ["train", "--config", "run.cfg", "--sessions", "sessions.json",
+                   "--out", "model.json"]),
+    ]
+    loaded = scipy_loaded_after(commands, tmp_path)
+    assert loaded == {label: [] for label in ["import ramals", *dict(commands)]}
