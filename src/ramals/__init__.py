@@ -45,6 +45,7 @@ from .scheduler import (
     compute_metrics,
     execute,
     fcfs_as_requested_baseline,
+    read_report,
 )
 
 __version__ = "0.1.0"

@@ -28,15 +28,30 @@ Per-EVSE overrides: ``evse.<id>.supply_capacity_kw`` and
 ``evse.`` key, a value that is not a number, or a port the site does not
 have is an error that names the key.
 
+Files each command reads and writes (all but compare also read ``--config``):
+
+  gen-data  writes the session file ``--out``
+  fit-risk  reads ``--sessions``; writes the risk file ``--out``: the fields
+            of :class:`ramals.risk.RiskEstimate`, its ``fit``'s at the top
+            level, and a nan ``cvar_paper`` (the paper's form) as null
+  train     reads ``--sessions``, ``--risk`` (else it fits the risk, or pins
+            it to 0 with ``--risk-off``) and ``--resume``; writes the model
+            file ``--out`` and the log ``--log`` (``<out>.log.csv``)
+  run       reads ``--sessions`` and ``--model``, or replays the baseline
+            with ``--baseline``; writes the outcomes ``--out``, one a line,
+            and the metrics CSV ``--report`` (``<out>.report.csv``)
+  compare   reads the site rows of each ``label=report.csv``; writes the
+            table to stdout and to ``--out``
+
 The risk factor that drives training's rewards is the standard, normalized
-CVaR, ``cvar_normalized`` in a ``fit-risk`` file: ``train --risk FILE``
-reads that key alone, and it must be a number in [0, 1).  ``fit-risk`` also
-writes the paper's printed form, ``cvar_paper``, for reference only.
+CVaR: ``train --risk FILE`` reads ``cvar_normalized`` alone, and it must be
+a number in [0, 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -207,18 +222,8 @@ def cmd_fit_risk(args) -> int:
     alpha = args.alpha if args.alpha is not None else cfg["alpha"]
     batch = _read_batch(args.sessions)
     estimate = risk.estimate_risk(batch, alpha)
-    payload = {
-        "alpha": estimate.alpha,
-        "dof": estimate.fit.dof,
-        "location": estimate.fit.location,
-        "scale": estimate.fit.scale,
-        "cutoff": estimate.cutoff,
-        "var": estimate.var,
-        "cvar_paper": _json_safe(estimate.cvar_paper),
-        "cvar_standard": estimate.cvar_standard,
-        "cvar_empirical": estimate.cvar_empirical,
-        "cvar_normalized": estimate.cvar_normalized,
-    }
+    fields = dataclasses.asdict(estimate)
+    payload = {**fields.pop("fit"), **fields, "cvar_paper": _json_safe(estimate.cvar_paper)}
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(f"normalized tail risk at alpha={alpha}: {estimate.cvar_normalized:.6f}")
     return 0
@@ -293,7 +298,7 @@ def cmd_compare(args) -> int:
             raise CliError(f"compare label {label!r} must be non-empty, hold no comma, "
                            "repeat no other label and name no other column")
         try:
-            reports[label] = scheduler.MetricsReport.from_csv(Path(path).read_text())
+            reports[label] = scheduler.read_report(Path(path).read_text())
         except scheduler.SchedulerError as exc:
             raise CliError(f"report {path}: {exc}") from None
     rows = scheduler.compare_report(reports)
@@ -327,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the multi-agent scheduler")
     p.add_argument("--config")
     p.add_argument("--sessions", required=True)
-    p.add_argument("--risk", help="risk JSON from fit-risk (computed if omitted)")
-    p.add_argument("--risk-off", action="store_true", help="pin the risk factor to 0")
+    risk_source = p.add_mutually_exclusive_group()
+    risk_source.add_argument("--risk", help="risk JSON from fit-risk (computed if omitted)")
+    risk_source.add_argument("--risk-off", action="store_true",
+                             help="pin the risk factor to 0")
     p.add_argument("--seed", type=int)
     p.add_argument("--episodes", type=int)
     p.add_argument("--resume", help="existing model to continue from")
@@ -339,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a model (or the baseline) over sessions")
     p.add_argument("--config")
     p.add_argument("--sessions", required=True)
-    p.add_argument("--model")
-    p.add_argument("--baseline", action="store_true",
-                   help="run the as-requested FCFS baseline instead of a model")
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--model")
+    rule.add_argument("--baseline", action="store_true",
+                      help="run the as-requested FCFS baseline instead of a model")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="metrics CSV path")
     p.set_defaults(func=cmd_run)
@@ -354,12 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.command == "run" and not args.baseline and not args.model:
-        parser.error("run needs --model unless --baseline is given")
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

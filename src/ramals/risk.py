@@ -59,7 +59,8 @@ class StudentTFit:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Complete risk summary at one significance level."""
+    """Complete risk summary at one significance level.  Its fields, with
+    ``fit``'s at the top level, are the ``fit-risk`` file."""
 
     alpha: float
     fit: StudentTFit
@@ -165,7 +166,8 @@ def fit_student_t(samples) -> StudentTFit:
     normal); near-equal optima go to the lowest dof.  Non-finite samples, a
     spread that overflows float64 and a standard deviation outside the scale
     range the likelihood admits, where every start would read only inf, are
-    refused before any search.
+    refused before any search; a fitted scale outside ``SCALE_BOUNDS``, after
+    it.  A dof past its bound is the normal limit and is capped there.
     """
     d = np.asarray(samples, dtype=float)
     if d.size < MIN_FIT_SAMPLES:
@@ -199,8 +201,7 @@ def fit_student_t(samples) -> StudentTFit:
         x0 = np.array([math.log(dof0 - DOF_BOUNDS[0]), mean, math.log(std)])
         x, fun = _simplex_minimum(negative_ll, x0)
         dof = DOF_BOUNDS[0] + math.exp(x[0])
-        candidate = (float(fun), min(dof, DOF_BOUNDS[1]), float(x[1]),
-                     float(np.clip(math.exp(x[2]), *SCALE_BOUNDS)))
+        candidate = (float(fun), min(dof, DOF_BOUNDS[1]), float(x[1]), math.exp(x[2]))
         tie_tol = 1e-6 * max(1.0, abs(candidate[0]))
         if best is None or candidate[0] < best[0] - tie_tol:
             best = candidate
@@ -209,6 +210,9 @@ def fit_student_t(samples) -> StudentTFit:
     neg_ll, dof, location, scale = best
     if not math.isfinite(neg_ll):
         raise RiskError("student-t fit failed to converge")
+    if not SCALE_BOUNDS[0] <= scale <= SCALE_BOUNDS[1]:
+        raise RiskError(f"student-t fit: fitted scale {scale:.3g} h lies outside the scale "
+                        f"bounds [{SCALE_BOUNDS[0]:g}, {SCALE_BOUNDS[1]:g}] h")
     return StudentTFit(dof=dof, location=location, scale=scale)
 
 

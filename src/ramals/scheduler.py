@@ -60,6 +60,11 @@ class ScheduleOutcome(NamedTuple):
     reward: float
 
 
+#: The site metrics a report tabulates and ``compare`` reads, in row order.
+SITE_METRICS = ("charging_rate_kw", "assignment_efficiency_pct", "sessions_served",
+                "active_charging_hours", "energy_delivered_kwh")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Site-level evaluation summary."""
@@ -74,13 +79,9 @@ class MetricsReport:
     energy_kwh_by_evse: dict[str, float]
 
     def scalar_metrics(self) -> dict[str, float]:
-        return {
-            "charging_rate_kw": self.charging_rate_kw,
-            "assignment_efficiency_pct": self.assignment_efficiency_pct,
-            "sessions_served": float(self.sessions_served),
-            "active_charging_hours": self.total_active_hours,
-            "energy_delivered_kwh": self.total_energy_kwh,
-        }
+        return dict(zip(SITE_METRICS, (
+            self.charging_rate_kw, self.assignment_efficiency_pct,
+            float(self.sessions_served), self.total_active_hours, self.total_energy_kwh)))
 
     def to_csv(self) -> str:
         lines = ["metric,scope,value"]
@@ -94,46 +95,34 @@ class MetricsReport:
                          f"{self.energy_kwh_by_evse[evse_id]!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "MetricsReport":
-        site: dict[str, float] = {}
-        hours: dict[str, float] = {}
-        energy: dict[str, float] = {}
-        rows = [(lineno, row.strip()) for lineno, row in enumerate(text.splitlines(), 1)
-                if row.strip()]
-        if not rows or rows[0][1] != "metric,scope,value":
-            raise SchedulerError("unrecognized metrics CSV header")
-        for lineno, row in rows[1:]:
-            fields = row.split(",")
-            if len(fields) != 3:
-                raise SchedulerError(f"line {lineno}: expected metric,scope,value, got {row!r}")
-            name, scope, value = fields
-            try:
-                number = float(value)
-            except ValueError:
-                raise SchedulerError(f"line {lineno}: value {value!r} is not a number") from None
-            if scope == "site":
-                site[name] = number
-            elif name == "active_charging_hours":
-                hours[scope] = number
-            elif name == "energy_delivered_kwh":
-                energy[scope] = number
-        missing = [name for name in ("sessions_served", "charging_rate_kw",
-                                     "assignment_efficiency_pct", "active_charging_hours",
-                                     "energy_delivered_kwh") if name not in site]
-        if missing:
-            raise SchedulerError(f"no site row for {', '.join(missing)}")
-        served, total = site["sessions_served"], site.get("sessions_total", 0.0)
-        if not (math.isfinite(served) and math.isfinite(total)):
-            raise SchedulerError("sessions_served and sessions_total must be finite")
-        return cls(charging_rate_kw=site["charging_rate_kw"],
-                   assignment_efficiency_pct=site["assignment_efficiency_pct"],
-                   sessions_served=int(served),
-                   sessions_total=int(total),
-                   total_active_hours=site["active_charging_hours"],
-                   total_energy_kwh=site["energy_delivered_kwh"],
-                   active_hours_by_evse=hours,
-                   energy_kwh_by_evse=energy)
+
+def read_report(text: str) -> dict[str, float]:
+    """The :data:`SITE_METRICS` of a :meth:`MetricsReport.to_csv` text, in
+    order.  Every row must be three fields with a numeric value, and each
+    compared site row present, with finite served and total counts."""
+    site: dict[str, float] = {}
+    rows = [(lineno, row.strip()) for lineno, row in enumerate(text.splitlines(), 1)
+            if row.strip()]
+    if not rows or rows[0][1] != "metric,scope,value":
+        raise SchedulerError("unrecognized metrics CSV header")
+    for lineno, row in rows[1:]:
+        fields = row.split(",")
+        if len(fields) != 3:
+            raise SchedulerError(f"line {lineno}: expected metric,scope,value, got {row!r}")
+        name, scope, value = fields
+        try:
+            number = float(value)
+        except ValueError:
+            raise SchedulerError(f"line {lineno}: value {value!r} is not a number") from None
+        if scope == "site":
+            site[name] = number
+    missing = [name for name in SITE_METRICS if name not in site]
+    if missing:
+        raise SchedulerError(f"no site row for {', '.join(missing)}")
+    if not (math.isfinite(site["sessions_served"])
+            and math.isfinite(site.get("sessions_total", 0.0))):
+        raise SchedulerError("sessions_served and sessions_total must be finite")
+    return {name: site[name] for name in SITE_METRICS}
 
 
 class _PolicyRule:
@@ -380,21 +369,20 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
                              f"{site.dso_capacity_kw} kW at t={starts[over[0]]:.1f} min")
 
 
-def compare_report(reports: dict[str, MetricsReport]) -> list[dict]:
-    """Side-by-side metric table with percentage deltas against the first entry."""
+def compare_report(reports: dict[str, dict[str, float]]) -> list[dict]:
+    """Side-by-side metric table with percentage deltas against the first
+    entry; each maps metric names to values, as :func:`read_report` returns."""
     if not reports:
         raise SchedulerError("compare needs at least one report")
     labels = list(reports)
-    base_label = labels[0]
-    base = reports[base_label].scalar_metrics()
     rows = []
-    for metric in base:
+    for metric, base in reports[labels[0]].items():
         row = {"metric": metric}
         for label in labels:
-            row[label] = reports[label].scalar_metrics()[metric]
+            row[label] = reports[label][metric]
         for label in labels[1:]:
-            if base[metric] != 0:
-                delta = (row[label] - base[metric]) / base[metric] * 100.0
+            if base != 0:
+                delta = (row[label] - base) / base * 100.0
             else:
                 delta = 0.0 if row[label] == 0 else float("inf")
             row[f"delta_pct_{label}"] = delta

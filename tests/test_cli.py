@@ -1,15 +1,17 @@
 """Command-line pipeline wiring and idempotence."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramals import learner, scheduler
+from ramals import learner, risk, scheduler
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
 from ramals.learner import SharedModel
-from ramals.sessions import SessionBatch
+from ramals.sessions import SessionBatch, parse_sessions
 
 CONFIG = """
 # desk-scale smoke scenario
@@ -266,6 +268,22 @@ class TestPipeline:
             assert key in payload
         assert 0.0 <= payload["cvar_normalized"] < 1.0
 
+    def test_risk_file_is_the_estimate_fields(self, workdir):
+        """The risk file's keys are exactly ``RiskEstimate``'s fields with
+        ``fit``'s at the top level, and each holds the estimate's value."""
+        sessions = self.generate(workdir)
+        out = workdir / "risk.json"
+        assert run_cli("fit-risk", "--config", workdir / "run.cfg",
+                       "--sessions", sessions, "--out", out) == 0
+        payload = json.loads(out.read_text())
+        estimate = risk.estimate_risk(parse_sessions(sessions.read_bytes()), 0.9)
+        fields = {f.name: getattr(estimate, f.name) for f in dataclasses.fields(estimate)}
+        fit = fields.pop("fit")
+        fields.update((f.name, getattr(fit, f.name)) for f in dataclasses.fields(fit))
+        assert sorted(payload) == sorted(fields)
+        for key, value in fields.items():
+            assert payload[key] == (value if math.isfinite(value) else None), key
+
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
     def test_fit_risk_rejects_alpha_on_constant_laxity(self, workdir, capsys, alpha):
         """A batch of AVs has constant laxity, which needs no quantile; the
@@ -362,6 +380,32 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field_name} must be a finite ")
         assert not (workdir / "model.json").exists()
+
+    def test_train_refuses_risk_file_with_risk_off(self, workdir, capsys):
+        """``--risk`` and ``--risk-off`` conflict: argparse exits 2 naming
+        both, before the file is opened or a model written."""
+        sessions, model = self.generate(workdir), workdir / "model.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                    "--risk", workdir / "missing.json", "--risk-off", "--out", model)
+        assert exit_info.value.code == 2
+        assert "argument --risk-off: not allowed with argument --risk" in \
+            capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("rule, message", [
+        (["--model", "missing.json", "--baseline"],
+         "argument --baseline: not allowed with argument --model"),
+        ([], "one of the arguments --model --baseline is required")])
+    def test_run_needs_exactly_one_of_model_and_baseline(self, workdir, capsys, rule,
+                                                         message):
+        sessions, out = self.generate(workdir), workdir / "o.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                    *rule, "--out", out)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (workdir / "o.jsonl.report.csv").exists()
 
     def test_train_run_compare(self, workdir):
         sessions = self.generate(workdir)

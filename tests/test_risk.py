@@ -243,6 +243,15 @@ class TestFitStudentT:
                 "[1e-07, 1e+07] h")):
             fit_student_t(np.linspace(0.0, 1.0, 20) * scale)
 
+    @pytest.mark.parametrize("scale, fitted", [(3e7, "9.11e+06"), (5e-7, "1.52e-07")])
+    def test_fitted_scale_outside_bounds_refused(self, scale, fitted):
+        """A spread inside the searched range whose fitted scale lands
+        outside ``SCALE_BOUNDS`` is refused by name, not clipped to the bound
+        it passed."""
+        with pytest.raises(RiskError, match=re.escape(
+                f"fitted scale {fitted} h lies outside the scale bounds [1e-06, 1e+06] h")):
+            fit_student_t(np.linspace(0.0, 1.0, 20) * scale)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_default_batch_fit_matches_scipy_oracle(self, seed):
         d = laxity_samples(generate_synthetic(GeneratorConfig(n_sessions=200), seed=seed))
@@ -321,12 +330,15 @@ def fit_or_error(fit, samples) -> str:
 @settings(max_examples=40, deadline=None)
 def test_fit_matches_scipy_oracle(samples):
     """The package fit equals the scipy-driven one by repr, or raises the same
-    refusal; a spread outside the scale range, refused before any search,
-    is one the oracle's search fails on."""
+    refusal.  A spread outside the scale range, refused before any search,
+    is one the oracle's search fails on; a fitted scale outside
+    ``SCALE_BOUNDS``, refused after it, is one the oracle clips to a bound."""
     got, expected = (fit_or_error(fit, samples)
                      for fit in (fit_student_t, oracles.scipy_fit_student_t))
     if "outside the fit's scale range" in got:
         assert expected == "RiskError: student-t fit failed to converge"
+    elif "outside the scale bounds" in got:
+        assert oracles.scipy_fit_student_t(samples).scale in SCALE_BOUNDS
     else:
         assert got == expected
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ramals import (
     EvseConfig,
     GeneratorConfig,
-    MetricsReport,
     SchedulerError,
     SessionError,
     SiteConfig,
@@ -25,14 +24,15 @@ from ramals import (
     execute,
     fcfs_as_requested_baseline,
     generate_synthetic,
+    read_report,
     train,
 )
 import ramals.learner as learner
 from ramals.cli import main as cli_main
 from ramals.learner import Coordinator, SharedModel, init_params
 from ramals.mdp import as_requested_allocation, rational_allocation, state_matrix
-from ramals.scheduler import (ScheduleEngine, ScheduleOutcome, _PolicyRule, audit_outcomes,
-                              comparison_csv, outcomes_jsonl)
+from ramals.scheduler import (SITE_METRICS, ScheduleEngine, ScheduleOutcome, _PolicyRule,
+                              audit_outcomes, comparison_csv, outcomes_jsonl)
 
 import oracles
 from helpers import (JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, site_for,
@@ -86,32 +86,43 @@ class TestComputeMetrics:
         assert whole.sessions_served == part_a.sessions_served + part_b.sessions_served
 
     def test_csv_roundtrip(self):
+        """The reader returns the compared site metrics alone, in
+        ``SITE_METRICS`` order; the per-EVSE rows are pinned by the digest
+        test."""
         batch = spaced_av_batch(n=2)
         site = site_for(batch)
         report = compute_metrics([outcome(sid="s0"), outcome(sid="s1")], site)
-        again = MetricsReport.from_csv(report.to_csv())
-        assert again.charging_rate_kw == pytest.approx(report.charging_rate_kw)
-        assert again.sessions_total == report.sessions_total
-        assert again.active_hours_by_evse == report.active_hours_by_evse
+        header, *rows = report.to_csv().splitlines()
+        for text in (report.to_csv(), "\n".join([header, *reversed(rows)])):
+            again = read_report(text)
+            assert again == report.scalar_metrics()
+            assert list(again) == list(SITE_METRICS)
 
     def test_csv_without_a_site_metric_names_it(self):
         text = compute_metrics([outcome()], site_for(spaced_av_batch(n=1))).to_csv()
         dropped = "".join(row for row in text.splitlines(keepends=True)
                           if not row.startswith("sessions_served,"))
         with pytest.raises(SchedulerError, match="no site row for sessions_served"):
-            MetricsReport.from_csv(dropped)
+            read_report(dropped)
 
     @pytest.mark.parametrize("row, message", [
         ("charging_rate_kw,site", r"line 3: expected metric,scope,value, got "
                                   r"'charging_rate_kw,site'"),
         ("charging_rate_kw,site,fast", r"line 3: value 'fast' is not a number"),
-        ("sessions_served,site,nan", r"sessions_served and sessions_total must be finite")])
+        ("sessions_served,site,nan", r"sessions_served and sessions_total must be finite"),
+        ("sessions_total,site,inf", r"sessions_served and sessions_total must be finite"),
+        ("active_charging_hours,EVSE-1", r"line 3: expected metric,scope,value, got "
+                                         r"'active_charging_hours,EVSE-1'"),
+        ("energy_delivered_kwh,EVSE-1,lots", r"line 3: value 'lots' is not a number")])
     def test_csv_bad_row_names_its_line(self, row, message):
+        """A bad row replaces the one of its metric and scope; a per-EVSE row
+        is checked as a site row is, though the reader keeps none of them."""
         text = compute_metrics([outcome()], site_for(spaced_av_batch(n=1))).to_csv()
-        rows = [r for r in text.splitlines() if not r.startswith(row.split(",")[0] + ",site")]
+        prefix = ",".join(row.split(",")[:2]) + ","
+        rows = [r for r in text.splitlines() if not r.startswith(prefix)]
         rows.insert(2, row)
         with pytest.raises(SchedulerError, match=message):
-            MetricsReport.from_csv("\n".join(rows))
+            read_report("\n".join(rows))
 
     def test_csv_roundtrip_exact_on_twelve_ports(self):
         """The CSV lists ports sorted as text (EVSE-10 before EVSE-2); the site
@@ -122,8 +133,7 @@ class TestComputeMetrics:
                         energy=float(rng.uniform(1.0, 40.0)),
                         minutes=float(rng.uniform(5.0, 300.0))) for i in range(60)]
         report = compute_metrics(rows, site)
-        again = MetricsReport.from_csv(report.to_csv())
-        assert again.scalar_metrics() == report.scalar_metrics()
+        assert read_report(report.to_csv()) == report.scalar_metrics()
 
 
 class TestExecute:
@@ -140,8 +150,9 @@ class TestExecute:
         assert cli_main(["run", "--baseline", "--sessions", str(tmp_path / "empty.json"),
                          "--out", str(out), "--report", str(report_path)]) == 0
         assert out.read_bytes() == b""
-        read = MetricsReport.from_csv(report_path.read_text())
-        assert (read.sessions_served, read.sessions_total) == (0, 0)
+        text = report_path.read_text()
+        assert read_report(text)["sessions_served"] == 0.0
+        assert "\nsessions_total,site,0.0\n" in text
 
     def test_all_av_oracle_schedule_is_fully_efficient(self):
         batch = spaced_av_batch(n=8, evses=("EVSE-1", "EVSE-2"))
@@ -719,9 +730,9 @@ class TestCompare:
     def make_report(self, rate=10.0):
         batch = spaced_av_batch(n=2)
         site = site_for(batch)
-        return compute_metrics(
+        return read_report(compute_metrics(
             [outcome(sid="s0", rate=rate, energy=rate, minutes=60.0),
-             outcome(sid="s1", rate=rate, energy=rate, minutes=60.0)], site)
+             outcome(sid="s1", rate=rate, energy=rate, minutes=60.0)], site).to_csv())
 
     def test_identical_reports_zero_delta(self):
         rows = compare_report({"a": self.make_report(), "b": self.make_report()})
@@ -737,7 +748,7 @@ class TestCompare:
     def test_row_count_matches_metric_count(self):
         report = self.make_report()
         rows = compare_report({"a": report, "b": report})
-        assert len(rows) == len(report.scalar_metrics())
+        assert [row["metric"] for row in rows] == list(SITE_METRICS)
 
     def test_csv_emission(self):
         rows = compare_report({"a": self.make_report(), "b": self.make_report(12.0)})
