@@ -9,8 +9,9 @@ under the chosen action, and shrinks with the site's normalized tail risk.
 Training, the engine's reward and the policy's ordering override all read
 one :func:`decision_table` per batch, whose columns hold every session's
 ordering check and reward under each action.  An allocator maps a batch to
-every session's :class:`Allocation` at once, from the session and its
-port's config alone.
+every session's charging plan at once, from the session and its port's
+config alone, as one :class:`Allocation` of columns: each field is a list in
+batch order, so session ``i``'s rate is ``allocation.rate_kw[i]``.
 
 Training is a contextual bandit whose optimum is each session's larger table
 reward, a tie scheduling.  Both actions share one reward before the ordering
@@ -22,7 +23,9 @@ risk in [0, 1) changes the optimum.
 :class:`EvseQueue` is one port's FCFS queue over its rows of the batch:
 :meth:`EvseQueue.present` voids expired heads into ``voided`` and exposes
 the head, and :meth:`EvseQueue.transition` applies one decision to that
-head.  :class:`Allocation` and :class:`QueueEvent` are named tuples.
+head, whose occupancy the caller reads from the allocation's
+``occupy_minutes`` column.  :class:`QueueEvent` rows are named tuples built
+by :data:`new_row`.
 """
 
 from __future__ import annotations
@@ -102,14 +105,15 @@ def decision_table(batch: SessionBatch, risk: float) -> DecisionTable:
 
 
 class Allocation(NamedTuple):
-    """Realized charging plan for one scheduled session."""
+    """Every session's realized charging plan, one list per field in batch
+    order: session ``i``'s rate is ``rate_kw[i]``."""
 
-    energy_kwh: float
-    rate_kw: float
-    charge_minutes: float
-    occupy_minutes: float
-    allocated_energy_kwh: float
-    allocated_minutes: float
+    energy_kwh: list[float]
+    rate_kw: list[float]
+    charge_minutes: list[float]
+    occupy_minutes: list[float]
+    allocated_energy_kwh: list[float]
+    allocated_minutes: list[float]
 
 
 def _capped_rates(batch: SessionBatch, evses: Sequence[EvseConfig]) -> np.ndarray:
@@ -123,7 +127,7 @@ def _capped_rates(batch: SessionBatch, evses: Sequence[EvseConfig]) -> np.ndarra
     return np.where(implied > 0, np.minimum(implied, cap), cap)
 
 
-def rational_allocation(batch: SessionBatch, evses: Sequence[EvseConfig]) -> list[Allocation]:
+def rational_allocation(batch: SessionBatch, evses: Sequence[EvseConfig]) -> Allocation:
     """Deliver each session's actual need, then free the port; ``evses`` are
     the configs of the batch's ports, in port order.
 
@@ -147,11 +151,10 @@ def rational_allocation(batch: SessionBatch, evses: Sequence[EvseConfig]) -> lis
     energy[idle] = charge_minutes[idle] = allocated[idle] = 0.0
     occupy[idle] = granted[idle] = switching[idle]
     columns = (energy, rate, charge_minutes, occupy, allocated, granted)
-    return list(map(Allocation, *(column.tolist() for column in columns)))
+    return Allocation(*(column.tolist() for column in columns))
 
 
-def as_requested_allocation(batch: SessionBatch,
-                            evses: Sequence[EvseConfig]) -> list[Allocation]:
+def as_requested_allocation(batch: SessionBatch, evses: Sequence[EvseConfig]) -> Allocation:
     """Grant each session's inflated request verbatim: the port stays blocked
     for the whole requested window while the vehicle absorbs only its actual
     need."""
@@ -161,7 +164,13 @@ def as_requested_allocation(batch: SessionBatch,
     charge_minutes = energy / rate * 60.0
     occupy = np.maximum(available, charge_minutes)
     columns = (energy, rate, charge_minutes, occupy, batch.requested_kwh, available)
-    return list(map(Allocation, *(column.tolist() for column in columns)))
+    return Allocation(*(column.tolist() for column in columns))
+
+
+#: Builds a named-tuple row from a tuple of its values in C: ``new_row(Cls,
+#: values)`` is ``Cls(*values)`` without the class's generated ``__new__``, a
+#: Python function that takes three to five times as long per row.
+new_row = tuple.__new__
 
 
 class QueueEvent(NamedTuple):
@@ -175,15 +184,18 @@ class QueueEvent(NamedTuple):
 
 class EvseQueue:
     """FCFS queue for one port, the batch rows ``rows``, with a private clock
-    in minutes.
+    in minutes.  The head is batch row ``position``, and the queue is empty
+    once ``position`` reaches ``stop``.
 
     ``arrivals`` and ``deadlines`` hold each batch session's plug-in and the
     end of its availability window on the engine's clock.  :meth:`present`
     is the one place that voids heads whose charging can no longer start in
     their window, into ``voided``, and that moves the clock up to the head's
     arrival.  :meth:`transition` then acts on the presented head: scheduling
-    pops it and realizes the caller's allocation, queueing keeps it and
-    advances the clock one step.  Every session ends scheduled or voided.
+    pops it and holds the port for the caller's ``occupy_minutes``, its
+    allocation's occupancy, and queueing keeps it and advances the clock one
+    step.  Every session ends scheduled or voided.  Whether voids are logged
+    is read once, when the queue is built for a replay.
     """
 
     def __init__(self, evse: EvseConfig, rows: slice, session_ids: list[str],
@@ -194,44 +206,46 @@ class EvseQueue:
         self.position, self.stop = rows.start, rows.stop  # the head's row, and the end
         self.clock = arrivals[rows.start] if rows.start < rows.stop else 0.0
         self.voided: list[QueueEvent] = []
-
-    def head(self) -> int | None:
-        """The head session's batch row, or None once empty."""
-        return self.position if self.position < self.stop else None
+        self._log_voids = log.isEnabledFor(logging.DEBUG)
 
     def present(self) -> int | None:
         """Void heads whose availability window has expired, then return the
         head's row, with the clock at or past its arrival; None once empty."""
         # Once started, a session always runs to completion.
-        i, clock = self.position, self.clock
-        while i < self.stop:
-            arrival = self.arrivals[i]
+        i, clock, stop = self.position, self.clock, self.stop
+        arrivals, deadlines = self.arrivals, self.deadlines
+        while i < stop:
+            arrival = arrivals[i]
             if arrival > clock:
                 clock = arrival
-            if clock <= self.deadlines[i] + 1e-9:
+            if clock <= deadlines[i] + 1e-9:
                 break
-            log.debug("session %r voided: availability window expired unserved",
-                      self.session_ids[i])
-            self.voided.append(QueueEvent(i, clock, clock - arrival))
+            if self._log_voids:
+                log.debug("session %r voided: availability window expired unserved",
+                          self.session_ids[i])
+            self.voided.append(new_row(QueueEvent, (i, clock, clock - arrival)))
             i += 1
         self.position, self.clock = i, clock
-        return self.head()
+        return i if i < stop else None
 
-    def transition(self, schedule_now: int, allocation=None) -> QueueEvent:
-        """Apply one decision to the presented head; returns its event."""
-        i = self.head()
-        if i is None:
+    def transition(self, schedule_now: int, occupy_minutes: float | None = None) -> QueueEvent:
+        """Apply one decision to the presented head; returns its event.  A
+        start holds the port for ``occupy_minutes``, its allocation's
+        ``occupy_minutes[i]``, and is refused without one."""
+        i, clock = self.position, self.clock
+        if i >= self.stop:
             raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
-        arrival, session_id = self.arrivals[i], self.session_ids[i]
-        if not arrival <= self.clock <= self.deadlines[i] + 1e-9:
-            raise MdpError(f"session {session_id!r} is not presentable at "
-                           f"t={self.clock:.1f} min")
-        event = QueueEvent(i, self.clock, self.clock - arrival)
+        arrival = self.arrivals[i]
+        if not arrival <= clock <= self.deadlines[i] + 1e-9:
+            raise MdpError(f"session {self.session_ids[i]!r} is not presentable at "
+                           f"t={clock:.1f} min")
+        event = new_row(QueueEvent, (i, clock, clock - arrival))
         if schedule_now == 1:
-            if allocation is None:
-                raise MdpError(f"session {session_id!r}: scheduled without an allocation")
-            self.position += 1
-            self.clock += allocation.occupy_minutes
+            if occupy_minutes is None:
+                raise MdpError(f"session {self.session_ids[i]!r}: scheduled without an "
+                               "allocation")
+            self.position = i + 1
+            self.clock = clock + occupy_minutes
         else:
-            self.clock += self.step_minutes
+            self.clock = clock + self.step_minutes
         return event

@@ -14,18 +14,20 @@ utility feed; a port that would breach it defers one step.  Decisions run in
 time order across ports: a port whose head arrives later than its turn waits
 for that arrival.  The rule's ordering check and each start's reward come
 from the batch's :func:`ramals.mdp.decision_table`, the table training
-reads, and each start's allocation from one whole-batch allocator call; each
-queue reads its port's rows of the batch.  Each session's fate is one
-:class:`ScheduleOutcome`, a named tuple, and :func:`outcomes_jsonl` writes
-them a column at a time.
+reads, and each start's allocation from one whole-batch allocator call,
+whose :class:`ramals.mdp.Allocation` columns the engine reads by batch row;
+each queue reads its port's rows of the batch.  Each session's fate is one
+:class:`ScheduleOutcome`, a named tuple row built by
+:data:`ramals.mdp.new_row`, and :func:`outcomes_jsonl` writes them a column
+at a time.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -131,7 +133,7 @@ class _PolicyRule:
     Each port is its own agent: its next decision reads only its own carry
     and its head session, which the engine presents when it queues the port.
     So a decision on a port whose cached step was consumed steps the cell for
-    every port that still has a head and no unconsumed step, as one stack of
+    every consumed port that still has a head, in port order, as one stack of
     rows, and caches each one's P(schedule) and the head it was taken for.
     Every port starts from a zero carry, as each training episode does, so
     the rule runs a model on any site, whatever ports it was trained on.
@@ -140,15 +142,16 @@ class _PolicyRule:
     rule is built, a port's rows at a time, in one array: at fleet size it
     takes tens of MB, and one allocation is returned whole when the replay
     ends, where per-port blocks could stay pinned in the heap after it.
-    ``queues`` and ``ordered``, the decision table's, are the engine's.
+    ``queues`` and ``ordered``, the decision table's, are the engine's; the
+    per-decision state is Python lists, which a decision reads faster than
+    numpy scalars.
     """
 
     def __init__(self, model: learner.SharedModel, batch: SessionBatch,
                  queues: list[mdp.EvseQueue], ordered: np.ndarray):
         self.params = params = model.coordinator.params
         self._queues = queues
-        self._ordered = ordered
-        self._stops = np.array([rows.stop for rows in batch.slices], dtype=int)
+        self._ordered = ordered.tolist()
         states = mdp.state_matrix(batch)
         self._z = np.empty((len(batch), params["wx"].shape[0]))
         for rows in batch.slices:
@@ -156,28 +159,36 @@ class _PolicyRule:
             self._z[rows] += params["b"]
         self._h = np.zeros((len(queues), model.hidden))
         self._c = np.zeros_like(self._h)
-        self._p_schedule = np.zeros(len(queues))
-        self._stepped = np.full(len(queues), -1)  # head of each cached step; -1 once consumed
+        self._p_schedule = [0.0] * len(queues)
+        self._stepped = [-1] * len(queues)  # head of each cached step; -1 once consumed
+        self._consumed = list(range(len(queues)))  # ports whose step was consumed
 
     def _step(self) -> None:
-        heads = np.array([queue.position for queue in self._queues], dtype=int)
-        due = np.flatnonzero((self._stepped < 0) & (heads < self._stops))
+        # A consumed port whose queue has run empty never holds a head again,
+        # so once the others are stepped the consumed list is empty.
+        queues = self._queues
+        due = sorted(p for p in self._consumed if queues[p].position < queues[p].stop)
+        heads = [queues[p].position for p in due]
         p_schedule, _value, (h, c) = learner.policy_value_forward(
-            self.params, self._z[heads[due]], (self._h[due], self._c[due]))
-        self._p_schedule[due], self._h[due], self._c[due] = p_schedule, h, c
-        self._stepped[due] = heads[due]
+            self.params, self._z[heads], (self._h[due], self._c[due]))
+        self._h[due], self._c[due] = h, c
+        for p, head, prob in zip(due, heads, p_schedule.tolist()):
+            self._stepped[p], self._p_schedule[p] = head, prob
+        self._consumed = []
 
     def decide(self, p: int, i: int) -> int:
-        if self._stepped[p] < 0:
+        stepped = self._stepped
+        if stepped[p] < 0:
             self._step()
-        if self._stepped[p] != i:
+        if stepped[p] != i:
             queue = self._queues[p]
             raise SchedulerError(
                 f"EVSE {queue.evse.evse_id!r}: decision on session {queue.session_ids[i]!r}, "
-                f"but its policy step was taken for {queue.session_ids[self._stepped[p]]!r}")
-        self._stepped[p] = -1
+                f"but its policy step was taken for {queue.session_ids[stepped[p]]!r}")
+        stepped[p] = -1
+        self._consumed.append(p)
         action = 0 if self._p_schedule[p] >= 0.5 else 1  # 0 schedules; a tie schedules
-        return 1 if self._ordered[action, i] else 0
+        return 1 if self._ordered[action][i] else 0
 
 
 class ScheduleEngine:
@@ -186,9 +197,9 @@ class ScheduleEngine:
 
     The policy rule reads the engine's queues and decision table, whose
     rewards carry the model's risk value (0 with no model).  The table and
-    every session's allocation under ``allocator`` are built once, here: a
-    start reads its allocation, for the feed check, and its reward from
-    them.  Each deferral or queued head moves its port's clock on by
+    every session's allocation columns under ``allocator`` are built once,
+    here: a start reads its row of them, its rate for the feed check, and its
+    reward.  Each deferral or queued head moves its port's clock on by
     ``step_minutes``, so the step must be finite and positive.
     """
 
@@ -218,56 +229,65 @@ class ScheduleEngine:
         # which keeps runs deterministic.  A port is presented when it is
         # pushed, so every waiting port's next head is known before it is
         # popped; heads that presenting voids are recorded when it is popped.
+        # The queues' present and transition are looked up at each call.
+        queues = self.queues
         heap = []
-        for p, queue in enumerate(self.queues):
-            if queue.head() is not None:
-                heapq.heappush(heap, (queue.clock, p))
+        for p, queue in enumerate(queues):
+            if queue.position < queue.stop:
+                heappush(heap, (queue.clock, p))
                 queue.present()
         decide = None if self.rule is None else self.rule.decide
         outcomes: list[ScheduleOutcome] = []
         session_ids = self.session_ids
-        allocations, rewards = self.allocations, self.table.reward[0].tolist()
+        evse_ids = [queue.evse.evse_id for queue in queues]
+        (energy_kwh, rate_kw, charge_minutes, occupy_minutes, allocated_kwh,
+         allocated_minutes) = self.allocations
+        rewards = self.table.reward[0].tolist()
+        step = self.step_minutes
         feed_kw = self.site.dso_capacity_kw + 1e-9
+        log_deferrals = log.isEnabledFor(logging.DEBUG)
+        new_row = mdp.new_row
         active: list[tuple[float, float]] = []  # (end minute, kW) of each start
         while heap:
-            when, p = heapq.heappop(heap)
-            queue = self.queues[p]
-            evse_id = queue.evse.evse_id
-            for event in queue.voided:  # heads voided as expired
-                outcomes.append(ScheduleOutcome(
-                    session_ids[event.index], evse_id, False, True, event.clock_minutes,
-                    event.wait_minutes, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            queue.voided.clear()
-            i = queue.head()
-            if i is None:
+            when, p = heappop(heap)
+            queue = queues[p]
+            if queue.voided:  # heads voided as expired
+                evse_id = evse_ids[p]
+                for i, clock, wait in queue.voided:
+                    outcomes.append(new_row(ScheduleOutcome, (
+                        session_ids[i], evse_id, False, True, clock, wait,
+                        0.0, 0.0, 0.0, 0.0, 0.0, 0.0)))
+                queue.voided.clear()
+            i = queue.position
+            if i >= queue.stop:
                 continue
             # When presenting moved the clock up to the head's arrival, the
             # port decides there, after every port whose decision comes earlier.
-            if queue.clock <= when:
+            clock = queue.clock
+            if clock <= when:
                 if decide is None or decide(p, i) == 1:
-                    allocation = allocations[i]
+                    rate = rate_kw[i]
                     # Decisions run in time order, so an interval that has
                     # ended by now has ended for every later decision too.
-                    active = [(end, kw) for end, kw in active if end > queue.clock + 1e-9]
+                    active = [(end, kw) for end, kw in active if end > clock + 1e-9]
                     load = sum(kw for _end, kw in active)
-                    if load + allocation.rate_kw > feed_kw:
-                        log.debug("EVSE %r deferred session %r: site load %.1f kW full",
-                                  evse_id, session_ids[i], load)
-                        queue.clock += self.step_minutes
+                    if load + rate > feed_kw:
+                        if log_deferrals:
+                            log.debug("EVSE %r deferred session %r: site load %.1f kW full",
+                                      evse_ids[p], session_ids[i], load)
+                        queue.clock = clock + step
                     else:
-                        event = queue.transition(1, allocation)
-                        outcomes.append(ScheduleOutcome(
-                            session_ids[i], evse_id, True, False, event.clock_minutes,
-                            event.wait_minutes, allocation.energy_kwh, allocation.rate_kw,
-                            allocation.charge_minutes, allocation.allocated_energy_kwh,
-                            allocation.allocated_minutes, rewards[i]))
-                        active.append((event.clock_minutes + allocation.charge_minutes,
-                                       allocation.rate_kw))
+                        _i, start, wait = queue.transition(1, occupy_minutes[i])
+                        outcomes.append(new_row(ScheduleOutcome, (
+                            session_ids[i], evse_ids[p], True, False, start, wait,
+                            energy_kwh[i], rate, charge_minutes[i], allocated_kwh[i],
+                            allocated_minutes[i], rewards[i])))
+                        active.append((start + charge_minutes[i], rate))
                 else:
                     queue.transition(0)
-                if queue.head() is None:
+                if queue.position >= queue.stop:
                     continue
-            heapq.heappush(heap, (queue.clock, p))
+            heappush(heap, (queue.clock, p))
             queue.present()
         return outcomes
 

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
                             PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBatch, EpisodeBuffers,
                             EpisodeLog, LearnerError, SharedModel, _entropy_rows, hidden_size,
                             init_params)
-from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH, Allocation
+from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import (DEGENERATE_STD, DOF_BOUNDS, MIN_FIT_SAMPLES, SCALE_BOUNDS, RiskError,
                          StudentTFit, _sum_log_pdf, standardized_ppf)
 from ramals.scheduler import ScheduleOutcome, SchedulerError
@@ -1124,30 +1125,43 @@ def _rate(port: PortSessions, i: int, evse) -> float:
     return min(implied, cap) if implied > 0 else cap
 
 
-def rational_allocation(port: PortSessions, i: int, evse) -> Allocation:
+class SessionAllocation(NamedTuple):
+    """One session's charging plan: its row of :class:`ramals.mdp.Allocation`."""
+
+    energy_kwh: float
+    rate_kw: float
+    charge_minutes: float
+    occupy_minutes: float
+    allocated_energy_kwh: float
+    allocated_minutes: float
+
+
+def rational_allocation(port: PortSessions, i: int, evse) -> SessionAllocation:
     """Session ``i``'s actual need at its capped recorded rate, inside its
     requested window; a zero request is served instantly."""
     rate = _rate(port, i, evse)
     requested, available = port.requested_kwh[i], port.minutes_available[i]
     if requested <= 0:
-        return Allocation(0.0, rate, 0.0, evse.switching_minutes, 0.0,
-                          evse.switching_minutes)
+        return SessionAllocation(0.0, rate, 0.0, evse.switching_minutes, 0.0,
+                                 evse.switching_minutes)
     window = min(available, requested / rate * 60.0)
     energy = min(port.delivered_kwh[i], rate * window / 60.0)
     charge_minutes = energy / rate * 60.0
-    return Allocation(energy, rate, charge_minutes, charge_minutes + evse.switching_minutes,
-                      min(requested, rate * window / 60.0), window + evse.switching_minutes)
+    return SessionAllocation(energy, rate, charge_minutes,
+                             charge_minutes + evse.switching_minutes,
+                             min(requested, rate * window / 60.0),
+                             window + evse.switching_minutes)
 
 
-def as_requested_allocation(port: PortSessions, i: int, evse) -> Allocation:
+def as_requested_allocation(port: PortSessions, i: int, evse) -> SessionAllocation:
     """Session ``i``'s request granted verbatim: the port stays blocked for
     the whole requested window."""
     rate = _rate(port, i, evse)
     available = port.minutes_available[i]
     energy = min(port.delivered_kwh[i], rate * available / 60.0)
     charge_minutes = energy / rate * 60.0 if rate > 0 else 0.0
-    return Allocation(energy, rate, charge_minutes, max(available, charge_minutes),
-                      port.requested_kwh[i], available)
+    return SessionAllocation(energy, rate, charge_minutes, max(available, charge_minutes),
+                             port.requested_kwh[i], available)
 
 
 class ForcedRule:

@@ -5,10 +5,7 @@ package's own, so importing the package and running every command, the ones
 that fit a tail model (``fit-risk``, and ``train`` without ``--risk``)
 included, leave every ``scipy`` module out of ``sys.modules``.  Each check
 runs in a fresh interpreter, since this test process has loaded scipy's
-oracles already.  The two tests keep the names they had when ``fit-risk``
-and ``train`` without ``--risk`` were the commands that loaded
-``scipy.special``; both now assert that no command loads any ``scipy``
-module.
+oracles already.
 """
 
 import json
@@ -44,7 +41,7 @@ def scipy_loaded_after(commands, cwd):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_only_fit_risk_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text(CONFIG)
     (tmp_path / "risk.json").write_text('{"cvar_normalized": 0.1}\n')
     common = ["--config", "run.cfg", "--sessions", "sessions.json"]
@@ -66,7 +63,7 @@ def test_only_fit_risk_loads_scipy(tmp_path):
     assert fitted["cutoff"] > 0.0
 
 
-def test_train_estimating_its_risk_loads_scipy_special_only(tmp_path):
+def test_train_estimating_its_risk_loads_no_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text(CONFIG)
     commands = [
         ("gen-data", ["gen-data", "--config", "run.cfg", "--out", "sessions.json"]),

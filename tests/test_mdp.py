@@ -262,7 +262,7 @@ class PortQueue:
 
     def schedule(self):
         """Start the presented head under its rational allocation."""
-        return self.queue.transition(1, self.allocations[self.queue.head()])
+        return self.queue.transition(1, self.allocations.occupy_minutes[self.queue.position])
 
 
 class TestEvseQueue:
@@ -272,7 +272,7 @@ class TestEvseQueue:
         event = port.schedule()
         assert queue.present() is None
         assert (event.index, event.clock_minutes, queue.clock) == (0, 0.0, 60.0)
-        assert queue.head() is None and queue.voided == []
+        assert queue.position == queue.stop and queue.voided == []
 
     def test_schedule_without_allocation_names_session(self):
         queue = PortQueue([make_av_session(sid="bare")]).queue
@@ -293,7 +293,7 @@ class TestEvseQueue:
         session = make_av_session(energy=12.0, charge_min=30)
         port = PortQueue([session])
         event = port.schedule()
-        assert port.allocations[event.index].energy_kwh == pytest.approx(12.0)
+        assert port.allocations.energy_kwh[event.index] == pytest.approx(12.0)
         assert port.queue.clock == 30.0
 
     def test_session_conservation_random_decisions(self):
@@ -307,7 +307,7 @@ class TestEvseQueue:
             if rng.integers(0, 2):
                 scheduled.append(port.schedule().index)
             else:
-                assert queue.transition(0).index == queue.head()  # still the head
+                assert queue.transition(0).index == queue.position  # still the head
         voided = [e.index for e in queue.voided]
         assert sorted(scheduled + voided) == list(range(len(sessions)))
 
@@ -324,7 +324,7 @@ class TestEvseQueue:
         port = PortQueue([make_av_session()])
         port.schedule()
         with pytest.raises(MdpError, match="transition on an empty queue"):
-            port.queue.transition(1, port.allocations[0])
+            port.queue.transition(1, port.allocations.occupy_minutes[0])
 
     def test_present_moves_clock_to_arrival(self):
         late = make_session(window_min=60, sid="late", start=T0 + timedelta(minutes=90))
@@ -347,12 +347,13 @@ class TestEvseQueue:
         with pytest.raises(MdpError, match="'late' is not presentable at t=200.0"):
             queue.transition(0)
         # a rejected transition changes nothing
-        assert queue.head() == 1 and queue.clock == 200.0
+        assert queue.position == 1 and queue.clock == 200.0
 
 
 def allocate(allocator, session, evse):
-    """The allocation of a one-session batch's session on port ``evse``."""
-    (allocation,) = allocator(batch_of([session]), [evse])
+    """The allocation columns of a one-session batch on port ``evse``."""
+    allocation = allocator(batch_of([session]), [evse])
+    assert [len(column) for column in allocation] == [1] * len(allocation)
     return allocation
 
 
@@ -363,20 +364,20 @@ class TestAllocations:
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
         alloc = allocate(rational_allocation, s, EvseConfig("e", switching_minutes=5.0))
-        assert alloc.rate_kw == pytest.approx(10.0)
-        assert alloc.energy_kwh == pytest.approx(10.0)
-        assert alloc.occupy_minutes == pytest.approx(65.0)
+        assert alloc.rate_kw == pytest.approx([10.0])
+        assert alloc.energy_kwh == pytest.approx([10.0])
+        assert alloc.occupy_minutes == pytest.approx([65.0])
 
     def test_rational_respects_caps(self):
         s = make_session(requested=50.0, delivered=45.0, charge_min=45,
                          window_min=90, receiving_kw=30.0)
         alloc = allocate(rational_allocation, s, EvseConfig("e", supply_capacity_kw=50.0))
-        assert alloc.rate_kw <= 30.0
+        assert alloc.rate_kw[0] <= 30.0
 
     def test_as_requested_blocks_whole_window(self):
         s = make_session(requested=20.0, delivered=10.0, charge_min=60,
                          plugged_min=240, window_min=240)
         alloc = allocate(as_requested_allocation, s, EvseConfig("e"))
-        assert alloc.occupy_minutes == pytest.approx(240.0)
-        assert alloc.allocated_minutes == pytest.approx(240.0)
-        assert alloc.energy_kwh == pytest.approx(10.0)
+        assert alloc.occupy_minutes == pytest.approx([240.0])
+        assert alloc.allocated_minutes == pytest.approx([240.0])
+        assert alloc.energy_kwh == pytest.approx([10.0])

@@ -1,5 +1,6 @@
 """Execution engine, baseline, metrics and comparison tables."""
 
+import logging
 import math
 import re
 from collections import defaultdict
@@ -30,7 +31,7 @@ from ramals import (
 import ramals.learner as learner
 from ramals.cli import main as cli_main
 from ramals.learner import Coordinator, SharedModel, init_params
-from ramals.mdp import as_requested_allocation, rational_allocation, state_matrix
+from ramals.mdp import EvseQueue, as_requested_allocation, rational_allocation, state_matrix
 from ramals.scheduler import (SITE_METRICS, ScheduleEngine, ScheduleOutcome, _PolicyRule,
                               audit_outcomes, comparison_csv, outcomes_jsonl)
 
@@ -195,15 +196,55 @@ class TestExecute:
         engine = ScheduleEngine(batch, site, allocator=counting_allocation)
         outcomes = engine.run()
         assert calls == [(len(batch), list(site.evses))]
-        allocation_of = dict(zip(batch.session_ids, rational_allocation(batch, site.evses)))
+        allocation = rational_allocation(batch, site.evses)
+        row_of = {session_id: i for i, session_id in enumerate(batch.session_ids)}
         started = [o for o in outcomes if o.scheduled]
         assert 0 < len(started) < len(batch)
         for o in started:
-            allocation = allocation_of[o.session_id]
+            i = row_of[o.session_id]
             assert (o.realized_energy_kwh, o.realized_rate_kw, o.realized_minutes,
                     o.allocated_energy_kwh, o.allocated_minutes) == (
-                allocation.energy_kwh, allocation.rate_kw, allocation.charge_minutes,
-                allocation.allocated_energy_kwh, allocation.allocated_minutes)
+                allocation.energy_kwh[i], allocation.rate_kw[i], allocation.charge_minutes[i],
+                allocation.allocated_energy_kwh[i], allocation.allocated_minutes[i])
+
+    def test_debug_logs_every_deferral_and_void(self, caplog, monkeypatch):
+        """At DEBUG a tight-feed replay logs one ``deferred session`` record
+        per feed deferral and one ``voided`` record per voided outcome, under
+        either rule.  A presented head is decided, deferred by the feed, or,
+        where presenting moved the port's clock up to the head's arrival,
+        pushed back undecided; so the deferrals are the presentations that
+        returned a head, less the transitions and those push-backs."""
+        batch = generate_synthetic(GeneratorConfig(n_sessions=60, n_evses=4,
+                                                   mean_gap_minutes=90), seed=11)
+        site = site_for(batch, dso_kw=50.0, supply_kw=37.5)
+        present, transition = EvseQueue.present, EvseQueue.transition
+        counts = defaultdict(int)
+
+        def counting_present(queue):
+            clock = queue.clock
+            head = present(queue)
+            if head is not None:
+                counts["presented"] += 1
+                counts["pushed back"] += queue.clock > clock
+            return head
+
+        def counting_transition(queue, *args):
+            counts["transitions"] += 1
+            return transition(queue, *args)
+
+        monkeypatch.setattr(EvseQueue, "present", counting_present)
+        monkeypatch.setattr(EvseQueue, "transition", counting_transition)
+        for replay in (fcfs_as_requested_baseline, lambda b, s: execute(None, b, s)):
+            counts.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                outcomes, _ = replay(batch, site)
+            messages = [record.getMessage() for record in caplog.records]
+            deferred = sum("deferred session" in message for message in messages)
+            voided = sum("voided" in message for message in messages)
+            assert deferred == (counts["presented"] - counts["transitions"]
+                                - counts["pushed back"]) > 0
+            assert voided == sum(o.voided for o in outcomes) > 0
 
     def test_one_policy_step_per_decision(self, monkeypatch):
         batch = generate_synthetic(
@@ -668,7 +709,7 @@ def test_table_driven_replay_matches_scalar_oracle(caplog, ports, idle_port, exa
     for allocator, scalar_allocator in ((rational_allocation, oracles.rational_allocation),
                                         (as_requested_allocation,
                                          oracles.as_requested_allocation)):
-        assert _bits(allocator(batch, site.evses)) == \
+        assert _bits(zip(*allocator(batch, site.evses))) == \
             _bits(scalar_allocator(port, i, evse) for port, i, evse in sessions)
         got = ScheduleEngine(batch, site, None, allocator).run()  # no model: risk 0
         want = scalar_replay(batch, site, oracles.ForcedRule(), allocator=scalar_allocator,
