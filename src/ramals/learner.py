@@ -16,24 +16,25 @@ zero carry, so a model is its parameters alone.  All forward and backward
 math is explicit numpy so the gradients can be checked against central
 finite differences.
 
-A training pass is an :class:`EpisodeBuffers`: :func:`forward_episode`
-writes its recurrent states, gates, probabilities and values there, and
-:func:`backward` and :func:`episode_losses` read them from there, so no
-caller can pair one pass's outputs with another pass's recurrent state.  The
-recurrent arrays are time-major, (T, P, ·): each step of the forward and the
-reverse time loop reads and writes contiguous (P, ·) rows in place, through
-row views built once with the buffers, and a training run allocates one set
-and reuses it for every episode, as Adam reuses two scratch vectors.  The
-layout changes no arithmetic: every product and elementwise operation is the
-one a port-major pass over fresh arrays makes, in the same order, so models
-and logs come out the same bit for bit.
+A training run is one :class:`EpisodeBuffers`, built from the run's padded
+states and lengths with their padding mask: :func:`forward_episode` writes
+each episode's recurrent states, gates, probabilities and values there, the
+episode loop its actions and :func:`bootstrap_targets` its targets and
+advantages, and :func:`backward` reads them and writes the gradients and the
+per-port losses.  The recurrent arrays are time-major, (T, P, ·): each step
+of the forward and the reverse time loop reads and writes contiguous (P, ·)
+rows in place, through row views built once with the buffers, as Adam
+reuses two scratch vectors.  The layout changes no arithmetic: every product
+and elementwise operation is the one a port-major pass over fresh arrays
+makes, in the same order, so models and logs come out the same bit for bit.
 
-Per-step rewards come from the batch's :func:`ramals.mdp.decision_table`,
-which the execution engine reads too, padded to (2, P, T) once per training
-run; an episode picks its rewards by its sampled actions,
-drawn as one uniform per step of every port.  Its one-step bootstrapped
-targets and advantages, padded (P, T) arrays like its losses, are constants
-with respect to the parameters (no gradient flows through them).
+:func:`fit_policy` is the episode loop on arrays: (P, T, 6) states, (P,)
+lengths and the (2, P, T) reward of each step under each action, which
+:func:`train` reads from the batch's :func:`ramals.mdp.decision_table`, as
+the execution engine does.  An episode picks its rewards by its sampled
+actions, one uniform draw per step of every port.  Its one-step bootstrapped
+targets and advantages are constants with respect to the parameters (no
+gradient flows through them).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import base64
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,18 +167,23 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
 
 
 class EpisodeBuffers:
-    """One training pass over P ports of T steps at hidden width H, in arrays
-    a training run allocates once and every episode overwrites.
+    """One training run's pass over P ports of T steps at hidden width H: its
+    inputs, and arrays the run allocates once and every episode overwrites.
 
+    - inputs: ``states`` (P, T, 6), ``lengths`` (P,), the padding mask
+      ``inside`` (P, T), true on each port's steps, and ``inv_n``, 1/T_p
     - forward pass, written by :func:`forward_episode`: ``hiddens`` and
       ``cells`` (T + 1, P, H), whose step 0 is the zero start carry,
       ``gates`` (T, P, 4H), activated ``[i, f, g, o]``, and the heads'
-      ``probs`` (P, T, 2) and ``values`` (P, T), port-major as an
-      :class:`EpisodeBatch` is; steps past a port's length are computed but
-      never read, so port p's last carry is ``(hiddens[n_p, p], cells[n_p, p])``
+      ``probs`` (P, T, 2) and ``values`` (P, T), port-major; steps past a
+      port's length are computed but never read, so port p's last carry is
+      ``(hiddens[n_p, p], cells[n_p, p])``
+    - episode, written by the loop and :func:`bootstrap_targets`:
+      ``actions``, ``q_targets`` and ``advantages`` (P, T); a run never
+      writes them past a port's length, where they stay 0
     - backward pass, written by :func:`backward`: ``dz`` (T, P, 4H),
-      ``dh_heads`` and ``tanh_c`` (T, P, H), and ``grads``, one flat
-      gradient row per port
+      ``dh_heads`` and ``tanh_c`` (T, P, H), ``grads``, one flat gradient
+      row per port, and ``losses``, each port's (value, policy, entropy) loss
 
     Each step's row views are built here once: ``cell_steps`` holds the
     arguments of each forward step's :func:`_cell_rows` after ``wh.T``, and
@@ -185,7 +192,22 @@ class EpisodeBuffers:
     reads it, the zero start carry included.
     """
 
-    def __init__(self, n_ports: int, n_steps: int, hidden: int):
+    def __init__(self, states, lengths, hidden: int):
+        self.states = np.asarray(states, dtype=float)
+        self.lengths = np.asarray(lengths)
+        if self.states.ndim != 3 or self.states.shape[2] != STATE_DIM:
+            raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
+        n_ports, n_steps, _ = self.states.shape
+        if not (self.lengths.shape == (n_ports,) and self.lengths.dtype.kind in "iu"
+                and np.all((self.lengths >= 1) & (self.lengths <= n_steps))):
+            raise LearnerError(f"lengths must be {n_ports} integers from 1 to {n_steps}, "
+                               f"one per port of the states")
+        self.inside = np.arange(n_steps) < self.lengths[:, None]
+        self.inv_n = 1.0 / self.lengths[:, None]
+        self.actions = np.zeros((n_ports, n_steps), dtype=int)
+        self.q_targets = np.zeros((n_ports, n_steps))
+        self.advantages = np.zeros_like(self.q_targets)
+        self.losses: list[tuple] = []
         self.hiddens = np.zeros((n_steps + 1, n_ports, hidden))
         self.cells = np.zeros_like(self.hiddens)
         self.gates = np.empty((n_steps, n_ports, 4 * hidden))
@@ -210,28 +232,23 @@ class EpisodeBuffers:
                                       local[:, :, :3], local[:, :, 3], self.dz,
                                       self.gates[:, :, hidden:2 * hidden]))[::-1]
 
-    def check(self, n_ports: int, n_steps: int, hidden: int) -> None:
-        """Refuse a pass of another shape than these buffers hold."""
-        steps, ports, width = self.gates.shape
-        if (steps, ports, width) != (n_steps, n_ports, 4 * hidden):
-            raise LearnerError(f"episode buffers fit {ports} ports of {steps} steps at hidden "
-                               f"width {width // 4}, not {n_ports} of {n_steps} at {hidden}")
+    def check(self, hidden: int) -> None:
+        """Refuse parameters of another hidden width than these buffers hold."""
+        width = self.gates.shape[2] // 4
+        if width != hidden:
+            raise LearnerError(f"episode buffers hold hidden width {width}, not {hidden}")
 
 
-def forward_episode(params: dict, states: np.ndarray, buffers: EpisodeBuffers) -> None:
-    """Run every port of an episode from a zero carry as one batch, into
-    ``buffers``.  ``states`` is (P, T, 6), zero-padded past each port's
-    length; the padding steps do not reach a port's earlier steps.  The time
-    loop steps the cell on contiguous (P, ·) rows of the time-major arrays,
-    in place, through the row views the buffers hold.
+def forward_episode(params: dict, buffers: EpisodeBuffers) -> None:
+    """Run every port of the buffers' states from a zero carry as one batch,
+    into ``buffers``; the padding steps do not reach a port's earlier steps.
+    The time loop steps the cell on contiguous (P, ·) rows of the time-major
+    arrays, in place, through the row views the buffers hold.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[2] != STATE_DIM:
-        raise LearnerError(f"states must be a (ports, steps, {STATE_DIM}) array")
-    buffers.check(states.shape[0], states.shape[1], hidden_size(params))
+    buffers.check(hidden_size(params))
     hiddens, cells, gates = buffers.hiddens, buffers.cells, buffers.gates
     hiddens[0] = cells[0] = 0.0
-    np.matmul(states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
+    np.matmul(buffers.states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
     gates += params["b"]
     wh_t = params["wh"].T
     for step in buffers.cell_steps:
@@ -243,64 +260,27 @@ def forward_episode(params: dict, states: np.ndarray, buffers: EpisodeBuffers) -
         raise LearnerError("non-finite output in episode forward pass")
 
 
-def bootstrap_targets(rewards: np.ndarray, values: np.ndarray, lengths: np.ndarray,
-                      gamma: float):
+def bootstrap_targets(buffers: EpisodeBuffers, rewards: np.ndarray, gamma: float) -> None:
     """One-step targets q_t = r_t + gamma * V(s_{t+1}) and the advantages
-    q - V of P ports padded to T steps, from (P, T) rewards and values and the
-    (P,) lengths.  The value after a port's last step is 0, and both are
-    exactly 0 past its length.  Both are constants for the backward pass."""
-    steps = np.arange(rewards.shape[1])
-    next_values = np.zeros_like(values)
-    np.copyto(next_values[:, :-1], values[:, 1:], where=steps[1:] < lengths[:, None])
-    q = rewards + gamma * next_values
-    inside = steps < lengths[:, None]
-    return np.where(inside, q, 0.0), np.where(inside, q - values, 0.0)
+    q - V of the pass in ``buffers``, from its (P, T) ``rewards``, into its
+    ``q_targets`` and ``advantages``.  The value after a port's last step is
+    0, and neither is written past a port's length.  Both are constants for
+    the backward pass."""
+    values, inside = buffers.values, buffers.inside
+    q = np.zeros_like(values)
+    np.copyto(q[:, :-1], values[:, 1:], where=inside[:, 1:])  # V(s_{t+1})
+    q *= gamma
+    q += rewards
+    np.copyto(buffers.q_targets, q, where=inside)
+    np.subtract(q, values, out=buffers.advantages, where=inside)
 
 
-def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy, in nats, of each row of two-way action probabilities."""
-    safe = np.maximum(probs, LOG_PROB_FLOOR)
-    return -np.sum(probs * np.log(safe), axis=-1)
-
-
-@dataclass
-class EpisodeBatch:
-    """Everything the backward pass needs for one episode of P ports, padded
-    to T steps; entries past a port's length are ignored."""
-
-    states: np.ndarray       # (P, T, 6)
-    lengths: np.ndarray      # (P,) steps of each port
-    actions: np.ndarray      # (P, T) indices into the 2-way distribution
-    q_targets: np.ndarray    # (P, T) constants
-    advantages: np.ndarray   # (P, T) constants
-    beta: float
-
-
-def episode_losses(batch: EpisodeBatch, buffers: EpisodeBuffers) -> list[tuple]:
-    """(value, policy, entropy) loss of each port for the pass in
-    ``buffers``, in port order; each is a mean over that port's own steps.
-    The elementwise terms are computed once over the padded (P, T) steps;
-    each port's means read its own row."""
-    taken = np.take_along_axis(buffers.probs, batch.actions[..., None], axis=-1)[..., 0]
-    squares = (batch.q_targets - buffers.values) ** 2
-    weighted = batch.advantages * np.log(np.maximum(taken, LOG_PROB_FLOOR))
-    entropies = _entropy_rows(buffers.probs)
-    clamped = taken < LOG_PROB_FLOOR
-    losses = []
-    for p, n in enumerate(batch.lengths.tolist()):
-        v_loss = float(0.5 * np.mean(squares[p, :n]))
-        if clamped[p, :n].any():
-            log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
-        p_loss = float(-np.mean(weighted[p, :n]))
-        entropy_mean = float(np.mean(entropies[p, :n]))
-        losses.append((v_loss, p_loss, entropy_mean))
-    return losses
-
-
-def backward(params: dict, batch: EpisodeBatch, buffers: EpisodeBuffers) -> np.ndarray:
+def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     """Exact reverse-mode gradient of each port's total loss, value + policy
     - beta * entropy, through the pass in ``buffers``: one flat row per port,
-    in port order, laid out by :func:`param_shapes`.
+    in port order, laid out by :func:`param_shapes`.  The loss terms are
+    computed once, and the gradient and ``buffers.losses``, each port's
+    (value, policy, entropy) means over its own steps, both read them.
 
     The time loop runs backwards over contiguous (P, ·) rows of the
     time-major arrays; it reads the forward pass and leaves it unchanged.
@@ -310,25 +290,34 @@ def backward(params: dict, batch: EpisodeBatch, buffers: EpisodeBuffers) -> np.n
     ``dz``, written into the rows of ``buffers.grads``, which are returned:
     the next pass over the same buffers overwrites them.
     """
-    n_ports, n_steps = batch.actions.shape
     hidden = hidden_size(params)
-    buffers.check(n_ports, n_steps, hidden)
-    mask = np.arange(n_steps) < batch.lengths[:, None]
-    inv_n = 1.0 / batch.lengths[:, None]
+    buffers.check(hidden)
+    n_steps, n_ports, _ = buffers.gates.shape
+    inside, inv_n, actions = buffers.inside, buffers.inv_n, buffers.actions[..., None]
     probs = buffers.probs
-    one_hot = np.eye(2)[batch.actions]
+    log_probs = np.log(np.maximum(probs, LOG_PROB_FLOOR))
+    entropies = -np.sum(probs * log_probs, axis=-1)  # in nats
+    clamped = np.take_along_axis(probs, actions, axis=-1)[..., 0] < LOG_PROB_FLOOR
+    weighted = buffers.advantages * np.take_along_axis(log_probs, actions, axis=-1)[..., 0]
+    residuals = buffers.values - buffers.q_targets
+    squares = residuals ** 2
+    buffers.losses = []
+    for p, n in enumerate(buffers.lengths.tolist()):
+        if clamped[p, :n].any():
+            log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
+        buffers.losses.append((float(0.5 * np.mean(squares[p, :n])),
+                               float(-np.mean(weighted[p, :n])),
+                               float(np.mean(entropies[p, :n]))))
     # policy term: -mean(adv * log pi_taken); clamped probabilities have
     # zero slope, matching the loss definition
-    taken = np.sum(probs * one_hot, axis=-1)
-    policy_weight = np.where(taken >= LOG_PROB_FLOOR, -batch.advantages * inv_n, 0.0)
+    one_hot = np.eye(2)[buffers.actions]
+    policy_weight = np.where(clamped, 0.0, -buffers.advantages * inv_n)
     d_logits = policy_weight[..., None] * (one_hot - probs)
     # entropy term: -beta * mean(H)
-    safe_log = np.log(np.maximum(probs, LOG_PROB_FLOOR))
-    d_logits += (batch.beta * inv_n)[..., None] * probs \
-        * (safe_log + _entropy_rows(probs)[..., None])
-    d_logits *= mask[..., None]
+    d_logits += (beta * inv_n)[..., None] * probs * (log_probs + entropies[..., None])
+    d_logits *= inside[..., None]
     # value term: 0.5 * mean((q - v)^2)
-    d_value = (buffers.values - batch.q_targets) * inv_n * mask
+    d_value = residuals * inv_n * inside
 
     gates = buffers.gates.reshape(n_steps, n_ports, 4, hidden)
     gi, _, gc, go = (gates[:, :, k] for k in range(4))
@@ -372,7 +361,7 @@ def backward(params: dict, batch: EpisodeBatch, buffers: EpisodeBuffers) -> np.n
     outputs = tanh_c.reshape(n_ports, n_steps, hidden)
     outputs[...] = buffers.hiddens[1:].transpose(1, 0, 2)
     grads = buffers.grad_views
-    np.matmul(dz, batch.states, out=grads["wx"])
+    np.matmul(dz, buffers.states, out=grads["wx"])
     np.matmul(dz, inputs, out=grads["wh"])
     np.sum(buffers.dz, axis=0, out=grads["b"])
     np.matmul(d_logits.transpose(0, 2, 1), outputs, out=grads["wp"])
@@ -486,10 +475,11 @@ class SharedModel:
     Each vector is the base64 text of its little-endian float64 bytes, so a
     file round-trips bit for bit.  ``load`` requires ``hidden`` to be an
     integer > 0 and each vector to decode to exactly the :func:`param_shapes`
-    size at that width of finite numbers, naming the vector that does not,
-    and rejects a ``risk_value`` outside [0, 1), as ``train`` does.  A file
-    of any other format, ``ramals-model-v1`` to ``-v4`` included, is
-    rejected with its format named.
+    size at that width of finite numbers, naming the vector that does not.
+    It rejects a ``risk_value`` outside [0, 1), as ``train`` does, and a
+    ``step`` or ``train_episodes`` that is negative or that no float can
+    hold.  A file of any other format, ``ramals-model-v1`` to ``-v4``
+    included, is rejected with its format named.
     """
 
     risk_value: float
@@ -520,7 +510,7 @@ class SharedModel:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an overlong integer
             raise LearnerError(f"corrupt model file: {exc}") from exc
         if not isinstance(payload, dict):
             raise LearnerError("corrupt model file: not a JSON object")
@@ -551,12 +541,16 @@ class SharedModel:
 
 def _number(payload: dict, field_name: str, kind=float):
     """A model file's scalar field as ``kind``, from a JSON number (for
-    ``int``, a JSON integer); a :class:`LearnerError` names the field
+    ``int``, a JSON integer >= 0 that converts to a float, as Adam's bias
+    correction needs of ``step``); a :class:`LearnerError` names the field
     otherwise."""
     value = payload[field_name]
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise LearnerError(f"corrupt model file: field {field_name!r} must be "
                            f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+    if kind is int and not 0 <= value <= sys.float_info.max:
+        raise LearnerError(f"corrupt model file: field {field_name!r} must be a non-negative "
+                           f"integer a float can hold, got {value}")
     return kind(value)
 
 
@@ -589,29 +583,21 @@ def _vector(text, size: int, name: str, hidden: int) -> np.ndarray:
     return values.astype(float)
 
 
-def train(batch: SessionBatch, site_config: SiteConfig, config: TrainConfig, risk_value: float,
-          initial_model: SharedModel | None = None):
-    """Run the multi-agent training loop; returns (SharedModel, [EpisodeLog]).
+def fit_policy(states, lengths, rewards_by_action, config: TrainConfig,
+               initial_model: SharedModel | None = None):
+    """The multi-agent training loop on arrays; returns the trained
+    :class:`Coordinator` and the [EpisodeLog].  ``states`` is (P, T, 6),
+    zero-padded past each port's ``lengths`` (P,), and ``rewards_by_action``
+    (2, P, T) holds each step's reward under each action, 0 scheduling.
 
-    Deterministic for a fixed seed: one global sample stream, agents visited
-    in port order, coordinator updates applied in that same order.  Every
-    agent in an episode runs on one copy of the coordinator's parameters
-    taken when the episode starts, so one batched forward and backward pass
-    covers all ports; clipping and Adam go port by port.  An episode's
-    actions come from one draw of a uniform per step, in port order, the
-    stream per-port draws would give, and pick its rewards from the batch's
-    decision table, built once per call.  The call allocates one
-    :class:`EpisodeBuffers`, with its row views, and one vector for the
-    parameter copy.  Resuming from ``initial_model`` continues its
-    parameters, Adam moments, Adam step and episode count; the learning
-    rate, gamma, beta and clip threshold always come from ``config``.
+    The run is one :class:`EpisodeBuffers` and one parameter vector, which
+    each episode copies from the coordinator: one batched forward and
+    backward pass covers all ports, then clipping and Adam go port by port.
+    Deterministic for a fixed seed: one sample stream, one uniform per step
+    in port order, the stream per-port draws would give.  Resuming from
+    ``initial_model`` continues its parameters, Adam moments, Adam step and
+    episode count; the other settings always come from ``config``.
     """
-    if len(batch) == 0:
-        raise LearnerError("training needs a non-empty batch")
-    site_config.port_configs(batch)  # refuses a port the site lacks
-    if not 0.0 <= risk_value < 1.0:
-        raise LearnerError("risk value must lie in [0, 1)")
-
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if initial_model is not None:
         if initial_model.hidden != config.hidden:
@@ -619,40 +605,55 @@ def train(batch: SessionBatch, site_config: SiteConfig, config: TrainConfig, ris
         coordinator = initial_model.coordinator
     else:
         coordinator = Coordinator(init_params(config.hidden, rng))
-    lengths = np.array([rows.stop - rows.start for rows in batch.slices])
-    n_steps = lengths.max()
-    inside = np.arange(n_steps) < lengths[:, None]  # each port's steps, in port order
-    states = np.zeros((len(lengths), n_steps, STATE_DIM))
-    states[inside] = mdp.state_matrix(batch)
-    rewards_by_action = np.zeros((2,) + inside.shape)  # action 0 schedules
-    rewards_by_action[:, inside] = mdp.decision_table(batch, risk_value).reward
-
-    buffers = EpisodeBuffers(len(lengths), n_steps, config.hidden)
+    buffers = EpisodeBuffers(states, lengths, config.hidden)
+    inside, actions = buffers.inside, buffers.actions
+    if np.shape(rewards_by_action) != (2,) + inside.shape:
+        raise LearnerError(f"rewards_by_action must be a {(2,) + inside.shape} array")
+    n_draws = int(buffers.lengths.sum())
     flat = np.empty_like(coordinator.flat)
     params = _views(flat, config.hidden)
-    actions = np.zeros(states.shape[:2], dtype=int)  # padding stays 0
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         flat[...] = coordinator.flat
-        forward_episode(params, states, buffers)
-        actions[inside] = rng.random(lengths.sum()) >= buffers.probs[inside, 0]  # 0 = schedule
+        forward_episode(params, buffers)
+        actions[inside] = rng.random(n_draws) >= buffers.probs[inside, 0]  # 0 = schedule
         rewards = np.where(actions == 0, rewards_by_action[0], rewards_by_action[1])
-        q_targets, advantages = bootstrap_targets(rewards, buffers.values, lengths, config.gamma)
+        bootstrap_targets(buffers, rewards, config.gamma)
         ep_reward = 0.0
-        for port_rewards, n in zip(rewards, lengths.tolist()):
+        for port_rewards, n in zip(rewards, buffers.lengths.tolist()):
             ep_reward += float(np.sum(port_rewards[:n]))  # unpadded: the same pairwise sum
-        ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
-        for grads in backward(params, ep_batch, buffers):
+        for grads in backward(params, buffers, config.beta):
             coordinator.apply_update(clipped_delta(grads, config.clip_threshold),
                                      config.learning_rate)
-        v_losses, p_losses, entropies = zip(*episode_losses(ep_batch, buffers))
+        v_losses, p_losses, entropies = zip(*buffers.losses)
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
+    return coordinator, logs
 
-    model = SharedModel(risk_value=float(risk_value), coordinator=coordinator,
-                        train_episodes=start_episode + config.episodes)
-    return model, logs
+
+def train(batch: SessionBatch, site_config: SiteConfig, config: TrainConfig, risk_value: float,
+          initial_model: SharedModel | None = None):
+    """Train on a batch at ``risk_value``; returns (SharedModel, [EpisodeLog]).
+
+    The batch's ports become :func:`fit_policy`'s padded arrays: each port's
+    rows of :func:`ramals.mdp.state_matrix` and the rewards of the batch's
+    :func:`ramals.mdp.decision_table`, built once per call.
+    """
+    if len(batch) == 0:
+        raise LearnerError("training needs a non-empty batch")
+    site_config.port_configs(batch)  # refuses a port the site lacks
+    if not 0.0 <= risk_value < 1.0:
+        raise LearnerError("risk value must lie in [0, 1)")
+    lengths = np.array([rows.stop - rows.start for rows in batch.slices])
+    inside = np.arange(lengths.max()) < lengths[:, None]  # each port's steps, in port order
+    states = np.zeros(inside.shape + (STATE_DIM,))
+    states[inside] = mdp.state_matrix(batch)
+    rewards_by_action = np.zeros((2,) + inside.shape)
+    rewards_by_action[:, inside] = mdp.decision_table(batch, risk_value).reward
+    coordinator, logs = fit_policy(states, lengths, rewards_by_action, config, initial_model)
+    return SharedModel(risk_value=float(risk_value), coordinator=coordinator,
+                       train_episodes=logs[-1].episode), logs
 
 
 def training_log_csv(logs) -> str:

@@ -24,8 +24,9 @@ risk in [0, 1) changes the optimum.
 :meth:`EvseQueue.present` voids expired heads into ``voided`` and exposes
 the head, and :meth:`EvseQueue.transition` applies one decision to that
 head, whose occupancy the caller reads from the allocation's
-``occupy_minutes`` column.  :class:`QueueEvent` rows are named tuples built
-by :data:`new_row`.
+``occupy_minutes`` column.  Each void and each decision is one plain
+``(row, clock, wait)`` tuple: the head's batch row, the clock in minutes
+when it was voided, started or queued, and how long it had waited.
 """
 
 from __future__ import annotations
@@ -173,15 +174,6 @@ def as_requested_allocation(batch: SessionBatch, evses: Sequence[EvseConfig]) ->
 new_row = tuple.__new__
 
 
-class QueueEvent(NamedTuple):
-    """When the head session, batch row ``index``, was started, queued or
-    voided, and how long it had waited."""
-
-    index: int
-    clock_minutes: float
-    wait_minutes: float = 0.0
-
-
 class EvseQueue:
     """FCFS queue for one port, the batch rows ``rows``, with a private clock
     in minutes.  The head is batch row ``position``, and the queue is empty
@@ -205,7 +197,7 @@ class EvseQueue:
         self.arrivals, self.deadlines = arrivals, deadlines
         self.position, self.stop = rows.start, rows.stop  # the head's row, and the end
         self.clock = arrivals[rows.start] if rows.start < rows.stop else 0.0
-        self.voided: list[QueueEvent] = []
+        self.voided: list[tuple] = []
         self._log_voids = log.isEnabledFor(logging.DEBUG)
 
     def present(self) -> int | None:
@@ -223,15 +215,15 @@ class EvseQueue:
             if self._log_voids:
                 log.debug("session %r voided: availability window expired unserved",
                           self.session_ids[i])
-            self.voided.append(new_row(QueueEvent, (i, clock, clock - arrival)))
+            self.voided.append((i, clock, clock - arrival))
             i += 1
         self.position, self.clock = i, clock
         return i if i < stop else None
 
-    def transition(self, schedule_now: int, occupy_minutes: float | None = None) -> QueueEvent:
-        """Apply one decision to the presented head; returns its event.  A
-        start holds the port for ``occupy_minutes``, its allocation's
-        ``occupy_minutes[i]``, and is refused without one."""
+    def transition(self, schedule_now: int, occupy_minutes: float | None = None) -> tuple:
+        """Apply one decision to the presented head; returns its ``(row,
+        clock, wait)``.  A start holds the port for ``occupy_minutes``, its
+        allocation's ``occupy_minutes[i]``, and is refused without one."""
         i, clock = self.position, self.clock
         if i >= self.stop:
             raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
@@ -239,7 +231,7 @@ class EvseQueue:
         if not arrival <= clock <= self.deadlines[i] + 1e-9:
             raise MdpError(f"session {self.session_ids[i]!r} is not presentable at "
                            f"t={clock:.1f} min")
-        event = new_row(QueueEvent, (i, clock, clock - arrival))
+        event = (i, clock, clock - arrival)
         if schedule_now == 1:
             if occupy_minutes is None:
                 raise MdpError(f"session {self.session_ids[i]!r}: scheduled without an "

@@ -45,9 +45,8 @@ import numpy as np
 import ramals.learner as learner
 import ramals.mdp as mdp
 from ramals.learner import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_PROB_FLOOR,
-                            PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBatch, EpisodeBuffers,
-                            EpisodeLog, LearnerError, SharedModel, _entropy_rows, hidden_size,
-                            init_params)
+                            PARAM_KEYS, STATE_DIM, Coordinator, EpisodeBuffers, EpisodeLog,
+                            LearnerError, SharedModel, hidden_size, init_params)
 from ramals.mdp import DEFAULT_STEP_MINUTES, DURATION_NORM_MIN, ENERGY_NORM_KWH
 from ramals.risk import (DEGENERATE_STD, DOF_BOUNDS, MIN_FIT_SAMPLES, SCALE_BOUNDS, RiskError,
                          StudentTFit, _sum_log_pdf, standardized_ppf)
@@ -676,7 +675,7 @@ def scalar_backward(params, forward, actions, q_targets, advantages, beta):
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     probs = forward.probs
-    entropies = _entropy_rows(probs)
+    entropies = entropy_rows(probs)
     inv_n = 1.0 / n
 
     for t in range(n - 1, -1, -1):
@@ -738,13 +737,54 @@ def _allocating_cell_rows(wh, z, h_prev, c_prev):
     return c, go * np.tanh(c)
 
 
-def forward_pass(params, states) -> EpisodeBuffers:
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy, in nats, of each row of two-way action probabilities,
+    each log taken of the probability floored at ``LOG_PROB_FLOOR``."""
+    safe = np.maximum(probs, LOG_PROB_FLOOR)
+    return -np.sum(probs * np.log(safe), axis=-1)
+
+
+def forward_pass(params, states, lengths=None) -> EpisodeBuffers:
     """The package's forward pass over ``states``, in new buffers of their
-    shape: the pass that allocates its arrays on every call."""
+    shape and the ports' ``lengths`` (by default, every step of every port):
+    the pass that allocates its arrays on every call."""
     states = np.asarray(states, dtype=float)
-    buffers = EpisodeBuffers(states.shape[0], states.shape[1], hidden_size(params))
-    learner.forward_episode(params, states, buffers)
+    if lengths is None and states.ndim == 3:
+        lengths = np.full(states.shape[0], states.shape[1])
+    buffers = EpisodeBuffers(states, lengths, hidden_size(params))
+    learner.forward_episode(params, buffers)
     return buffers
+
+
+@dataclass
+class EpisodeBatch:
+    """The oracles' record of one episode of P ports, padded to T steps:
+    everything the backward pass reads besides the forward pass; entries past
+    a port's length are ignored."""
+
+    states: np.ndarray       # (P, T, 6)
+    lengths: np.ndarray      # (P,) steps of each port
+    actions: np.ndarray      # (P, T) indices into the 2-way distribution
+    q_targets: np.ndarray    # (P, T) constants
+    advantages: np.ndarray   # (P, T) constants
+    beta: float
+
+    @classmethod
+    def of(cls, buffers: EpisodeBuffers, beta: float) -> "EpisodeBatch":
+        """A copy of the episode the package's ``buffers`` hold."""
+        return cls(*(getattr(buffers, name).copy() for name in (
+            "states", "lengths", "actions", "q_targets", "advantages")), beta)
+
+    def write(self, buffers: EpisodeBuffers) -> EpisodeBuffers:
+        """Copy this episode's actions, targets and advantages into
+        ``buffers``, as the training loop writes them; returns ``buffers``."""
+        for name in ("actions", "q_targets", "advantages"):
+            getattr(buffers, name)[...] = getattr(self, name)
+        return buffers
+
+    def buffers(self, params) -> EpisodeBuffers:
+        """The package's pass over this episode, in new buffers."""
+        return self.write(forward_pass(params, self.states, self.lengths))
 
 
 @dataclass
@@ -806,7 +846,7 @@ def padded_backward(params, forward, batch):
     d_logits = policy_weight[..., None] * (one_hot - probs)
     safe_log = np.log(np.maximum(probs, LOG_PROB_FLOOR))
     d_logits += (batch.beta * inv_n)[..., None] * probs \
-        * (safe_log + _entropy_rows(probs)[..., None])
+        * (safe_log + entropy_rows(probs)[..., None])
     d_logits *= mask[..., None]
     d_value = (forward.values - batch.q_targets) * inv_n * mask
 
@@ -934,7 +974,7 @@ def episode_losses(batch: EpisodeBatch, forward) -> list[tuple]:
         taken = probs[np.arange(n), batch.actions[p, :n]]
         v_loss = value_loss(batch.q_targets[p, :n], forward.values[p, :n])
         p_loss = policy_loss(batch.advantages[p, :n], taken)
-        entropy_mean = float(np.mean(_entropy_rows(probs)))
+        entropy_mean = float(np.mean(entropy_rows(probs)))
         losses.append((v_loss, p_loss, entropy_mean))
     return losses
 
@@ -942,8 +982,8 @@ def episode_losses(batch: EpisodeBatch, forward) -> list[tuple]:
 def train(batch, site_config, config, risk_value, initial_model=None):
     """The training loop with the per-port draws, rewards and targets of each
     episode, and a fresh parameter copy and fresh buffers per episode; the
-    passes, clipping and Adam are the package's, looked up on its module and
-    class."""
+    passes, their losses, clipping and Adam are the package's, looked up on
+    its module and class."""
     if len(batch) == 0:
         raise LearnerError("training needs a non-empty batch")
     known = set(site_config.evse_ids)
@@ -973,9 +1013,9 @@ def train(batch, site_config, config, risk_value, initial_model=None):
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
         params = learner._views(coordinator.flat.copy(), config.hidden)
-        buffers = forward_pass(params, states)
-        actions = np.zeros(states.shape[:2], dtype=int)
-        q_targets, advantages = np.zeros((2,) + states.shape[:2])
+        buffers = forward_pass(params, states, lengths)
+        # the new buffers' zeros, written one port's steps at a time
+        actions, q_targets, advantages = buffers.actions, buffers.q_targets, buffers.advantages
         ep_reward = 0.0
         for p, port in enumerate(ports):
             n = lengths[p]
@@ -985,11 +1025,10 @@ def train(batch, site_config, config, risk_value, initial_model=None):
             q_targets[p, :n], advantages[p, :n] = bootstrap_targets(
                 rewards, buffers.values[p, :n], config.gamma)
             ep_reward += float(np.sum(rewards))
-        ep_batch = EpisodeBatch(states, lengths, actions, q_targets, advantages, config.beta)
-        for grads in learner.backward(params, ep_batch, buffers):
+        for grads in learner.backward(params, buffers, config.beta):
             coordinator.apply_update(learner.clipped_delta(grads, config.clip_threshold),
                                      config.learning_rate)
-        v_losses, p_losses, entropies = zip(*episode_losses(ep_batch, buffers))
+        v_losses, p_losses, entropies = zip(*buffers.losses)
         logs.append(EpisodeLog(episode + 1, ep_reward, float(np.mean(v_losses)),
                                float(np.mean(p_losses)), float(np.mean(entropies))))
 

@@ -494,6 +494,23 @@ class TestPipeline:
         assert code == 1
         assert "missing field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", [-3, 10**400], ids=["negative", "beyond-float"])
+    def test_resume_refuses_unusable_adam_step(self, workdir, capsys, step):
+        """A resumed step of -3 used to train and write a model file that its
+        own loader refused; one of 10**400 ended in an OverflowError."""
+        sessions = self.generate(workdir)
+        model, resumed = workdir / "model.json", workdir / "resumed.json"
+        run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                "--risk-off", "--out", model)
+        payload = json.loads(model.read_text())
+        payload["step"] = step
+        model.write_text(json.dumps(payload))
+        code = run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--risk-off", "--resume", model, "--out", resumed)
+        assert code == 1
+        assert "field 'step' must be a non-negative integer" in capsys.readouterr().err
+        assert not resumed.exists()
+
     def test_resume_takes_config_learning_rate(self, workdir):
         """Adam moves each parameter by about the learning rate a step, so a
         resume at 0.5 must move the parameters far more than one at the

@@ -43,29 +43,31 @@ def test_module_reads_every_name_it_imports(path):
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of each top-level function or class, and
-    ``module:Class.method`` of each method that is not a dunder, whose name
-    no module of ``sources`` reads as a name, as an attribute or in an
-    import; an ``__init__.py`` import is an export.  Names match across
+    """``module:name`` of each top-level function or class that no module of
+    ``sources`` reads as a name, as an attribute or in an import, and
+    ``module:Class.method`` of each method that is not a dunder and that no
+    module reads as an attribute: a local of the same name does not read a
+    method.  An ``__init__.py`` import is an export.  Names match across
     modules and classes, by name alone."""
-    defined, read = [], set()
+    defined, names, attributes = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{module}:{node.name}", node.name))
+                defined.append((f"{module}:{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
-                defined.extend((f"{module}:{node.name}.{item.name}", item.name)
+                defined.extend((f"{module}:{node.name}.{item.name}", item.name, True)
                                for item in node.body if isinstance(item, ast.FunctionDef)
                                and not (item.name.startswith("__") and item.name.endswith("__")))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return sorted(where for where, name in defined if name not in read)
+                names.update(alias.name for alias in node.names)
+    return sorted(where for where, name, method in defined
+                  if name not in attributes and (method or name not in names))
 
 
 def test_definition_checker_flags_only_unread_names():
@@ -73,14 +75,19 @@ def test_definition_checker_flags_only_unread_names():
               "    def __init__(self): pass\n"
               "    def opened(self): pass\n"
               "    def never(self): pass\n"
+              "    def shadowed(self): pass\n"
               "    @property\n"
               "    def size(self): return 1\n"
               "def used(): return Box().opened, Box().size\n"
               "def exported(): pass\n"
               "def unread(): pass\n"
-              "print(used())\n")
+              "def local():\n"
+              "    shadowed = 1\n"
+              "    return shadowed\n"
+              "print(used(), local())\n")
     assert unread_definitions({"__init__.py": "from .box import exported\n",
-                               "box.py": source}) == ["box.py:Box.never", "box.py:unread"]
+                               "box.py": source}) == ["box.py:Box.never", "box.py:Box.shadowed",
+                                                      "box.py:unread"]
 
 
 def test_package_reads_every_definition():

@@ -29,13 +29,11 @@ from ramals import (
 from ramals.learner import (
     PARAM_KEYS,
     Coordinator,
-    EpisodeBatch,
     EpisodeBuffers,
     SharedModel,
     backward,
     bootstrap_targets,
     clipped_delta,
-    episode_losses,
     forward_episode,
     grad_norm,
     init_params,
@@ -46,6 +44,7 @@ from ramals.scheduler import ScheduleEngine, execute, outcomes_jsonl
 import oracles
 from helpers import T0, batch_of, make_session, site_for
 from oracles import (
+    EpisodeBatch,
     FlatAdam,
     KeyedAdam,
     PaddedForward,
@@ -99,9 +98,22 @@ def padded(sequences):
     return out, lengths
 
 
-def targets(buffers, rewards, lengths, gamma=0.9):
-    """Per-port bootstrap targets and advantages, zero past each length."""
-    return bootstrap_targets(rewards, buffers.values, lengths, gamma)
+def targets(rewards, values, lengths, gamma=0.9):
+    """The package's bootstrap targets and advantages of (P, T) rewards and
+    values, written into buffers of the ports' lengths."""
+    buffers = EpisodeBuffers(np.zeros(values.shape + (6,)), lengths, 1)
+    buffers.values[...] = values
+    bootstrap_targets(buffers, rewards, gamma)
+    return buffers.q_targets, buffers.advantages
+
+
+def sampled_episode(params, states, lengths, rng, beta):
+    """Random actions and rewards over the package's pass, with its
+    bootstrap targets: the pass in its buffers and the episode's record."""
+    buffers = forward_pass(params, states, lengths)
+    buffers.actions[...] = rng.integers(0, 2, states.shape[:2])
+    bootstrap_targets(buffers, rng.uniform(0.0, 2.0, states.shape[:2]), 0.9)
+    return buffers, EpisodeBatch.of(buffers, beta)
 
 
 def random_batch(hidden=8, n=3, seed=0, beta=0.05):
@@ -109,11 +121,17 @@ def random_batch(hidden=8, n=3, seed=0, beta=0.05):
     rng = np.random.default_rng(seed)
     params = random_params(hidden, seed)
     states, lengths = padded([rng.uniform(0.0, 1.0, (n, 6))])
-    buffers = forward_pass(params, states)
-    actions = rng.integers(0, 2, (1, n))
-    rewards = rng.uniform(0.0, 2.0, (1, n))
-    q, adv = targets(buffers, rewards, lengths)
-    return params, buffers, EpisodeBatch(states, lengths, actions, q, adv, beta)
+    return (params, *sampled_episode(params, states, lengths, rng, beta))
+
+
+def entropies(probs):
+    """The package's entropy of each row of (k, 2) ``probs``: the entropy
+    loss of k one-step ports whose pass holds those probabilities."""
+    params = random_params(2)
+    buffers = forward_pass(params, np.zeros((len(probs), 1, 6)))
+    buffers.probs[:, 0] = probs
+    backward(params, buffers, 0.05)
+    return np.array([entropy for _, _, entropy in buffers.losses])
 
 
 def hidden_sequence(params, states):
@@ -126,8 +144,9 @@ def hidden_sequence(params, states):
 def episode_loss_value(params, batch):
     """Summed total loss of the batch's ports as a plain function of the
     parameters (targets held fixed); what the finite differences perturb."""
-    buffers = forward_pass(params, batch.states)
-    return sum(total_loss(*losses, batch.beta) for losses in episode_losses(batch, buffers))
+    buffers = forward_pass(params, batch.states, batch.lengths)
+    return sum(total_loss(*losses, batch.beta)
+               for losses in oracles.episode_losses(batch, buffers))
 
 
 def finite_difference_grads(params, batch, h=1e-5):
@@ -267,12 +286,11 @@ class TestPolicyValueForward:
 class TestLosses:
     def test_td_advantage(self):
         # q_t = r_t + gamma * V(s_{t+1}), terminal value 0; advantage q - V
-        q, adv = bootstrap_targets(np.array([[1.0, 3.0]]), np.array([[2.0, 3.0]]),
-                                   np.array([2]), 0.9)
+        q, adv = targets(np.array([[1.0, 3.0]]), np.array([[2.0, 3.0]]), np.array([2]))
         assert q[0] == pytest.approx([1.0 + 0.9 * 3.0, 3.0])
         assert adv[0] == pytest.approx([1.7, 0.0])
-        _, flipped = bootstrap_targets(np.array([[1.0]]), np.array([[2.0]]), np.array([1]), 0.9)
-        _, mirrored = bootstrap_targets(np.array([[3.0]]), np.array([[2.0]]), np.array([1]), 0.9)
+        _, flipped = targets(np.array([[1.0]]), np.array([[2.0]]), np.array([1]))
+        _, mirrored = targets(np.array([[3.0]]), np.array([[2.0]]), np.array([1]))
         assert flipped[0, 0] == -mirrored[0, 0]
 
     def test_value_loss_perfect_prediction(self):
@@ -296,13 +314,13 @@ class TestLosses:
         assert policy_loss([-1.0], [math.exp(-1.0)]) == pytest.approx(-1.0)
 
     def test_entropy_values(self):
-        values = learner._entropy_rows(np.array([[0.5, 0.5], [1.0, 0.0]]))
+        values = entropies(np.array([[0.5, 0.5], [1.0, 0.0]]))
         assert values[0] == pytest.approx(math.log(2.0))
         assert values[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_entropy_maximal_at_uniform(self):
         grid = np.linspace(0.01, 0.99, 99)
-        values = learner._entropy_rows(np.stack([grid, 1.0 - grid], axis=1))
+        values = entropies(np.stack([grid, 1.0 - grid], axis=1))
         assert max(values) == pytest.approx(math.log(2.0), rel=1e-3)
         assert np.argmax(values) == 49
 
@@ -313,15 +331,16 @@ class TestLosses:
             == pytest.approx(-0.05 * uniform_entropy)
 
     def test_entropy_term_never_increases_when_beta_zero(self):
-        _, buffers, batch = random_batch(seed=11)
-        [(v, p, ent)] = episode_losses(batch, buffers)
+        params, buffers, batch = random_batch(seed=11)
+        backward(params, buffers, batch.beta)
+        [(v, p, ent)] = buffers.losses
         assert total_loss(v, p, ent, batch.beta) <= total_loss(v, p, ent, 0.0) + 1e-12
 
 
 class TestBackward:
     def test_gradcheck_total_loss(self):
         params, buffers, batch = random_batch(hidden=6, n=4, seed=1)
-        [analytic] = backward(params, batch, buffers)
+        [analytic] = backward(params, buffers, batch.beta)
         numeric = finite_difference_grads(params, batch)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -336,7 +355,7 @@ class TestBackward:
             # entropy only
             replace(batch, q_targets=buffers.values.copy(), advantages=zero_adv, beta=0.7),
         ):
-            [analytic] = backward(params, isolated, buffers)
+            [analytic] = backward(params, isolated.write(buffers), isolated.beta)
             assert max_relative_error(analytic,
                                       finite_difference_grads(params, isolated)) < 1e-4
 
@@ -344,7 +363,7 @@ class TestBackward:
         params, buffers, batch = random_batch(hidden=4, n=3, seed=3)
         silent = replace(batch, q_targets=buffers.values.copy(),
                          advantages=np.zeros_like(batch.advantages), beta=0.0)
-        [grads] = backward(params, silent, buffers)
+        [grads] = backward(params, silent.write(buffers), silent.beta)
         assert grad_norm(grads) == pytest.approx(0.0, abs=1e-12)
 
     def test_record_additivity(self):
@@ -355,20 +374,22 @@ class TestBackward:
         rng = np.random.default_rng(10)
         states, lengths = padded([rng.uniform(0, 1, (6, 6))])
         actions = rng.integers(0, 2, (1, 6))
-        buffers = forward_pass(params, states)
+        buffers = forward_pass(params, states, lengths)
         q = buffers.values + rng.normal(size=(1, 6))
         adv = rng.normal(size=(1, 6))
+
+        def gradient(q_part, adv_part):
+            EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0).write(buffers)
+            return backward(params, buffers, 0.0)[0].copy()
 
         def silenced(keep):
             q_part = buffers.values.copy()
             adv_part = np.zeros((1, 6))
             q_part[:, keep] = q[:, keep]
             adv_part[:, keep] = adv[:, keep]
-            return backward(params, EpisodeBatch(states, lengths, actions, q_part, adv_part, 0.0),
-                            buffers)[0].copy()
+            return gradient(q_part, adv_part)
 
-        full = backward(params, EpisodeBatch(states, lengths, actions, q, adv, 0.0),
-                        buffers)[0].copy()
+        full = gradient(q, adv)
         combined = silenced(slice(0, 3)) + silenced(slice(3, 6))
         assert max_relative_error(full, combined) < 1e-9
 
@@ -385,11 +406,7 @@ def random_ports(lengths, hidden=6, seed=20):
     rng = np.random.default_rng(seed)
     params = random_params(hidden, seed, scale=0.8)
     states = rng.uniform(0.0, 1.0, (len(lengths), max(lengths), 6))
-    lengths = np.array(lengths)
-    buffers = forward_pass(params, states)
-    actions = rng.integers(0, 2, states.shape[:2])
-    q, adv = targets(buffers, rng.uniform(0.0, 2.0, states.shape[:2]), lengths)
-    return params, buffers, EpisodeBatch(states, lengths, actions, q, adv, 0.05)
+    return (params, *sampled_episode(params, states, np.array(lengths), rng, 0.05))
 
 
 def assert_near(ours, reference, rel):
@@ -404,7 +421,7 @@ class TestBatchedPass:
 
     def test_matches_scalar_oracle_over_unequal_ports(self):
         params, buffers, batch = random_ports([5, 1, 8, 3])
-        grads = backward(params, batch, buffers)
+        grads = backward(params, buffers, batch.beta)
         assert grads.shape == (len(batch.lengths), Coordinator(params).flat.size)
         for p, n in enumerate(batch.lengths):
             oracle = scalar_forward(params, batch.states[p, :n])
@@ -431,9 +448,9 @@ class TestBatchedPass:
         long_batch = EpisodeBatch(extended(batch.states, 6), batch.lengths,
                                   extended(batch.actions) % 2, extended(batch.q_targets),
                                   extended(batch.advantages), batch.beta)
-        long_buffers = forward_pass(params, long_batch.states)
-        assert np.array_equal(backward(params, batch, buffers),
-                              backward(params, long_batch, long_buffers))
+        long_buffers = long_batch.buffers(params)
+        assert np.array_equal(backward(params, buffers, batch.beta),
+                              backward(params, long_buffers, batch.beta))
         last = (batch.lengths, np.arange(len(batch.lengths)))  # time-major
         for name in ("hiddens", "cells"):  # each port's last carry
             assert np.array_equal(getattr(buffers, name)[last],
@@ -467,32 +484,34 @@ class TestTimeMajorPass:
     @settings(max_examples=60, deadline=None)
     def test_matches_padded_oracle_bit_for_bit(self, lengths, hidden, seed):
         params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden)
-        buffers = forward_pass(params, batch.states)
+        buffers = batch.buffers(params)
         forward = PaddedForward.of(buffers)
         oracle = padded_forward_episode(params, batch.states)
         for name in FORWARD_FIELDS:
             assert getattr(forward, name).shape == getattr(oracle, name).shape
             assert np.array_equal(getattr(forward, name), getattr(oracle, name)), name
-        grads = backward(params, batch, buffers)
+        grads = backward(params, buffers, batch.beta)
         reference = padded_backward(params, oracle, batch)
         assert grads.shape == reference.shape
         for p, row in enumerate(grads):
             assert np.array_equal(row, reference[p]), p
 
     def test_reused_buffers_match_fresh_ones(self):
-        """A second episode over the same buffers, with other parameters and
-        lengths, ends as a fresh call does: nothing carries over, neither the
-        first episode's carries nor the reverse loop's dh and dc."""
+        """A second episode over the same buffers, with other parameters,
+        actions and targets, ends as a fresh call does: nothing carries over,
+        neither the first episode's carries nor the reverse loop's dh and dc."""
         rng = np.random.default_rng(31)
-        buffers = EpisodeBuffers(3, 9, 5)
-        for lengths in ([9, 4, 7], [2, 9, 5]):
-            params, batch = garbage_padded_episode(rng, lengths, 5, scale=0.8)
-            forward_episode(params, batch.states, buffers)
-            grads = backward(params, batch, buffers)
-            fresh = forward_pass(params, batch.states)
+        _, first = garbage_padded_episode(rng, [9, 4, 7], 5)
+        buffers = EpisodeBuffers(first.states, first.lengths, 5)
+        for _ in range(2):
+            params, batch = garbage_padded_episode(rng, [9, 4, 7], 5, scale=0.8)
+            batch.states = first.states
+            forward_episode(params, buffers)
+            grads = backward(params, batch.write(buffers), batch.beta)
+            fresh = batch.buffers(params)
             for name in FORWARD_FIELDS:  # backward left the forward pass as it was
                 assert np.array_equal(getattr(buffers, name), getattr(fresh, name)), name
-            assert np.array_equal(grads, backward(params, batch, fresh))
+            assert np.array_equal(grads, backward(params, fresh, batch.beta))
 
     def test_backward_reads_the_pass_in_its_buffers(self):
         """The reverse loop takes the whole forward pass, the forget-gate rows
@@ -501,29 +520,38 @@ class TestTimeMajorPass:
         copies in gives the gradient of the package's own pass, bit for bit."""
         rng = np.random.default_rng(33)
         params, batch = garbage_padded_episode(rng, [6, 3, 5], 4)
-        other_params, other_batch = garbage_padded_episode(rng, [2, 6, 4], 4)
-        expected = backward(params, batch, forward_pass(params, batch.states)).copy()
-        buffers = EpisodeBuffers(3, 6, 4)
-        forward_episode(other_params, other_batch.states, buffers)  # a stale episode
+        other_params, _ = garbage_padded_episode(rng, [6, 3, 5], 4)
+        expected = backward(params, batch.buffers(params), batch.beta).copy()
+        buffers = batch.buffers(other_params)  # a stale episode
         padded_forward_episode(params, batch.states).write(buffers)
-        assert np.array_equal(backward(params, batch, buffers), expected)
+        assert np.array_equal(backward(params, buffers, batch.beta), expected)
 
     def test_buffers_of_another_shape_rejected(self):
         params, batch = garbage_padded_episode(np.random.default_rng(32), [3, 2], 4)
         with pytest.raises(LearnerError, match="buffers"):
-            forward_episode(params, batch.states, EpisodeBuffers(2, 4, 4))
+            forward_episode(params, EpisodeBuffers(batch.states, batch.lengths, 5))
+        with pytest.raises(LearnerError, match=r"^states must be a \(ports, steps, 6\) array$"):
+            EpisodeBuffers(batch.states[..., :5], batch.lengths, 4)
 
-    @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 4, 4), (2, 3, 5)],
-                             ids=["ports", "steps", "width"])
-    def test_backward_refuses_buffers_of_another_shape(self, shape):
-        """Ports of 3 and 2 steps at width 4, against buffers with one more
-        port, step or unit of width: refused by the check the forward pass
-        makes, before any product."""
+    @pytest.mark.parametrize("lengths, hidden", [
+        ([3, 2, 1], 4), ([4, 2], 4), ([3, 2], 5), ([3, 0], 4), ([3.0, 2.0], 4), ([[3, 2]], 4),
+    ], ids=["ports", "steps", "width", "empty-port", "float", "matrix"])
+    def test_backward_refuses_buffers_of_another_shape(self, lengths, hidden):
+        """Ports of 3 and 2 steps at width 4.  Buffers are built for a run's
+        own states, so lengths for one more port or step, for a port of no
+        steps, or not as one integer per port are refused when they are
+        built; buffers one unit wider are refused by backward, before any
+        product."""
         params, batch = garbage_padded_episode(np.random.default_rng(35), [3, 2], 4)
-        with pytest.raises(LearnerError, match=f"^episode buffers fit {shape[0]} ports of "
-                                               f"{shape[1]} steps at hidden width {shape[2]}, "
-                                               f"not 2 of 3 at 4$"):
-            backward(params, batch, EpisodeBuffers(*shape))
+        if hidden != 4:
+            with pytest.raises(LearnerError, match="^episode buffers hold hidden width 5, "
+                                                   "not 4$"):
+                backward(params, batch.write(EpisodeBuffers(batch.states, batch.lengths, 5)),
+                         batch.beta)
+        else:
+            with pytest.raises(LearnerError, match="^lengths must be 2 integers from 1 to 3, "
+                                                   "one per port of the states$"):
+                EpisodeBuffers(batch.states, np.array(lengths), hidden)
 
     def test_train_matches_padded_oracle_model_file(self, tmp_path, monkeypatch):
         """Training through the oracles writes the same model file byte for
@@ -540,12 +568,15 @@ class TestTimeMajorPass:
             coordinator.flat[...] = adam.flat
             coordinator.step = adam.step
 
+        def oracle_backward(params, buffers, beta):
+            episode = EpisodeBatch.of(buffers, beta)
+            buffers.losses = oracles.episode_losses(episode, buffers)
+            return padded_backward(params, PaddedForward.of(buffers), episode)
+
         monkeypatch.setattr(learner, "forward_episode",
-                            lambda params, states, buffers: padded_forward_episode(
-                                params, states).write(buffers))
-        monkeypatch.setattr(learner, "backward",
-                            lambda params, batch, buffers: padded_backward(
-                                params, PaddedForward.of(buffers), batch))
+                            lambda params, buffers: padded_forward_episode(
+                                params, buffers.states).write(buffers))
+        monkeypatch.setattr(learner, "backward", oracle_backward)
         monkeypatch.setattr(Coordinator, "apply_update", oracle_update)
         oracle_model, oracle_logs = train(batch, site, config, risk_value=0.05)
         oracle_model.save(tmp_path / "oracle.json")
@@ -567,7 +598,7 @@ class TestPaddedTargetsAndLosses:
         inside = np.arange(shape[1]) < lengths[:, None]
         rewards = np.where(inside, rng.uniform(0.0, 2.0, shape), 0.0)
         values = rng.normal(size=shape)  # the padding steps' values are garbage
-        q, adv = bootstrap_targets(rewards, values, lengths, 0.9)
+        q, adv = targets(rewards, values, lengths)
         for p, n in enumerate(lengths):
             q_p, adv_p = oracles.bootstrap_targets(rewards[p, :n], values[p, :n], 0.9)
             assert np.array_equal(q[p, :n], q_p) and np.array_equal(adv[p, :n], adv_p)
@@ -584,9 +615,14 @@ class TestPaddedTargetsAndLosses:
         take a clamped probability."""
         params, batch = garbage_padded_episode(np.random.default_rng(seed), lengths, hidden,
                                                scale=scale)
-        buffers = forward_pass(params, batch.states)
+        buffers = batch.buffers(params)
+
+        def package_losses(batch, buffers):
+            backward(params, buffers, batch.beta)
+            return buffers.losses
+
         results = []
-        for losses in (episode_losses, oracles.episode_losses):
+        for losses in (package_losses, oracles.episode_losses):
             caplog.clear()
             results.append((losses(batch, buffers),
                             [(r.name, r.levelno, r.getMessage()) for r in caplog.records]))
@@ -594,11 +630,11 @@ class TestPaddedTargetsAndLosses:
 
     def test_clamp_warning_once_per_clamped_port(self, caplog):
         params, batch = garbage_padded_episode(np.random.default_rng(34), [5, 5, 5], 3)
-        buffers = forward_pass(params, batch.states)
+        batch.actions[:, :] = 0
+        buffers = batch.buffers(params)
         buffers.probs[0, 1] = buffers.probs[2, 4] = [0.0, 1.0]
         buffers.probs[1, 2] = [1.0, 0.0]  # port 1 takes the sure action
-        batch.actions[:, :] = 0
-        episode_losses(batch, buffers)
+        backward(params, buffers, batch.beta)
         assert [r.getMessage() for r in caplog.records] \
             == ["policy probability below 1e-12 clamped in log"] * 2
 
@@ -830,6 +866,13 @@ class TestTrain:
             wins += mean_on >= mean_off
         assert wins >= 4
 
+    def test_fit_policy_refuses_rewards_of_another_shape(self):
+        """A (2, 1, T) table would broadcast over the ports unnoticed."""
+        with pytest.raises(LearnerError, match=r"^rewards_by_action must be a \(2, 2, 3\) "
+                                               r"array$"):
+            learner.fit_policy(np.zeros((2, 3, 6)), np.array([3, 2]), np.zeros((2, 1, 3)),
+                               TrainConfig(episodes=1, hidden=4))
+
     def test_risk_out_of_range_rejected(self):
         batch, site = small_scenario()
         with pytest.raises(LearnerError):
@@ -1043,6 +1086,29 @@ class TestSerialization:
         with pytest.raises(LearnerError, match=rf"corrupt model file: field 'risk_value' must "
                                                rf"lie in \[0, 1\), got {value!r}"):
             self.load_payload(tmp_path, payload)
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("step", -3), ("train_episodes", -1), ("step", 10**400), ("train_episodes", 10**309),
+    ], ids=["negative-step", "negative-episodes", "step-beyond-float", "episodes-beyond-float"])
+    def test_unusable_count_named(self, tmp_path, field_name, value):
+        """Adam's bias correction raises its betas to the step as a float, so
+        a step is refused when it is negative or no float can hold it, and
+        so is such an episode count."""
+        payload = self.saved_payload(tmp_path)
+        payload[field_name] = value
+        with pytest.raises(LearnerError, match=f"^corrupt model file: field '{field_name}' must "
+                                               f"be a non-negative integer a float can hold, "
+                                               f"got {value}$"):
+            self.load_payload(tmp_path, payload)
+
+    def test_integer_too_long_to_parse_named(self, tmp_path):
+        """An integer of more digits than Python converts from text is a
+        corrupt file, not a ValueError traceback."""
+        path = tmp_path / "model.json"
+        path.write_text(re.sub(r'"step": [0-9]+', '"step": 1' + "0" * 5000,
+                               json.dumps(self.saved_payload(tmp_path))))
+        with pytest.raises(LearnerError, match="^corrupt model file: Exceeds the limit"):
+            SharedModel.load(path)
 
     def test_fractional_step_rejected(self, tmp_path):
         payload = self.saved_payload(tmp_path)

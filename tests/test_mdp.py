@@ -269,9 +269,9 @@ class TestEvseQueue:
     def test_schedule_empties_single_session_queue(self):
         port = PortQueue([make_av_session()])
         queue = port.queue
-        event = port.schedule()
+        row, clock, wait = port.schedule()
         assert queue.present() is None
-        assert (event.index, event.clock_minutes, queue.clock) == (0, 0.0, 60.0)
+        assert (row, clock, wait, queue.clock) == (0, 0.0, 0.0, 60.0)
         assert queue.position == queue.stop and queue.voided == []
 
     def test_schedule_without_allocation_names_session(self):
@@ -284,16 +284,16 @@ class TestEvseQueue:
     def test_queue_represents_same_head(self):
         queue = PortQueue([make_session(window_min=600)]).queue
         head_before = queue.present()
-        event = queue.transition(0)
-        assert (event.index, event.clock_minutes) == (head_before, 0.0)
+        row, clock, _wait = queue.transition(0)
+        assert (row, clock) == (head_before, 0.0)
         assert queue.present() == head_before == 0
         assert queue.clock == 15.0
 
     def test_av_realizes_requested_energy(self):
         session = make_av_session(energy=12.0, charge_min=30)
         port = PortQueue([session])
-        event = port.schedule()
-        assert port.allocations.energy_kwh[event.index] == pytest.approx(12.0)
+        row, _clock, _wait = port.schedule()
+        assert port.allocations.energy_kwh[row] == pytest.approx(12.0)
         assert port.queue.clock == 30.0
 
     def test_session_conservation_random_decisions(self):
@@ -305,10 +305,10 @@ class TestEvseQueue:
         scheduled = []
         while queue.present() is not None:
             if rng.integers(0, 2):
-                scheduled.append(port.schedule().index)
+                scheduled.append(port.schedule()[0])
             else:
-                assert queue.transition(0).index == queue.position  # still the head
-        voided = [e.index for e in queue.voided]
+                assert queue.transition(0)[0] == queue.position  # still the head
+        voided = [row for row, _clock, _wait in queue.voided]
         assert sorted(scheduled + voided) == list(range(len(sessions)))
 
     def test_expired_window_voids(self):
@@ -317,8 +317,7 @@ class TestEvseQueue:
         queue.transition(0)  # +15
         queue.transition(0)  # +15 -> wait 30 > 20
         assert queue.present() is None
-        assert [(e.index, e.clock_minutes, e.wait_minutes) for e in queue.voided] == \
-            [(0, 30.0, 30.0)]
+        assert queue.voided == [(0, 30.0, 30.0)]
 
     def test_empty_queue_transition_rejected(self):
         port = PortQueue([make_av_session()])
