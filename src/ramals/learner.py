@@ -5,7 +5,7 @@ value head.  Every port runs its own agent over its own session sequence; a
 coordinator holds the shared parameters, one flat vector laid out by
 :func:`param_shapes`, and applies each agent's (norm-clipped) flat gradient
 through Adam in a fixed port order.  Within an episode every agent runs on
-one copy of the parameters taken at the episode's start, so its forward and
+the parameters as they stood at the episode's start, so its forward and
 backward passes run all ports as one batch, zero-padded to (P, T, 6) and
 masked by each port's length.  Execution steps the same cell
 (:func:`policy_value_forward`) for every port awaiting a decision at once, as
@@ -27,6 +27,9 @@ rows in place, through row views built once with the buffers, as Adam
 reuses two scratch vectors.  The layout changes no arithmetic: every product
 and elementwise operation is the one a port-major pass over fresh arrays
 makes, in the same order, so models and logs come out the same bit for bit.
+Training and execution step one cell, :func:`_cell_rows`, each caller under
+one ``np.errstate(over="ignore")``: a pair of (P, H) blocks ``[tanh g, c_prev]``
+times ``[i, f]`` holds both terms of ``c``, so the gates' g slot is scratch.
 
 :func:`fit_policy` is the episode loop on arrays: (P, T, 6) states, (P,)
 lengths and the (2, P, T) reward of each step under each action, which
@@ -66,14 +69,6 @@ class LearnerError(ValueError):
     """Raised for invalid learner inputs or corrupt model files."""
 
 
-def _sigmoid(x: np.ndarray) -> None:
-    """The logistic function, in place: ``1 / (1 + exp(-x))``."""
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.reciprocal(x, out=x)
-
-
 def param_shapes(hidden: int) -> dict[str, tuple]:
     """Shape of each parameter tensor, in ``PARAM_KEYS`` order: the layout of
     the coordinator's flat vectors and of a model file's."""
@@ -105,36 +100,39 @@ def _views(flat: np.ndarray, hidden: int) -> dict[str, np.ndarray]:
             for (key, shape), part in zip(shapes.items(), parts)}
 
 
-def _gate_blocks(z: np.ndarray) -> tuple:
-    """The ``[i, f, g, o]`` blocks of each row of ``z``, as views."""
-    hidden = z.shape[-1] // 4
-    return (z[..., :hidden], z[..., hidden:2 * hidden], z[..., 2 * hidden:3 * hidden],
-            z[..., 3 * hidden:])
+def _cell_operands(z: np.ndarray, pair: np.ndarray, product: np.ndarray) -> tuple:
+    """The views :func:`_cell_rows` works through, built once per step: the
+    ``[i, f]`` blocks of ``z`` as a (2, k, H) view, its ``g`` and ``o`` blocks,
+    the (2, k, H) ``pair`` and its ``tanh g`` block, and a scratch ``product``
+    like ``z``, whose memory also holds the two (k, H) terms of ``c``."""
+    k, hidden = len(z), z.shape[-1] // 4
+    terms = product.reshape(4, k, hidden)[:2]
+    return (z[:, :2 * hidden].reshape(k, 2, hidden).transpose(1, 0, 2),
+            z[:, 2 * hidden:3 * hidden], z[:, 3 * hidden:], pair, pair[0], product, terms,
+            terms[0], terms[1])
 
 
-def _cell_rows(wh_t: np.ndarray, z: np.ndarray, gates: tuple, h_prev: np.ndarray,
-               c_prev: np.ndarray, out: tuple | None = None):
-    """One cell step for one row or a stack of rows: ``z`` holds each row's
-    input projection ``x @ wx.T + b`` on entry and its activated gates
-    ``[i, f, g, o]`` on return, ``gates`` are its :func:`_gate_blocks` and
-    ``wh_t`` is ``wh.T``.  Returns the new (cell, hidden) state.  ``out`` is
-    ``(c, h, product, tanh_g)``: the arrays for that state, a scratch shaped
-    like ``z`` for the recurrent product and a view of its first H columns;
-    without it they are allocated."""
-    gi, gf, gc, go = gates
-    c, h, product, tanh_g = out or (None,) * 4
+def _cell_rows(wh_t: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c: np.ndarray,
+               h: np.ndarray, operands: tuple) -> None:
+    """One cell step for a stack of rows in 11 numpy calls, into the new state
+    ``c`` and ``h``; ``wh_t`` is ``wh.T``, ``operands`` :func:`_cell_operands`.
+    On entry ``z`` holds the input projection ``x @ wx.T + b`` and the pair
+    ``[·, c_prev]``.  The step writes ``tanh g`` into the pair's first block and
+    the logistic into all of ``z``: the i, f and o gates, and scratch in the g
+    slot.  ``c = f·c_prev + i·tanh g`` is one product of ``[i, f]`` by the pair
+    and one sum.  The caller holds ``np.errstate(over="ignore")``: a gate whose
+    pre-activation is below about -709 is exactly 0."""
+    z_if, z_g, z_o, pair, tanh_g, product, terms, i_terms, f_terms = operands
     z += np.dot(h_prev, wh_t, out=product)
-    tanh_g = np.tanh(gc, out=tanh_g)
-    # the logistic over whole rows at once; meanwhile the g slot holds
-    # tanh(g), in [-1, 1], so its discarded logistic cannot overflow
-    gc[...] = tanh_g
-    _sigmoid(z)
-    gc[...] = tanh_g
-    c = np.multiply(gf, c_prev, out=c)
-    c += np.multiply(gi, gc, out=tanh_g)
-    h = np.tanh(c, out=h)
-    h *= go
-    return c, h
+    np.tanh(z_g, out=tanh_g)
+    np.negative(z, out=z)  # the logistic 1 / (1 + exp(-z)), in place
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+    np.multiply(z_if, pair, out=terms)  # [i·tanh g, f·c_prev]
+    np.add(f_terms, i_terms, out=c)
+    np.tanh(c, out=h)
+    h *= z_o
 
 
 def _softmax2(logits: np.ndarray) -> np.ndarray:
@@ -155,13 +153,18 @@ def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
     ``states @ wx.T + b``, computed once per port, and is stepped from row j
     of the carry ``(h, c)``; ``z_rows`` is left unchanged.
     """
-    h, c = carry
+    h_prev, c_prev = carry
     z = np.array(z_rows, dtype=float)
-    c, h = _cell_rows(params["wh"].T, z, _gate_blocks(z), h, c)
+    pair = np.empty((2,) + h_prev.shape)
+    c = pair[1]  # c_prev, until the step's sum writes the new state
+    c[...] = c_prev
+    h = np.empty_like(h_prev)
+    with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
+        _cell_rows(params["wh"].T, z, h_prev, c, h, _cell_operands(z, pair, np.empty_like(z)))
     p_schedule = _softmax2(h @ params["wp"].T + params["bp"])[:, 0]
     value = h @ params["wv"][0] + params["bv"][0]
     # both probabilities are finite or neither is
-    if not (np.all(np.isfinite(p_schedule)) and np.all(np.isfinite(value))):
+    if not (np.isfinite(p_schedule).all() and np.isfinite(value).all()):
         raise LearnerError("non-finite policy or value output")
     return p_schedule, value, (h, c)
 
@@ -172,12 +175,13 @@ class EpisodeBuffers:
 
     - inputs: ``states`` (P, T, 6), ``lengths`` (P,), the padding mask
       ``inside`` (P, T), true on each port's steps, and ``inv_n``, 1/T_p
-    - forward pass, written by :func:`forward_episode`: ``hiddens`` and
-      ``cells`` (T + 1, P, H), whose step 0 is the zero start carry,
-      ``gates`` (T, P, 4H), activated ``[i, f, g, o]``, and the heads'
-      ``probs`` (P, T, 2) and ``values`` (P, T), port-major; steps past a
-      port's length are computed but never read, so port p's last carry is
-      ``(hiddens[n_p, p], cells[n_p, p])``
+    - forward pass, written by :func:`forward_episode` under its errstate:
+      ``hiddens`` (T + 1, P, H) and ``pairs`` (T + 1, 2, P, H), step t's
+      ``[tanh g, c_prev]``, whose second block is ``cells``, both with the zero
+      start carry at step 0, ``gates`` (T, P, 4H), activated ``[i, f, ·, o]``
+      with scratch in the g slot, and the heads' ``probs`` (P, T, 2) and
+      ``values`` (P, T), port-major; steps past a port's length are computed
+      but never read, so port p's last carry is ``(hiddens[n_p, p], cells[n_p, p])``
     - episode, written by the loop and :func:`bootstrap_targets`:
       ``actions``, ``q_targets`` and ``advantages`` (P, T); a run never
       writes them past a port's length, where they stay 0
@@ -209,7 +213,8 @@ class EpisodeBuffers:
         self.advantages = np.zeros_like(self.q_targets)
         self.losses: list[tuple] = []
         self.hiddens = np.zeros((n_steps + 1, n_ports, hidden))
-        self.cells = np.zeros_like(self.hiddens)
+        self.pairs = np.zeros((n_steps + 1, 2, n_ports, hidden))
+        self.cells = self.pairs[:, 1]
         self.gates = np.empty((n_steps, n_ports, 4 * hidden))
         self.probs = np.empty((n_ports, n_steps, 2))
         self.values = np.empty((n_ports, n_steps))
@@ -220,11 +225,10 @@ class EpisodeBuffers:
                                             for shape in param_shapes(hidden).values())))
         self.grad_views = _views(self.grads, hidden)  # each port's row, by tensor
         product = np.empty((n_ports, 4 * hidden))
-        scratch = (product, product[:, :hidden])
-        self.cell_steps = [(z, _gate_blocks(z), h_prev, c_prev, (c, h, *scratch))
-                           for z, h_prev, c_prev, h, c in zip(
-                               self.gates, self.hiddens[:-1], self.cells[:-1],
-                               self.hiddens[1:], self.cells[1:])]
+        self.cell_steps = [(z, h_prev, c, h, _cell_operands(z, pair, product))
+                           for z, pair, h_prev, c, h in zip(
+                               self.gates, self.pairs, self.hiddens[:-1], self.cells[1:],
+                               self.hiddens[1:])]
         # dh, dc (in tanh_c), dc broadcast over the i, f, g rows, those rows
         # and the o row of dz, the whole dz row and the step's forget gates
         local = self.dz.reshape(n_steps, n_ports, 4, hidden)
@@ -251,12 +255,13 @@ def forward_episode(params: dict, buffers: EpisodeBuffers) -> None:
     np.matmul(buffers.states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
     gates += params["b"]
     wh_t = params["wh"].T
-    for step in buffers.cell_steps:
-        _cell_rows(wh_t, *step)
+    with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
+        for step in buffers.cell_steps:
+            _cell_rows(wh_t, *step)
     outputs = hiddens[1:].transpose(1, 0, 2)
     probs = _softmax2(np.add(outputs @ params["wp"].T, params["bp"], out=buffers.probs))
     values = np.add(outputs @ params["wv"][0], params["bv"][0], out=buffers.values)
-    if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(values))):
+    if not (np.isfinite(probs).all() and np.isfinite(values).all()):
         raise LearnerError("non-finite output in episode forward pass")
 
 
@@ -293,24 +298,26 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     hidden = hidden_size(params)
     buffers.check(hidden)
     n_steps, n_ports, _ = buffers.gates.shape
-    inside, inv_n, actions = buffers.inside, buffers.inv_n, buffers.actions[..., None]
+    inside, inv_n = buffers.inside, buffers.inv_n
     probs = buffers.probs
     log_probs = np.log(np.maximum(probs, LOG_PROB_FLOOR))
     entropies = -np.sum(probs * log_probs, axis=-1)  # in nats
-    clamped = np.take_along_axis(probs, actions, axis=-1)[..., 0] < LOG_PROB_FLOOR
-    weighted = buffers.advantages * np.take_along_axis(log_probs, actions, axis=-1)[..., 0]
+    one_hot = buffers.actions[..., None] == (0, 1)
+    schedule = one_hot[..., 0]  # the steps that took action 0
+    clamped = np.where(schedule, probs[..., 0], probs[..., 1]) < LOG_PROB_FLOOR
+    weighted = buffers.advantages * np.where(schedule, log_probs[..., 0], log_probs[..., 1])
     residuals = buffers.values - buffers.q_targets
     squares = residuals ** 2
     buffers.losses = []
+    # each mean as np.mean takes it, the pairwise sum over n, without its dispatch
     for p, n in enumerate(buffers.lengths.tolist()):
         if clamped[p, :n].any():
             log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
-        buffers.losses.append((float(0.5 * np.mean(squares[p, :n])),
-                               float(-np.mean(weighted[p, :n])),
-                               float(np.mean(entropies[p, :n]))))
+        buffers.losses.append((float(0.5 * (squares[p, :n].sum() / n)),
+                               float(-(weighted[p, :n].sum() / n)),
+                               float(entropies[p, :n].sum() / n)))
     # policy term: -mean(adv * log pi_taken); clamped probabilities have
     # zero slope, matching the loss definition
-    one_hot = np.eye(2)[buffers.actions]
     policy_weight = np.where(clamped, 0.0, -buffers.advantages * inv_n)
     d_logits = policy_weight[..., None] * (one_hot - probs)
     # entropy term: -beta * mean(H)
@@ -320,22 +327,25 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     d_value = residuals * inv_n * inside
 
     gates = buffers.gates.reshape(n_steps, n_ports, 4, hidden)
-    gi, _, gc, go = (gates[:, :, k] for k in range(4))
+    gi, go = gates[:, :, 0], gates[:, :, 3]
+    pairs = buffers.pairs[:-1]  # (T, 2, P, H): [tanh g, c_prev]
+    tanh_g = pairs[:, 0]
     # dh_heads = d_logits @ wp + d_value * wv, the product staged in tanh_c
     dh_heads, tanh_c = buffers.dh_heads, buffers.tanh_c
     np.matmul(d_logits, params["wp"], out=dh_heads.transpose(1, 0, 2))
     dh_heads += np.multiply(d_value.T[..., None], params["wv"][0], out=tanh_c)
     # dz of each gate is dc (rows i, f, g) or dh (row o) times ``local``: the
     # gate's activation slope times its partner in c = f*c_prev + i*g and
-    # h = o*tanh(c).
+    # h = o*tanh(c); the g slot's slope is 1 - tanh(g)^2, over its scratch
     local = buffers.dz.reshape(n_steps, n_ports, 4, hidden)
     np.subtract(1.0, gates, out=local)
     local *= gates
-    slope_g = np.multiply(gc, gc, out=local[:, :, 2])
+    slope_g = np.multiply(tanh_g, tanh_g, out=local[:, :, 2])
     np.subtract(1.0, slope_g, out=slope_g)
     np.tanh(buffers.cells[1:], out=tanh_c)
-    for k, partner in enumerate((gc, buffers.cells[:-1], gi, tanh_c)):
-        local[:, :, k] *= partner
+    local[:, :, :2] *= pairs.transpose(0, 2, 1, 3)  # i's partner tanh g, f's c_prev
+    local[:, :, 2] *= gi
+    local[:, :, 3] *= tanh_c
     dh_to_dc = tanh_c  # go * (1 - tanh(c)^2), over tanh(c)
     dh_to_dc *= tanh_c
     np.subtract(1.0, dh_to_dc, out=dh_to_dc)
@@ -368,24 +378,31 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     np.sum(d_logits, axis=1, out=grads["bp"])
     np.matmul(d_value[:, None, :], outputs, out=grads["wv"])
     np.sum(d_value, axis=1, keepdims=True, out=grads["bv"])
-    if not np.all(np.isfinite(buffers.grads)):
+    if not np.isfinite(buffers.grads).all():
         raise LearnerError("non-finite gradient")
     return buffers.grads
 
 
 def grad_norm(grads: np.ndarray) -> float:
-    """Euclidean norm of one flat gradient."""
-    return math.sqrt(float(grads @ grads))
+    """Euclidean norm of one flat gradient; where a finite gradient's squares
+    overflow, taken over the gradient divided by its largest magnitude."""
+    with np.errstate(over="ignore"):
+        square = float(grads @ grads)
+    if math.isfinite(square) or not np.all(np.isfinite(grads)):
+        return math.sqrt(square)
+    peak = float(np.max(np.abs(grads)))
+    return peak * grad_norm(grads / peak)  # squares of at most 1
 
 
 def clipped_delta(grads: np.ndarray, clip_threshold: float) -> np.ndarray:
     """Global norm clipping: scale the whole flat gradient so its norm is at
-    most the threshold."""
+    most the threshold.  A gradient within it is returned itself, as
+    ``grads * 1.0`` would equal it."""
     if clip_threshold <= 0:
         raise LearnerError("clip threshold must be positive")
     norm = grad_norm(grads)
     scale = min(1.0, clip_threshold / norm) if norm > 0 else 1.0
-    return grads * scale
+    return grads if scale == 1.0 else grads * scale
 
 
 class Coordinator:
@@ -590,11 +607,13 @@ def fit_policy(states, lengths, rewards_by_action, config: TrainConfig,
     zero-padded past each port's ``lengths`` (P,), and ``rewards_by_action``
     (2, P, T) holds each step's reward under each action, 0 scheduling.
 
-    The run is one :class:`EpisodeBuffers` and one parameter vector, which
-    each episode copies from the coordinator: one batched forward and
-    backward pass covers all ports, then clipping and Adam go port by port.
-    Deterministic for a fixed seed: one sample stream, one uniform per step
-    in port order, the stream per-port draws would give.  Resuming from
+    The run is one :class:`EpisodeBuffers`: each episode's one batched
+    forward and backward pass covers all ports on views of the coordinator's
+    ``flat``, then clipping and Adam go port by port.  The backward pass
+    returns before Adam writes, so every port's gradient is taken at the
+    parameters the episode started from.  Deterministic for a fixed seed: one
+    sample stream, one uniform per step in port order, the stream per-port
+    draws would give.  Resuming from
     ``initial_model`` continues its parameters, Adam moments, Adam step and
     episode count; the other settings always come from ``config``.
     """
@@ -610,12 +629,10 @@ def fit_policy(states, lengths, rewards_by_action, config: TrainConfig,
     if np.shape(rewards_by_action) != (2,) + inside.shape:
         raise LearnerError(f"rewards_by_action must be a {(2,) + inside.shape} array")
     n_draws = int(buffers.lengths.sum())
-    flat = np.empty_like(coordinator.flat)
-    params = _views(flat, config.hidden)
+    params = _views(coordinator.flat, config.hidden)  # what Adam updates in place
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):
-        flat[...] = coordinator.flat
         forward_episode(params, buffers)
         actions[inside] = rng.random(n_draws) >= buffers.probs[inside, 0]  # 0 = schedule
         rewards = np.where(actions == 0, rewards_by_action[0], rewards_by_action[1])

@@ -600,9 +600,8 @@ def policy_value_step(params: dict, z_row: np.ndarray, carry: tuple):
     ``states @ wx.T + b``, computed once per port; it is left unchanged.
     """
     h, c = carry
-    z = z_row.copy()
-    c, h = learner._cell_rows(params["wh"].T, z, learner._gate_blocks(z), h, c)
-    p_schedule = float(learner._softmax2(params["wp"] @ h + params["bp"])[0])
+    c, h = _allocating_cell_rows(params["wh"], z_row.copy(), h, c)
+    p_schedule = float(_softmax2(params["wp"] @ h + params["bp"])[0])
     value = float(params["wv"][0] @ h) + float(params["bv"][0])
     # both probabilities are finite or neither is
     if not (math.isfinite(p_schedule) and math.isfinite(value)):
@@ -800,15 +799,23 @@ class PaddedForward:
 
     @classmethod
     def of(cls, buffers: EpisodeBuffers) -> "PaddedForward":
-        """The pass in ``buffers``, its time-major arrays as (P, ·) views."""
+        """The pass in ``buffers``, its time-major arrays as (P, ·) views, and
+        its gates as a copy whose g slot, scratch in the buffers, is the
+        ``tanh g`` their pairs hold."""
+        hidden = buffers.hiddens.shape[2]
+        gates = buffers.gates.transpose(1, 0, 2).copy()
+        gates[..., 2 * hidden:3 * hidden] = buffers.pairs[:-1, 0].transpose(1, 0, 2)
         return cls(buffers.probs, buffers.values, *(array.transpose(1, 0, 2) for array in (
-            buffers.hiddens, buffers.cells, buffers.gates)))
+            buffers.hiddens, buffers.cells)), gates)
 
     def write(self, buffers: EpisodeBuffers) -> None:
-        """Copy this pass into ``buffers``, as ``forward_episode`` writes one."""
-        view = PaddedForward.of(buffers)
-        for name in ("probs", "values", "hiddens", "cells", "gates"):
-            getattr(view, name)[...] = getattr(self, name)
+        """Copy this pass into ``buffers``, as ``forward_episode`` writes one:
+        the g slot's ``tanh g`` goes to the first block of the pairs too."""
+        buffers.probs[...], buffers.values[...] = self.probs, self.values
+        for name in ("hiddens", "cells", "gates"):
+            getattr(buffers, name).transpose(1, 0, 2)[...] = getattr(self, name)
+        hidden = self.hiddens.shape[2]
+        buffers.pairs[:-1, 0] = self.gates[..., 2 * hidden:3 * hidden].transpose(1, 0, 2)
 
 
 def padded_forward_episode(params, states) -> PaddedForward:

@@ -21,12 +21,17 @@ only ``policy.jsonl`` moved, and its report and the comparison did not.  At
 seed 1 it serves 60 sessions instead of 58, so ``policy.jsonl``,
 ``policy.csv`` and ``compare.csv`` moved.  At seeds 2 and 3 the policy run
 kept its digests.
+
+``TRAINING_PINNED`` holds one longer training run: 100 episodes at width 64
+on the default seed-0 batch, Adam steps 1-400, the training that one pass of
+``perfbench/run.py --workload paper-200x4`` times at seed 0.
 """
 
 import hashlib
 
 import pytest
 
+from ramals import cli, estimate_risk, generate_synthetic, learner
 from ramals.cli import main
 
 # seed -> {output file -> sha256}
@@ -78,6 +83,16 @@ PINNED = {
 }
 
 
+# SHA-256 of the coordinator's parameters and Adam moments, each as
+# little-endian float64 bytes, and of the training log
+TRAINING_PINNED = {
+    "flat": "d19f998c625b57a4107c220d90bd15fa474af7f78436d9e536f46bb0238cafb7",
+    "m": "96f02069f482f0c6d38d09927f2a7d26a6a2ec75e37a4bac47b3428aa1786745",
+    "v": "665ce0dbc54967ec26d1ad0ea9faa88c414bd68ca0bf8c13d916735225ef9949",
+    "log": "3d18faad3f6b8f4c5efb5a014406f6487c55de0c476e7786d69f5fd486f701c5",
+}
+
+
 def pipeline_digests(workdir, seed: int) -> dict[str, str]:
     def out(name):
         return str(workdir / name)
@@ -104,3 +119,18 @@ def pipeline_digests(workdir, seed: int) -> dict[str, str]:
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_pipeline_outputs_are_pinned(tmp_path, capsys, seed):
     assert pipeline_digests(tmp_path, seed) == PINNED[seed]
+
+
+def test_paper_training_is_pinned():
+    """The parameters, Adam moments and log of ``train --episodes 100 --seed 0``
+    on ``gen-data --seed 0``'s batch at the risk ``fit-risk`` gives it, on the
+    default config."""
+    cfg = cli.load_config(None)
+    batch = generate_synthetic(cli.generator_from_config(cfg), cli.stage_seed(0, "gen"))
+    model, logs = learner.train(batch, cli.site_from_config(cfg),
+                                cli.train_config_from(cfg, cli.stage_seed(0, "train"), 100),
+                                estimate_risk(batch, cfg["alpha"]).cvar_normalized)
+    digests = {name: hashlib.sha256(getattr(model.coordinator, name).astype("<f8").tobytes())
+               .hexdigest() for name in ("flat", "m", "v")}
+    digests["log"] = hashlib.sha256(learner.training_log_csv(logs).encode()).hexdigest()
+    assert digests == TRAINING_PINNED

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -49,6 +50,7 @@ from oracles import (
     KeyedAdam,
     PaddedForward,
     VehicleClass,
+    _allocating_cell_rows,
     flatten,
     forward_pass,
     keyed_clipped_delta,
@@ -237,9 +239,8 @@ class TestPolicyValueForward:
             p_schedule, _, _ = policy_value_forward(params, z_rows, carry)
             assert np.all((0.0 <= p_schedule) & (p_schedule <= 1.0))
             for j, z_row in enumerate(z_rows):
-                z = z_row.copy()
-                h = learner._cell_rows(params["wh"].T, z, learner._gate_blocks(z),
-                                       carry[0][j], carry[1][j])[1]
+                h = _allocating_cell_rows(params["wh"], z_row.copy(), carry[0][j],
+                                          carry[1][j])[1]
                 logits = params["wp"] @ h + params["bp"]
                 assert p_schedule[j] == pytest.approx(
                     1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
@@ -281,6 +282,53 @@ class TestPolicyValueForward:
         with pytest.raises(LearnerError, match="non-finite"):
             policy_value_forward(params, projection(params, np.full((2, 6), 0.5)),
                                  zero_carry(params, 2))
+
+
+class TestSaturatedGates:
+    """An i, f or o pre-activation below about -709 overflows the logistic's
+    exp: the gate is exactly 0, the cell step warns of nothing, and its
+    outputs are the oracle's, run under its own errstate, bit for bit."""
+
+    HIDDEN = 4
+
+    def params(self):
+        """Unit k of gate block k, i, f, g and o, far below -709; the g
+        slot's logistic is the step's scratch, and overflows too."""
+        params = random_params(self.HIDDEN, 40)
+        for k in range(4):
+            params["b"][k * self.HIDDEN + k] = -1000.0
+        return params
+
+    def test_forward_episode(self):
+        params = self.params()
+        states = np.random.default_rng(41).uniform(0, 1, (3, 5, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = PaddedForward.of(forward_pass(params, states))
+        with np.errstate(over="ignore"):
+            oracle = padded_forward_episode(params, states)
+        for name in FORWARD_FIELDS:
+            assert np.array_equal(getattr(forward, name), getattr(oracle, name)), name
+        for k in (0, 1, 3):
+            assert np.all(forward.gates[..., k * self.HIDDEN + k] == 0.0)
+
+    def test_policy_value_forward(self):
+        params = self.params()
+        rng = np.random.default_rng(42)
+        z_rows = projection(params, rng.uniform(0, 1, (3, 6)))
+        carry = tuple(rng.uniform(-1, 1, (3, self.HIDDEN)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p_schedule, value, (h, c) = policy_value_forward(params, z_rows, carry)
+        z = z_rows.copy()
+        with np.errstate(over="ignore"):
+            oracle_c, oracle_h = _allocating_cell_rows(params["wh"], z, *carry)
+        for k in (0, 1, 3):
+            assert np.all(z[:, k * self.HIDDEN + k] == 0.0)
+        assert np.array_equal(c, oracle_c) and np.array_equal(h, oracle_h)
+        logits = oracle_h @ params["wp"].T + params["bp"]
+        assert np.array_equal(p_schedule, oracles._batched_softmax2(logits)[:, 0])
+        assert np.array_equal(value, oracle_h @ params["wv"][0] + params["bv"][0])
 
 
 class TestLosses:
@@ -718,6 +766,15 @@ class TestClippedDelta:
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(LearnerError):
             clipped_delta(np.ones(2), 0.0)
+
+    def test_overflowing_square_still_clips(self):
+        """A finite gradient whose squared norm overflows a float clips to
+        the threshold, with no overflow warning, not to a zero step."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = clipped_delta(np.full(10, 1e200), 40.0)
+            assert grad_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert delta == pytest.approx(np.full(10, 40.0 / math.sqrt(10.0)), rel=1e-15)
 
 
 class TestApplyUpdate:
