@@ -9,12 +9,11 @@ the parameters as they stood at the episode's start, so its forward and
 backward passes run all ports as one batch, zero-padded to (P, T, 6) and
 masked by each port's length.  Execution steps the same cell
 (:func:`policy_value_forward`) for every port awaiting a decision at once, as
-one stack of rows: a port's step reads only its own carry and the row of its
-head session in an input projection computed once per port, as the batched
-pass hoists it too.  Training and execution both start every port from a
-zero carry, so a model is its parameters alone.  All forward and backward
-math is explicit numpy so the gradients can be checked against central
-finite differences.
+one stack of rows: a port's step reads only its own carry and its head
+session's state row, which the step projects itself.  Training and execution
+both start every port from a zero carry, so a model is its parameters alone.
+All forward and backward math is explicit numpy so the gradients can be
+checked against central finite differences.
 
 A training run is one :class:`EpisodeBuffers`, built from the run's padded
 states and lengths with their padding mask: :func:`forward_episode` writes
@@ -30,6 +29,7 @@ makes, in the same order, so models and logs come out the same bit for bit.
 Training and execution step one cell, :func:`_cell_rows`, each caller under
 one ``np.errstate(over="ignore")``: a pair of (P, H) blocks ``[tanh g, c_prev]``
 times ``[i, f]`` holds both terms of ``c``, so the gates' g slot is scratch.
+Both read the cell's output through one head step, :func:`_heads`.
 
 :func:`fit_policy` is the episode loop on arrays: (P, T, 6) states, (P,)
 lengths and the (2, P, T) reward of each step under each action, which
@@ -135,38 +135,39 @@ def _cell_rows(wh_t: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c: np.ndarra
     h *= z_o
 
 
-def _softmax2(logits: np.ndarray) -> np.ndarray:
-    # in place; the array methods skip np.max's and np.sum's Python-level
-    # dispatch, which costs more than the reduction on a decision step's logits
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+def _heads(params: dict, h: np.ndarray, probs=None, values=None) -> tuple:
+    """The softmax policy and the value of hidden states ``h`` (..., H), into
+    ``probs`` and ``values`` where given; refuses a non-finite output."""
+    probs = np.add(h @ params["wp"].T, params["bp"], out=probs)
+    # array methods: np.max's and np.sum's dispatch outweighs a step's reduction
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    values = np.add(h @ params["wv"][0], params["bv"][0], out=values)
+    if not (np.isfinite(probs).all() and np.isfinite(values).all()):
+        raise LearnerError("non-finite policy or value output")
+    return probs, values
 
 
-def policy_value_forward(params: dict, z_rows: np.ndarray, carry: tuple):
+def policy_value_forward(params: dict, states: np.ndarray, carry: tuple):
     """One decision step for a stack of k independent rows: (P(schedule),
     value, new carry), the first two as (k,) arrays and the carry as a pair of
     (k, H) arrays.
 
-    Row j of ``z_rows`` is one session's row of its port's input projection
-    ``states @ wx.T + b``, computed once per port, and is stepped from row j
-    of the carry ``(h, c)``; ``z_rows`` is left unchanged.
+    Row j of the (k, 6) ``states`` is one session's state row, projected here
+    (``states @ wx.T + b``) and stepped from row j of the carry ``(h, c)``;
+    ``states`` is only read.
     """
     h_prev, c_prev = carry
-    z = np.array(z_rows, dtype=float)
+    z = states @ params["wx"].T + params["b"]
     pair = np.empty((2,) + h_prev.shape)
     c = pair[1]  # c_prev, until the step's sum writes the new state
     c[...] = c_prev
     h = np.empty_like(h_prev)
     with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
         _cell_rows(params["wh"].T, z, h_prev, c, h, _cell_operands(z, pair, np.empty_like(z)))
-    p_schedule = _softmax2(h @ params["wp"].T + params["bp"])[:, 0]
-    value = h @ params["wv"][0] + params["bv"][0]
-    # both probabilities are finite or neither is
-    if not (np.isfinite(p_schedule).all() and np.isfinite(value).all()):
-        raise LearnerError("non-finite policy or value output")
-    return p_schedule, value, (h, c)
+    probs, value = _heads(params, h)
+    return probs[:, 0], value, (h, c)
 
 
 class EpisodeBuffers:
@@ -258,11 +259,7 @@ def forward_episode(params: dict, buffers: EpisodeBuffers) -> None:
     with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
         for step in buffers.cell_steps:
             _cell_rows(wh_t, *step)
-    outputs = hiddens[1:].transpose(1, 0, 2)
-    probs = _softmax2(np.add(outputs @ params["wp"].T, params["bp"], out=buffers.probs))
-    values = np.add(outputs @ params["wv"][0], params["bv"][0], out=buffers.values)
-    if not (np.isfinite(probs).all() and np.isfinite(values).all()):
-        raise LearnerError("non-finite output in episode forward pass")
+    _heads(params, hiddens[1:].transpose(1, 0, 2), buffers.probs, buffers.values)
 
 
 def bootstrap_targets(buffers: EpisodeBuffers, rewards: np.ndarray, gamma: float) -> None:
@@ -307,7 +304,8 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     clamped = np.where(schedule, probs[..., 0], probs[..., 1]) < LOG_PROB_FLOOR
     weighted = buffers.advantages * np.where(schedule, log_probs[..., 0], log_probs[..., 1])
     residuals = buffers.values - buffers.q_targets
-    squares = residuals ** 2
+    with np.errstate(over="ignore"):  # read by the loss log only, where inf is logged
+        squares = residuals ** 2
     buffers.losses = []
     # each mean as np.mean takes it, the pairwise sum over n, without its dispatch
     for p, n in enumerate(buffers.lengths.tolist()):
@@ -407,16 +405,21 @@ def clipped_delta(grads: np.ndarray, clip_threshold: float) -> np.ndarray:
 
 class Coordinator:
     """Holds the shared parameters and the Adam state: the float64 vectors
-    ``flat``, ``m`` and ``v``, laid out by :func:`param_shapes`.  ``params``
-    maps each key to a view into ``flat``, which is only updated in place."""
+    ``flat``, ``m`` and ``v``, laid out by :func:`param_shapes` at width
+    ``hidden``.  ``flat`` is only updated in place."""
 
     def __init__(self, params: dict):
         self.flat = np.concatenate([np.ravel(params[key]) for key in PARAM_KEYS], dtype=float)
-        self.params = _views(self.flat, hidden_size(params))
+        self.hidden = hidden_size(params)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.step = 0
         self._scratch = np.empty((2, self.flat.size))
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Each tensor as a view into ``flat``, made on access: no copy holds stale views."""
+        return _views(self.flat, self.hidden)
 
     def apply_update(self, delta: np.ndarray, learning_rate: float) -> None:
         """One Adam descent step on the shared parameters using the flat
@@ -505,7 +508,7 @@ class SharedModel:
 
     @property
     def hidden(self) -> int:
-        return hidden_size(self.coordinator.params)
+        return self.coordinator.hidden
 
     def save(self, path) -> None:
         payload = {
@@ -629,7 +632,7 @@ def fit_policy(states, lengths, rewards_by_action, config: TrainConfig,
     if np.shape(rewards_by_action) != (2,) + inside.shape:
         raise LearnerError(f"rewards_by_action must be a {(2,) + inside.shape} array")
     n_draws = int(buffers.lengths.sum())
-    params = _views(coordinator.flat, config.hidden)  # what Adam updates in place
+    params = coordinator.params  # what Adam updates in place
     logs: list[EpisodeLog] = []
     start_episode = initial_model.train_episodes if initial_model is not None else 0
     for episode in range(start_episode, start_episode + config.episodes):

@@ -8,15 +8,16 @@ exposes the head, so every waiting port's next head is known.  When a port
 is popped, the engine's rule either starts its head charging (blocking the
 port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  The engine builds that rule itself: a model's
-argmax policy, or, with no model, a start for every presented head.
-Starting a session must not push the site's simultaneous delivery above the
-utility feed; a port that would breach it defers one step.  Decisions run in
-time order across ports: a port whose head arrives later than its turn waits
-for that arrival.  The rule's ordering check and each start's reward come
-from the batch's :func:`ramals.mdp.decision_table`, the table training
-reads, and each start's allocation from one whole-batch allocator call,
-whose :class:`ramals.mdp.Allocation` columns the engine reads by batch row;
-each queue reads its port's rows of the batch.  Each session's fate is one
+argmax policy, whose learner step projects the heads' state rows, or, with
+no model, a start for every presented head.  Starting a session must not
+push the site's simultaneous delivery above the utility feed; a port that
+would breach it defers one step.  Decisions run in time order across ports:
+a port whose head arrives later than its turn waits for that arrival.  The
+rule's ordering check and each start's reward come from the batch's
+:func:`ramals.mdp.decision_table`, the table training reads, and each
+start's allocation from one whole-batch allocator call, whose
+:class:`ramals.mdp.Allocation` columns the engine reads by batch row; each
+queue reads its port's rows of the batch.  Each session's fate is one
 :class:`ScheduleOutcome`, a named tuple row built by
 :data:`ramals.mdp.new_row`, and :func:`outcomes_jsonl` writes them a column
 at a time.
@@ -138,10 +139,8 @@ class _PolicyRule:
     Every port starts from a zero carry, as each training episode does, so
     the rule runs a model on any site, whatever ports it was trained on.
 
-    Every session's input projection ``states @ wx.T + b`` is set up when the
-    rule is built, a port's rows at a time, in one array: at fleet size it
-    takes tens of MB, and one allocation is returned whole when the replay
-    ends, where per-port blocks could stay pinned in the heap after it.
+    A step hands :func:`ramals.learner.policy_value_forward` the heads' rows
+    of the batch's :func:`ramals.mdp.state_matrix`, which it projects itself.
     ``queues`` and ``ordered``, the decision table's, are the engine's; the
     per-decision state is Python lists, which a decision reads faster than
     numpy scalars.
@@ -149,14 +148,10 @@ class _PolicyRule:
 
     def __init__(self, model: learner.SharedModel, batch: SessionBatch,
                  queues: list[mdp.EvseQueue], ordered: np.ndarray):
-        self.params = params = model.coordinator.params
+        self.params = model.coordinator.params
         self._queues = queues
         self._ordered = ordered.tolist()
-        states = mdp.state_matrix(batch)
-        self._z = np.empty((len(batch), params["wx"].shape[0]))
-        for rows in batch.slices:
-            np.matmul(states[rows], params["wx"].T, out=self._z[rows])
-            self._z[rows] += params["b"]
+        self._states = mdp.state_matrix(batch)
         self._h = np.zeros((len(queues), model.hidden))
         self._c = np.zeros_like(self._h)
         self._p_schedule = [0.0] * len(queues)
@@ -170,7 +165,7 @@ class _PolicyRule:
         due = sorted(p for p in self._consumed if queues[p].position < queues[p].stop)
         heads = [queues[p].position for p in due]
         p_schedule, _value, (h, c) = learner.policy_value_forward(
-            self.params, self._z[heads], (self._h[due], self._c[due]))
+            self.params, self._states[heads], (self._h[due], self._c[due]))
         self._h[due], self._c[due] = h, c
         for p, head, prob in zip(due, heads, p_schedule.tolist()):
             self._stepped[p], self._p_schedule[p] = head, prob

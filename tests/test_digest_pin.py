@@ -22,6 +22,12 @@ seed 1 it serves 60 sessions instead of 58, so ``policy.jsonl``,
 ``policy.csv`` and ``compare.csv`` moved.  At seeds 2 and 3 the policy run
 kept its digests.
 
+``FLEET_PINNED`` runs the same pipeline at seed 0 on 2000 sessions over 40
+ports under a 1500 kW feed, the site of ``perfbench``'s fleet workload.
+There a policy step stacks about 20 ports' rows, where the default
+config's steps stack two or three, so it pins the replay at the stack
+sizes a fleet replay runs at.
+
 ``TRAINING_PINNED`` holds one longer training run: 100 episodes at width 64
 on the default seed-0 batch, Adam steps 1-400, the training that one pass of
 ``perfbench/run.py --workload paper-200x4`` times at seed 0.
@@ -83,6 +89,20 @@ PINNED = {
 }
 
 
+FLEET_CONFIG = "evse_count = 40\ndso_capacity_kw = 1500\nn_sessions = 2000\n"
+FLEET_PINNED = {
+    "baseline.csv": "28663cbe796b84981fa3ddc166018bbc8ad92a865c8b275dc859e02c47d69699",
+    "baseline.jsonl": "50eb4caee91ed4d363b2df7b6dd04c100889b14a210bd22a6d0f5fd0fca43bfb",
+    "compare.csv": "26828df3a3808775ad8cdb412beca4162b6ec1ac64de49e8a3ae424cb8875665",
+    "model.json": "c8c9b0f15abd9797a2639b3a2e83a756d8a6ebe9ae5473b17722e72ac69532af",
+    "policy.csv": "18b64dd10c2867a4ac719755d106518dd6c844390fa996c0b30505a81b96f940",
+    "policy.jsonl": "c189a89a67469a570362a9b1a3cabe0df4089caa5c37ef588e7a4e52ecc6cc3f",
+    "risk.json": "bb63f08e72455fa60350b694c729fed5f7015686f7ef971c13c57647b24bb857",
+    "sessions.json": "fd9bbdf10f777b3dd66b554a8b8e9bbf224a338c8f92149640652017410b162f",
+    "train.csv": "2f97e4eb29fc1d1168d349d213ca0c0a43cd39b378b9431c5231526d2df1a8d4",
+}
+
+
 # SHA-256 of the coordinator's parameters and Adam moments, each as
 # little-endian float64 bytes, and of the training log
 TRAINING_PINNED = {
@@ -93,19 +113,25 @@ TRAINING_PINNED = {
 }
 
 
-def pipeline_digests(workdir, seed: int) -> dict[str, str]:
+def pipeline_digests(workdir, seed: int, config: str | None = None) -> dict[str, str]:
+    """The digest of every file the pipeline writes into ``workdir``, on the
+    default config or on one whose text is ``config``."""
     def out(name):
         return str(workdir / name)
 
+    site = []
+    if config is not None:
+        (workdir.parent / "site.cfg").write_text(config)
+        site = ["--config", str(workdir.parent / "site.cfg")]
     commands = [
-        ["gen-data", "--seed", str(seed), "--out", out("sessions.json")],
-        ["fit-risk", "--sessions", out("sessions.json"), "--out", out("risk.json")],
-        ["train", "--sessions", out("sessions.json"), "--risk", out("risk.json"),
+        ["gen-data", *site, "--seed", str(seed), "--out", out("sessions.json")],
+        ["fit-risk", *site, "--sessions", out("sessions.json"), "--out", out("risk.json")],
+        ["train", *site, "--sessions", out("sessions.json"), "--risk", out("risk.json"),
          "--seed", str(seed), "--episodes", "3", "--out", out("model.json"),
          "--log", out("train.csv")],
-        ["run", "--baseline", "--sessions", out("sessions.json"), "--out", out("baseline.jsonl"),
-         "--report", out("baseline.csv")],
-        ["run", "--model", out("model.json"), "--sessions", out("sessions.json"),
+        ["run", *site, "--baseline", "--sessions", out("sessions.json"),
+         "--out", out("baseline.jsonl"), "--report", out("baseline.csv")],
+        ["run", *site, "--model", out("model.json"), "--sessions", out("sessions.json"),
          "--out", out("policy.jsonl"), "--report", out("policy.csv")],
         ["compare", f"baseline={out('baseline.csv')}", f"policy={out('policy.csv')}",
          "--out", out("compare.csv")],
@@ -119,6 +145,12 @@ def pipeline_digests(workdir, seed: int) -> dict[str, str]:
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_pipeline_outputs_are_pinned(tmp_path, capsys, seed):
     assert pipeline_digests(tmp_path, seed) == PINNED[seed]
+
+
+def test_fleet_stacking_outputs_are_pinned(tmp_path, capsys):
+    workdir = tmp_path / "out"
+    workdir.mkdir()
+    assert pipeline_digests(workdir, 0, FLEET_CONFIG) == FLEET_PINNED
 
 
 def test_paper_training_is_pinned():

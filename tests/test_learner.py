@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -205,12 +206,6 @@ class TestRnnForward:
             forward_pass(random_params(4, 0), np.ones((1, 2, 5)))
 
 
-def projection(params, states):
-    """Input projection rows ``states @ wx.T + b``, as the policy rule
-    computes them once per port."""
-    return np.atleast_2d(states) @ params["wx"].T + params["b"]
-
-
 def zero_carry(params, k=1):
     hidden = learner.hidden_size(params)
     return np.zeros((k, hidden)), np.zeros((k, hidden))
@@ -224,8 +219,7 @@ class TestPolicyValueForward:
         params["wv"][:] = 0.0
         params["bv"][:] = 0.0
         states = np.random.default_rng(4).uniform(0, 1, (3, 6))
-        p_schedule, value, _ = policy_value_forward(
-            params, projection(params, states), zero_carry(params, 3))
+        p_schedule, value, _ = policy_value_forward(params, states, zero_carry(params, 3))
         assert p_schedule.shape == value.shape == (3,)
         assert p_schedule == pytest.approx(np.full(3, 0.5))
         assert np.array_equal(value, np.zeros(3))
@@ -234,23 +228,23 @@ class TestPolicyValueForward:
         rng = np.random.default_rng(5)
         for k in range(1, 101):
             params = init_params(4, rng)
-            z_rows = projection(params, rng.uniform(0, 1, (k % 7 + 1, 6)))
-            carry = tuple(rng.uniform(-1, 1, (len(z_rows), 4)) for _ in range(2))
-            p_schedule, _, _ = policy_value_forward(params, z_rows, carry)
+            states = rng.uniform(0, 1, (k % 7 + 1, 6))
+            carry = tuple(rng.uniform(-1, 1, (len(states), 4)) for _ in range(2))
+            p_schedule, _, _ = policy_value_forward(params, states, carry)
             assert np.all((0.0 <= p_schedule) & (p_schedule <= 1.0))
-            for j, z_row in enumerate(z_rows):
-                h = _allocating_cell_rows(params["wh"], z_row.copy(), carry[0][j],
-                                          carry[1][j])[1]
+            for j, state in enumerate(states):
+                z_row = params["wx"] @ state + params["b"]
+                h = _allocating_cell_rows(params["wh"], z_row, carry[0][j], carry[1][j])[1]
                 logits = params["wp"] @ h + params["bp"]
                 assert p_schedule[j] == pytest.approx(
                     1.0 / (1.0 + math.exp(logits[1] - logits[0])), rel=1e-12)
 
     def test_value_head_separate_from_policy_head(self):
         params = random_params(6, 6)
-        z_rows = projection(params, np.random.default_rng(6).uniform(0, 1, (4, 6)))
-        _, value_before, _ = policy_value_forward(params, z_rows, zero_carry(params, 4))
+        states = np.random.default_rng(6).uniform(0, 1, (4, 6))
+        _, value_before, _ = policy_value_forward(params, states, zero_carry(params, 4))
         params["wp"] += 0.5
-        _, value_after, _ = policy_value_forward(params, z_rows, zero_carry(params, 4))
+        _, value_after, _ = policy_value_forward(params, states, zero_carry(params, 4))
         assert np.array_equal(value_before, value_after)
 
     def test_steps_match_episode_forward(self):
@@ -261,27 +255,25 @@ class TestPolicyValueForward:
         sequences = [rng.uniform(0, 1, (n, 6)) for n in (5, 2, 4)]
         states, lengths = padded(sequences)
         buffers = forward_pass(params, states)
-        z = projection(params, states.reshape(-1, 6)).reshape(len(lengths), -1, 24)
-        cached = z.copy()
         h, c = zero_carry(params, len(lengths))
         for t in range(lengths.max()):
             due = np.flatnonzero(lengths > t)
+            rows = states[due, t]
             p_schedule, value, (h[due], c[due]) = policy_value_forward(
-                params, z[due, t], (h[due], c[due]))
+                params, rows, (h[due], c[due]))
+            assert np.array_equal(rows, states[due, t])  # the state rows are only read
             assert p_schedule == pytest.approx(buffers.probs[due, t, 0], rel=1e-12)
             assert value == pytest.approx(buffers.values[due, t], rel=1e-12)
             assert np.allclose(h[due], buffers.hiddens[t + 1, due], rtol=1e-12, atol=0)
         last = (lengths, np.arange(len(lengths)))  # time-major
         assert np.allclose(h, buffers.hiddens[last], rtol=1e-12, atol=0)
         assert np.allclose(c, buffers.cells[last], rtol=1e-12, atol=0)
-        assert np.array_equal(z, cached)  # the cached projection is only read
 
     def test_non_finite_output_rejected(self):
         params = random_params(4, 9)
         params["bv"][0] = np.inf
         with pytest.raises(LearnerError, match="non-finite"):
-            policy_value_forward(params, projection(params, np.full((2, 6), 0.5)),
-                                 zero_carry(params, 2))
+            policy_value_forward(params, np.full((2, 6), 0.5), zero_carry(params, 2))
 
 
 class TestSaturatedGates:
@@ -315,12 +307,12 @@ class TestSaturatedGates:
     def test_policy_value_forward(self):
         params = self.params()
         rng = np.random.default_rng(42)
-        z_rows = projection(params, rng.uniform(0, 1, (3, 6)))
+        states = rng.uniform(0, 1, (3, 6))
         carry = tuple(rng.uniform(-1, 1, (3, self.HIDDEN)) for _ in range(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p_schedule, value, (h, c) = policy_value_forward(params, z_rows, carry)
-        z = z_rows.copy()
+            p_schedule, value, (h, c) = policy_value_forward(params, states, carry)
+        z = states @ params["wx"].T + params["b"]  # the step's input projection
         with np.errstate(over="ignore"):
             oracle_c, oracle_h = _allocating_cell_rows(params["wh"], z, *carry)
         for k in (0, 1, 3):
@@ -777,6 +769,22 @@ class TestClippedDelta:
         assert delta == pytest.approx(np.full(10, 40.0 / math.sqrt(10.0)), rel=1e-15)
 
 
+class TestValueLossOverflow:
+    def test_overflowing_square_logs_inf_without_warning(self):
+        """Rewards above about 1e154 overflow the value loss's squares: every
+        episode logs ``value_loss=inf``, no overflow warning is raised, and
+        the clipped step keeps the parameters finite."""
+        states = np.random.default_rng(30).uniform(0, 1, (2, 5, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coordinator, logs = learner.fit_policy(
+                states, np.array([5, 5]), np.full((2, 2, 5), 1e160),
+                TrainConfig(episodes=3, seed=0, hidden=4))
+        assert [entry.value_loss for entry in logs] == [math.inf] * 3
+        assert all(math.isfinite(entry.policy_loss) for entry in logs)
+        assert np.isfinite(coordinator.flat).all()
+
+
 class TestApplyUpdate:
     def test_zero_delta_keeps_parameters(self):
         coordinator = Coordinator(random_params(4, 12))
@@ -851,6 +859,38 @@ class TestFlatLayout:
         assert np.array_equal(flatten(coordinator.params), coordinator.flat)
         for key in PARAM_KEYS:
             assert np.shares_memory(coordinator.params[key], coordinator.flat)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))],
+        ids=["deepcopy", "pickle"])
+    def test_copied_model_trains_and_replays_its_own_flat(self, monkeypatch, duplicate):
+        """A copied model's parameters are views of the copy's ``flat``:
+        training the copy further moves them, and a replay reads them."""
+        batch, site = small_scenario()
+        config = TrainConfig(episodes=2, seed=3, hidden=6)
+        model, _ = train(batch, site, config, risk_value=0.05)
+        trained = model.coordinator.flat.copy()
+        twin = duplicate(model)
+        train(batch, site, replace(config, episodes=1), 0.05, initial_model=twin)
+        flat = twin.coordinator.flat
+        assert twin.coordinator.step == model.coordinator.step + 2  # one port step each
+        assert not np.array_equal(flat, trained)
+        assert np.array_equal(model.coordinator.flat, trained)
+        for key, view in twin.coordinator.params.items():
+            assert np.shares_memory(view, flat), key
+        assert np.array_equal(flatten(twin.coordinator.params), flat)
+        step, read = learner.policy_value_forward, []
+
+        def recording_step(params, states, carry):
+            read.append(params)
+            return step(params, states, carry)
+
+        monkeypatch.setattr(learner, "policy_value_forward", recording_step)
+        execute(twin, batch, site)
+        assert read
+        for params in read:
+            assert np.array_equal(flatten(params), flat)
+            assert all(np.shares_memory(params[key], flat) for key in PARAM_KEYS)
 
 
 def small_scenario(seed=0, n_sessions=40, cv=0.7):

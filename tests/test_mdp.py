@@ -48,20 +48,13 @@ def reward_transcription(zeta, rho, risk, eta_cur, eta_next):
     return 0.0
 
 
-def head_projection(params, state):
-    """The input projection row of one state: what a port's first decision
-    computes for each of its sessions."""
-    return params["wx"] @ state + params["b"]
-
-
 def head_probability(bp, hidden=4):
     """P(schedule) of one step whose policy logits are exactly ``bp``."""
     params = init_params(hidden, np.random.default_rng(0))
     params["wp"][:] = 0.0
     params["bp"][:] = bp
     carry = (np.zeros((1, hidden)), np.zeros((1, hidden)))
-    p_schedule, _value, _carry = policy_value_forward(
-        params, head_projection(params, np.full(6, 0.5))[None], carry)
+    p_schedule, _value, _carry = policy_value_forward(params, np.full((1, 6), 0.5), carry)
     return p_schedule[0]
 
 
@@ -83,8 +76,7 @@ class TestActionDistribution:
             buffers = forward_pass(params, state[None, None])
             assert buffers.probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
             carry = (np.zeros((1, 4)), np.zeros((1, 4)))
-            p_schedule, _, _ = policy_value_forward(
-                params, head_projection(params, state)[None], carry)
+            p_schedule, _, _ = policy_value_forward(params, state[None], carry)
             assert p_schedule[0] == pytest.approx(buffers.probs[0, 0, 0], rel=1e-12)
 
     def test_non_negative(self):
@@ -105,8 +97,8 @@ class TestSchedulingIndicator:
                                        start=T0 + timedelta(hours=2))])
         for p_schedule, pick in ((0.7, 1), (0.3, 0), (0.5, 1), (0.5 - 1e-16, 0)):
             monkeypatch.setattr(learner, "policy_value_forward",
-                                lambda params, z_rows, carry, p=p_schedule:
-                                (np.full(len(z_rows), p), np.zeros(len(z_rows)), carry))
+                                lambda params, states, carry, p=p_schedule:
+                                (np.full(len(states), p), np.zeros(len(states)), carry))
             engine = ScheduleEngine(batch, site_for(batch), tiny_model())
             assert engine.rule.decide(0, 0) == pick
 

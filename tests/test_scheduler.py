@@ -254,23 +254,21 @@ class TestExecute:
         site = site_for(batch, dso_kw=20.0)
         model, _ = train(batch, site, TrainConfig(episodes=2, seed=1, hidden=8),
                          risk_value=0.05)
-        params = model.coordinator.params
-        session_of = {}  # each session's projection row -> (port, batch row)
+        session_of = {}  # each session's state row -> (port, batch row)
         states = state_matrix(batch)
         for p, rows in enumerate(batch.slices):
-            z = states[rows] @ params["wx"].T + params["b"]
             session_of.update({row.tobytes(): (p, i)
-                               for i, row in zip(range(rows.start, rows.stop), z)})
+                               for i, row in zip(range(rows.start, rows.stop), states[rows])})
         assert len(session_of) == len(batch)
         step, decide = learner.policy_value_forward, _PolicyRule.decide
         stack_sizes, stepped, decided = [], defaultdict(list), defaultdict(list)
 
-        def counting_step(params, z_rows, carry):
-            stack_sizes.append(len(z_rows))
-            for row in z_rows:
+        def counting_step(params, head_states, carry):
+            stack_sizes.append(len(head_states))
+            for row in head_states:
                 p, i = session_of[row.tobytes()]
                 stepped[p].append(i)
-            return step(params, z_rows, carry)
+            return step(params, head_states, carry)
 
         def counting_decide(rule, p, i):
             decided[p].append(i)
@@ -295,16 +293,16 @@ class TestExecute:
         model, _ = train(batch, site, TrainConfig(episodes=3, seed=2, hidden=8),
                          risk_value=0.05)
         states = state_matrix(batch)
-        port_of = {}  # each session's projection row -> its port
+        port_of = {}  # each session's state row -> its port
         for evse_id, rows in zip(batch.evse_ids, batch.slices):
-            rows = states[rows] @ model.coordinator.params["wx"].T + model.coordinator.params["b"]
-            port_of.update({row.tobytes(): evse_id for row in rows})
+            port_of.update({row.tobytes(): evse_id for row in states[rows]})
+        assert len(port_of) == len(batch)
         step, first_carries = learner.policy_value_forward, {}
 
-        def recording_step(params, z_rows, carry):
-            for row, h, c in zip(z_rows, *carry):
+        def recording_step(params, head_states, carry):
+            for row, h, c in zip(head_states, *carry):
                 first_carries.setdefault(port_of[row.tobytes()], (h.copy(), c.copy()))
-            return step(params, z_rows, carry)
+            return step(params, head_states, carry)
 
         monkeypatch.setattr(learner, "policy_value_forward", recording_step)
         execute(model, batch, site)
