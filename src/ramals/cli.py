@@ -105,7 +105,10 @@ def load_config(path: str | None) -> dict:
     values = dict(DEFAULTS)
     overrides: dict[str, float] = {}
     if path:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: {exc}") from None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -235,7 +238,7 @@ def _risk_value_for_train(args, cfg, batch) -> float:
     if args.risk:
         try:
             payload = json.loads(Path(args.risk).read_text())
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, deep nesting
             raise CliError(f"risk file {args.risk} is not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or "cvar_normalized" not in payload:
             raise CliError(f"risk file {args.risk} has no 'cvar_normalized' key")
@@ -299,7 +302,7 @@ def cmd_compare(args) -> int:
                            "repeat no other label and name no other column")
         try:
             reports[label] = scheduler.read_report(Path(path).read_text())
-        except scheduler.SchedulerError as exc:
+        except (scheduler.SchedulerError, UnicodeDecodeError) as exc:
             raise CliError(f"report {path}: {exc}") from None
     rows = scheduler.compare_report(reports)
     text = scheduler.comparison_csv(rows)

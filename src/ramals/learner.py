@@ -530,7 +530,8 @@ class SharedModel:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an overlong integer
+        # JSONDecodeError, UnicodeDecodeError, an overlong integer, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise LearnerError(f"corrupt model file: {exc}") from exc
         if not isinstance(payload, dict):
             raise LearnerError("corrupt model file: not a JSON object")

@@ -8,8 +8,10 @@ exposes the head, so every waiting port's next head is known.  When a port
 is popped, the engine's rule either starts its head charging (blocking the
 port for the realized charging time plus switching overhead) or requeues the
 head for one time step.  The engine builds that rule itself: a model's
-argmax policy, whose learner step projects the heads' state rows, or, with
-no model, a start for every presented head.  Starting a session must not
+argmax policy, a function of the heads it is handed, or, with no model, a
+start for every presented head.  The engine owns the policy's look-ahead: it
+asks about every waiting port's head at once and keeps each answer until
+that port decides.  Starting a session must not
 push the site's simultaneous delivery above the utility feed; a port that
 would breach it defers one step.  Decisions run in time order across ports:
 a port whose head arrives later than its turn waits for that arrival.  The
@@ -128,74 +130,39 @@ def read_report(text: str) -> dict[str, float]:
     return {name: site[name] for name in SITE_METRICS}
 
 
-class _PolicyRule:
-    """Argmax policy pick, then the demand-supply ordering check.
-
-    Each port is its own agent: its next decision reads only its own carry
-    and its head session, which the engine presents when it queues the port.
-    So a decision on a port whose cached step was consumed steps the cell for
-    every consumed port that still has a head, in port order, as one stack of
-    rows, and caches each one's P(schedule) and the head it was taken for.
-    Every port starts from a zero carry, as each training episode does, so
-    the rule runs a model on any site, whatever ports it was trained on.
-
-    A step hands :func:`ramals.learner.policy_value_forward` the heads' rows
-    of the batch's :func:`ramals.mdp.state_matrix`, which it projects itself.
-    ``queues`` and ``ordered``, the decision table's, are the engine's; the
-    per-decision state is Python lists, which a decision reads faster than
-    numpy scalars.
+def _policy_rule(model: learner.SharedModel, batch: SessionBatch, ordered: np.ndarray):
+    """The argmax policy pick, then the decision table's ``ordered`` check,
+    as ``rule(ports, heads) -> starts``: 1 starts each port's head, a batch
+    row, and 0 queues it.  One call steps the learner cell on the heads' rows
+    of :func:`ramals.mdp.state_matrix` from each port's own carry, which
+    starts at zero, as each training episode does; so a model runs on any
+    site, whatever ports it was trained on.
     """
+    params, states, ordered = model.coordinator.params, mdp.state_matrix(batch), ordered.tolist()
+    h = np.zeros((len(batch.slices), model.hidden))
+    c = np.zeros_like(h)
 
-    def __init__(self, model: learner.SharedModel, batch: SessionBatch,
-                 queues: list[mdp.EvseQueue], ordered: np.ndarray):
-        self.params = model.coordinator.params
-        self._queues = queues
-        self._ordered = ordered.tolist()
-        self._states = mdp.state_matrix(batch)
-        self._h = np.zeros((len(queues), model.hidden))
-        self._c = np.zeros_like(self._h)
-        self._p_schedule = [0.0] * len(queues)
-        self._stepped = [-1] * len(queues)  # head of each cached step; -1 once consumed
-        self._consumed = list(range(len(queues)))  # ports whose step was consumed
+    def rule(ports: list[int], heads: list[int]) -> list[int]:
+        p_schedule, _value, (h[ports], c[ports]) = learner.policy_value_forward(
+            params, states[heads], (h[ports], c[ports]))
+        # action 0 schedules; a tie schedules
+        return [1 if ordered[0 if prob >= 0.5 else 1][i] else 0
+                for i, prob in zip(heads, p_schedule.tolist())]
 
-    def _step(self) -> None:
-        # A consumed port whose queue has run empty never holds a head again,
-        # so once the others are stepped the consumed list is empty.
-        queues = self._queues
-        due = sorted(p for p in self._consumed if queues[p].position < queues[p].stop)
-        heads = [queues[p].position for p in due]
-        p_schedule, _value, (h, c) = learner.policy_value_forward(
-            self.params, self._states[heads], (self._h[due], self._c[due]))
-        self._h[due], self._c[due] = h, c
-        for p, head, prob in zip(due, heads, p_schedule.tolist()):
-            self._stepped[p], self._p_schedule[p] = head, prob
-        self._consumed = []
-
-    def decide(self, p: int, i: int) -> int:
-        stepped = self._stepped
-        if stepped[p] < 0:
-            self._step()
-        if stepped[p] != i:
-            queue = self._queues[p]
-            raise SchedulerError(
-                f"EVSE {queue.evse.evse_id!r}: decision on session {queue.session_ids[i]!r}, "
-                f"but its policy step was taken for {queue.session_ids[stepped[p]]!r}")
-        stepped[p] = -1
-        self._consumed.append(p)
-        action = 0 if self._p_schedule[p] >= 0.5 else 1  # 0 schedules; a tie schedules
-        return 1 if self._ordered[action][i] else 0
+    return rule
 
 
 class ScheduleEngine:
     """Replays one batch against one site under the argmax policy of
     ``model``, or with no model starting every presented head.
 
-    The policy rule reads the engine's queues and decision table, whose
-    rewards carry the model's risk value (0 with no model).  The table and
-    every session's allocation columns under ``allocator`` are built once,
-    here: a start reads its row of them, its rate for the feed check, and its
-    reward.  Each deferral or queued head moves its port's clock on by
-    ``step_minutes``, so the step must be finite and positive.
+    ``rule`` is the model's :func:`_policy_rule` over the decision table,
+    whose rewards carry its risk value (0 with no model), or None.  The table
+    and every session's allocation columns under ``allocator`` are built
+    once, here: a start reads its row of them, its rate for the feed check,
+    and its reward.  :meth:`run` owns the rule's look-ahead.  Each deferral or
+    queued head moves its port's clock on by ``step_minutes``, so the step
+    must be finite and large enough to move every clock the replay acts on.
     """
 
     def __init__(self, batch: SessionBatch, site: SiteConfig,
@@ -213,11 +180,18 @@ class ScheduleEngine:
         # the clock's minute 0 is the batch's first plug-in
         arrivals = (batch.plug_in - (batch.plug_in.min() if len(batch) else 0)).astype(float)
         arrivals, deadlines = arrivals.tolist(), (arrivals + batch.minutes_available).tolist()
+        # A head is acted on up to 1e-9 past its deadline: a step of half a
+        # unit in the last place there or less leaves some clock unmoved, and
+        # one of 1e-9 or less is within the engine's own clock tolerance.
+        latest = max(deadlines, default=0.0) + 1e-9
+        finest = max(1e-9, math.ulp(latest) / 2)
+        if step_minutes <= finest:
+            raise SchedulerError(f"step_minutes must exceed {finest!r} to move a clock of up to "
+                                 f"{latest:.1f} minutes, got {step_minutes!r}")
         self.queues = [mdp.EvseQueue(evse, rows, batch.session_ids, arrivals, deadlines,
                                      step_minutes=step_minutes)
                        for evse, rows in zip(evses, batch.slices)]
-        self.rule = (None if model is None
-                     else _PolicyRule(model, batch, self.queues, self.table.ordered))
+        self.rule = None if model is None else _policy_rule(model, batch, self.table.ordered)
 
     def run(self) -> list[ScheduleOutcome]:
         # Min-heap of (next decision time, port); port order breaks ties,
@@ -225,13 +199,15 @@ class ScheduleEngine:
         # pushed, so every waiting port's next head is known before it is
         # popped; heads that presenting voids are recorded when it is popped.
         # The queues' present and transition are looked up at each call.
-        queues = self.queues
+        # ``answers`` maps a port to its rule answer, (head row, start), until
+        # that port's decision takes it.
+        queues, rule = self.queues, self.rule
+        answers: dict[int, tuple[int, int]] = {}
         heap = []
         for p, queue in enumerate(queues):
             if queue.position < queue.stop:
                 heappush(heap, (queue.clock, p))
                 queue.present()
-        decide = None if self.rule is None else self.rule.decide
         outcomes: list[ScheduleOutcome] = []
         session_ids = self.session_ids
         evse_ids = [queue.evse.evse_id for queue in queues]
@@ -260,7 +236,22 @@ class ScheduleEngine:
             # port decides there, after every port whose decision comes earlier.
             clock = queue.clock
             if clock <= when:
-                if decide is None or decide(p, i) == 1:
+                schedule_now = 1
+                if rule is not None:
+                    if p not in answers:
+                        # Each port decides from its own carry and presented
+                        # head, so one call asks about every port that has a
+                        # head and no answer, in port order.
+                        due = [q for q, other in enumerate(queues)
+                               if q not in answers and other.position < other.stop]
+                        heads = [queues[q].position for q in due]
+                        answers.update(zip(due, zip(heads, rule(due, heads))))
+                    head, schedule_now = answers.pop(p)
+                    if head != i:
+                        raise SchedulerError(
+                            f"EVSE {evse_ids[p]!r}: decision on session {session_ids[i]!r}, "
+                            f"but its policy step was taken for {session_ids[head]!r}")
+                if schedule_now == 1:
                     rate = rate_kw[i]
                     # Decisions run in time order, so an interval that has
                     # ended by now has ended for every later decision too.

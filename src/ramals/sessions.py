@@ -257,7 +257,7 @@ def parse_sessions(json_bytes: bytes | str) -> SessionBatch:
     """
     try:
         payload = json.loads(json_bytes)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, deep nesting
         raise SessionError(f"malformed session JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise SessionError("session JSON must be a top-level array")

@@ -3,15 +3,16 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramals import learner, risk, scheduler
+from ramals import cli, learner, mdp, risk, scheduler
 from ramals.cli import CliError, load_config, main, site_from_config, stage_seed
 from ramals.learner import SharedModel
-from ramals.sessions import SessionBatch, parse_sessions
+from ramals.sessions import EvseConfig, GeneratorConfig, SessionBatch, parse_sessions
 
 CONFIG = """
 # desk-scale smoke scenario
@@ -44,6 +45,30 @@ class TestConfig:
         site = site_from_config(cfg)
         assert len(site.evses) == 4
 
+    def test_defaults_are_the_config_classes_defaults(self):
+        """``DEFAULTS`` repeats every default of the config classes, and the
+        module docstring lists each key again: the three agree."""
+        defaults = load_config(None)
+        expected = {"step_minutes": mdp.DEFAULT_STEP_MINUTES}
+        for cls in (learner.TrainConfig, GeneratorConfig, EvseConfig):
+            for field in dataclasses.fields(cls):
+                if field.default is dataclasses.MISSING or field.name == "seed":
+                    continue  # TrainConfig's seed is a stage seed of the root seed
+                if isinstance(field.default, tuple):
+                    stem = field.name.removesuffix("_range")
+                    expected[f"{stem}_min"], expected[f"{stem}_max"] = field.default
+                else:
+                    expected["evse_count" if field.name == "n_evses" else field.name] = \
+                        field.default
+        assert len(expected) == 23
+        assert {key: (type(defaults[key]), defaults[key]) for key in expected} == {
+            key: (type(value), value) for key, value in expected.items()}
+        block = cli.__doc__.split("Recognized keys (defaults in parentheses):")[1]
+        listed = re.findall(r"(\w+) \(([^)]*)\)", block.split("\n\n")[1])
+        assert [key for key, _ in listed] == list(cli.DEFAULTS)
+        for key, text in listed:
+            assert type(cli.DEFAULTS[key])(text) == cli.DEFAULTS[key], key
+
     def test_per_evse_override(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("evse_count = 2\nevse.EVSE-2.supply_capacity_kw = 22\n")
@@ -55,6 +80,12 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("not_a_key = 1\n")
         with pytest.raises(Exception):
+            load_config(path)
+
+    def test_undecodable_config_names_file(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed = 1\xff\n")
+        with pytest.raises(CliError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't "):
             load_config(path)
 
     def test_site_id_key_refused(self, workdir, capsys):
@@ -365,6 +396,16 @@ class TestPipeline:
         assert "Traceback" not in err
         assert not (workdir / "model.json").exists()
 
+    def test_train_rejects_deeply_nested_risk_file(self, workdir, capsys):
+        sessions, risk = self.generate(workdir), workdir / "risk.json"
+        risk.write_text("[" * 200_000)
+        capsys.readouterr()
+        assert run_cli("train", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--risk", risk, "--out", workdir / "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: risk file {risk} is not valid JSON: maximum recursion")
+        assert not (workdir / "model.json").exists()
+
     @pytest.mark.parametrize("line, field_name", [("learning_rate = nan", "learning_rate"),
                                                   ("beta = inf", "beta"),
                                                   ("clip_threshold = 0", "clip_threshold")])
@@ -454,6 +495,15 @@ class TestPipeline:
         bad.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
         assert run_cli("compare", f"base={report}", f"bad={bad}") == 1
         assert f"error: report {bad}: {message}" in capsys.readouterr().err
+
+    def test_compare_undecodable_report_names_file(self, workdir, capsys):
+        sessions = self.generate(workdir)
+        report, bad = workdir / "base.csv", workdir / "bad.csv"
+        assert run_cli("run", "--config", workdir / "run.cfg", "--sessions", sessions,
+                       "--baseline", "--out", workdir / "base.jsonl", "--report", report) == 0
+        bad.write_bytes(b"\xff" + report.read_bytes())
+        assert run_cli("compare", f"base={report}", f"bad={bad}") == 1
+        assert f"error: report {bad}: 'utf-8' codec can't " in capsys.readouterr().err
 
     @pytest.mark.parametrize("labels, bad", [
         (["a", "a"], "a"), (["a,b", "c"], "a,b"), (["", "b"], ""), (["a", ""], ""),

@@ -1098,6 +1098,12 @@ class TestSerialization:
         with pytest.raises(LearnerError, match="missing field"):
             SharedModel.load(path)
 
+    def test_deeply_nested_model_file_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"a":' * 200_000)
+        with pytest.raises(LearnerError, match="^corrupt model file: maximum recursion depth"):
+            SharedModel.load(path)
+
     def test_corrupt_tensor_named(self, tmp_path):
         payload = self.saved_payload(tmp_path)
         payload["coordinator"] = encode(decode(payload["coordinator"])[:-1])

@@ -100,7 +100,7 @@ class TestSchedulingIndicator:
                                 lambda params, states, carry, p=p_schedule:
                                 (np.full(len(states), p), np.zeros(len(states)), carry))
             engine = ScheduleEngine(batch, site_for(batch), tiny_model())
-            assert engine.rule.decide(0, 0) == pick
+            assert engine.rule([0], [0]) == [pick]
 
     @given(gap=st.floats(min_value=1e-6, max_value=30.0),
            scale=st.floats(min_value=0.1, max_value=10.0),

@@ -32,8 +32,8 @@ import ramals.learner as learner
 from ramals.cli import main as cli_main
 from ramals.learner import Coordinator, SharedModel, init_params
 from ramals.mdp import EvseQueue, as_requested_allocation, rational_allocation, state_matrix
-from ramals.scheduler import (SITE_METRICS, ScheduleEngine, ScheduleOutcome, _PolicyRule,
-                              audit_outcomes, comparison_csv, outcomes_jsonl)
+from ramals.scheduler import (SITE_METRICS, ScheduleEngine, ScheduleOutcome, audit_outcomes,
+                              comparison_csv, outcomes_jsonl)
 
 import oracles
 from helpers import (JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, site_for,
@@ -247,6 +247,8 @@ class TestExecute:
             assert voided == sum(o.voided for o in outcomes) > 0
 
     def test_one_policy_step_per_decision(self, monkeypatch):
+        """A decision is a transition or a feed deferral, which the engine
+        logs at DEBUG; each uses one stepped row, its own head's."""
         batch = generate_synthetic(
             GeneratorConfig(n_sessions=60, cv_fraction=0.5, n_evses=3,
                             mean_gap_minutes=90), seed=3)
@@ -260,8 +262,10 @@ class TestExecute:
             session_of.update({row.tobytes(): (p, i)
                                for i, row in zip(range(rows.start, rows.stop), states[rows])})
         assert len(session_of) == len(batch)
-        step, decide = learner.policy_value_forward, _PolicyRule.decide
+        step, transition = learner.policy_value_forward, EvseQueue.transition
         stack_sizes, stepped, decided = [], defaultdict(list), defaultdict(list)
+        port_of = {evse_id: p for p, evse_id in enumerate(batch.evse_ids)}
+        row_of = {session_id: i for i, session_id in enumerate(batch.session_ids)}
 
         def counting_step(params, head_states, carry):
             stack_sizes.append(len(head_states))
@@ -270,13 +274,28 @@ class TestExecute:
                 stepped[p].append(i)
             return step(params, head_states, carry)
 
-        def counting_decide(rule, p, i):
-            decided[p].append(i)
-            return decide(rule, p, i)
+        def counting_transition(queue, *args):
+            event = transition(queue, *args)
+            decided[port_of[queue.evse.evse_id]].append(event[0])
+            return event
+
+        class Deferrals(logging.Handler):
+            def emit(self, record):
+                if "deferred session" in record.msg:
+                    evse_id, session_id = record.args[:2]
+                    decided[port_of[evse_id]].append(row_of[session_id])
 
         monkeypatch.setattr(learner, "policy_value_forward", counting_step)
-        monkeypatch.setattr(_PolicyRule, "decide", counting_decide)
-        outcomes, _ = execute(model, batch, site)
+        monkeypatch.setattr(EvseQueue, "transition", counting_transition)
+        engine_log, handler = logging.getLogger("ramals.scheduler"), Deferrals()
+        engine_log.addHandler(handler)
+        level = engine_log.level
+        engine_log.setLevel(logging.DEBUG)
+        try:
+            outcomes, _ = execute(model, batch, site)
+        finally:
+            engine_log.removeHandler(handler)
+            engine_log.setLevel(level)
         # each decision consumes one stepped row, its own session's, in the
         # port's decision order, and no row is stepped that is not consumed
         assert stepped == decided
@@ -325,21 +344,42 @@ class TestExecute:
         assert outcomes == scalar_replay(batch, site, rule, risk_value=model.risk_value)
         assert any(o.scheduled for o in outcomes) and any(not o.scheduled for o in outcomes)
 
-    def test_decide_rejects_head_moved_after_its_step(self):
+    def test_decide_rejects_head_moved_after_its_step(self, monkeypatch):
         batch = generate_synthetic(GeneratorConfig(n_sessions=12, n_evses=2), seed=3)
         site = site_for(batch)
         model, _ = train(batch, site, TrainConfig(episodes=1, seed=1, hidden=4),
                          risk_value=0.0)
         engine = ScheduleEngine(batch, site, model)
-        rule = engine.rule
-        first, second = batch.slices
-        rule.decide(0, first.start)  # steps both ports, each at its first head
-        engine.queues[1].position = moved = second.start + 1
+        second = batch.slices[1]
+        moved = second.start + 1
+        step, stack_sizes = learner.policy_value_forward, []
+
+        def moving_step(params, head_states, carry):
+            if not stack_sizes:  # the first step, taken for both ports' first heads
+                engine.queues[1].position = moved
+            stack_sizes.append(len(head_states))
+            return step(params, head_states, carry)
+
+        monkeypatch.setattr(learner, "policy_value_forward", moving_step)
         head, moved_id = batch.session_ids[second.start], batch.session_ids[moved]
         with pytest.raises(SchedulerError, match=re.escape(
                 f"'EVSE-2': decision on session {moved_id!r}, but its policy step was "
                 f"taken for {head!r}")):
-            rule.decide(1, moved)
+            engine.run()
+        assert stack_sizes[0] == 2
+
+    @pytest.mark.parametrize("years, step", [(0, 1e-12), (0, 1e-9), (35, 1.5e-9)])
+    def test_step_too_fine_to_move_a_clock_refused(self, years, step):
+        """A deferral or a queued head moves its port's clock on by the step.
+        One that leaves a clock the replay can act on unmoved (1.5e-9 minutes
+        at 35 years in), or moves it only within the engine's 1e-9-minute
+        tolerance, is refused before any replay; 1.5e-9 early on is not."""
+        batch = batch_of([make_session(sid="a"), make_session(
+            sid="b", start=T0 + timedelta(days=365 * years, hours=2))])
+        with pytest.raises(SchedulerError, match="^step_minutes must exceed "):
+            ScheduleEngine(batch, site_for(batch, dso_kw=40.0), step_minutes=step)
+        if years:
+            ScheduleEngine(batch_of([make_session()]), site_for(batch), step_minutes=step)
 
     def test_site_capacity_respected(self):
         # two ports, each able to push 40 kW, but the feed only carries 50 kW

@@ -99,6 +99,14 @@ class TestParseSessions:
         with pytest.raises(SessionError, match="malformed"):
             parse_sessions(b"{not json")
 
+    @pytest.mark.parametrize("text", [b'[{"sessionID": "\xff"}]', b"[" * 200_000],
+                             ids=["not-utf-8", "deep"])
+    def test_undecodable_json_malformed(self, text):
+        """Bytes that are not UTF-8, or nesting deeper than the decoder
+        recurses, are malformed JSON like any other."""
+        with pytest.raises(SessionError, match="^malformed session JSON: "):
+            parse_sessions(text)
+
     def test_missing_mandatory_field(self):
         bad = self.record()
         del bad["kWhDelivered"]
