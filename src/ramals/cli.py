@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -312,7 +313,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared by every
+    :func:`main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ramals",
         description="Risk-adversarial multi-agent scheduling for EV charging sessions")
@@ -323,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-risk", help="fit the laxity tail model over sessions")
     p.add_argument("--config")
     p.add_argument("--sessions", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_risk)
 
     p = sub.add_parser("train", help="train the multi-agent scheduler")
     p.add_argument("--config")
@@ -344,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="existing model to continue from")
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="training log CSV path")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("run", help="execute a model (or the baseline) over sessions")
     p.add_argument("--config")
@@ -355,12 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the as-requested FCFS baseline instead of a model")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="metrics CSV path")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="tabulate metric deltas between reports")
     p.add_argument("reports", nargs="+", metavar="label=report.csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -368,8 +367,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    # looked up at call time, so a cmd_* replaced on this module is the one run
+    command = {"gen-data": cmd_gen_data, "fit-risk": cmd_fit_risk, "train": cmd_train,
+               "run": cmd_run, "compare": cmd_compare}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,10 +26,13 @@ rows in place, through row views built once with the buffers, as Adam
 reuses two scratch vectors.  The layout changes no arithmetic: every product
 and elementwise operation is the one a port-major pass over fresh arrays
 makes, in the same order, so models and logs come out the same bit for bit.
-Training and execution step one cell, :func:`_cell_rows`, each caller under
-one ``np.errstate(over="ignore")``: a pair of (P, H) blocks ``[tanh g, c_prev]``
-times ``[i, f]`` holds both terms of ``c``, so the gates' g slot is scratch.
-Both read the cell's output through one head step, :func:`_heads`.
+Training and execution step one cell, :func:`_cell_rows`, in 10 numpy calls,
+each caller under one ``np.errstate(over="ignore")``.  Each caller hands it
+the negated input projection ``-(x @ wx.T + b)``, once per episode or call,
+so the step's pre-activation comes negated, as the logistic's ``exp`` takes
+it: a pair of (P, H) blocks ``[-tanh g, c_prev]`` times ``[i, f]`` holds both
+terms of ``c``, so the gates' g slot is scratch.  Both read the cell's
+output through one head step, :func:`_heads`.
 
 :func:`fit_policy` is the episode loop on arrays: (P, T, 6) states, (P,)
 lengths and the (2, P, T) reward of each step under each action, which
@@ -103,7 +106,7 @@ def _views(flat: np.ndarray, hidden: int) -> dict[str, np.ndarray]:
 def _cell_operands(z: np.ndarray, pair: np.ndarray, product: np.ndarray) -> tuple:
     """The views :func:`_cell_rows` works through, built once per step: the
     ``[i, f]`` blocks of ``z`` as a (2, k, H) view, its ``g`` and ``o`` blocks,
-    the (2, k, H) ``pair`` and its ``tanh g`` block, and a scratch ``product``
+    the (2, k, H) ``pair`` and its ``-tanh g`` block, and a scratch ``product``
     like ``z``, whose memory also holds the two (k, H) terms of ``c``."""
     k, hidden = len(z), z.shape[-1] // 4
     terms = product.reshape(4, k, hidden)[:2]
@@ -114,23 +117,26 @@ def _cell_operands(z: np.ndarray, pair: np.ndarray, product: np.ndarray) -> tupl
 
 def _cell_rows(wh_t: np.ndarray, z: np.ndarray, h_prev: np.ndarray, c: np.ndarray,
                h: np.ndarray, operands: tuple) -> None:
-    """One cell step for a stack of rows in 11 numpy calls, into the new state
+    """One cell step for a stack of rows in 10 numpy calls, into the new state
     ``c`` and ``h``; ``wh_t`` is ``wh.T``, ``operands`` :func:`_cell_operands`.
-    On entry ``z`` holds the input projection ``x @ wx.T + b`` and the pair
-    ``[·, c_prev]``.  The step writes ``tanh g`` into the pair's first block and
-    the logistic into all of ``z``: the i, f and o gates, and scratch in the g
-    slot.  ``c = f·c_prev + i·tanh g`` is one product of ``[i, f]`` by the pair
-    and one sum.  The caller holds ``np.errstate(over="ignore")``: a gate whose
-    pre-activation is below about -709 is exactly 0."""
-    z_if, z_g, z_o, pair, tanh_g, product, terms, i_terms, f_terms = operands
-    z += np.dot(h_prev, wh_t, out=product)
-    np.tanh(z_g, out=tanh_g)
-    np.negative(z, out=z)  # the logistic 1 / (1 + exp(-z)), in place
+    On entry ``z`` holds the negated input projection ``-(x @ wx.T + b)`` and
+    the pair ``[·, c_prev]``.  Subtracting the recurrent product leaves the
+    negated pre-activation ``-a`` in ``z``, whose logistic is ``1 / (1 +
+    exp(-a))``.  The step writes ``tanh(-g) = -tanh g`` into the pair's first
+    block and the logistic into all of ``z``: the i, f and o gates, and
+    scratch in the g slot.  ``c = f·c_prev - i·(-tanh g)`` is one product of
+    ``[i, f]`` by the pair and one difference.  Negation is exact, so every
+    value is the unnegated step's bit for bit, up to the sign of a zero.  The
+    caller holds ``np.errstate(over="ignore")``: a gate whose pre-activation
+    is below about -709 is exactly 0."""
+    z_if, z_g, z_o, pair, neg_tanh_g, product, terms, i_terms, f_terms = operands
+    z -= np.dot(h_prev, wh_t, out=product)
+    np.tanh(z_g, out=neg_tanh_g)
     np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
-    np.multiply(z_if, pair, out=terms)  # [i·tanh g, f·c_prev]
-    np.add(f_terms, i_terms, out=c)
+    np.multiply(z_if, pair, out=terms)  # [-i·tanh g, f·c_prev]
+    np.subtract(f_terms, i_terms, out=c)
     np.tanh(c, out=h)
     h *= z_o
 
@@ -155,13 +161,14 @@ def policy_value_forward(params: dict, states: np.ndarray, carry: tuple):
     (k, H) arrays.
 
     Row j of the (k, 6) ``states`` is one session's state row, projected here
-    (``states @ wx.T + b``) and stepped from row j of the carry ``(h, c)``;
-    ``states`` is only read.
+    (``states @ wx.T + b``, negated for the step) and stepped from row j of
+    the carry ``(h, c)``; ``states`` is only read.
     """
     h_prev, c_prev = carry
-    z = states @ params["wx"].T + params["b"]
+    z = states @ params["wx"].T
+    np.subtract(-params["b"], z, out=z)  # -(x @ wx.T + b)
     pair = np.empty((2,) + h_prev.shape)
-    c = pair[1]  # c_prev, until the step's sum writes the new state
+    c = pair[1]  # c_prev, until the step's difference writes the new state
     c[...] = c_prev
     h = np.empty_like(h_prev)
     with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
@@ -178,7 +185,7 @@ class EpisodeBuffers:
       ``inside`` (P, T), true on each port's steps, and ``inv_n``, 1/T_p
     - forward pass, written by :func:`forward_episode` under its errstate:
       ``hiddens`` (T + 1, P, H) and ``pairs`` (T + 1, 2, P, H), step t's
-      ``[tanh g, c_prev]``, whose second block is ``cells``, both with the zero
+      ``[-tanh g, c_prev]``, whose second block is ``cells``, both with the zero
       start carry at step 0, ``gates`` (T, P, 4H), activated ``[i, f, ·, o]``
       with scratch in the g slot, and the heads' ``probs`` (P, T, 2) and
       ``values`` (P, T), port-major; steps past a port's length are computed
@@ -187,8 +194,11 @@ class EpisodeBuffers:
       ``actions``, ``q_targets`` and ``advantages`` (P, T); a run never
       writes them past a port's length, where they stay 0
     - backward pass, written by :func:`backward`: ``dz`` (T, P, 4H),
-      ``dh_heads`` and ``tanh_c`` (T, P, H), ``grads``, one flat gradient
-      row per port, and ``losses``, each port's (value, policy, entropy) loss
+      ``dh_heads``, ``tanh_c`` and ``tanh_g`` (T, P, H), ``loss_terms`` (3, P, T), each
+      step's squared residual, weighted log-probability and entropy,
+      ``port_hiddens`` (P, T + 1, H), a port-major copy of ``hiddens``,
+      ``grads``, one flat gradient row per port, and ``losses``, each port's
+      (value, policy, entropy) loss
 
     Each step's row views are built here once: ``cell_steps`` holds the
     arguments of each forward step's :func:`_cell_rows` after ``wh.T``, and
@@ -222,6 +232,9 @@ class EpisodeBuffers:
         self.dz = np.empty_like(self.gates)
         self.dh_heads = np.empty((n_steps, n_ports, hidden))
         self.tanh_c = np.empty_like(self.dh_heads)
+        self.tanh_g = np.empty_like(self.dh_heads)
+        self.loss_terms = np.empty((3, n_ports, n_steps))
+        self.port_hiddens = np.empty((n_ports, n_steps + 1, hidden))
         self.grads = np.empty((n_ports, sum(math.prod(shape)
                                             for shape in param_shapes(hidden).values())))
         self.grad_views = _views(self.grads, hidden)  # each port's row, by tensor
@@ -254,7 +267,7 @@ def forward_episode(params: dict, buffers: EpisodeBuffers) -> None:
     hiddens, cells, gates = buffers.hiddens, buffers.cells, buffers.gates
     hiddens[0] = cells[0] = 0.0
     np.matmul(buffers.states, params["wx"].T, out=gates.transpose(1, 0, 2))  # hoisted
-    gates += params["b"]
+    np.subtract(-params["b"], gates, out=gates)  # -(x @ wx.T + b), as each step takes it
     wh_t = params["wh"].T
     with np.errstate(over="ignore"):  # a gate's logistic may overflow to exactly 0
         for step in buffers.cell_steps:
@@ -298,22 +311,26 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
     inside, inv_n = buffers.inside, buffers.inv_n
     probs = buffers.probs
     log_probs = np.log(np.maximum(probs, LOG_PROB_FLOOR))
-    entropies = -np.sum(probs * log_probs, axis=-1)  # in nats
+    # each step's squared residual, advantage-weighted log-probability and
+    # entropy (in nats), stacked so one slice sum per port reads all three
+    squares, weighted, entropies = terms = buffers.loss_terms
+    np.sum(probs * log_probs, axis=-1, out=entropies)
+    np.negative(entropies, out=entropies)
     one_hot = buffers.actions[..., None] == (0, 1)
     schedule = one_hot[..., 0]  # the steps that took action 0
     clamped = np.where(schedule, probs[..., 0], probs[..., 1]) < LOG_PROB_FLOOR
-    weighted = buffers.advantages * np.where(schedule, log_probs[..., 0], log_probs[..., 1])
+    np.multiply(buffers.advantages, np.where(schedule, log_probs[..., 0], log_probs[..., 1]),
+                out=weighted)
     residuals = buffers.values - buffers.q_targets
     with np.errstate(over="ignore"):  # read by the loss log only, where inf is logged
-        squares = residuals ** 2
+        np.square(residuals, out=squares)
     buffers.losses = []
     # each mean as np.mean takes it, the pairwise sum over n, without its dispatch
     for p, n in enumerate(buffers.lengths.tolist()):
         if clamped[p, :n].any():
             log.warning("policy probability below %.0e clamped in log", LOG_PROB_FLOOR)
-        buffers.losses.append((float(0.5 * (squares[p, :n].sum() / n)),
-                               float(-(weighted[p, :n].sum() / n)),
-                               float(entropies[p, :n].sum() / n)))
+        square, weight, entropy = terms[:, p, :n].sum(axis=1).tolist()
+        buffers.losses.append((0.5 * (square / n), -(weight / n), entropy / n))
     # policy term: -mean(adv * log pi_taken); clamped probabilities have
     # zero slope, matching the loss definition
     policy_weight = np.where(clamped, 0.0, -buffers.advantages * inv_n)
@@ -326,23 +343,26 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
 
     gates = buffers.gates.reshape(n_steps, n_ports, 4, hidden)
     gi, go = gates[:, :, 0], gates[:, :, 3]
-    pairs = buffers.pairs[:-1]  # (T, 2, P, H): [tanh g, c_prev]
-    tanh_g = pairs[:, 0]
     # dh_heads = d_logits @ wp + d_value * wv, the product staged in tanh_c
     dh_heads, tanh_c = buffers.dh_heads, buffers.tanh_c
     np.matmul(d_logits, params["wp"], out=dh_heads.transpose(1, 0, 2))
     dh_heads += np.multiply(d_value.T[..., None], params["wv"][0], out=tanh_c)
     # dz of each gate is dc (rows i, f, g) or dh (row o) times ``local``: the
     # gate's activation slope times its partner in c = f*c_prev + i*g and
-    # h = o*tanh(c); the g slot's slope is 1 - tanh(g)^2, over its scratch
+    # h = o*tanh(c); the g slot's slope is 1 - tanh(g)^2, over its scratch.
+    # A gate block of ``local`` is a strided view, slower per call than a
+    # contiguous array, so g's slope is formed in tanh_g and written once.
     local = buffers.dz.reshape(n_steps, n_ports, 4, hidden)
     np.subtract(1.0, gates, out=local)
     local *= gates
-    slope_g = np.multiply(tanh_g, tanh_g, out=local[:, :, 2])
-    np.subtract(1.0, slope_g, out=slope_g)
     np.tanh(buffers.cells[1:], out=tanh_c)
-    local[:, :, :2] *= pairs.transpose(0, 2, 1, 3)  # i's partner tanh g, f's c_prev
-    local[:, :, 2] *= gi
+    # i's partner tanh g, flipped once from the pairs' -tanh g
+    tanh_g = np.negative(buffers.pairs[:-1, 0], out=buffers.tanh_g)
+    local[:, :, 0] *= tanh_g
+    local[:, :, 1] *= buffers.cells[:-1]  # f's partner c_prev
+    slope_g = np.multiply(tanh_g, tanh_g, out=tanh_g)
+    np.subtract(1.0, slope_g, out=slope_g)
+    np.multiply(slope_g, gi, out=local[:, :, 2])
     local[:, :, 3] *= tanh_c
     dh_to_dc = tanh_c  # go * (1 - tanh(c)^2), over tanh(c)
     dh_to_dc *= tanh_c
@@ -361,13 +381,12 @@ def backward(params: dict, buffers: EpisodeBuffers, beta: float) -> np.ndarray:
         np.multiply(dc, forget, out=dc_next)
 
     dz = buffers.dz.transpose(1, 2, 0)  # (P, 4H, T)
-    # port-major copies of the cell's inputs and outputs, in the loop's dead
-    # (T, P, H) buffers: BLAS may round a product over a strided operand
-    # differently at small widths
-    inputs = dh_heads.reshape(n_ports, n_steps, hidden)
-    inputs[...] = buffers.hiddens[:-1].transpose(1, 0, 2)
-    outputs = tanh_c.reshape(n_ports, n_steps, hidden)
-    outputs[...] = buffers.hiddens[1:].transpose(1, 0, 2)
+    # one port-major copy of the hidden states, whose (T, H) slices of the
+    # cell's inputs and outputs are each C-contiguous: BLAS may round a
+    # product over a strided operand differently at small widths
+    port_hiddens = buffers.port_hiddens
+    port_hiddens[...] = buffers.hiddens.transpose(1, 0, 2)
+    inputs, outputs = port_hiddens[:, :-1], port_hiddens[:, 1:]
     grads = buffers.grad_views
     np.matmul(dz, buffers.states, out=grads["wx"])
     np.matmul(dz, inputs, out=grads["wh"])

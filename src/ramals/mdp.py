@@ -44,6 +44,9 @@ ENERGY_NORM_KWH = 100.0
 DURATION_NORM_MIN = 1440.0
 STATE_DIM = 6
 DEFAULT_STEP_MINUTES = 15.0
+#: How far, in minutes, the engine's clocks may pass a bound they are
+#: compared with: a head is acted on up to this long past its deadline.
+CLOCK_TOLERANCE_MINUTES = 1e-9
 
 
 class MdpError(ValueError):
@@ -210,7 +213,7 @@ class EvseQueue:
             arrival = arrivals[i]
             if arrival > clock:
                 clock = arrival
-            if clock <= deadlines[i] + 1e-9:
+            if clock <= deadlines[i] + CLOCK_TOLERANCE_MINUTES:
                 break
             if self._log_voids:
                 log.debug("session %r voided: availability window expired unserved",
@@ -228,7 +231,7 @@ class EvseQueue:
         if i >= self.stop:
             raise MdpError(f"EVSE {self.evse.evse_id!r}: transition on an empty queue")
         arrival = self.arrivals[i]
-        if not arrival <= clock <= self.deadlines[i] + 1e-9:
+        if not arrival <= clock <= self.deadlines[i] + CLOCK_TOLERANCE_MINUTES:
             raise MdpError(f"session {self.session_ids[i]!r} is not presentable at "
                            f"t={clock:.1f} min")
         event = (i, clock, clock - arrival)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .sessions import SessionBatch, port_rates
+from .sessions import SessionBatch, ordered_sum, port_rates
 
 log = logging.getLogger(__name__)
 
@@ -117,42 +119,63 @@ def _sum_log_pdf(d: np.ndarray, dof: float, location: float, scale: float) -> fl
                  - (dof + 1.0) / 2.0 * np.sum(np.log1p(z * z / dof)))
 
 
+def _argsort(values: list[float]) -> list[int]:
+    """``np.argsort(values)`` as a list.  Distinct values none of which is
+    NaN have one sorted order, the builtin sort's; ties and NaN, which numpy
+    sorts last, go to numpy, whose order among ties depends on its sort
+    kernel."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranked = [values[k] for k in order]
+    if all(low < high for low, high in zip(ranked, ranked[1:])):
+        return order
+    return np.argsort(values).tolist()
+
+
 def _simplex_minimum(func, x0: np.ndarray, maxiter: int = 3000) -> tuple[np.ndarray, float]:
     """Nelder-Mead minimum of ``func`` from ``x0``: scipy's search with its
     default coefficients, step for step, each folded constant exact in
-    float64.  ``func`` must not modify the point it is given."""
+    float64.  Points and values are Python floats, each coordinate's
+    arithmetic the float64 operation numpy's would be; ``func`` is handed
+    each point as a new array."""
     n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.array([func(x) for x in sim])
+    start = x0.tolist()
+    sim = [start] + [start[:k] + [1.05 * v if v != 0 else 0.00025] + start[k + 1:]
+                     for k, v in enumerate(start)]
+    fsim = [float(func(np.array(x))) for x in sim]
     for _ in range(2):  # scipy orders the start simplex twice
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        order = _argsort(fsim)
+        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
     for _ in range(1, maxiter):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
+        best, f_best = sim[0], fsim[0]
+        # all(... <= tol) is np.max(...) <= tol, NaN failing both
+        if (all(abs(v - b) <= 1e-8 for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(f_best - f) <= 1e-10 for f in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2.0 * xbar - sim[-1]  # reflect
-        fxr = func(xr)
+        # np.add.reduce over the points' axis adds the points in order
+        xbar = [total / n for total in (reduce(add, column) for column in zip(*sim[:-1]))]
+        worst = sim[-1]
+        xr = [2.0 * m - w for m, w in zip(xbar, worst)]  # reflect
+        fxr = float(func(np.array(xr)))
         if fxr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]  # expand
-            fxe = func(xe)
+            xe = [3.0 * m - 2.0 * w for m, w in zip(xbar, worst)]  # expand
+            fxe = float(func(np.array(xe)))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:  # contract: outside when xr beats the worst point, else inside
             outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = func(xc)
+            xc = [1.5 * m - 0.5 * w if outside else 0.5 * m + 0.5 * w
+                  for m, w in zip(xbar, worst)]
+            fxc = float(func(np.array(xc)))
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best point
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fsim[1:] = [func(x) for x in sim[1:]]
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], np.min(fsim)
+                sim[1:] = [[b + 0.5 * (v - b) for v, b in zip(x, best)] for x in sim[1:]]
+                fsim[1:] = [float(func(np.array(x))) for x in sim[1:]]
+        order = _argsort(fsim)
+        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+    # np.min of the sorted values: NaN if any is
+    return np.array(sim[0]), math.nan if any(map(math.isnan, fsim)) else fsim[0]
 
 
 def fit_student_t(samples) -> StudentTFit:
@@ -356,7 +379,7 @@ def batch_reference_hours(batch: SessionBatch) -> float:
     session duration instead saturates the clamp on heavily inflated batches
     and zeroes every reward downstream.
     """
-    total_hours = sum(batch.minutes_available.tolist()) / 60.0  # the builtin, left to right
+    total_hours = ordered_sum(batch.minutes_available.tolist()) / 60.0
     return total_hours / max(len(batch.evse_ids), 1)
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import learner, mdp
-from .sessions import SessionBatch, SiteConfig, number_column
+from .sessions import SessionBatch, SiteConfig, number_column, ordered_sum
 
 log = logging.getLogger(__name__)
 
@@ -180,11 +180,12 @@ class ScheduleEngine:
         # the clock's minute 0 is the batch's first plug-in
         arrivals = (batch.plug_in - (batch.plug_in.min() if len(batch) else 0)).astype(float)
         arrivals, deadlines = arrivals.tolist(), (arrivals + batch.minutes_available).tolist()
-        # A head is acted on up to 1e-9 past its deadline: a step of half a
-        # unit in the last place there or less leaves some clock unmoved, and
-        # one of 1e-9 or less is within the engine's own clock tolerance.
-        latest = max(deadlines, default=0.0) + 1e-9
-        finest = max(1e-9, math.ulp(latest) / 2)
+        # A head is acted on up to the clock tolerance past its deadline: a
+        # step of half a unit in the last place there or less leaves some
+        # clock unmoved, and one no larger than the tolerance is within it.
+        tolerance = mdp.CLOCK_TOLERANCE_MINUTES
+        latest = max(deadlines, default=0.0) + tolerance
+        finest = max(tolerance, math.ulp(latest) / 2)
         if step_minutes <= finest:
             raise SchedulerError(f"step_minutes must exceed {finest!r} to move a clock of up to "
                                  f"{latest:.1f} minutes, got {step_minutes!r}")
@@ -216,6 +217,7 @@ class ScheduleEngine:
         rewards = self.table.reward[0].tolist()
         step = self.step_minutes
         feed_kw = self.site.dso_capacity_kw + 1e-9
+        tolerance = mdp.CLOCK_TOLERANCE_MINUTES
         log_deferrals = log.isEnabledFor(logging.DEBUG)
         new_row = mdp.new_row
         active: list[tuple[float, float]] = []  # (end minute, kW) of each start
@@ -255,8 +257,10 @@ class ScheduleEngine:
                     rate = rate_kw[i]
                     # Decisions run in time order, so an interval that has
                     # ended by now has ended for every later decision too.
-                    active = [(end, kw) for end, kw in active if end > clock + 1e-9]
-                    load = sum(kw for _end, kw in active)
+                    active = [(end, kw) for end, kw in active if end > clock + tolerance]
+                    load = 0.0  # ordered_sum's order, without its call
+                    for _end, kw in active:
+                        load += kw
                     if load + rate > feed_kw:
                         if log_deferrals:
                             log.debug("EVSE %r deferred session %r: site load %.1f kW full",
@@ -295,8 +299,8 @@ def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
             compress(columns.evse_id, columns.scheduled), minutes, kwh):
         hours[evse_id] = hours.get(evse_id, 0.0) + realized_minutes / 60.0
         energy[evse_id] = energy.get(evse_id, 0.0) + realized_kwh
-    total_minutes = sum(minutes)
-    total_energy = sum(kwh)
+    total_minutes = ordered_sum(minutes)
+    total_energy = ordered_sum(kwh)
     rate = total_energy / total_minutes * 60.0 if total_minutes > 0 else 0.0
     efficiency = 100.0 * len(minutes) / len(outcomes) if outcomes else 0.0
     return MetricsReport(
@@ -304,8 +308,8 @@ def compute_metrics(outcomes, site: SiteConfig) -> MetricsReport:
         assignment_efficiency_pct=efficiency,
         sessions_served=len(minutes),
         sessions_total=len(outcomes),
-        total_active_hours=sum(hours.values()),
-        total_energy_kwh=sum(energy.values()),
+        total_active_hours=ordered_sum(hours.values()),
+        total_energy_kwh=ordered_sum(energy.values()),
         active_hours_by_evse=hours,
         energy_kwh_by_evse=energy,
     )
@@ -358,17 +362,19 @@ def audit_outcomes(outcomes, batch: SessionBatch, site: SiteConfig) -> None:
                 raise SchedulerError(f"session {session_id!r} rate {rate} exceeds cap {cap}")
     # Site load: charging intervals are constant-rate, so the maximum load
     # occurs at some charging start t.  The rate of the intervals with
-    # s <= t + 1e-9 < e is a prefix sum over sorted starts minus one over ends.
+    # s <= t + tolerance < e, the engine's clock tolerance, is a prefix sum
+    # over sorted starts minus one over ends.
     lengths = np.array(columns.realized_minutes, dtype=float)
     served = np.array(columns.scheduled, dtype=bool) & (lengths > 0)
     starts = np.array(columns.start_minutes, dtype=float)[served]
     ends = starts + lengths[served]
     rates = np.array(columns.realized_rate_kw, dtype=float)[served]
     loads = np.zeros(len(starts))
+    reach = starts + mdp.CLOCK_TOLERANCE_MINUTES
     for bounds, sign in ((starts, 1.0), (ends, -1.0)):
         order = np.argsort(bounds)
         prefix = np.concatenate(([0.0], np.cumsum(rates[order])))
-        loads += sign * prefix[np.searchsorted(bounds[order], starts + 1e-9, side="right")]
+        loads += sign * prefix[np.searchsorted(bounds[order], reach, side="right")]
     over = np.flatnonzero(loads > site.dso_capacity_kw + 1e-6)
     if over.size:
         raise SchedulerError(f"site load {loads[over[0]]:.3f} kW exceeds feed capacity "

@@ -36,10 +36,11 @@ import logging
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite, nan
-from operator import itemgetter
+from operator import add, itemgetter
 from sys import float_info
 from typing import NamedTuple
 
@@ -533,19 +534,30 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SessionBatch:
     return batch
 
 
+def ordered_sum(values) -> float:
+    """``0 + v0 + v1 + ...``, added left to right: the builtin ``sum`` of
+    floats up to Python 3.11.  Python 3.12 made that sum compensated, which
+    moves the last digit of some totals; every pinned output was made with
+    this one."""
+    return reduce(add, values, 0)
+
+
 def port_rates(batch: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
     """Each port's demand and delivery rates in kW, two (P,) columns in port
     order: total requested kWh over total requested minutes, and total
     delivered kWh over total charging minutes, times 60; NaN where the
-    minutes total 0 or less.  Each total is the builtin sum, left to right,
-    as the outputs were pinned with."""
-    requested, available, delivered, charging = (column.tolist() for column in (
-        batch.requested_kwh, batch.minutes_available, batch.delivered_kwh,
-        (batch.charge_end - batch.plug_in).astype(float)))
-    demand, delivery = (np.array([sum(kwh[rows]) / total * 60.0
-                                  if (total := sum(minutes[rows])) > 0 else nan
+    minutes total 0 or less.  Each total is :func:`ordered_sum`'s."""
+    def total(column: np.ndarray, rows: slice) -> float:
+        # np.add.accumulate adds in order from v0, not 0 + v0: the two differ
+        # only on rows that are all -0.0, whose -0.0 total + 0.0 turns to 0.0
+        return float(np.add.accumulate(column[rows])[-1]) + 0.0
+
+    charging = (batch.charge_end - batch.plug_in).astype(float)
+    demand, delivery = (np.array([total(kwh, rows) / minutes_total * 60.0
+                                  if (minutes_total := total(minutes, rows)) > 0 else nan
                                   for rows in batch.slices], dtype=float)
-                        for kwh, minutes in ((requested, available), (delivered, charging)))
+                        for kwh, minutes in ((batch.requested_kwh, batch.minutes_available),
+                                             (batch.delivered_kwh, charging)))
     return demand, delivery
 
 

@@ -229,15 +229,24 @@ def _minutes(start: datetime, end: datetime) -> float:
     return (end - start).total_seconds() / 60.0
 
 
+def left_sum(values):
+    """0 + v0 + v1 + ..., one addition at a time: the builtin sum of floats
+    up to Python 3.11, which later versions compensate."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def demand_rate_kw(sessions) -> float:
     """Total kWh asked over total minutes asked, in kW."""
     sessions = list(sessions)
     if not sessions:
         raise SessionError("demand rate needs at least one session")
-    total_minutes = sum(s.minutes_available for s in sessions)
+    total_minutes = left_sum(s.minutes_available for s in sessions)
     if total_minutes <= 0:
         raise SessionError("demand rate undefined: zero total requested minutes")
-    return sum(s.energy_requested_kwh for s in sessions) / total_minutes * 60.0
+    return left_sum(s.energy_requested_kwh for s in sessions) / total_minutes * 60.0
 
 
 def delivery_rate_kw(sessions) -> float:
@@ -245,10 +254,10 @@ def delivery_rate_kw(sessions) -> float:
     sessions = list(sessions)
     if not sessions:
         raise SessionError("delivery rate needs at least one session")
-    total_minutes = sum(_minutes(s.plug_in_time, s.charge_end_time) for s in sessions)
+    total_minutes = left_sum(_minutes(s.plug_in_time, s.charge_end_time) for s in sessions)
     if total_minutes <= 0:
         raise SessionError("delivery rate undefined: zero total charging minutes")
-    return sum(s.energy_delivered_kwh for s in sessions) / total_minutes * 60.0
+    return left_sum(s.energy_delivered_kwh for s in sessions) / total_minutes * 60.0
 
 
 def rate_ratio(sessions) -> float:
@@ -259,13 +268,13 @@ def rate_ratio(sessions) -> float:
 
 
 def _mean_rate(energy: np.ndarray, minutes: np.ndarray, name: str, kind: str) -> float:
-    # the builtin sum, left to right as the outputs were pinned with
+    # left to right, as the outputs were pinned with
     if not len(minutes):
         raise SessionError(f"{name} rate needs at least one session")
-    total_minutes = sum(minutes.tolist())
+    total_minutes = left_sum(minutes.tolist())
     if total_minutes <= 0:
         raise SessionError(f"{name} rate undefined: zero total {kind} minutes")
-    return sum(energy.tolist()) / total_minutes * 60.0
+    return left_sum(energy.tolist()) / total_minutes * 60.0
 
 
 def port_demand_rate_kw(batch: SessionBatch, rows: slice = slice(None)) -> float:
@@ -800,22 +809,23 @@ class PaddedForward:
     @classmethod
     def of(cls, buffers: EpisodeBuffers) -> "PaddedForward":
         """The pass in ``buffers``, its time-major arrays as (P, ·) views, and
-        its gates as a copy whose g slot, scratch in the buffers, is the
-        ``tanh g`` their pairs hold."""
+        its gates as a copy whose g slot, scratch in the buffers, is
+        ``tanh g``, the negation of the ``-tanh g`` their pairs hold."""
         hidden = buffers.hiddens.shape[2]
         gates = buffers.gates.transpose(1, 0, 2).copy()
-        gates[..., 2 * hidden:3 * hidden] = buffers.pairs[:-1, 0].transpose(1, 0, 2)
+        gates[..., 2 * hidden:3 * hidden] = -buffers.pairs[:-1, 0].transpose(1, 0, 2)
         return cls(buffers.probs, buffers.values, *(array.transpose(1, 0, 2) for array in (
             buffers.hiddens, buffers.cells)), gates)
 
     def write(self, buffers: EpisodeBuffers) -> None:
         """Copy this pass into ``buffers``, as ``forward_episode`` writes one:
-        the g slot's ``tanh g`` goes to the first block of the pairs too."""
+        the g slot's ``tanh g`` goes to the first block of the pairs too, as
+        ``-tanh g``."""
         buffers.probs[...], buffers.values[...] = self.probs, self.values
         for name in ("hiddens", "cells", "gates"):
             getattr(buffers, name).transpose(1, 0, 2)[...] = getattr(self, name)
         hidden = self.hiddens.shape[2]
-        buffers.pairs[:-1, 0] = self.gates[..., 2 * hidden:3 * hidden].transpose(1, 0, 2)
+        buffers.pairs[:-1, 0] = -self.gates[..., 2 * hidden:3 * hidden].transpose(1, 0, 2)
 
 
 def padded_forward_episode(params, states) -> PaddedForward:
@@ -1285,7 +1295,7 @@ def scalar_replay(batch, site, rule, allocator=rational_allocation,
             if rule.decide(port, i) == 1:
                 allocation = allocator(port, i, queue.evse)
                 active = [(end, kw) for end, kw in active if end > queue.clock + 1e-9]
-                if (sum(kw for _end, kw in active) + allocation.rate_kw
+                if (left_sum(kw for _end, kw in active) + allocation.rate_kw
                         > site.dso_capacity_kw + 1e-9):
                     queue.clock += step_minutes
                 else:

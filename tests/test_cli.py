@@ -37,6 +37,18 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def test_one_parser_calls_the_command_on_the_module(tmp_path, monkeypatch):
+    """One parser serves every call in a process, and each call runs the
+    command function the module holds then, as a wrapper set on it."""
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "sessions.json"
+    assert run_cli("gen-data", "--out", out) == 0 and out.exists()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen_data", lambda args: seen.append(args.out) or 0)
+    assert run_cli("gen-data", "--out", out) == 0
+    assert seen == [str(out)]
+
+
 class TestConfig:
     def test_defaults_and_overrides(self, workdir):
         cfg = load_config(workdir / "run.cfg")

@@ -276,6 +276,25 @@ class TestPolicyValueForward:
             policy_value_forward(params, np.full((2, 6), 0.5), zero_carry(params, 2))
 
 
+def test_tanh_is_odd_to_the_bit():
+    """The cell step keeps ``tanh(-g)`` as ``-tanh g``: numpy's tanh must be
+    odd bit for bit, from 1e-300 to 1e300 in magnitude and across the
+    function's bend, on contiguous and strided operands alike."""
+    rng = np.random.default_rng(12)
+    x = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 400_000),
+                        rng.uniform(0.0, 25.0, 200_000)))
+    x *= rng.choice([-1.0, 1.0], x.size)
+    negated = -x
+    blocks = (slice(None), slice(None, None, 3))  # as given, and strided
+    for rows in blocks:
+        assert np.tanh(negated[rows]).tobytes() == np.negative(np.tanh(x[rows])).tobytes()
+    # the g block of a (k, 4H) row stack, read strided as the step reads it
+    z, negated_z = x.reshape(-1, 4 * 25), negated.reshape(-1, 4 * 25)
+    pair = np.empty((len(z), 25))
+    np.tanh(negated_z[:, 50:75], out=pair)
+    assert pair.tobytes() == np.negative(np.tanh(z[:, 50:75])).tobytes()
+
+
 class TestSaturatedGates:
     """An i, f or o pre-activation below about -709 overflows the logistic's
     exp: the gate is exactly 0, the cell step warns of nothing, and its

@@ -14,8 +14,10 @@ The density and the tail expectations are checked against scipy.stats.t,
 Monte-Carlo tail averages and direct enumeration.
 """
 
+import itertools
 import math
 import re
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -40,11 +42,11 @@ from ramals import (
 )
 import ramals.risk as risk_module
 from ramals.cli import generator_from_config, load_config, stage_seed
-from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _simplex_minimum, _sum_log_pdf,
-                         standardized_cdf, standardized_ppf)
+from ramals.risk import (DOF_BOUNDS, SCALE_BOUNDS, _argsort, _simplex_minimum, _sum_log_pdf,
+                         batch_reference_hours, standardized_cdf, standardized_ppf)
 
 import oracles
-from helpers import batch_of, make_session, rate_batches
+from helpers import T0, batch_of, make_session, rate_batches
 from oracles import (bisection_ppf, log_likelihood, mirrored_upper_tail_cvar, ppf,
                      port_delivery_rate_kw, port_demand_rate_kw, quadrature_cdf, student_t_pdf)
 
@@ -300,6 +302,15 @@ def test_simplex_matches_scipy_nelder_mead_bit_for_bit(func, x0, maxiter):
     assert np.float64(fun).tobytes() == np.float64(expected.fun).tobytes()
 
 
+def test_simplex_sort_is_numpys_argsort():
+    """The simplex orders its values as np.argsort does, ties among finite,
+    infinite and NaN values included, whose order numpy's sort kernel sets."""
+    values = (0.0, 1.0, -math.inf, math.inf, math.nan)
+    for n in (1, 2, 4, 5):
+        for combo in itertools.product(values, repeat=n):
+            assert _argsort(list(combo)) == np.argsort(combo).tolist(), combo
+
+
 @st.composite
 def laxity_like_samples(draw):
     """Heavy- or light-tailed sets of 8 to 3000 samples at scales 1e-3 to 1e3,
@@ -542,6 +553,15 @@ class TestNormalizeRisk:
     def test_rejects_bad_reference(self):
         with pytest.raises(RiskError):
             normalize_risk(1.0, 0.0)
+
+
+def test_reference_hours_add_left_to_right():
+    """The requested minutes are added one session at a time from 0, on every
+    Python version; 3.12's compensated builtin sum would make these 1e16 + 2."""
+    batch = batch_of([make_session(sid=f"s{i}", window_min=minutes, charge_min=1,
+                                   start=T0 + timedelta(hours=i))
+                      for i, minutes in enumerate((1e16, 1.0, 1.0))])
+    assert batch_reference_hours(batch) == 1e16 / 60.0 != math.fsum([1e16, 1.0, 1.0]) / 60.0
 
 
 class TestEstimateRisk:

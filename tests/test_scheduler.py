@@ -125,6 +125,18 @@ class TestComputeMetrics:
         with pytest.raises(SchedulerError, match=message):
             read_report("\n".join(rows))
 
+    def test_totals_add_left_to_right(self):
+        """Each total adds its terms one at a time from 0, in session and then
+        site order, on every Python version; 3.12's compensated builtin sum
+        would make these 1e16 + 1 + 1 terms 1e16 + 2."""
+        site = SiteConfig(1000.0, tuple(EvseConfig(f"EVSE-{i}", 50.0) for i in (1, 2, 3)))
+        rows = [outcome(sid=f"s{i}", evse=f"EVSE-{i + 1}", energy=kwh, minutes=60.0 * kwh)
+                for i, kwh in enumerate((1e16, 1.0, 1.0))]
+        report = compute_metrics(rows, site)
+        assert report.total_energy_kwh == report.total_active_hours == 1e16
+        assert report.charging_rate_kw == 1e16 / 6e17 * 60.0
+        assert math.fsum([1e16, 1.0, 1.0]) != 1e16
+
     def test_csv_roundtrip_exact_on_twelve_ports(self):
         """The CSV lists ports sorted as text (EVSE-10 before EVSE-2); the site
         totals read back must still equal the ones written, bit for bit."""

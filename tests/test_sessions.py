@@ -24,6 +24,8 @@ from ramals import (
     time_ratios,
 )
 
+from ramals.sessions import ordered_sum
+
 from helpers import JSON_NUMBERS, JSON_TEXT, T0, batch_of, make_session, rate_batches
 from oracles import (ChargingSession, VehicleClass, _datetime, port_delivery_rate_kw,
                      port_demand_rate_kw, rows, session_json_bytes)
@@ -746,6 +748,18 @@ class TestRates:
     def test_demand_rate_empty(self):
         """An empty batch has no ports."""
         assert [rates.shape for rates in port_rates(batch_of([]))] == [(0,), (0,)]
+
+    def test_totals_add_left_to_right(self):
+        """A port's totals are added one session at a time from 0, on every
+        Python version; 3.12's compensated builtin sum would make these
+        requests 1e16 + 2 kWh.  Requests of -0.0 total 0.0, as 0 + -0.0 is."""
+        batch = made_batch(*(dict(requested=kwh, window_min=60, start=T0 + timedelta(hours=i))
+                             for i, kwh in enumerate((1e16, 1.0, 1.0))))
+        assert port_rates(batch)[0].tolist() == [1e16 / 180.0 * 60.0]
+        assert 1e16 / 180.0 * 60.0 != math.fsum([1e16, 1.0, 1.0]) / 180.0 * 60.0
+        assert ordered_sum([1e16, 1.0, 1.0]) == 1e16 and ordered_sum([]) == 0
+        unsigned = port_rates(made_batch(dict(requested=-0.0, window_min=30)))[0][0]
+        assert unsigned == 0.0 and math.copysign(1.0, unsigned) == 1.0
 
     def test_delivery_rate_appendix_energy(self):
         assert port_rates(made_batch(dict(delivered=8.794, charge_min=60)))[1] \
